@@ -196,6 +196,17 @@ def _spectral_factor_or_best(u, tol):
         return exc.best, exc
 
 
+def _significant(factors, tol, scale):
+    """Factors whose square contributes above 1e-3 * tol * scale.
+
+    Smaller ones are noise left over from the factorization gauge; dropping
+    them keeps the certificate minimal, and the reassembly check still
+    decides.
+    """
+    drop = 1e-3 * tol * scale
+    return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
+
+
 def decompose_line(f, tol=DEFAULT_TOL):
     """Certificate F = H H^T + K K^T for F PSD on the whole line.
 
@@ -225,24 +236,13 @@ def decompose_line(f, tol=DEFAULT_TOL):
         raise SosConsistencyError(
             f"cross term H K^T - K H^T did not cancel ({cross.max_coeff_abs():.3e})")
 
-    # factors whose square contributes below the residual promise are noise
-    # left over from the factorization gauge; dropping them keeps the
-    # certificate minimal and the reassembly check below still decides
-    drop = 1e-3 * tol * scale
-    factors = [p for p in (h, k)
-               if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
-    cert = SosCertificate("line", {"1": factors})
+    cert = SosCertificate("line", {"1": _significant((h, k), tol, scale)})
     cert.residual = verify_certificate(ff, cert)
     if cert.residual > tol * scale:
         if pending is not None:
             raise pending
         raise SosConsistencyError(f"reassembly residual {cert.residual:.3e} above tolerance")
     return cert
-
-
-def _significant(factors, tol, scale):
-    drop = 1e-3 * tol * scale
-    return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import certificates, measures, moments, recovery, shiftgap, spectral
 from .polymat import matrixpoly_from_json
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -48,7 +48,7 @@ def _cmd_check(args):
 
 def _cmd_factor(args):
     u = spectral.laurent_from_json(_load_json(args.laurent))
-    fac = spectral.fejer_riesz(u, tol=args.tol, max_order=args.max_order)
+    fac = spectral.fejer_riesz(u, tol=args.tol)
     doc = {
         "schema_version": SCHEMA_VERSION, "command": "factor",
         "factor": {
@@ -151,7 +151,6 @@ def _build_parser():
     p = sub.add_parser("factor", help="spectral factorization of a Laurent polynomial")
     p.add_argument("--laurent", required=True)
     p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
-    p.add_argument("--max-order", type=int, default=spectral.DEFAULT_MAX_ORDER)
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("certify", help="sum-of-squares certificate for a PSD polynomial")
@@ -185,17 +184,22 @@ def _build_parser():
     return parser
 
 
-_INPUT_ERRORS = (ValueError, KeyError)
-_DOMAIN_FAILURES = (
-    spectral.NotPsdOnCircle,
-    spectral.NoConvergence,
-    certificates.OddDegree,
-    certificates._NotPsdOnDomain,
-    certificates.SosConsistencyError,
-    recovery.HankelNotPsd,
-    recovery.ComplexAtoms,
-    shiftgap.ModulePositivityError,
+# Exception type -> exit code, first match wins: domain failures (several
+# derive from ValueError) exit 1, other value and key errors are input
+# errors and exit 2.
+_EXIT_CODES = (
+    ((spectral.NotPsdOnCircle,
+      spectral.NoConvergence,
+      certificates.OddDegree,
+      certificates._NotPsdOnDomain,
+      certificates.SosConsistencyError,
+      recovery.HankelNotPsd,
+      recovery.ComplexAtoms,
+      shiftgap.ModulePositivityError,
+      measures.SupportViolation), 1),
+    ((ValueError, KeyError), 2),
 )
+_REPORTED_ERRORS = tuple(t for types, _ in _EXIT_CODES for t in types)
 
 
 def run(argv):
@@ -211,18 +215,11 @@ def run(argv):
                                  "error": {"type": "usage", "message": "invalid arguments"}})
     try:
         return args.func(args)
-    except _DOMAIN_FAILURES as exc:
+    except _REPORTED_ERRORS as exc:
+        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
-        return CommandResult(1, doc)
-    except measures.SupportViolation as exc:
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-        return CommandResult(1, doc)
-    except _INPUT_ERRORS as exc:
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-        return CommandResult(2, doc)
+        return CommandResult(code, doc)
 
 
 def render(report):

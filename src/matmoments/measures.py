@@ -213,7 +213,8 @@ def positivity_audit(mu, generators, trials, seed=0):
     atom is checked first and a violation raises SupportViolation naming
     the most negative (atom, generator) pair.  Each trial then draws a
     generator (or the constant 1) and a random matrix polynomial A of
-    degree <= 3 and checks the trace pairing against -1e-9 * scale.
+    degree <= 3 and checks the trace pairing against -1e-9 * scale, where
+    scale sums |coefficients of g*A^T A| at |x_j| against |W_j|.
     """
     gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
     worst = None
@@ -240,7 +241,10 @@ def positivity_audit(mu, generators, trials, seed=0):
         q = matmul(transpose_poly(a), a)
         fg = scalar_poly_mult(g, q)
         val = integrate_trace(fg, mu)
-        scale = sum(abs(float(npoly.polyval(x, g))) * abs(float(np.trace(q(x) @ w)))
+        # rounding scale: the magnitude of the terms that evaluating g*q at
+        # each atom and pairing it with W actually sums
+        abs_fg = np.abs(fg.as_float().coeffs)
+        scale = sum(float(np.sum(npoly.polyval(abs(x), abs_fg) * np.abs(w).T))
                     for x, w in mu.atoms)
         margin = val + AUDIT_TOL * max(1.0, scale)
         min_margin = min(min_margin, margin)

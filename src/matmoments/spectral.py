@@ -4,14 +4,23 @@ Writes u(z) = P(z) P*(z), with P an ordinary matrix polynomial and
 P*(z) = sum_k B_k^H z^{-k}, for Laurent polynomials that are Hermitian
 positive semidefinite on the unit circle.
 
-The driver is Bauer's method: Cholesky-factor a banded block-Toeplitz
-section T_N = [A_{i-j}] and read the candidate coefficients off the last
-block row, doubling N until the residual settles.  Bauer alone converges
-only polynomially when u has spectral zeros on the circle, so every Bauer
-estimate is polished by a coefficient-space Newton iteration on
-A_k = sum_j B_{j+k} B_j^H, which restores fast convergence in both the
-definite and the singular case.  Inputs that defeat both are retried with
-an epsilon*I regularization and Richardson extrapolation in sqrt(eps).
+The factor comes from one discrete algebraic Riccati equation (Sayed and
+Kailath, "A survey of spectral factorization methods", Numer. Linear
+Algebra Appl. 8, 2001).  The causal part of u is realised on a state of
+size n*band: F is the nilpotent block up-shift, H = [I 0 ... 0] and
+G = [A_1; ...; A_band], so that A_k = H F^{k-1} G.  The stabilizing
+solution P of
+
+    P = F P F^H + (G - F P H^H) R_e^{-1} (G - F P H^H)^H,
+    R_e = A_0 - H P H^H,
+
+gives the minimum-phase factor B_0 = chol(R_e), B_k = H F^{k-1} K B_0 with
+gain K = (G - F P H^H) R_e^{-1}; B_0 comes out lower triangular with a
+positive diagonal.  Spectral zeros and rank-deficient inputs can put
+eigenvalues of the Riccati pencil on the unit circle; the solve then
+fails and is retried once on u + delta*I.  A coefficient-space Newton
+iteration on A_k = sum_j B_{j+k} B_j^H polishes the factor only when its
+residual misses the target.
 """
 
 from dataclasses import dataclass
@@ -22,7 +31,11 @@ import scipy.linalg
 from .polymat import LaurentPoly, _maxabs
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ORDER = 4096
+# Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
+# rank-deficient inputs the shifted Riccati pencil lies only about delta^2
+# from a singular one, so delta is the square root of double precision,
+# whatever the residual target; the Newton polish removes it.
+RETRY_SHIFT = 1.5e-8
 
 
 class NotPsdOnCircle(ValueError):
@@ -36,17 +49,22 @@ class NotPsdOnCircle(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Factorization did not reach the residual target within max_order."""
+    """Factorization did not reach the residual target."""
 
     def __init__(self, best):
         self.best = best
         super().__init__(f"no convergence; best residual {best.residual:.3e} "
-                         f"at Toeplitz order {best.toeplitz_order}")
+                         f"with shift {best.epsilon_used:.3e}")
 
 
 @dataclass
 class SpectralFactor:
-    """Polynomial factor B_0, ..., B_n with bookkeeping from the solve."""
+    """Polynomial factor B_0, ..., B_n with bookkeeping from the solve.
+
+    ``epsilon_used`` is the shift delta of the Riccati retry on
+    u + delta*I (0.0 when the direct solve succeeded); ``toeplitz_order``
+    is the state dimension n*band of the Riccati equation.
+    """
 
     coeffs: np.ndarray          # (deg+1, n, n) complex
     residual: float
@@ -62,24 +80,19 @@ class SpectralFactor:
         return self.coeffs.shape[0] - 1
 
 
-def _factor_conv(b):
-    """c_k = sum_j B_{j+k} B_j^H for k = 0..deg."""
-    deg = b.shape[0] - 1
-    out = np.zeros_like(b)
-    for k in range(deg + 1):
-        for j in range(deg + 1 - k):
-            out[k] += b[j + k] @ b[j].conj().T
+def _residual_coeffs(a_stack, b):
+    """A_k - sum_j B_{j+k} B_j^H for k = 0..max(band, deg)."""
+    band = (a_stack.shape[0] - 1) // 2
+    out = np.zeros((max(band + 1, b.shape[0]),) + b.shape[1:], dtype=np.complex128)
+    out[:band + 1] = a_stack[band:]
+    for k in range(b.shape[0]):
+        for j in range(b.shape[0] - k):
+            out[k] -= b[j + k] @ b[j].conj().T
     return out
 
 
-def _residual_coeffs(a_stack, band, b):
-    """A_k - sum_j B_{j+k} B_j^H for k = 0..band (b has band+1 coefficients)."""
-    conv = _factor_conv(b)
-    return np.stack([a_stack[band + k] - conv[k] for k in range(band + 1)])
-
-
-def _residual(a_stack, band, b):
-    return float(np.max(np.abs(_residual_coeffs(a_stack, band, b))))
+def _residual(a_stack, b):
+    return _maxabs(_residual_coeffs(a_stack, b))
 
 
 def verify_factor(u, factor):
@@ -93,52 +106,29 @@ def verify_factor(u, factor):
         b = b[np.newaxis]
     if b.shape[1:] != (u.n, u.n):
         raise ValueError(f"size mismatch: factor is {b.shape[1:]}, input is {(u.n, u.n)}")
-    conv = _factor_conv(b)
-    kmax = max(u.band, b.shape[0] - 1)
-    res = 0.0
-    for k in range(kmax + 1):
-        ak = u.coeff(k)
-        ck = conv[k] if k < conv.shape[0] else np.zeros_like(ak)
-        res = max(res, _maxabs(ak - ck))
-    return res
+    return _residual(u.coeffs, b)
 
 
-def _bauer_tail(a_stack, band, n, order):
-    """Last block row of the Cholesky factor of the order-N Toeplitz section."""
-    m = order * n
-    bw = (band + 1) * n - 1
-    real_input = np.max(np.abs(a_stack.imag)) == 0.0
-    stack = a_stack.real if real_input else a_stack
-    ab = np.zeros((bw + 1, m), dtype=stack.dtype)
-    for d in range(bw + 1):
-        q = np.arange(m - d)
-        bi = (q + d) // n - q // n
-        ri = (q + d) % n
-        ci = q % n
-        ok = bi <= band
-        vals = stack[np.minimum(bi, band) + band, ri, ci]
-        ab[d, :m - d] = np.where(ok, vals, 0.0)
-    chol = scipy.linalg.cholesky_banded(ab, lower=True)
-    b = np.zeros((band + 1, n, n), dtype=np.complex128)
-    for k in range(band + 1):
-        for r in range(n):
-            for s in range(n):
-                d = k * n + r - s
-                if 0 <= d <= bw:
-                    b[k, r, s] = chol[d, (order - 1 - k) * n + s]
-    return b
+def _riccati_factor(a_stack, band, n):
+    """Minimum-phase factor from the stabilizing Riccati solution.
 
-
-def _gauge_fix(b):
-    """Right-multiply by a unitary so B_0 is lower triangular, real diagonal >= 0."""
-    n = b.shape[1]
-    q, r = np.linalg.qr(b[0].conj().T)
-    d = np.ones(n, dtype=np.complex128)
-    for i in range(n):
-        if abs(r[i, i]) > 1e-300:
-            d[i] = r[i, i] / abs(r[i, i])
-    u = q @ np.diag(d)
-    return np.stack([bk @ u for bk in b])
+    Raises LinAlgError or ValueError when the Riccati solve or the final
+    Cholesky factorization breaks down.
+    """
+    a = a_stack.real if not np.any(a_stack.imag) else a_stack
+    m = n * band
+    r = 0.5 * (a[band] + a[band].conj().T)
+    g = a[band + 1:].reshape(m, n)
+    if m:
+        f = np.eye(m, k=n)
+        # scipy's form with X = -P, A = F^H, B = H^H, Q = 0, R = A_0, S = G
+        p = -scipy.linalg.solve_discrete_are(f.T, np.eye(m, n), np.zeros((m, m)), r, s=g)
+        r = r - p[:n, :n]
+        g = g - f @ p[:, :n]
+    b0 = np.linalg.cholesky(0.5 * (r + r.conj().T))
+    # K B_0 = (G - F P H^H) R_e^{-1} B_0 = (G - F P H^H) B_0^{-H}
+    kb0 = scipy.linalg.solve_triangular(b0, g.conj().T, lower=True).conj().T
+    return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)]).astype(np.complex128)
 
 
 def _transpose_perm(n):
@@ -164,7 +154,7 @@ def _newton_step(a_stack, band, b, perm):
         for bb in range(band + 1 - k):
             # D_b -> B_{k+b} D_b^H acts on conj(vec D_b) through the transposition
             j2[k * nb:(k + 1) * nb, bb * nb:(bb + 1) * nb] += np.kron(b[k + bb], eye) @ perm
-    e = _residual_coeffs(a_stack, band, b).reshape(-1)
+    e = _residual_coeffs(a_stack, b).reshape(-1)
     top = np.hstack([j1.real + j2.real, -j1.imag + j2.imag])
     bot = np.hstack([j1.imag + j2.imag, j1.real - j2.real])
     big = np.vstack([top, bot])
@@ -175,55 +165,31 @@ def _newton_step(a_stack, band, b, perm):
 
 
 def _newton_refine(a_stack, band, b, target, max_iter=60):
+    """Undamped Newton steps from b; returns the best iterate and its residual.
+
+    At a spectral zero the Jacobian is singular: Newton then converges only
+    linearly, often after a first step that raises the residual, so the
+    steps are not damped.  Stops at the target, after max_iter steps, or
+    when an iterate stops being finite.
+    """
     perm = _transpose_perm(b.shape[1])
-    res = _residual(a_stack, band, b)
-    best_b, best_res = b, res
+    best_b, best_res = b, _residual(a_stack, b)
     for _ in range(max_iter):
         if best_res <= target:
             break
-        delta = _newton_step(a_stack, band, b, perm)
-        step = 1.0
-        improved = False
-        for _ in range(25):
-            cand = b + step * delta
-            cand_res = _residual(a_stack, band, cand)
-            if cand_res < res * (1.0 - 1e-4 * step):
-                b, res = cand, cand_res
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        try:
+            b = b + _newton_step(a_stack, band, b, perm)
+        except np.linalg.LinAlgError:
+            break
+        res = _residual(a_stack, b)
+        if not np.isfinite(res):
             break
         if res < best_res:
             best_b, best_res = b, res
     return best_b, best_res
 
 
-def _solve_sweep(a_stack, band, n, tol_abs, max_order):
-    """Bauer + Newton over geometrically growing Toeplitz orders."""
-    best = (None, np.inf, 0)
-    order = max(16, 2 * (band + 1))
-    orders = []
-    while order <= max_order:
-        orders.append(order)
-        order *= 2
-    if not orders:
-        orders = [max(max_order, band + 1)]
-    for order in orders:
-        try:
-            b = _bauer_tail(a_stack, band, n, order)
-        except np.linalg.LinAlgError:
-            continue
-        b = _gauge_fix(b)
-        b, res = _newton_refine(a_stack, band, b, target=0.01 * tol_abs)
-        if res < best[1]:
-            best = (b, res, order)
-        if res <= tol_abs:
-            break
-    return best
-
-
-def fejer_riesz(u, tol=DEFAULT_TOL, max_order=DEFAULT_MAX_ORDER):
+def fejer_riesz(u, tol=DEFAULT_TOL):
     """Spectral factor of a Laurent polynomial PSD on the unit circle.
 
     Parameters
@@ -233,8 +199,6 @@ def fejer_riesz(u, tol=DEFAULT_TOL, max_order=DEFAULT_MAX_ORDER):
         (relative to the scale of A_0) on a grid of 4*(band+1) angles.
     tol : float
         Residual target, relative to max(1, ||A_0||).
-    max_order : int
-        Largest Toeplitz section order tried by Bauer's method.
 
     Returns
     -------
@@ -248,8 +212,8 @@ def fejer_riesz(u, tol=DEFAULT_TOL, max_order=DEFAULT_MAX_ORDER):
         Grid eigenvalue below the tolerance; the input violates the
         precondition.
     NoConvergence
-        Residual target not reached by order max_order; carries the best
-        factor found.
+        Residual target not reached by the Riccati solve, its shifted
+        retry and the Newton polish; carries the best factor found.
     """
     band, n = u.band, u.n
     scale = max(1.0, _maxabs(u.coeff(0)))
@@ -267,42 +231,28 @@ def fejer_riesz(u, tol=DEFAULT_TOL, max_order=DEFAULT_MAX_ORDER):
         raise NotPsdOnCircle(worst, worst_t)
 
     a_stack = np.array(u.coeffs)
+    zero = np.zeros((band + 1, n, n), dtype=np.complex128)
     if _maxabs(a_stack) == 0.0:
-        return SpectralFactor(np.zeros((band + 1, n, n), dtype=np.complex128), 0.0, 0.0, 0)
+        return SpectralFactor(zero, 0.0, 0.0, n * band)
 
     tol_abs = tol * scale
-    b, res, order = _solve_sweep(a_stack, band, n, tol_abs, max_order)
-    best = SpectralFactor(b, res, 0.0, order) if b is not None else None
-
-    if best is None or best.residual > tol_abs:
-        # PSD-but-singular inputs: factor u + eps*I for two eps values and
-        # Richardson-extrapolate in sqrt(eps) (the factor error is O(sqrt(eps))).
-        eye = np.eye(n)
-        inner_order = min(max_order, 512)
-        for eps_rel in (1e-8, 1e-6, 1e-4):
-            eps = eps_rel * scale
-            results = []
-            for e in (eps, eps / 4.0):
-                shifted = np.array(a_stack)
-                shifted[band] = shifted[band] + e * eye
-                bb, rr, oo = _solve_sweep(shifted, band, n, 1e-13 * scale, inner_order)
-                if bb is None or rr > np.sqrt(e) * scale:
-                    results = None
-                    break
-                results.append(_gauge_fix(bb))
-            if results is None:
-                continue
-            extrap = 2.0 * results[1] - results[0]
-            extrap, res = _newton_refine(a_stack, band, extrap, target=0.01 * tol_abs)
-            if best is None or res < best.residual:
-                best = SpectralFactor(extrap, res, eps, inner_order)
-            if res <= tol_abs:
-                break
-
-    if best is None:
-        best = SpectralFactor(np.zeros((band + 1, n, n), dtype=np.complex128),
-                              np.inf, 0.0, 0)
-    if best.residual > tol_abs:
+    shift = 0.0
+    try:
+        b = _riccati_factor(a_stack, band, n)
+    except (np.linalg.LinAlgError, ValueError):
+        # eigenvalues of the Riccati pencil on the unit circle: move them off
+        shift = RETRY_SHIFT * scale
+        shifted = a_stack.copy()
+        shifted[band] += shift * np.eye(n)
+        try:
+            b = _riccati_factor(shifted, band, n)
+        except (np.linalg.LinAlgError, ValueError):
+            raise NoConvergence(SpectralFactor(zero, _maxabs(a_stack), shift, n * band)) from None
+    res = _residual(a_stack, b)
+    if not res <= tol_abs:
+        b, res = _newton_refine(a_stack, band, b, target=0.01 * tol_abs)
+    best = SpectralFactor(b, res, shift, n * band)
+    if not res <= tol_abs:
         raise NoConvergence(best)
     return best
 

@@ -105,6 +105,22 @@ def test_factor_subcommand(tmp_path):
     assert res.report["residual"] <= 1e-10
 
 
+def test_factor_max_order_flag_is_gone(tmp_path):
+    doc = {"n": 1, "band": 1,
+           "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
+           "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}
+    path = tmp_path / "laurent.json"
+    path.write_text(json.dumps(doc))
+    res = run(["factor", "--laurent", str(path), "--max-order", "4"])
+    assert res.exit_code == 2
+    assert res.report["schema_version"] == 2
+    ok = run(["factor", "--laurent", str(path)])
+    assert ok.exit_code == 0
+    assert ok.report["schema_version"] == 2
+    assert ok.report["epsilon_used"] == 0.0
+    assert ok.report["toeplitz_order"] == 1
+
+
 def test_shiftgap_subcommand(workspace):
     res = run(["shiftgap", "--dim", "2", "--trials", "50", "--seed", "1"])
     assert res.exit_code == 0

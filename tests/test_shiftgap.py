@@ -130,6 +130,17 @@ def test_chain_holds_for_compliant_functionals():
         assert rep.all_hold and rep.final_bound_holds
 
 
+@pytest.mark.parametrize("n_dim", [2, 4, 6])
+def test_chain_accepts_outer_atom_at_truncation_edge(n_dim):
+    # p_N(N) = 0: the audit must not count the rounding of g*q at x = N
+    # against a tolerance scaled by |g(N)| = 0
+    fam = build_family(n_dim)
+    mu = AtomicMatrixMeasure(n_dim, [(0.0, np.eye(n_dim)),
+                                     (float(n_dim), 2.0 * np.eye(n_dim))])
+    rep = cauchy_schwarz_chain(mu, fam, trials=200, seed=1)
+    assert rep.all_hold and rep.final_bound_holds
+
+
 def test_support_collapse_at_origin():
     fam = build_family(3)
     mu = AtomicMatrixMeasure(3, [(0.0, np.eye(3))])

@@ -6,6 +6,7 @@ import pytest
 from conftest import factorable_laurent
 from matmoments import (LaurentPoly, NoConvergence, NotPsdOnCircle, fejer_riesz,
                         laurent_from_json, laurent_to_json, verify_factor)
+from matmoments.spectral import DEFAULT_TOL
 
 
 def scalar_laurent(*vals):
@@ -40,6 +41,48 @@ def test_block_diagonal_singular():
     assert fac.residual <= 1e-10
 
 
+def laurent_from_factor(b):
+    """Coefficients of P P* for the factor stack b, indexed -band..band."""
+    band = b.shape[0] - 1
+    coeffs = np.zeros((2 * band + 1,) + b.shape[1:], dtype=complex)
+    for k in range(band + 1):
+        ck = sum(b[j + k] @ b[j].conj().T for j in range(band + 1 - k))
+        coeffs[band + k] = ck
+        coeffs[band - k] = ck.conj().T
+    return LaurentPoly(coeffs)
+
+
+def rank_one_factor():
+    # P(z) = p(z) e_1^T with p a random 3x1 column of degree 3: u is rank one
+    # on the whole circle
+    b = np.zeros((4, 3, 3))
+    b[:, :, 0] = np.random.default_rng(37).standard_normal((4, 3))
+    return b
+
+
+SINGULAR_INPUTS = {
+    "constant diag(1, 0)": LaurentPoly(np.diag([1.0, 0.0])[np.newaxis]),
+    "diag((1+z)(1+1/z), 0)": LaurentPoly(np.array(
+        [np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), np.diag([1.0, 0.0])], dtype=complex)),
+    "double zero (1+z)^2 (1+1/z)^2": scalar_laurent(1, 4, 6, 4, 1),
+    "(I - z^2 I) n=2": laurent_from_factor(np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2)])),
+    "rank one n=3 band=3": laurent_from_factor(rank_one_factor()),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGULAR_INPUTS))
+def test_singular_inputs_take_the_shifted_retry(name):
+    # the plain Riccati solve breaks down on these; the u + delta*I retry and
+    # the Newton polish must still meet the default target
+    u = SINGULAR_INPUTS[name]
+    fac = fejer_riesz(u)
+    scale = max(1.0, np.max(np.abs(u.coeff(0))))
+    assert fac.residual <= DEFAULT_TOL * scale
+    assert fac.epsilon_used > 0.0
+    assert fac.toeplitz_order == u.n * u.band
+    assert verify_factor(u, fac) == fac.residual
+
+
 def test_not_psd_on_circle():
     # z + 1/z = 2 cos t is negative at t = pi
     with pytest.raises(NotPsdOnCircle):
@@ -63,15 +106,19 @@ def test_verify_factor_size_mismatch():
 
 def test_round_trip_random_factors():
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        band = int(rng.integers(0, 7))
+
+    def check(n, band):
         u, _ = factorable_laurent(rng, n, band)
         fac = fejer_riesz(u)
         scale = np.max(np.abs(u.coeff(0)))
         assert fac.residual <= 1e-6 * scale
         assert fac.deg == band
         assert verify_factor(u, fac) == fac.residual
+        assert fac.epsilon_used == 0.0          # definite: the direct solve suffices
+
+    for _ in range(20):
+        check(int(rng.integers(1, 5)), int(rng.integers(0, 7)))
+    check(8, 16)
 
 
 def test_real_input_gives_real_factor():
