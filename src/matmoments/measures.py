@@ -263,28 +263,40 @@ def measure_to_json(mu):
     }
 
 
-def measure_from_json(doc):
+def _measure_doc(doc, what, dims, matrix_field):
+    """Shared checks of a measure document; returns its dimensions and atoms.
+
+    The document must be an object whose ``dims`` fields are positive
+    integers and whose ``atoms`` are objects with a finite ``x`` and a
+    ``matrix_field``; the caller checks the matrices themselves.
+    """
     if not isinstance(doc, dict):
-        raise ValueError("measure document must be a JSON object")
-    for key in ("n", "atoms"):
+        raise ValueError(f"{what} document must be a JSON object")
+    for key in (*dims, "atoms"):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("field 'n' must be a positive integer")
+    for key in dims:
+        if not isinstance(doc[key], int) or doc[key] < 1:
+            raise ValueError(f"field '{key}' must be a positive integer")
     atoms = doc["atoms"]
     if not isinstance(atoms, list):
         raise ValueError("field 'atoms' must be a list")
+    for idx, atom in enumerate(atoms):
+        if not isinstance(atom, dict) or "x" not in atom or matrix_field not in atom:
+            raise ValueError(f"atoms[{idx}] must carry fields 'x' and '{matrix_field}'")
+        if not isinstance(atom["x"], (int, float)) or not np.isfinite(atom["x"]):
+            raise ValueError(f"atoms[{idx}].x must be a finite number")
+    return [doc[key] for key in dims], atoms
+
+
+def measure_from_json(doc):
+    (n,), atoms = _measure_doc(doc, "measure", ("n",), "W")
     parsed = []
     for idx, atom in enumerate(atoms):
-        if not isinstance(atom, dict) or "x" not in atom or "W" not in atom:
-            raise ValueError(f"atoms[{idx}] must carry fields 'x' and 'W'")
         w = atom["W"]
         if not isinstance(w, list) or len(w) != n or any(
                 not isinstance(row, list) or len(row) != n for row in w):
             raise ValueError(f"atoms[{idx}].W must be an {n}x{n} matrix")
-        if not isinstance(atom["x"], (int, float)) or not np.isfinite(atom["x"]):
-            raise ValueError(f"atoms[{idx}].x must be a finite number")
         for row in w:
             for v in row:
                 if not isinstance(v, (int, float)) or not np.isfinite(v):
@@ -304,14 +316,18 @@ def map_measure_to_json(m):
 
 
 def map_measure_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("map measure document must be a JSON object")
-    for key in ("h_dim", "k_dim", "atoms"):
-        if key not in doc:
-            raise ValueError(f"missing field '{key}'")
-    atoms = []
-    for idx, atom in enumerate(doc["atoms"]):
-        if not isinstance(atom, dict) or "x" not in atom or "kraus" not in atom:
-            raise ValueError(f"atoms[{idx}] must carry fields 'x' and 'kraus'")
-        atoms.append((float(atom["x"]), [np.array(k, dtype=float) for k in atom["kraus"]]))
-    return PositiveMapMeasure(doc["h_dim"], doc["k_dim"], atoms)
+    (h_dim, k_dim), atoms = _measure_doc(doc, "map measure", ("h_dim", "k_dim"), "kraus")
+    parsed = []
+    for idx, atom in enumerate(atoms):
+        kraus = atom["kraus"]
+        if not isinstance(kraus, list):
+            raise ValueError(f"atoms[{idx}].kraus must be a list of matrices")
+        try:
+            mats = [np.array(k, dtype=float) for k in kraus]
+            numeric = all(np.all(np.isfinite(k)) for k in mats)
+        except (TypeError, ValueError):
+            numeric = False
+        if not numeric:
+            raise ValueError(f"atoms[{idx}].kraus has a non-finite or non-numeric entry")
+        parsed.append((float(atom["x"]), mats))
+    return PositiveMapMeasure(h_dim, k_dim, parsed)

@@ -10,7 +10,6 @@ clipped mass shows up in the reported moment residual.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .measures import AtomicMatrixMeasure
 from .moments import block_hankel, check_hamburger
@@ -52,6 +51,7 @@ def pencil_eigenvalues(h0c, h1c, tol):
     Raises ComplexAtoms if any eigenvalue strays from the real axis by
     more than tol relative to its magnitude.
     """
+    import scipy.linalg     # here, not at module level: `import matmoments` loads only numpy
     vals = scipy.linalg.eig(h1c, h0c)[0]
     if vals.size == 0:
         return np.array([])

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import SupportViolation, integrate_trace, positivity_audit
-from .polymat import MatrixPoly, _conv1d, _maxabs, matmul, scalar_poly_mult, transpose_poly
+from .polymat import MatrixPoly, _maxabs
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
@@ -127,26 +127,32 @@ def build_family(n_trunc):
 
 
 def shift_compress(fam, n):
-    """S^n G (S^T)^n, exactly: x^3 diag(1/(n+1)..1/N, 0..) - x^2 diag(1,..,1,0..)."""
+    """S^n G (S^T)^n, exactly: x^3 diag(1/(n+1)..1/N, 0..) - x^2 diag(1,..,1,0..).
+
+    S is the superdiagonal shift of ``build_family``, so the compression
+    moves the trailing (N-n)x(N-n) block of every coefficient to the top
+    left and zeroes the rest.
+    """
     if not 0 <= n < fam.N:
         raise ValueError(f"compression order {n} out of range [0, {fam.N})")
-    sn = np.array(np.eye(fam.N, dtype=int), dtype=object)
-    for _ in range(n):
-        sn = sn.dot(fam.shift_matrix)
-    snt = sn.T
-    coeffs = np.array([sn.dot(c).dot(snt) for c in fam.G.coeffs], dtype=object)
+    g = fam.G.coeffs
+    coeffs = np.full(g.shape, Fraction(0), dtype=object)
+    coeffs[:, :fam.N - n, :fam.N - n] = g[:, n:, n:]
     return MatrixPoly(coeffs, symmetric=True)
 
 
-def _vector_quadratic(base, fcoeffs):
-    """Scalar polynomial f(x)^T B(x) f(x) for a vector polynomial f."""
-    degf = fcoeffs.shape[0] - 1
-    out = [0.0] * (2 * degf + base.deg + 1)
-    for a in range(degf + 1):
-        for b in range(base.deg + 1):
-            for c in range(degf + 1):
-                out[a + b + c] += float(fcoeffs[a] @ base.coeffs[b] @ fcoeffs[c])
+def _conv(a, b):
+    """Coefficient stack of A(x) B(x) for (deg+1, rows, cols) stacks of any shapes."""
+    q = b.shape[0]
+    out = np.zeros((a.shape[0] + q - 1, a.shape[1], b.shape[2]))
+    for i, c in enumerate(a):
+        out[i:i + q] += c @ b
     return out
+
+
+def _congruence(r, base):
+    """Coefficient stack of R(x)^T B(x) R(x)."""
+    return _conv(_conv(r.transpose(0, 2, 1), base), r)
 
 
 def leading_coeff_probe(fam, trials, seed=0):
@@ -163,42 +169,41 @@ def leading_coeff_probe(fam, trials, seed=0):
     """
     n = fam.N
     lcm = math.lcm(*range(1, n + 1))
-    coeffs = np.zeros((4, n, n))
+    g_int = np.zeros((4, n, n))
     for i in range(n):
-        coeffs[2][i, i] = -lcm
-        coeffs[3][i, i] = lcm // (i + 1)
-    g_int = MatrixPoly(coeffs, symmetric=True)
-    ident = MatrixPoly.constant(np.eye(n), symmetric=True)
+        g_int[2][i, i] = -lcm
+        g_int[3][i, i] = lcm // (i + 1)
+    ident = np.eye(n)[np.newaxis]
 
     count = 0
     min_eig = np.inf
     for child in np.random.SeedSequence(seed).spawn(max(int(trials), 0)):
         rng = np.random.default_rng(child)
-        total = MatrixPoly.zero(n)
+        terms = []
         for _ in range(int(rng.integers(1, 4))):
             base = g_int if rng.random() < 0.7 else ident
             deg_r = int(rng.integers(0, 3))
-            r = MatrixPoly(rng.integers(-2, 3, (deg_r + 1, n, n)).astype(float))
-            total = total + matmul(matmul(transpose_poly(r), base), r)
+            r = rng.integers(-2, 3, (deg_r + 1, n, n)).astype(float)
+            terms.append(_congruence(r, base))
         if rng.random() < 0.5:
             length = int(rng.integers(1, 3))
-            h = [1.0]
+            h = np.ones((1, 1, 1))
             for _ in range(length):
                 base = g_int if rng.random() < 0.8 else ident
                 deg_f = int(rng.integers(0, 2)) if length == 1 else 0
-                f = rng.integers(-2, 3, (deg_f + 1, n)).astype(float)
-                h = _conv1d(h, _vector_quadratic(base, f))
+                f = rng.integers(-2, 3, (deg_f + 1, n, 1)).astype(float)
+                h = _conv(h, _congruence(f, base))
             deg_v = int(rng.integers(0, 2))
-            v = rng.integers(-2, 3, (deg_v + 1, n)).astype(float)
-            outer = np.zeros((2 * deg_v + 1, n, n))
-            for a in range(deg_v + 1):
-                for b in range(deg_v + 1):
-                    outer[a + b] += np.outer(v[a], v[b])
-            total = total + scalar_poly_mult(h, MatrixPoly(outer))
-        if total.max_coeff_abs() == 0.0:
+            v = rng.integers(-2, 3, (deg_v + 1, n, 1)).astype(float)
+            terms.append(_conv(_conv(v, h), v.transpose(0, 2, 1)))
+        total = np.zeros((max(len(t) for t in terms), n, n))
+        for t in terms:
+            total[:len(t)] += t
+        nonzero = np.flatnonzero(np.any(total != 0.0, axis=(1, 2)))
+        if nonzero.size == 0:
             continue
         count += 1
-        lead = np.array(total.coeffs[-1])
+        lead = total[nonzero[-1]]
         lead = lead / np.max(np.abs(lead))
         w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
         min_eig = min(min_eig, float(w[0]))
@@ -278,6 +283,11 @@ def support_collapse_check(mu, fam, tol=CHAIN_TOL, k_max=6, trials=200, seed=0):
     [0, N], the region the truncation controls.
     """
     _audit_module(mu, fam, trials, seed)
+    return _support_collapses(mu, fam, tol, k_max)
+
+
+def _support_collapses(mu, fam, tol=CHAIN_TOL, k_max=6):
+    """support_collapse_check for a functional whose module audit already passed."""
     for idx, (x, _) in enumerate(mu.atoms):
         if x < -1e-9 or x > fam.N + 1e-9:
             raise ValueError(f"atom {idx} at x={x:.6g} lies outside [0, {fam.N}]")

@@ -26,7 +26,6 @@ residual misses the target.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .polymat import LaurentPoly, _maxabs
 
@@ -115,6 +114,7 @@ def _riccati_factor(a_stack, band, n):
     Raises LinAlgError or ValueError when the Riccati solve or the final
     Cholesky factorization breaks down.
     """
+    import scipy.linalg     # here, not at module level: `import matmoments` loads only numpy
     a = a_stack.real if not np.any(a_stack.imag) else a_stack
     m = n * band
     r = 0.5 * (a[band] + a[band].conj().T)

@@ -2,10 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matmoments
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, forward_moments,
                         matrixpoly_to_json, measure_to_json,
                         momentsequence_to_json)
@@ -133,6 +139,65 @@ def test_shiftgap_subcommand(workspace):
     assert res2.exit_code == 0
     assert res2.report["chain"]["all_hold"] is True
     assert res2.report["support_collapse"] is True
+    # an outer atom beyond N: the chain holds, the collapse check does not apply
+    beyond = workspace["dir"] / "beyond.json"
+    mu = AtomicMatrixMeasure(2, [(0.0, np.eye(2)), (3.5, 0.5 * np.eye(2))])
+    beyond.write_text(json.dumps(measure_to_json(mu)))
+    res3 = run(["shiftgap", "--dim", "2", "--trials", "50", "--seed", "1",
+                "--functional", str(beyond)])
+    assert res3.exit_code == 0
+    assert res3.report["chain"]["all_hold"] is True
+    assert res3.report["support_collapse"] is None
+    # an atom where p_2 < 0: the chain's module audit rejects the functional
+    interior = workspace["dir"] / "interior.json"
+    mu = AtomicMatrixMeasure(2, [(0.0, np.eye(2)), (1.0, np.eye(2))])
+    interior.write_text(json.dumps(measure_to_json(mu)))
+    res4 = run(["shiftgap", "--dim", "2", "--trials", "50", "--seed", "1",
+                "--functional", str(interior)])
+    assert res4.exit_code == 1
+    assert res4.report["error"]["type"] == "ModulePositivityError"
+    assert "shift_compress(fam, 1)" in res4.report["error"]["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"h_dim": 1, "k_dim": 1, "atoms": 5},
+    {"h_dim": None, "k_dim": 1, "atoms": []},
+    {"h_dim": 1, "k_dim": 0, "atoms": []},
+    {"h_dim": 1, "k_dim": 1, "atoms": [{"x": None, "kraus": [[[1.0]]]}]},
+    {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 1.0, "kraus": 5}]},
+    {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 1.0, "kraus": [{"a": 1}]}]},
+    {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 1.0, "kraus": [[[None]]]}]},
+])
+def test_malformed_map_measure_is_input_error(workspace, doc):
+    path = workspace["dir"] / "map_measure.json"
+    path.write_text(json.dumps(doc))
+    res = run(["integrate", "--poly", workspace["poly.json"], "--measure", str(path)])
+    assert res.exit_code == 2
+    assert res.report["error"]["type"] == "ValueError"
+
+
+def test_numpy_only_subcommands_leave_scipy_unloaded(workspace):
+    laurent = workspace["dir"] / "laurent.json"
+    laurent.write_text(json.dumps({"n": 1, "band": 1,
+                                   "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
+                                   "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}))
+    # a fresh interpreter: this test process may already hold scipy
+    script = textwrap.dedent(f"""
+        import sys
+        from matmoments.cli import run
+        assert run(["check", "--variant", "hamburger",
+                    "--moments", {workspace["moments4.json"]!r}]).exit_code == 0
+        assert run(["shiftgap", "--dim", "3", "--trials", "20"]).exit_code == 0
+        assert "scipy" not in sys.modules, "scipy loaded"
+        fac = run(["factor", "--laurent", {str(laurent)!r}])
+        assert fac.exit_code == 0 and fac.report["residual"] <= 1e-10
+        assert "scipy" in sys.modules
+    """)
+    src = str(Path(matmoments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_malformed_json_is_input_error(workspace):

@@ -52,14 +52,22 @@ def test_compress_exact_coefficients():
 
 
 def test_compress_identity_all_orders():
-    for n_dim in (2, 4):
+    for n_dim in (1, 2, 4, 6):
         fam = build_family(n_dim)
+        sn = np.array(np.eye(n_dim, dtype=int), dtype=object)
         for n in range(n_dim):
             comp = shift_compress(fam, n)
             for i in range(n_dim):
                 want = Fraction(1, n + i + 1) if i < n_dim - n else Fraction(0)
                 assert comp.coeffs[3][i, i] == want
                 assert comp.coeffs[2][i, i] == (Fraction(-1) if i < n_dim - n else Fraction(0))
+            # the explicit product S^n G (S^T)^n with the family's shift matrix
+            explicit = [sn.dot(c).dot(sn.T) for c in fam.G.coeffs]
+            assert comp.coeffs.shape == (len(explicit), n_dim, n_dim)
+            for got, want in zip(comp.coeffs, explicit):
+                assert all(isinstance(v, Fraction) for v in got.flat)
+                assert all(a == b for a, b in zip(got.flat, want.flat))
+            sn = sn.dot(fam.shift_matrix)
 
 
 def test_compress_out_of_range():
@@ -81,6 +89,32 @@ def test_probe_minimum_and_candidate_exclusion():
     assert rep.all_psd
     assert rep.negative_candidate_min_eigenvalue == pytest.approx(-1.0)
     assert rep.negative_candidate_excluded
+
+
+# (N, seed, trials) -> (n_elements, min_leading_eigenvalue), as computed by
+# the MatrixPoly-based probe this array version replaced; the one- and
+# two-trial cases draw a rank-one term h g g^T that reaches the leading
+# coefficient
+PINNED_PROBES = {
+    (1, 2, 100): (98, 1.0),
+    (2, 9, 1): (1, 0.17942613254061063),
+    (3, 28, 1): (1, 0.005345288933596079),
+    (4, 13, 1): (1, 0.04836680793156387),
+    (4, 5, 200): (200, -5.848544054508939e-16),
+    (6, 2, 2): (2, 0.010553586830017938),
+    (6, 9, 200): (200, -1.1210390280094727e-15),
+    (8, 3, 100): (100, -8.688089935099662e-16),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PROBES))
+def test_probe_matches_pinned_reports(key):
+    n_dim, seed, trials = key
+    n_elements, min_eig = PINNED_PROBES[key]
+    rep = leading_coeff_probe(build_family(n_dim), trials, seed=seed)
+    assert rep.n_elements == n_elements
+    assert rep.min_leading_eigenvalue == pytest.approx(min_eig, abs=1e-12)
+    assert rep.all_psd and rep.negative_candidate_excluded
 
 
 def test_chain_point_mass_at_origin():
