@@ -13,11 +13,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .moments import MomentSequence
-from .polymat import MatrixPoly, matmul, scalar_poly_mult, transpose_poly
+from .polymat import _conv_stack, _json_int, _json_real
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 AUDIT_TOL = 1e-9
+# Randomized trials are drawn one at a time but reduced this many at once,
+# which bounds the padded coefficient stacks whatever the trial count.
+TRIAL_BLOCK = 256
 
 
 class SupportViolation(ValueError):
@@ -215,6 +218,11 @@ def positivity_audit(mu, generators, trials, seed=0):
     generator (or the constant 1) and a random matrix polynomial A of
     degree <= 3 and checks the trace pairing against -1e-9 * scale, where
     scale sums |coefficients of g*A^T A| at |x_j| against |W_j|.
+
+    Every trial draws from its own ``SeedSequence`` child, one trial at a
+    time; the arithmetic then runs on blocks of ``TRIAL_BLOCK`` trials
+    stacked as zero-padded coefficient arrays, in the same order of
+    operations as the per-trial ``MatrixPoly`` products.
     """
     gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
     worst = None
@@ -228,31 +236,54 @@ def positivity_audit(mu, generators, trials, seed=0):
     if worst is not None:
         raise SupportViolation(*worst)
 
-    one = np.array([1.0])
-    children = np.random.SeedSequence(seed).spawn(max(int(trials), 0))
+    # row pick + 1 holds the multiplier of a trial that drew generator pick
+    g_table = np.zeros((len(gens) + 1, max([1] + [len(g) for g in gens])))
+    g_table[0, 0] = 1.0
+    for gi, g in enumerate(gens):
+        g_table[gi + 1, :len(g)] = g
+    n = mu.n
+    total = max(int(trials), 0)
+    parent = np.random.SeedSequence(seed)
     violations = []
     min_margin = np.inf
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        pick = int(rng.integers(-1, len(gens))) if gens else -1
-        g = one if pick < 0 else gens[pick]
-        deg = int(rng.integers(0, 4))
-        a = MatrixPoly(rng.standard_normal((deg + 1, mu.n, mu.n)))
-        q = matmul(transpose_poly(a), a)
-        fg = scalar_poly_mult(g, q)
-        val = integrate_trace(fg, mu)
-        # rounding scale: the magnitude of the terms that evaluating g*q at
-        # each atom and pairing it with W actually sums
-        abs_fg = np.abs(fg.as_float().coeffs)
-        scale = sum(float(np.sum(npoly.polyval(abs(x), abs_fg) * np.abs(w).T))
-                    for x, w in mu.atoms)
-        margin = val + AUDIT_TOL * max(1.0, scale)
-        min_margin = min(min_margin, margin)
-        if val < -AUDIT_TOL * max(1.0, scale):
-            violations.append({"trial": t, "generator": pick, "value": val})
-    if not children:
+    for start in range(0, total, TRIAL_BLOCK):
+        children = parent.spawn(min(TRIAL_BLOCK, total - start))
+        picks = np.empty(len(children), dtype=int)
+        a = np.zeros((len(children), 4, n, n))
+        for b, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            picks[b] = int(rng.integers(-1, len(gens))) if gens else -1
+            deg = int(rng.integers(0, 4))
+            a[b, :deg + 1] = rng.standard_normal((deg + 1, n, n))
+        q = _conv_stack(np.swapaxes(a, -1, -2), a)
+        g = g_table[picks + 1]
+        fg = np.zeros((len(children), g.shape[1] + q.shape[1] - 1, n, n))
+        for j in range(g.shape[1]):
+            fg[:, j:j + q.shape[1]] += g[:, j, np.newaxis, np.newaxis, np.newaxis] * q
+        abs_fg = np.abs(fg)
+        # the trace pairing, and as rounding scale the magnitude of the terms
+        # that evaluating g*q at each atom and pairing it with W actually sums
+        val = np.zeros(len(children))
+        scale = np.zeros(len(children))
+        for x, w in mu.atoms:
+            val += np.trace(_horner(fg, x) @ w, axis1=-2, axis2=-1)
+            scale += np.sum(_horner(abs_fg, abs(x)) * np.abs(w).T, axis=(-2, -1))
+        tol = AUDIT_TOL * np.maximum(1.0, scale)
+        min_margin = min(min_margin, float(np.min(val + tol)))
+        for b in np.flatnonzero(val < -tol):
+            violations.append({"trial": start + int(b), "generator": int(picks[b]),
+                               "value": float(val[b])})
+    if total == 0:
         min_margin = 0.0
-    return AuditReport(not violations, len(children), float(min_margin), violations)
+    return AuditReport(not violations, total, float(min_margin), violations)
+
+
+def _horner(stack, x):
+    """Values at x of a batch of coefficient stacks (..., deg+1, n, n)."""
+    res = stack[..., -1, :, :]
+    for k in range(stack.shape[-3] - 2, -1, -1):
+        res = res * x + stack[..., k, :, :]
+    return res
 
 
 def measure_to_json(mu):
@@ -276,7 +307,7 @@ def _measure_doc(doc, what, dims, matrix_field):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
     for key in dims:
-        if not isinstance(doc[key], int) or doc[key] < 1:
+        if not _json_int(doc[key]) or doc[key] < 1:
             raise ValueError(f"field '{key}' must be a positive integer")
     atoms = doc["atoms"]
     if not isinstance(atoms, list):
@@ -284,7 +315,7 @@ def _measure_doc(doc, what, dims, matrix_field):
     for idx, atom in enumerate(atoms):
         if not isinstance(atom, dict) or "x" not in atom or matrix_field not in atom:
             raise ValueError(f"atoms[{idx}] must carry fields 'x' and '{matrix_field}'")
-        if not isinstance(atom["x"], (int, float)) or not np.isfinite(atom["x"]):
+        if not _json_real(atom["x"]):
             raise ValueError(f"atoms[{idx}].x must be a finite number")
     return [doc[key] for key in dims], atoms
 
@@ -297,10 +328,8 @@ def measure_from_json(doc):
         if not isinstance(w, list) or len(w) != n or any(
                 not isinstance(row, list) or len(row) != n for row in w):
             raise ValueError(f"atoms[{idx}].W must be an {n}x{n} matrix")
-        for row in w:
-            for v in row:
-                if not isinstance(v, (int, float)) or not np.isfinite(v):
-                    raise ValueError(f"atoms[{idx}].W has a non-finite or non-numeric entry")
+        if not all(_json_real(v) for row in w for v in row):
+            raise ValueError(f"atoms[{idx}].W has a non-finite or non-numeric entry")
         parsed.append((float(atom["x"]), np.array(w, dtype=float)))
     return AtomicMatrixMeasure(n, parsed)
 
@@ -324,8 +353,8 @@ def map_measure_from_json(doc):
             raise ValueError(f"atoms[{idx}].kraus must be a list of matrices")
         try:
             mats = [np.array(k, dtype=float) for k in kraus]
-            numeric = all(np.all(np.isfinite(k)) for k in mats)
-        except (TypeError, ValueError):
+            numeric = all(_json_real(v) for k in kraus for v in np.array(k, dtype=object).flat)
+        except (TypeError, ValueError, OverflowError):
             numeric = False
         if not numeric:
             raise ValueError(f"atoms[{idx}].kraus has a non-finite or non-numeric entry")

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polymat import _json_int, _json_real
+
 DEFAULT_PSD_TOL = 1e-9
 
 _SYM_RTOL = 1e-12
@@ -201,7 +203,7 @@ def momentsequence_from_json(doc):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _json_int(n) or n < 1:
         raise ValueError("field 'n' must be a positive integer")
     moments = doc["moments"]
     if not isinstance(moments, list) or not moments:
@@ -210,8 +212,6 @@ def momentsequence_from_json(doc):
         if not isinstance(s, list) or len(s) != n or any(
                 not isinstance(row, list) or len(row) != n for row in s):
             raise ValueError(f"moments[{p}] must be an {n}x{n} matrix")
-        for row in s:
-            for v in row:
-                if not isinstance(v, (int, float)) or not np.isfinite(v):
-                    raise ValueError(f"moments[{p}] has a non-finite or non-numeric entry")
+        if not all(_json_real(v) for row in s for v in row):
+            raise ValueError(f"moments[{p}] has a non-finite or non-numeric entry")
     return MomentSequence(np.array(moments, dtype=float))

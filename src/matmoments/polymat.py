@@ -6,7 +6,9 @@ Complex matrices appear only in :class:`LaurentPoly`, which feeds the
 spectral factorization routines.
 """
 
+import math
 import numbers
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,18 @@ def _maxabs(mat):
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr)))
+
+
+def _json_int(v):
+    """A JSON integer; ``json`` parses true/false as bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_real(v):
+    """A JSON number that is finite as a float (booleans are not numbers)."""
+    if _json_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
 
 
 def _as_coeff_array(coeffs):
@@ -182,6 +196,22 @@ def even_odd_split(p):
     return r, q
 
 
+def _conv_stack(a, b):
+    """Coefficient stack of A(x) B(x) for float stacks (..., deg+1, rows, cols).
+
+    The coefficient axis is third from last and leading axes broadcast, so
+    one call multiplies a whole batch of matrix polynomials.  Products are
+    accumulated in increasing order of A's coefficient index, as ``matmul``
+    does.
+    """
+    da, q = a.shape[-3], b.shape[-3]
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(lead + (da + q - 1, a.shape[-2], b.shape[-1]))
+    for i in range(da):
+        out[..., i:i + q, :, :] += a[..., i:i + 1, :, :] @ b
+    return out
+
+
 def _conv1d(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -263,7 +293,7 @@ def matrixpoly_from_json(doc):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _json_int(n) or n < 1:
         raise ValueError("field 'n' must be a positive integer")
     coeffs = doc["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
@@ -275,9 +305,8 @@ def matrixpoly_from_json(doc):
         for row in c:
             if not isinstance(row, list) or len(row) != n:
                 raise ValueError(f"coeffs[{k}] is ragged or not {n}x{n}")
-            for v in row:
-                if not isinstance(v, (int, float)) or not np.isfinite(v):
-                    raise ValueError(f"coeffs[{k}] has a non-finite or non-numeric entry")
+            if not all(_json_real(v) for v in row):
+                raise ValueError(f"coeffs[{k}] has a non-finite or non-numeric entry")
         stack.append(c)
     symmetric = bool(doc.get("symmetric", False))
     arr = np.array(stack, dtype=float)

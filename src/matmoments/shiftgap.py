@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import SupportViolation, integrate_trace, positivity_audit
-from .polymat import MatrixPoly, _maxabs
+from .measures import TRIAL_BLOCK, SupportViolation, integrate_trace, positivity_audit
+from .polymat import MatrixPoly, _conv_stack, _maxabs
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
@@ -141,18 +141,17 @@ def shift_compress(fam, n):
     return MatrixPoly(coeffs, symmetric=True)
 
 
-def _conv(a, b):
-    """Coefficient stack of A(x) B(x) for (deg+1, rows, cols) stacks of any shapes."""
-    q = b.shape[0]
-    out = np.zeros((a.shape[0] + q - 1, a.shape[1], b.shape[2]))
-    for i, c in enumerate(a):
-        out[i:i + q] += c @ b
-    return out
+def _congruence(r, use_g, g_int):
+    """Coefficient stacks of R(x)^T B R(x) for a batch of R (..., deg+1, n, m).
 
-
-def _congruence(r, base):
-    """Coefficient stack of R(x)^T B(x) R(x)."""
-    return _conv(_conv(r.transpose(0, 2, 1), base), r)
+    B is the integer family G where ``use_g`` is set and the identity
+    elsewhere; R^T Id is R^T exactly, so no product is formed for it.
+    """
+    rt = np.swapaxes(r, -1, -2)
+    left = np.zeros(r.shape[:-3] + (r.shape[-3] + g_int.shape[0] - 1,) + rt.shape[-2:])
+    left[use_g] = _conv_stack(rt[use_g], g_int)
+    left[~use_g, :r.shape[-3]] = rt[~use_g]
+    return _conv_stack(left, r)
 
 
 def leading_coeff_probe(fam, trials, seed=0):
@@ -166,6 +165,11 @@ def leading_coeff_probe(fam, trials, seed=0):
     of the leading coefficient normalized by its largest entry.  The
     candidate (1 - x^2) Id is evaluated alongside: its leading coefficient
     -Id is negative definite, so it can never be of module form.
+
+    Every trial draws from its own ``SeedSequence`` child, one trial at a
+    time; the elements are then formed and their leading coefficients'
+    eigenvalues taken for blocks of ``TRIAL_BLOCK`` trials at once, as
+    zero-padded coefficient stacks.
     """
     n = fam.N
     lcm = math.lcm(*range(1, n + 1))
@@ -173,40 +177,59 @@ def leading_coeff_probe(fam, trials, seed=0):
     for i in range(n):
         g_int[2][i, i] = -lcm
         g_int[3][i, i] = lcm // (i + 1)
-    ident = np.eye(n)[np.newaxis]
 
+    total = max(int(trials), 0)
+    parent = np.random.SeedSequence(seed)
     count = 0
     min_eig = np.inf
-    for child in np.random.SeedSequence(seed).spawn(max(int(trials), 0)):
-        rng = np.random.default_rng(child)
-        terms = []
-        for _ in range(int(rng.integers(1, 4))):
-            base = g_int if rng.random() < 0.7 else ident
-            deg_r = int(rng.integers(0, 3))
-            r = rng.integers(-2, 3, (deg_r + 1, n, n)).astype(float)
-            terms.append(_congruence(r, base))
-        if rng.random() < 0.5:
-            length = int(rng.integers(1, 3))
-            h = np.ones((1, 1, 1))
-            for _ in range(length):
-                base = g_int if rng.random() < 0.8 else ident
-                deg_f = int(rng.integers(0, 2)) if length == 1 else 0
-                f = rng.integers(-2, 3, (deg_f + 1, n, 1)).astype(float)
-                h = _conv(h, _congruence(f, base))
-            deg_v = int(rng.integers(0, 2))
-            v = rng.integers(-2, 3, (deg_v + 1, n, 1)).astype(float)
-            terms.append(_conv(_conv(v, h), v.transpose(0, 2, 1)))
-        total = np.zeros((max(len(t) for t in terms), n, n))
-        for t in terms:
-            total[:len(t)] += t
-        nonzero = np.flatnonzero(np.any(total != 0.0, axis=(1, 2)))
-        if nonzero.size == 0:
+    for start in range(0, total, TRIAL_BLOCK):
+        children = parent.spawn(min(TRIAL_BLOCK, total - start))
+        size = len(children)
+        # up to three congruences R^T B R, deg R <= 2; unused slots stay zero
+        r = np.zeros((size, 3, 3, n, n))
+        r_g = np.zeros((size, 3), dtype=bool)
+        # rank-one term v h v^T, h = (f_0^T B f_0)(f_1^T B f_1), deg f_0, deg v <= 1
+        f0 = np.zeros((size, 2, n, 1))
+        f1 = np.zeros((size, 1, n, 1))
+        f_g = np.zeros((size, 2), dtype=bool)
+        single = np.zeros(size, dtype=bool)
+        v = np.zeros((size, 2, n, 1))
+        for b, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            for t in range(int(rng.integers(1, 4))):
+                r_g[b, t] = rng.random() < 0.7
+                deg_r = int(rng.integers(0, 3))
+                r[b, t, :deg_r + 1] = rng.integers(-2, 3, (deg_r + 1, n, n))
+            if rng.random() < 0.5:
+                length = int(rng.integers(1, 3))
+                single[b] = length == 1
+                for s, f in enumerate((f0, f1)[:length]):
+                    f_g[b, s] = rng.random() < 0.8
+                    deg_f = int(rng.integers(0, 2)) if length == 1 else 0
+                    f[b, :deg_f + 1] = rng.integers(-2, 3, (deg_f + 1, n, 1))
+                deg_v = int(rng.integers(0, 2))
+                v[b, :deg_v + 1] = rng.integers(-2, 3, (deg_v + 1, n, 1))
+        h1 = _congruence(f1, f_g[:, 1], g_int)
+        h1[single] = 0.0
+        h1[single, 0] = 1.0         # h = f_0^T B f_0 where only one factor was drawn
+        h = _conv_stack(_congruence(f0, f_g[:, 0], g_int), h1)
+        rank_one = _conv_stack(_conv_stack(v, h), np.swapaxes(v, -1, -2))
+        elem = np.zeros(rank_one.shape)
+        for t in range(3):
+            cong = _congruence(r[:, t], r_g[:, t], g_int)
+            elem[:, :cong.shape[1]] += cong
+        elem += rank_one
+
+        nonzero = np.any(elem != 0.0, axis=(2, 3))
+        found = np.flatnonzero(np.any(nonzero, axis=1))
+        if found.size == 0:
             continue
-        count += 1
-        lead = total[nonzero[-1]]
-        lead = lead / np.max(np.abs(lead))
-        w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
-        min_eig = min(min_eig, float(w[0]))
+        top = nonzero.shape[1] - 1 - np.argmax(nonzero[found, ::-1], axis=1)
+        lead = elem[found, top]
+        lead = lead / np.max(np.abs(lead), axis=(1, 2), keepdims=True)
+        w = np.linalg.eigvalsh(0.5 * (lead + np.swapaxes(lead, 1, 2)))
+        count += found.size
+        min_eig = min(min_eig, float(np.min(w[:, 0])))
 
     candidate = np.linalg.eigvalsh(-np.eye(n))[0]   # leading coefficient of (1-x^2) Id
     if count == 0:

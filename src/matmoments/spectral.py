@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymat import LaurentPoly, _maxabs
+from .polymat import LaurentPoly, _json_int, _json_real, _maxabs
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -274,9 +274,9 @@ def laurent_from_json(doc):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
     n, band = doc["n"], doc["band"]
-    if not isinstance(n, int) or n < 1:
+    if not _json_int(n) or n < 1:
         raise ValueError("field 'n' must be a positive integer")
-    if not isinstance(band, int) or band < 0:
+    if not _json_int(band) or band < 0:
         raise ValueError("field 'band' must be a nonnegative integer")
     expect = 2 * band + 1
     for key in ("coeffs_re", "coeffs_im"):
@@ -287,10 +287,8 @@ def laurent_from_json(doc):
             if not isinstance(c, list) or len(c) != n or any(
                     not isinstance(row, list) or len(row) != n for row in c):
                 raise ValueError(f"{key}[{k}] must be an {n}x{n} matrix")
-            for row in c:
-                for v in row:
-                    if not isinstance(v, (int, float)) or not np.isfinite(v):
-                        raise ValueError(f"{key}[{k}] has a non-finite or non-numeric entry")
+            if not all(_json_real(v) for row in c for v in row):
+                raise ValueError(f"{key}[{k}] has a non-finite or non-numeric entry")
     re = np.array(doc["coeffs_re"], dtype=float)
     im = np.array(doc["coeffs_im"], dtype=float)
     return LaurentPoly(re + 1j * im)

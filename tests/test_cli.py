@@ -15,7 +15,9 @@ import matmoments
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, forward_moments,
                         matrixpoly_to_json, measure_to_json,
                         momentsequence_to_json)
-from matmoments.cli import render, run
+from matmoments.cli import main, render, run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -172,6 +174,44 @@ def test_malformed_map_measure_is_input_error(workspace, doc):
     path = workspace["dir"] / "map_measure.json"
     path.write_text(json.dumps(doc))
     res = run(["integrate", "--poly", workspace["poly.json"], "--measure", str(path)])
+    assert res.exit_code == 2
+    assert res.report["error"]["type"] == "ValueError"
+
+
+def test_shiftgap_stdout_is_golden(tmp_path, capsys):
+    # byte-exact stdout, recorded while the probe and the audit still ran
+    # their arithmetic one trial at a time
+    weight = [[0.5, 0.25, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0],
+              [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.125]]
+    fn = tmp_path / "outer4.json"
+    fn.write_text(json.dumps({"n": 4, "atoms": [{"x": 0.0, "W": np.eye(4).tolist()},
+                                                {"x": 5.5, "W": weight}]}))
+    code = main(["shiftgap", "--dim", "4", "--trials", "300", "--seed", "5",
+                 "--functional", str(fn)])
+    assert code == 0
+    golden = (GOLDEN / "shiftgap_dim4_trials300_seed5.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+# one document per loader with a JSON boolean where a number belongs
+@pytest.mark.parametrize("argv,doc", [
+    ("integrate --poly {poly} --measure {doc}",
+     {"n": True, "atoms": [{"x": True, "W": [[1]]}]}),
+    ("integrate --poly {poly} --measure {doc}",
+     {"n": 1, "atoms": [{"x": 0.0, "W": [[False]]}]}),
+    ("integrate --poly {poly} --measure {doc}",
+     {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 0.0, "kraus": [[[True]]]}]}),
+    ("certify --domain line --poly {doc}", {"n": True, "coeffs": [[[True]]]}),
+    ("check --variant hamburger --moments {doc}",
+     {"n": 1, "moments": [[[1.0]], [[False]], [[1.0]]]}),
+    ("factor --laurent {doc}", {"n": 1, "band": True,
+                                "coeffs_re": [[[0.25]], [[1.0]], [[0.25]]],
+                                "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}),
+], ids=["measure-n-x", "measure-W", "map-kraus", "poly", "moments", "laurent"])
+def test_json_booleans_are_not_numbers(workspace, argv, doc):
+    path = workspace["dir"] / "bool.json"
+    path.write_text(json.dumps(doc))
+    res = run(argv.format(poly=workspace["poly.json"], doc=path).split())
     assert res.exit_code == 2
     assert res.report["error"]["type"] == "ValueError"
 

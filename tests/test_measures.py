@@ -1,7 +1,10 @@
 """Atomic measures, integration, forward moments and the positivity audit."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from conftest import rand_measure, rand_psd
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
@@ -9,7 +12,9 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         check_stieltjes, decompose_halfline, forward_moments,
                         integrate_map, integrate_trace, map_measure_from_json,
                         map_measure_to_json, measure_from_json, measure_to_json,
-                        positivity_audit)
+                        positivity_audit, scalar_poly_mult, transpose_poly)
+from matmoments import matmul as poly_matmul
+from matmoments.measures import AUDIT_TOL, TRIAL_BLOCK
 
 I2 = np.eye(2)
 
@@ -139,6 +144,78 @@ def test_positivity_audit_deterministic_given_seed():
     a = positivity_audit(mu, [[0.0, 1.0]], 40, seed=7)
     b = positivity_audit(mu, [[0.0, 1.0]], 40, seed=7)
     assert a.min_margin == b.min_margin
+
+
+def test_positivity_audit_violation_path_pinned():
+    # the audit reads only mu.n and mu.atoms, so an indefinite weight can
+    # reach the violation path; values as computed by the per-trial audit
+    mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])),))
+    rep = positivity_audit(mu, [[0, 1]], 8, seed=4)
+    assert not rep.passed and rep.n_trials == 8
+    assert rep.min_margin == pytest.approx(-1.167946815379482, rel=1e-12)
+    assert [(v["trial"], v["generator"]) for v in rep.violations] == [(3, 0), (4, 0)]
+    assert rep.violations[0]["value"] == pytest.approx(-0.6348204392526242, rel=1e-12)
+    assert rep.violations[1]["value"] == pytest.approx(-1.1679468218751619, rel=1e-12)
+
+
+def _reference_audit(mu, generators, trials, seed):
+    """One trial at a time with MatrixPoly arithmetic (support check left out)."""
+    gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
+    violations = []
+    min_margin = np.inf
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for t, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        pick = int(rng.integers(-1, len(gens))) if gens else -1
+        g = np.array([1.0]) if pick < 0 else gens[pick]
+        deg = int(rng.integers(0, 4))
+        a = MatrixPoly(rng.standard_normal((deg + 1, mu.n, mu.n)))
+        fg = scalar_poly_mult(g, poly_matmul(transpose_poly(a), a))
+        val = float(sum(np.trace(fg(x) @ w) for x, w in mu.atoms))
+        scale = sum(float(np.sum(npoly.polyval(abs(x), np.abs(fg.coeffs)) * np.abs(w).T))
+                    for x, w in mu.atoms)
+        min_margin = min(min_margin, val + AUDIT_TOL * max(1.0, scale))
+        if val < -AUDIT_TOL * max(1.0, scale):
+            violations.append({"trial": t, "generator": pick, "value": val})
+    return not violations, len(children), (min_margin if children else 0.0), violations
+
+
+def _audit_case(kind, n, rng):
+    """(measure, generators) with the atoms inside the generators' support."""
+    count = 1 + (n - 1) % 4
+    if kind == "plain":
+        return rand_measure(rng, n, count, -2.0, 2.0), []
+    if kind == "line":
+        return rand_measure(rng, n, count, -2.0, 2.0), [[4.0, 0.0, -1.0]]
+    if kind == "unit":
+        return rand_measure(rng, n, count, 0.0, 1.0), [[0.0, 1.0], [1.0, -1.0]]
+    if kind == "shift":
+        atoms = [(0.0, rand_psd(rng, n))] + [(float(x), rand_psd(rng, n))
+                                            for x in rng.uniform(n, n + 2, count - 1)]
+        return AtomicMatrixMeasure(n, atoms), [[0.0, 0.0, -1.0, 1.0 / i]
+                                               for i in range(1, n + 1)]
+    # an indefinite weight: most trials are violations
+    w = np.diag(np.where(np.arange(n) % 2 == 0, 1.0, -1.5))
+    return SimpleNamespace(n=n, atoms=tuple((float(x), w)
+                                            for x in rng.uniform(0.0, 1.0, count))), [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kind", ["plain", "line", "unit", "shift", "indefinite"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_positivity_audit_matches_per_trial_reference(kind, n):
+    mu, gens = _audit_case(kind, n, np.random.default_rng(100 * n + len(kind)))
+    runs = [(trials, seed) for trials in (0, 1, 40) for seed in (0, 5)]
+    if n == 1 + len(kind) % 6:
+        runs.append((2 * TRIAL_BLOCK + 1, 9))
+    for trials, seed in runs:
+        passed, n_trials, min_margin, violations = _reference_audit(mu, gens, trials, seed)
+        rep = positivity_audit(mu, gens, trials, seed)
+        assert (rep.passed, rep.n_trials) == (passed, n_trials)
+        assert rep.min_margin == pytest.approx(min_margin, rel=1e-12)
+        assert ([(v["trial"], v["generator"]) for v in rep.violations]
+                == [(v["trial"], v["generator"]) for v in violations])
+        for got, want in zip(rep.violations, violations):
+            assert got["value"] == pytest.approx(want["value"], rel=1e-12)
 
 
 def test_integration_linearity():

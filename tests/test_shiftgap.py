@@ -1,5 +1,6 @@
 """Truncated shift-family diagnostics: exact identities, probe, chain."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from conftest import rand_psd
 from matmoments import (AtomicMatrixMeasure, ModulePositivityError,
                         build_family, cauchy_schwarz_chain, leading_coeff_probe,
-                        shift_compress, support_collapse_check)
+                        positivity_audit, shift_compress, support_collapse_check)
+from matmoments.measures import TRIAL_BLOCK
 
 
 def test_family_smallest_case_constraint_set():
@@ -94,9 +96,13 @@ def test_probe_minimum_and_candidate_exclusion():
 # (N, seed, trials) -> (n_elements, min_leading_eigenvalue), as computed by
 # the MatrixPoly-based probe this array version replaced; the one- and
 # two-trial cases draw a rank-one term h g g^T that reaches the leading
-# coefficient
+# coefficient, and (2, 0, 1) and (5, 8, 1) a third congruence that does;
+# the last three span two or three blocks of trials, computed one trial at
+# a time
 PINNED_PROBES = {
     (1, 2, 100): (98, 1.0),
+    (2, 0, 1): (1, 0.34002679662983004),
+    (5, 8, 1): (1, 0.12604073267791327),
     (2, 9, 1): (1, 0.17942613254061063),
     (3, 28, 1): (1, 0.005345288933596079),
     (4, 13, 1): (1, 0.04836680793156387),
@@ -104,6 +110,9 @@ PINNED_PROBES = {
     (6, 2, 2): (2, 0.010553586830017938),
     (6, 9, 200): (200, -1.1210390280094727e-15),
     (8, 3, 100): (100, -8.688089935099662e-16),
+    (2, 1, 257): (257, 0.0),
+    (5, 7, 513): (513, -5.848544054508939e-16),
+    (6, 4, 500): (500, -9.175820787239012e-16),
 }
 
 
@@ -115,6 +124,29 @@ def test_probe_matches_pinned_reports(key):
     assert rep.n_elements == n_elements
     assert rep.min_leading_eigenvalue == pytest.approx(min_eig, abs=1e-12)
     assert rep.all_psd and rep.negative_candidate_excluded
+
+
+@pytest.mark.parametrize("which", ["audit", "probe"])
+def test_trial_blocks_bound_memory(which):
+    # arithmetic runs on TRIAL_BLOCK trials at a time, so the peak is a few
+    # of a block's padded stacks (at most 11 coefficients of n x n floats)
+    # however many trials run; drawing all trials' seeds up front alone
+    # takes more at 20 000 trials
+    n_dim = 6
+    bound = 8 * TRIAL_BLOCK * 11 * n_dim * n_dim * 8
+    fam = build_family(n_dim)
+    mu = AtomicMatrixMeasure(n_dim, [(0.0, np.eye(n_dim)), (7.0, 0.5 * np.eye(n_dim))])
+    gens = [[0.0, 0.0, -1.0, 1.0 / i] for i in range(1, n_dim + 1)]
+    tracemalloc.start()
+    try:
+        if which == "audit":
+            assert positivity_audit(mu, gens, 20_000, seed=3).passed
+        else:
+            assert leading_coeff_probe(fam, 20_000, seed=3).all_psd
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_chain_point_mass_at_origin():
