@@ -17,13 +17,14 @@ generators by parity.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import spectral
-from .polymat import (LaurentPoly, MatrixPoly, _conv1d, _maxabs, matmul,
-                      matrixpoly_from_json, matrixpoly_to_json, scalar_poly_mult,
+from .polymat import (LaurentPoly, MatrixPoly, _conv1d, _horner, _least_eigenvalue, _maxabs,
+                      matmul, matrixpoly_from_json, matrixpoly_to_json, scalar_poly_mult,
                       compose_scalar, transpose_poly, even_odd_split, poly_trace)
 
 DEFAULT_TOL = 1e-8
@@ -101,6 +102,8 @@ class ScalarizedSet:
 
 def _require_symmetric(f, what="input"):
     ff = f.as_float()
+    if not np.all(np.isfinite(ff.coeffs)):
+        raise ValueError(f"{what} has a non-finite coefficient")
     scale = max(1.0, ff.max_coeff_abs())
     defect = max(_maxabs(c - c.T) for c in ff.coeffs)
     if defect > 1e-12 * scale:
@@ -114,17 +117,50 @@ def _chebyshev_grid(a, b, count):
 
 
 def _grid_check(ff, a, b, thresh, exc):
-    worst, worst_x = np.inf, a
-    for x in _chebyshev_grid(a, b, 8 * (ff.deg + 1)):
-        v = ff(x)
-        w = np.linalg.eigvalsh(0.5 * (v + v.T))
-        if w[0] < worst:
-            worst, worst_x = w[0], float(x)
+    """Raise exc at the least grid eigenvalue of F on [a, b] if it is below -thresh.
+
+    The grid is 8*(deg+1) Chebyshev points.  F is evaluated on all of them
+    at once by Horner's rule and the eigenvalues come from one batched
+    ``eigvalsh``; the first point attaining the least eigenvalue is
+    reported, and a point whose value overflowed to NaN is never it.
+    """
+    xs = _chebyshev_grid(a, b, 8 * (ff.deg + 1))
+    worst, i = _least_eigenvalue(_horner(ff.coeffs, xs[:, np.newaxis, np.newaxis]))
     if worst < -thresh:
-        raise exc(worst, worst_x)
+        raise exc(worst, float(xs[i]))
 
 
 _I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
+
+
+@lru_cache(maxsize=None)
+def _trig_weights(d):
+    """Nonzero weights of C_k on w^j in _trig_laurent at degree d, per k.
+
+    Entry k holds the rows j + d/2 that C_k reaches and, as a read-only
+    (rows, 1, 1) array, the weights i^{-k} s / 2^d (s the binomial sum
+    below), each rounded once from its exact rational value.  They are real for even k and imaginary
+    (stored without the i) for odd k.
+    """
+    nh = d // 2
+    denom = Fraction(1, 2**d)
+    table = []
+    for k in range(d + 1):
+        # phase of i^{-k}: purely real for even k, purely imaginary for odd k
+        pre, pim = _I_POW[(-k) % 4]
+        rows, weights = [], []
+        for j in range(-nh, nh + 1):
+            s = 0
+            for a in range(max(0, nh + j - (d - k)), min(k, nh + j) + 1):
+                s += (-1) ** (k - a) * comb(k, a) * comb(d - k, nh + j - a)
+            if s:
+                rows.append(j + nh)
+                weights.append(float((pre + pim) * s * denom))
+        entry = (np.array(rows, dtype=int), np.array(weights)[:, np.newaxis, np.newaxis])
+        for arr in entry:
+            arr.setflags(write=False)
+        table.append(entry)
+    return tuple(table)
 
 
 def _trig_laurent(f):
@@ -133,47 +169,24 @@ def _trig_laurent(f):
     F~(u, v) = F(v/u) u^deg is the homogenization; the expansion uses
     cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i) with exact rational
     binomial weights, rounding only when the weights multiply the
-    coefficient matrices.
+    coefficient matrices.  The rounded weights of each degree are tabulated
+    once (``_trig_weights``); every output coefficient sums its terms in
+    increasing k.
     """
-    d = f.deg
-    nh = d // 2
+    nh = f.deg // 2
     ff = f.as_float()
-    n = f.n
-    coeffs = np.zeros((2 * nh + 1, n, n), dtype=np.complex128)
-    denom = Fraction(1, 2**d)
-    for j in range(-nh, nh + 1):
-        acc_re = np.zeros((n, n))
-        acc_im = np.zeros((n, n))
-        for k in range(d + 1):
-            s = 0
-            for a in range(max(0, nh + j - (d - k)), min(k, nh + j) + 1):
-                s += (-1) ** (k - a) * comb(k, a) * comb(d - k, nh + j - a)
-            if s == 0:
-                continue
-            # phase of i^{-k}: purely real for even k, purely imaginary for odd k
-            pre, pim = _I_POW[(-k) % 4]
-            w = s * denom
-            if pre:
-                acc_re += float(pre * w) * ff.coeffs[k]
-            if pim:
-                acc_im += float(pim * w) * ff.coeffs[k]
-        coeffs[j + nh] = acc_re + 1j * acc_im
-    return LaurentPoly(coeffs)
+    acc = np.zeros((2, 2 * nh + 1, f.n, f.n))     # real and imaginary parts
+    for k, (rows, weights) in enumerate(_trig_weights(f.deg)):
+        acc[k % 2, rows] += weights * ff.coeffs[k]
+    return LaurentPoly(acc[0] + 1j * acc[1])
 
 
-def _line_factors(b_stack):
-    """Split G(cos t, sin t) = P(e^{2it}) e^{-i n t} into real parts H, K.
-
-    G(u, v) = sum_k B_k (u + iv)^k (u - iv)^{n-k} is homogeneous of degree
-    n with complex coefficients; H and K are its real and imaginary parts,
-    returned dehomogenized at (1, x).
-    """
-    nh = b_stack.shape[0] - 1
-    n = b_stack.shape[1]
-    h = np.zeros((nh + 1, n, n))
-    k_mat = np.zeros((nh + 1, n, n))
+@lru_cache(maxsize=None)
+def _line_weights(nh):
+    """Nonzero complex weights of B_k on u^e v^{nh-e} in _line_factors, per e."""
+    table = []
     for e in range(nh + 1):
-        gamma = np.zeros((n, n), dtype=np.complex128)
+        terms = []
         for k in range(nh + 1):
             w = 0j
             for a in range(max(0, e - (nh - k)), min(k, e) + 1):
@@ -181,7 +194,29 @@ def _line_factors(b_stack):
                 pre, pim = _I_POW[((k - a) - (nh - k - b)) % 4]
                 w += comb(k, a) * comb(nh - k, b) * (pre + 1j * pim)
             if w != 0:
-                gamma += w * b_stack[k]
+                terms.append((k, w))
+        table.append(tuple(terms))
+    return tuple(table)
+
+
+def _line_factors(b_stack):
+    """Split G(cos t, sin t) = P(e^{2it}) e^{-i n t} into real parts H, K.
+
+    G(u, v) = sum_k B_k (u + iv)^k (u - iv)^{n-k} is homogeneous of degree
+    n with complex coefficients; H and K are its real and imaginary parts,
+    returned dehomogenized at (1, x).  The exact binomial weights of each
+    degree are tabulated once (``_line_weights``).
+    """
+    nh = b_stack.shape[0] - 1
+    n = b_stack.shape[1]
+    h = np.zeros((nh + 1, n, n))
+    k_mat = np.zeros((nh + 1, n, n))
+    for e, terms in enumerate(_line_weights(nh)):
+        gamma = np.zeros((n, n), dtype=np.complex128)
+        # one matrix at a time: numpy may round a complex product over a
+        # stack differently (fused multiply-add) from the same product alone
+        for k, w in terms:
+            gamma += w * b_stack[k]
         # coefficient of u^e v^{nh-e} lands on x^{nh-e} at (1, x)
         h[nh - e] = gamma.real
         k_mat[nh - e] = gamma.imag

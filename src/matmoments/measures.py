@@ -7,13 +7,14 @@ flavour stores, per atom, a positive linear map on matrices (Kraus form,
 or a sampled-validated raw action) and integrates F through it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .moments import MomentSequence
-from .polymat import _conv_stack, _json_int, _json_real
+from .polymat import _conv_stack, _horner, _json_int, _json_real
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
@@ -45,9 +46,14 @@ class AtomicMatrixMeasure:
         self._n = int(n)
         cleaned = []
         for idx, (x, w) in enumerate(atoms):
+            x = float(x)
+            if not math.isfinite(x):
+                raise ValueError(f"atom {idx}: point {x} is not finite")
             w = np.asarray(w, dtype=float)
             if w.shape != (self._n, self._n):
                 raise ValueError(f"atom {idx}: weight shape {w.shape}, expected {(n, n)}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"atom {idx}: weight has a non-finite entry")
             scale = max(1.0, float(np.max(np.abs(w))))
             if np.max(np.abs(w - w.T)) > 1e-10 * scale:
                 raise ValueError(f"atom {idx}: weight is not symmetric")
@@ -55,7 +61,7 @@ class AtomicMatrixMeasure:
             lam = np.linalg.eigvalsh(w)
             if lam[0] < -WEIGHT_PSD_TOL * max(1.0, lam[-1]):
                 raise ValueError(f"atom {idx}: weight has eigenvalue {lam[0]:.3e} < 0")
-            cleaned.append((float(x), w))
+            cleaned.append((x, w))
         cleaned.sort(key=lambda a: a[0])
         merged = []
         for x, w in cleaned:
@@ -276,14 +282,6 @@ def positivity_audit(mu, generators, trials, seed=0):
     if total == 0:
         min_margin = 0.0
     return AuditReport(not violations, total, float(min_margin), violations)
-
-
-def _horner(stack, x):
-    """Values at x of a batch of coefficient stacks (..., deg+1, n, n)."""
-    res = stack[..., -1, :, :]
-    for k in range(stack.shape[-3] - 2, -1, -1):
-        res = res * x + stack[..., k, :, :]
-    return res
 
 
 def measure_to_json(mu):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymat import LaurentPoly, _json_int, _json_real, _maxabs
+from .polymat import LaurentPoly, _json_int, _json_real, _least_eigenvalue, _maxabs
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -195,8 +195,11 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     Parameters
     ----------
     u : LaurentPoly
-        Hermitian-valued input, A_{-k} = A_k^H, with u(e^{it}) >= -tol
-        (relative to the scale of A_0) on a grid of 4*(band+1) angles.
+        Hermitian-valued input with finite coefficients, A_{-k} = A_k^H,
+        with u(e^{it}) >= -tol (relative to the scale of A_0) on a grid of
+        4*(band+1) equally spaced angles.  The grid is evaluated as one
+        stack and checked with one batched ``eigvalsh``; the first angle
+        attaining the least eigenvalue is reported.
     tol : float
         Residual target, relative to max(1, ||A_0||).
 
@@ -216,19 +219,17 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
         retry and the Newton polish; carries the best factor found.
     """
     band, n = u.band, u.n
+    if not np.all(np.isfinite(u.coeffs)):
+        raise ValueError("input has a non-finite coefficient")
     scale = max(1.0, _maxabs(u.coeff(0)))
     if u.hermitian_defect() > 1e-10 * scale:
         raise ValueError("input is not hermitian-valued on the circle (A_{-k} != A_k^H)")
 
     npts = 4 * (band + 1)
-    worst, worst_t = np.inf, 0.0
-    for t in 2.0 * np.pi * np.arange(npts) / npts:
-        v = u.eval_circle(t)
-        w = np.linalg.eigvalsh(0.5 * (v + v.conj().T))
-        if w[0] < worst:
-            worst, worst_t = w[0], t
+    ts = 2.0 * np.pi * np.arange(npts) / npts
+    worst, i = _least_eigenvalue(u.eval_circle(ts))
     if worst < -tol * scale:
-        raise NotPsdOnCircle(worst, worst_t)
+        raise NotPsdOnCircle(worst, ts[i])
 
     a_stack = np.array(u.coeffs)
     zero = np.zeros((band + 1, n, n), dtype=np.complex128)

@@ -1,9 +1,13 @@
 """Certificate construction, verification and scalarization."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
 from conftest import entrywise_reassembly, rand_symmetric_poly
+from matmoments import certificates
 from matmoments import (MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
                         NotPsdOnLine, OddDegree, SosCertificate,
                         certificate_from_json, certificate_to_json,
@@ -240,3 +244,183 @@ def test_certificate_json_round_trip():
     assert verify_certificate(f, back) == pytest.approx(cert.residual, abs=1e-12)
     with pytest.raises(ValueError, match="variant"):
         certificate_from_json({"variant": "circle", "sigma": {}})
+
+
+# Loop versions of the grid check and the expansion weights, as they were
+# before the grid was batched and the weights tabulated.  The batched code
+# must reproduce them bit for bit.
+
+_I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
+
+
+def _grid_check_loop(ff, a, b, thresh, exc):
+    worst, worst_x = np.inf, a
+    for x in certificates._chebyshev_grid(a, b, 8 * (ff.deg + 1)):
+        v = ff(x)
+        w = np.linalg.eigvalsh(0.5 * (v + v.T))
+        if w[0] < worst:
+            worst, worst_x = w[0], float(x)
+    if worst < -thresh:
+        raise exc(worst, worst_x)
+
+
+def _trig_laurent_loop(f):
+    d = f.deg
+    nh = d // 2
+    ff = f.as_float()
+    n = f.n
+    coeffs = np.zeros((2 * nh + 1, n, n), dtype=np.complex128)
+    denom = Fraction(1, 2**d)
+    for j in range(-nh, nh + 1):
+        acc_re = np.zeros((n, n))
+        acc_im = np.zeros((n, n))
+        for k in range(d + 1):
+            s = 0
+            for a in range(max(0, nh + j - (d - k)), min(k, nh + j) + 1):
+                s += (-1) ** (k - a) * comb(k, a) * comb(d - k, nh + j - a)
+            if s == 0:
+                continue
+            pre, pim = _I_POW[(-k) % 4]
+            w = s * denom
+            if pre:
+                acc_re += float(pre * w) * ff.coeffs[k]
+            if pim:
+                acc_im += float(pim * w) * ff.coeffs[k]
+        coeffs[j + nh] = acc_re + 1j * acc_im
+    return coeffs
+
+
+def _line_factors_loop(b_stack):
+    nh = b_stack.shape[0] - 1
+    n = b_stack.shape[1]
+    h = np.zeros((nh + 1, n, n))
+    k_mat = np.zeros((nh + 1, n, n))
+    for e in range(nh + 1):
+        gamma = np.zeros((n, n), dtype=np.complex128)
+        for k in range(nh + 1):
+            w = 0j
+            for a in range(max(0, e - (nh - k)), min(k, e) + 1):
+                b = e - a
+                pre, pim = _I_POW[((k - a) - (nh - k - b)) % 4]
+                w += comb(k, a) * comb(nh - k, b) * (pre + 1j * pim)
+            if w != 0:
+                gamma += w * b_stack[k]
+        h[nh - e] = gamma.real
+        k_mat[nh - e] = gamma.imag
+    return MatrixPoly(h), MatrixPoly(k_mat)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trig_laurent_matches_loop_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for d in range(0, 35, 2):
+        coeffs = rng.standard_normal((d + 1, n, n)) * rng.uniform(0.1, 10.0, (d + 1, 1, 1))
+        # signed zeros must come out with the same signs
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+        coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+        coeffs[-1] += 3.0 * np.eye(n)      # keep the degree d
+        f = MatrixPoly(coeffs)
+        assert _same_bits(certificates._trig_laurent(f).coeffs, _trig_laurent_loop(f)), d
+
+
+def test_line_factors_match_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for nh in range(18):
+        for n in (1, 3, 6):
+            b = rng.standard_normal((nh + 1, n, n)) + 1j * rng.standard_normal((nh + 1, n, n))
+            h, k = certificates._line_factors(b)
+            h_ref, k_ref = _line_factors_loop(b)
+            assert _same_bits(h.coeffs, h_ref.coeffs), (nh, n)
+            assert _same_bits(k.coeffs, k_ref.coeffs), (nh, n)
+
+
+def _not_psd_report(decomposer, f, monkeypatch, grid_check):
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "_grid_check", grid_check)
+        with np.errstate(all="ignore"), pytest.raises(
+                (NotPsdOnLine, NotPsdOnHalfLine, NotPsdOnInterval)) as info:
+            decomposer(f)
+    return type(info.value), info.value.min_eigenvalue, info.value.at_x
+
+
+def _not_psd_sweep():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for decomposer in (decompose_line, decompose_halfline, decompose_interval):
+        for n in (1, 2, 4, 6):
+            for deg in (2, 4, 8, 16):
+                coeffs = rand_symmetric_poly(rng, n, deg)
+                a = rng.standard_normal((n, n))
+                coeffs[-1] = a @ a.T + 0.1 * np.eye(n)     # PSD leading coefficient
+                # negative near x = 0, which every domain contains
+                coeffs[0] -= (np.linalg.norm(coeffs[0], 2) + rng.uniform(0.1, 2.0)) * np.eye(n)
+                cases.append((decomposer, MatrixPoly(coeffs, symmetric=True)))
+        cases.append((decomposer, MatrixPoly.constant(-np.eye(3), symmetric=True)))
+        cases.append((decomposer, _overflowing(decomposer)))
+    return cases
+
+
+def _overflowing(decomposer):
+    """F negative inside the grid whose value overflows at other grid points.
+
+    The overflowed values give NaN eigenvalues, which must never be taken
+    for the least one.
+    """
+    if decomposer is decompose_interval:
+        # -0.1 + x + x^2, scaled to the top of the float range
+        coeffs = np.zeros((3, 2, 2))
+        coeffs[:, 0, 0] = [-1e307, 1e308, 1e308]
+        coeffs[0, 1, 1] = 1.0
+    else:
+        # x^15 (x - 1e20) on the grid out to 1 + 1e20
+        coeffs = np.zeros((17, 2, 2))
+        coeffs[16] = np.eye(2)
+        coeffs[15, 0, 0] = -1e20
+    return MatrixPoly(coeffs, symmetric=True)
+
+
+def test_not_psd_reports_match_the_loop(monkeypatch):
+    for decomposer, f in _not_psd_sweep():
+        got = _not_psd_report(decomposer, f, monkeypatch, certificates._grid_check)
+        want = _not_psd_report(decomposer, f, monkeypatch, _grid_check_loop)
+        assert got[0] is want[0]
+        assert _same_bits(got[1], want[1]) and got[2] == want[2], (decomposer.__name__, f)
+
+
+@pytest.mark.parametrize("decomposer,a,b", [(decompose_halfline, 0.0, 2.0),
+                                            (decompose_interval, 0.0, 1.0)])
+def test_grid_tie_reports_first_point(decomposer, a, b):
+    # constant -I: every grid point attains -1, the first one is reported
+    with pytest.raises((NotPsdOnHalfLine, NotPsdOnInterval)) as info:
+        decomposer(MatrixPoly.constant(-np.eye(2), symmetric=True))
+    assert info.value.min_eigenvalue == -1.0
+    assert info.value.at_x == certificates._chebyshev_grid(a, b, 8)[0]
+
+
+@pytest.mark.parametrize("decomposer,exc,domain", [
+    (decompose_line, NotPsdOnLine, lambda m: (-1 - m, 1 + m)),
+    (decompose_halfline, NotPsdOnHalfLine, lambda m: (0.0, 1 + m)),
+    (decompose_interval, NotPsdOnInterval, lambda m: (0.0, 1.0))])
+def test_grid_overflow_is_never_the_worst_point(decomposer, exc, domain):
+    f = _overflowing(decomposer)
+    xs = certificates._chebyshev_grid(*domain(f.max_coeff_abs()), 8 * (f.deg + 1))
+    with np.errstate(all="ignore"):
+        grid_eigs = [np.linalg.eigvalsh(0.5 * (f(x) + f(x).T))[0] for x in xs]
+        with pytest.raises(exc) as info:
+            decomposer(f)
+    assert np.isnan(grid_eigs).any()
+    assert info.value.min_eigenvalue == np.nanmin(grid_eigs) < 0
+    assert info.value.at_x == xs[np.nanargmin(grid_eigs)]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fn", [decompose_line, decompose_halfline, decompose_interval, scalarize])
+def test_non_finite_coefficients_are_rejected(fn, bad):
+    f = MatrixPoly([[[1.0]], [[0.0]], [[bad]]])
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(f)

@@ -202,12 +202,14 @@ def test_shiftgap_stdout_is_golden(tmp_path, capsys):
     ("integrate --poly {poly} --measure {doc}",
      {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 0.0, "kraus": [[[True]]]}]}),
     ("certify --domain line --poly {doc}", {"n": True, "coeffs": [[[True]]]}),
+    ("certify --domain line --poly {doc}", {"n": 1, "symmetric": "no", "coeffs": [[[1.0]]]}),
     ("check --variant hamburger --moments {doc}",
      {"n": 1, "moments": [[[1.0]], [[False]], [[1.0]]]}),
     ("factor --laurent {doc}", {"n": 1, "band": True,
                                 "coeffs_re": [[[0.25]], [[1.0]], [[0.25]]],
                                 "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}),
-], ids=["measure-n-x", "measure-W", "map-kraus", "poly", "moments", "laurent"])
+], ids=["measure-n-x", "measure-W", "map-kraus", "poly", "poly-symmetric", "moments",
+        "laurent"])
 def test_json_booleans_are_not_numbers(workspace, argv, doc):
     path = workspace["dir"] / "bool.json"
     path.write_text(json.dumps(doc))
@@ -274,3 +276,41 @@ def test_reports_are_byte_identical(workspace):
     s = run(["shiftgap", "--dim", "3", "--trials", "100", "--seed", "9"])
     t = run(["shiftgap", "--dim", "3", "--trials", "100", "--seed", "9"])
     assert render(s.report) == render(t.report)
+
+
+def _poly_doc(coeffs):
+    return {"n": len(coeffs[0]), "symmetric": True, "coeffs": coeffs}
+
+
+# byte-exact stdout of certify and factor, recorded while the PSD grid
+# checks still evaluated one point at a time and the expansion weights were
+# rebuilt from exact binomials on every call
+GOLDEN_CALLS = {
+    "certify_line": ("certify --domain line --poly {doc}", _poly_doc(
+        [[[6, 2], [2, 6]], [[4, 0], [0, -4]], [[6, 4], [4, 6]], [[0, 0], [0, 0]],
+         [[2, 0], [0, 2]]])),
+    "certify_halfline": ("certify --domain halfline --poly {doc}", _poly_doc(
+        [[[1, 1], [1, 5]], [[1, 1], [1, -1]], [[5, 2], [2, 3]], [[2, -1], [-1, 1]],
+         [[1, 0], [0, 1]]])),
+    "certify_interval": ("certify --domain interval --poly {doc}", _poly_doc(
+        [[[2, 0], [0, 2]], [[3, 4], [4, 1]], [[1, -4], [-4, -3]], [[-1, 0], [0, 0]]])),
+    # x^2 - 1 is least at the two grid points nearest 0; the first is reported
+    "certify_not_psd_line": ("certify --domain line --poly {doc}", _poly_doc(
+        [[[-1, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 0]]])),
+    "factor": ("factor --laurent {doc}", {
+        "n": 2, "band": 2,
+        "coeffs_re": [[[0, 2], [1, 1]], [[1, 1], [1, 1]], [[7, 1], [1, 4]],
+                      [[1, 1], [1, 1]], [[0, 1], [2, 1]]],
+        "coeffs_im": [[[0, 0], [0, 0]]] * 5}),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CALLS))
+def test_certify_and_factor_stdout_is_golden(tmp_path, capsys, name):
+    argv, doc = GOLDEN_CALLS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(argv.format(doc=path).split())
+    assert code == (1 if "not_psd" in name else 0)
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

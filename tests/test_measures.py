@@ -115,6 +115,15 @@ def test_atoms_merge_and_weights_validate():
         AtomicMatrixMeasure(2, [(0.0, -I2)])
 
 
+@pytest.mark.parametrize("atom,match", [
+    ((np.inf, I2), "point"), ((-np.inf, I2), "point"), ((np.nan, I2), "point"),
+    ((0.0, np.diag([np.inf, 1.0])), "non-finite"), ((0.0, np.diag([1.0, np.nan])), "non-finite"),
+])
+def test_non_finite_atoms_are_rejected(atom, match):
+    with pytest.raises(ValueError, match=match):
+        AtomicMatrixMeasure(2, [(1.0, I2), atom])
+
+
 def test_positivity_audit_halfline_passes():
     rng = np.random.default_rng(15)
     mu = rand_measure(rng, 2, 3, 0.0, 4.0)

@@ -215,6 +215,9 @@ def test_json_round_trip():
     ({"n": 0, "coeffs": [[[1.0]]]}, "'n'"),
     ({"coeffs": [[[1.0]]]}, "'n'"),
     ({"n": 1}, "'coeffs'"),
+    ({"n": 1, "symmetric": "no", "coeffs": [[[1.0]]]}, "'symmetric'"),
+    ({"n": 1, "symmetric": 0.5, "coeffs": [[[1.0]]]}, "'symmetric'"),
+    ({"n": 1, "symmetric": None, "coeffs": [[[1.0]]]}, "'symmetric'"),
 ])
 def test_json_rejects_bad_documents(doc, field):
     with pytest.raises(ValueError):

@@ -182,3 +182,56 @@ def test_laurent_json_round_trip():
     assert np.allclose(back.coeffs, u.coeffs)
     with pytest.raises(ValueError, match="coeffs_im"):
         laurent_from_json({"n": 1, "band": 1, "coeffs_re": [[[1.0]]] * 3})
+
+
+def _circle_check_loop(u, tol):
+    """The circle grid one angle at a time, as before it was batched."""
+    scale = max(1.0, np.max(np.abs(u.coeff(0))))
+    npts = 4 * (u.band + 1)
+    worst, worst_t = np.inf, 0.0
+    for t in 2.0 * np.pi * np.arange(npts) / npts:
+        z = np.exp(1j * t)
+        v = np.zeros((u.n, u.n), dtype=np.complex128)
+        for k in range(-u.band, u.band + 1):
+            v += u.coeff(k) * z**k
+        w = np.linalg.eigvalsh(0.5 * (v + v.conj().T))
+        if w[0] < worst:
+            worst, worst_t = w[0], t
+    return (worst, worst_t) if worst < -tol * scale else None
+
+
+def test_not_psd_on_circle_matches_the_loop():
+    # complex multiplication may round differently on a stack than on one
+    # matrix, so the value may move in the last bits; the angle may not
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 6):
+        for band in (0, 1, 2, 5, 8, 16):
+            for real in (True, False):
+                u, _ = factorable_laurent(rng, n, band, real=real)
+                coeffs = np.array(u.coeffs)
+                coeffs[band] -= rng.uniform(0.2, 1.5) * np.max(np.abs(coeffs)) * np.eye(n)
+                u = LaurentPoly(coeffs)
+                want = _circle_check_loop(u, DEFAULT_TOL)
+                assert want is not None
+                with pytest.raises(NotPsdOnCircle) as info:
+                    fejer_riesz(u)
+                assert info.value.at_angle == want[1]
+                assert info.value.min_eigenvalue == pytest.approx(want[0], rel=1e-12)
+
+
+def test_eval_circle_takes_an_array_of_angles():
+    rng = np.random.default_rng(43)
+    u, _ = factorable_laurent(rng, 3, 4)
+    ts = np.linspace(0.0, 2 * np.pi, 9)
+    stack = u.eval_circle(ts)
+    assert stack.shape == (9, 3, 3)
+    scale = np.max(np.abs(u.coeffs))
+    for t, v in zip(ts, stack):
+        np.testing.assert_allclose(v, u.eval_circle(t), rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_coefficients_are_rejected(bad):
+    u = scalar_laurent(1, bad, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        fejer_riesz(u)
