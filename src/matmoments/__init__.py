@@ -18,7 +18,7 @@ from .measures import (AtomicMatrixMeasure, AuditReport, PositiveMapMeasure,
                        SupportViolation, forward_moments, integrate_map,
                        integrate_trace, map_measure_from_json, map_measure_to_json,
                        measure_from_json, measure_to_json, positivity_audit)
-from .recovery import ComplexAtoms, HankelNotPsd, RecoveryResult, recover
+from .recovery import HankelNotPsd, RecoveryResult, recover
 from .shiftgap import (ChainReport, ModulePositivityError, ProbeReport, ShiftFamily,
                        build_family, cauchy_schwarz_chain, leading_coeff_probe,
                        shift_compress, support_collapse_check)
@@ -26,8 +26,8 @@ from .shiftgap import (ChainReport, ModulePositivityError, ProbeReport, ShiftFam
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMatrixMeasure", "AuditReport", "ChainReport", "ComplexAtoms",
-    "HankelNotPsd", "LaurentPoly", "MatrixPoly", "ModulePositivityError",
+    "AtomicMatrixMeasure", "AuditReport", "ChainReport", "HankelNotPsd",
+    "LaurentPoly", "MatrixPoly", "ModulePositivityError",
     "MomentSequence", "NoConvergence", "NotPsdOnCircle", "NotPsdOnHalfLine",
     "NotPsdOnInterval", "NotPsdOnLine", "OddDegree", "PositiveMapMeasure",
     "ProbeReport", "PsdReport", "RecoveryResult", "ScalarizedSet",

@@ -194,7 +194,6 @@ _EXIT_CODES = (
       certificates._NotPsdOnDomain,
       certificates.SosConsistencyError,
       recovery.HankelNotPsd,
-      recovery.ComplexAtoms,
       shiftgap.ModulePositivityError,
       measures.SupportViolation), 1),
     ((ValueError, KeyError), 2),

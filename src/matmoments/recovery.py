@@ -28,15 +28,6 @@ class HankelNotPsd(RuntimeError):
                          f"at order {report.failing_order})")
 
 
-class ComplexAtoms(RuntimeError):
-    """The Hankel pencil has genuinely complex eigenvalues."""
-
-    def __init__(self, max_imag):
-        self.max_imag = max_imag
-        super().__init__(f"pencil eigenvalues have imaginary part {max_imag:.3e}; "
-                         f"no real atomic representation found")
-
-
 @dataclass
 class RecoveryResult:
     measure: AtomicMatrixMeasure
@@ -45,20 +36,15 @@ class RecoveryResult:
     rank_gap_ambiguous: bool = False
 
 
-def pencil_eigenvalues(h0c, h1c, tol):
-    """Real eigenvalues of the compressed pencil (H1c, H0c), sorted.
+def pencil_eigenvalues(h0c, h1c):
+    """Eigenvalues of the symmetric-definite pencil (H1c, H0c), sorted.
 
-    Raises ComplexAtoms if any eigenvalue strays from the real axis by
-    more than tol relative to its magnitude.
+    H0c is positive definite, so with H0c = L L^T they are the eigenvalues
+    of the symmetric L^{-1} H1c L^{-T}.
     """
-    import scipy.linalg     # here, not at module level: `import matmoments` loads only numpy
-    vals = scipy.linalg.eig(h1c, h0c)[0]
-    if vals.size == 0:
-        return np.array([])
-    max_imag = float(np.max(np.abs(vals.imag)))
-    if max_imag > tol * max(1.0, float(np.max(np.abs(vals.real)))):
-        raise ComplexAtoms(max_imag)
-    return np.sort(vals.real)
+    l = np.linalg.cholesky(h0c)
+    c = np.linalg.solve(l, np.linalg.solve(l, h1c).T)
+    return np.linalg.eigvalsh(0.5 * (c + c.T))
 
 
 def recover(seq, tol=DEFAULT_RANK_TOL):
@@ -84,8 +70,6 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
     ------
     HankelNotPsd
         Precondition failure.
-    ComplexAtoms
-        Pencil eigenvalues far from the real axis.
     """
     d = seq.D
     if d < 2 or d % 2 != 0:
@@ -119,7 +103,7 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
     basis = vec[:, keep]
     h0c = basis.T @ h0 @ basis
     h1c = basis.T @ h1 @ basis
-    points = pencil_eigenvalues(h0c, h1c, tol)
+    points = pencil_eigenvalues(h0c, h1c)
 
     merged = []
     for x in points:

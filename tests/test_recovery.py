@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_psd, separated_points
-from matmoments import (AtomicMatrixMeasure, ComplexAtoms, HankelNotPsd,
+from matmoments import (AtomicMatrixMeasure, HankelNotPsd,
                         MomentSequence, check_stieltjes, forward_moments, recover)
 from matmoments.recovery import pencil_eigenvalues
 
@@ -53,13 +53,14 @@ def test_rejects_odd_or_tiny_degree():
         recover(MomentSequence([I2, 0 * I2]))
 
 
-def test_pencil_guard_raises_on_rotation():
-    # unit test of the complex-eigenvalue guard on a doctored pencil
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ComplexAtoms):
-        pencil_eigenvalues(np.eye(2), rot, 1e-8)
-    vals = pencil_eigenvalues(np.eye(2), np.diag([2.0, -1.0]), 1e-8)
+def test_pencil_eigenvalues_are_real_and_sorted():
+    vals = pencil_eigenvalues(np.eye(2), np.diag([2.0, -1.0]))
     assert vals == pytest.approx([-1.0, 2.0])
+    # a non-identity H0c: the eigenvalues of H0c^{-1} H1c
+    h0c = np.array([[2.0, 1.0], [1.0, 3.0]])
+    h1c = np.array([[1.0, 4.0], [4.0, -2.0]])
+    want = np.sort(np.linalg.eigvals(np.linalg.solve(h0c, h1c)).real)
+    assert pencil_eigenvalues(h0c, h1c) == pytest.approx(want, rel=1e-12)
 
 
 def test_round_trip_random_measures():

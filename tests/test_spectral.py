@@ -5,7 +5,7 @@ import pytest
 
 from conftest import factorable_laurent
 from matmoments import (LaurentPoly, NoConvergence, NotPsdOnCircle, fejer_riesz,
-                        laurent_from_json, laurent_to_json, verify_factor)
+                        laurent_from_json, laurent_to_json, spectral, verify_factor)
 from matmoments.spectral import DEFAULT_TOL
 
 
@@ -70,17 +70,83 @@ SINGULAR_INPUTS = {
 }
 
 
+# Spectral zeros on the circle with A_0 and R_e definite: the doubling
+# converges linearly, without the retry.  The other inputs are singular on
+# the whole circle (A_0 or R_e singular) and need the u + delta*I retry.
+DIRECT_SOLVES = {"double zero (1+z)^2 (1+1/z)^2", "(I - z^2 I) n=2"}
+
+
 @pytest.mark.parametrize("name", list(SINGULAR_INPUTS))
 def test_singular_inputs_take_the_shifted_retry(name):
-    # the plain Riccati solve breaks down on these; the u + delta*I retry and
-    # the Newton polish must still meet the default target
+    # each input takes its pinned path, direct or shifted retry, and with the
+    # Newton polish must still meet the default target
     u = SINGULAR_INPUTS[name]
     fac = fejer_riesz(u)
     scale = max(1.0, np.max(np.abs(u.coeff(0))))
     assert fac.residual <= DEFAULT_TOL * scale
-    assert fac.epsilon_used > 0.0
+    assert (fac.epsilon_used > 0.0) == (name not in DIRECT_SOLVES)
     assert fac.toeplitz_order == u.n * u.band
     assert verify_factor(u, fac) == fac.residual
+
+
+def companion_radius(b):
+    """Largest |lambda| of the block companion of B_0^{-1} B_1, ..., B_0^{-1} B_deg.
+
+    Its eigenvalues are the inverses of the zeros of det P(z); a
+    minimum-phase factor has them all in the closed unit disk.
+    """
+    deg, n = b.shape[0] - 1, b.shape[1]
+    if deg == 0:
+        return 0.0
+    comp = np.eye(n * deg, k=-n, dtype=complex)
+    comp[:n] = -np.linalg.solve(b[0], np.concatenate(list(b[1:]), axis=1))
+    return np.max(np.abs(np.linalg.eigvals(comp)))
+
+
+def test_doubling_factor_is_minimum_phase_and_canonical():
+    rng = np.random.default_rng(47)
+    for n in range(1, 7):
+        for band in range(17):
+            for real in (True, False):
+                u, _ = factorable_laurent(rng, n, band, real=real)
+                fac = fejer_riesz(u)
+                scale = max(1.0, np.max(np.abs(u.coeff(0))))
+                assert fac.residual <= 1e-12 * scale, (n, band, real)
+                assert fac.epsilon_used == 0.0
+                b0 = fac.coeffs[0]
+                assert np.all(np.triu(b0, 1) == 0)
+                assert np.all(np.diag(b0).imag == 0) and np.all(np.diag(b0).real > 0)
+                assert companion_radius(fac.coeffs) <= 1 + 1e-8, (n, band, real)
+    # the Newton polish does not keep B_0 triangular; the zeros stay outside
+    for name, u in SINGULAR_INPUTS.items():
+        assert companion_radius(fejer_riesz(u).coeffs) <= 1 + 1e-8, name
+
+
+def test_doubling_failure_reaches_the_shifted_retry(monkeypatch):
+    rng = np.random.default_rng(53)
+    u, _ = factorable_laurent(rng, 3, 4)
+    scale = max(1.0, np.max(np.abs(u.coeff(0))))
+    calls = []
+    solve = spectral._doubling
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular W")
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "_doubling", fail_once)
+    fac = fejer_riesz(u)
+    assert len(calls) == 2
+    assert fac.epsilon_used == spectral.RETRY_SHIFT * scale
+    assert fac.residual <= DEFAULT_TOL * scale
+
+    # hitting the step cap is a breakdown too: both solves raise here
+    monkeypatch.setattr(spectral, "_doubling", solve)
+    monkeypatch.setattr(spectral, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(NoConvergence) as info:
+        fejer_riesz(u)
+    assert info.value.best.epsilon_used == spectral.RETRY_SHIFT * scale
 
 
 def test_not_psd_on_circle():
