@@ -23,9 +23,10 @@ from math import comb
 import numpy as np
 
 from . import spectral
-from .polymat import (LaurentPoly, MatrixPoly, _conv1d, _horner, _least_eigenvalue, _maxabs,
-                      matmul, matrixpoly_from_json, matrixpoly_to_json, scalar_poly_mult,
-                      compose_scalar, transpose_poly, even_odd_split, poly_trace)
+from .polymat import (LaurentPoly, MatrixPoly, _conv1d, _horner, _json_fields, _json_real,
+                      _least_eigenvalue, _maxabs, matmul, matrixpoly_from_json,
+                      matrixpoly_to_json, scalar_poly_mult, compose_scalar, transpose_poly,
+                      even_odd_split, poly_trace)
 
 DEFAULT_TOL = 1e-8
 
@@ -430,11 +431,7 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("certificate document must be a JSON object")
-    for key in ("variant", "sigma"):
-        if key not in doc:
-            raise ValueError(f"missing field '{key}'")
+    _json_fields(doc, "certificate", "variant", "sigma")
     if doc["variant"] not in VARIANT_GENERATORS:
         raise ValueError(f"field 'variant' must be one of {sorted(VARIANT_GENERATORS)}")
     sigma_doc = doc["sigma"]
@@ -447,4 +444,7 @@ def certificate_from_json(doc):
         if not isinstance(entries, list):
             raise ValueError(f"sigma['{key}'] must be a list of matrix polynomials")
         sigma[key] = [matrixpoly_from_json(entry) for entry in entries]
-    return SosCertificate(doc["variant"], sigma, float(doc.get("residual", 0.0)))
+    residual = doc.get("residual", 0.0)
+    if not _json_real(residual):
+        raise ValueError("field 'residual' must be a finite number")
+    return SosCertificate(doc["variant"], sigma, float(residual))

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from . import certificates, measures, moments, recovery, shiftgap, spectral
-from .polymat import matrixpoly_from_json
+from .polymat import _json_floats, matrixpoly_from_json
 
 SCHEMA_VERSION = 2
 
@@ -51,11 +51,8 @@ def _cmd_factor(args):
     fac = spectral.fejer_riesz(u, tol=args.tol)
     doc = {
         "schema_version": SCHEMA_VERSION, "command": "factor",
-        "factor": {
-            "n": fac.n, "degree": fac.deg,
-            "coeffs_re": [[[float(v) for v in row] for row in c] for c in fac.coeffs.real],
-            "coeffs_im": [[[float(v) for v in row] for row in c] for c in fac.coeffs.imag],
-        },
+        "factor": {"n": fac.n, "degree": fac.deg, "coeffs_re": _json_floats(fac.coeffs.real),
+                   "coeffs_im": _json_floats(fac.coeffs.imag)},
         "residual": float(fac.residual),
         "epsilon_used": float(fac.epsilon_used),
         "toeplitz_order": int(fac.toeplitz_order),
@@ -105,7 +102,7 @@ def _cmd_integrate(args):
     if isinstance(measure_doc, dict) and "h_dim" in measure_doc:
         m = measures.map_measure_from_json(measure_doc)
         value = measures.integrate_map(poly, m)
-        payload = {"kind": "map", "value": [[float(v) for v in row] for row in value]}
+        payload = {"kind": "map", "value": _json_floats(value)}
     else:
         mu = measures.measure_from_json(measure_doc)
         payload = {"kind": "trace", "value": float(measures.integrate_trace(poly, mu))}

@@ -14,7 +14,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .moments import MomentSequence
-from .polymat import _conv_stack, _horner, _json_int, _json_real
+from .polymat import (_conv_stack, _horner, _json_fields, _json_floats, _json_matrices,
+                      _json_matrix, _json_real, _json_size)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
@@ -285,28 +286,18 @@ def positivity_audit(mu, generators, trials, seed=0):
 
 
 def measure_to_json(mu):
-    return {
-        "n": mu.n,
-        "atoms": [{"x": float(x), "W": [[float(v) for v in row] for row in w]}
-                  for x, w in mu.atoms],
-    }
+    return {"n": mu.n, "atoms": [{"x": float(x), "W": _json_floats(w)} for x, w in mu.atoms]}
 
 
 def _measure_doc(doc, what, dims, matrix_field):
-    """Shared checks of a measure document; returns its dimensions and atoms.
+    """Dimensions and atoms of a measure document, atoms as (x, field value) pairs.
 
     The document must be an object whose ``dims`` fields are positive
     integers and whose ``atoms`` are objects with a finite ``x`` and a
-    ``matrix_field``; the caller checks the matrices themselves.
+    ``matrix_field``; the caller decodes the field's matrices.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} document must be a JSON object")
-    for key in (*dims, "atoms"):
-        if key not in doc:
-            raise ValueError(f"missing field '{key}'")
-    for key in dims:
-        if not _json_int(doc[key]) or doc[key] < 1:
-            raise ValueError(f"field '{key}' must be a positive integer")
+    _json_fields(doc, what, *dims, "atoms")
+    sizes = [_json_size(doc, key) for key in dims]
     atoms = doc["atoms"]
     if not isinstance(atoms, list):
         raise ValueError("field 'atoms' must be a list")
@@ -315,21 +306,13 @@ def _measure_doc(doc, what, dims, matrix_field):
             raise ValueError(f"atoms[{idx}] must carry fields 'x' and '{matrix_field}'")
         if not _json_real(atom["x"]):
             raise ValueError(f"atoms[{idx}].x must be a finite number")
-    return [doc[key] for key in dims], atoms
+    return sizes, [(float(atom["x"]), atom[matrix_field]) for atom in atoms]
 
 
 def measure_from_json(doc):
     (n,), atoms = _measure_doc(doc, "measure", ("n",), "W")
-    parsed = []
-    for idx, atom in enumerate(atoms):
-        w = atom["W"]
-        if not isinstance(w, list) or len(w) != n or any(
-                not isinstance(row, list) or len(row) != n for row in w):
-            raise ValueError(f"atoms[{idx}].W must be an {n}x{n} matrix")
-        if not all(_json_real(v) for row in w for v in row):
-            raise ValueError(f"atoms[{idx}].W has a non-finite or non-numeric entry")
-        parsed.append((float(atom["x"]), np.array(w, dtype=float)))
-    return AtomicMatrixMeasure(n, parsed)
+    return AtomicMatrixMeasure(n, [(x, _json_matrix(w, f"atoms[{idx}].W", n, n))
+                                   for idx, (x, w) in enumerate(atoms)])
 
 
 def map_measure_to_json(m):
@@ -337,24 +320,12 @@ def map_measure_to_json(m):
     for idx, (x, kraus) in enumerate(m.atoms):
         if kraus is None:
             raise ValueError(f"atom {idx} holds a raw map and cannot be serialized")
-        atoms.append({"x": float(x),
-                      "kraus": [[[float(v) for v in row] for row in k] for k in kraus]})
+        atoms.append({"x": float(x), "kraus": _json_floats(kraus)})
     return {"h_dim": m.h_dim, "k_dim": m.k_dim, "atoms": atoms}
 
 
 def map_measure_from_json(doc):
     (h_dim, k_dim), atoms = _measure_doc(doc, "map measure", ("h_dim", "k_dim"), "kraus")
-    parsed = []
-    for idx, atom in enumerate(atoms):
-        kraus = atom["kraus"]
-        if not isinstance(kraus, list):
-            raise ValueError(f"atoms[{idx}].kraus must be a list of matrices")
-        try:
-            mats = [np.array(k, dtype=float) for k in kraus]
-            numeric = all(_json_real(v) for k in kraus for v in np.array(k, dtype=object).flat)
-        except (TypeError, ValueError, OverflowError):
-            numeric = False
-        if not numeric:
-            raise ValueError(f"atoms[{idx}].kraus has a non-finite or non-numeric entry")
-        parsed.append((float(atom["x"]), mats))
-    return PositiveMapMeasure(h_dim, k_dim, parsed)
+    return PositiveMapMeasure(h_dim, k_dim, [
+        (x, _json_matrices(kraus, f"atoms[{idx}].kraus", h_dim, k_dim, empty=True))
+        for idx, (x, kraus) in enumerate(atoms)])

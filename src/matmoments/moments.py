@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import _json_int, _json_real
+from .polymat import _json_fields, _json_floats, _json_matrices, _json_size
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -190,28 +190,9 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
 
 
 def momentsequence_to_json(seq):
-    return {
-        "n": seq.n,
-        "moments": [[[float(v) for v in row] for row in s] for s in seq.S],
-    }
+    return {"n": seq.n, "moments": _json_floats(seq.S)}
 
 
 def momentsequence_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("moment sequence document must be a JSON object")
-    for key in ("n", "moments"):
-        if key not in doc:
-            raise ValueError(f"missing field '{key}'")
-    n = doc["n"]
-    if not _json_int(n) or n < 1:
-        raise ValueError("field 'n' must be a positive integer")
-    moments = doc["moments"]
-    if not isinstance(moments, list) or not moments:
-        raise ValueError("field 'moments' must be a non-empty list")
-    for p, s in enumerate(moments):
-        if not isinstance(s, list) or len(s) != n or any(
-                not isinstance(row, list) or len(row) != n for row in s):
-            raise ValueError(f"moments[{p}] must be an {n}x{n} matrix")
-        if not all(_json_real(v) for row in s for v in row):
-            raise ValueError(f"moments[{p}] has a non-finite or non-numeric entry")
-    return MomentSequence(np.array(moments, dtype=float))
+    _json_fields(doc, "moment sequence", "n", "moments")
+    return MomentSequence(_json_matrices(doc["moments"], "moments", _json_size(doc, "n")))

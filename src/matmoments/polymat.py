@@ -36,12 +36,60 @@ def _json_real(v):
     return isinstance(v, float) and math.isfinite(v)
 
 
+def _json_fields(doc, what, *keys):
+    """Check that ``doc`` is a JSON object holding every one of ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"missing field '{key}'")
+
+
+def _json_size(doc, key, least=1):
+    """Field ``key`` of ``doc`` as an integer size of at least ``least`` (1 or 0)."""
+    v = doc[key]
+    if not _json_int(v) or v < least:
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"field '{key}' must be a {kind} integer")
+    return v
+
+
+def _json_matrix(value, where, rows, cols):
+    """A JSON rows x cols matrix of finite numbers as a float array."""
+    if not isinstance(value, list) or len(value) != rows or any(
+            not isinstance(row, list) or len(row) != cols for row in value):
+        raise ValueError(f"{where} must be a {rows}x{cols} matrix")
+    if not all(_json_real(v) for row in value for v in row):
+        raise ValueError(f"{where} has a non-finite or non-numeric entry")
+    return np.array(value, dtype=float)
+
+
+def _json_matrices(value, where, rows, cols=None, empty=False):
+    """A JSON list of rows x cols matrices as a float (len, rows, cols) array.
+
+    ``cols`` defaults to ``rows``, and the list must be non-empty unless
+    ``empty``.  Every error names the field path ``where`` or ``where[k]``.
+    """
+    cols = rows if cols is None else cols
+    if not isinstance(value, list) or not (value or empty):
+        kind = "list" if empty else "non-empty list"
+        raise ValueError(f"field '{where}' must be a {kind} of {rows}x{cols} matrices")
+    mats = [_json_matrix(m, f"{where}[{k}]", rows, cols) for k, m in enumerate(value)]
+    return np.array(mats).reshape(len(mats), rows, cols)
+
+
+def _json_floats(array):
+    """Nested lists of floats: the JSON encoding of a matrix or a matrix stack."""
+    return np.asarray(array, dtype=float).tolist()
+
+
 def _as_coeff_array(coeffs):
     arr = np.asarray(coeffs)
     if arr.ndim == 2:
         arr = arr[np.newaxis, :, :]
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
-        raise ValueError("coefficients must form a (deg+1, n, n) stack of square matrices")
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+        raise ValueError("coefficients must form a non-empty (deg+1, n, n) stack of square "
+                         "matrices")
     if arr.dtype == object:
         return arr.copy()
     if np.iscomplexobj(arr):
@@ -233,7 +281,10 @@ def _least_eigenvalue(values):
     """Least eigenvalue over a stack of matrices' hermitian parts, and its index.
 
     The first index wins a tie, and a NaN eigenvalue (from an entry that
-    overflowed) never counts as the least.
+    overflowed) never counts as the least.  The hermitian part
+    ``0.5 * (v + v^H)`` overflows for entries beyond ~9e307, so grid checks
+    hold for entries below that: past it the overflowed points are skipped
+    and the least eigenvalue and its point may be reported wrong.
     """
     w = np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, -1, -2).conj()))[:, 0]
     w = np.where(np.isnan(w), np.inf, w)
@@ -309,44 +360,18 @@ def poly_trace(p):
 
 def matrixpoly_to_json(p):
     """JSON document {"n", "symmetric", "coeffs"} with coeffs[k] = C_k."""
-    return {
-        "n": p.n,
-        "symmetric": bool(p.symmetric),
-        "coeffs": [[[float(v) for v in row] for row in c] for c in p.coeffs],
-    }
+    return {"n": p.n, "symmetric": bool(p.symmetric), "coeffs": _json_floats(p.coeffs)}
 
 
 def matrixpoly_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("matrix polynomial document must be a JSON object")
-    for key in ("n", "coeffs"):
-        if key not in doc:
-            raise ValueError(f"missing field '{key}'")
-    n = doc["n"]
-    if not _json_int(n) or n < 1:
-        raise ValueError("field 'n' must be a positive integer")
-    coeffs = doc["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs:
-        raise ValueError("field 'coeffs' must be a non-empty list")
-    stack = []
-    for k, c in enumerate(coeffs):
-        if not isinstance(c, list) or len(c) != n:
-            raise ValueError(f"coeffs[{k}] must be an {n}x{n} matrix")
-        for row in c:
-            if not isinstance(row, list) or len(row) != n:
-                raise ValueError(f"coeffs[{k}] is ragged or not {n}x{n}")
-            if not all(_json_real(v) for v in row):
-                raise ValueError(f"coeffs[{k}] has a non-finite or non-numeric entry")
-        stack.append(c)
+    _json_fields(doc, "matrix polynomial", "n", "coeffs")
+    coeffs = _json_matrices(doc["coeffs"], "coeffs", _json_size(doc, "n"))
     symmetric = doc.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise ValueError("field 'symmetric' must be a boolean")
-    arr = np.array(stack, dtype=float)
-    if symmetric:
-        defect = max(_maxabs(c - c.T) for c in arr)
-        if defect > 0:
-            raise ValueError("field 'symmetric' set but coefficients are not symmetric")
-    return MatrixPoly(arr, symmetric=symmetric)
+    if symmetric and np.any(coeffs != np.swapaxes(coeffs, 1, 2)):
+        raise ValueError("field 'symmetric' set but coefficients are not symmetric")
+    return MatrixPoly(coeffs, symmetric=symmetric)
 
 
 class LaurentPoly:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymat import LaurentPoly, _json_int, _json_real, _least_eigenvalue, _maxabs
+from .polymat import (LaurentPoly, _json_fields, _json_floats, _json_matrices, _json_size,
+                      _least_eigenvalue, _maxabs)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -314,36 +315,16 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
 
 def laurent_to_json(u):
     """JSON document {"n", "band", "coeffs_re", "coeffs_im"}, indexed -band..band."""
-    return {
-        "n": u.n,
-        "band": u.band,
-        "coeffs_re": [[[float(v) for v in row] for row in c] for c in u.coeffs.real],
-        "coeffs_im": [[[float(v) for v in row] for row in c] for c in u.coeffs.imag],
-    }
+    return {"n": u.n, "band": u.band,
+            "coeffs_re": _json_floats(u.coeffs.real), "coeffs_im": _json_floats(u.coeffs.imag)}
 
 
 def laurent_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("Laurent polynomial document must be a JSON object")
-    for key in ("n", "band", "coeffs_re", "coeffs_im"):
-        if key not in doc:
-            raise ValueError(f"missing field '{key}'")
-    n, band = doc["n"], doc["band"]
-    if not _json_int(n) or n < 1:
-        raise ValueError("field 'n' must be a positive integer")
-    if not _json_int(band) or band < 0:
-        raise ValueError("field 'band' must be a nonnegative integer")
-    expect = 2 * band + 1
+    _json_fields(doc, "Laurent polynomial", "n", "band", "coeffs_re", "coeffs_im")
+    n, band = _json_size(doc, "n"), _json_size(doc, "band", least=0)
+    parts = []
     for key in ("coeffs_re", "coeffs_im"):
-        part = doc[key]
-        if not isinstance(part, list) or len(part) != expect:
-            raise ValueError(f"field '{key}' must list {expect} matrices")
-        for k, c in enumerate(part):
-            if not isinstance(c, list) or len(c) != n or any(
-                    not isinstance(row, list) or len(row) != n for row in c):
-                raise ValueError(f"{key}[{k}] must be an {n}x{n} matrix")
-            if not all(_json_real(v) for row in c for v in row):
-                raise ValueError(f"{key}[{k}] has a non-finite or non-numeric entry")
-    re = np.array(doc["coeffs_re"], dtype=float)
-    im = np.array(doc["coeffs_im"], dtype=float)
-    return LaurentPoly(re + 1j * im)
+        parts.append(_json_matrices(doc[key], key, n))
+        if len(parts[-1]) != 2 * band + 1:
+            raise ValueError(f"field '{key}' must list {2 * band + 1} matrices")
+    return LaurentPoly(parts[0] + 1j * parts[1])

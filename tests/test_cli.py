@@ -74,13 +74,16 @@ def test_verify_reads_stdin_for_piping(workspace, monkeypatch):
     assert ver.exit_code == 0 and ver.report["pass"] is True
 
 
+# x^2 + 1 as x * x + 1 * 1
+FROZEN_CERT = {"variant": "line",
+               "sigma": {"1": [{"n": 1, "symmetric": False, "coeffs": [[[0.0]], [[1.0]]]},
+                               {"n": 1, "symmetric": False, "coeffs": [[[1.0]]]}]},
+               "residual": 0.0}
+
+
 def test_verify_frozen_certificate(workspace):
-    cert = {"variant": "line",
-            "sigma": {"1": [{"n": 1, "symmetric": False, "coeffs": [[[0.0]], [[1.0]]]},
-                            {"n": 1, "symmetric": False, "coeffs": [[[1.0]]]}]},
-            "residual": 0.0}
     path = workspace["dir"] / "hand_cert.json"
-    path.write_text(json.dumps(cert))
+    path.write_text(json.dumps(FROZEN_CERT))
     res = run(["verify", "--poly", workspace["poly.json"], "--cert", str(path)])
     assert res.exit_code == 0
     assert res.report["residual"] == 0.0
@@ -208,8 +211,11 @@ def test_shiftgap_stdout_is_golden(tmp_path, capsys):
     ("factor --laurent {doc}", {"n": 1, "band": True,
                                 "coeffs_re": [[[0.25]], [[1.0]], [[0.25]]],
                                 "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}),
+    *(("verify --poly {poly} --cert {doc}", {**FROZEN_CERT, "residual": residual})
+      for residual in (None, [1], True, "1e-3")),
 ], ids=["measure-n-x", "measure-W", "map-kraus", "poly", "poly-symmetric", "moments",
-        "laurent"])
+        "laurent", "cert-residual-null", "cert-residual-list", "cert-residual-true",
+        "cert-residual-string"])
 def test_json_booleans_are_not_numbers(workspace, argv, doc):
     path = workspace["dir"] / "bool.json"
     path.write_text(json.dumps(doc))
@@ -298,10 +304,11 @@ def _poly_doc(coeffs):
     return {"n": len(coeffs[0]), "symmetric": True, "coeffs": coeffs}
 
 
-# byte-exact stdout of certify and factor.  A change in the Riccati solve's
-# rounding moves the last digits of every file but certify_not_psd_line.  The
-# interval input is singular at x = 1, which fixes its factor only to ~1e-5:
-# there the digits move from the sixth on
+# byte-exact stdout of certify, factor, recover and integrate on a map measure.
+# A change in the Riccati solve's rounding moves the last digits of every
+# certify and factor file but certify_not_psd_line.  The interval input is
+# singular at x = 1, which fixes its factor only to ~1e-5: there the digits
+# move from the sixth on.  {poly} is the certify_line polynomial
 GOLDEN_CALLS = {
     "certify_line": ("certify --domain line --poly {doc}", _poly_doc(
         [[[6, 2], [2, 6]], [[4, 0], [0, -4]], [[6, 4], [4, 6]], [[0, 0], [0, 0]],
@@ -319,6 +326,15 @@ GOLDEN_CALLS = {
         "coeffs_re": [[[0, 2], [1, 1]], [[1, 1], [1, 1]], [[7, 1], [1, 4]],
                       [[1, 1], [1, 1]], [[0, 1], [2, 1]]],
         "coeffs_im": [[[0, 0], [0, 0]]] * 5}),
+    # moments of atoms W = [[2, 1], [1, 1]], [[1, 0], [0, 3]], [[1, -1], [-1, 2]]
+    # at x = -1, 0, 2
+    "recover": ("recover --moments {doc}", {"n": 2, "moments": [
+        [[4, 0], [0, 6]], [[0, -3], [-3, 3]], [[6, -3], [-3, 9]], [[6, -9], [-9, 15]],
+        [[18, -15], [-15, 33]], [[30, -33], [-33, 63]], [[66, -63], [-63, 129]]]}),
+    "integrate_map": ("integrate --poly {poly} --measure {doc}", {
+        "h_dim": 2, "k_dim": 2, "atoms": [
+            {"x": -0.3, "kraus": [[[1, 0.25], [0, 1]], [[0.5, 0], [-1, 2]]]},
+            {"x": 1.5, "kraus": [[[0.75, -1], [2, 0.5]]]}]}),
 }
 
 
@@ -327,7 +343,9 @@ def test_certify_and_factor_stdout_is_golden(tmp_path, capsys, name):
     argv, doc = GOLDEN_CALLS[name]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code = main(argv.format(doc=path).split())
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(GOLDEN_CALLS["certify_line"][1]))
+    code = main(argv.format(doc=path, poly=poly).split())
     assert code == (1 if "not_psd" in name else 0)
     golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden

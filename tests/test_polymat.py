@@ -1,13 +1,16 @@
 """Matrix polynomial arithmetic: frozen examples and exactness properties."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from matmoments import (MatrixPoly, compose_scalar, eval_poly, even_odd_split,
-                        matmul, matrixpoly_from_json, matrixpoly_to_json,
-                        scalar_poly_mult, sup_norm_on, transpose_poly)
+from matmoments import (MatrixPoly, certificate_from_json, compose_scalar, eval_poly,
+                        even_odd_split, laurent_from_json, map_measure_from_json, matmul,
+                        matrixpoly_from_json, matrixpoly_to_json, measure_from_json,
+                        momentsequence_from_json, scalar_poly_mult, sup_norm_on,
+                        transpose_poly)
 
 I2 = np.eye(2)
 
@@ -209,16 +212,59 @@ def test_json_round_trip():
     assert g.symmetric and np.array_equal(np.array(g.coeffs), np.array(f.coeffs))
 
 
+def test_empty_coefficient_stack_is_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        MatrixPoly(np.zeros((0, 2, 2)))
+
+
 @pytest.mark.parametrize("doc,field", [
-    ({"n": 2, "coeffs": [[[1.0, 0.0]]]}, "coeffs"),
-    ({"n": 2, "coeffs": [[[1.0, 0.0], [0.0]]]}, "ragged"),
+    ({"n": 2, "coeffs": [[[1.0, 0.0]]]}, "coeffs[0]"),
+    ({"n": 2, "coeffs": [[[1.0, 0.0], [0.0]]]}, "coeffs[0]"),
     ({"n": 0, "coeffs": [[[1.0]]]}, "'n'"),
     ({"coeffs": [[[1.0]]]}, "'n'"),
     ({"n": 1}, "'coeffs'"),
     ({"n": 1, "symmetric": "no", "coeffs": [[[1.0]]]}, "'symmetric'"),
     ({"n": 1, "symmetric": 0.5, "coeffs": [[[1.0]]]}, "'symmetric'"),
     ({"n": 1, "symmetric": None, "coeffs": [[[1.0]]]}, "'symmetric'"),
+    ({"n": 1, "coeffs": []}, "'coeffs'"),
+    ({"n": 1, "coeffs": [[[1.0]], [[None]]]}, "coeffs[1]"),
 ])
 def test_json_rejects_bad_documents(doc, field):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(field)):
         matrixpoly_from_json(doc)
+
+
+_LAURENT = {"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
+            "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}
+
+
+# every loader reads its matrices through the one codec, and its message
+# names the field path of the first bad entry
+@pytest.mark.parametrize("load,doc,field", [
+    (momentsequence_from_json, {"n": 1, "moments": []}, "'moments'"),
+    (momentsequence_from_json, {"n": 2, "moments": [[[1.0, 0.0], [0.0, 1.0]], [[1.0]]]},
+     "moments[1]"),
+    (laurent_from_json, {**_LAURENT, "coeffs_im": [[[0.0]], [[0.0]]]}, "'coeffs_im'"),
+    (laurent_from_json, {**_LAURENT, "band": -1}, "'band'"),
+    (laurent_from_json, {**_LAURENT, "coeffs_re": [[[1.0]], [[2.0]], [[1.0, 0.0]]]},
+     "coeffs_re[2]"),
+    (measure_from_json, {"n": 2, "atoms": [{"x": 0.0, "W": [[1.0, 0.0], [0.0, 1.0]]},
+                                           {"x": 1.0, "W": [[1.0, 0.0]]}]}, "atoms[1].W"),
+    (measure_from_json, {"n": 1, "atoms": [{"x": True, "W": [[1.0]]}]}, "atoms[0].x"),
+    (map_measure_from_json, {"h_dim": 2, "k_dim": 1, "atoms": [
+        {"x": 0.0, "kraus": [[[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]]]}]}, "atoms[0].kraus[1]"),
+    (map_measure_from_json, {"h_dim": 1, "k_dim": 1, "atoms": [
+        {"x": 0.0, "kraus": [[[1.0]]]}, {"x": 1.0, "kraus": [None]}]}, "atoms[1].kraus[0]"),
+    (map_measure_from_json, {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 0.0, "kraus": 5}]},
+     "'atoms[0].kraus'"),
+    (certificate_from_json, {"variant": "line", "sigma": {}, "residual": None}, "'residual'"),
+    (certificate_from_json, {"variant": "line"}, "'sigma'"),
+])
+def test_every_loader_names_the_bad_field(load, doc, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        load(doc)
+
+
+def test_map_measure_loader_keeps_empty_kraus_lists():
+    m = map_measure_from_json({"h_dim": 2, "k_dim": 1, "atoms": [{"x": 0.5, "kraus": []}]})
+    assert m.atoms[0][1] == ()
