@@ -5,14 +5,16 @@ the unit interval is decomposed as F = sum_g g * sigma_g, where g ranges
 over the cone generators {1}, {1, x} or {1, x, 1-x, x(1-x)} and each
 sigma_g is an explicit sum of squares G_i G_i^T.
 
-The line case routes through the unit circle: homogenize, expand
-F~(cos t, sin t) into a Laurent polynomial in e^{2it} with exact rational
+Every certificate comes from one factorization on the line.  A line
+problem G(a) routes through the unit circle: homogenize, expand
+G~(cos t, sin t) into a Laurent polynomial in e^{2it} with exact rational
 binomial weights, spectrally factor, and split the rotated factor into its
-real and imaginary homogeneous parts H and K, giving F = H H^T + K K^T at
-(1, x).  The half-line substitutes x = a^2 and splits the line factors by
-parity; the interval applies a Moebius substitution x = s/(1+s) to reduce
-to the half-line and sorts the cleared powers of (1-x) onto the four
-generators by parity.
+real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
+(1, a).  The line takes G = F; the half-line takes G(a) = F(a^2) and the
+interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), and both split each
+factor by parity, P(a) = R(a^2) + a Q(a^2), sending R and Q straight onto
+their generators.  Each decomposer runs one grid check on its own domain
+and verifies the finished certificate once against F.
 """
 
 from dataclasses import dataclass, field
@@ -224,12 +226,35 @@ def _line_factors(b_stack):
     return MatrixPoly(h), MatrixPoly(k_mat)
 
 
-def _spectral_factor_or_best(u, tol):
-    """Factor u, keeping the best attempt; the reassembly residual decides."""
+def _line_split(g, tol, f, not_psd):
+    """H, K with G = H H^T + K K^T, and the factorization's NoConvergence or None.
+
+    G is a float input of even degree, neither validated nor verified here.
+    A factorization that does not converge leaves its best attempt for the
+    reassembly check to judge.  A ``NotPsdOnCircle`` at angle 2t becomes
+    ``not_psd`` at the x of a = tan t (x = a, a^2 or a^2/(1+a^2) on the
+    line, half-line and interval) with F(x)'s least eigenvalue; at x = inf,
+    the leading coefficient's.
+    """
     try:
-        return spectral.fejer_riesz(u, tol=min(1e-10, tol / 100.0)), None
+        fac, pending = spectral.fejer_riesz(_trig_laurent(g), tol=min(1e-10, tol / 100.0)), None
     except spectral.NoConvergence as exc:
-        return exc.best, exc
+        fac, pending = exc.best, exc
+    except spectral.NotPsdOnCircle as exc:
+        t = exc.at_angle / 2
+        a = np.inf if np.isclose(t, np.pi / 2) else np.tan(t)
+        x = {NotPsdOnLine: a, NotPsdOnHalfLine: a * a, NotPsdOnInterval: np.sin(t) ** 2}[not_psd]
+        value = f.coeffs[-1] if np.isinf(x) else f(x)
+        raise not_psd(np.linalg.eigvalsh(0.5 * (value + value.T))[0], float(x)) from exc
+    h, k = _line_factors(fac.coeffs)
+
+    cross = matmul(k, transpose_poly(h)) - matmul(h, transpose_poly(k))
+    if cross.max_coeff_abs() > 1e-8 * max(1.0, g.max_coeff_abs()):
+        if pending is not None:
+            raise pending
+        raise SosConsistencyError(
+            f"cross term H K^T - K H^T did not cancel ({cross.max_coeff_abs():.3e})")
+    return h, k, pending
 
 
 def _significant(factors, tol, scale):
@@ -241,6 +266,19 @@ def _significant(factors, tol, scale):
     """
     drop = 1e-3 * tol * scale
     return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
+
+
+def _finish(variant, ff, parts, tol, pending):
+    """Certificate of the significant (generator, factors) parts, verified once against F."""
+    scale = max(1.0, ff.max_coeff_abs())
+    cert = SosCertificate(variant, {key: _significant(factors, tol, scale)
+                                    for key, factors in parts})
+    cert.residual = verify_certificate(ff, cert)
+    if cert.residual > tol * scale:
+        if pending is not None:
+            raise pending
+        raise SosConsistencyError(f"reassembly residual {cert.residual:.3e} above tolerance")
+    return cert
 
 
 def decompose_line(f, tol=DEFAULT_TOL):
@@ -261,30 +299,14 @@ def decompose_line(f, tol=DEFAULT_TOL):
     t_bound = 1.0 + ff.max_coeff_abs()
     _grid_check(ff, -t_bound, t_bound, tol * scale, NotPsdOnLine)
 
-    u = _trig_laurent(ff)
-    fac, pending = _spectral_factor_or_best(u, tol)
-    h, k = _line_factors(fac.coeffs)
-
-    cross = matmul(k, transpose_poly(h)) - matmul(h, transpose_poly(k))
-    if cross.max_coeff_abs() > 1e-8 * scale:
-        if pending is not None:
-            raise pending
-        raise SosConsistencyError(
-            f"cross term H K^T - K H^T did not cancel ({cross.max_coeff_abs():.3e})")
-
-    cert = SosCertificate("line", {"1": _significant((h, k), tol, scale)})
-    cert.residual = verify_certificate(ff, cert)
-    if cert.residual > tol * scale:
-        if pending is not None:
-            raise pending
-        raise SosConsistencyError(f"reassembly residual {cert.residual:.3e} above tolerance")
-    return cert
+    h, k, pending = _line_split(ff, tol, ff, NotPsdOnLine)
+    return _finish("line", ff, [("1", [h, k])], tol, pending)
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
     """Certificate F = sigma_0 + x sigma_1 for F PSD on [0, inf).
 
-    Substitutes x = a^2, decomposes on the line and splits each factor
+    Factors G(a) = F(a^2) on the line and splits each factor
     P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
     """
     _require_symmetric(f)
@@ -293,77 +315,52 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     t_bound = 1.0 + ff.max_coeff_abs()
     _grid_check(ff, 0.0, t_bound, tol * scale, NotPsdOnHalfLine)
 
-    g = compose_scalar(ff, [0.0, 0.0, 1.0])
-    inner = decompose_line(g, tol=tol)
-    sig0, sig1 = [], []
-    for p in inner.factors("1"):
-        r, q = even_odd_split(p)
-        sig0.append(r)
-        sig1.append(q)
-    cert = SosCertificate("halfline", {"1": _significant(sig0, tol, scale),
-                                       "x": _significant(sig1, tol, scale)})
-    cert.residual = verify_certificate(ff, cert)
-    if cert.residual > tol * scale:
-        raise SosConsistencyError(f"reassembly residual {cert.residual:.3e} above tolerance")
-    return cert
+    h, k, pending = _line_split(compose_scalar(ff, [0.0, 0.0, 1.0]), tol, ff, NotPsdOnHalfLine)
+    evens, odds = zip(*map(even_odd_split, (h, k)))
+    return _finish("halfline", ff, [("1", evens), ("x", odds)], tol, pending)
 
 
 def _clear_substitution(p, d, sign):
-    """sum_k C_k x^k (1 + sign*x)^(d-k); exact binomial clearing."""
-    if d < p.deg:
-        raise ValueError("clearing degree below polynomial degree")
-    n = p.n
-    out = np.zeros((d + 1, n, n))
-    for k in range(p.deg + 1):
-        for j in range(d - k + 1):
-            out[k + j] += comb(d - k, j) * (sign ** j) * p.coeffs[k]
-    return MatrixPoly(out)
+    """sum_k C_k x^k (1 + sign*x)^(d-k) for d >= deg P, with exact binomials.
 
-
-def _one_minus_x_power(e):
-    return [comb(e, j) * (-1.0) ** j for j in range(e + 1)]
+    P is cleared at its own degree e and then multiplied by
+    (1 + sign*x)^(d-e); that rounding is held bit for bit by the tests.
+    """
+    e = p.deg
+    out = np.zeros((e + 1, p.n, p.n))
+    for k in range(e + 1):
+        for j in range(e - k + 1):
+            out[k + j] += comb(e - k, j) * (sign ** j) * p.coeffs[k]
+    return scalar_poly_mult([comb(d - e, j) * float(sign) ** j for j in range(d - e + 1)],
+                            MatrixPoly(out))
 
 
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 
-    Clears x = s/(1+s) to a half-line problem, pulls factors back with
-    s = x/(1-x) and sorts the leftover powers of (1-x) onto the
-    generators 1, x, 1-x, x(1-x) by parity.
+    Factors G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)) on the line and splits
+    each factor P(a) = R(a^2) + a Q(a^2).  R has degree at most floor(d/2)
+    and Q at most floor((d-1)/2), so clearing s = x/(1-x) sends them
+    straight onto their generators: R to 1 and Q to x(1-x) for even d, R to
+    1-x and Q to x for odd d.
     """
     _require_symmetric(f)
     ff = f.as_float()
-    scale = max(1.0, ff.max_coeff_abs())
-    _grid_check(ff, 0.0, 1.0, tol * scale, NotPsdOnInterval)
+    _grid_check(ff, 0.0, 1.0, tol * max(1.0, ff.max_coeff_abs()), NotPsdOnInterval)
 
     d = ff.deg
-    g = _clear_substitution(ff, d, +1)
-    inner = decompose_halfline(g, tol=tol)
-
-    sigma = {key: [] for key in VARIANT_GENERATORS["interval"]}
-    for p in inner.factors("1"):
-        e = p.deg
-        extra = d - 2 * e
-        if extra < 0:
-            raise SosConsistencyError("degree bookkeeping failed on an even factor")
-        pulled = _clear_substitution(p, e, -1)
-        pulled = scalar_poly_mult(_one_minus_x_power(extra // 2), pulled)
-        sigma["1" if extra % 2 == 0 else "1-x"].append(pulled)
-    for p in inner.factors("x"):
-        e = p.deg
-        extra = d - 1 - 2 * e
-        if extra < 0:
-            raise SosConsistencyError("degree bookkeeping failed on an odd factor")
-        pulled = _clear_substitution(p, e, -1)
-        pulled = scalar_poly_mult(_one_minus_x_power(extra // 2), pulled)
-        sigma["x" if extra % 2 == 0 else "x(1-x)"].append(pulled)
-    sigma = {key: _significant(val, tol, scale) for key, val in sigma.items()}
-    sigma = {key: val for key, val in sigma.items() if val}
-
-    cert = SosCertificate("interval", sigma)
-    cert.residual = verify_certificate(ff, cert)
-    if cert.residual > tol * scale:
-        raise SosConsistencyError(f"reassembly residual {cert.residual:.3e} above tolerance")
+    g = compose_scalar(_clear_substitution(ff, d, +1), [0.0, 0.0, 1.0])
+    h, k, pending = _line_split(g, tol, ff, NotPsdOnInterval)
+    evens, odds = zip(*map(even_odd_split, (h, k)))
+    half = d // 2
+    if d % 2 == 0:      # at d = 0, Q is zero and clears to zero at degree -1
+        parts = [("1", [_clear_substitution(r, half, -1) for r in evens]),
+                 ("x(1-x)", [_clear_substitution(q, half - 1, -1) for q in odds])]
+    else:
+        parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
+                 ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
+    cert = _finish("interval", ff, parts, tol, pending)
+    cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
     return cert
 
 
@@ -443,7 +440,12 @@ def certificate_from_json(doc):
             raise ValueError(f"unknown generator '{key}' in 'sigma'")
         if not isinstance(entries, list):
             raise ValueError(f"sigma['{key}'] must be a list of matrix polynomials")
-        sigma[key] = [matrixpoly_from_json(entry) for entry in entries]
+        sigma[key] = []
+        for i, entry in enumerate(entries):
+            try:
+                sigma[key].append(matrixpoly_from_json(entry))
+            except ValueError as exc:
+                raise ValueError(f"sigma['{key}'][{i}]: {exc}") from None
     residual = doc.get("residual", 0.0)
     if not _json_real(residual):
         raise ValueError("field 'residual' must be a finite number")

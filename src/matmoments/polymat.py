@@ -222,13 +222,7 @@ def matmul(p, q):
     """Noncommutative coefficient convolution (P*Q)(x) = P(x) Q(x)."""
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    dt = object if (p.is_exact or q.is_exact) else np.float64
-    out = np.zeros((p.deg + q.deg + 1, p.n, p.n), dtype=dt)
-    for i in range(p.deg + 1):
-        ci = p.coeffs[i]
-        for j in range(q.deg + 1):
-            out[i + j] += ci.dot(q.coeffs[j])
-    return MatrixPoly(out)
+    return MatrixPoly(_conv_stack(p.coeffs, q.coeffs))
 
 
 def transpose_poly(p):
@@ -246,16 +240,17 @@ def even_odd_split(p):
 
 
 def _conv_stack(a, b):
-    """Coefficient stack of A(x) B(x) for float stacks (..., deg+1, rows, cols).
+    """Coefficient stack of A(x) B(x) for stacks (..., deg+1, rows, cols).
 
     The coefficient axis is third from last and leading axes broadcast, so
     one call multiplies a whole batch of matrix polynomials.  Products are
-    accumulated in increasing order of A's coefficient index, as ``matmul``
-    does.
+    accumulated in increasing order of A's coefficient index.  The result
+    takes ``np.result_type(a, b)``: float stacks stay float64, and object
+    (``Fraction``) stacks stay exact.
     """
     da, q = a.shape[-3], b.shape[-3]
     lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-    out = np.zeros(lead + (da + q - 1, a.shape[-2], b.shape[-1]))
+    out = np.zeros(lead + (da + q - 1, a.shape[-2], b.shape[-1]), dtype=np.result_type(a, b))
     for i in range(da):
         out[..., i:i + q, :, :] += a[..., i:i + 1, :, :] @ b
     return out
@@ -336,8 +331,7 @@ def scalar_poly_mult(q, p):
     out = np.zeros((len(qc) + p.deg, p.n, p.n), dtype=dt)
     for j, w in enumerate(qc):
         if w != 0:
-            for k in range(p.deg + 1):
-                out[j + k] += w * p.coeffs[k]
+            out[j:j + p.deg + 1] += w * p.coeffs
     return MatrixPoly(out)
 
 

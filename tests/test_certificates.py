@@ -5,14 +5,16 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import entrywise_reassembly, rand_symmetric_poly
-from matmoments import certificates
+from matmoments import certificates, spectral
 from matmoments import (MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
                         NotPsdOnLine, OddDegree, SosCertificate,
-                        certificate_from_json, certificate_to_json,
+                        certificate_from_json, certificate_to_json, compose_scalar,
                         decompose_halfline, decompose_interval, decompose_line,
-                        matmul, scalarize, transpose_poly, verify_certificate)
+                        even_odd_split, matmul, scalar_poly_mult, scalarize, transpose_poly,
+                        verify_certificate)
 from matmoments.shiftgap import build_family
 
 
@@ -424,3 +426,206 @@ def test_non_finite_coefficients_are_rejected(fn, bad):
     f = MatrixPoly([[[1.0]], [[0.0]], [[bad]]])
     with pytest.raises(ValueError, match="non-finite"):
         fn(f)
+
+
+# Inputs negative near x = 0 between the Chebyshev grid points, and one
+# negative only beyond the half-line grid: the circle check of the
+# factorization catches them, and the error still names the domain.
+@pytest.mark.parametrize("decomposer,exc,coeffs", [
+    (decompose_line, NotPsdOnLine, (-1, 0, 1, 0, 0, 0, 100)),
+    (decompose_halfline, NotPsdOnHalfLine, (-0.01, 0, 0, 100)),
+    (decompose_halfline, NotPsdOnHalfLine, (1, 1, -1e-3)),
+    (decompose_interval, NotPsdOnInterval, (-1e-4, 1e3)),   # negative only below 1e-7
+])
+def test_circle_failures_name_the_domain(decomposer, exc, coeffs):
+    f = scalar_poly(*coeffs)
+    with pytest.raises(exc) as info:
+        decomposer(f)
+    x = info.value.at_x
+    value = f.coeffs[-1] if np.isinf(x) else f(x)
+    assert info.value.min_eigenvalue == np.linalg.eigvalsh(value)[0] < 0
+
+
+@pytest.mark.parametrize("decomposer,exc,x", [
+    (decompose_line, NotPsdOnLine, np.tan(np.pi / 3)),
+    (decompose_halfline, NotPsdOnHalfLine, np.tan(np.pi / 3) ** 2),
+    (decompose_interval, NotPsdOnInterval, np.sin(np.pi / 3) ** 2),
+])
+def test_circle_angle_maps_to_the_domain(decomposer, exc, x, monkeypatch):
+    # a = tan(angle/2), and x = a, a^2 or a^2/(1+a^2) on the three domains
+    def fail_at(u, tol):
+        raise spectral.NotPsdOnCircle(-1.0, 2 * np.pi / 3)
+    monkeypatch.setattr(spectral, "fejer_riesz", fail_at)
+    f = scalar_poly(2, -1, 3)
+    with pytest.raises(exc) as info:
+        decomposer(f)
+    assert info.value.at_x == pytest.approx(x, rel=1e-12)
+    assert info.value.min_eigenvalue == f(info.value.at_x)[0, 0]
+
+
+# The three-level cascade the certificates used to take: decompose_interval
+# cleared x = s/(1+s) and called decompose_halfline, which substituted
+# s = a^2 and called decompose_line, each level validating, gating and
+# verifying on its own.  The flat pipeline must return its certificates bit
+# for bit.
+
+def _ref_raise(pending, what):
+    if pending is not None:
+        raise pending
+    raise certificates.SosConsistencyError(what)
+
+
+def _ref_line(ff, tol=certificates.DEFAULT_TOL):
+    scale = max(1.0, ff.max_coeff_abs())
+    lead = ff.coeffs[-1]
+    w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
+    if w[0] < -tol * scale:
+        raise NotPsdOnLine(w[0], np.inf)
+    t_bound = 1.0 + ff.max_coeff_abs()
+    certificates._grid_check(ff, -t_bound, t_bound, tol * scale, NotPsdOnLine)
+    try:
+        fac, pending = spectral.fejer_riesz(certificates._trig_laurent(ff),
+                                            tol=min(1e-10, tol / 100.0)), None
+    except spectral.NoConvergence as exc:
+        fac, pending = exc.best, exc
+    h, k = certificates._line_factors(fac.coeffs)
+    cross = matmul(k, transpose_poly(h)) - matmul(h, transpose_poly(k))
+    if cross.max_coeff_abs() > 1e-8 * scale:
+        _ref_raise(pending, "cross term")
+    cert = SosCertificate("line", {"1": certificates._significant((h, k), tol, scale)})
+    cert.residual = verify_certificate(ff, cert)
+    if cert.residual > tol * scale:
+        _ref_raise(pending, "line reassembly")
+    return cert
+
+
+def _ref_halfline(ff, tol=certificates.DEFAULT_TOL):
+    scale = max(1.0, ff.max_coeff_abs())
+    certificates._grid_check(ff, 0.0, 1.0 + ff.max_coeff_abs(), tol * scale, NotPsdOnHalfLine)
+    inner = _ref_line(compose_scalar(ff, [0.0, 0.0, 1.0]), tol)
+    sig0, sig1 = [], []
+    for p in inner.factors("1"):
+        r, q = even_odd_split(p)
+        sig0.append(r)
+        sig1.append(q)
+    cert = SosCertificate("halfline", {"1": certificates._significant(sig0, tol, scale),
+                                       "x": certificates._significant(sig1, tol, scale)})
+    cert.residual = verify_certificate(ff, cert)
+    if cert.residual > tol * scale:
+        _ref_raise(None, "half-line reassembly")
+    return cert
+
+
+def _ref_interval(ff, tol=certificates.DEFAULT_TOL):
+    scale = max(1.0, ff.max_coeff_abs())
+    certificates._grid_check(ff, 0.0, 1.0, tol * scale, NotPsdOnInterval)
+    d = ff.deg
+    inner = _ref_halfline(certificates._clear_substitution(ff, d, +1), tol)
+    sigma = {key: [] for key in ("1", "x", "1-x", "x(1-x)")}
+    for key, odd in (("1", 0), ("x", 1)):
+        for p in inner.factors(key):
+            extra = d - odd - 2 * p.deg
+            pulled = certificates._clear_substitution(p, p.deg, -1)
+            one_minus_x = [comb(extra // 2, j) * (-1.0) ** j for j in range(extra // 2 + 1)]
+            pulled = scalar_poly_mult(one_minus_x, pulled)
+            sigma[(key, "1-x" if key == "1" else "x(1-x)")[extra % 2]].append(pulled)
+    sigma = {key: certificates._significant(val, tol, scale) for key, val in sigma.items()}
+    cert = SosCertificate("interval", {key: val for key, val in sigma.items() if val})
+    cert.residual = verify_certificate(ff, cert)
+    if cert.residual > tol * scale:
+        _ref_raise(None, "interval reassembly")
+    return cert
+
+
+_GENS = {"line": [[1.0]], "halfline": [[1.0], [0.0, 1.0]],
+         "interval": [[1.0], [0.0, 1.0], [1.0, -1.0], [0.0, 1.0, -1.0]]}
+_DECOMPOSE = {"line": (decompose_line, _ref_line), "halfline": (decompose_halfline, _ref_halfline),
+              "interval": (decompose_interval, _ref_interval)}
+
+
+def sos_of_degree(rng, n, d, generators):
+    """Random F = sum_g g * A_g A_g^T of degree at most d, each A_g as long as fits."""
+    total = MatrixPoly.zero(n)
+    for gen in generators:
+        if len(gen) - 1 <= d:
+            a = MatrixPoly(rng.standard_normal(((d - len(gen) + 1) // 2 + 1, n, n)))
+            total = total + scalar_poly_mult(gen, matmul(a, transpose_poly(a)))
+    return total
+
+
+def _outcome(decompose, f):
+    try:
+        return decompose(f)
+    except (certificates.SosConsistencyError, spectral.NoConvergence) as exc:
+        return exc
+
+
+def _assert_same_certificate(got, want):
+    if isinstance(want, Exception):
+        # one gate now decides, and re-raises the factorization's NoConvergence
+        assert isinstance(got, (certificates.SosConsistencyError, spectral.NoConvergence)), got
+        return
+    assert isinstance(got, SosCertificate), got
+    assert list(got.sigma) == list(want.sigma)
+    for key in want.sigma:
+        assert len(got.sigma[key]) == len(want.sigma[key])
+        for p, q in zip(got.sigma[key], want.sigma[key]):
+            assert _same_bits(p.coeffs, q.coeffs), key
+    assert _same_bits(got.residual, want.residual)
+
+
+@pytest.mark.parametrize("domain", ["line", "halfline", "interval"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flat_pipeline_matches_the_cascade_bit_for_bit(domain, n):
+    rng = np.random.default_rng([n, len(domain)])
+    decompose, reference = _DECOMPOSE[domain]
+    for d in range(2 if domain == "line" else 1, 17, 2 if domain == "line" else 1):
+        f = sos_of_degree(rng, n, d, _GENS[domain])
+        assert f.deg == d
+        want = _outcome(reference, f)
+        _assert_same_certificate(_outcome(decompose, f), want)
+        # the same input with its top coefficients dropped to zero
+        padded = np.concatenate([f.coeffs, np.zeros((2, n, n))])
+        _assert_same_certificate(_outcome(decompose, MatrixPoly(padded)), want)
+        if domain == "interval":
+            # F(1) = 0 drops the top degree of G, so factors fall short of
+            # their generator's degree
+            f = sos_of_degree(rng, n, d, [[1.0, -1.0], [0.0, 1.0, -1.0]])
+            _assert_same_certificate(_outcome(decompose, f), _outcome(reference, f))
+
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+_DRAWS = dict(domain=st.sampled_from(sorted(_GENS)), n=st.integers(1, 6), d=st.integers(1, 16),
+              seed=st.integers(0, 2**32 - 1))
+
+
+def _draw(domain, n, d, seed):
+    """A PSD-by-construction input of degree at most d on the domain."""
+    if domain == "line":
+        d -= d % 2
+    return sos_of_degree(np.random.default_rng(seed), n, d, _GENS[domain])
+
+
+@_PROPERTY
+@given(**_DRAWS)
+def test_returned_certificates_reassemble(domain, n, d, seed):
+    f = _draw(domain, n, d, seed)
+    cert = _outcome(_DECOMPOSE[domain][0], f)
+    if isinstance(cert, SosCertificate):
+        assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())
+
+
+@_PROPERTY
+@given(**_DRAWS)
+def test_non_psd_inputs_raise_their_own_domain_error(domain, n, d, seed):
+    # shifting C_0 below its least eigenvalue makes F(0) indefinite, and
+    # x = 0 lies in every domain
+    f = _draw(domain, n, d, seed)
+    c0 = f.coeffs[0]
+    shift = np.linalg.eigvalsh(c0)[0] + 0.01 * max(1.0, f.max_coeff_abs())
+    coeffs = np.array(f.coeffs)
+    coeffs[0] -= shift * np.eye(n)
+    exc = {"line": NotPsdOnLine, "halfline": NotPsdOnHalfLine, "interval": NotPsdOnInterval}
+    with pytest.raises(certificates._NotPsdOnDomain) as info:
+        _DECOMPOSE[domain][0](MatrixPoly(coeffs))
+    assert type(info.value) is exc[domain]

@@ -168,6 +168,59 @@ def test_matmul_associative_distributive_exact():
         assert np.array_equal(np.array(c.coeffs), np.array(d.coeffs))
 
 
+# Loop versions of the products, as they were before matmul went through
+# _conv_stack and scalar_poly_mult through one slice add per weight.  The
+# array code must reproduce them bit for bit, and exactly for Fractions.
+
+def _matmul_loop(p, q):
+    dt = object if (p.is_exact or q.is_exact) else np.float64
+    out = np.zeros((p.deg + q.deg + 1, p.n, p.n), dtype=dt)
+    for i in range(p.deg + 1):
+        for j in range(q.deg + 1):
+            out[i + j] += p.coeffs[i].dot(q.coeffs[j])
+    return out
+
+
+def _scalar_poly_mult_loop(qc, p):
+    dt = object if (p.is_exact or any(isinstance(w, Fraction) for w in qc)) else np.float64
+    out = np.zeros((len(qc) + p.deg, p.n, p.n), dtype=dt)
+    for j, w in enumerate(qc):
+        if w != 0:
+            for k in range(p.deg + 1):
+                out[j + k] += w * p.coeffs[k]
+    return out
+
+
+def _same_values(got, want):
+    if want.dtype == object:
+        return got.dtype == object and got.shape == want.shape and bool(np.all(got == want))
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _fractions(a):
+    return np.vectorize(lambda v: Fraction(round(7 * v), 5), otypes=[object])(a)
+
+
+@pytest.mark.parametrize("kind", ["float", "fraction", "mixed"])
+def test_products_match_the_loops(kind):
+    rng = np.random.default_rng(["float", "fraction", "mixed"].index(kind))
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        a = rng.standard_normal((int(rng.integers(1, 10)), n, n)) * 10.0 ** rng.integers(-5, 6)
+        b = rng.standard_normal((int(rng.integers(1, 10)), n, n))
+        w = rng.standard_normal(int(rng.integers(1, 5)))
+        w = list(np.where(rng.random(w.size) < 0.3, 0.0, w))     # zero weights are skipped
+        if kind != "float":
+            a = _fractions(a)
+        if kind == "fraction":
+            b = _fractions(b)
+            w = [Fraction(round(3 * v), 2) for v in w]
+        p, q = MatrixPoly(a), MatrixPoly(b)
+        assert _same_values(np.array(matmul(p, q).coeffs), MatrixPoly(_matmul_loop(p, q)).coeffs)
+        assert _same_values(np.array(scalar_poly_mult(w, p).coeffs),
+                            MatrixPoly(_scalar_poly_mult_loop(w, p)).coeffs)
+
+
 def test_eval_commutes_with_arithmetic():
     rng = np.random.default_rng(37)
     p = MatrixPoly(rng.standard_normal((4, 2, 2)))
@@ -259,6 +312,8 @@ _LAURENT = {"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
      "'atoms[0].kraus'"),
     (certificate_from_json, {"variant": "line", "sigma": {}, "residual": None}, "'residual'"),
     (certificate_from_json, {"variant": "line"}, "'sigma'"),
+    (certificate_from_json, {"variant": "line", "sigma": {"1": [{"n": 1, "coeffs": []}]}},
+     "sigma['1'][0]"),
 ])
 def test_every_loader_names_the_bad_field(load, doc, field):
     with pytest.raises(ValueError, match=re.escape(field)):
