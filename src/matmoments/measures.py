@@ -14,8 +14,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .moments import MomentSequence
-from .polymat import (_conv_stack, _horner, _json_fields, _json_floats, _json_matrices,
-                      _json_matrix, _json_real, _json_size)
+from .polymat import (_EntryError, _conv_stack, _horner, _json_fields, _json_floats,
+                      _json_matrices, _json_matrix, _json_real, _json_size)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
@@ -45,24 +45,35 @@ class AtomicMatrixMeasure:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("weight size n must be a positive integer")
         self._n = int(n)
-        cleaned = []
+        points, weights = [], []
         for idx, (x, w) in enumerate(atoms):
             x = float(x)
             if not math.isfinite(x):
                 raise ValueError(f"atom {idx}: point {x} is not finite")
             w = np.asarray(w, dtype=float)
             if w.shape != (self._n, self._n):
-                raise ValueError(f"atom {idx}: weight shape {w.shape}, expected {(n, n)}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"atom {idx}: weight has a non-finite entry")
-            scale = max(1.0, float(np.max(np.abs(w))))
-            if np.max(np.abs(w - w.T)) > 1e-10 * scale:
-                raise ValueError(f"atom {idx}: weight is not symmetric")
-            w = 0.5 * (w + w.T)
-            lam = np.linalg.eigvalsh(w)
-            if lam[0] < -WEIGHT_PSD_TOL * max(1.0, lam[-1]):
-                raise ValueError(f"atom {idx}: weight has eigenvalue {lam[0]:.3e} < 0")
-            cleaned.append((x, w))
+                raise _EntryError(idx, f"atom {idx}: weight",
+                                  f"shape {w.shape}, expected {(n, n)}")
+            points.append(x)
+            weights.append(w)
+        w = np.array(weights).reshape(len(weights), self._n, self._n)
+        wt = np.transpose(w, (0, 2, 1))
+        bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))
+        if bad.size:
+            idx = int(bad[0])
+            raise _EntryError(idx, f"atom {idx}: weight", "has a non-finite entry")
+        scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
+        bad = np.flatnonzero(np.max(np.abs(w - wt), axis=(1, 2)) > 1e-10 * scale)
+        if bad.size:
+            idx = int(bad[0])
+            raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
+        w = 0.5 * (w + wt)
+        lam = np.linalg.eigvalsh(w)
+        bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
+        if bad.size:
+            idx = int(bad[0])
+            raise _EntryError(idx, f"atom {idx}: weight", f"has eigenvalue {lam[idx, 0]:.3e} < 0")
+        cleaned = list(zip(points, w))
         cleaned.sort(key=lambda a: a[0])
         merged = []
         for x, w in cleaned:
@@ -190,10 +201,9 @@ def forward_moments(mu, degree):
     n = mu.n
     mats = np.zeros((degree + 1, n, n))
     for x, w in mu.atoms:
-        xp = 1.0
-        for p in range(degree + 1):
-            mats[p] += xp * w
-            xp *= x
+        # cumprod multiplies in sequence, as the running product x^p = x^(p-1) * x
+        powers = np.cumprod(np.concatenate(([1.0], np.full(degree, x))))
+        mats += powers[:, np.newaxis, np.newaxis] * w
     return MomentSequence(mats)
 
 
@@ -311,8 +321,11 @@ def _measure_doc(doc, what, dims, matrix_field):
 
 def measure_from_json(doc):
     (n,), atoms = _measure_doc(doc, "measure", ("n",), "W")
-    return AtomicMatrixMeasure(n, [(x, _json_matrix(w, f"atoms[{idx}].W", n, n))
-                                   for idx, (x, w) in enumerate(atoms)])
+    atoms = [(x, _json_matrix(w, f"atoms[{idx}].W", n, n)) for idx, (x, w) in enumerate(atoms)]
+    try:
+        return AtomicMatrixMeasure(n, atoms)
+    except _EntryError as exc:
+        raise ValueError(f"atoms[{exc.index}].W {exc.problem}") from None
 
 
 def map_measure_to_json(m):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import _json_fields, _json_floats, _json_matrices, _json_size
+from .polymat import _EntryError, _json_fields, _json_floats, _json_matrices, _json_size
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -22,7 +22,12 @@ _SYM_RTOL = 1e-12
 
 
 class MomentSequence:
-    """Finite sequence S_0, ..., S_D of symmetric real n-by-n matrices."""
+    """Finite sequence S_0, ..., S_D of symmetric real n-by-n matrices.
+
+    The sequence is immutable, so it keeps the least and largest
+    eigenvalue of each Hankel family at each order once computed; every
+    criterion and ``recover``'s precondition judge those at their own tol.
+    """
 
     def __init__(self, matrices):
         arr = np.asarray(matrices, dtype=np.float64)
@@ -30,14 +35,37 @@ class MomentSequence:
             arr = arr[np.newaxis]
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
             raise ValueError("moments must form a (D+1, n, n) stack of square matrices")
-        for p, s in enumerate(arr):
-            scale = max(np.max(np.abs(s)), 0.0)
-            if np.max(np.abs(s - s.T)) > _SYM_RTOL * max(scale, 1.0):
-                raise ValueError(f"moment S_{p} is not symmetric")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
+        if bad.size:
+            p = int(bad[0])
+            raise _EntryError(p, f"moment S_{p}", "has a non-finite entry")
+        scale = np.maximum(np.max(np.abs(arr), axis=(1, 2)), 1.0)
+        skew = np.max(np.abs(arr - np.transpose(arr, (0, 2, 1))), axis=(1, 2))
+        bad = np.flatnonzero(skew > _SYM_RTOL * scale)
+        if bad.size:
+            p = int(bad[0])
+            raise _EntryError(p, f"moment S_{p}", "is not symmetric")
         # store the exact symmetrization so block Hankels come out bit-symmetric
         arr = 0.5 * (arr + np.transpose(arr, (0, 2, 1)))
         arr.setflags(write=False)
         self._S = arr
+        self._extremes = {}
+
+    def _hankel_extremes(self, family):
+        """(order, least, largest eigenvalue) of ``family``'s block Hankel at every order.
+
+        ``family`` indexes ``_FAMILIES``; the triples are computed once per
+        sequence and family.
+        """
+        triples = self._extremes.get(family)
+        if triples is None:
+            stack = _FAMILIES[family](self._S)
+            triples = []
+            for m in range((len(stack) - 1) // 2 + 1):
+                w = np.linalg.eigvalsh(_hankel(stack, m))
+                triples.append((m, w[0], w[-1]))
+            triples = self._extremes[family] = tuple(triples)
+        return triples
 
     @property
     def S(self):
@@ -79,6 +107,21 @@ class PsdReport:
         }
 
 
+# The Hankel families of the criteria, each as the stack T whose (i, j)
+# block is T_{i+j}: [S_{i+j}], [S_{i+j+1}], [S_{i+j} - S_{i+j+1}] and
+# [S_{i+j+1} - S_{i+j+2}].  Order m is testable while 2m < len(T).
+_FAMILIES = (lambda s: s, lambda s: s[1:], lambda s: s[:-1] - s[1:],
+             lambda s: s[1:-1] - s[2:])
+
+
+def _hankel(stack, m):
+    """Block matrix with (i, j) block stack[i + j], i, j = 0..m, as one gather."""
+    k = np.arange(m + 1)
+    n = stack.shape[1]
+    blocks = stack[k[:, np.newaxis] + k]
+    return blocks.transpose(0, 2, 1, 3).reshape((m + 1) * n, (m + 1) * n)
+
+
 def block_hankel(seq, m, shift):
     """Block matrix with (i, j) block S_{i+j+shift}, i, j = 0..m.
 
@@ -90,45 +133,36 @@ def block_hankel(seq, m, shift):
         raise ValueError("m must be nonnegative")
     if 2 * m + shift > seq.D:
         raise ValueError(f"degree overflow: 2*{m}+{shift} exceeds D={seq.D}")
-    n = seq.n
-    out = np.zeros(((m + 1) * n, (m + 1) * n))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = seq[i + j + shift]
-    return out
+    return _hankel(seq.S[shift:], m)
 
 
-def _judge(tagged_matrices, tol):
-    """Run the scale-aware PSD test on a list of (order, matrix) pairs."""
+def _judge(triples, tol):
+    """Scale-aware PSD test on (order, least, largest eigenvalue) triples."""
     min_eig = np.inf
     failing = None
     orders = set()
     passed = True
-    for m, mat in tagged_matrices:
+    for m, least, largest in triples:
         orders.add(m)
-        w = np.linalg.eigvalsh(mat)
-        spectral = max(abs(w[0]), abs(w[-1]))
-        min_eig = min(min_eig, w[0])
-        if w[0] < -tol * max(1.0, spectral):
+        spectral = max(abs(least), abs(largest))
+        min_eig = min(min_eig, least)
+        if least < -tol * max(1.0, spectral):
             passed = False
             if failing is None or m < failing:
                 failing = m
-    if not tagged_matrices:
+    if not triples:
         min_eig = 0.0
     return PsdReport(passed, float(min_eig), sorted(orders), failing)
 
 
 def check_hamburger(seq, tol=DEFAULT_PSD_TOL):
     """Necessary PSD tests for a representing measure supported in R."""
-    mats = [(m, block_hankel(seq, m, 0)) for m in range(seq.D // 2 + 1)]
-    return _judge(mats, tol)
+    return _judge(seq._hankel_extremes(0), tol)
 
 
 def check_stieltjes(seq, tol=DEFAULT_PSD_TOL):
     """Necessary PSD tests for support in [0, inf): shift-0 and shift-1 Hankels."""
-    mats = [(m, block_hankel(seq, m, 0)) for m in range(seq.D // 2 + 1)]
-    mats += [(m, block_hankel(seq, m, 1)) for m in range((seq.D - 1) // 2 + 1)]
-    return _judge(mats, tol)
+    return _judge(seq._hankel_extremes(0) + seq._hankel_extremes(1), tol)
 
 
 def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
@@ -139,13 +173,7 @@ def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
     """
     if seq.D < 2:
         raise ValueError(f"degree too small: need D >= 2, got {seq.D}")
-    mats = [(m, block_hankel(seq, m, 0)) for m in range(seq.D // 2 + 1)]
-    mats += [(m, block_hankel(seq, m, 1)) for m in range((seq.D - 1) // 2 + 1)]
-    mats += [(m, block_hankel(seq, m, 0) - block_hankel(seq, m, 1))
-             for m in range((seq.D - 1) // 2 + 1)]
-    mats += [(m, block_hankel(seq, m, 1) - block_hankel(seq, m, 2))
-             for m in range((seq.D - 2) // 2 + 1)]
-    return _judge(mats, tol)
+    return _judge(sum((seq._hankel_extremes(f) for f in range(4)), ()), tol)
 
 
 _VARIANT_EXTRA = {"hamburger": 0, "stieltjes": 1, "hausdorff": 2}
@@ -178,15 +206,15 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         return 0.5 * (t + t.T)
 
     t0 = pairing_matrix(0)
-    mats = [(m, t0)]
+    mats = [t0]
     if variant in ("stieltjes", "hausdorff"):
         t1 = pairing_matrix(1)
-        mats.append((m, t1))
+        mats.append(t1)
     if variant == "hausdorff":
         t2 = pairing_matrix(2)
-        mats.append((m, t0 - t1))
-        mats.append((m, t1 - t2))
-    return _judge(mats, tol)
+        mats.append(t0 - t1)
+        mats.append(t1 - t2)
+    return _judge([(m, w[0], w[-1]) for w in map(np.linalg.eigvalsh, mats)], tol)
 
 
 def momentsequence_to_json(seq):
@@ -195,4 +223,8 @@ def momentsequence_to_json(seq):
 
 def momentsequence_from_json(doc):
     _json_fields(doc, "moment sequence", "n", "moments")
-    return MomentSequence(_json_matrices(doc["moments"], "moments", _json_size(doc, "n")))
+    mats = _json_matrices(doc["moments"], "moments", _json_size(doc, "n"))
+    try:
+        return MomentSequence(mats)
+    except _EntryError as exc:
+        raise ValueError(f"moments[{exc.index}] {exc.problem}") from None

@@ -24,6 +24,19 @@ def _maxabs(mat):
     return float(np.max(np.abs(arr)))
 
 
+class _EntryError(ValueError):
+    """``what`` (entry ``index`` of a stack or atom list) ``problem``.
+
+    A JSON loader re-raises it with the entry's field path in place of
+    ``what``, such as ``moments[3]`` or ``atoms[1].W``.
+    """
+
+    def __init__(self, index, what, problem):
+        super().__init__(f"{what} {problem}")
+        self.index = index
+        self.problem = problem
+
+
 def _json_int(v):
     """A JSON integer; ``json`` parses true/false as bool, a subclass of int."""
     return isinstance(v, int) and not isinstance(v, bool)

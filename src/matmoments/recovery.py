@@ -47,6 +47,15 @@ def pencil_eigenvalues(h0c, h1c):
     return np.linalg.eigvalsh(0.5 * (c + c.T))
 
 
+def _powers(points, degree):
+    """Vandermonde rows x ** p, p = 0..degree, as a (degree + 1, len(points)) array.
+
+    The powers are Python's float ``**``: numpy's ``power`` rounds some
+    of them differently.
+    """
+    return np.array([[x ** p for x in points] for p in range(degree + 1)])
+
+
 def recover(seq, tol=DEFAULT_RANK_TOL):
     """Recover an atomic measure whose moments match the input sequence.
 
@@ -85,9 +94,7 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
     lam, vec = np.linalg.eigh(h0)
     lam_max = lam[-1]
     if lam_max <= 0.0:
-        mu = AtomicMatrixMeasure(n, [])
-        residual = float(max(np.max(np.abs(seq[p])) for p in range(d + 1)))
-        return RecoveryResult(mu, residual, 0)
+        return RecoveryResult(AtomicMatrixMeasure(n, []), float(np.max(np.abs(seq.S))), 0)
 
     keep = lam > tol * lam_max
     rank = int(np.count_nonzero(keep))
@@ -111,7 +118,7 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
             continue
         merged.append(float(x))
 
-    vand = np.array([[x ** p for x in merged] for p in range(d + 1)])
+    vand = _powers(merged, d)
     rhs = seq.S.reshape(d + 1, n * n)
     sol = np.linalg.lstsq(vand, rhs, rcond=None)[0]
     weights = []
@@ -122,10 +129,9 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
         weights.append((ev * np.maximum(ew, 0.0)) @ ev.T)
 
     mu = AtomicMatrixMeasure(n, list(zip(merged, weights)))
-    residual = 0.0
-    for p in range(d + 1):
-        approx = np.zeros((n, n))
-        for x, w in mu.atoms:
-            approx += x ** p * w
-        residual = max(residual, float(np.max(np.abs(seq[p] - approx))))
+    powers = _powers([x for x, _ in mu.atoms], d)
+    approx = np.zeros(seq.S.shape)
+    for j, (_, w) in enumerate(mu.atoms):
+        approx += powers[:, j, np.newaxis, np.newaxis] * w
+    residual = float(np.max(np.abs(seq.S - approx)))
     return RecoveryResult(mu, residual, rank, bool(ambiguous))

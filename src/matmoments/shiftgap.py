@@ -262,7 +262,7 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0, tol=CHAIN_TOL):
 
     For n = 0..N-1 the report compares L(J_n x^2) <= L(A_n x^3) <= rhs(n)
     with rhs(n) = L(Id)^1/2 L(Id x^6)^1/2 / (n+1), reading A_n and J_n off
-    the exact shift compression; the truncation bound
+    the shift compression; the truncation bound
     L(Id x^2) <= rhs(N-1) is checked separately.
     """
     if mu.n != fam.N:
@@ -277,11 +277,15 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0, tol=CHAIN_TOL):
                                                           eye[np.newaxis]])), mu)
     base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(m6, 0.0)))
 
+    # A_n and -J_n are the x^3 and x^2 coefficients of shift_compress(fam, n):
+    # the trailing (N-n)x(N-n) block of G's, moved to the top left
+    g = fam.G.as_float().coeffs
     n_values, lhs_shifted, mid, rhs = [], [], [], []
     for n in range(fam.N):
-        comp = shift_compress(fam, n).as_float()
-        a_n = comp.coeff(3)
-        j_n = -comp.coeff(2)
+        top = np.zeros((2, fam.N, fam.N))
+        top[:, :fam.N - n, :fam.N - n] = g[2:, n:, n:]
+        a_n = top[1]
+        j_n = -top[0]
         zeros = np.zeros((3, fam.N, fam.N))
         mid_val = integrate_trace(MatrixPoly(np.concatenate([zeros, a_n[np.newaxis]])), mu)
         lhs_val = integrate_trace(MatrixPoly(np.concatenate([zeros[:2], j_n[np.newaxis]])), mu)

@@ -1,5 +1,6 @@
 """Atomic measures, integration, forward moments and the positivity audit."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,6 +106,34 @@ def test_forward_moments_unit_point():
     seq = forward_moments(AtomicMatrixMeasure(2, [(1.0, w)]), 5)
     for p in range(6):
         assert np.allclose(seq[p], w)
+
+
+def test_forward_moments_match_the_running_product_loop():
+    # reference: the per-power loop that the cumprod replaced, atom by atom
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        degree = int(rng.integers(0, 15))
+        mu = rand_measure(rng, n, int(rng.integers(1, 7)), -2.0, 2.0)
+        mats = np.zeros((degree + 1, n, n))
+        for x, w in mu.atoms:
+            xp = 1.0
+            for p in range(degree + 1):
+                mats[p] += xp * w
+                xp *= x
+        want = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+        assert forward_moments(mu, degree).S.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad,match", [
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), "atom 2: weight is not symmetric"),
+    (np.diag([1.0, -1.0]), "atom 2: weight has eigenvalue -1.000e+00 < 0"),
+    (np.diag([1.0, np.nan]), "atom 2: weight has a non-finite entry"),
+])
+def test_batched_weight_checks_name_the_first_bad_atom(bad, match):
+    atoms = [(0.0, I2), (1.0, I2), (2.0, bad), (3.0, bad)]
+    with pytest.raises(ValueError, match=re.escape(match)):
+        AtomicMatrixMeasure(2, atoms)
 
 
 def test_atoms_merge_and_weights_validate():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_measure
-from matmoments import (MomentSequence, block_hankel, check_hamburger,
+from matmoments import (MomentSequence, PsdReport, block_hankel, check_hamburger,
                         check_hausdorff, check_stieltjes, forward_moments,
                         momentsequence_from_json, momentsequence_to_json,
                         operator_check)
@@ -171,3 +171,160 @@ def test_json_round_trip_and_report_fields():
     assert set(rep) == {"pass", "min_eigenvalue", "tested_orders", "failing_order"}
     with pytest.raises(ValueError, match="moments"):
         momentsequence_from_json({"n": 2, "moments": [[[1.0]]]})
+
+
+def test_moment_sequence_rejects_asymmetric_later_moment():
+    with pytest.raises(ValueError, match=r"S_2 is not symmetric"):
+        MomentSequence([I2, I2, [[1.0, 1.0], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moment_sequence_rejects_non_finite_entries(bad):
+    # a NaN used to pass check_hamburger with min_eigenvalue 0.0 and recover
+    # to a one-atom measure; an inf failed only inside recover
+    mats = [I2, 0 * I2, I2.copy(), 0 * I2, I2]
+    mats[2][1, 1] = bad
+    with pytest.raises(ValueError, match=r"S_2 has a non-finite entry"):
+        MomentSequence(mats)
+
+
+# ----------------------------------------------------------------------------
+# Reference copies of the per-matrix pipeline that the eigenvalue memo and the
+# gather replaced: a double-loop block Hankel and a judge that takes each
+# matrix's eigenvalues itself.  Reports must match them bit for bit.
+
+def _ref_block_hankel(seq, m, shift):
+    n = seq.n
+    out = np.zeros(((m + 1) * n, (m + 1) * n))
+    for i in range(m + 1):
+        for j in range(m + 1):
+            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = seq[i + j + shift]
+    return out
+
+
+def _ref_judge(tagged_matrices, tol):
+    min_eig = np.inf
+    failing = None
+    orders = set()
+    passed = True
+    for m, mat in tagged_matrices:
+        orders.add(m)
+        w = np.linalg.eigvalsh(mat)
+        spectral = max(abs(w[0]), abs(w[-1]))
+        min_eig = min(min_eig, w[0])
+        if w[0] < -tol * max(1.0, spectral):
+            passed = False
+            if failing is None or m < failing:
+                failing = m
+    if not tagged_matrices:
+        min_eig = 0.0
+    return PsdReport(passed, float(min_eig), sorted(orders), failing)
+
+
+def _ref_check(seq, variant, tol):
+    d = seq.D
+    mats = [(m, _ref_block_hankel(seq, m, 0)) for m in range(d // 2 + 1)]
+    if variant in ("stieltjes", "hausdorff"):
+        mats += [(m, _ref_block_hankel(seq, m, 1)) for m in range((d - 1) // 2 + 1)]
+    if variant == "hausdorff":
+        mats += [(m, _ref_block_hankel(seq, m, 0) - _ref_block_hankel(seq, m, 1))
+                 for m in range((d - 1) // 2 + 1)]
+        mats += [(m, _ref_block_hankel(seq, m, 1) - _ref_block_hankel(seq, m, 2))
+                 for m in range((d - 2) // 2 + 1)]
+    return _ref_judge(mats, tol)
+
+
+def _ref_operator_check(seq, ops, variant, tol):
+    m = len(ops) - 1
+
+    def pairing_matrix(shift):
+        t = np.zeros((m + 1, m + 1))
+        for i in range(m + 1):
+            for j in range(m + 1):
+                t[i, j] = float(np.sum(seq[i + j + shift] * (ops[i].T @ ops[j])))
+        return 0.5 * (t + t.T)
+
+    t0 = pairing_matrix(0)
+    mats = [(m, t0)]
+    if variant in ("stieltjes", "hausdorff"):
+        t1 = pairing_matrix(1)
+        mats.append((m, t1))
+    if variant == "hausdorff":
+        t2 = pairing_matrix(2)
+        mats += [(m, t0 - t1), (m, t1 - t2)]
+    return _ref_judge(mats, tol)
+
+
+CHECKS = {"hamburger": check_hamburger, "stieltjes": check_stieltjes,
+          "hausdorff": check_hausdorff}
+
+
+def _bits(report):
+    # repr keeps the sign of zero and every digit of min_eigenvalue
+    return repr(report.to_json())
+
+
+def _sweep_sequences(seed, count):
+    """Seeded (n, D) sweep: n 1-6, D 2-14; measure moments on [0, 1], atoms
+    displaced off [0, 1], and symmetric sequences with no measure at all."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 7))
+        d = int(rng.integers(2, 15))
+        kind = k % 3
+        if kind == 2:
+            c = rng.standard_normal((d + 1, n, n))
+            mats = 0.5 * (c + np.transpose(c, (0, 2, 1)))
+        else:
+            lo, hi = (0.0, 1.0) if kind == 0 else (-0.6, 1.6)
+            mu = rand_measure(rng, n, int(rng.integers(1, 5)), lo, hi)
+            mats = forward_moments(mu, d).S
+        yield mats
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_gathered_hankels_and_memo_match_the_per_matrix_reference(seed):
+    for mats in _sweep_sequences(seed, 45):
+        seq = MomentSequence(mats)
+        for m in range(seq.D // 2 + 1):
+            for shift in range(3):
+                if 2 * m + shift <= seq.D:
+                    got = block_hankel(seq, m, shift)
+                    assert got.tobytes() == _ref_block_hankel(seq, m, shift).tobytes()
+        for tol in (1e-9, 1e-3):
+            for variant, check in CHECKS.items():
+                assert _bits(check(seq, tol)) == _bits(_ref_check(seq, variant, tol))
+
+
+def test_reports_do_not_depend_on_call_order():
+    for mats in _sweep_sequences(7, 30):
+        fresh = {v: _bits(check(MomentSequence(mats))) for v, check in CHECKS.items()}
+        for order in (("hausdorff", "stieltjes", "hamburger"),
+                      ("hamburger", "stieltjes", "hausdorff")):
+            seq = MomentSequence(mats)
+            assert {v: _bits(CHECKS[v](seq)) for v in order} == fresh
+
+
+def test_memo_keeps_eigenvalues_not_verdicts():
+    # least Hankel eigenvalue -1e-5 at spectral scale 1: fails at tol 1e-9,
+    # passes at 1e-3, in every family and at either order of the two calls
+    mats = [[[1.0]], [[0.0]], [[-1e-5]], [[0.0]], [[-1e-5]]]
+    for check in CHECKS.values():
+        want = {tol: check(MomentSequence(mats), tol) for tol in (1e-9, 1e-3)}
+        assert not want[1e-9].passed and want[1e-3].passed
+        for tols in ((1e-9, 1e-3), (1e-3, 1e-9)):
+            seq = MomentSequence(mats)
+            for tol in tols:
+                assert _bits(check(seq, tol)) == _bits(want[tol])
+
+
+def test_operator_check_matches_the_per_matrix_reference():
+    rng = np.random.default_rng(13)
+    for mats in _sweep_sequences(8, 30):
+        seq = MomentSequence(mats)
+        for variant, extra in (("hamburger", 0), ("stieltjes", 1), ("hausdorff", 2)):
+            m = int(rng.integers(0, (seq.D - extra) // 2 + 1))
+            ops = [rng.standard_normal((seq.n, seq.n)) for _ in range(m + 1)]
+            for tol in (1e-9, 1e-3):
+                assert (_bits(operator_check(seq, ops, variant, tol))
+                        == _bits(_ref_operator_check(seq, ops, variant, tol)))

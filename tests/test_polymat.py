@@ -314,6 +314,13 @@ _LAURENT = {"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
     (certificate_from_json, {"variant": "line"}, "'sigma'"),
     (certificate_from_json, {"variant": "line", "sigma": {"1": [{"n": 1, "coeffs": []}]}},
      "sigma['1'][0]"),
+    (momentsequence_from_json, {"n": 2, "moments": [[[1.0, 0.0], [0.0, 1.0]]] * 3
+                                + [[[1.0, 1.0], [0.0, 1.0]]]}, "moments[3] is not symmetric"),
+    (measure_from_json, {"n": 1, "atoms": [{"x": 0.0, "W": [[1.0]]}, {"x": 1.0, "W": [[-1.0]]}]},
+     "atoms[1].W has eigenvalue"),
+    (measure_from_json, {"n": 2, "atoms": [{"x": 0.0, "W": [[1.0, 0.0], [0.0, 1.0]]},
+                                           {"x": 1.0, "W": [[1.0, 1.0], [0.0, 1.0]]}]},
+     "atoms[1].W is not symmetric"),
 ])
 def test_every_loader_names_the_bad_field(load, doc, field):
     with pytest.raises(ValueError, match=re.escape(field)):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import rand_psd, separated_points
-from matmoments import (AtomicMatrixMeasure, HankelNotPsd,
-                        MomentSequence, check_stieltjes, forward_moments, recover)
+from matmoments import (AtomicMatrixMeasure, HankelNotPsd, MomentSequence,
+                        check_hamburger, check_stieltjes, forward_moments, recover)
 from matmoments.recovery import pencil_eigenvalues
 
 I2 = np.eye(2)
@@ -126,3 +126,34 @@ def test_zero_sequence_recovers_empty_measure():
     res = recover(seq)
     assert len(res.measure.atoms) == 0
     assert res.moment_residual == 0.0
+
+
+def test_residual_matches_the_per_degree_loop():
+    # reference: the loop over degrees and atoms that the array residual replaced
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        r = int(rng.integers(1, 5))
+        pts = separated_points(rng, r, -2.0, 2.0, 0.1)
+        mu = measure_of(n, [(float(x), rand_psd(rng, n)) for x in pts])
+        seq = forward_moments(mu, 2 * r + 2)
+        res = recover(seq)
+        residual = 0.0
+        for p in range(seq.D + 1):
+            approx = np.zeros((n, n))
+            for x, w in res.measure.atoms:
+                approx += x ** p * w
+            residual = max(residual, float(np.max(np.abs(seq[p] - approx))))
+        assert res.moment_residual == residual
+
+
+def test_recover_does_not_depend_on_a_prior_check():
+    # recover's precondition reuses the eigenvalues of an earlier check_hamburger
+    mu = measure_of(2, [(0.5, I2), (1.5, np.diag([1.0, 2.0]))])
+    first, second = forward_moments(mu, 6), forward_moments(mu, 6)
+    check_hamburger(first)
+    a, b = recover(first), recover(second)
+    assert check_hamburger(second).to_json() == check_hamburger(first).to_json()
+    assert a.moment_residual == b.moment_residual
+    assert [(x, w.tobytes()) for x, w in a.measure.atoms] == \
+        [(x, w.tobytes()) for x, w in b.measure.atoms]

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import rand_psd
-from matmoments import (AtomicMatrixMeasure, ModulePositivityError,
-                        build_family, cauchy_schwarz_chain, leading_coeff_probe,
-                        positivity_audit, shift_compress, support_collapse_check)
+from matmoments import (AtomicMatrixMeasure, MatrixPoly, ModulePositivityError,
+                        build_family, cauchy_schwarz_chain, integrate_trace,
+                        leading_coeff_probe, positivity_audit, shift_compress,
+                        support_collapse_check)
 from matmoments.measures import TRIAL_BLOCK
 
 
@@ -194,6 +195,23 @@ def test_chain_holds_for_compliant_functionals():
         mu = AtomicMatrixMeasure(n_dim, atoms)
         rep = cauchy_schwarz_chain(mu, fam, trials=20, seed=6)
         assert rep.all_hold and rep.final_bound_holds
+
+
+@pytest.mark.parametrize("n_dim", [1, 3, 6])
+def test_chain_matches_the_exact_compressions(n_dim):
+    # reference: A_n and J_n read off shift_compress(fam, n).as_float()
+    fam = build_family(n_dim)
+    rng = np.random.default_rng(n_dim)
+    mu = AtomicMatrixMeasure(n_dim, [(0.0, rand_psd(rng, n_dim)),
+                                     (float(n_dim + 1), rand_psd(rng, n_dim))])
+    rep = cauchy_schwarz_chain(mu, fam, trials=10, seed=2)
+    zeros = np.zeros((3, n_dim, n_dim))
+    for n in range(n_dim):
+        comp = shift_compress(fam, n).as_float()
+        a_n, j_n = comp.coeff(3), -comp.coeff(2)
+        mid = integrate_trace(MatrixPoly(np.concatenate([zeros, a_n[np.newaxis]])), mu)
+        lhs = integrate_trace(MatrixPoly(np.concatenate([zeros[:2], j_n[np.newaxis]])), mu)
+        assert repr((rep.mid[n], rep.lhs_shifted[n])) == repr((mid, lhs))
 
 
 @pytest.mark.parametrize("n_dim", [2, 4, 6])
