@@ -20,8 +20,9 @@ from .polymat import (_EntryError, _conv_stack, _horner, _json_fields, _json_flo
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 AUDIT_TOL = 1e-9
-# Randomized trials are drawn one at a time but reduced this many at once,
-# which bounds the padded coefficient stacks whatever the trial count.
+# Randomized trials are drawn and reduced this many at once, from one
+# generator per block, which bounds the padded coefficient stacks whatever
+# the trial count.
 TRIAL_BLOCK = 256
 
 
@@ -225,6 +226,20 @@ class AuditReport:
         }
 
 
+def _audit_block(rng, size, n, n_gens):
+    """The random draws of ``size`` audit trials, as (picks, deg, a).
+
+    Drawn in this order: ``picks`` uniform on -1..n_gens-1 (-1 picks the
+    constant 1), ``deg`` uniform on 0..3, then four standard normal n x n
+    coefficients of A per trial, those above its ``deg`` zeroed.
+    """
+    picks = rng.integers(-1, n_gens, size)
+    deg = rng.integers(0, 4, size)
+    a = rng.standard_normal((size, 4, n, n))
+    a[np.arange(4) > deg[:, np.newaxis]] = 0.0
+    return picks, deg, a
+
+
 def positivity_audit(mu, generators, trials, seed=0):
     """Randomized check that L(g * A^T A) >= 0 for g in the generator set.
 
@@ -236,11 +251,15 @@ def positivity_audit(mu, generators, trials, seed=0):
     degree <= 3 and checks the trace pairing against -1e-9 * scale, where
     scale sums |coefficients of g*A^T A| at |x_j| against |W_j|.
 
-    Every trial draws from its own ``SeedSequence`` child, one trial at a
-    time; the arithmetic then runs on blocks of ``TRIAL_BLOCK`` trials
-    stacked as zero-padded coefficient arrays, in the same order of
-    operations as the per-trial ``MatrixPoly`` products.
+    Trials run in blocks of ``TRIAL_BLOCK``: block b draws all its trials
+    at once (``_audit_block``) from one generator seeded by the b-th child
+    of ``SeedSequence(seed)``, so a complete block's trials do not depend
+    on the trial count.  The arithmetic runs on the block's zero-padded
+    coefficient stacks, in the same order of operations as the per-trial
+    ``MatrixPoly`` products.  ``trials`` must be nonnegative.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
     worst = None
     for gi, g in enumerate(gens):
@@ -259,29 +278,24 @@ def positivity_audit(mu, generators, trials, seed=0):
     for gi, g in enumerate(gens):
         g_table[gi + 1, :len(g)] = g
     n = mu.n
-    total = max(int(trials), 0)
+    total = int(trials)
     parent = np.random.SeedSequence(seed)
     violations = []
     min_margin = np.inf
     for start in range(0, total, TRIAL_BLOCK):
-        children = parent.spawn(min(TRIAL_BLOCK, total - start))
-        picks = np.empty(len(children), dtype=int)
-        a = np.zeros((len(children), 4, n, n))
-        for b, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            picks[b] = int(rng.integers(-1, len(gens))) if gens else -1
-            deg = int(rng.integers(0, 4))
-            a[b, :deg + 1] = rng.standard_normal((deg + 1, n, n))
+        size = min(TRIAL_BLOCK, total - start)
+        rng = np.random.default_rng(parent.spawn(1)[0])
+        picks, _, a = _audit_block(rng, size, n, len(gens))
         q = _conv_stack(np.swapaxes(a, -1, -2), a)
         g = g_table[picks + 1]
-        fg = np.zeros((len(children), g.shape[1] + q.shape[1] - 1, n, n))
+        fg = np.zeros((size, g.shape[1] + q.shape[1] - 1, n, n))
         for j in range(g.shape[1]):
             fg[:, j:j + q.shape[1]] += g[:, j, np.newaxis, np.newaxis, np.newaxis] * q
         abs_fg = np.abs(fg)
         # the trace pairing, and as rounding scale the magnitude of the terms
         # that evaluating g*q at each atom and pairing it with W actually sums
-        val = np.zeros(len(children))
-        scale = np.zeros(len(children))
+        val = np.zeros(size)
+        scale = np.zeros(size)
         for x, w in mu.atoms:
             val += np.trace(_horner(fg, x) @ w, axis1=-2, axis2=-1)
             scale += np.sum(_horner(abs_fg, abs(x)) * np.abs(w).T, axis=(-2, -1))

@@ -35,6 +35,8 @@ class MomentSequence:
             arr = arr[np.newaxis]
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
             raise ValueError("moments must form a (D+1, n, n) stack of square matrices")
+        if arr.shape[1] == 0:
+            raise ValueError("moment matrices must be n x n with n >= 1")
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
         if bad.size:
             p = int(bad[0])
@@ -45,8 +47,10 @@ class MomentSequence:
         if bad.size:
             p = int(bad[0])
             raise _EntryError(p, f"moment S_{p}", "is not symmetric")
-        # store the exact symmetrization so block Hankels come out bit-symmetric
-        arr = 0.5 * (arr + np.transpose(arr, (0, 2, 1)))
+        # store the exact symmetrization so block Hankels come out bit-symmetric;
+        # halving first keeps the sum finite for entries near the float maximum
+        half = 0.5 * arr
+        arr = half + np.transpose(half, (0, 2, 1))
         arr.setflags(write=False)
         self._S = arr
         self._extremes = {}

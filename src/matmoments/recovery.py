@@ -120,13 +120,9 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
 
     vand = _powers(merged, d)
     rhs = seq.S.reshape(d + 1, n * n)
-    sol = np.linalg.lstsq(vand, rhs, rcond=None)[0]
-    weights = []
-    for j in range(len(merged)):
-        w = sol[j].reshape(n, n)
-        w = 0.5 * (w + w.T)
-        ew, ev = np.linalg.eigh(w)
-        weights.append((ev * np.maximum(ew, 0.0)) @ ev.T)
+    sol = np.linalg.lstsq(vand, rhs, rcond=None)[0].reshape(len(merged), n, n)
+    ew, ev = np.linalg.eigh(0.5 * (sol + np.swapaxes(sol, 1, 2)))
+    weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
 
     mu = AtomicMatrixMeasure(n, list(zip(merged, weights)))
     powers = _powers([x for x, _ in mu.atoms], d)

@@ -154,6 +154,36 @@ def _congruence(r, use_g, g_int):
     return _conv_stack(left, r)
 
 
+def _probe_block(rng, size, n):
+    """Draws of ``size`` probe trials: up to three R, then f_0, f_1 and v of v h v^T.
+
+    In this order: the number of congruences (1..3), per slot B = G (p 0.7),
+    deg R (0..2) and R (integers -2..2); whether a rank-one term is drawn
+    (p 0.5), its number of factors of h (1..2), per factor B = G (p 0.8),
+    deg f_0 (0..1 with one factor, else 0), f_0, f_1, deg v (0..1) and v.
+    Whatever a trial does not use is zeroed.
+    """
+    used = np.arange(3) < rng.integers(1, 4, size)[:, np.newaxis]
+    r_g = (rng.random((size, 3)) < 0.7) & used
+    deg_r = rng.integers(0, 3, (size, 3))
+    r = rng.integers(-2, 3, (size, 3, 3, n, n)).astype(float)
+    r[~used[:, :, np.newaxis] | (np.arange(3) > deg_r[:, :, np.newaxis])] = 0.0
+    term = rng.random(size) < 0.5
+    length = rng.integers(1, 3, size)
+    single = term & (length == 1)
+    f_g = (rng.random((size, 2)) < 0.8) & term[:, np.newaxis] & (
+        np.arange(2) < length[:, np.newaxis])
+    deg_f = np.where(single, rng.integers(0, 2, size), 0)
+    f0 = rng.integers(-2, 3, (size, 2, n, 1)).astype(float)
+    f0[~term[:, np.newaxis] | (np.arange(2) > deg_f[:, np.newaxis])] = 0.0
+    f1 = rng.integers(-2, 3, (size, 1, n, 1)).astype(float)
+    f1[~term | (length == 1)] = 0.0
+    deg_v = rng.integers(0, 2, size)
+    v = rng.integers(-2, 3, (size, 2, n, 1)).astype(float)
+    v[~term[:, np.newaxis] | (np.arange(2) > deg_v[:, np.newaxis])] = 0.0
+    return r, r_g, f0, f1, f_g, single, v
+
+
 def leading_coeff_probe(fam, trials, seed=0):
     """Sample random module elements and check their leading coefficients are PSD.
 
@@ -166,11 +196,15 @@ def leading_coeff_probe(fam, trials, seed=0):
     candidate (1 - x^2) Id is evaluated alongside: its leading coefficient
     -Id is negative definite, so it can never be of module form.
 
-    Every trial draws from its own ``SeedSequence`` child, one trial at a
-    time; the elements are then formed and their leading coefficients'
-    eigenvalues taken for blocks of ``TRIAL_BLOCK`` trials at once, as
-    zero-padded coefficient stacks.
+    Trials run in blocks of ``TRIAL_BLOCK``: block b draws all its trials
+    at once (``_probe_block``) from one generator seeded by the b-th child
+    of ``SeedSequence(seed)``, so a complete block's trials do not depend
+    on the trial count.  The block's elements are formed and their leading
+    coefficients' eigenvalues taken as zero-padded coefficient stacks.
+    ``trials`` must be nonnegative.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n = fam.N
     lcm = math.lcm(*range(1, n + 1))
     g_int = np.zeros((4, n, n))
@@ -178,37 +212,13 @@ def leading_coeff_probe(fam, trials, seed=0):
         g_int[2][i, i] = -lcm
         g_int[3][i, i] = lcm // (i + 1)
 
-    total = max(int(trials), 0)
+    total = int(trials)
     parent = np.random.SeedSequence(seed)
     count = 0
     min_eig = np.inf
     for start in range(0, total, TRIAL_BLOCK):
-        children = parent.spawn(min(TRIAL_BLOCK, total - start))
-        size = len(children)
-        # up to three congruences R^T B R, deg R <= 2; unused slots stay zero
-        r = np.zeros((size, 3, 3, n, n))
-        r_g = np.zeros((size, 3), dtype=bool)
-        # rank-one term v h v^T, h = (f_0^T B f_0)(f_1^T B f_1), deg f_0, deg v <= 1
-        f0 = np.zeros((size, 2, n, 1))
-        f1 = np.zeros((size, 1, n, 1))
-        f_g = np.zeros((size, 2), dtype=bool)
-        single = np.zeros(size, dtype=bool)
-        v = np.zeros((size, 2, n, 1))
-        for b, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            for t in range(int(rng.integers(1, 4))):
-                r_g[b, t] = rng.random() < 0.7
-                deg_r = int(rng.integers(0, 3))
-                r[b, t, :deg_r + 1] = rng.integers(-2, 3, (deg_r + 1, n, n))
-            if rng.random() < 0.5:
-                length = int(rng.integers(1, 3))
-                single[b] = length == 1
-                for s, f in enumerate((f0, f1)[:length]):
-                    f_g[b, s] = rng.random() < 0.8
-                    deg_f = int(rng.integers(0, 2)) if length == 1 else 0
-                    f[b, :deg_f + 1] = rng.integers(-2, 3, (deg_f + 1, n, 1))
-                deg_v = int(rng.integers(0, 2))
-                v[b, :deg_v + 1] = rng.integers(-2, 3, (deg_v + 1, n, 1))
+        rng = np.random.default_rng(parent.spawn(1)[0])
+        r, r_g, f0, f1, f_g, single, v = _probe_block(rng, min(TRIAL_BLOCK, total - start), n)
         h1 = _congruence(f1, f_g[:, 1], g_int)
         h1[single] = 0.0
         h1[single, 0] = 1.0         # h = f_0^T B f_0 where only one factor was drawn

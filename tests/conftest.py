@@ -7,6 +7,19 @@ from numpy.polynomial import polynomial as npoly
 from matmoments import AtomicMatrixMeasure, LaurentPoly
 
 
+def assert_frequencies(sample, law):
+    """Each value's frequency in ``sample`` lies within 5 sigma of its probability.
+
+    ``law`` maps every value the sample may hold to its probability; sigma
+    is the binomial standard deviation at the sample size.
+    """
+    sample = np.asarray(sample).ravel()
+    assert sample.size and set(np.unique(sample).tolist()) <= set(law)
+    for value, p in law.items():
+        freq = float(np.mean(sample == value))
+        assert abs(freq - p) <= 5.0 * np.sqrt(p * (1.0 - p) / sample.size), (value, freq, p)
+
+
 def rand_psd(rng, n, lo=0.3, hi=3.0):
     """Random symmetric PSD matrix with eigenvalues in [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

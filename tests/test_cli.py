@@ -183,7 +183,8 @@ def test_malformed_map_measure_is_input_error(workspace, doc):
 
 def test_shiftgap_stdout_is_golden(tmp_path, capsys):
     # byte-exact stdout, recorded while the probe and the audit still ran
-    # their arithmetic one trial at a time
+    # their arithmetic one trial at a time, each trial from its own seed
+    # stream; one generator per block of trials left it unchanged
     weight = [[0.5, 0.25, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0],
               [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.125]]
     fn = tmp_path / "outer4.json"
@@ -274,6 +275,20 @@ def test_missing_field_names_the_field(workspace):
     res = run(["check", "--variant", "hamburger", "--moments", workspace["bad.json"]])
     assert res.exit_code == 2
     assert "moments" in res.report["error"]["message"]
+
+
+@pytest.mark.parametrize("functional", [False, True])
+def test_negative_trial_count_is_input_error(workspace, functional):
+    # a negative count used to exit 0 with n_elements 0 and all_psd true
+    argv = ["shiftgap", "--dim", "2", "--trials", "-5"]
+    if functional:
+        argv += ["--functional", workspace["measure.json"]]
+    res = run(argv)
+    assert res.exit_code == 2
+    assert res.report["error"]["type"] == "ValueError"
+    assert "trials must be nonnegative" in res.report["error"]["message"]
+    zero = run(["shiftgap", "--dim", "2", "--trials", "0"])
+    assert zero.exit_code == 0 and zero.report["probe"]["n_elements"] == 0
 
 
 def test_unknown_flag_is_input_error(workspace):

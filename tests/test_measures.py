@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from conftest import rand_measure, rand_psd
+from conftest import assert_frequencies, rand_measure, rand_psd
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         SupportViolation, check_hamburger, check_hausdorff,
                         check_stieltjes, decompose_halfline, forward_moments,
@@ -15,7 +15,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         map_measure_to_json, measure_from_json, measure_to_json,
                         positivity_audit, scalar_poly_mult, transpose_poly)
 from matmoments import matmul as poly_matmul
-from matmoments.measures import AUDIT_TOL, TRIAL_BLOCK
+from matmoments.measures import AUDIT_TOL, TRIAL_BLOCK, _audit_block
 
 I2 = np.eye(2)
 
@@ -186,14 +186,65 @@ def test_positivity_audit_deterministic_given_seed():
 
 def test_positivity_audit_violation_path_pinned():
     # the audit reads only mu.n and mu.atoms, so an indefinite weight can
-    # reach the violation path; values as computed by the per-trial audit
+    # reach the violation path; values as computed by _reference_audit, one
+    # trial at a time with MatrixPoly arithmetic on the block draws
     mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])),))
     rep = positivity_audit(mu, [[0, 1]], 8, seed=4)
     assert not rep.passed and rep.n_trials == 8
-    assert rep.min_margin == pytest.approx(-1.167946815379482, rel=1e-12)
-    assert [(v["trial"], v["generator"]) for v in rep.violations] == [(3, 0), (4, 0)]
-    assert rep.violations[0]["value"] == pytest.approx(-0.6348204392526242, rel=1e-12)
-    assert rep.violations[1]["value"] == pytest.approx(-1.1679468218751619, rel=1e-12)
+    assert rep.min_margin == pytest.approx(-1.9225008944504403, rel=1e-12)
+    assert ([(v["trial"], v["generator"]) for v in rep.violations]
+            == [(2, 0), (5, 0), (6, -1), (7, 0)])
+    want = [-0.9289936166759801, -0.6815320947076302, -1.9225009021424349,
+            -0.07388911427750866]
+    for got, value in zip(rep.violations, want):
+        assert got["value"] == pytest.approx(value, rel=1e-12)
+
+
+def test_positivity_audit_rejects_negative_trial_counts():
+    mu = AtomicMatrixMeasure(2, [(0.5, I2)])
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        positivity_audit(mu, [[0.0, 1.0]], -5)
+    rep = positivity_audit(mu, [[0.0, 1.0]], 0)
+    assert rep.passed and rep.n_trials == 0 and rep.min_margin == 0.0
+
+
+def test_positivity_audit_complete_blocks_do_not_depend_on_the_trial_count():
+    # block b draws from the b-th child of SeedSequence(seed) whatever the
+    # trial count, so the first block's violations recur exactly
+    mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])),))
+    first = [positivity_audit(mu, [[0, 1]], trials, seed=6).violations for trials in (300, 512)]
+    head = [[v for v in found if v["trial"] < TRIAL_BLOCK] for found in first]
+    assert head[0] and head[0] == head[1]
+
+
+def test_audit_block_draws_follow_the_per_trial_law():
+    # 40 blocks against the law of the per-trial draws: the pick uniform on
+    # -1..n_gens-1, deg uniform on 0..3, A's coefficients up to deg standard
+    # normal and those above it zero
+    picks, deg, a = (np.concatenate(part) for part in zip(*(
+        _audit_block(np.random.default_rng(child), TRIAL_BLOCK, 3, 2)
+        for child in np.random.SeedSequence(17).spawn(40))))
+    assert_frequencies(picks, {-1: 1 / 3, 0: 1 / 3, 1: 1 / 3})
+    assert_frequencies(deg, {d: 0.25 for d in range(4)})
+    above = np.arange(4) > deg[:, np.newaxis]
+    assert not a[above].any() and a[~above].all()
+    used = a[~above]
+    assert abs(np.mean(used)) <= 5.0 / np.sqrt(used.size)
+    assert_frequencies(used > 0.0, {True: 0.5, False: 0.5})
+    inside = 0.6826894921370859     # P(|Z| < 1), Z standard normal
+    assert_frequencies(np.abs(used) < 1.0, {True: inside, False: 1.0 - inside})
+    # with no generator every trial takes the constant 1
+    assert np.all(_audit_block(np.random.default_rng(1), 50, 2, 0)[0] == -1)
+
+
+def _reference_draws(trials, seed, n, n_gens):
+    """(pick, A coefficients) per trial, from the library's block draws."""
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, trials, TRIAL_BLOCK):
+        rng = np.random.default_rng(parent.spawn(1)[0])
+        picks, deg, a = _audit_block(rng, min(TRIAL_BLOCK, trials - start), n, n_gens)
+        for b in range(len(picks)):
+            yield int(picks[b]), a[b, :deg[b] + 1]
 
 
 def _reference_audit(mu, generators, trials, seed):
@@ -201,13 +252,9 @@ def _reference_audit(mu, generators, trials, seed):
     gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
     violations = []
     min_margin = np.inf
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        pick = int(rng.integers(-1, len(gens))) if gens else -1
+    for t, (pick, coeffs) in enumerate(_reference_draws(trials, seed, mu.n, len(gens))):
         g = np.array([1.0]) if pick < 0 else gens[pick]
-        deg = int(rng.integers(0, 4))
-        a = MatrixPoly(rng.standard_normal((deg + 1, mu.n, mu.n)))
+        a = MatrixPoly(coeffs)
         fg = scalar_poly_mult(g, poly_matmul(transpose_poly(a), a))
         val = float(sum(np.trace(fg(x) @ w) for x, w in mu.atoms))
         scale = sum(float(np.sum(npoly.polyval(abs(x), np.abs(fg.coeffs)) * np.abs(w).T))
@@ -215,7 +262,7 @@ def _reference_audit(mu, generators, trials, seed):
         min_margin = min(min_margin, val + AUDIT_TOL * max(1.0, scale))
         if val < -AUDIT_TOL * max(1.0, scale):
             violations.append({"trial": t, "generator": pick, "value": val})
-    return not violations, len(children), (min_margin if children else 0.0), violations
+    return not violations, trials, (min_margin if trials else 0.0), violations
 
 
 def _audit_case(kind, n, rng):

@@ -188,6 +188,36 @@ def test_moment_sequence_rejects_non_finite_entries(bad):
         MomentSequence(mats)
 
 
+def test_moment_sequence_rejects_empty_matrices():
+    with pytest.raises(ValueError, match="n >= 1"):
+        MomentSequence(np.zeros((3, 0, 0)))
+
+
+def test_symmetrization_does_not_overflow_near_the_float_maximum():
+    # (S + S^T)/2 overflowed to inf here, and check_hamburger then passed
+    # with min_eigenvalue 1.0
+    with np.errstate(over="raise"):
+        seq = MomentSequence([[[1.0]], [[1e308]], [[1e308]]])
+    assert np.array_equal(seq.S.ravel(), [1.0, 1e308, 1e308])
+    rep = check_hamburger(seq)
+    want = np.linalg.eigvalsh(np.array([[1.0, 1e308], [1e308, 1e308]]))[0]
+    assert not rep.passed and rep.failing_order == 1
+    assert rep.min_eigenvalue == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetrization_matches_the_halved_sum(seed):
+    # S/2 + (S/2)^T equals (S + S^T)/2 bit for bit on normal-range entries
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        d, n = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+        base = rng.standard_normal((d, n, n)) * 10.0 ** int(rng.integers(-300, 301))
+        sym = base + np.transpose(base, (0, 2, 1))
+        mats = sym * (1.0 + 1e-14 * rng.standard_normal((d, n, n)))
+        want = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+        assert np.array_equal(MomentSequence(mats).S, want)
+
+
 # ----------------------------------------------------------------------------
 # Reference copies of the per-matrix pipeline that the eigenvalue memo and the
 # gather replaced: a double-loop block Hankel and a judge that takes each

@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, HankelNotPsd, MomentSequence,
                         check_hamburger, check_stieltjes, forward_moments, recover)
-from matmoments.recovery import pencil_eigenvalues
+from matmoments.recovery import _powers, pencil_eigenvalues
 
 I2 = np.eye(2)
 
@@ -157,3 +157,24 @@ def test_recover_does_not_depend_on_a_prior_check():
     assert a.moment_residual == b.moment_residual
     assert [(x, w.tobytes()) for x, w in a.measure.atoms] == \
         [(x, w.tobytes()) for x, w in b.measure.atoms]
+
+
+def test_weight_projection_matches_the_per_weight_loop():
+    # reference: each least-squares weight projected onto the PSD cone with
+    # its own eigh, as before the batched projection; bit for bit
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        r = int(rng.integers(1, 6))
+        lo, hi = (-2.0, 2.0) if rng.random() < 0.5 else (0.0, 1.0)
+        pts = separated_points(rng, r, lo, hi, 0.05)
+        seq = forward_moments(measure_of(n, [(float(x), rand_psd(rng, n)) for x in pts]),
+                              2 * r + 2)
+        atoms = recover(seq).measure.atoms
+        vand = _powers([x for x, _ in atoms], seq.D)
+        sol = np.linalg.lstsq(vand, seq.S.reshape(seq.D + 1, n * n), rcond=None)[0]
+        for (_, got), row in zip(atoms, sol):
+            w = row.reshape(n, n)
+            ew, ev = np.linalg.eigh(0.5 * (w + w.T))
+            want = (ev * np.maximum(ew, 0.0)) @ ev.T
+            assert np.array_equal(got, 0.5 * (want + want.T))
