@@ -18,9 +18,8 @@ and verifies the finished certificate once against F.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, ldexp
 
 import numpy as np
 
@@ -104,11 +103,10 @@ class ScalarizedSet:
 
 
 def _require_symmetric(f, what="input"):
-    ff = f.as_float()
-    if not np.all(np.isfinite(ff.coeffs)):
+    if not np.all(np.isfinite(f.coeffs)):
         raise ValueError(f"{what} has a non-finite coefficient")
-    scale = max(1.0, ff.max_coeff_abs())
-    defect = max(_maxabs(c - c.T) for c in ff.coeffs)
+    scale = max(1.0, f.max_coeff_abs())
+    defect = _maxabs(f.coeffs - np.swapaxes(f.coeffs, 1, 2))
     if defect > 1e-12 * scale:
         raise ValueError(f"{what} must be a symmetric matrix polynomial")
 
@@ -119,7 +117,7 @@ def _chebyshev_grid(a, b, count):
     return 0.5 * (a + b) + 0.5 * (b - a) * nodes
 
 
-def _grid_check(ff, a, b, thresh, exc):
+def _grid_check(f, a, b, thresh, exc):
     """Raise exc at the least grid eigenvalue of F on [a, b] if it is below -thresh.
 
     The grid is 8*(deg+1) Chebyshev points.  F is evaluated on all of them
@@ -127,8 +125,8 @@ def _grid_check(ff, a, b, thresh, exc):
     ``eigvalsh``; the first point attaining the least eigenvalue is
     reported, and a point whose value overflowed to NaN is never it.
     """
-    xs = _chebyshev_grid(a, b, 8 * (ff.deg + 1))
-    worst, i = _least_eigenvalue(_horner(ff.coeffs, xs[:, np.newaxis, np.newaxis]))
+    xs = _chebyshev_grid(a, b, 8 * (f.deg + 1))
+    worst, i = _least_eigenvalue(_horner(f.coeffs, xs[:, np.newaxis, np.newaxis]))
     if worst < -thresh:
         raise exc(worst, float(xs[i]))
 
@@ -146,7 +144,6 @@ def _trig_weights(d):
     (stored without the i) for odd k.
     """
     nh = d // 2
-    denom = Fraction(1, 2**d)
     table = []
     for k in range(d + 1):
         # phase of i^{-k}: purely real for even k, purely imaginary for odd k
@@ -158,7 +155,7 @@ def _trig_weights(d):
                 s += (-1) ** (k - a) * comb(k, a) * comb(d - k, nh + j - a)
             if s:
                 rows.append(j + nh)
-                weights.append(float((pre + pim) * s * denom))
+                weights.append(ldexp((pre + pim) * s, -d))
         entry = (np.array(rows, dtype=int), np.array(weights)[:, np.newaxis, np.newaxis])
         for arr in entry:
             arr.setflags(write=False)
@@ -177,10 +174,9 @@ def _trig_laurent(f):
     increasing k.
     """
     nh = f.deg // 2
-    ff = f.as_float()
     acc = np.zeros((2, 2 * nh + 1, f.n, f.n))     # real and imaginary parts
     for k, (rows, weights) in enumerate(_trig_weights(f.deg)):
-        acc[k % 2, rows] += weights * ff.coeffs[k]
+        acc[k % 2, rows] += weights * f.coeffs[k]
     return LaurentPoly(acc[0] + 1j * acc[1])
 
 
@@ -268,12 +264,12 @@ def _significant(factors, tol, scale):
     return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
 
 
-def _finish(variant, ff, parts, tol, pending):
+def _finish(variant, f, parts, tol, pending):
     """Certificate of the significant (generator, factors) parts, verified once against F."""
-    scale = max(1.0, ff.max_coeff_abs())
+    scale = max(1.0, f.max_coeff_abs())
     cert = SosCertificate(variant, {key: _significant(factors, tol, scale)
                                     for key, factors in parts})
-    cert.residual = verify_certificate(ff, cert)
+    cert.residual = verify_certificate(f, cert)
     if cert.residual > tol * scale:
         if pending is not None:
             raise pending
@@ -290,17 +286,16 @@ def decompose_line(f, tol=DEFAULT_TOL):
     _require_symmetric(f)
     if f.deg % 2:
         raise OddDegree(f"degree {f.deg} is odd")
-    ff = f.as_float()
-    scale = max(1.0, ff.max_coeff_abs())
-    lead = ff.coeffs[-1]
+    scale = max(1.0, f.max_coeff_abs())
+    lead = f.coeffs[-1]
     w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
     if w[0] < -tol * scale:
         raise NotPsdOnLine(w[0], np.inf)
-    t_bound = 1.0 + ff.max_coeff_abs()
-    _grid_check(ff, -t_bound, t_bound, tol * scale, NotPsdOnLine)
+    t_bound = 1.0 + f.max_coeff_abs()
+    _grid_check(f, -t_bound, t_bound, tol * scale, NotPsdOnLine)
 
-    h, k, pending = _line_split(ff, tol, ff, NotPsdOnLine)
-    return _finish("line", ff, [("1", [h, k])], tol, pending)
+    h, k, pending = _line_split(f, tol, f, NotPsdOnLine)
+    return _finish("line", f, [("1", [h, k])], tol, pending)
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
@@ -310,14 +305,13 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
     """
     _require_symmetric(f)
-    ff = f.as_float()
-    scale = max(1.0, ff.max_coeff_abs())
-    t_bound = 1.0 + ff.max_coeff_abs()
-    _grid_check(ff, 0.0, t_bound, tol * scale, NotPsdOnHalfLine)
+    scale = max(1.0, f.max_coeff_abs())
+    t_bound = 1.0 + f.max_coeff_abs()
+    _grid_check(f, 0.0, t_bound, tol * scale, NotPsdOnHalfLine)
 
-    h, k, pending = _line_split(compose_scalar(ff, [0.0, 0.0, 1.0]), tol, ff, NotPsdOnHalfLine)
+    h, k, pending = _line_split(compose_scalar(f, [0.0, 0.0, 1.0]), tol, f, NotPsdOnHalfLine)
     evens, odds = zip(*map(even_odd_split, (h, k)))
-    return _finish("halfline", ff, [("1", evens), ("x", odds)], tol, pending)
+    return _finish("halfline", f, [("1", evens), ("x", odds)], tol, pending)
 
 
 def _clear_substitution(p, d, sign):
@@ -345,12 +339,11 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     1-x and Q to x for odd d.
     """
     _require_symmetric(f)
-    ff = f.as_float()
-    _grid_check(ff, 0.0, 1.0, tol * max(1.0, ff.max_coeff_abs()), NotPsdOnInterval)
+    _grid_check(f, 0.0, 1.0, tol * max(1.0, f.max_coeff_abs()), NotPsdOnInterval)
 
-    d = ff.deg
-    g = compose_scalar(_clear_substitution(ff, d, +1), [0.0, 0.0, 1.0])
-    h, k, pending = _line_split(g, tol, ff, NotPsdOnInterval)
+    d = f.deg
+    g = compose_scalar(_clear_substitution(f, d, +1), [0.0, 0.0, 1.0])
+    h, k, pending = _line_split(g, tol, f, NotPsdOnInterval)
     evens, odds = zip(*map(even_odd_split, (h, k)))
     half = d // 2
     if d % 2 == 0:      # at d = 0, Q is zero and clears to zero at degree -1
@@ -359,7 +352,7 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     else:
         parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
                  ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
-    cert = _finish("interval", ff, parts, tol, pending)
+    cert = _finish("interval", f, parts, tol, pending)
     cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
     return cert
 
@@ -367,7 +360,8 @@ def decompose_interval(f, tol=DEFAULT_TOL):
 def verify_certificate(f, cert):
     """Max coefficient mismatch of F - sum_g g * sum_i G_i G_i^T.
 
-    Pure check; returns the residual without judging it.
+    Pure check; returns the residual without judging it, NaN if a
+    coefficient of the difference is NaN.
     """
     total = MatrixPoly.zero(f.n)
     for key, factors in cert.sigma.items():
@@ -376,12 +370,10 @@ def verify_certificate(f, cert):
             if g.n != f.n:
                 raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
             total = total + scalar_poly_mult(gen, matmul(g, transpose_poly(g)))
-    ff = f.as_float()
-    tf = total.as_float()
-    res = 0.0
-    for k in range(max(ff.deg, tf.deg) + 1):
-        res = max(res, _maxabs(ff.coeff(k) - tf.coeff(k)))
-    return res
+    diff = np.zeros((max(f.deg, total.deg) + 1, f.n, f.n))
+    diff[:f.deg + 1] = f.coeffs
+    diff[:total.deg + 1] -= total.coeffs
+    return _maxabs(diff)
 
 
 def scalarize(g):
@@ -393,13 +385,12 @@ def scalarize(g):
     every elementary symmetric function c_j of them is nonnegative.
     """
     _require_symmetric(g)
-    gf = g.as_float()
     n = g.n
     traces = []
-    power = gf
+    power = g
     for _ in range(n):
         traces.append([float(v) for v in poly_trace(power)])
-        power = matmul(power, gf)
+        power = matmul(power, g)
     elem = [[1.0]]
     for k in range(1, n + 1):
         acc = [0.0]

@@ -115,8 +115,7 @@ def integrate_trace(f, mu):
     """Trace pairing sum_j trace(F(x_j) W_j)."""
     if f.n != mu.n:
         raise ValueError(f"size mismatch: polynomial is {f.n}x{f.n}, measure is {mu.n}x{mu.n}")
-    ff = f.as_float()
-    return float(sum(np.trace(ff(x) @ w) for x, w in mu.atoms))
+    return float(sum(np.trace(f(x) @ w) for x, w in mu.atoms))
 
 
 class PositiveMapMeasure:
@@ -188,10 +187,9 @@ def integrate_map(f, m):
     if f.n != m.h_dim:
         raise ValueError(f"size mismatch: polynomial is {f.n}x{f.n}, maps act on "
                          f"{m.h_dim}x{m.h_dim}")
-    ff = f.as_float()
     out = np.zeros((m.k_dim, m.k_dim))
     for idx, (x, _) in enumerate(m.atoms):
-        out += m.apply(idx, ff(x))
+        out += m.apply(idx, f(x))
     return out
 
 

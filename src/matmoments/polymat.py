@@ -1,7 +1,6 @@
 """Univariate matrix polynomials and matrix Laurent polynomials.
 
-Coefficients are dense real square matrices.  Integer and Fraction
-coefficients are kept exact (object dtype); float coefficients use float64.
+Coefficients are dense real square matrices, stored as float64 stacks.
 Complex matrices appear only in :class:`LaurentPoly`, which feeds the
 spectral factorization routines.
 """
@@ -9,7 +8,6 @@ spectral factorization routines.
 import math
 import numbers
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +15,7 @@ STRIP_TOL = 1e-14
 
 
 def _maxabs(mat):
-    """Largest absolute entry, as a float (works for object arrays)."""
+    """Largest absolute entry, as a float; NaN if any entry is NaN."""
     arr = np.asarray(mat)
     if arr.size == 0:
         return 0.0
@@ -103,17 +101,9 @@ def _as_coeff_array(coeffs):
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
         raise ValueError("coefficients must form a non-empty (deg+1, n, n) stack of square "
                          "matrices")
-    if arr.dtype == object:
-        return arr.copy()
     if np.iscomplexobj(arr):
         raise ValueError("matrix polynomial coefficients must be real")
     return arr.astype(np.float64)
-
-
-def _is_zero_coeff(mat):
-    if mat.dtype == object:
-        return all(x == 0 for x in mat.flat)
-    return _maxabs(mat) < STRIP_TOL
 
 
 class MatrixPoly:
@@ -126,8 +116,9 @@ class MatrixPoly:
 
     def __init__(self, coeffs, symmetric=False):
         arr = _as_coeff_array(coeffs)
+        m = np.abs(arr).max(axis=(1, 2))
         last = arr.shape[0]
-        while last > 1 and _is_zero_coeff(arr[last - 1]):
+        while last > 1 and m[last - 1] < STRIP_TOL:     # a NaN coefficient is kept
             last -= 1
         arr = arr[:last]
         if symmetric:
@@ -150,10 +141,6 @@ class MatrixPoly:
     def deg(self):
         return self._coeffs.shape[0] - 1
 
-    @property
-    def is_exact(self):
-        return self._coeffs.dtype == object
-
     @classmethod
     def zero(cls, n):
         return cls(np.zeros((1, n, n)))
@@ -165,19 +152,12 @@ class MatrixPoly:
     @classmethod
     def from_scalar(cls, coeffs):
         """Scalar polynomial as a 1x1 matrix polynomial."""
-        coeffs = list(coeffs)
-        arr = [[[c]] for c in coeffs]
-        return cls(np.array(arr, dtype=object) if _has_exact(coeffs) else np.array(arr, dtype=float))
+        return cls(np.array([[[c]] for c in coeffs], dtype=float))
 
     def coeff(self, k):
         if 0 <= k <= self.deg:
             return self._coeffs[k]
-        return np.zeros((self.n, self.n), dtype=self._coeffs.dtype)
-
-    def as_float(self):
-        if not self.is_exact:
-            return self
-        return MatrixPoly(self._coeffs.astype(np.float64))
+        return np.zeros((self.n, self.n))
 
     def max_coeff_abs(self):
         return _maxabs(self._coeffs)
@@ -195,8 +175,7 @@ class MatrixPoly:
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
         la, lb = self.deg + 1, other.deg + 1
-        dt = object if (self.is_exact or other.is_exact) else np.float64
-        out = np.zeros((max(la, lb), self.n, self.n), dtype=dt)
+        out = np.zeros((max(la, lb), self.n, self.n))
         out[:la] += self._coeffs
         out[:lb] += other._coeffs
         return MatrixPoly(out)
@@ -208,10 +187,9 @@ class MatrixPoly:
         return MatrixPoly(-np.array(self._coeffs))
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, (numbers.Number, Fraction)):
+        if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        dt = object if (self.is_exact or isinstance(scalar, Fraction)) else np.float64
-        return MatrixPoly(np.array(self._coeffs, dtype=dt) * scalar)
+        return MatrixPoly(self._coeffs * float(scalar))
 
     __mul__ = __rmul__
 
@@ -220,10 +198,6 @@ class MatrixPoly:
 
     def __repr__(self):
         return f"MatrixPoly(n={self.n}, deg={self.deg})"
-
-
-def _has_exact(values):
-    return any(isinstance(v, Fraction) for v in values)
 
 
 def eval_poly(p, x):
@@ -257,13 +231,11 @@ def _conv_stack(a, b):
 
     The coefficient axis is third from last and leading axes broadcast, so
     one call multiplies a whole batch of matrix polynomials.  Products are
-    accumulated in increasing order of A's coefficient index.  The result
-    takes ``np.result_type(a, b)``: float stacks stay float64, and object
-    (``Fraction``) stacks stay exact.
+    accumulated in increasing order of A's coefficient index.
     """
     da, q = a.shape[-3], b.shape[-3]
     lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-    out = np.zeros(lead + (da + q - 1, a.shape[-2], b.shape[-1]), dtype=np.result_type(a, b))
+    out = np.zeros(lead + (da + q - 1, a.shape[-2], b.shape[-1]))
     for i in range(da):
         out[..., i:i + q, :, :] += a[..., i:i + 1, :, :] @ b
     return out
@@ -313,22 +285,16 @@ def compose_scalar(p, q):
 
     ``q`` is a coefficient sequence, constant term first.
     """
-    qc = list(q)
-    if not qc:
-        qc = [0]
-    for c in qc:
-        if isinstance(c, complex):
-            raise ValueError("substitution polynomial must have real coefficients")
-    exact = p.is_exact or _has_exact(qc)
-    dt = object if exact else np.float64
-    max_len = p.deg * (len(qc) - 1) + 1 if len(qc) > 1 else 1
-    out = np.zeros((max(max_len, 1), p.n, p.n), dtype=dt)
+    qc = list(q) or [0]
+    if any(isinstance(c, complex) for c in qc):
+        raise ValueError("substitution polynomial must have real coefficients")
+    out = np.zeros((p.deg * (len(qc) - 1) + 1, p.n, p.n))
     power = [1]
     for k in range(p.deg + 1):
         ck = p.coeffs[k]
         for j, w in enumerate(power):
             if w != 0:
-                out[j] += w * ck
+                out[j] += float(w) * ck
         if k < p.deg:
             power = _conv1d(power, qc)
     return MatrixPoly(out)
@@ -339,12 +305,10 @@ def scalar_poly_mult(q, p):
     qc = list(q)
     if not qc:
         return MatrixPoly.zero(p.n)
-    exact = p.is_exact or _has_exact(qc)
-    dt = object if exact else np.float64
-    out = np.zeros((len(qc) + p.deg, p.n, p.n), dtype=dt)
+    out = np.zeros((len(qc) + p.deg, p.n, p.n))
     for j, w in enumerate(qc):
         if w != 0:
-            out[j:j + p.deg + 1] += w * p.coeffs
+            out[j:j + p.deg + 1] += float(w) * p.coeffs
     return MatrixPoly(out)
 
 
@@ -356,7 +320,7 @@ def sup_norm_on(p, interval, grid):
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     xs = np.linspace(a, b, grid)
-    return float(np.max(np.linalg.norm(_horner(p.as_float().coeffs, xs[:, None, None]), 2,
+    return float(np.max(np.linalg.norm(_horner(p.coeffs, xs[:, None, None]), 2,
                                        axis=(1, 2))))
 
 
@@ -413,7 +377,8 @@ class LaurentPoly:
 
     def hermitian_defect(self):
         """max_k ||A_{-k} - A_k^H||, zero iff hermitian-valued on the circle."""
-        return max(_maxabs(self.coeff(-k) - self.coeff(k).conj().T) for k in range(self.band + 1))
+        # A_{-k} - A_k^H at every k: the entries at -k mirror those at k
+        return _maxabs(self._coeffs[::-1] - np.swapaxes(self._coeffs, 1, 2).conj())
 
     def eval_circle(self, t):
         """Value at z = exp(i t); an array of angles gives a stack of values."""

@@ -2,12 +2,14 @@
 
 The family is G(x) = diag(p_1, ..., p_N) with p_i(x) = x^3/i - x^2, whose
 joint nonnegativity set at truncation N is {0} u [N, inf).  Compressing by
-powers of the (nilpotent) truncated shift gives the exact identity
+powers of the (nilpotent) truncated shift gives the identity
 
     S^n G (S^T)^n = A_n x^3 - J_n x^2,
 
 with A_n = diag(1/(n+1), ..., 1/N, 0, ..) and J_n the projector onto the
-first N-n coordinates.  Every element of the quadratic module generated by
+first N-n coordinates.  The compression only moves entries, so the
+identity holds bit for bit on the float64 coefficients, whose entries 1/i
+are correctly rounded.  Every element of the quadratic module generated by
 G and its rank-one compressions has a PSD leading coefficient, which is
 what excludes (K^2 - x^2)*Id from the module for every K; the decay
 A_n <= Id/(n+1) combined with Cauchy-Schwarz forces the inequality chain
@@ -23,7 +25,6 @@ constraint set pins the support to {0} u [N, inf).
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -105,38 +106,37 @@ class ProbeReport:
 
 
 def diagonal_entry(i):
-    """Exact coefficients of p_i(x) = x^3/i - x^2."""
-    return [Fraction(0), Fraction(0), Fraction(-1), Fraction(1, i)]
+    """Coefficients of p_i(x) = x^3/i - x^2, constant term first; 1/i correctly rounded."""
+    return [0.0, 0.0, -1.0, 1.0 / i]
 
 
 def build_family(n_trunc):
-    """Family of size N: G(x) = x^3 diag(1/i) - x^2 Id, shift on the superdiagonal."""
+    """Family of size N: G(x) = x^3 diag(1/i) - x^2 Id, shift on the superdiagonal.
+
+    N is at most 708: ``leading_coeff_probe`` rescales G to integer entries
+    by lcm(1, ..., N), which exceeds the float64 range from N = 709.
+    """
     if n_trunc < 1:
         raise ValueError("truncation dimension must be >= 1")
-    coeffs = np.zeros((4, n_trunc, n_trunc), dtype=object)
-    coeffs[:] = Fraction(0)
-    for i in range(n_trunc):
-        coeffs[2][i, i] = Fraction(-1)
-        coeffs[3][i, i] = Fraction(1, i + 1)
-    g = MatrixPoly(coeffs, symmetric=True)
-    shift = np.zeros((n_trunc, n_trunc), dtype=object)
-    shift[:] = 0
-    for i in range(n_trunc - 1):
-        shift[i, i + 1] = 1
-    return ShiftFamily(n_trunc, g, shift)
+    if n_trunc > 708:
+        raise ValueError(f"truncation dimension {n_trunc} above 708: lcm(1..N) overflows float64")
+    coeffs = np.zeros((4, n_trunc, n_trunc))
+    np.fill_diagonal(coeffs[2], -1.0)      # not -eye, whose zeros are -0.0
+    np.fill_diagonal(coeffs[3], 1.0 / np.arange(1, n_trunc + 1))
+    return ShiftFamily(n_trunc, MatrixPoly(coeffs, symmetric=True), np.eye(n_trunc, k=1))
 
 
 def shift_compress(fam, n):
-    """S^n G (S^T)^n, exactly: x^3 diag(1/(n+1)..1/N, 0..) - x^2 diag(1,..,1,0..).
+    """S^n G (S^T)^n: x^3 diag(1/(n+1)..1/N, 0..) - x^2 diag(1,..,1,0..).
 
     S is the superdiagonal shift of ``build_family``, so the compression
     moves the trailing (N-n)x(N-n) block of every coefficient to the top
-    left and zeroes the rest.
+    left and zeroes the rest; no entry is rounded.
     """
     if not 0 <= n < fam.N:
         raise ValueError(f"compression order {n} out of range [0, {fam.N})")
     g = fam.G.coeffs
-    coeffs = np.full(g.shape, Fraction(0), dtype=object)
+    coeffs = np.zeros(g.shape)
     coeffs[:, :fam.N - n, :fam.N - n] = g[:, n:, n:]
     return MatrixPoly(coeffs, symmetric=True)
 
@@ -254,7 +254,7 @@ def leading_coeff_probe(fam, trials, seed=0):
 
 
 def _audit_module(mu, fam, trials, seed):
-    gens = [[float(c) for c in diagonal_entry(i)] for i in range(1, fam.N + 1)]
+    gens = [diagonal_entry(i) for i in range(1, fam.N + 1)]
     try:
         report = positivity_audit(mu, gens, trials, seed)
     except SupportViolation as exc:
@@ -289,7 +289,7 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0, tol=CHAIN_TOL):
 
     # A_n and -J_n are the x^3 and x^2 coefficients of shift_compress(fam, n):
     # the trailing (N-n)x(N-n) block of G's, moved to the top left
-    g = fam.G.as_float().coeffs
+    g = fam.G.coeffs
     n_values, lhs_shifted, mid, rhs = [], [], [], []
     for n in range(fam.N):
         top = np.zeros((2, fam.N, fam.N))

@@ -71,7 +71,7 @@ def entrywise_reassembly(f, cert):
     for key, factors in cert.sigma.items():
         gen = np.array(gen_coeffs[key])
         for g in factors:
-            arr = np.array(g.as_float().coeffs)
+            arr = np.array(g.coeffs)
             for r in range(n):
                 for c in range(n):
                     acc = np.zeros(1)
@@ -80,5 +80,5 @@ def entrywise_reassembly(f, cert):
                     acc = npoly.polymul(acc, gen)
                     total[:len(acc), r, c] += acc
     ff = np.zeros((width, n, n))
-    ff[:f.deg + 1] = np.array(f.as_float().coeffs)
+    ff[:f.deg + 1] = np.array(f.coeffs)
     return float(np.max(np.abs(total - ff)))

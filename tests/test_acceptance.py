@@ -168,14 +168,19 @@ def test_criterion_7_shift_family_replica():
     probe_mins = []
     for n_dim in (2, 4, 6):
         fam = build_family(n_dim)
-        # exact compression identity in rational arithmetic
+        # compression identity, bit for bit: the rational values correctly
+        # rounded, and the explicit product with the family's shift matrix
+        sn = np.eye(n_dim)
         for n in range(n_dim):
             comp = shift_compress(fam, n)
             for i in range(n_dim):
                 want3 = Fraction(1, n + i + 1) if i < n_dim - n else Fraction(0)
                 want2 = Fraction(-1) if i < n_dim - n else Fraction(0)
-                assert comp.coeffs[3][i, i] == want3
-                assert comp.coeffs[2][i, i] == want2
+                assert comp.coeffs[3][i, i] == float(want3)
+                assert comp.coeffs[2][i, i] == float(want2)
+            explicit = np.array([sn @ c @ sn.T for c in fam.G.coeffs])
+            assert comp.coeffs.tobytes() == explicit.tobytes()
+            sn = sn @ fam.shift_matrix
 
         probe = leading_coeff_probe(fam, 10_000, seed=70 + n_dim)
         assert probe.min_leading_eigenvalue >= -1e-9

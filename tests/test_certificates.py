@@ -127,6 +127,15 @@ def test_verify_certificate_frozen_values():
     assert verify_certificate(f, SosCertificate("line", {"1": [scalar_poly(0, 1)]})) == 1.0
 
 
+@pytest.mark.parametrize("at", [1, 2])
+def test_verify_certificate_propagates_nan(at):
+    # the per-degree max used to drop a NaN coefficient and report 0.0
+    coeffs = [[[1.0]], [[2.0]], [[1.0]]]
+    coeffs[at] = [[np.nan]]
+    cert = SosCertificate("line", {"1": [scalar_poly(1, 1)]})
+    assert np.isnan(verify_certificate(MatrixPoly(coeffs), cert))
+
+
 def test_verify_certificate_size_mismatch():
     f = scalar_poly(1)
     cert = SosCertificate("line", {"1": [MatrixPoly.constant(np.eye(2))]})
@@ -203,7 +212,7 @@ def test_scalarize_scalar_case():
 
 def test_scalarize_shift_family_truncation():
     # diag(x^3 - x^2, x^3/2 - x^2): constraint set on [-5, 5] is {0} u [2, 5]
-    g = build_family(2).G.as_float()
+    g = build_family(2).G
     sc = scalarize(g)
     xs = np.linspace(-5, 5, 1001)
     members = []
@@ -269,7 +278,6 @@ def _grid_check_loop(ff, a, b, thresh, exc):
 def _trig_laurent_loop(f):
     d = f.deg
     nh = d // 2
-    ff = f.as_float()
     n = f.n
     coeffs = np.zeros((2 * nh + 1, n, n), dtype=np.complex128)
     denom = Fraction(1, 2**d)
@@ -285,9 +293,9 @@ def _trig_laurent_loop(f):
             pre, pim = _I_POW[(-k) % 4]
             w = s * denom
             if pre:
-                acc_re += float(pre * w) * ff.coeffs[k]
+                acc_re += float(pre * w) * f.coeffs[k]
             if pim:
-                acc_im += float(pim * w) * ff.coeffs[k]
+                acc_im += float(pim * w) * f.coeffs[k]
         coeffs[j + nh] = acc_re + 1j * acc_im
     return coeffs
 

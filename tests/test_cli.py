@@ -291,6 +291,17 @@ def test_negative_trial_count_is_input_error(workspace, functional):
     assert zero.exit_code == 0 and zero.report["probe"]["n_elements"] == 0
 
 
+def test_shiftgap_dimension_above_708_is_input_error():
+    # the probe rescales G by lcm(1..N), which overflows float64 from N = 709;
+    # that used to end in an OverflowError traceback and no report
+    res = run(["shiftgap", "--dim", "709", "--trials", "0"])
+    assert res.exit_code == 2
+    assert res.report["error"]["type"] == "ValueError"
+    assert "708" in res.report["error"]["message"]
+    edge = run(["shiftgap", "--dim", "708", "--trials", "0"])
+    assert edge.exit_code == 0 and edge.report["probe"]["n_elements"] == 0
+
+
 def test_unknown_flag_is_input_error(workspace):
     res = run(["check", "--variant", "hamburger", "--moments",
                workspace["moments4.json"], "--frobnicate"])

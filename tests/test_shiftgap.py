@@ -1,4 +1,4 @@
-"""Truncated shift-family diagnostics: exact identities, probe, chain."""
+"""Truncated shift-family diagnostics: bit-exact identities, probe, chain."""
 
 import math
 import tracemalloc
@@ -18,7 +18,7 @@ from matmoments.shiftgap import _probe_block
 
 def test_family_smallest_case_constraint_set():
     fam = build_family(1)
-    p1 = fam.G.as_float()
+    p1 = fam.G
     xs = np.linspace(-5.0, 5.0, 1001)
     nonneg = [p1(x)[0, 0] >= -1e-12 for x in xs]
     expected = [(abs(x) < 1e-12) or (x >= 1.0) for x in xs]
@@ -27,9 +27,10 @@ def test_family_smallest_case_constraint_set():
 
 def test_family_entry_values_exact():
     fam = build_family(2)
-    v = fam.G(Fraction(1))
-    assert v[1, 1] == Fraction(-1, 2)      # p_2(1) = 1/2 - 1
-    assert np.all(fam.G(0) == Fraction(0))
+    v = fam.G(1.0)
+    assert v[1, 1] == float(Fraction(-1, 2))      # p_2(1) = 1/2 - 1
+    assert np.all(fam.G(0) == 0.0)
+    assert fam.G.coeffs.dtype == np.float64 and fam.shift_matrix.dtype == np.float64
 
 
 def test_shift_matrix_contraction_identity():
@@ -48,31 +49,30 @@ def test_compress_exact_coefficients():
     fam = build_family(3)
     comp = shift_compress(fam, 1)
     cube = comp.coeffs[3]
-    assert cube[0, 0] == Fraction(1, 2)
-    assert cube[1, 1] == Fraction(1, 3)
+    assert cube[0, 0] == float(Fraction(1, 2))
+    assert cube[1, 1] == float(Fraction(1, 3))
     assert cube[2, 2] == 0
     square = comp.coeffs[2]
-    assert square[0, 0] == Fraction(-1) and square[1, 1] == Fraction(-1)
+    assert square[0, 0] == float(Fraction(-1)) and square[1, 1] == float(Fraction(-1))
     assert square[2, 2] == 0
 
 
 def test_compress_identity_all_orders():
     for n_dim in (1, 2, 4, 6):
         fam = build_family(n_dim)
-        sn = np.array(np.eye(n_dim, dtype=int), dtype=object)
+        sn = np.eye(n_dim)
         for n in range(n_dim):
             comp = shift_compress(fam, n)
             for i in range(n_dim):
                 want = Fraction(1, n + i + 1) if i < n_dim - n else Fraction(0)
-                assert comp.coeffs[3][i, i] == want
-                assert comp.coeffs[2][i, i] == (Fraction(-1) if i < n_dim - n else Fraction(0))
-            # the explicit product S^n G (S^T)^n with the family's shift matrix
-            explicit = [sn.dot(c).dot(sn.T) for c in fam.G.coeffs]
-            assert comp.coeffs.shape == (len(explicit), n_dim, n_dim)
-            for got, want in zip(comp.coeffs, explicit):
-                assert all(isinstance(v, Fraction) for v in got.flat)
-                assert all(a == b for a, b in zip(got.flat, want.flat))
-            sn = sn.dot(fam.shift_matrix)
+                assert comp.coeffs[3][i, i] == float(want)
+                assert comp.coeffs[2][i, i] == float(-1 if i < n_dim - n else 0)
+            # the explicit product S^n G (S^T)^n with the family's shift
+            # matrix: its 0/1 entries move coefficients without rounding
+            explicit = np.array([sn @ c @ sn.T for c in fam.G.coeffs])
+            assert comp.coeffs.shape == explicit.shape
+            assert comp.coeffs.tobytes() == explicit.tobytes()
+            sn = sn @ fam.shift_matrix
 
 
 def test_compress_out_of_range():
@@ -319,7 +319,7 @@ def test_chain_holds_for_compliant_functionals():
 
 @pytest.mark.parametrize("n_dim", [1, 3, 6])
 def test_chain_matches_the_exact_compressions(n_dim):
-    # reference: A_n and J_n read off shift_compress(fam, n).as_float()
+    # reference: A_n and J_n read off shift_compress(fam, n)
     fam = build_family(n_dim)
     rng = np.random.default_rng(n_dim)
     mu = AtomicMatrixMeasure(n_dim, [(0.0, rand_psd(rng, n_dim)),
@@ -327,7 +327,7 @@ def test_chain_matches_the_exact_compressions(n_dim):
     rep = cauchy_schwarz_chain(mu, fam, trials=10, seed=2)
     zeros = np.zeros((3, n_dim, n_dim))
     for n in range(n_dim):
-        comp = shift_compress(fam, n).as_float()
+        comp = shift_compress(fam, n)
         a_n, j_n = comp.coeff(3), -comp.coeff(2)
         mid = integrate_trace(MatrixPoly(np.concatenate([zeros, a_n[np.newaxis]])), mu)
         lhs = integrate_trace(MatrixPoly(np.concatenate([zeros[:2], j_n[np.newaxis]])), mu)
