@@ -1,11 +1,11 @@
 """Moment sequences of symmetric matrices and block-Hankel PSD criteria.
 
 A truncated sequence S_0, ..., S_D stands for the values L(x^p E_kl) of a
-linear functional on matrix polynomials.  Positivity of L on (shifted)
-hermitian squares is equivalent to positive semidefiniteness of the
-block-Hankel matrices [S_{i+j+shift}]; with finite data only orders
-2m + shift <= D are machine-checkable, so every report lists the orders it
-actually tested.  Passing every testable order is necessary for a
+linear functional on matrix polynomials.  Positivity of L on g times the
+hermitian squares, for a cone generator g, is equivalent to positive
+semidefiniteness of the localizing block Hankels [(g S)_{i+j}] with
+(g S)_m = sum_i g_i S_{m+i}; with finite data only orders 2m + deg g <= D
+are machine-checkable, so every report lists the orders it actually tested.  Passing every testable order is necessary for a
 representing measure with the matching support but, at finite truncation,
 not sufficient.
 """
@@ -19,6 +19,25 @@ from .polymat import _EntryError, _json_fields, _json_floats, _json_matrices, _j
 DEFAULT_PSD_TOL = 1e-9
 
 _SYM_RTOL = 1e-12
+
+# Cone generators g of the preorderings, as coefficients with the constant
+# term first.  A certificate writes F = sum_g g * sigma_g over its variant's
+# generators; a moment criterion tests every localizing Hankel [(g*S)_{i+j}].
+GENERATORS = {
+    "1": (1.0,),
+    "x": (0.0, 1.0),
+    "1-x": (1.0, -1.0),
+    "x(1-x)": (0.0, 1.0, -1.0),
+}
+
+VARIANT_GENERATORS = {
+    "line": ("1",),
+    "halfline": ("1", "x"),
+    "interval": ("1", "x", "1-x", "x(1-x)"),
+}
+
+# the certificate variant whose generators each moment criterion tests
+CRITERION_VARIANTS = {"hamburger": "line", "stieltjes": "halfline", "hausdorff": "interval"}
 
 
 class MomentSequence:
@@ -55,20 +74,20 @@ class MomentSequence:
         self._S = arr
         self._extremes = {}
 
-    def _hankel_extremes(self, family):
-        """(order, least, largest eigenvalue) of ``family``'s block Hankel at every order.
+    def _hankel_extremes(self, g):
+        """(order, least, largest eigenvalue) of the localizing block Hankel of g at every order.
 
-        ``family`` indexes ``_FAMILIES``; the triples are computed once per
-        sequence and family.
+        ``g`` is a coefficient tuple of ``GENERATORS``; the triples are
+        computed once per sequence and generator.
         """
-        triples = self._extremes.get(family)
+        triples = self._extremes.get(g)
         if triples is None:
-            stack = _FAMILIES[family](self._S)
+            stack = _localize(self._S, g)
             triples = []
             for m in range((len(stack) - 1) // 2 + 1):
                 w = np.linalg.eigvalsh(_hankel(stack, m))
                 triples.append((m, w[0], w[-1]))
-            triples = self._extremes[family] = tuple(triples)
+            triples = self._extremes[g] = tuple(triples)
         return triples
 
     @property
@@ -111,11 +130,16 @@ class PsdReport:
         }
 
 
-# The Hankel families of the criteria, each as the stack T whose (i, j)
-# block is T_{i+j}: [S_{i+j}], [S_{i+j+1}], [S_{i+j} - S_{i+j+1}] and
-# [S_{i+j+1} - S_{i+j+2}].  Order m is testable while 2m < len(T).
-_FAMILIES = (lambda s: s, lambda s: s[1:], lambda s: s[:-1] - s[1:],
-             lambda s: s[1:-1] - s[2:])
+def _localize(stack, g):
+    """Localizing stack T_m = sum_i g_i stack[m + i], as long as stack allows.
+
+    Summed from the lowest nonzero term, so 1*S and S_m - S_{m+1} are exact.
+    The localizing block Hankel of g has (i, j) block T_{i+j}; order m is
+    testable while 2m < len(T).
+    """
+    size = max(len(stack) - (len(g) - 1), 0)
+    terms = [c * stack[i:i + size] for i, c in enumerate(g) if c]
+    return sum(terms[1:], terms[0])
 
 
 def _hankel(stack, m):
@@ -159,14 +183,22 @@ def _judge(triples, tol):
     return PsdReport(passed, float(min_eig), sorted(orders), failing)
 
 
+def _generators(criterion):
+    return [GENERATORS[key] for key in VARIANT_GENERATORS[CRITERION_VARIANTS[criterion]]]
+
+
+def _check(seq, criterion, tol):
+    return _judge(sum(map(seq._hankel_extremes, _generators(criterion)), ()), tol)
+
+
 def check_hamburger(seq, tol=DEFAULT_PSD_TOL):
-    """Necessary PSD tests for a representing measure supported in R."""
-    return _judge(seq._hankel_extremes(0), tol)
+    """Necessary PSD tests for a representing measure supported in R: [S_{i+j}]."""
+    return _check(seq, "hamburger", tol)
 
 
 def check_stieltjes(seq, tol=DEFAULT_PSD_TOL):
-    """Necessary PSD tests for support in [0, inf): shift-0 and shift-1 Hankels."""
-    return _judge(seq._hankel_extremes(0) + seq._hankel_extremes(1), tol)
+    """Necessary PSD tests for support in [0, inf): [S_{i+j}] and [S_{i+j+1}]."""
+    return _check(seq, "stieltjes", tol)
 
 
 def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
@@ -177,21 +209,19 @@ def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
     """
     if seq.D < 2:
         raise ValueError(f"degree too small: need D >= 2, got {seq.D}")
-    return _judge(sum((seq._hankel_extremes(f) for f in range(4)), ()), tol)
-
-
-_VARIANT_EXTRA = {"hamburger": 0, "stieltjes": 1, "hausdorff": 2}
+    return _check(seq, "hausdorff", tol)
 
 
 def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
-    """PSD test of the scalar matrix [L(x^{i+j} A_i^T A_j)] for one tuple.
+    """PSD test of the scalar matrix [L(g x^{i+j} A_i^T A_j)] for one tuple.
 
-    The entry (i, j) is the Frobenius pairing <S_{i+j}, A_i^T A_j>; shifted
-    and differenced analogues are added per variant.
+    With T_k the Frobenius pairing [<S_{i+j+k}, A_i^T A_j>], the matrix of
+    generator g is sum_k g_k T_k, for each generator of the variant.
     """
     variant = variant.lower()
-    if variant not in _VARIANT_EXTRA:
+    if variant not in CRITERION_VARIANTS:
         raise ValueError(f"unknown variant '{variant}'")
+    gens = _generators(variant)
     ops = [np.asarray(a, dtype=float) for a in operators]
     if not ops:
         raise ValueError("operator tuple must be non-empty")
@@ -199,8 +229,9 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         if a.shape != (seq.n, seq.n):
             raise ValueError(f"operator shape {a.shape} does not match n={seq.n}")
     m = len(ops) - 1
-    if 2 * m + _VARIANT_EXTRA[variant] > seq.D:
-        raise ValueError(f"degree overflow: need 2*{m}+{_VARIANT_EXTRA[variant]} <= D={seq.D}")
+    extra = max(len(g) for g in gens) - 1
+    if 2 * m + extra > seq.D:
+        raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
 
     def pairing_matrix(shift):
         t = np.zeros((m + 1, m + 1))
@@ -209,16 +240,9 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
                 t[i, j] = float(np.sum(seq[i + j + shift] * (ops[i].T @ ops[j])))
         return 0.5 * (t + t.T)
 
-    t0 = pairing_matrix(0)
-    mats = [t0]
-    if variant in ("stieltjes", "hausdorff"):
-        t1 = pairing_matrix(1)
-        mats.append(t1)
-    if variant == "hausdorff":
-        t2 = pairing_matrix(2)
-        mats.append(t0 - t1)
-        mats.append(t1 - t2)
-    return _judge([(m, w[0], w[-1]) for w in map(np.linalg.eigvalsh, mats)], tol)
+    pairings = np.array([pairing_matrix(k) for k in range(extra + 1)])
+    return _judge([(m, w[0], w[-1]) for w in
+                   (np.linalg.eigvalsh(_localize(pairings, g)[0]) for g in gens)], tol)
 
 
 def momentsequence_to_json(seq):

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import TRIAL_BLOCK, SupportViolation, integrate_trace, positivity_audit
-from .polymat import MatrixPoly, _conv_stack, _maxabs
+from .measures import TRIAL_BLOCK, SupportViolation, forward_moments, positivity_audit
+from .polymat import MatrixPoly, _conv_stack
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
@@ -267,45 +267,35 @@ def _audit_module(mu, fam, trials, seed):
     return report
 
 
-def cauchy_schwarz_chain(mu, fam, trials=200, seed=0, tol=CHAIN_TOL):
+def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     """Evaluate the compression/Cauchy-Schwarz chain for a module-positive functional.
 
     For n = 0..N-1 the report compares L(J_n x^2) <= L(A_n x^3) <= rhs(n)
     with rhs(n) = L(Id)^1/2 L(Id x^6)^1/2 / (n+1), reading A_n and J_n off
     the shift compression; the truncation bound
-    L(Id x^2) <= rhs(N-1) is checked separately.
+    L(Id x^2) <= rhs(N-1) is checked separately.  Every value is linear in
+    the moments S_0..S_6 of L, and A_n and J_n are diagonal, so each is a
+    sum over the diagonals of S_2, S_3 or S_6.
     """
     if mu.n != fam.N:
         raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")
     _audit_module(mu, fam, trials, seed)
 
-    eye = np.eye(fam.N)
-    mass = integrate_trace(MatrixPoly.constant(eye), mu)
-    m6 = integrate_trace(MatrixPoly(np.concatenate([np.zeros((6, fam.N, fam.N)),
-                                                    eye[np.newaxis]])), mu)
-    lhs_full = integrate_trace(MatrixPoly(np.concatenate([np.zeros((2, fam.N, fam.N)),
-                                                          eye[np.newaxis]])), mu)
-    base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(m6, 0.0)))
+    diag = np.diagonal(forward_moments(mu, 6).S, axis1=1, axis2=2)
+    mass = float(np.sum(diag[0]))
+    lhs_full = float(np.sum(diag[2]))
+    base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(float(np.sum(diag[6])), 0.0)))
 
     # A_n and -J_n are the x^3 and x^2 coefficients of shift_compress(fam, n):
     # the trailing (N-n)x(N-n) block of G's, moved to the top left
-    g = fam.G.coeffs
-    n_values, lhs_shifted, mid, rhs = [], [], [], []
-    for n in range(fam.N):
-        top = np.zeros((2, fam.N, fam.N))
-        top[:, :fam.N - n, :fam.N - n] = g[2:, n:, n:]
-        a_n = top[1]
-        j_n = -top[0]
-        zeros = np.zeros((3, fam.N, fam.N))
-        mid_val = integrate_trace(MatrixPoly(np.concatenate([zeros, a_n[np.newaxis]])), mu)
-        lhs_val = integrate_trace(MatrixPoly(np.concatenate([zeros[:2], j_n[np.newaxis]])), mu)
-        n_values.append(n)
-        lhs_shifted.append(lhs_val)
-        mid.append(mid_val)
-        rhs.append(base / (n + 1))
+    a = np.diagonal(fam.G.coeffs[3])
+    n_values = list(range(fam.N))
+    lhs_shifted = [float(np.sum(diag[2, :fam.N - n])) for n in n_values]
+    mid = [float(np.sum(diag[3, :fam.N - n] * a[n:])) for n in n_values]
+    rhs = [base / (n + 1) for n in n_values]
 
     scale = max(1.0, lhs_full, base, abs(mass))
-    slack = tol * scale
+    slack = CHAIN_TOL * scale
     all_hold = all(lhs_shifted[i] <= mid[i] + slack and mid[i] <= rhs[i] + slack
                    for i in range(fam.N))
     final_bound = lhs_full <= base / fam.N + slack
@@ -313,27 +303,21 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0, tol=CHAIN_TOL):
                        all_hold, final_bound, scale)
 
 
-def support_collapse_check(mu, fam, tol=CHAIN_TOL, k_max=6, trials=200, seed=0):
-    """True iff L(x^k B) vanishes for all k >= 1, i.e. L sees only the origin.
+def support_collapse_check(mu, fam, trials=200, seed=0):
+    """True iff L(x^k B) vanishes for k = 1..6, i.e. L sees only the origin.
 
     Preconditions: L is module-positive (audited) and every atom lies in
     [0, N], the region the truncation controls.
     """
     _audit_module(mu, fam, trials, seed)
-    return _support_collapses(mu, fam, tol, k_max)
+    return _support_collapses(mu, fam)
 
 
-def _support_collapses(mu, fam, tol=CHAIN_TOL, k_max=6):
+def _support_collapses(mu, fam):
     """support_collapse_check for a functional whose module audit already passed."""
     for idx, (x, _) in enumerate(mu.atoms):
         if x < -1e-9 or x > fam.N + 1e-9:
             raise ValueError(f"atom {idx} at x={x:.6g} lies outside [0, {fam.N}]")
-    mass = float(np.trace(mu.total_mass()))
-    bound = tol * max(1.0, mass)
-    for k in range(1, k_max + 1):
-        s_k = np.zeros((mu.n, mu.n))
-        for x, w in mu.atoms:
-            s_k += x ** k * w
-        if _maxabs(s_k) > bound:
-            return False
-    return True
+    s = forward_moments(mu, 6).S
+    bound = CHAIN_TOL * max(1.0, float(np.trace(s[0])))
+    return not np.max(np.abs(s[1:])) > bound

@@ -334,6 +334,44 @@ def test_chain_matches_the_exact_compressions(n_dim):
         assert repr((rep.mid[n], rep.lhs_shifted[n])) == repr((mid, lhs))
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_chain_matches_the_compressions_at_dimension_40(count):
+    # the chain reads S_0..S_6 once; the reference pairs each compression with
+    # every atom, so the two differ only in the order of summation
+    n_dim = 40
+    fam = build_family(n_dim)
+    rng = np.random.default_rng(40 + count)
+    points = [0.0] + [float(x) for x in rng.uniform(n_dim, n_dim + 5, count - 1)]
+    mu = AtomicMatrixMeasure(n_dim, [(x, rand_psd(rng, n_dim)) for x in points])
+    rep = cauchy_schwarz_chain(mu, fam, trials=4, seed=3)
+
+    def close(got, want):
+        return abs(got - want) <= 1e-14 * abs(want)
+
+    def moment(k, coeff):
+        return integrate_trace(MatrixPoly(np.concatenate(
+            [np.zeros((k, n_dim, n_dim)), coeff[np.newaxis]])), mu)
+
+    eye = np.eye(n_dim)
+    mass, m6 = moment(0, eye), moment(6, eye)
+    assert close(rep.lhs, moment(2, eye))
+    for n in range(n_dim):
+        comp = shift_compress(fam, n)
+        assert close(rep.mid[n], moment(3, comp.coeff(3)))
+        assert close(rep.lhs_shifted[n], moment(2, -comp.coeff(2)))
+        assert close(rep.rhs[n], np.sqrt(mass) * np.sqrt(m6) / (n + 1))
+    assert rep.all_hold and rep.final_bound_holds
+
+
+def test_chain_rejects_moments_beyond_the_float_range():
+    # L(Id x^6) overflows at x = 1e60: the chain has no finite bound to state
+    fam = build_family(2)
+    mu = AtomicMatrixMeasure(2, [(0.0, np.eye(2)), (1e60, np.eye(2))])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="S_6 has a non-finite entry"):
+        cauchy_schwarz_chain(mu, fam, trials=0)
+
+
 @pytest.mark.parametrize("n_dim", [2, 4, 6])
 def test_chain_accepts_outer_atom_at_truncation_edge(n_dim):
     # p_N(N) = 0: the audit must not count the rounding of g*q at x = N
