@@ -9,18 +9,12 @@ output.  File arguments accept "-" for standard input, which lets
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import certificates, measures, moments, recovery, shiftgap, spectral
 from .polymat import _json_floats, matrixpoly_from_json
 
 SCHEMA_VERSION = 2
-
-
-@dataclass
-class CommandResult:
-    exit_code: int
-    report: dict
+CommandResult = namedtuple("CommandResult", "exit_code report")
 
 
 def _load_json(path):
@@ -35,44 +29,42 @@ def _load_json(path):
         raise ValueError(f"{path}: malformed JSON: {exc}")
 
 
+# Each command imports the modules it runs, so a call loads only those, and
+# returns its exit code and report body; an absent --tol (None) means the
+# library default.
 def _cmd_check(args):
+    from . import moments
     seq = moments.momentsequence_from_json(_load_json(args.moments))
     checker = {"hamburger": moments.check_hamburger,
                "stieltjes": moments.check_stieltjes,
                "hausdorff": moments.check_hausdorff}[args.variant]
-    report = checker(seq, tol=args.tol)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "check",
-           "variant": args.variant, "report": report.to_json()}
-    return CommandResult(0 if report.passed else 1, doc)
+    report = checker(seq, tol=moments.DEFAULT_PSD_TOL if args.tol is None else args.tol)
+    return 0 if report.passed else 1, {"variant": args.variant, "report": report.to_json()}
 
 
 def _cmd_factor(args):
+    from . import spectral
     u = spectral.laurent_from_json(_load_json(args.laurent))
-    fac = spectral.fejer_riesz(u, tol=args.tol)
-    doc = {
-        "schema_version": SCHEMA_VERSION, "command": "factor",
-        "factor": {"n": fac.n, "degree": fac.deg, "coeffs_re": _json_floats(fac.coeffs.real),
-                   "coeffs_im": _json_floats(fac.coeffs.imag)},
-        "residual": float(fac.residual),
-        "epsilon_used": float(fac.epsilon_used),
-        "toeplitz_order": int(fac.toeplitz_order),
-    }
-    return CommandResult(0, doc)
+    fac = spectral.fejer_riesz(u, tol=spectral.DEFAULT_TOL if args.tol is None else args.tol)
+    return 0, {"factor": {"n": fac.n, "degree": fac.deg,
+                          "coeffs_re": _json_floats(fac.coeffs.real),
+                          "coeffs_im": _json_floats(fac.coeffs.imag)},
+               "residual": float(fac.residual), "epsilon_used": float(fac.epsilon_used),
+               "toeplitz_order": int(fac.toeplitz_order)}
 
 
 def _cmd_certify(args):
+    from . import certificates
     poly = matrixpoly_from_json(_load_json(args.poly))
     decomposer = {"line": certificates.decompose_line,
                   "halfline": certificates.decompose_halfline,
                   "interval": certificates.decompose_interval}[args.domain]
-    cert = decomposer(poly, tol=args.tol)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "certify",
-           "domain": args.domain,
-           "certificate": certificates.certificate_to_json(cert)}
-    return CommandResult(0, doc)
+    cert = decomposer(poly, tol=certificates.DEFAULT_TOL if args.tol is None else args.tol)
+    return 0, {"domain": args.domain, "certificate": certificates.certificate_to_json(cert)}
 
 
 def _cmd_verify(args):
+    from . import certificates
     poly = matrixpoly_from_json(_load_json(args.poly))
     cert_doc = _load_json(args.cert)
     if isinstance(cert_doc, dict) and "certificate" in cert_doc:
@@ -80,41 +72,36 @@ def _cmd_verify(args):
     cert = certificates.certificate_from_json(cert_doc)
     residual = certificates.verify_certificate(poly, cert)
     ok = residual <= args.tol
-    doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
-           "residual": float(residual), "tol": float(args.tol), "pass": bool(ok)}
-    return CommandResult(0 if ok else 1, doc)
+    return 0 if ok else 1, {"residual": float(residual), "tol": float(args.tol), "pass": bool(ok)}
 
 
 def _cmd_recover(args):
+    from . import measures, moments, recovery
     seq = moments.momentsequence_from_json(_load_json(args.moments))
-    result = recovery.recover(seq, tol=args.tol)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "recover",
-           "measure": measures.measure_to_json(result.measure),
-           "moment_residual": float(result.moment_residual),
-           "rank_used": int(result.rank_used),
-           "rank_gap_ambiguous": bool(result.rank_gap_ambiguous)}
-    return CommandResult(0, doc)
+    tol = recovery.DEFAULT_RANK_TOL if args.tol is None else args.tol
+    result = recovery.recover(seq, tol=tol)
+    return 0, {"measure": measures.measure_to_json(result.measure),
+               "moment_residual": float(result.moment_residual),
+               "rank_used": int(result.rank_used),
+               "rank_gap_ambiguous": bool(result.rank_gap_ambiguous)}
 
 
 def _cmd_integrate(args):
+    from . import measures
     poly = matrixpoly_from_json(_load_json(args.poly))
     measure_doc = _load_json(args.measure)
     if isinstance(measure_doc, dict) and "h_dim" in measure_doc:
         m = measures.map_measure_from_json(measure_doc)
-        value = measures.integrate_map(poly, m)
-        payload = {"kind": "map", "value": _json_floats(value)}
-    else:
-        mu = measures.measure_from_json(measure_doc)
-        payload = {"kind": "trace", "value": float(measures.integrate_trace(poly, mu))}
-    doc = {"schema_version": SCHEMA_VERSION, "command": "integrate", **payload}
-    return CommandResult(0, doc)
+        return 0, {"kind": "map", "value": _json_floats(measures.integrate_map(poly, m))}
+    mu = measures.measure_from_json(measure_doc)
+    return 0, {"kind": "trace", "value": float(measures.integrate_trace(poly, mu))}
 
 
 def _cmd_shiftgap(args):
+    from . import measures, shiftgap
     fam = shiftgap.build_family(args.dim)
     probe = shiftgap.leading_coeff_probe(fam, args.trials, seed=args.seed)
-    chain_doc = None
-    collapse = None
+    chain_doc = collapse = None
     ok = probe.all_psd and probe.negative_candidate_excluded
     if args.functional is not None:
         mu = measures.measure_from_json(_load_json(args.functional))
@@ -126,10 +113,8 @@ def _cmd_shiftgap(args):
         except ValueError:
             collapse = None     # atoms beyond the truncation: check not applicable
         ok = ok and chain.all_hold and chain.final_bound_holds
-    doc = {"schema_version": SCHEMA_VERSION, "command": "shiftgap",
-           "dim": int(args.dim), "probe": probe.to_json(),
-           "chain": chain_doc, "support_collapse": collapse}
-    return CommandResult(0 if ok else 1, doc)
+    return 0 if ok else 1, {"dim": int(args.dim), "probe": probe.to_json(),
+                            "chain": chain_doc, "support_collapse": collapse}
 
 
 def _build_parser():
@@ -142,18 +127,18 @@ def _build_parser():
     p = sub.add_parser("check", help="block-Hankel PSD criteria on a moment sequence")
     p.add_argument("--variant", required=True, choices=["hamburger", "stieltjes", "hausdorff"])
     p.add_argument("--moments", required=True)
-    p.add_argument("--tol", type=float, default=moments.DEFAULT_PSD_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("factor", help="spectral factorization of a Laurent polynomial")
     p.add_argument("--laurent", required=True)
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("certify", help="sum-of-squares certificate for a PSD polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--domain", required=True, choices=["line", "halfline", "interval"])
-    p.add_argument("--tol", type=float, default=certificates.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="re-check a certificate against a polynomial")
@@ -164,7 +149,7 @@ def _build_parser():
 
     p = sub.add_parser("recover", help="atomic measure recovery from moments")
     p.add_argument("--moments", required=True)
-    p.add_argument("--tol", type=float, default=recovery.DEFAULT_RANK_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("integrate", help="integrate a matrix polynomial against a measure")
@@ -181,21 +166,26 @@ def _build_parser():
     return parser
 
 
-# Exception type -> exit code, first match wins: domain failures (several
-# derive from ValueError) exit 1, other value and key errors are input
-# errors and exit 2.
+# Exception class -> exit code, first match wins: domain failures (several
+# derive from ValueError) exit 1, other value and key errors exit 2.  Only
+# loaded modules are searched: a module that raised is loaded.
 _EXIT_CODES = (
-    ((spectral.NotPsdOnCircle,
-      spectral.NoConvergence,
-      certificates.OddDegree,
-      certificates._NotPsdOnDomain,
-      certificates.SosConsistencyError,
-      recovery.HankelNotPsd,
-      shiftgap.ModulePositivityError,
-      measures.SupportViolation), 1),
-    ((ValueError, KeyError), 2),
+    (("matmoments.spectral.NotPsdOnCircle", "matmoments.spectral.NoConvergence",
+      "matmoments.certificates.OddDegree", "matmoments.certificates._NotPsdOnDomain",
+      "matmoments.certificates.SosConsistencyError", "matmoments.recovery.HankelNotPsd",
+      "matmoments.shiftgap.ModulePositivityError", "matmoments.measures.SupportViolation"), 1),
+    (("builtins.ValueError", "builtins.KeyError"), 2),
 )
-_REPORTED_ERRORS = tuple(t for types, _ in _EXIT_CODES for t in types)
+
+
+def _exit_code(exc):
+    """The exit code of a reported exception, None for one that propagates."""
+    for paths, code in _EXIT_CODES:
+        for path in paths:
+            module, _, name = path.rpartition(".")
+            if module in sys.modules and isinstance(exc, getattr(sys.modules[module], name)):
+                return code
+    return None
 
 
 def run(argv):
@@ -210,12 +200,13 @@ def run(argv):
         return CommandResult(2, {"schema_version": SCHEMA_VERSION,
                                  "error": {"type": "usage", "message": "invalid arguments"}})
     try:
-        return args.func(args)
-    except _REPORTED_ERRORS as exc:
-        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-        return CommandResult(code, doc)
+        code, body = args.func(args)
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    return CommandResult(code, {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
 
 
 def render(report):

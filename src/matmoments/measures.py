@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .moments import MomentSequence
 from .polymat import (_EntryError, _conv_stack, _horner, _json_fields, _json_floats,
@@ -43,6 +42,16 @@ class AtomicMatrixMeasure:
     """Finitely many (point, symmetric PSD weight) atoms of a common size."""
 
     def __init__(self, n, atoms):
+        self._build(n, atoms, checked=True)
+
+    @classmethod
+    def _from_psd(cls, n, atoms):
+        """A measure on weights symmetric PSD by construction: no symmetry or eigenvalue check."""
+        mu = cls.__new__(cls)
+        mu._build(n, atoms, checked=False)
+        return mu
+
+    def _build(self, n, atoms, checked):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("weight size n must be a positive integer")
         self._n = int(n)
@@ -63,21 +72,21 @@ class AtomicMatrixMeasure:
         if bad.size:
             idx = int(bad[0])
             raise _EntryError(idx, f"atom {idx}: weight", "has a non-finite entry")
-        scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
-        bad = np.flatnonzero(np.max(np.abs(w - wt), axis=(1, 2)) > 1e-10 * scale)
-        if bad.size:
-            idx = int(bad[0])
-            raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
-        w = 0.5 * (w + wt)
-        lam = np.linalg.eigvalsh(w)
-        bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
-        if bad.size:
-            idx = int(bad[0])
-            raise _EntryError(idx, f"atom {idx}: weight", f"has eigenvalue {lam[idx, 0]:.3e} < 0")
-        cleaned = list(zip(points, w))
-        cleaned.sort(key=lambda a: a[0])
+        sym = 0.5 * (w + wt)
+        if checked:
+            scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
+            bad = np.flatnonzero(np.max(np.abs(w - wt), axis=(1, 2)) > 1e-10 * scale)
+            if bad.size:
+                idx = int(bad[0])
+                raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
+            lam = np.linalg.eigvalsh(sym)
+            bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
+            if bad.size:
+                idx = int(bad[0])
+                raise _EntryError(idx, f"atom {idx}: weight",
+                                  f"has eigenvalue {lam[idx, 0]:.3e} < 0")
         merged = []
-        for x, w in cleaned:
+        for x, w in sorted(zip(points, sym), key=lambda a: a[0]):
             if merged and abs(x - merged[-1][0]) < MERGE_TOL:
                 merged[-1] = (merged[-1][0], merged[-1][1] + w)
             else:
@@ -93,10 +102,7 @@ class AtomicMatrixMeasure:
         return self._atoms
 
     def total_mass(self):
-        out = np.zeros((self._n, self._n))
-        for _, w in self._atoms:
-            out += w
-        return out
+        return sum((w for _, w in self._atoms), np.zeros((self._n, self._n)))
 
     def __len__(self):
         return len(self._atoms)
@@ -263,7 +269,7 @@ def positivity_audit(mu, generators, trials, seed=0):
     for gi, g in enumerate(gens):
         g_scale = max(1.0, float(np.max(np.abs(g))))
         for ai, (x, _) in enumerate(mu.atoms):
-            val = float(npoly.polyval(x, g))
+            val = float(_horner(g[:, np.newaxis, np.newaxis], x)[0, 0])
             bound = 1e-12 * g_scale * max(1.0, abs(x)) ** max(len(g) - 1, 0)
             if val < -bound and (worst is None or val < worst[3]):
                 worst = (ai, x, gi, val)

@@ -124,10 +124,11 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
     ew, ev = np.linalg.eigh(0.5 * (sol + np.swapaxes(sol, 1, 2)))
     weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
 
-    mu = AtomicMatrixMeasure(n, list(zip(merged, weights)))
-    powers = _powers([x for x, _ in mu.atoms], d)
+    mu = AtomicMatrixMeasure._from_psd(n, list(zip(merged, weights)))
+    # the atoms are ``merged`` in order (sorted, and MERGE_EIG_TOL apart, so none
+    # merge again), whose powers ``vand`` holds
     approx = np.zeros(seq.S.shape)
     for j, (_, w) in enumerate(mu.atoms):
-        approx += powers[:, j, np.newaxis, np.newaxis] * w
+        approx += vand[:, j, np.newaxis, np.newaxis] * w
     residual = float(np.max(np.abs(seq.S - approx)))
     return RecoveryResult(mu, residual, rank, bool(ambiguous))

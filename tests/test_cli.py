@@ -225,17 +225,51 @@ def test_json_booleans_are_not_numbers(workspace, argv, doc):
     assert res.report["error"]["type"] == "ValueError"
 
 
+# the matmoments modules each subcommand loads besides cli and polymat, which
+# every call loads
+SUBCOMMAND_MODULES = {
+    "check": {"moments"},
+    "factor": {"spectral"},
+    "certify": {"certificates", "spectral", "moments"},
+    "verify": {"certificates", "spectral", "moments"},
+    "recover": {"recovery", "measures", "moments"},
+    "integrate": {"measures", "moments"},
+    "shiftgap": {"shiftgap", "measures", "moments"},
+}
+
+
 def test_numpy_only_subcommands_leave_scipy_unloaded(workspace):
-    # every subcommand runs on numpy alone, factor, certify and recover included
+    # every subcommand runs on numpy alone, factor, certify and recover included;
+    # each loads only its own modules, and numpy.polynomial never loads
     laurent = workspace["dir"] / "laurent.json"
     laurent.write_text(json.dumps({"n": 1, "band": 1,
                                    "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
                                    "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}))
     cert = workspace["dir"] / "cert.json"
+    expected = {cmd: sorted(f"matmoments.{m}" for m in mods | {"cli", "polymat"})
+                for cmd, mods in SUBCOMMAND_MODULES.items()}
     # a fresh interpreter: this test process may already hold scipy
     script = textwrap.dedent(f"""
         import json, sys
-        from matmoments.cli import run
+        expected = {expected!r}
+
+        def submodules():
+            return sorted(m for m in sys.modules if m.startswith("matmoments."))
+
+        def fresh_run(argv):
+            # a clean import of the package for every call, so each call
+            # shows the modules it loads by itself
+            for name in [m for m in sys.modules if m.split(".")[0] == "matmoments"]:
+                del sys.modules[name]
+            import matmoments
+            assert submodules() == [], "import matmoments loaded " + repr(submodules())
+            from matmoments.cli import run
+            res = run(argv)
+            assert submodules() == expected[argv[0]], (argv, submodules())
+            assert "scipy" not in sys.modules, argv
+            assert "numpy.polynomial" not in sys.modules, argv
+            return res
+
         calls = [
             ["check", "--variant", "hamburger", "--moments", {workspace["moments4.json"]!r}],
             ["factor", "--laurent", {str(laurent)!r}],
@@ -248,21 +282,39 @@ def test_numpy_only_subcommands_leave_scipy_unloaded(workspace):
             ["shiftgap", "--dim", "3", "--trials", "20"],
         ]
         for argv in calls:
-            res = run(argv)
+            res = fresh_run(argv)
             assert res.exit_code == 0, argv
-            assert "scipy" not in sys.modules, argv
             if argv[0] == "certify":
                 with open({str(cert)!r}, "w") as fh:
                     json.dump(res.report["certificate"], fh)
-                ver = run(["verify", "--poly", argv[2], "--cert", {str(cert)!r}])
+                ver = fresh_run(["verify", "--poly", argv[2], "--cert", {str(cert)!r}])
                 assert ver.exit_code == 0 and ver.report["pass"] is True, argv
-                assert "scipy" not in sys.modules, "verify"
+
+        import matmoments
+        for name in matmoments.__all__:
+            assert getattr(matmoments, name).__name__ == name, name
+        assert set(matmoments.__all__) <= set(dir(matmoments))
+        assert "scipy" not in sys.modules and "numpy.polynomial" not in sys.modules
     """)
     src = str(Path(matmoments.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # the package resolves an exported name on every access and caches
+    # nothing, so a wrapper swapped into a submodule and back out never
+    # lingers in the package namespace
+    original = matmoments.recovery.recover
+    monkeypatch.setattr(matmoments.recovery, "recover", "wrapper")
+    assert matmoments.recover == "wrapper"
+    monkeypatch.undo()
+    assert matmoments.recover is original
+    assert "recover" not in vars(matmoments)
+    with pytest.raises(AttributeError, match="no attribute 'recovr'"):
+        matmoments.recovr
 
 
 def test_malformed_json_is_input_error(workspace):
@@ -315,6 +367,75 @@ def test_non_psd_certify_is_failure_not_input_error(tmp_path):
     res = run(["certify", "--poly", str(path), "--domain", "line"])
     assert res.exit_code == 1
     assert res.report["error"]["type"] == "NotPsdOnLine"
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+_BEST = matmoments.SpectralFactor(np.zeros((1, 1, 1), dtype=complex), 1.0, 0.0, 1)
+# (class name, argv, (module, function) patched to raise it, or None where the
+# input itself reaches it)
+EXIT_ONE_CASES = [
+    ("NotPsdOnCircle", ["factor", "--laurent", "neg_laurent.json"], None),
+    ("NoConvergence", ["factor", "--laurent", "neg_laurent.json"],
+     ("spectral", "fejer_riesz", matmoments.NoConvergence(_BEST))),
+    ("OddDegree", ["certify", "--poly", "odd.json", "--domain", "line"], None),
+    ("_NotPsdOnDomain", ["certify", "--poly", "odd.json", "--domain", "interval"],
+     ("certificates", "decompose_interval", matmoments.certificates._NotPsdOnDomain(-1.0, 0.5))),
+    ("SosConsistencyError", ["certify", "--poly", "odd.json", "--domain", "halfline"],
+     ("certificates", "decompose_halfline",
+      matmoments.certificates.SosConsistencyError("residual"))),
+    ("HankelNotPsd", ["recover", "--moments", "not_psd.json"], None),
+    ("ModulePositivityError", ["shiftgap", "--dim", "1", "--trials", "10",
+                               "--functional", "negative_atom.json"], None),
+    ("SupportViolation", ["shiftgap", "--dim", "1", "--trials", "10",
+                          "--functional", "negative_atom.json"],
+     ("shiftgap", "cauchy_schwarz_chain", matmoments.SupportViolation(0, -2.0, 0, -2.0))),
+]
+
+
+@pytest.fixture
+def failing_inputs(tmp_path, monkeypatch):
+    docs = {
+        "neg_laurent.json": {"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[1.0]], [[1.0]]],
+                             "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]},
+        "odd.json": _poly_doc([[[1.0]], [[1.0]]]),
+        "not_psd.json": {"n": 1, "moments": [[[1.0]], [[0.0]], [[-1.0]]]},
+        "negative_atom.json": {"n": 1, "atoms": [{"x": -2.0, "W": [[1.0]]}]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("name, argv, patch", EXIT_ONE_CASES, ids=[c[0] for c in EXIT_ONE_CASES])
+def test_every_domain_failure_exits_one(failing_inputs, monkeypatch, name, argv, patch):
+    # the exit-code table names its classes by module and looks them up
+    # lazily: a renamed class would otherwise turn exit 1 into exit 2
+    if patch is not None:
+        module, function, exc = patch
+        monkeypatch.setattr(getattr(matmoments, module), function, _raiser(exc))
+    res = run(argv)
+    assert res.exit_code == 1
+    assert res.report["error"]["type"] == name
+    assert res.report["command"] == argv[0] and res.report["schema_version"] == 2
+
+
+@pytest.mark.parametrize("exc", [ValueError("plain"), KeyError("key")])
+def test_plain_value_and_key_errors_exit_two(failing_inputs, monkeypatch, exc):
+    monkeypatch.setattr(matmoments.spectral, "fejer_riesz", _raiser(exc))
+    res = run(["factor", "--laurent", "neg_laurent.json"])
+    assert res.exit_code == 2
+    assert res.report["error"]["type"] == type(exc).__name__
+
+
+def test_unreported_errors_propagate(failing_inputs, monkeypatch):
+    monkeypatch.setattr(matmoments.spectral, "fejer_riesz", _raiser(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        run(["factor", "--laurent", "neg_laurent.json"])
 
 
 def test_reports_are_byte_identical(workspace):

@@ -16,6 +16,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         positivity_audit, scalar_poly_mult, transpose_poly)
 from matmoments import matmul as poly_matmul
 from matmoments.measures import AUDIT_TOL, TRIAL_BLOCK, _audit_block
+from matmoments.polymat import _horner
 
 I2 = np.eye(2)
 
@@ -167,6 +168,44 @@ def test_positivity_audit_support_violation_names_atom():
     assert info.value.atom_index == 0
     assert info.value.point == -1.0
     assert info.value.value == pytest.approx(-1.0)
+
+
+def _polyval_support_violation(mu, generators):
+    """The support check as numpy.polynomial's polyval evaluates it."""
+    worst = None
+    for gi, g in enumerate(generators):
+        g_scale = max(1.0, float(np.max(np.abs(g))))
+        for ai, (x, _) in enumerate(mu.atoms):
+            val = float(npoly.polyval(x, g))
+            bound = 1e-12 * g_scale * max(1.0, abs(x)) ** max(len(g) - 1, 0)
+            if val < -bound and (worst is None or val < worst[3]):
+                worst = (ai, x, gi, val)
+    return worst
+
+
+def test_support_check_matches_polyval():
+    # the audit evaluates each generator at the atoms by Horner's rule on a
+    # (len(g), 1, 1) stack: polyval's values and verdicts, bit for bit
+    rng = np.random.default_rng(41)
+    verdicts = set()
+    for _ in range(300):
+        xs = rng.standard_normal(4) * 10.0 ** rng.integers(-2, 3)
+        gens = [rng.standard_normal(rng.integers(1, 7)) * 10.0 ** rng.integers(-3, 4)
+                for _ in range(rng.integers(1, 4))]
+        gens.append(np.array([-xs[0], 1.0]))       # a root at an atom
+        for g in gens:
+            for x in xs:
+                assert _horner(g[:, np.newaxis, np.newaxis], x)[0, 0] == npoly.polyval(x, g)
+        mu = AtomicMatrixMeasure(1, [(x, [[1.0]]) for x in xs])
+        want = _polyval_support_violation(mu, gens)
+        try:
+            positivity_audit(mu, gens, 0)
+            got = None
+        except SupportViolation as exc:
+            got = (exc.atom_index, exc.point, exc.generator_index, exc.value)
+        assert got == want
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 def test_positivity_audit_plain_squares():
