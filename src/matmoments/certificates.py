@@ -25,10 +25,10 @@ import numpy as np
 
 from . import spectral
 from .moments import GENERATORS, VARIANT_GENERATORS
-from .polymat import (LaurentPoly, MatrixPoly, _conv1d, _horner, _json_fields, _json_real,
-                      _least_eigenvalue, _maxabs, matmul, matrixpoly_from_json,
-                      matrixpoly_to_json, scalar_poly_mult, compose_scalar, transpose_poly,
-                      even_odd_split, poly_trace)
+from .polymat import (LaurentPoly, MatrixPoly, _check_tol, _conv1d, _conv_stack, _horner,
+                      _json_fields, _json_real, _least_eigenvalue, _maxabs, _strip,
+                      _times_scalar, matmul, matrixpoly_from_json, matrixpoly_to_json,
+                      poly_trace)
 
 DEFAULT_TOL = 1e-8
 
@@ -91,12 +91,14 @@ class ScalarizedSet:
 
 
 def _require_symmetric(f, what="input"):
-    if not np.all(np.isfinite(f.coeffs)):
+    """F's largest coefficient entry and its scale max(1, entry), once F is finite and symmetric."""
+    top = f.max_coeff_abs()
+    if not top < np.inf:
         raise ValueError(f"{what} has a non-finite coefficient")
-    scale = max(1.0, f.max_coeff_abs())
-    defect = _maxabs(f.coeffs - np.swapaxes(f.coeffs, 1, 2))
-    if defect > 1e-12 * scale:
+    scale = max(1.0, top)
+    if not f.symmetric and _maxabs(f.coeffs - np.swapaxes(f.coeffs, 1, 2)) > 1e-12 * scale:
         raise ValueError(f"{what} must be a symmetric matrix polynomial")
+    return top, scale
 
 
 def _chebyshev_grid(a, b, count):
@@ -151,20 +153,22 @@ def _trig_weights(d):
     return tuple(table)
 
 
-def _trig_laurent(f):
-    """Laurent polynomial u with u(e^{2it}) = F~(cos t, sin t).
+def _trig_laurent(c, step=1):
+    """Laurent polynomial u with u(e^{2it}) = G~(cos t, sin t), G(a) = C(a^step).
 
-    F~(u, v) = F(v/u) u^deg is the homogenization; the expansion uses
+    G~(u, v) = G(v/u) u^deg is the homogenization; the expansion uses
     cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i) with exact rational
     binomial weights, rounding only when the weights multiply the
     coefficient matrices.  The rounded weights of each degree are tabulated
     once (``_trig_weights``); every output coefficient sums its terms in
-    increasing k.
+    increasing k.  An exactly zero coefficient of G (every odd one at step
+    2) is skipped: w * 0 added to a +0-initialised sum changes no bit.
     """
-    nh = f.deg // 2
-    acc = np.zeros((2, 2 * nh + 1, f.n, f.n))     # real and imaginary parts
-    for k, (rows, weights) in enumerate(_trig_weights(f.deg)):
-        acc[k % 2, rows] += weights * f.coeffs[k]
+    deg = step * (len(c) - 1)
+    acc = np.zeros((2, deg // 2 * 2 + 1) + c.shape[1:])     # real and imaginary parts
+    for i in np.flatnonzero(c.any(axis=(1, 2))):
+        rows, weights = _trig_weights(deg)[step * i]
+        acc[step * i % 2, rows] += weights * c[i]
     return LaurentPoly(acc[0] + 1j * acc[1])
 
 
@@ -191,37 +195,31 @@ def _line_factors(b_stack):
 
     G(u, v) = sum_k B_k (u + iv)^k (u - iv)^{n-k} is homogeneous of degree
     n with complex coefficients; H and K are its real and imaginary parts,
-    returned dehomogenized at (1, x).  The exact binomial weights of each
-    degree are tabulated once (``_line_weights``).
+    returned dehomogenized at (1, x) as stripped stacks.  The exact
+    binomial weights of each degree are tabulated once (``_line_weights``).
     """
     nh = b_stack.shape[0] - 1
-    n = b_stack.shape[1]
-    h = np.zeros((nh + 1, n, n))
-    k_mat = np.zeros((nh + 1, n, n))
+    gamma = np.zeros(b_stack.shape, dtype=np.complex128)
     for e, terms in enumerate(_line_weights(nh)):
-        gamma = np.zeros((n, n), dtype=np.complex128)
-        # one matrix at a time: numpy may round a complex product over a
-        # stack differently (fused multiply-add) from the same product alone
+        # one matrix at a time (numpy may round a stacked complex product
+        # otherwise, by fused multiply-add); u^e v^{nh-e} lands on x^{nh-e}
         for k, w in terms:
-            gamma += w * b_stack[k]
-        # coefficient of u^e v^{nh-e} lands on x^{nh-e} at (1, x)
-        h[nh - e] = gamma.real
-        k_mat[nh - e] = gamma.imag
-    return MatrixPoly(h), MatrixPoly(k_mat)
+            gamma[nh - e] += w * b_stack[k]
+    return _strip(gamma.real), _strip(gamma.imag)
 
 
-def _line_split(g, tol, f, not_psd):
-    """H, K with G = H H^T + K K^T, and the factorization's NoConvergence or None.
+def _line_split(c, step, tol, f, not_psd):
+    """Stacks H, K with G = H H^T + K K^T, and the factorization's NoConvergence or None.
 
-    G is a float input of even degree, neither validated nor verified here.
-    A factorization that does not converge leaves its best attempt for the
-    reassembly check to judge.  A ``NotPsdOnCircle`` at angle 2t becomes
-    ``not_psd`` at the x of a = tan t (x = a, a^2 or a^2/(1+a^2) on the
-    line, half-line and interval) with F(x)'s least eigenvalue; at x = inf,
-    the leading coefficient's.
+    G(a) = C(a^step), of even degree, is neither validated nor verified
+    here.  A factorization that does not converge leaves its best attempt
+    for the reassembly check to judge.  A ``NotPsdOnCircle`` at angle 2t
+    becomes ``not_psd`` at the x of a = tan t (x = a, a^2 or a^2/(1+a^2) on
+    the line, half-line and interval) with F(x)'s least eigenvalue; at
+    x = inf, the leading coefficient's.
     """
     try:
-        fac, pending = spectral.fejer_riesz(_trig_laurent(g), tol=min(1e-10, tol / 100.0)), None
+        fac, pending = spectral.fejer_riesz(_trig_laurent(c, step), tol=min(1e-10, tol / 100)), None
     except spectral.NoConvergence as exc:
         fac, pending = exc.best, exc
     except spectral.NotPsdOnCircle as exc:
@@ -234,21 +232,16 @@ def _line_split(g, tol, f, not_psd):
     return h, k, pending
 
 
-def _significant(factors, tol, scale):
-    """Factors whose square contributes above 1e-3 * tol * scale.
+def _finish(variant, f, parts, tol, scale, pending):
+    """Certificate of the significant (generator, stripped stacks) parts, verified once.
 
-    Smaller ones are noise left over from the factorization gauge; dropping
-    them keeps the certificate minimal, and the reassembly check still
-    decides.
+    A factor whose square contributes at most 1e-3 * tol * scale is gauge
+    noise of the factorization and is dropped; each kept one becomes one
+    MatrixPoly.  The reassembly check against F still decides.
     """
     drop = 1e-3 * tol * scale
-    return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
-
-
-def _finish(variant, f, parts, tol, pending):
-    """Certificate of the significant (generator, factors) parts, verified once against F."""
-    scale = max(1.0, f.max_coeff_abs())
-    cert = SosCertificate(variant, {key: _significant(factors, tol, scale)
+    cert = SosCertificate(variant, {key: [MatrixPoly(c) for c in factors
+                                          if len(c) * _maxabs(c) ** 2 > drop]
                                     for key, factors in parts})
     cert.residual = verify_certificate(f, cert)
     if cert.residual > tol * scale:
@@ -264,19 +257,18 @@ def decompose_line(f, tol=DEFAULT_TOL):
     Requires even degree with PSD leading coefficient; at most two factors
     are emitted.
     """
-    _require_symmetric(f)
+    _check_tol(tol)
+    top, scale = _require_symmetric(f)
     if f.deg % 2:
         raise OddDegree(f"degree {f.deg} is odd")
-    scale = max(1.0, f.max_coeff_abs())
     lead = f.coeffs[-1]
     w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
     if w[0] < -tol * scale:
         raise NotPsdOnLine(w[0], np.inf)
-    t_bound = 1.0 + f.max_coeff_abs()
-    _grid_check(f, -t_bound, t_bound, tol * scale, NotPsdOnLine)
+    _grid_check(f, -1.0 - top, 1.0 + top, tol * scale, NotPsdOnLine)
 
-    h, k, pending = _line_split(f, tol, f, NotPsdOnLine)
-    return _finish("line", f, [("1", [h, k])], tol, pending)
+    h, k, pending = _line_split(f.coeffs, 1, tol, f, NotPsdOnLine)
+    return _finish("line", f, [("1", [h, k])], tol, scale, pending)
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
@@ -285,29 +277,34 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     Factors G(a) = F(a^2) on the line and splits each factor
     P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
     """
-    _require_symmetric(f)
-    scale = max(1.0, f.max_coeff_abs())
-    t_bound = 1.0 + f.max_coeff_abs()
-    _grid_check(f, 0.0, t_bound, tol * scale, NotPsdOnHalfLine)
+    _check_tol(tol)
+    top, scale = _require_symmetric(f)
+    _grid_check(f, 0.0, 1.0 + top, tol * scale, NotPsdOnHalfLine)
 
-    h, k, pending = _line_split(compose_scalar(f, [0.0, 0.0, 1.0]), tol, f, NotPsdOnHalfLine)
-    evens, odds = zip(*map(even_odd_split, (h, k)))
-    return _finish("halfline", f, [("1", evens), ("x", odds)], tol, pending)
+    h, k, pending = _line_split(f.coeffs, 2, tol, f, NotPsdOnHalfLine)
+    evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
+    return _finish("halfline", f, [("1", evens), ("x", odds)], tol, scale, pending)
 
 
-def _clear_substitution(p, d, sign):
-    """sum_k C_k x^k (1 + sign*x)^(d-k) for d >= deg P, with exact binomials.
+@lru_cache(maxsize=None)
+def _binomials(m, sign):
+    """Float weights comb(m, j) * sign**j of (1 + sign*x)^m, j = 0..m, read-only."""
+    out = np.array([comb(m, j) * sign ** j for j in range(m + 1)], dtype=float)
+    out.setflags(write=False)
+    return out
 
-    P is cleared at its own degree e and then multiplied by
-    (1 + sign*x)^(d-e); that rounding is held bit for bit by the tests.
+
+def _clear_substitution(c, d, sign):
+    """Stripped stack of sum_k C_k x^k (1 + sign*x)^(d-k), d >= deg C, exact binomials.
+
+    C is cleared at its own degree e, each output coefficient summed in
+    increasing k, then multiplied by (1 + sign*x)^(d-e), as the tests hold.
     """
-    e = p.deg
-    out = np.zeros((e + 1, p.n, p.n))
+    e = len(c) - 1
+    out = np.zeros(c.shape)
     for k in range(e + 1):
-        for j in range(e - k + 1):
-            out[k + j] += comb(e - k, j) * (sign ** j) * p.coeffs[k]
-    return scalar_poly_mult([comb(d - e, j) * float(sign) ** j for j in range(d - e + 1)],
-                            MatrixPoly(out))
+        out[k:] += _binomials(e - k, sign)[:, np.newaxis, np.newaxis] * c[k]
+    return _strip(_times_scalar(_binomials(d - e, sign), _strip(out)))
 
 
 def decompose_interval(f, tol=DEFAULT_TOL):
@@ -319,21 +316,21 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     straight onto their generators: R to 1 and Q to x(1-x) for even d, R to
     1-x and Q to x for odd d.
     """
-    _require_symmetric(f)
-    _grid_check(f, 0.0, 1.0, tol * max(1.0, f.max_coeff_abs()), NotPsdOnInterval)
+    _check_tol(tol)
+    _, scale = _require_symmetric(f)
+    _grid_check(f, 0.0, 1.0, tol * scale, NotPsdOnInterval)
 
     d = f.deg
-    g = compose_scalar(_clear_substitution(f, d, +1), [0.0, 0.0, 1.0])
-    h, k, pending = _line_split(g, tol, f, NotPsdOnInterval)
-    evens, odds = zip(*map(even_odd_split, (h, k)))
+    h, k, pending = _line_split(_clear_substitution(f.coeffs, d, +1), 2, tol, f, NotPsdOnInterval)
+    evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
     half = d // 2
-    if d % 2 == 0:      # at d = 0, Q is zero and clears to zero at degree -1
+    if d % 2 == 0:      # at d = 0, Q is empty, clears empty and is dropped as insignificant
         parts = [("1", [_clear_substitution(r, half, -1) for r in evens]),
                  ("x(1-x)", [_clear_substitution(q, half - 1, -1) for q in odds])]
     else:
         parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
                  ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
-    cert = _finish("interval", f, parts, tol, pending)
+    cert = _finish("interval", f, parts, tol, scale, pending)
     cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
     return cert
 
@@ -342,18 +339,23 @@ def verify_certificate(f, cert):
     """Max coefficient mismatch of F - sum_g g * sum_i G_i G_i^T.
 
     Pure check; returns the residual without judging it, NaN if a
-    coefficient of the difference is NaN.
+    coefficient of the difference is NaN.  The sum takes MatrixPoly
+    arithmetic's steps on stacks, stripped where it builds a MatrixPoly.
     """
-    total = MatrixPoly.zero(f.n)
+    total = np.zeros((1, f.n, f.n))
     for key, factors in cert.sigma.items():
-        gen = GENERATORS[key]
         for g in factors:
             if g.n != f.n:
                 raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
-            total = total + scalar_poly_mult(gen, matmul(g, transpose_poly(g)))
-    diff = np.zeros((max(f.deg, total.deg) + 1, f.n, f.n))
+            square = _strip(_conv_stack(g.coeffs, np.swapaxes(g.coeffs, 1, 2)))
+            term = _strip(_times_scalar(GENERATORS[key], square))
+            out = np.zeros((max(len(total), len(term)), f.n, f.n))
+            out[:len(total)] += total
+            out[:len(term)] += term
+            total = _strip(out)
+    diff = np.zeros((max(f.deg + 1, len(total)), f.n, f.n))
     diff[:f.deg + 1] = f.coeffs
-    diff[:total.deg + 1] -= total.coeffs
+    diff[:len(total)] -= total
     return _maxabs(diff)
 
 

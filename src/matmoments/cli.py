@@ -11,7 +11,7 @@ import json
 import sys
 from collections import namedtuple
 
-from .polymat import _json_floats, matrixpoly_from_json
+from .polymat import _check_tol, _json_floats, matrixpoly_from_json
 
 SCHEMA_VERSION = 2
 CommandResult = namedtuple("CommandResult", "exit_code report")
@@ -65,6 +65,7 @@ def _cmd_certify(args):
 
 def _cmd_verify(args):
     from . import certificates
+    _check_tol(args.tol)
     poly = matrixpoly_from_json(_load_json(args.poly))
     cert_doc = _load_json(args.cert)
     if isinstance(cert_doc, dict) and "certificate" in cert_doc:

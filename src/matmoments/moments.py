@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import _EntryError, _json_fields, _json_floats, _json_matrices, _json_size
+from .polymat import (_EntryError, _check_tol, _json_fields, _json_floats, _json_matrices,
+                      _json_size)
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -166,6 +167,7 @@ def block_hankel(seq, m, shift):
 
 def _judge(triples, tol):
     """Scale-aware PSD test on (order, least, largest eigenvalue) triples."""
+    _check_tol(tol)
     min_eig = np.inf
     failing = None
     orders = set()

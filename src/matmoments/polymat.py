@@ -19,7 +19,21 @@ def _maxabs(mat):
     arr = np.asarray(mat)
     if arr.size == 0:
         return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
+
+
+def _strip(arr):
+    """``arr`` without trailing coefficients below STRIP_TOL, keeping one; a NaN one stays."""
+    m, last = np.abs(arr).max(axis=(1, 2)), len(arr)
+    while last > 1 and m[last - 1] < STRIP_TOL:
+        last -= 1
+    return arr[:last]
+
+
+def _check_tol(tol):
+    """Raise ValueError unless ``tol`` is a finite number >= 0."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
 
 
 class _EntryError(ValueError):
@@ -115,16 +129,11 @@ class MatrixPoly:
     """
 
     def __init__(self, coeffs, symmetric=False):
-        arr = _as_coeff_array(coeffs)
-        m = np.abs(arr).max(axis=(1, 2))
-        last = arr.shape[0]
-        while last > 1 and m[last - 1] < STRIP_TOL:     # a NaN coefficient is kept
-            last -= 1
-        arr = arr[:last]
+        arr = _strip(_as_coeff_array(coeffs))
         if symmetric:
-            for k, c in enumerate(arr):
-                if not np.array_equal(c, c.T):
-                    raise ValueError(f"coefficient {k} is not exactly symmetric")
+            bad = (arr != np.swapaxes(arr, 1, 2)).any(axis=(1, 2))     # NaN != NaN
+            if bad.any():
+                raise ValueError(f"coefficient {bad.argmax()} is not exactly symmetric")
         arr.setflags(write=False)
         self._coeffs = arr
         self.symmetric = bool(symmetric)
@@ -219,11 +228,7 @@ def transpose_poly(p):
 
 def even_odd_split(p):
     """Split P(a) = R(a^2) + a*Q(a^2); returns (R, Q) exactly."""
-    even = np.array(p.coeffs[0::2])
-    odd = np.array(p.coeffs[1::2])
-    r = MatrixPoly(even)
-    q = MatrixPoly(odd) if odd.shape[0] else MatrixPoly.zero(p.n)
-    return r, q
+    return MatrixPoly(p.coeffs[0::2]), MatrixPoly(p.coeffs[1::2]) if p.deg else MatrixPoly.zero(p.n)
 
 
 def _conv_stack(a, b):
@@ -303,13 +308,16 @@ def compose_scalar(p, q):
 def scalar_poly_mult(q, p):
     """Multiply a matrix polynomial by the scalar polynomial q."""
     qc = list(q)
-    if not qc:
-        return MatrixPoly.zero(p.n)
-    out = np.zeros((len(qc) + p.deg, p.n, p.n))
-    for j, w in enumerate(qc):
+    return MatrixPoly(_times_scalar(qc, p.coeffs)) if qc else MatrixPoly.zero(p.n)
+
+
+def _times_scalar(q, c):
+    """Stack of q(x) C(x) for a non-empty scalar coefficient sequence q."""
+    out = np.zeros((len(q) + len(c) - 1,) + c.shape[1:])
+    for j, w in enumerate(q):
         if w != 0:
-            out[j:j + p.deg + 1] += float(w) * p.coeffs
-    return MatrixPoly(out)
+            out[j:j + len(c)] += float(w) * c
+    return out
 
 
 def sup_norm_on(p, interval, grid):
@@ -350,8 +358,9 @@ class LaurentPoly:
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("coefficients must form a (2*band+1, n, n) stack of square matrices")
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
+            raise ValueError("coefficients must form a (2*band+1, n, n) stack of square "
+                             "matrices with n >= 1")
         if arr.shape[0] % 2 == 0:
             raise ValueError("coefficient stack must have odd length 2*band+1")
         arr.setflags(write=False)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .measures import AtomicMatrixMeasure
 from .moments import block_hankel, check_hamburger
+from .polymat import _check_tol
 
 DEFAULT_RANK_TOL = 1e-8
 MERGE_EIG_TOL = 1e-8
@@ -80,6 +81,7 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
     HankelNotPsd
         Precondition failure.
     """
+    _check_tol(tol)
     d = seq.D
     if d < 2 or d % 2 != 0:
         raise ValueError(f"need even top degree D = 2m >= 2, got D={d}")

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymat import (LaurentPoly, _json_fields, _json_floats, _json_matrices, _json_size,
-                      _least_eigenvalue, _maxabs)
+from .polymat import (LaurentPoly, _check_tol, _json_fields, _json_floats, _json_matrices,
+                      _json_size, _least_eigenvalue, _maxabs)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -101,9 +101,9 @@ def _residual_coeffs(a_stack, b):
     band = (a_stack.shape[0] - 1) // 2
     out = np.zeros((max(band + 1, b.shape[0]),) + b.shape[1:], dtype=np.complex128)
     out[:band + 1] = a_stack[band:]
-    for k in range(b.shape[0]):
-        for j in range(b.shape[0] - k):
-            out[k] -= b[j + k] @ b[j].conj().T
+    bh = np.swapaxes(b.conj(), 1, 2)
+    for k in range(b.shape[0]):     # one stacked product per k, subtracted in increasing j
+        out[k] = np.subtract.reduce(np.concatenate([out[k:k + 1], b[k:] @ bh[:len(b) - k]]))
     return out
 
 
@@ -130,26 +130,28 @@ def _doubling(a, g, h):
 
     With W = I + G H, iterates A <- A W^{-1} A, G <- G + A W^{-1} G A^H,
     H <- H + A^H H W^{-1} A, until the update to H reaches rounding level
-    or stops shrinking below _STALL * ||H||.  Raises LinAlgError on a
-    singular W, a non-finite iterate, or after _MAX_DOUBLINGS steps.
+    or stops shrinking below _STALL * ||H||; the last step forms only H.
+    Raises LinAlgError on a singular W, a non-finite update or H (a
+    non-finite A or G shows a step later), or after _MAX_DOUBLINGS steps.
     """
     m = a.shape[0]
     eye = np.eye(m)
     prev = np.inf
     for _ in range(_MAX_DOUBLINGS):
         wag = np.linalg.solve(eye + g @ h, np.concatenate([a, g], axis=1))
-        update = a.conj().T @ h @ wag[:, :m]
-        g = g + a @ wag[:, m:] @ a.conj().T
-        a = a @ wag[:, :m]
+        a_h = a.conj().T        # for real iterates a view: conj() returns a real array itself
+        update = a_h @ h @ wag[:, :m]
         h = h + update
         h = 0.5 * (h + h.conj().T)
-        g = 0.5 * (g + g.conj().T)
-        if not all(np.all(np.isfinite(v)) for v in (a, g, h)):
-            raise np.linalg.LinAlgError("non-finite doubling iterate")
         step, size = _maxabs(update), _maxabs(h)
+        if not (step < np.inf and size < np.inf):
+            raise np.linalg.LinAlgError("non-finite doubling iterate")
         if step <= _EPS * size or (step >= prev and prev <= _STALL * size):
             return h
         prev = step
+        g = g + a @ wag[:, m:] @ a_h
+        a = a @ wag[:, :m]
+        g = 0.5 * (g + g.conj().T)
     raise np.linalg.LinAlgError(f"no convergence in {_MAX_DOUBLINGS} doubling steps")
 
 
@@ -185,11 +187,8 @@ def _riccati_factor(a_stack, band, n):
 
 
 def _transpose_perm(n):
-    p = np.zeros((n * n, n * n))
-    for r in range(n):
-        for c in range(n):
-            p[r * n + c, c * n + r] = 1.0
-    return p
+    """Permutation matrix taking row-major vec(X) to vec(X^T)."""
+    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
 
 
 def _newton_step(a_stack, band, b, perm):
@@ -273,6 +272,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
         the Newton polish (run when the residual misses the target);
         carries the best factor found.
     """
+    _check_tol(tol)
     band, n = u.band, u.n
     if not np.all(np.isfinite(u.coeffs)):
         raise ValueError("input has a non-finite coefficient")

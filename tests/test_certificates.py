@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import entrywise_reassembly, rand_symmetric_poly
 from matmoments import certificates, spectral
-from matmoments import (MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
+from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
                         NotPsdOnLine, OddDegree, SosCertificate,
                         certificate_from_json, certificate_to_json, compose_scalar,
                         decompose_halfline, decompose_interval, decompose_line,
                         even_odd_split, matmul, scalar_poly_mult, scalarize, transpose_poly,
                         verify_certificate)
+from matmoments.moments import GENERATORS, VARIANT_GENERATORS
 from matmoments.shiftgap import build_family
 
 
@@ -257,9 +258,10 @@ def test_certificate_json_round_trip():
         certificate_from_json({"variant": "circle", "sigma": {}})
 
 
-# Loop versions of the grid check and the expansion weights, as they were
-# before the grid was batched and the weights tabulated.  The batched code
-# must reproduce them bit for bit.
+# Loop versions of the grid check, the expansion weights, the substitution
+# and the verification, as they were before the grid was batched, the
+# weights tabulated and the stages moved onto stacks.  The rewritten code
+# must reproduce them bit for bit; the cascade reference below uses them.
 
 _I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
@@ -320,6 +322,37 @@ def _line_factors_loop(b_stack):
     return MatrixPoly(h), MatrixPoly(k_mat)
 
 
+def _clear_substitution_loop(p, d, sign):
+    e = p.deg
+    out = np.zeros((e + 1, p.n, p.n))
+    for k in range(e + 1):
+        for j in range(e - k + 1):
+            out[k + j] += comb(e - k, j) * (sign ** j) * p.coeffs[k]
+    return scalar_poly_mult([comb(d - e, j) * float(sign) ** j for j in range(d - e + 1)],
+                            MatrixPoly(out))
+
+
+def _significant_poly(factors, tol, scale):
+    drop = 1e-3 * tol * scale
+    return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
+
+
+def _certificate_sum_poly(n, cert):
+    total = MatrixPoly.zero(n)
+    for key, factors in cert.sigma.items():
+        for g in factors:
+            total = total + scalar_poly_mult(GENERATORS[key], matmul(g, transpose_poly(g)))
+    return total
+
+
+def _verify_certificate_poly(f, cert):
+    total = _certificate_sum_poly(f.n, cert)
+    diff = np.zeros((max(f.deg, total.deg) + 1, f.n, f.n))
+    diff[:f.deg + 1] = f.coeffs
+    diff[:total.deg + 1] -= total.coeffs
+    return float(np.max(np.abs(diff)))
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -333,9 +366,11 @@ def test_trig_laurent_matches_loop_bit_for_bit(n):
         # signed zeros must come out with the same signs
         coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
         coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+        # and whole coefficients zero, which the expansion skips
+        coeffs[rng.random(d + 1) < 0.3] = rng.choice([0.0, -0.0])
         coeffs[-1] += 3.0 * np.eye(n)      # keep the degree d
         f = MatrixPoly(coeffs)
-        assert _same_bits(certificates._trig_laurent(f).coeffs, _trig_laurent_loop(f)), d
+        assert _same_bits(certificates._trig_laurent(f.coeffs).coeffs, _trig_laurent_loop(f)), d
 
 
 def test_line_factors_match_loop_bit_for_bit():
@@ -345,8 +380,64 @@ def test_line_factors_match_loop_bit_for_bit():
             b = rng.standard_normal((nh + 1, n, n)) + 1j * rng.standard_normal((nh + 1, n, n))
             h, k = certificates._line_factors(b)
             h_ref, k_ref = _line_factors_loop(b)
-            assert _same_bits(h.coeffs, h_ref.coeffs), (nh, n)
-            assert _same_bits(k.coeffs, k_ref.coeffs), (nh, n)
+            assert _same_bits(h, h_ref.coeffs), (nh, n)
+            assert _same_bits(k, k_ref.coeffs), (nh, n)
+
+
+def test_clear_substitution_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    stripped = 0
+    for trial in range(300):
+        n, e = int(rng.integers(1, 5)), int(rng.integers(0, 11))
+        d, sign = e + int(rng.integers(0, 4)), int(rng.choice([-1, 1]))
+        c = rng.standard_normal((e + 1, n, n)) * rng.uniform(0.1, 10.0, (e + 1, 1, 1))
+        c[rng.random(c.shape) < 0.2] = rng.choice([0.0, -0.0])
+        c[-1] += 3.0 * np.eye(n)
+        if trial % 2 and e:
+            # the cleared top coefficient sum_k sign^(e-k) C_k cancels to
+            # rounding, so the cleared polynomial is stripped before the
+            # (1 + sign*x)^(d-e) factor
+            c[0] = -np.tensordot(float(sign) ** np.arange(1, e + 1), c[1:], axes=1)
+        p = MatrixPoly(c)
+        want = _clear_substitution_loop(p, d, sign).coeffs
+        assert _same_bits(certificates._clear_substitution(p.coeffs, d, sign), want), trial
+        stripped += want.shape[0] < d + 1
+    assert stripped > 50
+
+
+def _verify_cases(rng):
+    """Certificates whose sums strip at every point MatrixPoly arithmetic strips."""
+    for trial in range(240):
+        n, variant = int(rng.integers(1, 4)), ("line", "halfline", "interval")[trial % 3]
+        sigma = {}
+        for key in VARIANT_GENERATORS[variant]:
+            sigma[key] = []
+            for _ in range(int(rng.integers(0, 3 if variant != "line" else 2))):
+                c = rng.standard_normal((int(rng.integers(1, 6)), n, n))
+                kind = int(rng.integers(0, 3))
+                if kind == 1:       # G G^T has a top coefficient below STRIP_TOL
+                    c[-1] *= 1e-8
+                elif kind == 2:     # a tiny constant: g * G G^T strips to degree 0
+                    c = 1e-8 * c[:1]
+                sigma[key].append(MatrixPoly(c))
+        if variant == "interval" and trial % 2:
+            # A A^T and x(1-x) B B^T with B's top next to A's cancel at the
+            # top degree, so the running sum strips
+            a = rng.standard_normal((int(rng.integers(2, 6)), n, n))
+            b = a[1:] * (1.0 + rng.choice([0.0, 1e-16, 3e-16]))
+            sigma["1"].append(MatrixPoly(a))
+            sigma["x(1-x)"].append(MatrixPoly(b))
+        cert = SosCertificate(variant, sigma)
+        # against its own sum every bit of the stack sum shows in the residual
+        f = (_certificate_sum_poly(n, cert) if rng.random() < 0.5
+             else MatrixPoly(rng.standard_normal((int(rng.integers(1, 12)), n, n))))
+        yield f, cert
+
+
+def test_verify_certificate_matches_polynomial_arithmetic():
+    rng = np.random.default_rng(37)
+    for f, cert in _verify_cases(rng):
+        assert _same_bits(verify_certificate(f, cert), _verify_certificate_poly(f, cert))
 
 
 def _not_psd_report(decomposer, f, monkeypatch, grid_check):
@@ -492,16 +583,16 @@ def _ref_line(ff, tol=certificates.DEFAULT_TOL):
     t_bound = 1.0 + ff.max_coeff_abs()
     certificates._grid_check(ff, -t_bound, t_bound, tol * scale, NotPsdOnLine)
     try:
-        fac, pending = spectral.fejer_riesz(certificates._trig_laurent(ff),
+        fac, pending = spectral.fejer_riesz(LaurentPoly(_trig_laurent_loop(ff)),
                                             tol=min(1e-10, tol / 100.0)), None
     except spectral.NoConvergence as exc:
         fac, pending = exc.best, exc
-    h, k = certificates._line_factors(fac.coeffs)
+    h, k = _line_factors_loop(fac.coeffs)
     cross = matmul(k, transpose_poly(h)) - matmul(h, transpose_poly(k))
     if cross.max_coeff_abs() > 1e-8 * scale:
         _ref_raise(pending, "cross term")
-    cert = SosCertificate("line", {"1": certificates._significant((h, k), tol, scale)})
-    cert.residual = verify_certificate(ff, cert)
+    cert = SosCertificate("line", {"1": _significant_poly((h, k), tol, scale)})
+    cert.residual = _verify_certificate_poly(ff, cert)
     if cert.residual > tol * scale:
         _ref_raise(pending, "line reassembly")
     return cert
@@ -516,9 +607,9 @@ def _ref_halfline(ff, tol=certificates.DEFAULT_TOL):
         r, q = even_odd_split(p)
         sig0.append(r)
         sig1.append(q)
-    cert = SosCertificate("halfline", {"1": certificates._significant(sig0, tol, scale),
-                                       "x": certificates._significant(sig1, tol, scale)})
-    cert.residual = verify_certificate(ff, cert)
+    cert = SosCertificate("halfline", {"1": _significant_poly(sig0, tol, scale),
+                                       "x": _significant_poly(sig1, tol, scale)})
+    cert.residual = _verify_certificate_poly(ff, cert)
     if cert.residual > tol * scale:
         _ref_raise(None, "half-line reassembly")
     return cert
@@ -528,18 +619,18 @@ def _ref_interval(ff, tol=certificates.DEFAULT_TOL):
     scale = max(1.0, ff.max_coeff_abs())
     certificates._grid_check(ff, 0.0, 1.0, tol * scale, NotPsdOnInterval)
     d = ff.deg
-    inner = _ref_halfline(certificates._clear_substitution(ff, d, +1), tol)
+    inner = _ref_halfline(_clear_substitution_loop(ff, d, +1), tol)
     sigma = {key: [] for key in ("1", "x", "1-x", "x(1-x)")}
     for key, odd in (("1", 0), ("x", 1)):
         for p in inner.factors(key):
             extra = d - odd - 2 * p.deg
-            pulled = certificates._clear_substitution(p, p.deg, -1)
+            pulled = _clear_substitution_loop(p, p.deg, -1)
             one_minus_x = [comb(extra // 2, j) * (-1.0) ** j for j in range(extra // 2 + 1)]
             pulled = scalar_poly_mult(one_minus_x, pulled)
             sigma[(key, "1-x" if key == "1" else "x(1-x)")[extra % 2]].append(pulled)
-    sigma = {key: certificates._significant(val, tol, scale) for key, val in sigma.items()}
+    sigma = {key: _significant_poly(val, tol, scale) for key, val in sigma.items()}
     cert = SosCertificate("interval", {key: val for key, val in sigma.items() if val})
-    cert.residual = verify_certificate(ff, cert)
+    cert.residual = _verify_certificate_poly(ff, cert)
     if cert.residual > tol * scale:
         _ref_raise(None, "interval reassembly")
     return cert

@@ -496,3 +496,55 @@ def test_certify_and_factor_stdout_is_golden(tmp_path, capsys, name):
     assert code == (1 if "not_psd" in name else 0)
     golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def _tol_argvs(workspace):
+    """Each subcommand that takes --tol, and its exit code at the default tol.
+
+    The stieltjes check fails on atoms at -1 and 1: a NaN tol used to pass it.
+    """
+    factor = workspace["dir"] / "laurent.json"
+    factor.write_text(json.dumps({"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
+                                  "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}))
+    cert = workspace["dir"] / "frozen.json"
+    cert.write_text(json.dumps(FROZEN_CERT))
+    return {"check": (["check", "--variant", "stieltjes", "--moments",
+                       workspace["moments4.json"]], 1),
+            "factor": (["factor", "--laurent", str(factor)], 0),
+            "certify": (["certify", "--poly", workspace["poly.json"], "--domain", "line"], 0),
+            "verify": (["verify", "--poly", workspace["poly.json"], "--cert", str(cert)], 0),
+            "recover": (["recover", "--moments", workspace["moments4.json"]], 0)}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["check", "factor", "certify", "verify", "recover"])
+def test_tol_must_be_finite_and_nonnegative(workspace, command, tol):
+    argv, code = _tol_argvs(workspace)[command]
+    assert run(argv).exit_code == code
+    res = run(argv + [f"--tol={tol}"])
+    assert res.exit_code == 2
+    assert res.report["error"] == {"type": "ValueError", "message":
+                                   f"tol must be a finite nonnegative number, got {float(tol)!r}"}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_library_entry_points_reject_bad_tol(tol):
+    from matmoments import (LaurentPoly, check_hamburger, check_hausdorff, check_stieltjes,
+                            decompose_halfline, decompose_interval, decompose_line,
+                            fejer_riesz, operator_check, recover)
+    seq = forward_moments(AtomicMatrixMeasure(2, [(0.25, np.eye(2)), (0.75, np.eye(2))]), 4)
+    f = MatrixPoly([np.eye(2), 0 * np.eye(2), np.eye(2)], symmetric=True)
+    calls = {"fejer_riesz": lambda t: fejer_riesz(LaurentPoly(np.eye(2)[np.newaxis]), tol=t),
+             "decompose_line": lambda t: decompose_line(f, tol=t),
+             "decompose_halfline": lambda t: decompose_halfline(f, tol=t),
+             "decompose_interval": lambda t: decompose_interval(f, tol=t),
+             "check_hamburger": lambda t: check_hamburger(seq, tol=t),
+             "check_stieltjes": lambda t: check_stieltjes(seq, tol=t),
+             "check_hausdorff": lambda t: check_hausdorff(seq, tol=t),
+             "operator_check": lambda t: operator_check(seq, [np.eye(2)] * 2, "hausdorff", tol=t),
+             "recover": lambda t: recover(seq, tol=t)}
+    for call in calls.values():
+        call(1e-6)
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            call(tol)
+    assert operator_check(seq, [np.eye(2)], "hamburger", tol=0.0).passed   # zero is valid

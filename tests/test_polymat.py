@@ -309,6 +309,25 @@ def test_symmetric_flag_enforced():
         MatrixPoly([[[0.0, 1], [0, 0]]], symmetric=True)
 
 
+def test_symmetric_flag_names_the_first_asymmetric_coefficient():
+    c = np.zeros((5, 2, 2))
+    c[:, 0, 0] = 1.0
+    c[2, 0, 1] = c[4, 1, 0] = 1.0
+    with pytest.raises(ValueError, match="coefficient 2 is not exactly symmetric"):
+        MatrixPoly(c, symmetric=True)
+    # NaN != NaN: a NaN entry, even on the diagonal, is not exactly symmetric
+    c = np.ones((3, 2, 2))
+    c[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="coefficient 1 is not exactly symmetric"):
+        MatrixPoly(c, symmetric=True)
+    assert MatrixPoly(np.ones((3, 2, 2)), symmetric=True).symmetric
+
+
+def test_laurent_poly_rejects_zero_size_matrices():
+    with pytest.raises(ValueError, match="n >= 1"):
+        LaurentPoly(np.zeros((3, 0, 0)))
+
+
 def test_eval_poly_alias():
     f = MatrixPoly([I2, I2])
     assert np.array_equal(eval_poly(f, 2.0), f(2.0))

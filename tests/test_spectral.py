@@ -149,6 +149,63 @@ def test_doubling_failure_reaches_the_shifted_retry(monkeypatch):
     assert info.value.best.epsilon_used == spectral.RETRY_SHIFT * scale
 
 
+def test_non_finite_doubling_iterate_reaches_the_shifted_retry(monkeypatch):
+    rng = np.random.default_rng(59)
+    u, _ = factorable_laurent(rng, 3, 4, real=True)
+    scale = max(1.0, np.max(np.abs(u.coeff(0))))
+    solve, calls = spectral._doubling, []
+
+    def poison_once(a, g, h):
+        calls.append(which)
+        if len(calls) == 1:
+            bad = [np.array(v) for v in (a, g, h)]
+            bad[which][0, -1] = value
+            # a non-finite A or G shows one step later, in the update or W,
+            # not after the step cap
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite|[Ss]ingular") as info, \
+                    np.errstate(all="ignore"):
+                solve(*bad)
+            raise info.value
+        return solve(a, g, h)
+
+    monkeypatch.setattr(spectral, "_doubling", poison_once)
+    for which in range(3):
+        for value in (np.nan, np.inf):
+            calls.clear()
+            with np.errstate(all="ignore"):
+                fac = fejer_riesz(u)
+            assert len(calls) == 2, (which, value)
+            assert fac.epsilon_used == spectral.RETRY_SHIFT * scale
+            assert fac.residual <= DEFAULT_TOL * scale
+
+
+def _residual_coeffs_loop(a_stack, b):
+    band = (a_stack.shape[0] - 1) // 2
+    out = np.zeros((max(band + 1, b.shape[0]),) + b.shape[1:], dtype=np.complex128)
+    out[:band + 1] = a_stack[band:]
+    for k in range(b.shape[0]):
+        for j in range(b.shape[0] - k):
+            out[k] -= b[j + k] @ b[j].conj().T
+    return out
+
+
+def test_residual_coeffs_match_loop_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for n in range(1, 7):
+        for band in range(9):
+            for deg in sorted({band, max(0, band - 2), band + 2}):
+                for real in (True, False):
+                    u, _ = factorable_laurent(rng, n, band, real=real)
+                    b = rng.standard_normal((deg + 1, n, n))
+                    if not real:
+                        b = b + 1j * rng.standard_normal((deg + 1, n, n))
+                    b = b.astype(np.complex128)
+                    got = spectral._residual_coeffs(u.coeffs, b)
+                    want = _residual_coeffs_loop(u.coeffs, b)
+                    assert got.tobytes() == want.tobytes(), (n, band, deg, real)
+                    assert got.shape == want.shape
+
+
 def test_not_psd_on_circle():
     # z + 1/z = 2 cos t is negative at t = pi
     with pytest.raises(NotPsdOnCircle):
