@@ -257,7 +257,7 @@ def decompose_line(f, tol=DEFAULT_TOL):
     Requires even degree with PSD leading coefficient; at most two factors
     are emitted.
     """
-    _check_tol(tol)
+    _check_tol(tol, positive=True)
     top, scale = _require_symmetric(f)
     if f.deg % 2:
         raise OddDegree(f"degree {f.deg} is odd")
@@ -277,7 +277,7 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     Factors G(a) = F(a^2) on the line and splits each factor
     P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
     """
-    _check_tol(tol)
+    _check_tol(tol, positive=True)
     top, scale = _require_symmetric(f)
     _grid_check(f, 0.0, 1.0 + top, tol * scale, NotPsdOnHalfLine)
 
@@ -316,7 +316,7 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     straight onto their generators: R to 1 and Q to x(1-x) for even d, R to
     1-x and Q to x for odd d.
     """
-    _check_tol(tol)
+    _check_tol(tol, positive=True)
     _, scale = _require_symmetric(f)
     _grid_check(f, 0.0, 1.0, tol * scale, NotPsdOnInterval)
 

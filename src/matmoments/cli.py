@@ -106,11 +106,10 @@ def _cmd_shiftgap(args):
     ok = probe.all_psd and probe.negative_candidate_excluded
     if args.functional is not None:
         mu = measures.measure_from_json(_load_json(args.functional))
-        chain = shiftgap.cauchy_schwarz_chain(mu, fam, trials=args.trials, seed=args.seed)
+        chain = shiftgap.cauchy_schwarz_chain(mu, fam)
         chain_doc = chain.to_json()
         try:
-            # the chain has audited this functional with the same trials and seed
-            collapse = shiftgap._support_collapses(mu, fam)
+            collapse = shiftgap.support_collapse_check(mu, fam)
         except ValueError:
             collapse = None     # atoms beyond the truncation: check not applicable
         ok = ok and chain.all_hold and chain.final_bound_holds

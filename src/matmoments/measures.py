@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_EntryError, _conv_stack, _horner, _json_fields, _json_floats,
+from .polymat import (_EntryError, _horner, _json_fields, _json_floats,
                       _json_matrices, _json_matrix, _json_real, _json_size)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 AUDIT_TOL = 1e-9
-# Randomized trials are drawn and reduced this many at once, from one
-# generator per block, which bounds the padded coefficient stacks whatever
-# the trial count.
-TRIAL_BLOCK = 256
 
 
 class SupportViolation(ValueError):
@@ -143,19 +139,22 @@ class PositiveMapMeasure:
 
     @classmethod
     def from_linear(cls, h_dim, k_dim, atoms, validation_samples=10, seed=0):
-        """Raw positive maps, validated on random PSD samples.
+        """Raw positive maps, each validated on a fixed set of rank-one projections.
 
-        Weaker validation than the Kraus form: positivity is only checked
-        by sampling, so non-completely-positive maps are admitted.
+        A map must send v v^T to a PSD matrix for v = e_i and e_i +- e_j,
+        projections that span the symmetric matrices.  This is weaker than
+        the Kraus form: positivity is only checked on these samples, so
+        non-completely-positive maps are admitted.  ``validation_samples``
+        and ``seed`` are ignored.
         """
         out = cls(h_dim, k_dim, [])
-        rng = np.random.default_rng(seed)
+        eye = np.eye(h_dim)
+        i, j = np.triu_indices(h_dim, 1)
+        vecs = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
         for idx, (x, action) in enumerate(atoms):
             fn = _as_action(action, h_dim, k_dim)
-            for _ in range(validation_samples):
-                g = rng.standard_normal((h_dim, h_dim))
-                a = g @ g.T
-                img = fn(a)
+            for v in vecs:
+                img = fn(np.outer(v, v))
                 lam = np.linalg.eigvalsh(0.5 * (img + img.T))
                 if lam[0] < -AUDIT_TOL * max(1.0, abs(lam[-1])):
                     raise ValueError(f"atom {idx}: map sends a PSD sample to "
@@ -214,103 +213,67 @@ def forward_moments(mu, degree):
 
 @dataclass
 class AuditReport:
-    """Outcome of randomized positivity trials against a generator set."""
+    """Outcome of the exact module-positivity audit of an atomic measure.
+
+    ``violations`` holds ``{"atom", "generator", "value"}`` for each pair whose
+    least eigenvalue of g(x_j) W_j (generator -1: the constant 1) is below its
+    tolerance; ``min_margin`` is the least eigenvalue plus tolerance (0.0 if no atoms).
+    """
 
     passed: bool
-    n_trials: int
     min_margin: float
     violations: list = field(default_factory=list)
 
     def to_json(self):
         return {
             "pass": bool(self.passed),
-            "n_trials": int(self.n_trials),
             "min_margin": float(self.min_margin),
             "violations": list(self.violations),
         }
 
 
-def _audit_block(rng, size, n, n_gens):
-    """The random draws of ``size`` audit trials, as (picks, deg, a).
-
-    Drawn in this order: ``picks`` uniform on -1..n_gens-1 (-1 picks the
-    constant 1), ``deg`` uniform on 0..3, then four standard normal n x n
-    coefficients of A per trial, those above its ``deg`` zeroed.
-    """
-    picks = rng.integers(-1, n_gens, size)
-    deg = rng.integers(0, 4, size)
-    a = rng.standard_normal((size, 4, n, n))
-    a[np.arange(4) > deg[:, np.newaxis]] = 0.0
-    return picks, deg, a
-
-
 def positivity_audit(mu, generators, trials, seed=0):
-    """Randomized check that L(g * A^T A) >= 0 for g in the generator set.
+    """Exact check that L(g * A^T A) >= 0 for every A and g in {1} u generators.
 
     Generators are scalar polynomials given as coefficient sequences
     (constant term first).  The support precondition g(x_j) >= 0 at every
     atom is checked first and a violation raises SupportViolation naming
-    the most negative (atom, generator) pair.  Each trial then draws a
-    generator (or the constant 1) and a random matrix polynomial A of
-    degree <= 3 and checks the trace pairing against -1e-9 * scale, where
-    scale sums |coefficients of g*A^T A| at |x_j| against |W_j|.
-
-    Trials run in blocks of ``TRIAL_BLOCK``: block b draws all its trials
-    at once (``_audit_block``) from one generator seeded by the b-th child
-    of ``SeedSequence(seed)``, so a complete block's trials do not depend
-    on the trial count.  The arithmetic runs on the block's zero-padded
-    coefficient stacks, in the same order of operations as the per-trial
-    ``MatrixPoly`` products.  ``trials`` must be nonnegative.
+    the most negative (atom, generator) pair.  At distinct atoms, module
+    positivity is then exactly g(x_j) W_j PSD for every pair (take A a
+    Lagrange interpolant vanishing at the other atoms): the least eigenvalue
+    of g(x_j) sym(W_j) is judged against ``AUDIT_TOL`` times len(g) *
+    max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2).  ``trials``
+    and ``seed`` are ignored, as nothing is drawn; ``trials`` must be >= 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
+    # value and size of the constant 1 (row 0) and each generator at each atom
+    g_at = np.ones((len(gens) + 1, len(mu.atoms)))
+    size = np.ones(g_at.shape)
     worst = None
     for gi, g in enumerate(gens):
         g_scale = max(1.0, float(np.max(np.abs(g))))
         for ai, (x, _) in enumerate(mu.atoms):
             val = float(_horner(g[:, np.newaxis, np.newaxis], x)[0, 0])
-            bound = 1e-12 * g_scale * max(1.0, abs(x)) ** max(len(g) - 1, 0)
+            power = max(1.0, abs(x)) ** max(len(g) - 1, 0)
+            bound = 1e-12 * g_scale * power
+            g_at[gi + 1, ai], size[gi + 1, ai] = val, len(g) * g_scale * power
             if val < -bound and (worst is None or val < worst[3]):
                 worst = (ai, x, gi, val)
     if worst is not None:
         raise SupportViolation(*worst)
 
-    # row pick + 1 holds the multiplier of a trial that drew generator pick
-    g_table = np.zeros((len(gens) + 1, max([1] + [len(g) for g in gens])))
-    g_table[0, 0] = 1.0
-    for gi, g in enumerate(gens):
-        g_table[gi + 1, :len(g)] = g
-    n = mu.n
-    total = int(trials)
-    parent = np.random.SeedSequence(seed)
-    violations = []
-    min_margin = np.inf
-    for start in range(0, total, TRIAL_BLOCK):
-        size = min(TRIAL_BLOCK, total - start)
-        rng = np.random.default_rng(parent.spawn(1)[0])
-        picks, _, a = _audit_block(rng, size, n, len(gens))
-        q = _conv_stack(np.swapaxes(a, -1, -2), a)
-        g = g_table[picks + 1]
-        fg = np.zeros((size, g.shape[1] + q.shape[1] - 1, n, n))
-        for j in range(g.shape[1]):
-            fg[:, j:j + q.shape[1]] += g[:, j, np.newaxis, np.newaxis, np.newaxis] * q
-        abs_fg = np.abs(fg)
-        # the trace pairing, and as rounding scale the magnitude of the terms
-        # that evaluating g*q at each atom and pairing it with W actually sums
-        val = np.zeros(size)
-        scale = np.zeros(size)
-        for x, w in mu.atoms:
-            val += np.trace(_horner(fg, x) @ w, axis1=-2, axis2=-1)
-            scale += np.sum(_horner(abs_fg, abs(x)) * np.abs(w).T, axis=(-2, -1))
-        tol = AUDIT_TOL * np.maximum(1.0, scale)
-        min_margin = min(min_margin, float(np.min(val + tol)))
-        for b in np.flatnonzero(val < -tol):
-            violations.append({"trial": start + int(b), "generator": int(picks[b]),
-                               "value": float(val[b])})
-    if total == 0:
-        min_margin = 0.0
-    return AuditReport(not violations, total, float(min_margin), violations)
+    w = np.array([w for _, w in mu.atoms], dtype=float).reshape(-1, mu.n, mu.n)
+    lam = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))
+    least, largest = lam[:, 0], lam[:, -1]
+    # least eigenvalue of g(x_j) W_j, and its tolerance
+    value = g_at * np.where(g_at >= 0.0, least, largest)
+    margin = value + AUDIT_TOL * size * np.maximum(1.0, np.maximum(-least, largest))
+    violations = [{"atom": int(ai), "generator": int(gi) - 1, "value": float(value[gi, ai])}
+                  for ai, gi in zip(*np.nonzero(margin.T < 0.0))]
+    min_margin = float(np.min(margin)) if margin.size else 0.0
+    return AuditReport(not violations, min_margin, violations)
 
 
 def measure_to_json(mu):

@@ -235,14 +235,12 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     if 2 * m + extra > seq.D:
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
 
-    def pairing_matrix(shift):
-        t = np.zeros((m + 1, m + 1))
-        for i in range(m + 1):
-            for j in range(m + 1):
-                t[i, j] = float(np.sum(seq[i + j + shift] * (ops[i].T @ ops[j])))
-        return 0.5 * (t + t.T)
-
-    pairings = np.array([pairing_matrix(k) for k in range(extra + 1)])
+    # T_k[i, j] = <S_{i+j+k}, A_i^T A_j> from one gather of the blocks
+    k = np.arange(m + 1)
+    blocks = seq.S[np.arange(extra + 1)[:, np.newaxis, np.newaxis] + k[:, np.newaxis] + k]
+    stack = np.array(ops)
+    t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
+    pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
     return _judge([(m, w[0], w[-1]) for w in
                    (np.linalg.eigvalsh(_localize(pairings, g)[0]) for g in gens)], tol)
 

@@ -30,10 +30,12 @@ def _strip(arr):
     return arr[:last]
 
 
-def _check_tol(tol):
-    """Raise ValueError unless ``tol`` is a finite number >= 0."""
+def _check_tol(tol, positive=False):
+    """Raise ValueError unless ``tol`` is a finite number >= 0, and > 0 if ``positive``."""
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
+    if positive and tol == 0:       # rounding keeps every residual above a zero target
+        raise ValueError(f"tol must be positive for a residual target, got {tol!r}")
 
 
 class _EntryError(ValueError):

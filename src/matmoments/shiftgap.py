@@ -28,11 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import TRIAL_BLOCK, SupportViolation, forward_moments, positivity_audit
+from .measures import SupportViolation, forward_moments, positivity_audit
 from .polymat import MatrixPoly, _conv_stack
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
+# Probe trials are drawn and reduced this many at once, from one generator
+# per block, which bounds the padded coefficient stacks whatever the trial
+# count.
+TRIAL_BLOCK = 256
 
 
 class ModulePositivityError(ValueError):
@@ -253,18 +257,18 @@ def leading_coeff_probe(fam, trials, seed=0):
     )
 
 
-def _audit_module(mu, fam, trials, seed):
+def _audit_module(mu, fam, trials):
+    """Raise ModulePositivityError unless L is module-positive; an indefinite weight names p_1."""
     gens = [diagonal_entry(i) for i in range(1, fam.N + 1)]
     try:
-        report = positivity_audit(mu, gens, trials, seed)
+        report = positivity_audit(mu, gens, trials)
     except SupportViolation as exc:
         raise ModulePositivityError(exc.atom_index, exc.point,
                                     exc.generator_index, exc.value) from exc
     if not report.passed:
         worst = min(report.violations, key=lambda v: v["value"])
-        raise ModulePositivityError(-1, float("nan"), max(worst["generator"], 0),
-                                    worst["value"])
-    return report
+        raise ModulePositivityError(worst["atom"], mu.atoms[worst["atom"]][0],
+                                    max(worst["generator"], 0), worst["value"])
 
 
 def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
@@ -275,11 +279,12 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     the shift compression; the truncation bound
     L(Id x^2) <= rhs(N-1) is checked separately.  Every value is linear in
     the moments S_0..S_6 of L, and A_n and J_n are diagonal, so each is a
-    sum over the diagonals of S_2, S_3 or S_6.
+    sum over the diagonals of S_2, S_3 or S_6.  Module positivity is audited
+    exactly first; ``trials`` and ``seed`` are ignored, but ``trials`` must be >= 0.
     """
     if mu.n != fam.N:
         raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")
-    _audit_module(mu, fam, trials, seed)
+    _audit_module(mu, fam, trials)
 
     diag = np.diagonal(forward_moments(mu, 6).S, axis1=1, axis2=2)
     mass = float(np.sum(diag[0]))
@@ -306,15 +311,11 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
 def support_collapse_check(mu, fam, trials=200, seed=0):
     """True iff L(x^k B) vanishes for k = 1..6, i.e. L sees only the origin.
 
-    Preconditions: L is module-positive (audited) and every atom lies in
-    [0, N], the region the truncation controls.
+    Preconditions, checked in this order: L is module-positive (audited as
+    in ``cauchy_schwarz_chain``) and every atom lies in [0, N], the region
+    the truncation controls (a ValueError otherwise).
     """
-    _audit_module(mu, fam, trials, seed)
-    return _support_collapses(mu, fam)
-
-
-def _support_collapses(mu, fam):
-    """support_collapse_check for a functional whose module audit already passed."""
+    _audit_module(mu, fam, trials)
     for idx, (x, _) in enumerate(mu.atoms):
         if x < -1e-9 or x > fam.N + 1e-9:
             raise ValueError(f"atom {idx} at x={x:.6g} lies outside [0, {fam.N}]")

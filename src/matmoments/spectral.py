@@ -272,7 +272,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
         the Newton polish (run when the residual misses the target);
         carries the best factor found.
     """
-    _check_tol(tol)
+    _check_tol(tol, positive=True)
     band, n = u.band, u.n
     if not np.all(np.isfinite(u.coeffs)):
         raise ValueError("input has a non-finite coefficient")

@@ -548,3 +548,29 @@ def test_library_entry_points_reject_bad_tol(tol):
         with pytest.raises(ValueError, match=f"got {tol!r}"):
             call(tol)
     assert operator_check(seq, [np.eye(2)], "hamburger", tol=0.0).passed   # zero is valid
+
+
+def test_residual_targets_reject_zero_tol(workspace):
+    # float64 rounding keeps every residual above 0, so fejer_riesz and the
+    # decomposers refuse a zero target at once rather than polish to
+    # NoConvergence; the moment checks, recover and verify still accept 0
+    from matmoments import (LaurentPoly, decompose_halfline, decompose_interval,
+                            decompose_line, fejer_riesz)
+    f = MatrixPoly([np.eye(2), 0 * np.eye(2), np.eye(2)], symmetric=True)
+    calls = [lambda t: fejer_riesz(LaurentPoly(np.eye(2)[np.newaxis]), tol=t),
+             lambda t: decompose_line(f, tol=t), lambda t: decompose_halfline(f, tol=t),
+             lambda t: decompose_interval(f, tol=t)]
+    for call in calls:
+        call(1e-12)
+        for zero in (0, 0.0, -0.0):
+            with pytest.raises(ValueError, match=f"tol must be positive .*, got {zero!r}$"):
+                call(zero)
+    argvs = _tol_argvs(workspace)
+    for command in ("factor", "certify"):
+        res = run(argvs[command][0] + ["--tol=0"])
+        assert res.exit_code == 2
+        assert res.report["error"] == {"type": "ValueError", "message":
+                                       "tol must be positive for a residual target, got 0.0"}
+    for command in ("check", "verify", "recover"):
+        argv, code = argvs[command]
+        assert run(argv + ["--tol=0"]).exit_code == code

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from conftest import assert_frequencies, rand_measure, rand_psd
+from conftest import rand_measure, rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         SupportViolation, check_hamburger, check_hausdorff,
                         check_stieltjes, decompose_halfline, forward_moments,
@@ -15,7 +16,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         map_measure_to_json, measure_from_json, measure_to_json,
                         positivity_audit, scalar_poly_mult, transpose_poly)
 from matmoments import matmul as poly_matmul
-from matmoments.measures import AUDIT_TOL, TRIAL_BLOCK, _audit_block
+from matmoments.measures import AUDIT_TOL, WEIGHT_PSD_TOL
 from matmoments.polymat import _horner
 
 I2 = np.eye(2)
@@ -158,7 +159,7 @@ def test_positivity_audit_halfline_passes():
     rng = np.random.default_rng(15)
     mu = rand_measure(rng, 2, 3, 0.0, 4.0)
     rep = positivity_audit(mu, [[0.0, 1.0]], 100, seed=10)
-    assert rep.passed and rep.n_trials == 100 and not rep.violations
+    assert rep.passed and rep.min_margin > 0.0 and not rep.violations
 
 
 def test_positivity_audit_support_violation_names_atom():
@@ -225,18 +226,19 @@ def test_positivity_audit_deterministic_given_seed():
 
 def test_positivity_audit_violation_path_pinned():
     # the audit reads only mu.n and mu.atoms, so an indefinite weight can
-    # reach the violation path; values as computed by _reference_audit, one
-    # trial at a time with MatrixPoly arithmetic on the block draws
+    # reach the violation path: least eigenvalues of 1*W and x*W at x = 1/2
     mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])),))
     rep = positivity_audit(mu, [[0, 1]], 8, seed=4)
-    assert not rep.passed and rep.n_trials == 8
-    assert rep.min_margin == pytest.approx(-1.9225008944504403, rel=1e-12)
-    assert ([(v["trial"], v["generator"]) for v in rep.violations]
-            == [(2, 0), (5, 0), (6, -1), (7, 0)])
-    want = [-0.9289936166759801, -0.6815320947076302, -1.9225009021424349,
-            -0.07388911427750866]
-    for got, value in zip(rep.violations, want):
-        assert got["value"] == pytest.approx(value, rel=1e-12)
+    assert not rep.passed
+    assert rep.violations == [{"atom": 0, "generator": -1, "value": -1.0},
+                              {"atom": 0, "generator": 0, "value": -0.5}]
+    assert rep.min_margin == -1.0 + AUDIT_TOL
+
+
+def test_positivity_audit_reads_the_symmetric_part_of_a_weight():
+    # trace(F W) with F symmetric sees only (W + W^T)/2, here the identity
+    mu = SimpleNamespace(n=2, atoms=((0.5, np.array([[1.0, 2.0], [-2.0, 1.0]])),))
+    assert positivity_audit(mu, [[0, 1]], 0).passed
 
 
 def test_positivity_audit_rejects_negative_trial_counts():
@@ -244,64 +246,48 @@ def test_positivity_audit_rejects_negative_trial_counts():
     with pytest.raises(ValueError, match="trials must be nonnegative"):
         positivity_audit(mu, [[0.0, 1.0]], -5)
     rep = positivity_audit(mu, [[0.0, 1.0]], 0)
-    assert rep.passed and rep.n_trials == 0 and rep.min_margin == 0.0
+    assert rep.passed and rep.min_margin > 0.0
+    assert positivity_audit(AtomicMatrixMeasure(2, []), [[0.0, 1.0]], 0).min_margin == 0.0
 
 
-def test_positivity_audit_complete_blocks_do_not_depend_on_the_trial_count():
-    # block b draws from the b-th child of SeedSequence(seed) whatever the
-    # trial count, so the first block's violations recur exactly
-    mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])),))
-    first = [positivity_audit(mu, [[0, 1]], trials, seed=6).violations for trials in (300, 512)]
-    head = [[v for v in found if v["trial"] < TRIAL_BLOCK] for found in first]
-    assert head[0] and head[0] == head[1]
+def test_positivity_audit_ignores_trials_and_seed():
+    # the test is exact: no trial count or seed changes a report
+    mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])), (0.8, I2)))
+    want = positivity_audit(mu, [[0, 1]], 0)
+    for trials, seed in ((1, 0), (300, 6), (20_000, 3)):
+        assert positivity_audit(mu, [[0, 1]], trials, seed=seed) == want
 
 
-def test_audit_block_draws_follow_the_per_trial_law():
-    # 40 blocks against the law of the per-trial draws: the pick uniform on
-    # -1..n_gens-1, deg uniform on 0..3, A's coefficients up to deg standard
-    # normal and those above it zero
-    picks, deg, a = (np.concatenate(part) for part in zip(*(
-        _audit_block(np.random.default_rng(child), TRIAL_BLOCK, 3, 2)
-        for child in np.random.SeedSequence(17).spawn(40))))
-    assert_frequencies(picks, {-1: 1 / 3, 0: 1 / 3, 1: 1 / 3})
-    assert_frequencies(deg, {d: 0.25 for d in range(4)})
-    above = np.arange(4) > deg[:, np.newaxis]
-    assert not a[above].any() and a[~above].all()
-    used = a[~above]
-    assert abs(np.mean(used)) <= 5.0 / np.sqrt(used.size)
-    assert_frequencies(used > 0.0, {True: 0.5, False: 0.5})
-    inside = 0.6826894921370859     # P(|Z| < 1), Z standard normal
-    assert_frequencies(np.abs(used) < 1.0, {True: inside, False: 1.0 - inside})
-    # with no generator every trial takes the constant 1
-    assert np.all(_audit_block(np.random.default_rng(1), 50, 2, 0)[0] == -1)
+def _lagrange_witness(points, j, v):
+    """A(x) = l_j(x) e_0 v^T, with l_j the Lagrange basis polynomial of the points at x_j."""
+    others = [x for k, x in enumerate(points) if k != j]
+    ell = npoly.polyfromroots(others) / np.prod([points[j] - x for x in others])
+    lead = np.zeros((len(v), len(v)))
+    lead[0] = v
+    return MatrixPoly(ell[:, np.newaxis, np.newaxis] * lead)
 
 
-def _reference_draws(trials, seed, n, n_gens):
-    """(pick, A coefficients) per trial, from the library's block draws."""
-    parent = np.random.SeedSequence(seed)
-    for start in range(0, trials, TRIAL_BLOCK):
-        rng = np.random.default_rng(parent.spawn(1)[0])
-        picks, deg, a = _audit_block(rng, min(TRIAL_BLOCK, trials - start), n, n_gens)
-        for b in range(len(picks)):
-            yield int(picks[b]), a[b, :deg[b] + 1]
+def _reference_audit(mu, generators):
+    """Each pair's L(g A^T A) at its witness, one trial at a time with MatrixPoly arithmetic.
 
-
-def _reference_audit(mu, generators, trials, seed):
-    """One trial at a time with MatrixPoly arithmetic (support check left out)."""
-    gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
-    violations = []
-    min_margin = np.inf
-    for t, (pick, coeffs) in enumerate(_reference_draws(trials, seed, mu.n, len(gens))):
-        g = np.array([1.0]) if pick < 0 else gens[pick]
-        a = MatrixPoly(coeffs)
-        fg = scalar_poly_mult(g, poly_matmul(transpose_poly(a), a))
-        val = float(sum(np.trace(fg(x) @ w) for x, w in mu.atoms))
-        scale = sum(float(np.sum(npoly.polyval(abs(x), np.abs(fg.coeffs)) * np.abs(w).T))
-                    for x, w in mu.atoms)
-        min_margin = min(min_margin, val + AUDIT_TOL * max(1.0, scale))
-        if val < -AUDIT_TOL * max(1.0, scale):
-            violations.append({"trial": t, "generator": pick, "value": val})
-    return not violations, trials, (min_margin if trials else 0.0), violations
+    A is the Lagrange witness of atom j, with v the eigenvector of the least
+    eigenvalue of g(x_j) W_j, so L(g A^T A) = v^T g(x_j) W_j v; the support
+    check is left out.  Returns (violations, min_margin).
+    """
+    points = [x for x, _ in mu.atoms]
+    violations, margins = [], []
+    for j, (x, w) in enumerate(mu.atoms):
+        sym = 0.5 * (w + w.T)
+        for gi, g in enumerate([[1.0]] + [list(g) for g in generators]):
+            v = np.linalg.eigh(npoly.polyval(x, g) * sym)[1][:, 0]
+            a = _lagrange_witness(points, j, v)
+            val = integrate_trace(scalar_poly_mult(g, poly_matmul(transpose_poly(a), a)), mu)
+            size = len(g) * max(1.0, np.max(np.abs(g))) * max(1.0, abs(x)) ** (len(g) - 1)
+            tol = AUDIT_TOL * size * max(1.0, np.linalg.norm(sym, 2))
+            margins.append(val + tol)
+            if val < -tol:
+                violations.append({"atom": j, "generator": gi - 1, "value": val})
+    return violations, min(margins, default=0.0)
 
 
 def _audit_case(kind, n, rng):
@@ -318,28 +304,67 @@ def _audit_case(kind, n, rng):
                                             for x in rng.uniform(n, n + 2, count - 1)]
         return AtomicMatrixMeasure(n, atoms), [[0.0, 0.0, -1.0, 1.0 / i]
                                                for i in range(1, n + 1)]
-    # an indefinite weight: most trials are violations
+    if kind == "edge":
+        # one atom at 0, a root of x and 5e-13 below the root of the last
+        # generator (inside the support check's bound): its witness A = e_0 v^T
+        # is exact, and its margin is the least
+        return AtomicMatrixMeasure(n, [(0.0, rand_psd(rng, n))]), [[0.0, 1.0], [1.0, -1.0],
+                                                                  [-5e-13, 1.0]]
+    # an indefinite weight: every pair at an atom where the generator is
+    # positive is a violation
     w = np.diag(np.where(np.arange(n) % 2 == 0, 1.0, -1.5))
-    return SimpleNamespace(n=n, atoms=tuple((float(x), w)
-                                            for x in rng.uniform(0.0, 1.0, count))), [[0.0, 1.0]]
+    return SimpleNamespace(n=n, atoms=tuple((float(x), w) for x in
+                                            separated_points(rng, count, 0.0, 1.0, 0.05))), [[0.0, 1.0]]
 
 
-@pytest.mark.parametrize("kind", ["plain", "line", "unit", "shift", "indefinite"])
+@pytest.mark.parametrize("kind", ["plain", "line", "unit", "shift", "edge", "indefinite"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_positivity_audit_matches_per_trial_reference(kind, n):
+    # each violation is L(g A^T A) at the Lagrange witness of its pair
     mu, gens = _audit_case(kind, n, np.random.default_rng(100 * n + len(kind)))
-    runs = [(trials, seed) for trials in (0, 1, 40) for seed in (0, 5)]
-    if n == 1 + len(kind) % 6:
-        runs.append((2 * TRIAL_BLOCK + 1, 9))
-    for trials, seed in runs:
-        passed, n_trials, min_margin, violations = _reference_audit(mu, gens, trials, seed)
-        rep = positivity_audit(mu, gens, trials, seed)
-        assert (rep.passed, rep.n_trials) == (passed, n_trials)
-        assert rep.min_margin == pytest.approx(min_margin, rel=1e-12)
-        assert ([(v["trial"], v["generator"]) for v in rep.violations]
-                == [(v["trial"], v["generator"]) for v in violations])
-        for got, want in zip(rep.violations, violations):
-            assert got["value"] == pytest.approx(want["value"], rel=1e-12)
+    violations, min_margin = _reference_audit(mu, gens)
+    rep = positivity_audit(mu, gens, 40)
+    assert rep.passed == (not violations) == (kind != "indefinite" or n == 1)
+    assert ([(v["atom"], v["generator"]) for v in rep.violations]
+            == [(v["atom"], v["generator"]) for v in violations])
+    for got, want in zip(rep.violations, violations):
+        assert got["value"] == pytest.approx(want["value"], rel=1e-12)
+    assert rep.min_margin == pytest.approx(min_margin, rel=1e-12)
+
+
+def _edge_weight(rng, n, scale):
+    """A weight whose least eigenvalue sits at -0.99 WEIGHT_PSD_TOL max(1, lambda_max)."""
+    lam = rng.uniform(0.3, 3.0, n) * scale
+    lam[0] = -0.99 * WEIGHT_PSD_TOL * np.max(lam[1:], initial=1.0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ np.diag(lam) @ q.T
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       exponent=st.integers(-6, 6), edge_weight=st.booleans(), on_root=st.booleans(),
+       near_root=st.booleans())
+def test_positivity_audit_passes_every_valid_measure(n, count, seed, exponent, edge_weight,
+                                                     on_root, near_root):
+    rng = np.random.default_rng(seed)
+    lo, hi = ((-2.0, 2.0), (0.0, 1.0), (1.0, 5.0), (-30.0, 30.0))[seed % 4]
+    scale = 10.0 ** exponent
+    atoms = list(rand_measure(rng, n, count, lo, hi, wlo=0.3 * scale, whi=3.0 * scale).atoms)
+    if on_root:      # every generator below vanishes at lo, exactly
+        atoms.insert(0, (lo, rand_psd(rng, n, 0.3 * scale, 3.0 * scale)))
+    if edge_weight:
+        k = int(rng.integers(len(atoms)))
+        atoms[k] = (atoms[k][0], _edge_weight(rng, n, scale))
+    mu = AtomicMatrixMeasure(n, atoms)
+    gens = [[-lo, 1.0], [hi, -1.0], [-lo * hi, lo + hi, -1.0]]
+    if near_root:    # g(x_0) at half the support check's bound below zero
+        x = mu.atoms[0][0]
+        g = [-x - 0.5e-12 * max(1.0, abs(x)) ** 2, 1.0]
+        bound = 1e-12 * max(1.0, abs(g[0])) * max(1.0, abs(x))
+        assert -bound < npoly.polyval(x, g) < 0.0
+        gens.append(g)
+    rep = positivity_audit(mu, gens, 40)
+    assert rep.passed and not rep.violations and rep.min_margin > 0.0
 
 
 def test_integration_linearity():

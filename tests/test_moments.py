@@ -8,6 +8,7 @@ from matmoments import (MomentSequence, PsdReport, block_hankel, check_hamburger
                         check_hausdorff, check_stieltjes, forward_moments,
                         momentsequence_from_json, momentsequence_to_json,
                         operator_check)
+from matmoments.moments import DEFAULT_PSD_TOL
 
 I2 = np.eye(2)
 
@@ -358,3 +359,21 @@ def test_operator_check_matches_the_per_matrix_reference():
             for tol in (1e-9, 1e-3):
                 assert (_bits(operator_check(seq, ops, variant, tol))
                         == _bits(_ref_operator_check(seq, ops, variant, tol)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operator_check_pairings_match_the_loop(n):
+    # bit for bit (so within any relative tolerance) at every variant and
+    # every order the moments allow, with the operators in either memory
+    # order and the moments over six decades of scale
+    rng = np.random.default_rng(60 + n)
+    for d in (2, 5, 8):
+        c = rng.standard_normal((d + 1, n, n)) * 10.0 ** rng.integers(-3, 4)
+        seq = MomentSequence(0.5 * (c + np.transpose(c, (0, 2, 1))))
+        for variant, extra in (("hamburger", 0), ("stieltjes", 1), ("hausdorff", 2)):
+            for m in range((d - extra) // 2 + 1):
+                ops = [rng.standard_normal((n, n)) for _ in range(m + 1)]
+                if m % 2:
+                    ops = [np.asfortranarray(a) for a in ops]
+                assert (_bits(operator_check(seq, ops, variant))
+                        == _bits(_ref_operator_check(seq, ops, variant, DEFAULT_PSD_TOL)))

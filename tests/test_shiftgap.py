@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, ModulePositivityError,
                         build_family, cauchy_schwarz_chain, integrate_trace,
                         leading_coeff_probe, matmul, positivity_audit, scalar_poly_mult,
                         shift_compress, support_collapse_check, transpose_poly)
-from matmoments.measures import TRIAL_BLOCK
-from matmoments.shiftgap import _probe_block
+from matmoments.shiftgap import TRIAL_BLOCK, _probe_block
 
 
 def test_family_smallest_case_constraint_set():
@@ -247,8 +247,7 @@ def test_probe_block_draws_follow_the_per_trial_law():
         assert_frequencies(coeffs, entries)
 
 
-@pytest.mark.parametrize("which", ["audit", "probe"])
-def test_trial_blocks_bound_memory(which):
+def test_probe_trial_blocks_bound_memory():
     # arithmetic runs on TRIAL_BLOCK trials at a time, so the peak is a few
     # of a block's padded stacks (at most 11 coefficients of n x n floats)
     # however many trials run; drawing all trials' seeds up front alone
@@ -256,18 +255,30 @@ def test_trial_blocks_bound_memory(which):
     n_dim = 6
     bound = 8 * TRIAL_BLOCK * 11 * n_dim * n_dim * 8
     fam = build_family(n_dim)
-    mu = AtomicMatrixMeasure(n_dim, [(0.0, np.eye(n_dim)), (7.0, 0.5 * np.eye(n_dim))])
-    gens = [[0.0, 0.0, -1.0, 1.0 / i] for i in range(1, n_dim + 1)]
     tracemalloc.start()
     try:
-        if which == "audit":
-            assert positivity_audit(mu, gens, 20_000, seed=3).passed
-        else:
-            assert leading_coeff_probe(fam, 20_000, seed=3).all_psd
+        assert leading_coeff_probe(fam, 20_000, seed=3).all_psd
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_module_checks_draw_no_random_numbers(monkeypatch):
+    # the audit behind the chain and the collapse check is exact: it must
+    # run with numpy's generators out of reach
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module check drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    n_dim = 3
+    fam = build_family(n_dim)
+    mu = AtomicMatrixMeasure(n_dim, [(0.0, np.eye(n_dim)), (3.0, 0.5 * np.eye(n_dim))])
+    gens = [[0.0, 0.0, -1.0, 1.0 / i] for i in range(1, n_dim + 1)]
+    assert positivity_audit(mu, gens, 20_000, seed=3).passed
+    assert cauchy_schwarz_chain(mu, fam, trials=500, seed=7).all_hold
+    assert not support_collapse_check(mu, fam, trials=500, seed=7)
 
 
 def test_chain_point_mass_at_origin():
@@ -287,6 +298,18 @@ def test_chain_precondition_failure_names_compression():
     assert info.value.generator_index == 2
     assert info.value.witness == "shift_compress(fam, 2)"
     assert info.value.value == pytest.approx(-2.0 / 3.0)
+
+
+def test_chain_names_the_atom_of_an_indefinite_functional():
+    # a duck-typed functional with an indefinite weight passes the support
+    # check; the worst pair is p_1(3) = 18 times the eigenvalue -1 at atom 1
+    fam = build_family(2)
+    mu = SimpleNamespace(n=2, atoms=((0.0, np.eye(2)), (3.0, np.diag([1.0, -1.0]))))
+    with pytest.raises(ModulePositivityError) as info:
+        cauchy_schwarz_chain(mu, fam)
+    assert (info.value.atom_index, info.value.point) == (1, 3.0)
+    assert (info.value.generator_index, info.value.value) == (0, -18.0)
+    assert "atom 1 (x=3)" in str(info.value)
 
 
 def test_chain_decay_and_mixed_support():
