@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .polymat import _check_tol, _json_floats, matrixpoly_from_json
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CommandResult = namedtuple("CommandResult", "exit_code report")
 
 
@@ -159,8 +159,8 @@ def _build_parser():
 
     p = sub.add_parser("shiftgap", help="truncated shift-family diagnostics")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=0, help="ignored; must be >= 0")
+    p.add_argument("--seed", type=int, default=0, help="ignored")
     p.add_argument("--functional", default=None)
     p.set_defaults(func=_cmd_shiftgap)
     return parser

@@ -75,18 +75,25 @@ class AtomicMatrixMeasure:
             if bad.size:
                 idx = int(bad[0])
                 raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
-            lam = np.linalg.eigvalsh(sym)
+        # atoms closer than MERGE_TOL merge into one; first[k] is the least
+        # input index of merged atom k
+        merged, first = [], []
+        for idx in sorted(range(len(points)), key=points.__getitem__):
+            if merged and abs(points[idx] - merged[-1][0]) < MERGE_TOL:
+                merged[-1] = (merged[-1][0], merged[-1][1] + sym[idx])
+                first[-1] = min(first[-1], idx)
+            else:
+                merged.append((points[idx], sym[idx]))
+                first.append(idx)
+        if checked:     # every input weight, then every merged one, must be PSD
+            lam = np.linalg.eigvalsh(np.concatenate([sym] + [w[np.newaxis] for _, w in merged]))
             bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
             if bad.size:
-                idx = int(bad[0])
+                j = int(bad[0])
+                idx = j if j < len(sym) else first[j - len(sym)]
+                how = "" if j < len(sym) else "merged with nearby atoms "
                 raise _EntryError(idx, f"atom {idx}: weight",
-                                  f"has eigenvalue {lam[idx, 0]:.3e} < 0")
-        merged = []
-        for x, w in sorted(zip(points, sym), key=lambda a: a[0]):
-            if merged and abs(x - merged[-1][0]) < MERGE_TOL:
-                merged[-1] = (merged[-1][0], merged[-1][1] + w)
-            else:
-                merged.append((x, w))
+                                  f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
         self._atoms = tuple((x, _frozen(w)) for x, w in merged)
 
     @property
@@ -242,8 +249,10 @@ def positivity_audit(mu, generators, trials, seed=0):
     positivity is then exactly g(x_j) W_j PSD for every pair (take A a
     Lagrange interpolant vanishing at the other atoms): the least eigenvalue
     of g(x_j) sym(W_j) is judged against ``AUDIT_TOL`` times len(g) *
-    max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2).  ``trials``
-    and ``seed`` are ignored, as nothing is drawn; ``trials`` must be >= 0.
+    max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2); an atom
+    where the product of the first three overflows float64 is a ValueError
+    naming it.  ``trials`` and ``seed`` are ignored, as nothing is drawn;
+    ``trials`` must be >= 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -255,10 +264,17 @@ def positivity_audit(mu, generators, trials, seed=0):
     for gi, g in enumerate(gens):
         g_scale = max(1.0, float(np.max(np.abs(g))))
         for ai, (x, _) in enumerate(mu.atoms):
+            try:
+                power = max(1.0, abs(x)) ** max(len(g) - 1, 0)
+            except OverflowError:
+                power = math.inf
+            g_size = len(g) * g_scale * power       # bounds |g(x)| and Horner's steps
+            if not math.isfinite(g_size):
+                raise ValueError(f"atom {ai} at x={x:.6g}: generator {gi} of degree "
+                                 f"{len(g) - 1} overflows float64 there")
             val = float(_horner(g[:, np.newaxis, np.newaxis], x)[0, 0])
-            power = max(1.0, abs(x)) ** max(len(g) - 1, 0)
             bound = 1e-12 * g_scale * power
-            g_at[gi + 1, ai], size[gi + 1, ai] = val, len(g) * g_scale * power
+            g_at[gi + 1, ai], size[gi + 1, ai] = val, g_size
             if val < -bound and (worst is None or val < worst[3]):
                 worst = (ai, x, gi, val)
     if worst is not None:

@@ -183,9 +183,9 @@ def test_criterion_7_shift_family_replica():
             assert comp.coeffs.tobytes() == explicit.tobytes()
             sn = sn @ fam.shift_matrix
 
-        probe = leading_coeff_probe(fam, 10_000, seed=70 + n_dim)
-        assert probe.min_leading_eigenvalue >= -1e-9
-        assert probe.negative_candidate_excluded
+        probe = leading_coeff_probe(fam)
+        assert abs(probe.min_leading_eigenvalue * n_dim - 1.0) <= 1e-12
+        assert probe.all_psd and probe.negative_candidate_excluded
         probe_mins.append(probe.min_leading_eigenvalue)
 
         for _ in range(20):
@@ -200,7 +200,7 @@ def test_criterion_7_shift_family_replica():
             # truncation bound L(Id x^2) <= (1/N) L(Id)^1/2 L(Id x^6)^1/2
             assert rep.final_bound_holds
     _report("7 shift-family replica",
-            f"(N in 2,4,6; probe minima {['%.1e' % v for v in probe_mins]})")
+            f"(N in 2,4,6; leading-coefficient minima {['%.3g' % v for v in probe_mins]})")
 
 
 def test_criterion_8_scalarization_set_equality():

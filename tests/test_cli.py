@@ -15,7 +15,7 @@ import matmoments
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, forward_moments,
                         matrixpoly_to_json, measure_to_json,
                         momentsequence_to_json)
-from matmoments.cli import main, render, run
+from matmoments.cli import SCHEMA_VERSION, main, render, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -124,10 +124,10 @@ def test_factor_max_order_flag_is_gone(tmp_path):
     path.write_text(json.dumps(doc))
     res = run(["factor", "--laurent", str(path), "--max-order", "4"])
     assert res.exit_code == 2
-    assert res.report["schema_version"] == 2
+    assert res.report["schema_version"] == SCHEMA_VERSION
     ok = run(["factor", "--laurent", str(path)])
     assert ok.exit_code == 0
-    assert ok.report["schema_version"] == 2
+    assert ok.report["schema_version"] == SCHEMA_VERSION
     assert ok.report["epsilon_used"] == 0.0
     assert ok.report["toeplitz_order"] == 1
 
@@ -182,9 +182,8 @@ def test_malformed_map_measure_is_input_error(workspace, doc):
 
 
 def test_shiftgap_stdout_is_golden(tmp_path, capsys):
-    # byte-exact stdout, recorded while the probe and the audit still ran
-    # their arithmetic one trial at a time, each trial from its own seed
-    # stream; one generator per block of trials left it unchanged
+    # byte-exact stdout of the leading-coefficient argument, the chain and
+    # the support-collapse check; --trials and --seed are ignored
     weight = [[0.5, 0.25, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0],
               [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.125]]
     fn = tmp_path / "outer4.json"
@@ -331,7 +330,7 @@ def test_missing_field_names_the_field(workspace):
 
 @pytest.mark.parametrize("functional", [False, True])
 def test_negative_trial_count_is_input_error(workspace, functional):
-    # a negative count used to exit 0 with n_elements 0 and all_psd true
+    # a negative count used to exit 0 with all_psd true
     argv = ["shiftgap", "--dim", "2", "--trials", "-5"]
     if functional:
         argv += ["--functional", workspace["measure.json"]]
@@ -340,18 +339,48 @@ def test_negative_trial_count_is_input_error(workspace, functional):
     assert res.report["error"]["type"] == "ValueError"
     assert "trials must be nonnegative" in res.report["error"]["message"]
     zero = run(["shiftgap", "--dim", "2", "--trials", "0"])
-    assert zero.exit_code == 0 and zero.report["probe"]["n_elements"] == 0
+    assert zero.exit_code == 0 and zero.report["probe"]["all_psd"] is True
 
 
-def test_shiftgap_dimension_above_708_is_input_error():
-    # the probe rescales G by lcm(1..N), which overflows float64 from N = 709;
-    # that used to end in an OverflowError traceback and no report
-    res = run(["shiftgap", "--dim", "709", "--trials", "0"])
+def test_shiftgap_dimension_has_no_upper_cap():
+    # the randomized probe rescaled G by lcm(1..N), which overflows float64
+    # from N = 709; the leading-coefficient argument needs no rescale
+    res = run(["shiftgap", "--dim", "709"])
+    assert res.exit_code == 0
+    probe = res.report["probe"]
+    assert probe["min_leading_eigenvalue"] == pytest.approx(1.0 / 709)
+    assert probe["all_psd"] is True and probe["negative_candidate_excluded"] is True
+    low = run(["shiftgap", "--dim", "0"])
+    assert low.exit_code == 2 and low.report["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_shiftgap_argument_holds_at_every_small_dimension(dim):
+    res = run(["shiftgap", "--dim", str(dim)])
+    assert res.exit_code == 0
+    probe = res.report["probe"]
+    assert probe["all_psd"] is True and probe["negative_candidate_excluded"] is True
+    assert probe["min_leading_eigenvalue"] == pytest.approx(1.0 / dim)
+
+
+def test_shiftgap_stdout_ignores_trials_and_seed(capsys):
+    outs = []
+    for trials, seed in (("300", "5"), ("0", "9")):
+        assert main(["shiftgap", "--dim", "4", "--trials", trials, "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_shiftgap_atom_beyond_the_float_range_is_input_error(tmp_path):
+    # |x|^3 overflows float64 at x = 1e103: the module audit used to end in
+    # an OverflowError traceback and no report
+    fn = tmp_path / "huge_atom.json"
+    fn.write_text(json.dumps({"n": 2, "atoms": [{"x": 0.0, "W": np.eye(2).tolist()},
+                                                {"x": 1e103, "W": np.eye(2).tolist()}]}))
+    res = run(["shiftgap", "--dim", "2", "--functional", str(fn)])
     assert res.exit_code == 2
     assert res.report["error"]["type"] == "ValueError"
-    assert "708" in res.report["error"]["message"]
-    edge = run(["shiftgap", "--dim", "708", "--trials", "0"])
-    assert edge.exit_code == 0 and edge.report["probe"]["n_elements"] == 0
+    assert "atom 1 at x=1e+103" in res.report["error"]["message"]
 
 
 def test_unknown_flag_is_input_error(workspace):
@@ -421,7 +450,7 @@ def test_every_domain_failure_exits_one(failing_inputs, monkeypatch, name, argv,
     res = run(argv)
     assert res.exit_code == 1
     assert res.report["error"]["type"] == name
-    assert res.report["command"] == argv[0] and res.report["schema_version"] == 2
+    assert res.report["command"] == argv[0] and res.report["schema_version"] == SCHEMA_VERSION
 
 
 @pytest.mark.parametrize("exc", [ValueError("plain"), KeyError("key")])

@@ -146,6 +146,20 @@ def test_atoms_merge_and_weights_validate():
         AtomicMatrixMeasure(2, [(0.0, -I2)])
 
 
+def test_merged_weights_are_checked():
+    # each weight sits just inside the PSD tolerance, their sum does not: the
+    # measure used to be accepted and then fail positivity_audit(mu, [], 0)
+    edge = np.diag([-0.99 * WEIGHT_PSD_TOL, 0.05])
+    atoms = [(2.0, I2)] + [(0.5, edge)] * 12
+    match = "atom 1: weight merged with nearby atoms has eigenvalue -1.188e-09 < 0"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        AtomicMatrixMeasure(2, atoms)
+    doc = {"n": 2, "atoms": [{"x": x, "W": w.tolist()} for x, w in atoms]}
+    with pytest.raises(ValueError, match=re.escape("atoms[1].W merged with nearby atoms")):
+        measure_from_json(doc)
+    assert positivity_audit(AtomicMatrixMeasure(2, atoms[:2]), [], 0).passed
+
+
 @pytest.mark.parametrize("atom,match", [
     ((np.inf, I2), "point"), ((-np.inf, I2), "point"), ((np.nan, I2), "point"),
     ((0.0, np.diag([np.inf, 1.0])), "non-finite"), ((0.0, np.diag([1.0, np.nan])), "non-finite"),

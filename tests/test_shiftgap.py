@@ -1,19 +1,19 @@
-"""Truncated shift-family diagnostics: bit-exact identities, probe, chain."""
+"""Truncated shift-family diagnostics: bit-exact identities, leading coefficients, chain."""
 
-import math
-import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import assert_frequencies, rand_psd
+from conftest import rand_psd
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, ModulePositivityError,
                         build_family, cauchy_schwarz_chain, integrate_trace,
                         leading_coeff_probe, matmul, positivity_audit, scalar_poly_mult,
                         shift_compress, support_collapse_check, transpose_poly)
-from matmoments.shiftgap import TRIAL_BLOCK, _probe_block
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
 def test_family_smallest_case_constraint_set():
@@ -89,184 +89,75 @@ def test_probe_family_leading_coefficient():
 def test_probe_minimum_and_candidate_exclusion():
     fam = build_family(3)
     rep = leading_coeff_probe(fam, 300, seed=5)
-    assert rep.n_elements > 0
-    assert rep.min_leading_eigenvalue >= -1e-9
+    assert rep.min_leading_eigenvalue == pytest.approx(1.0 / 3.0)
     assert rep.all_psd
     assert rep.negative_candidate_min_eigenvalue == pytest.approx(-1.0)
     assert rep.negative_candidate_excluded
 
 
-def _vector_quadratic(base, fcoeffs):
-    """Scalar polynomial f(x)^T B(x) f(x) for a vector polynomial f."""
-    degf = fcoeffs.shape[0] - 1
-    out = [0.0] * (2 * degf + base.deg + 1)
-    for a in range(degf + 1):
-        for b in range(base.deg + 1):
-            for c in range(degf + 1):
-                out[a + b + c] += float(fcoeffs[a] @ base.coeffs[b] @ fcoeffs[c])
-    return out
+# (N, seed, trials): the argument reports lead(G)'s least normalized
+# eigenvalue 1/N at each, whatever the seed and trial count
+PROBE_KEYS = [(1, 2, 100), (2, 11, 1), (5, 11, 1), (2, 2, 1), (3, 28, 1), (4, 1, 1),
+              (4, 5, 200), (6, 2, 2), (6, 9, 200), (8, 3, 100), (2, 1, 257), (5, 7, 513),
+              (6, 4, 500)]
 
 
-def _reference_elements(n, trials, seed):
-    """Per trial, the module element's congruences and rank-one term as MatrixPolys.
-
-    One trial at a time with MatrixPoly arithmetic on the library's block
-    draws; unused slots and an absent rank-one term are zero polynomials.
-    """
-    lcm = math.lcm(*range(1, n + 1))
-    coeffs = np.zeros((4, n, n))
-    for i in range(n):
-        coeffs[2][i, i] = -lcm
-        coeffs[3][i, i] = lcm // (i + 1)
-    bases = (MatrixPoly.constant(np.eye(n), symmetric=True), MatrixPoly(coeffs, symmetric=True))
-    parent = np.random.SeedSequence(seed)
-    for start in range(0, trials, TRIAL_BLOCK):
-        rng = np.random.default_rng(parent.spawn(1)[0])
-        r, r_g, f0, f1, f_g, single, v = _probe_block(rng, min(TRIAL_BLOCK, trials - start), n)
-        for b in range(len(r)):
-            congruences = [matmul(matmul(transpose_poly(MatrixPoly(r[b, t])),
-                                         bases[int(r_g[b, t])]), MatrixPoly(r[b, t]))
-                           for t in range(3)]
-            h = _vector_quadratic(bases[int(f_g[b, 0])], f0[b, :, :, 0])
-            if not single[b]:
-                h = np.convolve(h, _vector_quadratic(bases[int(f_g[b, 1])], f1[b, :, :, 0]))
-            outer = np.zeros((3, n, n))
-            for i in range(2):
-                for j in range(2):
-                    outer[i + j] += np.outer(v[b, i, :, 0], v[b, j, :, 0])
-            yield congruences, scalar_poly_mult(h, MatrixPoly(outer))
-
-
-def _reference_probe(n, trials, seed):
-    """(n_elements, min_leading_eigenvalue) of leading_coeff_probe, trial by trial."""
-    count = 0
-    min_eig = np.inf
-    for congruences, rank_one in _reference_elements(n, trials, seed):
-        total = sum(congruences, rank_one)
-        if total.max_coeff_abs() == 0.0:
-            continue
-        count += 1
-        lead = np.array(total.coeffs[-1])
-        lead = lead / np.max(np.abs(lead))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (lead + lead.T))[0]))
-    return count, (min_eig if count else 0.0)
-
-
-# (N, seed, trials) -> (n_elements, min_leading_eigenvalue), as computed by
-# _reference_probe.  In the one- and two-trial cases a rank-one term h g g^T
-# reaches the leading coefficient, except in (2, 11, 1) and (5, 11, 1),
-# where a third congruence does; the last three span two or three blocks of
-# trials.  (2, 2, 1), (4, 1, 1), (2, 11, 1) and (5, 11, 1) replace
-# (2, 9, 1), (4, 13, 1), (2, 0, 1) and (5, 8, 1), which no longer reach
-# their path since each block draws from one generator: each is the first
-# seed that does at its N.
-PINNED_PROBES = {
-    (1, 2, 100): (96, 1.0),
-    (2, 11, 1): (1, 0.0),
-    (5, 11, 1): (1, 1.3954125820984625e-16),
-    (2, 2, 1): (1, 0.2538412860910784),
-    (3, 28, 1): (1, -2.849995564079711e-16),
-    (4, 1, 1): (1, -1.9676359412597343e-16),
-    (4, 5, 200): (200, -5.848544054508939e-16),
-    (6, 2, 2): (2, 0.0),
-    (6, 9, 200): (200, -1.1210390280094727e-15),
-    (8, 3, 100): (100, -4.471975320517506e-16),
-    (2, 1, 257): (257, 0.0),
-    (5, 7, 513): (513, -7.554283882656371e-16),
-    (6, 4, 500): (500, -1.1210390280094727e-15),
-}
-
-
-@pytest.mark.parametrize("key", sorted(PINNED_PROBES))
+@pytest.mark.parametrize("key", sorted(PROBE_KEYS))
 def test_probe_matches_pinned_reports(key):
     n_dim, seed, trials = key
-    n_elements, min_eig = PINNED_PROBES[key]
-    rep = leading_coeff_probe(build_family(n_dim), trials, seed=seed)
-    assert rep.n_elements == n_elements
-    assert rep.min_leading_eigenvalue == pytest.approx(min_eig, abs=1e-12)
+    fam = build_family(n_dim)
+    rep = leading_coeff_probe(fam, trials, seed=seed)
+    assert rep.min_leading_eigenvalue == pytest.approx(1.0 / n_dim, rel=1e-15)
     assert rep.all_psd and rep.negative_candidate_excluded
-
-
-@pytest.mark.parametrize("key", [key for key in sorted(PINNED_PROBES) if key[2] <= 2])
-def test_pinned_probes_take_their_paths(key):
-    # which of (rank-one term, third congruence) reaches the top coefficient
-    # of each trial's element, as the comment on PINNED_PROBES says
-    n_dim, seed, trials = key
-    third = key in {(2, 11, 1), (5, 11, 1)}
-    reached = []
-    for congruences, rank_one in _reference_elements(n_dim, trials, seed):
-        top = sum(congruences, rank_one).deg
-        reached.append([p.deg == top and p.max_coeff_abs() > 0.0
-                        for p in (rank_one, congruences[2])])
-    assert any(trial[int(third)] for trial in reached)
+    assert rep == leading_coeff_probe(fam)
 
 
 def test_probe_rejects_negative_trial_counts():
     fam = build_family(3)
     with pytest.raises(ValueError, match="trials must be nonnegative"):
         leading_coeff_probe(fam, -5)
-    rep = leading_coeff_probe(fam, 0)
-    assert rep.n_elements == 0 and rep.min_leading_eigenvalue == 0.0 and rep.all_psd
+    assert leading_coeff_probe(fam, 0).all_psd
 
 
-def test_probe_block_draws_follow_the_per_trial_law():
-    # 40 blocks against the law of the per-trial draws; at n = 6 an integer
-    # coefficient drawn all zero has odds 5^-6 or less, so the slots, factors
-    # and degrees in use are read off the nonzero coefficients
-    r, r_g, f0, f1, f_g, single, v = (np.concatenate(part) for part in zip(*(
-        _probe_block(np.random.default_rng(child), TRIAL_BLOCK, 6)
-        for child in np.random.SeedSequence(23).spawn(40))))
-    entries = {k: 0.2 for k in range(-2, 3)}
-    thirds = {k: 1 / 3 for k in range(3)}
-    halves = {True: 0.5, False: 0.5}
-    # congruences: 1..3 slots in use, first; B = G with probability 0.7;
-    # deg R uniform on 0..2
-    slot = r.any(axis=(2, 3, 4))
-    count = slot.sum(axis=1)
-    assert np.array_equal(slot, np.arange(3) < count[:, np.newaxis])
-    assert_frequencies(count - 1, thirds)
-    assert not r_g[~slot].any()
-    assert_frequencies(r_g[slot], {True: 0.7, False: 0.3})
-    deg_r = 2 - np.argmax(r[:, :, ::-1].any(axis=(3, 4)), axis=2)
-    assert_frequencies(deg_r[slot], thirds)
-    assert_frequencies(r[slot][:, 0], entries)
-    # rank-one term with probability 0.5, of one or two factors; B = G with
-    # probability 0.8 per factor; deg f_0 and deg v uniform on 0..1
-    term = v.any(axis=(1, 2, 3)) | f0.any(axis=(1, 2, 3))
-    pair = term & ~single
-    assert_frequencies(term, halves)
-    assert not (single & ~term).any()
-    assert_frequencies(single[term], halves)
-    assert not f_g[~term].any() and not f_g[~pair, 1].any() and not f1[~pair].any()
-    assert_frequencies(f_g[term, 0], {True: 0.8, False: 0.2})
-    assert_frequencies(f_g[pair, 1], {True: 0.8, False: 0.2})
-    assert not f0[~single, 1].any()
-    assert_frequencies(f0[single, 1].any(axis=(1, 2)), halves)
-    assert_frequencies(v[term, 1].any(axis=(1, 2)), halves)
-    for coeffs in (f0[term, 0], f1[pair, 0], v[term, 0]):
-        assert_frequencies(coeffs, entries)
+def _vector_quadratic(base, f):
+    """f(x)^T B(x) f(x) as scalar coefficients, f a vector polynomial (deg+1, n)."""
+    embed = np.zeros(f.shape + (base.n,))
+    embed[:, :, 0] = f                  # f as the first column of a square polynomial
+    fp = MatrixPoly(embed)
+    return matmul(matmul(transpose_poly(fp), base), fp).coeffs[:, 0, 0]
 
 
-def test_probe_trial_blocks_bound_memory():
-    # arithmetic runs on TRIAL_BLOCK trials at a time, so the peak is a few
-    # of a block's padded stacks (at most 11 coefficients of n x n floats)
-    # however many trials run; drawing all trials' seeds up front alone
-    # takes more at 20 000 trials
-    n_dim = 6
-    bound = 8 * TRIAL_BLOCK * 11 * n_dim * n_dim * 8
-    fam = build_family(n_dim)
-    tracemalloc.start()
-    try:
-        assert leading_coeff_probe(fam, 20_000, seed=3).all_psd
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+@_PROPERTY
+@given(n_dim=st.integers(1, 6), congruences=st.integers(1, 3), factors=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_module_elements_have_psd_leading_coefficients(n_dim, congruences, factors, seed):
+    # the theorem behind leading_coeff_probe: sums of R^T B R with B in
+    # {G, Id}, plus a rank-one term h v v^T (h a product of f^T B f, the
+    # empty product 1 where factors = 0), have a nonzero PSD top coefficient
+    rng = np.random.default_rng(seed)
+    bases = (MatrixPoly.constant(np.eye(n_dim), symmetric=True), build_family(n_dim).G)
+    elem = MatrixPoly.zero(n_dim)
+    for _ in range(congruences):
+        r = MatrixPoly(rng.standard_normal((int(rng.integers(1, 4)), n_dim, n_dim)))
+        elem = elem + matmul(matmul(transpose_poly(r), bases[rng.integers(2)]), r)
+    h = [1.0]
+    for _ in range(factors):
+        f = rng.standard_normal((int(rng.integers(1, 3)), n_dim))
+        h = np.convolve(h, _vector_quadratic(bases[rng.integers(2)], f))
+    v = np.zeros((int(rng.integers(1, 3)), n_dim, n_dim))
+    v[:, :, 0] = rng.standard_normal(v.shape[:2])    # v as the first column
+    vp = MatrixPoly(v)
+    elem = elem + scalar_poly_mult(h, matmul(vp, transpose_poly(vp)))
+    top = elem.coeffs[-1]
+    scale = np.max(np.abs(top))
+    assert scale > 0.0
+    assert np.linalg.eigvalsh(0.5 * (top + top.T))[0] >= -1e-9 * scale
 
 
 def test_module_checks_draw_no_random_numbers(monkeypatch):
-    # the audit behind the chain and the collapse check is exact: it must
-    # run with numpy's generators out of reach
+    # the leading-coefficient argument and the audit behind the chain and
+    # the collapse check are exact: they must run with numpy's generators
+    # out of reach
     def refuse(*args, **kwargs):
         raise AssertionError("a module check drew random numbers")
 
@@ -276,6 +167,7 @@ def test_module_checks_draw_no_random_numbers(monkeypatch):
     fam = build_family(n_dim)
     mu = AtomicMatrixMeasure(n_dim, [(0.0, np.eye(n_dim)), (3.0, 0.5 * np.eye(n_dim))])
     gens = [[0.0, 0.0, -1.0, 1.0 / i] for i in range(1, n_dim + 1)]
+    assert leading_coeff_probe(fam, 20_000, seed=3).all_psd
     assert positivity_audit(mu, gens, 20_000, seed=3).passed
     assert cauchy_schwarz_chain(mu, fam, trials=500, seed=7).all_hold
     assert not support_collapse_check(mu, fam, trials=500, seed=7)
