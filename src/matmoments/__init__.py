@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it; each submodule loads on
 # first use, so ``import matmoments`` loads none of them
 _EXPORTS = {
-    "polymat": ("LaurentPoly", "MatrixPoly", "compose_scalar", "eval_poly", "even_odd_split",
-                "matmul", "matrixpoly_from_json", "matrixpoly_to_json", "scalar_poly_mult",
-                "sup_norm_on", "transpose_poly"),
+    "polymat": ("LaurentPoly", "MatrixPoly", "matmul", "matrixpoly_from_json",
+                "matrixpoly_to_json", "scalar_poly_mult", "transpose_poly"),
     "moments": ("MomentSequence", "PsdReport", "block_hankel", "check_hamburger",
                 "check_hausdorff", "check_stieltjes", "momentsequence_from_json",
                 "momentsequence_to_json", "operator_check"),

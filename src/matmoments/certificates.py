@@ -13,8 +13,10 @@ real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
 (1, a).  The line takes G = F; the half-line takes G(a) = F(a^2) and the
 interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), and both split each
 factor by parity, P(a) = R(a^2) + a Q(a^2), sending R and Q straight onto
-their generators.  Each decomposer runs one grid check on its own domain
-and verifies the finished certificate once against F.
+their generators.  Each decomposer verifies the finished certificate once
+against F.  Only a failure looks at F itself: F's least eigenvalue on the
+domain, located at the real roots of a determinant, decides between the
+domain's ``NotPsdOn*`` error and the failure.
 """
 
 from dataclasses import dataclass, field
@@ -45,15 +47,15 @@ class _NotPsdOnDomain(ValueError):
 
 
 class NotPsdOnLine(_NotPsdOnDomain):
-    pass
+    domain = (-np.inf, np.inf)
 
 
 class NotPsdOnHalfLine(_NotPsdOnDomain):
-    pass
+    domain = (0.0, np.inf)
 
 
 class NotPsdOnInterval(_NotPsdOnDomain):
-    pass
+    domain = (0.0, 1.0)
 
 
 class SosConsistencyError(RuntimeError):
@@ -91,34 +93,50 @@ class ScalarizedSet:
 
 
 def _require_symmetric(f, what="input"):
-    """F's largest coefficient entry and its scale max(1, entry), once F is finite and symmetric."""
+    """F's scale max(1, largest coefficient entry), once F is finite and symmetric."""
     top = f.max_coeff_abs()
     if not top < np.inf:
         raise ValueError(f"{what} has a non-finite coefficient")
     scale = max(1.0, top)
     if not f.symmetric and _maxabs(f.coeffs - np.swapaxes(f.coeffs, 1, 2)) > 1e-12 * scale:
         raise ValueError(f"{what} must be a symmetric matrix polynomial")
-    return top, scale
+    return scale
 
 
-def _chebyshev_grid(a, b, count):
-    k = np.arange(count)
-    nodes = np.cos((2 * k + 1) * np.pi / (2 * count))
-    return 0.5 * (a + b) + 0.5 * (b - a) * nodes
+def _least_on(f, a, b, shift):
+    """Least eigenvalue of F at the points deciding its sign on [a, b], and the point.
 
-
-def _grid_check(f, a, b, thresh, exc):
-    """Raise exc at the least grid eigenvalue of F on [a, b] if it is below -thresh.
-
-    The grid is 8*(deg+1) Chebyshev points.  F is evaluated on all of them
-    at once by Horner's rule and the eigenvalues come from one batched
-    ``eigvalsh``; the first point attaining the least eigenvalue is
-    reported, and a point whose value overflowed to NaN is never it.
+    lambda_min(F(x)) + shift changes sign only at real roots of det G,
+    G = F + shift*I: eigenvalues of the block companion of y^d G(x0 + 1/y)
+    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982), whose leading
+    block G(x0) is invertible for x0 the best-conditioned of d + 2
+    Chebyshev points in [a, b] & [-1, 1].  F is evaluated at the real part
+    of every root in [a, b], the finite ends, the midpoints and one point
+    beyond each outer point: it dips below -shift on [a, b] exactly when
+    the returned eigenvalue does, up to the eigensolvers' accuracy.
     """
-    xs = _chebyshev_grid(a, b, 8 * (f.deg + 1))
-    worst, i = _least_eigenvalue(_horner(f.coeffs, xs[:, np.newaxis, np.newaxis]))
-    if worst < -thresh:
-        raise exc(worst, float(xs[i]))
+    n, d = f.n, max(f.deg, 1)       # a constant gets a zero x-coefficient
+    g = np.concatenate([f.coeffs, np.zeros((d - f.deg, n, n))])
+    g[0] += shift * np.eye(n)
+    lo, hi = max(a, -1.0), min(b, 1.0)
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(d + 2) + 0.5) / (d + 2))
+    with np.errstate(all="ignore"):
+        w = np.abs(np.linalg.eigvalsh(_horner(g, xs[:, np.newaxis, np.newaxis])))
+        x0 = xs[np.argmax(np.nan_to_num(w.min(axis=1) / w.max(axis=1)))]
+        t = np.tensordot([[comb(j, k) * x0 ** (j - k) if j >= k else 0.0 for j in range(d + 1)]
+                          for k in range(d + 1)], g, axes=1)       # G(x0 + y) = sum T_k y^k
+        comp = np.eye(n * d, k=-n)
+        try:
+            comp[:n] = -np.linalg.solve(t[0], np.hstack(t[1:]))
+            pts = np.append(x0 + (1 / np.linalg.eigvals(comp)).real, [a, b])
+        except np.linalg.LinAlgError:       # G(x0) singular or overflowed
+            pts = np.array([x0, a, b])
+        pts = np.unique(pts[np.isfinite(pts) & (a <= pts) & (pts <= b)])
+        pts = pts if pts.size else np.array([x0])
+        xs = np.concatenate([pts, 0.5 * pts[1:] + 0.5 * pts[:-1],
+                             np.clip([pts[0] - 1 - abs(pts[0]), pts[-1] + 1 + abs(pts[-1])], a, b)])
+        worst, i = _least_eigenvalue(_horner(f.coeffs, xs[:, np.newaxis, np.newaxis]))
+    return worst, float(xs[i])
 
 
 _I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
@@ -208,46 +226,48 @@ def _line_factors(b_stack):
     return _strip(gamma.real), _strip(gamma.imag)
 
 
-def _line_split(c, step, tol, f, not_psd):
-    """Stacks H, K with G = H H^T + K K^T, and the factorization's NoConvergence or None.
+def _line_split(c, step, tol):
+    """Stacks H, K with G = H H^T + K K^T, and the factorization's failure or None.
 
     G(a) = C(a^step), of even degree, is neither validated nor verified
     here.  A factorization that does not converge leaves its best attempt
-    for the reassembly check to judge.  A ``NotPsdOnCircle`` at angle 2t
-    becomes ``not_psd`` at the x of a = tan t (x = a, a^2 or a^2/(1+a^2) on
-    the line, half-line and interval) with F(x)'s least eigenvalue; at
-    x = inf, the leading coefficient's.
+    for the reassembly check to judge; on a ``NotPsdOnCircle``, or a G that
+    overflows float64 (fejer_riesz's ``ValueError``), H = K = 0.
     """
+    u = _trig_laurent(c, step)
     try:
-        fac, pending = spectral.fejer_riesz(_trig_laurent(c, step), tol=min(1e-10, tol / 100)), None
+        fac, pending = spectral.fejer_riesz(u, tol=min(1e-10, tol / 100)).coeffs, None
     except spectral.NoConvergence as exc:
-        fac, pending = exc.best, exc
-    except spectral.NotPsdOnCircle as exc:
-        t = exc.at_angle / 2
-        a = np.inf if np.isclose(t, np.pi / 2) else np.tan(t)
-        x = {NotPsdOnLine: a, NotPsdOnHalfLine: a * a, NotPsdOnInterval: np.sin(t) ** 2}[not_psd]
-        value = f.coeffs[-1] if np.isinf(x) else f(x)
-        raise not_psd(np.linalg.eigvalsh(0.5 * (value + value.T))[0], float(x)) from exc
-    h, k = _line_factors(fac.coeffs)
+        fac, pending = exc.best.coeffs, exc
+    except (spectral.NotPsdOnCircle, ValueError) as exc:
+        fac, pending = np.zeros((u.band + 1,) + c.shape[1:]), exc
+    h, k = _line_factors(fac)
     return h, k, pending
 
 
-def _finish(variant, f, parts, tol, scale, pending):
+def _finish(variant, f, parts, tol, scale, pending, not_psd):
     """Certificate of the significant (generator, stripped stacks) parts, verified once.
 
     A factor whose square contributes at most 1e-3 * tol * scale is gauge
     noise of the factorization and is dropped; each kept one becomes one
-    MatrixPoly.  The reassembly check against F still decides.
+    MatrixPoly.  A certificate that passes the reassembly check proves F
+    PSD up to its residual; one that misses raises ``not_psd`` at F's least
+    eigenvalue on the domain if it is below -tol * scale, else the
+    factorization's ``NoConvergence`` or a ``SosConsistencyError``.
     """
-    drop = 1e-3 * tol * scale
+    drop, thresh = 1e-3 * tol * scale, tol * scale
     cert = SosCertificate(variant, {key: [MatrixPoly(c) for c in factors
                                           if len(c) * _maxabs(c) ** 2 > drop]
                                     for key, factors in parts})
     cert.residual = verify_certificate(f, cert)
-    if cert.residual > tol * scale:
-        if pending is not None:
+    if not cert.residual <= thresh:     # NaN if the reassembly overflowed
+        worst, x = _least_on(f, *not_psd.domain, thresh)
+        if worst < -thresh:
+            raise not_psd(worst, x) from pending
+        if isinstance(pending, spectral.NoConvergence):
             raise pending
-        raise SosConsistencyError(f"reassembly residual {cert.residual:.3e} above tolerance")
+        raise SosConsistencyError(
+            f"reassembly residual {cert.residual:.3e} above tolerance") from pending
     return cert
 
 
@@ -258,17 +278,11 @@ def decompose_line(f, tol=DEFAULT_TOL):
     are emitted.
     """
     _check_tol(tol, positive=True)
-    top, scale = _require_symmetric(f)
+    scale = _require_symmetric(f)
     if f.deg % 2:
         raise OddDegree(f"degree {f.deg} is odd")
-    lead = f.coeffs[-1]
-    w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
-    if w[0] < -tol * scale:
-        raise NotPsdOnLine(w[0], np.inf)
-    _grid_check(f, -1.0 - top, 1.0 + top, tol * scale, NotPsdOnLine)
-
-    h, k, pending = _line_split(f.coeffs, 1, tol, f, NotPsdOnLine)
-    return _finish("line", f, [("1", [h, k])], tol, scale, pending)
+    h, k, pending = _line_split(f.coeffs, 1, tol)
+    return _finish("line", f, [("1", [h, k])], tol, scale, pending, NotPsdOnLine)
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
@@ -278,12 +292,11 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
     """
     _check_tol(tol, positive=True)
-    top, scale = _require_symmetric(f)
-    _grid_check(f, 0.0, 1.0 + top, tol * scale, NotPsdOnHalfLine)
-
-    h, k, pending = _line_split(f.coeffs, 2, tol, f, NotPsdOnHalfLine)
+    scale = _require_symmetric(f)
+    h, k, pending = _line_split(f.coeffs, 2, tol)
     evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
-    return _finish("halfline", f, [("1", evens), ("x", odds)], tol, scale, pending)
+    return _finish("halfline", f, [("1", evens), ("x", odds)], tol, scale, pending,
+                   NotPsdOnHalfLine)
 
 
 @lru_cache(maxsize=None)
@@ -317,20 +330,17 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     1-x and Q to x for odd d.
     """
     _check_tol(tol, positive=True)
-    _, scale = _require_symmetric(f)
-    _grid_check(f, 0.0, 1.0, tol * scale, NotPsdOnInterval)
-
-    d = f.deg
-    h, k, pending = _line_split(_clear_substitution(f.coeffs, d, +1), 2, tol, f, NotPsdOnInterval)
+    scale = _require_symmetric(f)
+    d, half = f.deg, f.deg // 2
+    h, k, pending = _line_split(_clear_substitution(f.coeffs, d, +1), 2, tol)
     evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
-    half = d // 2
     if d % 2 == 0:      # at d = 0, Q is empty, clears empty and is dropped as insignificant
         parts = [("1", [_clear_substitution(r, half, -1) for r in evens]),
                  ("x(1-x)", [_clear_substitution(q, half - 1, -1) for q in odds])]
     else:
         parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
                  ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
-    cert = _finish("interval", f, parts, tol, scale, pending)
+    cert = _finish("interval", f, parts, tol, scale, pending, NotPsdOnInterval)
     cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
     return cert
 

@@ -145,14 +145,13 @@ class PositiveMapMeasure:
         self._raw = {}
 
     @classmethod
-    def from_linear(cls, h_dim, k_dim, atoms, validation_samples=10, seed=0):
+    def from_linear(cls, h_dim, k_dim, atoms):
         """Raw positive maps, each validated on a fixed set of rank-one projections.
 
         A map must send v v^T to a PSD matrix for v = e_i and e_i +- e_j,
         projections that span the symmetric matrices.  This is weaker than
         the Kraus form: positivity is only checked on these samples, so
-        non-completely-positive maps are admitted.  ``validation_samples``
-        and ``seed`` are ignored.
+        non-completely-positive maps are admitted.
         """
         out = cls(h_dim, k_dim, [])
         eye = np.eye(h_dim)

@@ -211,11 +211,6 @@ class MatrixPoly:
         return f"MatrixPoly(n={self.n}, deg={self.deg})"
 
 
-def eval_poly(p, x):
-    """Evaluate sum_k C_k x^k by Horner's rule."""
-    return p(x)
-
-
 def matmul(p, q):
     """Noncommutative coefficient convolution (P*Q)(x) = P(x) Q(x)."""
     if p.n != q.n:
@@ -226,11 +221,6 @@ def matmul(p, q):
 def transpose_poly(p):
     """Coefficient-wise transpose; the adjoint for real coefficients."""
     return MatrixPoly(np.transpose(np.array(p.coeffs), (0, 2, 1)), symmetric=p.symmetric)
-
-
-def even_odd_split(p):
-    """Split P(a) = R(a^2) + a*Q(a^2); returns (R, Q) exactly."""
-    return MatrixPoly(p.coeffs[0::2]), MatrixPoly(p.coeffs[1::2]) if p.deg else MatrixPoly.zero(p.n)
 
 
 def _conv_stack(a, b):
@@ -269,9 +259,9 @@ def _least_eigenvalue(values):
 
     The first index wins a tie, and a NaN eigenvalue (from an entry that
     overflowed) never counts as the least.  The hermitian part
-    ``0.5 * (v + v^H)`` overflows for entries beyond ~9e307, so grid checks
-    hold for entries below that: past it the overflowed points are skipped
-    and the least eigenvalue and its point may be reported wrong.
+    ``0.5 * (v + v^H)`` overflows for entries beyond ~9e307, so the checks
+    that use it hold for entries below that: past it the overflowed points
+    are skipped and the least eigenvalue and its point may be reported wrong.
     """
     w = np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, -1, -2).conj()))[:, 0]
     w = np.where(np.isnan(w), np.inf, w)
@@ -287,26 +277,6 @@ def _conv1d(a, b):
     return out
 
 
-def compose_scalar(p, q):
-    """Substitute a scalar polynomial: returns P(q(x)) expanded.
-
-    ``q`` is a coefficient sequence, constant term first.
-    """
-    qc = list(q) or [0]
-    if any(isinstance(c, complex) for c in qc):
-        raise ValueError("substitution polynomial must have real coefficients")
-    out = np.zeros((p.deg * (len(qc) - 1) + 1, p.n, p.n))
-    power = [1]
-    for k in range(p.deg + 1):
-        ck = p.coeffs[k]
-        for j, w in enumerate(power):
-            if w != 0:
-                out[j] += float(w) * ck
-        if k < p.deg:
-            power = _conv1d(power, qc)
-    return MatrixPoly(out)
-
-
 def scalar_poly_mult(q, p):
     """Multiply a matrix polynomial by the scalar polynomial q."""
     qc = list(q)
@@ -320,18 +290,6 @@ def _times_scalar(q, c):
         if w != 0:
             out[j:j + len(c)] += float(w) * c
     return out
-
-
-def sup_norm_on(p, interval, grid):
-    """Max spectral norm of P(x) over a uniform grid on [a, b]."""
-    a, b = interval
-    if a > b:
-        raise ValueError(f"empty interval: [{a}, {b}]")
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    xs = np.linspace(a, b, grid)
-    return float(np.max(np.linalg.norm(_horner(p.coeffs, xs[:, None, None]), 2,
-                                       axis=(1, 2))))
 
 
 def poly_trace(p):

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import entrywise_reassembly, rand_symmetric_poly
-from matmoments import certificates, spectral
+from matmoments import certificates, polymat, spectral
 from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
                         NotPsdOnLine, OddDegree, SosCertificate,
-                        certificate_from_json, certificate_to_json, compose_scalar,
+                        certificate_from_json, certificate_to_json,
                         decompose_halfline, decompose_interval, decompose_line,
-                        even_odd_split, matmul, scalar_poly_mult, scalarize, transpose_poly,
+                        matmul, scalar_poly_mult, scalarize, transpose_poly,
                         verify_certificate)
 from matmoments.moments import GENERATORS, VARIANT_GENERATORS
 from matmoments.shiftgap import build_family
+from test_bit_identity import _corpus
 
 
 def scalar_poly(*coeffs):
@@ -50,8 +51,9 @@ def test_line_matrix_example():
 
 
 def test_line_rejects_negative_constant():
-    with pytest.raises(NotPsdOnLine):
-        decompose_line(MatrixPoly.constant(-np.eye(2), symmetric=True))
+    # reported at a finite point, no longer at x = inf for the leading coefficient
+    report = _not_psd_report(decompose_line, MatrixPoly.constant(-np.eye(2), symmetric=True))
+    assert report.min_eigenvalue == -1.0
 
 
 def test_line_rejects_odd_degree():
@@ -258,23 +260,26 @@ def test_certificate_json_round_trip():
         certificate_from_json({"variant": "circle", "sigma": {}})
 
 
-# Loop versions of the grid check, the expansion weights, the substitution
-# and the verification, as they were before the grid was batched, the
-# weights tabulated and the stages moved onto stacks.  The rewritten code
-# must reproduce them bit for bit; the cascade reference below uses them.
+# Loop versions of the expansion weights, the substitution and the
+# verification, as they were before the weights were tabulated and the
+# stages moved onto stacks, and copies of the two polynomial helpers the
+# cascade took, a -> a^2 and the parity split.  The rewritten code must
+# reproduce them bit for bit; the cascade reference below uses them.
 
 _I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
 
-def _grid_check_loop(ff, a, b, thresh, exc):
-    worst, worst_x = np.inf, a
-    for x in certificates._chebyshev_grid(a, b, 8 * (ff.deg + 1)):
-        v = ff(x)
-        w = np.linalg.eigvalsh(0.5 * (v + v.T))
-        if w[0] < worst:
-            worst, worst_x = w[0], float(x)
-    if worst < -thresh:
-        raise exc(worst, worst_x)
+def _square_argument_loop(p):
+    """P(a^2), each coefficient added onto a zero, so a -0.0 entry becomes +0.0."""
+    out = np.zeros((2 * p.deg + 1, p.n, p.n))
+    for k in range(p.deg + 1):
+        out[2 * k] += 1.0 * p.coeffs[k]
+    return MatrixPoly(out)
+
+
+def _even_odd_split_loop(p):
+    """(R, Q) with P(a) = R(a^2) + a Q(a^2)."""
+    return MatrixPoly(p.coeffs[0::2]), MatrixPoly(p.coeffs[1::2]) if p.deg else MatrixPoly.zero(p.n)
 
 
 def _trig_laurent_loop(f):
@@ -440,13 +445,26 @@ def test_verify_certificate_matches_polynomial_arithmetic():
         assert _same_bits(verify_certificate(f, cert), _verify_certificate_poly(f, cert))
 
 
-def _not_psd_report(decomposer, f, monkeypatch, grid_check):
-    with monkeypatch.context() as m:
-        m.setattr(certificates, "_grid_check", grid_check)
-        with np.errstate(all="ignore"), pytest.raises(
-                (NotPsdOnLine, NotPsdOnHalfLine, NotPsdOnInterval)) as info:
-            decomposer(f)
-    return type(info.value), info.value.min_eigenvalue, info.value.at_x
+_NOT_PSD = {decompose_line: NotPsdOnLine, decompose_halfline: NotPsdOnHalfLine,
+            decompose_interval: NotPsdOnInterval}
+
+
+def _assert_located(report, f, exc):
+    """``report`` is ``exc`` at a finite point of its domain, with F's least eigenvalue there."""
+    assert type(report) is exc
+    a, b = exc.domain
+    assert np.isfinite(report.at_x) and a <= report.at_x <= b
+    with np.errstate(all="ignore"):
+        v = f(report.at_x)
+    assert _same_bits(report.min_eigenvalue, np.linalg.eigvalsh(0.5 * (v + v.T))[0])
+    assert report.min_eigenvalue < -certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+
+
+def _not_psd_report(decomposer, f):
+    with np.errstate(all="ignore"), pytest.raises(certificates._NotPsdOnDomain) as info:
+        decomposer(f)
+    _assert_located(info.value, f, _NOT_PSD[decomposer])
+    return info.value
 
 
 def _not_psd_sweep():
@@ -467,10 +485,11 @@ def _not_psd_sweep():
 
 
 def _overflowing(decomposer):
-    """F negative inside the grid whose value overflows at other grid points.
+    """F negative somewhere whose value overflows at other points the check evaluates.
 
     The overflowed values give NaN eigenvalues, which must never be taken
-    for the least one.
+    for the least one.  On the interval the substitution of the line
+    problem overflows as well.
     """
     if decomposer is decompose_interval:
         # -0.1 + x + x^2, scaled to the top of the float range
@@ -478,45 +497,54 @@ def _overflowing(decomposer):
         coeffs[:, 0, 0] = [-1e307, 1e308, 1e308]
         coeffs[0, 1, 1] = 1.0
     else:
-        # x^15 (x - 1e20) on the grid out to 1 + 1e20
+        # x^15 (x - 1e20), which overflows between its roots 0 and 1e20
         coeffs = np.zeros((17, 2, 2))
         coeffs[16] = np.eye(2)
         coeffs[15, 0, 0] = -1e20
     return MatrixPoly(coeffs, symmetric=True)
 
 
-def test_not_psd_reports_match_the_loop(monkeypatch):
+def test_not_psd_reports_match_the_loop():
+    # each report re-evaluated on its own, point by point: the domain's
+    # class, a finite point of the domain and F's least eigenvalue there
     for decomposer, f in _not_psd_sweep():
-        got = _not_psd_report(decomposer, f, monkeypatch, certificates._grid_check)
-        want = _not_psd_report(decomposer, f, monkeypatch, _grid_check_loop)
-        assert got[0] is want[0]
-        assert _same_bits(got[1], want[1]) and got[2] == want[2], (decomposer.__name__, f)
+        _not_psd_report(decomposer, f)
 
 
 @pytest.mark.parametrize("decomposer,a,b", [(decompose_halfline, 0.0, 2.0),
                                             (decompose_interval, 0.0, 1.0)])
 def test_grid_tie_reports_first_point(decomposer, a, b):
-    # constant -I: every grid point attains -1, the first one is reported
-    with pytest.raises((NotPsdOnHalfLine, NotPsdOnInterval)) as info:
-        decomposer(MatrixPoly.constant(-np.eye(2), symmetric=True))
-    assert info.value.min_eigenvalue == -1.0
-    assert info.value.at_x == certificates._chebyshev_grid(a, b, 8)[0]
+    # constant -I: every located point attains -1, and the first one, the
+    # start a of the domain, is reported
+    report = _not_psd_report(decomposer, MatrixPoly.constant(-np.eye(2), symmetric=True))
+    assert report.min_eigenvalue == -1.0
+    assert report.at_x == a < b
 
 
-@pytest.mark.parametrize("decomposer,exc,domain", [
-    (decompose_line, NotPsdOnLine, lambda m: (-1 - m, 1 + m)),
-    (decompose_halfline, NotPsdOnHalfLine, lambda m: (0.0, 1 + m)),
-    (decompose_interval, NotPsdOnInterval, lambda m: (0.0, 1.0))])
-def test_grid_overflow_is_never_the_worst_point(decomposer, exc, domain):
+@pytest.mark.parametrize("decomposer,exc,negative", [
+    (decompose_line, NotPsdOnLine, lambda x: 0 < x < 1e20),
+    (decompose_halfline, NotPsdOnHalfLine, lambda x: 0 < x < 1e20),
+    (decompose_interval, NotPsdOnInterval, lambda x: x < (np.sqrt(1.4) - 1) / 2)])
+def test_grid_overflow_is_never_the_worst_point(decomposer, exc, negative, monkeypatch):
+    seen = []
+
+    def least_eigenvalue(values):
+        seen.append(np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, 1, 2)))[:, 0])
+        return polymat._least_eigenvalue(values)
+    monkeypatch.setattr(certificates, "_least_eigenvalue", least_eigenvalue)
     f = _overflowing(decomposer)
-    xs = certificates._chebyshev_grid(*domain(f.max_coeff_abs()), 8 * (f.deg + 1))
-    with np.errstate(all="ignore"):
-        grid_eigs = [np.linalg.eigvalsh(0.5 * (f(x) + f(x).T))[0] for x in xs]
-        with pytest.raises(exc) as info:
-            decomposer(f)
-    assert np.isnan(grid_eigs).any()
-    assert info.value.min_eigenvalue == np.nanmin(grid_eigs) < 0
-    assert info.value.at_x == xs[np.nanargmin(grid_eigs)]
+    report = _not_psd_report(decomposer, f)
+    assert np.isnan(np.concatenate(seen)).any()
+    assert type(report) is exc and np.isfinite(report.min_eigenvalue) and negative(report.at_x)
+
+
+def test_halfline_dip_between_grid_points_is_located():
+    # (x - 0.89)^2 - 0.002 is negative only on (0.845, 0.935), between the
+    # points of the grid check this replaced: it ended in NoConvergence
+    # with best residual 0.449
+    report = _not_psd_report(decompose_halfline, scalar_poly(0.7901, -1.78, 1))
+    assert report.min_eigenvalue == pytest.approx(-0.002, rel=1e-9)
+    assert report.at_x == pytest.approx(0.89, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -527,9 +555,9 @@ def test_non_finite_coefficients_are_rejected(fn, bad):
         fn(f)
 
 
-# Inputs negative near x = 0 between the Chebyshev grid points, and one
-# negative only beyond the half-line grid: the circle check of the
-# factorization catches them, and the error still names the domain.
+# Inputs negative only near x = 0, negative only beyond x = 1000 on the
+# half-line, and negative only below x = 1e-7 on the interval: their
+# decomposition fails, and the located error names the domain.
 @pytest.mark.parametrize("decomposer,exc,coeffs", [
     (decompose_line, NotPsdOnLine, (-1, 0, 1, 0, 0, 0, 100)),
     (decompose_halfline, NotPsdOnHalfLine, (-0.01, 0, 0, 100)),
@@ -538,11 +566,7 @@ def test_non_finite_coefficients_are_rejected(fn, bad):
 ])
 def test_circle_failures_name_the_domain(decomposer, exc, coeffs):
     f = scalar_poly(*coeffs)
-    with pytest.raises(exc) as info:
-        decomposer(f)
-    x = info.value.at_x
-    value = f.coeffs[-1] if np.isinf(x) else f(x)
-    assert info.value.min_eigenvalue == np.linalg.eigvalsh(value)[0] < 0
+    assert type(_not_psd_report(decomposer, f)) is exc
 
 
 @pytest.mark.parametrize("decomposer,exc,x", [
@@ -551,22 +575,48 @@ def test_circle_failures_name_the_domain(decomposer, exc, coeffs):
     (decompose_interval, NotPsdOnInterval, np.sin(np.pi / 3) ** 2),
 ])
 def test_circle_angle_maps_to_the_domain(decomposer, exc, x, monkeypatch):
-    # a = tan(angle/2), and x = a, a^2 or a^2/(1+a^2) on the three domains
+    # a = tan(angle/2), and x = a, a^2 or a^2/(1+a^2) on the three domains.
+    # A NotPsdOnCircle never escapes a decomposer: F is PSD on the domain,
+    # at x too, so the faked one at that angle is a SosConsistencyError;
+    # F - 3 is negative on [0, 0.76], so there it is the domain's error
     def fail_at(u, tol):
         raise spectral.NotPsdOnCircle(-1.0, 2 * np.pi / 3)
     monkeypatch.setattr(spectral, "fejer_riesz", fail_at)
     f = scalar_poly(2, -1, 3)
-    with pytest.raises(exc) as info:
+    assert f(x)[0, 0] > 0
+    with pytest.raises(certificates.SosConsistencyError) as info:
         decomposer(f)
-    assert info.value.at_x == pytest.approx(x, rel=1e-12)
-    assert info.value.min_eigenvalue == f(info.value.at_x)[0, 0]
+    assert isinstance(info.value.__cause__, spectral.NotPsdOnCircle)
+    assert type(_not_psd_report(decomposer, scalar_poly(-1, -1, 3))) is exc
+
+
+class _Located(Exception):
+    pass
+
+
+def test_certificates_that_verify_never_locate(monkeypatch):
+    # a verified certificate proves F PSD, so the least-eigenvalue check runs
+    # only on the digest inputs whose reassembly misses
+    def refuse(*args):
+        raise _Located
+    monkeypatch.setattr(certificates, "_least_on", refuse)
+    decompose = {"line": decompose_line, "halfline": decompose_halfline,
+                 "interval": decompose_interval}
+    outcomes = []
+    for domain, f in _corpus():
+        try:
+            decompose[domain](MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True))
+            outcomes.append("certificate")
+        except _Located:
+            outcomes.append("located")
+    assert outcomes.count("certificate") == 50 and outcomes.count("located") == 4
 
 
 # The three-level cascade the certificates used to take: decompose_interval
 # cleared x = s/(1+s) and called decompose_halfline, which substituted
 # s = a^2 and called decompose_line, each level validating, gating and
 # verifying on its own.  The flat pipeline must return its certificates bit
-# for bit.
+# for bit.  It is compared on PSD inputs only, so it runs no PSD check.
 
 def _ref_raise(pending, what):
     if pending is not None:
@@ -576,12 +626,6 @@ def _ref_raise(pending, what):
 
 def _ref_line(ff, tol=certificates.DEFAULT_TOL):
     scale = max(1.0, ff.max_coeff_abs())
-    lead = ff.coeffs[-1]
-    w = np.linalg.eigvalsh(0.5 * (lead + lead.T))
-    if w[0] < -tol * scale:
-        raise NotPsdOnLine(w[0], np.inf)
-    t_bound = 1.0 + ff.max_coeff_abs()
-    certificates._grid_check(ff, -t_bound, t_bound, tol * scale, NotPsdOnLine)
     try:
         fac, pending = spectral.fejer_riesz(LaurentPoly(_trig_laurent_loop(ff)),
                                             tol=min(1e-10, tol / 100.0)), None
@@ -600,11 +644,10 @@ def _ref_line(ff, tol=certificates.DEFAULT_TOL):
 
 def _ref_halfline(ff, tol=certificates.DEFAULT_TOL):
     scale = max(1.0, ff.max_coeff_abs())
-    certificates._grid_check(ff, 0.0, 1.0 + ff.max_coeff_abs(), tol * scale, NotPsdOnHalfLine)
-    inner = _ref_line(compose_scalar(ff, [0.0, 0.0, 1.0]), tol)
+    inner = _ref_line(_square_argument_loop(ff), tol)
     sig0, sig1 = [], []
     for p in inner.factors("1"):
-        r, q = even_odd_split(p)
+        r, q = _even_odd_split_loop(p)
         sig0.append(r)
         sig1.append(q)
     cert = SosCertificate("halfline", {"1": _significant_poly(sig0, tol, scale),
@@ -617,7 +660,6 @@ def _ref_halfline(ff, tol=certificates.DEFAULT_TOL):
 
 def _ref_interval(ff, tol=certificates.DEFAULT_TOL):
     scale = max(1.0, ff.max_coeff_abs())
-    certificates._grid_check(ff, 0.0, 1.0, tol * scale, NotPsdOnInterval)
     d = ff.deg
     inner = _ref_halfline(_clear_substitution_loop(ff, d, +1), tol)
     sigma = {key: [] for key in ("1", "x", "1-x", "x(1-x)")}
@@ -728,3 +770,37 @@ def test_non_psd_inputs_raise_their_own_domain_error(domain, n, d, seed):
     with pytest.raises(certificates._NotPsdOnDomain) as info:
         _DECOMPOSE[domain][0](MatrixPoly(coeffs))
     assert type(info.value) is exc[domain]
+
+
+def _grid_minimum(c, domain):
+    """Least eigenvalue of the stack C's polynomial on 4001 points spanning the domain."""
+    ts = np.linspace(0.0, 1.0, 4001)
+    xs = {"line": np.tan(np.pi * (ts[1:-1] - 0.5)), "halfline": np.tan(0.5 * np.pi * ts[:-1]) ** 2,
+          "interval": ts}[domain]
+    values = np.zeros((len(xs),) + c.shape[1:])
+    for ck in c[::-1]:
+        values = values * xs[:, np.newaxis, np.newaxis] + ck
+    return np.linalg.eigvalsh(values)[:, 0].min()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(domain=st.sampled_from(sorted(_GENS)), n=st.integers(1, 4), half=st.integers(1, 6),
+       depth=st.floats(-5.0, -2.0), seed=st.integers(0, 2**32 - 1))
+def test_inputs_that_dip_below_zero_are_located(domain, n, half, depth, seed):
+    # G(x) G(x)^T, shifted so that its least eigenvalue on the domain (on a
+    # grid, so at least as deep in truth) is -10^depth * max|coeff|
+    g = np.random.default_rng(seed).standard_normal((half + 1, n, n))
+    c = np.zeros((2 * half + 1, n, n))
+    for i in range(half + 1):
+        for j in range(half + 1):
+            c[i + j] += g[i] @ g[j].T
+    c = 0.5 * (c + np.swapaxes(c, 1, 2))
+    c[0] -= (_grid_minimum(c, domain) + 10.0 ** depth * np.abs(c).max()) * np.eye(n)
+    f = MatrixPoly(c, symmetric=True)
+    decomposer = _DECOMPOSE[domain][0]
+    try:
+        cert = decomposer(f)
+    except certificates._NotPsdOnDomain as report:
+        _assert_located(report, f, _NOT_PSD[decomposer])
+    else:
+        assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())

@@ -494,7 +494,8 @@ GOLDEN_CALLS = {
          [[1, 0], [0, 1]]])),
     "certify_interval": ("certify --domain interval --poly {doc}", _poly_doc(
         [[[2, 0], [0, 2]], [[3, 4], [4, 1]], [[1, -4], [-4, -3]], [[-1, 0], [0, 0]]])),
-    # x^2 - 1 is least at the two grid points nearest 0; the first is reported
+    # diag(x^2 - 1, 1) is least at x = 0, the midpoint of the located roots
+    # +-(1 - 5e-9) of det(F + 1e-8 I); rounding puts it at -5.6e-17, so -0.000000
     "certify_not_psd_line": ("certify --domain line --poly {doc}", _poly_doc(
         [[[-1, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 0]]])),
     "factor": ("factor --laurent {doc}", {

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from matmoments.polymat import STRIP_TOL
-from matmoments import (LaurentPoly, MatrixPoly, certificate_from_json, compose_scalar,
-                        eval_poly, even_odd_split, laurent_from_json, map_measure_from_json, matmul,
-                        matrixpoly_from_json, matrixpoly_to_json, measure_from_json,
-                        momentsequence_from_json, scalar_poly_mult, sup_norm_on,
+from matmoments import (LaurentPoly, MatrixPoly, certificate_from_json, laurent_from_json,
+                        map_measure_from_json, matmul, matrixpoly_from_json, matrixpoly_to_json,
+                        measure_from_json, momentsequence_from_json, scalar_poly_mult,
                         transpose_poly)
 
 I2 = np.eye(2)
@@ -84,75 +83,6 @@ def test_transpose_involution_and_antihomomorphism():
         lhs = transpose_poly(matmul(p, q))
         rhs = matmul(transpose_poly(q), transpose_poly(p))
         assert np.array_equal(np.array(lhs.coeffs), np.array(rhs.coeffs))
-
-
-def test_even_odd_split_scalar():
-    # 1 + a + a^2 -> R(t) = 1 + t, Q(t) = 1
-    p = MatrixPoly.from_scalar([1.0, 1.0, 1.0])
-    r, q = even_odd_split(p)
-    assert [c[0, 0] for c in r.coeffs] == [1.0, 1.0]
-    assert [c[0, 0] for c in q.coeffs] == [1.0]
-
-
-def test_even_odd_split_pure_cube():
-    p = MatrixPoly([0 * I2, 0 * I2, 0 * I2, I2])
-    r, q = even_odd_split(p)
-    assert r.max_coeff_abs() == 0.0
-    assert q.deg == 1 and np.array_equal(q.coeffs[1], I2)
-
-
-def test_even_odd_split_round_trip_exact():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = MatrixPoly(rng.integers(-5, 6, (6, 2, 2)).astype(float))
-        r, q = even_odd_split(p)
-        back = compose_scalar(r, [0.0, 0.0, 1.0]) + scalar_poly_mult(
-            [0.0, 1.0], compose_scalar(q, [0.0, 0.0, 1.0]))
-        assert back.deg == p.deg
-        assert np.array_equal(np.array(back.coeffs), np.array(p.coeffs))
-
-
-def test_compose_scalar_monomial():
-    xi = MatrixPoly([0 * I2, I2])
-    out = compose_scalar(xi, [0.0, 0.0, 1.0])
-    assert out.deg == 2 and np.array_equal(out.coeffs[2], I2)
-
-
-def test_compose_scalar_affine():
-    p = MatrixPoly([[[0.0, 0], [0, 1]], [[1, 0], [0, 0]]])
-    out = compose_scalar(p, [1.0, 1.0])   # x -> x + 1
-    assert np.array_equal(out.coeffs[0], np.array([[1.0, 0], [0, 1]]))
-    assert np.array_equal(out.coeffs[1], np.array([[1.0, 0], [0, 0]]))
-
-
-def test_compose_scalar_evaluation_oracle():
-    rng = np.random.default_rng(23)
-    p = MatrixPoly(rng.standard_normal((4, 2, 2)))
-    q = rng.standard_normal(3)
-    comp = compose_scalar(p, q)
-    for a in np.linspace(-2, 2, 20):
-        qa = q[0] + q[1] * a + q[2] * a * a
-        assert np.allclose(comp(a), p(qa), rtol=0, atol=1e-10 * max(1, np.max(np.abs(p(qa)))))
-
-
-def test_sup_norm_constant_identity():
-    assert sup_norm_on(MatrixPoly.constant(I2), (0.0, 1.0), 10) == pytest.approx(1.0)
-
-
-def test_sup_norm_linear():
-    xi = MatrixPoly([0 * I2, I2])
-    assert sup_norm_on(xi, (-2.0, 3.0), 101) == pytest.approx(3.0)
-
-
-def test_sup_norm_zero():
-    assert sup_norm_on(MatrixPoly.zero(2), (-1.0, 1.0), 5) == 0.0
-
-
-def test_sup_norm_validates_arguments():
-    with pytest.raises(ValueError):
-        sup_norm_on(MatrixPoly.zero(2), (1.0, 0.0), 10)
-    with pytest.raises(ValueError):
-        sup_norm_on(MatrixPoly.zero(2), (0.0, 1.0), 1)
 
 
 def test_matmul_associative_distributive_exact():
@@ -268,8 +198,7 @@ def test_fraction_inputs_become_float64():
     q = MatrixPoly.from_scalar([Fraction(1, 3), 2])
     assert q.coeffs.dtype == np.float64 and q.coeffs.tobytes() == want.tobytes()
     for r in (Fraction(1, 3) * MatrixPoly.constant(I2), MatrixPoly.constant(I2) * Fraction(1, 3),
-              scalar_poly_mult([Fraction(1, 3)], MatrixPoly.constant(I2)),
-              compose_scalar(MatrixPoly([0 * I2, I2]), [Fraction(1, 3)])):
+              scalar_poly_mult([Fraction(1, 3)], MatrixPoly.constant(I2))):
         assert r.coeffs.dtype == np.float64
         assert r.coeffs.tobytes() == (third * I2)[np.newaxis].tobytes()
 
@@ -280,8 +209,6 @@ def test_complex_scalars_are_rejected():
         1j * p
     with pytest.raises(TypeError):
         p * (1 + 0j)
-    with pytest.raises(ValueError, match="real"):
-        compose_scalar(p, [1j])
     with pytest.raises(ValueError, match="real"):
         MatrixPoly(1j * I2)
 
@@ -326,11 +253,6 @@ def test_symmetric_flag_names_the_first_asymmetric_coefficient():
 def test_laurent_poly_rejects_zero_size_matrices():
     with pytest.raises(ValueError, match="n >= 1"):
         LaurentPoly(np.zeros((3, 0, 0)))
-
-
-def test_eval_poly_alias():
-    f = MatrixPoly([I2, I2])
-    assert np.array_equal(eval_poly(f, 2.0), f(2.0))
 
 
 def test_json_round_trip():
