@@ -192,19 +192,19 @@ def _trig_laurent(c, step=1):
 
 @lru_cache(maxsize=None)
 def _line_weights(nh):
-    """Nonzero complex weights of B_k on u^e v^{nh-e} in _line_factors, per e."""
+    """Rows nh - e that B_k reaches in _line_factors and, read-only, their weights, per k."""
     table = []
-    for e in range(nh + 1):
-        terms = []
-        for k in range(nh + 1):
-            w = 0j
+    for k in range(nh + 1):
+        w = np.zeros(nh + 1, dtype=complex)     # exact binomial weights on x^{nh-e}
+        for e in range(nh + 1):
             for a in range(max(0, e - (nh - k)), min(k, e) + 1):
-                b = e - a
-                pre, pim = _I_POW[((k - a) - (nh - k - b)) % 4]
-                w += comb(k, a) * comb(nh - k, b) * (pre + 1j * pim)
-            if w != 0:
-                terms.append((k, w))
-        table.append(tuple(terms))
+                pre, pim = _I_POW[((k - a) - (nh - k - (e - a))) % 4]
+                w[nh - e] += comb(k, a) * comb(nh - k, e - a) * (pre + 1j * pim)
+        rows = np.flatnonzero(w)
+        entry = (rows, w[rows][:, np.newaxis, np.newaxis])
+        for arr in entry:
+            arr.setflags(write=False)
+        table.append(entry)
     return tuple(table)
 
 
@@ -218,11 +218,10 @@ def _line_factors(b_stack):
     """
     nh = b_stack.shape[0] - 1
     gamma = np.zeros(b_stack.shape, dtype=np.complex128)
-    for e, terms in enumerate(_line_weights(nh)):
-        # one matrix at a time (numpy may round a stacked complex product
-        # otherwise, by fused multiply-add); u^e v^{nh-e} lands on x^{nh-e}
-        for k, w in terms:
-            gamma[nh - e] += w * b_stack[k]
+    for k, (rows, weights) in enumerate(_line_weights(nh)):
+        # one pass per k: each coefficient x^{nh-e} still sums its terms in
+        # increasing k, so the per-coefficient summation order is kept
+        gamma[rows] += weights * b_stack[k]
     return _strip(gamma.real), _strip(gamma.imag)
 
 
@@ -248,16 +247,17 @@ def _line_split(c, step, tol):
 def _finish(variant, f, parts, tol, scale, pending, not_psd):
     """Certificate of the significant (generator, stripped stacks) parts, verified once.
 
-    A factor whose square contributes at most 1e-3 * tol * scale is gauge
-    noise of the factorization and is dropped; each kept one becomes one
-    MatrixPoly.  A certificate that passes the reassembly check proves F
-    PSD up to its residual; one that misses raises ``not_psd`` at F's least
-    eigenvalue on the domain if it is below -tol * scale, else the
-    factorization's ``NoConvergence`` or a ``SosConsistencyError``.
+    A factor whose square (a float product: inf, never an OverflowError)
+    contributes at most 1e-3 * tol * scale is gauge noise of the
+    factorization and is dropped; each kept one becomes one MatrixPoly.  A
+    certificate that passes the reassembly check proves F PSD up to its
+    residual; one that misses raises ``not_psd`` at F's least eigenvalue on
+    the domain if it is below -tol * scale, else the factorization's
+    ``NoConvergence`` or a ``SosConsistencyError``.
     """
     drop, thresh = 1e-3 * tol * scale, tol * scale
     cert = SosCertificate(variant, {key: [MatrixPoly(c) for c in factors
-                                          if len(c) * _maxabs(c) ** 2 > drop]
+                                          if len(c) * ((m := _maxabs(c)) * m) > drop]
                                     for key, factors in parts})
     cert.residual = verify_certificate(f, cert)
     if not cert.residual <= thresh:     # NaN if the reassembly overflowed

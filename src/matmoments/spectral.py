@@ -22,11 +22,12 @@ The Riccati equation is solved by structure-preserving doubling (Bini,
 Iannazzo and Meini, "Numerical Solution of Algebraic Riccati Equations",
 SIAM 2012): quadratic convergence on definite inputs, linear at spectral
 zeros on the circle (Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009).
-The solve is retried once on u + delta*I when it breaks down:
-when A_0 or R_e is singular (inputs rank-deficient on the whole circle),
-or when the doubling hits a singular or non-finite iterate or its step
-cap.  A coefficient-space Newton iteration on A_k = sum_j B_{j+k} B_j^H
-polishes the factor only when its residual misses the target.
+The order is solve, grid, retry, polish: only when the solve breaks down
+or misses its target is u checked on a grid of the circle; then the solve
+is retried once on u + delta*I if it broke down (A_0 or R_e singular on
+inputs rank-deficient on the whole circle, or a singular or non-finite
+doubling iterate or its step cap), and a coefficient-space Newton
+iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ _EPS = np.finfo(float).eps
 
 
 class NotPsdOnCircle(ValueError):
-    """Input fails the PSD-on-circle precondition on the validation grid."""
+    """Input fails the PSD-on-circle precondition."""
 
     def __init__(self, min_eigenvalue, at_angle):
         self.min_eigenvalue = min_eigenvalue
@@ -248,10 +249,10 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     ----------
     u : LaurentPoly
         Hermitian-valued input with finite coefficients, A_{-k} = A_k^H,
-        with u(e^{it}) >= -tol (relative to the scale of A_0) on a grid of
-        4*(band+1) equally spaced angles.  The grid is evaluated as one
-        stack and checked with one batched ``eigvalsh``; the first angle
-        attaining the least eigenvalue is reported.
+        PSD on the circle; checked on the grid when the solve fails or
+        misses: u(e^{it}) >= -tol (relative to the scale of A_0) at
+        4*(band+1) equally spaced angles, in one batched ``eigvalsh``; the
+        first angle attaining the least eigenvalue is reported.
     tol : float
         Residual target, relative to max(1, ||A_0||).
 
@@ -259,13 +260,14 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     -------
     SpectralFactor
         Factor with deg = band(u), residual below tol * max(1, ||A_0||),
-        canonical up to right multiplication by a constant unitary.
+        canonical up to a constant unitary on the right.  It proves
+        lambda_min(u(e^{it})) >= -(2*band+1) * n * residual everywhere.
 
     Raises
     ------
     NotPsdOnCircle
-        Grid eigenvalue below the tolerance; the input violates the
-        precondition.
+        Checked on the grid when the solve fails or misses: a grid
+        eigenvalue below the tolerance; the input violates the precondition.
     NoConvergence
         Residual target not reached by the doubling Riccati solve, its
         retry on u + delta*I (run when the direct solve breaks down) and
@@ -280,12 +282,6 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     if u.hermitian_defect() > 1e-10 * scale:
         raise ValueError("input is not hermitian-valued on the circle (A_{-k} != A_k^H)")
 
-    npts = 4 * (band + 1)
-    ts = 2.0 * np.pi * np.arange(npts) / npts
-    worst, i = _least_eigenvalue(u.eval_circle(ts))
-    if worst < -tol * scale:
-        raise NotPsdOnCircle(worst, ts[i])
-
     a_stack = np.array(u.coeffs)
     zero = np.zeros((band + 1, n, n), dtype=np.complex128)
     if _maxabs(a_stack) == 0.0:
@@ -295,7 +291,16 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     shift = 0.0
     try:
         b = _riccati_factor(a_stack, band, n)
+        res = _residual(a_stack, b)
     except np.linalg.LinAlgError:
+        b, res = None, np.inf
+    if not res <= tol_abs:      # a factor on target proves the precondition
+        npts = 4 * (band + 1)
+        ts = 2.0 * np.pi * np.arange(npts) / npts
+        worst, i = _least_eigenvalue(u.eval_circle(ts))
+        if worst < -tol_abs:
+            raise NotPsdOnCircle(worst, ts[i])
+    if b is None:
         # A_0 or R_e singular, or the doubling broke down: move the zeros off
         shift = RETRY_SHIFT * scale
         shifted = a_stack.copy()
@@ -304,7 +309,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
             b = _riccati_factor(shifted, band, n)
         except np.linalg.LinAlgError:
             raise NoConvergence(SpectralFactor(zero, _maxabs(a_stack), shift, n * band)) from None
-    res = _residual(a_stack, b)
+        res = _residual(a_stack, b)
     if not res <= tol_abs:
         b, res = _newton_refine(a_stack, band, b, target=0.01 * tol_abs)
     best = SpectralFactor(b, res, shift, n * band)

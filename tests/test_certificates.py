@@ -555,6 +555,23 @@ def test_non_finite_coefficients_are_rejected(fn, bad):
         fn(f)
 
 
+@pytest.mark.parametrize("decomposer,size", [(decompose_halfline, 1e307),
+                                             (decompose_interval, 1e306)])
+def test_huge_inputs_never_overflow_the_drop_test(decomposer, size):
+    # the drop test squared factor entries beyond ~1.3e154 with float **,
+    # which raised OverflowError in place of an outcome
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        a = MatrixPoly(rng.standard_normal((3, 2, 2)))
+        c = size * matmul(a, transpose_poly(a)).coeffs
+        f = MatrixPoly(0.5 * (c + np.swapaxes(c, 1, 2)), symmetric=True)
+        try:
+            with np.errstate(all="ignore"):
+                decomposer(f)
+        except (certificates.SosConsistencyError, certificates._NotPsdOnDomain):
+            pass
+
+
 # Inputs negative only near x = 0, negative only beyond x = 1000 on the
 # half-line, and negative only below x = 1e-7 on the interval: their
 # decomposition fails, and the located error names the domain.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import test_bit_identity
 from conftest import factorable_laurent
 from matmoments import (LaurentPoly, NoConvergence, NotPsdOnCircle, fejer_riesz,
                         laurent_from_json, laurent_to_json, spectral, verify_factor)
@@ -120,6 +121,55 @@ def test_doubling_factor_is_minimum_phase_and_canonical():
     # the Newton polish does not keep B_0 triangular; the zeros stay outside
     for name, u in SINGULAR_INPUTS.items():
         assert companion_radius(fejer_riesz(u).coeffs) <= 1 + 1e-8, name
+
+
+class _GridChecked(Exception):
+    pass
+
+
+def test_factors_on_target_skip_the_circle_grid(monkeypatch):
+    # a factor that meets its target proves the precondition, so inputs that
+    # factor never evaluate the grid: neither here nor in the digest corpus
+    def refuse(values):
+        raise _GridChecked
+    monkeypatch.setattr(spectral, "_least_eigenvalue", refuse)
+    rng = np.random.default_rng(67)
+    for n in range(1, 7):
+        for band in range(17):
+            u, _ = factorable_laurent(rng, n, band, real=(n + band) % 2 == 0)
+            fac = fejer_riesz(u)
+            assert fac.residual <= DEFAULT_TOL * max(1.0, np.max(np.abs(u.coeff(0))))
+    test_bit_identity.test_certificate_digest_is_unchanged()
+
+
+@pytest.mark.parametrize("u,solve", [
+    (scalar_laurent(1.01, 2, 1.01), "raises"),              # the doubling hits its step cap
+    (scalar_laurent(1.1, 1j, 2, -1j, 1.1), "misses"),       # residual 2.6e3
+], ids=["raises", "misses"])
+def test_not_psd_inputs_skip_the_retry_and_the_polish(u, solve, monkeypatch):
+    # the grid runs once the direct solve fails, before the shifted retry
+    # and the Newton polish, and reports the loop's angle
+    outcomes, factor = [], spectral._riccati_factor
+
+    def direct(*args):
+        try:
+            b = factor(*args)
+        except np.linalg.LinAlgError:
+            outcomes.append("raises")
+            raise
+        outcomes.append("misses" if spectral._residual(args[0], b) > DEFAULT_TOL else "meets")
+        return b
+
+    def polish(*args, **kwargs):
+        raise AssertionError("Newton polish reached")
+    monkeypatch.setattr(spectral, "_riccati_factor", direct)
+    monkeypatch.setattr(spectral, "_newton_refine", polish)
+    want = _circle_check_loop(u, DEFAULT_TOL)
+    with pytest.raises(NotPsdOnCircle) as info:
+        fejer_riesz(u)
+    assert outcomes == [solve]
+    assert info.value.at_angle == want[1]
+    assert info.value.min_eigenvalue == pytest.approx(want[0], rel=1e-12)
 
 
 def test_doubling_failure_reaches_the_shifted_retry(monkeypatch):
