@@ -79,8 +79,7 @@ def _cmd_verify(args):
 def _cmd_recover(args):
     from . import measures, moments, recovery
     seq = moments.momentsequence_from_json(_load_json(args.moments))
-    tol = recovery.DEFAULT_RANK_TOL if args.tol is None else args.tol
-    result = recovery.recover(seq, tol=tol)
+    result = recovery.recover(seq)
     return 0, {"measure": measures.measure_to_json(result.measure),
                "moment_residual": float(result.moment_residual),
                "rank_used": int(result.rank_used),
@@ -149,7 +148,6 @@ def _build_parser():
 
     p = sub.add_parser("recover", help="atomic measure recovery from moments")
     p.add_argument("--moments", required=True)
-    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("integrate", help="integrate a matrix polynomial against a measure")

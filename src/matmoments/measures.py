@@ -48,14 +48,10 @@ class AtomicMatrixMeasure:
         return mu
 
     def _build(self, n, atoms, checked):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("weight size n must be a positive integer")
-        self._n = int(n)
+        self._n = _positive_size(n, "weight size n")
         points, weights = [], []
         for idx, (x, w) in enumerate(atoms):
-            x = float(x)
-            if not math.isfinite(x):
-                raise ValueError(f"atom {idx}: point {x} is not finite")
+            x = _finite_point(idx, x)
             w = np.asarray(w, dtype=float)
             if w.shape != (self._n, self._n):
                 raise _EntryError(idx, f"atom {idx}: weight",
@@ -114,6 +110,19 @@ class AtomicMatrixMeasure:
         return f"AtomicMatrixMeasure(n={self._n}, atoms={len(self._atoms)})"
 
 
+def _positive_size(n, what):
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    return int(n)
+
+
+def _finite_point(idx, x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"atom {idx}: point {x} is not finite")
+    return x
+
+
 def _frozen(arr):
     arr = np.array(arr)
     arr.setflags(write=False)
@@ -131,41 +140,46 @@ class PositiveMapMeasure:
     """Atoms (point, positive map on matrices), maps in Kraus or raw form."""
 
     def __init__(self, h_dim, k_dim, atoms):
-        self.h_dim = int(h_dim)
-        self.k_dim = int(k_dim)
+        self.h_dim = _positive_size(h_dim, "h_dim")
+        self.k_dim = _positive_size(k_dim, "k_dim")
         self._atoms = []
         for idx, (x, kraus) in enumerate(atoms):
+            x = _finite_point(idx, x)
             mats = [np.asarray(v, dtype=float) for v in kraus]
             for v in mats:
-                if v.shape != (self.h_dim, self.k_dim):
-                    raise ValueError(
-                        f"atom {idx}: Kraus operator shape {v.shape}, "
-                        f"expected {(self.h_dim, self.k_dim)}")
-            self._atoms.append((float(x), tuple(_frozen(v) for v in mats)))
+                if v.shape != (self.h_dim, self.k_dim) or not np.isfinite(v).all():
+                    raise ValueError(f"atom {idx}: Kraus operator of shape {v.shape} must be "
+                                     f"a finite {self.h_dim}x{self.k_dim} matrix")
+            self._atoms.append((x, tuple(_frozen(v) for v in mats)))
         self._raw = {}
 
     @classmethod
     def from_linear(cls, h_dim, k_dim, atoms):
         """Raw positive maps, each validated on a fixed set of rank-one projections.
 
-        A map must send v v^T to a PSD matrix for v = e_i and e_i +- e_j,
-        projections that span the symmetric matrices.  This is weaker than
-        the Kraus form: positivity is only checked on these samples, so
-        non-completely-positive maps are admitted.
+        A map must send v v^T to a finite k_dim x k_dim PSD matrix for v = e_i
+        and e_i +- e_j, projections that span the symmetric matrices.  This is
+        weaker than the Kraus form: positivity is only checked on these
+        samples, so non-completely-positive maps are admitted.
         """
         out = cls(h_dim, k_dim, [])
+        h_dim, k_dim = out.h_dim, out.k_dim
         eye = np.eye(h_dim)
         i, j = np.triu_indices(h_dim, 1)
         vecs = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
         for idx, (x, action) in enumerate(atoms):
+            x = _finite_point(idx, x)
             fn = _as_action(action, h_dim, k_dim)
             for v in vecs:
-                img = fn(np.outer(v, v))
+                img = np.asarray(fn(np.outer(v, v)), dtype=float)
+                if img.shape != (k_dim, k_dim) or not np.isfinite(img).all():
+                    raise ValueError(f"atom {idx}: map image of shape {img.shape} must be "
+                                     f"a finite {k_dim}x{k_dim} matrix")
                 lam = np.linalg.eigvalsh(0.5 * (img + img.T))
                 if lam[0] < -AUDIT_TOL * max(1.0, abs(lam[-1])):
                     raise ValueError(f"atom {idx}: map sends a PSD sample to "
                                      f"eigenvalue {lam[0]:.3e} < 0")
-            out._atoms.append((float(x), None))
+            out._atoms.append((x, None))
             out._raw[len(out._atoms) - 1] = fn
         return out
 

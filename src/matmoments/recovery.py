@@ -1,22 +1,22 @@
 """Atomic measure recovery from a truncated moment sequence.
 
-Support points come from the generalized eigenvalues of the shifted
-block-Hankel pencil compressed onto the numerical range of the unshifted
-one; weights from a linear least-squares fit followed by projection onto
-the PSD cone.  The projection keeps the output a valid measure and any
-clipped mass shows up in the reported moment residual.
+The rank is read off the spectrum of the block Hankel H0 at its largest
+gap; support points are the eigenvalues of the shifted pencil compressed
+onto H0's leading eigenvectors, and points within their first-order
+rounding bounds merge.  Weights come from a least-squares fit projected
+onto the PSD cone, which keeps the output a valid measure; any clipped
+mass shows up in the reported moment residual.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMatrixMeasure
+from .measures import MERGE_TOL, AtomicMatrixMeasure
 from .moments import block_hankel, check_hamburger
-from .polymat import _check_tol
 
-DEFAULT_RANK_TOL = 1e-8
-MERGE_EIG_TOL = 1e-8
+ATOM_TOL = 1e-6
+EPS = np.finfo(float).eps
 
 
 class HankelNotPsd(RuntimeError):
@@ -38,50 +38,42 @@ class RecoveryResult:
 
 
 def pencil_eigenvalues(h0c, h1c):
-    """Eigenvalues of the symmetric-definite pencil (H1c, H0c), sorted.
+    """Eigenpairs of the pencil (H1c, diag(h0c)): sorted x, columns y^T diag(h0c) y = 1.
 
-    H0c is positive definite, so with H0c = L L^T they are the eigenvalues
-    of the symmetric L^{-1} H1c L^{-T}.
+    ``h0c`` holds kept eigenvalues of H0, which is diagonal on its own
+    eigenvectors; y = D z for z an eigenvector of D H1c D, D = diag(h0c)^(-1/2).
     """
-    l = np.linalg.cholesky(h0c)
-    c = np.linalg.solve(l, np.linalg.solve(l, h1c).T)
-    return np.linalg.eigvalsh(0.5 * (c + c.T))
+    s = 1.0 / np.sqrt(h0c)
+    c = s[:, np.newaxis] * h1c * s
+    vals, z = np.linalg.eigh(0.5 * (c + c.T))
+    return vals, s[:, np.newaxis] * z
 
 
 def _powers(points, degree):
-    """Vandermonde rows x ** p, p = 0..degree, as a (degree + 1, len(points)) array.
+    """Vandermonde rows x ** p, p = 0..degree, by Python's float ``**``.
 
-    The powers are Python's float ``**``: numpy's ``power`` rounds some
-    of them differently.
+    numpy's ``power`` rounds some of them differently.
     """
     return np.array([[x ** p for x in points] for p in range(degree + 1)])
 
 
-def recover(seq, tol=DEFAULT_RANK_TOL):
-    """Recover an atomic measure whose moments match the input sequence.
+def recover(seq):
+    """Recover an atomic measure whose moments match ``seq``.
 
-    Parameters
-    ----------
-    seq : MomentSequence
-        Truncated sequence with even top degree D = 2m >= 2 passing the
-        block-Hankel PSD test.
-    tol : float
-        Relative eigenvalue cut for the numerical rank of the Hankel
-        matrix; an eigenvalue gap below 10*tol at the cut flags the result
-        as unreliable instead of failing.
-
-    Returns
-    -------
-    RecoveryResult
-        Measure with PSD-projected weights, the max moment mismatch, the
-        rank used, and the gap-ambiguity flag.
-
-    Raises
-    ------
-    HankelNotPsd
-        Precondition failure.
+    ``seq`` needs an even top degree D = 2m >= 2 and must pass the
+    block-Hankel PSD test, else ``HankelNotPsd``.  The rank is the position
+    of the largest ratio of consecutive eigenvalues of H0 above the noise
+    floor 100 eps size lambda_max (the last against the next eigenvalue or
+    eps lambda_max).  A pencil eigenvalue x_i with y_i^T H0c y_i = 1 moves
+    under rounding by at most about b_i = 3 eps (||H1||_F + |x_i| lambda_max)
+    ||y_i||^2; consecutive points within b_i + b_j merge into their mean.
+    The result holds the measure with PSD-projected weights, the max moment
+    mismatch, the rank and ``rank_gap_ambiguous``, set when an eigenvalue
+    above the floor was dropped, when an atom's bound plus the width of its
+    merged points exceeds ``ATOM_TOL``, or when the mismatch exceeds
+    ``ATOM_TOL`` max|S|.  Unflagged atoms lie within ``ATOM_TOL``, barring
+    a rare weight that the least-squares fit magnifies past it.
     """
-    _check_tol(tol)
     d = seq.D
     if d < 2 or d % 2 != 0:
         raise ValueError(f"need even top degree D = 2m >= 2, got D={d}")
@@ -90,35 +82,28 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
         raise HankelNotPsd(report)
 
     n = seq.n
-    m = d // 2
-    h0 = block_hankel(seq, m - 1, 0)
-    h1 = block_hankel(seq, m - 1, 1)
+    h0, h1 = (block_hankel(seq, d // 2 - 1, shift) for shift in (0, 1))
     lam, vec = np.linalg.eigh(h0)
     lam_max = lam[-1]
     if lam_max <= 0.0:
         return RecoveryResult(AtomicMatrixMeasure(n, []), float(np.max(np.abs(seq.S))), 0)
 
-    keep = lam > tol * lam_max
-    rank = int(np.count_nonzero(keep))
-    dropped = lam[~keep]
-    lam_out = float(dropped.max()) if dropped.size else 0.0
-    lam_in = float(lam[keep].min())
-    # unreliable when the cut falls inside a narrow gap, or when the largest
-    # dropped eigenvalue sits well above the eigensolver noise floor (a real
-    # direction was truncated, e.g. tightly clustered atoms)
-    noise_floor = 1000.0 * np.finfo(float).eps * lam_max
-    ambiguous = ((lam_in - lam_out) / lam_max < 10.0 * tol) or (lam_out > noise_floor)
+    # eigenvalues above the floor, largest first, each against the next one
+    above = lam[lam > 100.0 * EPS * lam.size * lam_max][::-1]
+    below = lam[lam.size - above.size - 1] if above.size < lam.size else 0.0
+    ratios = above / np.append(above[1:], max(below, EPS * lam_max))
+    rank = int(np.argmax(ratios)) + 1
 
-    basis = vec[:, keep]
-    h0c = basis.T @ h0 @ basis
-    h1c = basis.T @ h1 @ basis
-    points = pencil_eigenvalues(h0c, h1c)
-
-    merged = []
-    for x in points:
-        if merged and abs(x - merged[-1]) < MERGE_EIG_TOL:
-            continue
-        merged.append(float(x))
+    basis = vec[:, lam.size - rank:]
+    points, y = pencil_eigenvalues(lam[lam.size - rank:], basis.T @ h1 @ basis)
+    bound = 3.0 * EPS * (np.linalg.norm(h1) + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
+    # clusters of consecutive points within their bounds; clusters at least
+    # MERGE_TOL apart, so the measure merges none of them again
+    apart = np.diff(points) > np.maximum(bound[1:] + bound[:-1], MERGE_TOL)
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
+    ends = np.concatenate((starts[1:], [points.size])) - 1
+    merged = [float(x) for x in np.add.reduceat(points, starts) / (ends - starts + 1)]
+    spread = np.maximum.reduceat(bound, starts) + points[ends] - points[starts]
 
     vand = _powers(merged, d)
     rhs = seq.S.reshape(d + 1, n * n)
@@ -127,10 +112,12 @@ def recover(seq, tol=DEFAULT_RANK_TOL):
     weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
 
     mu = AtomicMatrixMeasure._from_psd(n, list(zip(merged, weights)))
-    # the atoms are ``merged`` in order (sorted, and MERGE_EIG_TOL apart, so none
-    # merge again), whose powers ``vand`` holds
+    # the atoms are ``merged`` in order, whose powers ``vand`` holds
     approx = np.zeros(seq.S.shape)
     for j, (_, w) in enumerate(mu.atoms):
         approx += vand[:, j, np.newaxis, np.newaxis] * w
     residual = float(np.max(np.abs(seq.S - approx)))
-    return RecoveryResult(mu, residual, rank, bool(ambiguous))
+    # a mismatch beyond ATOM_TOL max|S| means a rank taken too low
+    ambiguous = bool(rank < above.size or np.any(spread > ATOM_TOL)
+                     or residual > ATOM_TOL * np.max(np.abs(seq.S)))
+    return RecoveryResult(mu, residual, rank, ambiguous)

@@ -542,12 +542,11 @@ def _tol_argvs(workspace):
                        workspace["moments4.json"]], 1),
             "factor": (["factor", "--laurent", str(factor)], 0),
             "certify": (["certify", "--poly", workspace["poly.json"], "--domain", "line"], 0),
-            "verify": (["verify", "--poly", workspace["poly.json"], "--cert", str(cert)], 0),
-            "recover": (["recover", "--moments", workspace["moments4.json"]], 0)}
+            "verify": (["verify", "--poly", workspace["poly.json"], "--cert", str(cert)], 0)}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
-@pytest.mark.parametrize("command", ["check", "factor", "certify", "verify", "recover"])
+@pytest.mark.parametrize("command", ["check", "factor", "certify", "verify"])
 def test_tol_must_be_finite_and_nonnegative(workspace, command, tol):
     argv, code = _tol_argvs(workspace)[command]
     assert run(argv).exit_code == code
@@ -557,11 +556,21 @@ def test_tol_must_be_finite_and_nonnegative(workspace, command, tol):
                                    f"tol must be a finite nonnegative number, got {float(tol)!r}"}
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "1e-8"])
+def test_recover_takes_no_tol(workspace, tol):
+    # recover reads its rank cut and merge radius off the Hankel spectrum
+    argv = ["recover", "--moments", workspace["moments4.json"]]
+    assert run(argv).exit_code == 0
+    res = run(argv + [f"--tol={tol}"])
+    assert res.exit_code == 2
+    assert res.report["error"] == {"type": "usage", "message": "invalid arguments"}
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
 def test_library_entry_points_reject_bad_tol(tol):
     from matmoments import (LaurentPoly, check_hamburger, check_hausdorff, check_stieltjes,
                             decompose_halfline, decompose_interval, decompose_line,
-                            fejer_riesz, operator_check, recover)
+                            fejer_riesz, operator_check)
     seq = forward_moments(AtomicMatrixMeasure(2, [(0.25, np.eye(2)), (0.75, np.eye(2))]), 4)
     f = MatrixPoly([np.eye(2), 0 * np.eye(2), np.eye(2)], symmetric=True)
     calls = {"fejer_riesz": lambda t: fejer_riesz(LaurentPoly(np.eye(2)[np.newaxis]), tol=t),
@@ -571,8 +580,7 @@ def test_library_entry_points_reject_bad_tol(tol):
              "check_hamburger": lambda t: check_hamburger(seq, tol=t),
              "check_stieltjes": lambda t: check_stieltjes(seq, tol=t),
              "check_hausdorff": lambda t: check_hausdorff(seq, tol=t),
-             "operator_check": lambda t: operator_check(seq, [np.eye(2)] * 2, "hausdorff", tol=t),
-             "recover": lambda t: recover(seq, tol=t)}
+             "operator_check": lambda t: operator_check(seq, [np.eye(2)] * 2, "hausdorff", tol=t)}
     for call in calls.values():
         call(1e-6)
         with pytest.raises(ValueError, match=f"got {tol!r}"):
@@ -583,7 +591,7 @@ def test_library_entry_points_reject_bad_tol(tol):
 def test_residual_targets_reject_zero_tol(workspace):
     # float64 rounding keeps every residual above 0, so fejer_riesz and the
     # decomposers refuse a zero target at once rather than polish to
-    # NoConvergence; the moment checks, recover and verify still accept 0
+    # NoConvergence; the moment checks and verify still accept 0
     from matmoments import (LaurentPoly, decompose_halfline, decompose_interval,
                             decompose_line, fejer_riesz)
     f = MatrixPoly([np.eye(2), 0 * np.eye(2), np.eye(2)], symmetric=True)
@@ -601,6 +609,6 @@ def test_residual_targets_reject_zero_tol(workspace):
         assert res.exit_code == 2
         assert res.report["error"] == {"type": "ValueError", "message":
                                        "tol must be positive for a residual target, got 0.0"}
-    for command in ("check", "verify", "recover"):
+    for command in ("check", "verify"):
         argv, code = argvs[command]
         assert run(argv + ["--tol=0"]).exit_code == code

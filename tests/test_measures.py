@@ -83,6 +83,40 @@ def test_raw_map_constructor_validates_by_sampling():
         PositiveMapMeasure.from_linear(2, 2, [(0.0, lambda a: -a)])
 
 
+K23 = np.ones((2, 3))
+
+
+@pytest.mark.parametrize("atom,match", [
+    ((np.nan, [K23]), "atom 1: point nan"), ((np.inf, [K23]), "atom 1: point inf"),
+    ((0.0, [np.where(np.eye(2, 3) > 0, np.inf, 1.0)]), "atom 1: Kraus .* a finite 2x3"),
+    ((0.0, [K23, np.full((2, 3), np.nan)]), "atom 1: Kraus .* a finite 2x3"),
+])
+def test_map_measure_rejects_non_finite_atoms(atom, match):
+    # integrate_map used to return NaN for these
+    with pytest.raises(ValueError, match=match):
+        PositiveMapMeasure(2, 3, [(0.5, [K23]), atom])
+
+
+@pytest.mark.parametrize("h_dim,k_dim,match", [
+    (0, 3, "h_dim"), (-1, 3, "h_dim"), (2, 0, "k_dim"), (2, -2, "k_dim")])
+def test_map_measure_rejects_nonpositive_dimensions(h_dim, k_dim, match):
+    with pytest.raises(ValueError, match=f"{match} must be a positive integer"):
+        PositiveMapMeasure(h_dim, k_dim, [])
+    with pytest.raises(ValueError, match=f"{match} must be a positive integer"):
+        PositiveMapMeasure.from_linear(h_dim, k_dim, [(0.0, lambda a: a)])
+
+
+def test_raw_map_images_must_be_finite_and_k_dim_square():
+    # the identity map sends 2x2 to 2x2, not 3x3: integrate_map used to fail
+    # with a numpy broadcast error, and return NaN for a NaN image
+    with pytest.raises(ValueError, match=r"atom 0: map image of shape \(2, 2\) .* finite 3x3"):
+        PositiveMapMeasure.from_linear(2, 3, [(0.0, lambda a: a)])
+    with pytest.raises(ValueError, match=r"atom 0: map image .* must be a finite 2x2"):
+        PositiveMapMeasure.from_linear(2, 2, [(0.0, lambda a: np.full((2, 2), np.nan))])
+    with pytest.raises(ValueError, match="atom 0: point nan"):
+        PositiveMapMeasure.from_linear(2, 2, [(np.nan, lambda a: a)])
+
+
 def test_raw_map_admits_positive_but_not_completely_positive():
     # the transpose map preserves PSD but has no Kraus representation
     m = PositiveMapMeasure.from_linear(2, 2, [(1.0, lambda a: a.T)])

@@ -1,18 +1,30 @@
 """Hankel-pencil measure recovery round trips."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_psd, separated_points
+from conftest import rand_measure, rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, HankelNotPsd, MomentSequence,
                         check_hamburger, check_stieltjes, forward_moments, recover)
-from matmoments.recovery import _powers, pencil_eigenvalues
+from matmoments.recovery import ATOM_TOL, _powers, pencil_eigenvalues
 
 I2 = np.eye(2)
+_PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def measure_of(n, atoms):
     return AtomicMatrixMeasure(n, atoms)
+
+
+def atom_error(truth, got):
+    """Worst point and Frobenius weight error of atoms matched in order; inf on a count mismatch."""
+    if len(truth) != len(got):
+        return np.inf
+    return max((max(abs(x1 - x2), float(np.linalg.norm(w1 - w2)))
+                for (x1, w1), (x2, w2) in zip(truth, got)), default=0.0)
 
 
 def test_point_mass_at_origin():
@@ -54,13 +66,17 @@ def test_rejects_odd_or_tiny_degree():
 
 
 def test_pencil_eigenvalues_are_real_and_sorted():
-    vals = pencil_eigenvalues(np.eye(2), np.diag([2.0, -1.0]))
+    vals, _ = pencil_eigenvalues(np.ones(2), np.diag([2.0, -1.0]))
     assert vals == pytest.approx([-1.0, 2.0])
-    # a non-identity H0c: the eigenvalues of H0c^{-1} H1c
-    h0c = np.array([[2.0, 1.0], [1.0, 3.0]])
+    # a non-identity H0c: the eigenvalues of H0c^{-1} H1c, eigenvectors
+    # normalized to y^T H0c y = 1
+    h0c = np.array([2.0, 3.0])
     h1c = np.array([[1.0, 4.0], [4.0, -2.0]])
-    want = np.sort(np.linalg.eigvals(np.linalg.solve(h0c, h1c)).real)
-    assert pencil_eigenvalues(h0c, h1c) == pytest.approx(want, rel=1e-12)
+    want = np.sort(np.linalg.eigvals(np.linalg.solve(np.diag(h0c), h1c)).real)
+    vals, y = pencil_eigenvalues(h0c, h1c)
+    assert vals == pytest.approx(want, rel=1e-12)
+    assert np.allclose(h1c @ y, h0c[:, np.newaxis] * y * vals, atol=1e-12)
+    assert np.allclose(y.T @ (h0c[:, np.newaxis] * y), np.eye(2), atol=1e-12)
 
 
 def test_round_trip_random_measures():
@@ -178,3 +194,54 @@ def test_weight_projection_matches_the_per_weight_loop():
             ew, ev = np.linalg.eigh(0.5 * (w + w.T))
             want = (ev * np.maximum(ew, 0.0)) @ ev.T
             assert np.array_equal(got, 0.5 * (want + want.T))
+
+
+def test_recover_has_no_tol_parameter():
+    # the rank and the merge radius come from the Hankel spectrum
+    assert list(inspect.signature(recover).parameters) == ["seq"]
+    with pytest.raises(TypeError):
+        recover(forward_moments(measure_of(2, [(1.0, I2)]), 4), tol=1e-8)
+
+
+@_PROPERTY
+@given(n=st.integers(1, 6), count=st.integers(1, 6), unit=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_recovered_atoms_are_accurate_or_flagged(n, count, unit, seed):
+    lo, hi = (0.0, 1.0) if unit else (-2.0, 2.0)
+    mu = rand_measure(np.random.default_rng(seed), n, count, lo, hi, sep=0.05)
+    res = recover(forward_moments(mu, 2 * count + 2))
+    assert res.rank_gap_ambiguous or atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
+
+
+def test_tiny_weight_is_recovered_or_flagged():
+    # weights 1 and w at 0.25 and 0.75: w = 1e-6 is a real Hankel direction,
+    # w = 1e-9 sinks below the gap and its atom is dropped with the flag set
+    def run(w):
+        mu = measure_of(1, [(0.25, [[1.0]]), (0.75, [[w]])])
+        return mu, recover(forward_moments(mu, 6))
+
+    mu, res = run(1e-6)
+    assert not res.rank_gap_ambiguous
+    assert atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
+    mu, res = run(1e-9)
+    assert len(res.measure.atoms) == 1
+    assert res.rank_gap_ambiguous
+
+
+def test_sequence_whose_zero_cut_broke_the_cholesky_recovers():
+    # a relative rank cut of 0 kept a rounding-level eigenvalue of H0 and the
+    # Cholesky of the compressed H0 raised LinAlgError on this sequence
+    mu = rand_measure(np.random.default_rng(0), 2, 2, -2.0, 2.0)
+    res = recover(forward_moments(mu, 6))
+    assert res.rank_used == 4
+    assert not res.rank_gap_ambiguous
+    assert atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
+
+
+def test_rank_below_the_noise_floor_is_flagged():
+    # three true Hankel eigenvalues lie under the noise floor, so the gap
+    # rule keeps 15 of 18; the points pass their bounds, but the measure
+    # misses the moments by 0.44 max|S|, which must set the flag
+    mu = rand_measure(np.random.default_rng(11413), 3, 6, -2.0, 2.0)
+    res = recover(forward_moments(mu, 14))
+    assert res.rank_gap_ambiguous or atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
