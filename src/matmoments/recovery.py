@@ -57,6 +57,44 @@ def _powers(points, degree):
     return np.array([[x ** p for x in points] for p in range(degree + 1)])
 
 
+def _fit_errors(vand, sol, sv, spread, rhs):
+    """First-order errors of the fitted atoms, max(point, weight error).
+
+    W = ``sol`` fits V W = S, V = ``vand`` with singular values ``sv``.  A
+    priori, point errors up to ``spread`` and rounding of S (eps
+    sum_j |x_j|^k ||W_j|| in degree k) reach W through ||V^+|| = 1 / sv[-1].
+    Where that exceeds ATOM_TOL, one Gauss-Newton step on V(x) W = S with W
+    projected out (Jacobian -(I - P) V'_j W_j in x_j, P the projector onto
+    range V) measures how far the points sit from the least-squares optimum
+    and what that does to W, and the rounding's reach is added entry by
+    entry.  More atoms than degrees 0..D, or a V or Jacobian singular to
+    working precision: inf.
+    """
+    rows, count = vand.shape
+    n2 = rhs.shape[1]
+    dvand = np.zeros(vand.shape)
+    dvand[1:] = np.arange(1, rows)[:, np.newaxis] * vand[:-1]
+    size = np.sqrt(np.einsum("ij,ij->i", sol, sol))
+    noise = EPS * (np.abs(vand) @ size)
+    reach = spread * size
+    prior = (np.sqrt(np.einsum("ij,ij->", dvand, dvand) * (reach @ reach))
+             + np.sqrt(n2 * (noise @ noise))) / sv[-1]
+    if count <= rows and prior <= ATOM_TOL:
+        return np.maximum(spread, prior)
+    u, s, wt = np.linalg.svd(vand, full_matrices=False)
+    proj = dvand - u @ (u.T @ dvand)
+    jac = (proj[:, :, np.newaxis] * sol).transpose(0, 2, 1).reshape(-1, count)
+    ju, js, jwt = np.linalg.svd(jac, full_matrices=False)
+    if s[-1] <= EPS * s[0] or js[-1] <= EPS * js[0]:
+        return np.full(count, np.inf)
+    vinv, jinv = (wt.T / s) @ u.T, (jwt.T / js) @ ju.T
+    step = jinv @ (rhs - vand @ sol).ravel()
+    xnoise = np.abs(jinv) @ np.repeat(noise, n2)
+    wstep = np.linalg.norm(vinv @ (dvand @ (step[:, np.newaxis] * sol)), axis=1)
+    wnoise = np.abs(vinv) @ (np.sqrt(n2) * noise + np.abs(dvand) @ (xnoise * size))
+    return np.maximum(np.abs(step) + xnoise, wstep + wnoise)
+
+
 def recover(seq):
     """Recover an atomic measure whose moments match ``seq``.
 
@@ -70,9 +108,11 @@ def recover(seq):
     The result holds the measure with PSD-projected weights, the max moment
     mismatch, the rank and ``rank_gap_ambiguous``, set when an eigenvalue
     above the floor was dropped, when an atom's bound plus the width of its
-    merged points exceeds ``ATOM_TOL``, or when the mismatch exceeds
-    ``ATOM_TOL`` max|S|.  Unflagged atoms lie within ``ATOM_TOL``, barring
-    a rare weight that the least-squares fit magnifies past it.
+    merged points exceeds ``ATOM_TOL``, when the mismatch exceeds
+    ``ATOM_TOL`` max|S|, or when the first-order error of a fitted atom
+    (``_fit_errors``) exceeds ``ATOM_TOL``; the last catches point errors
+    inside their bounds that the weight fit magnifies.  Unflagged atoms lie
+    within ``ATOM_TOL``.
     """
     d = seq.D
     if d < 2 or d % 2 != 0:
@@ -107,7 +147,8 @@ def recover(seq):
 
     vand = _powers(merged, d)
     rhs = seq.S.reshape(d + 1, n * n)
-    sol = np.linalg.lstsq(vand, rhs, rcond=None)[0].reshape(len(merged), n, n)
+    fit, _, _, sv = np.linalg.lstsq(vand, rhs, rcond=None)
+    sol = fit.reshape(len(merged), n, n)
     ew, ev = np.linalg.eigh(0.5 * (sol + np.swapaxes(sol, 1, 2)))
     weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
 
@@ -117,7 +158,10 @@ def recover(seq):
     for j, (_, w) in enumerate(mu.atoms):
         approx += vand[:, j, np.newaxis, np.newaxis] * w
     residual = float(np.max(np.abs(seq.S - approx)))
-    # a mismatch beyond ATOM_TOL max|S| means a rank taken too low
+    # a mismatch beyond ATOM_TOL max|S| means a rank taken too low; the PSD
+    # projection moves no weight further from a PSD truth, so the fit's
+    # error bounds the projected weights' too
     ambiguous = bool(rank < above.size or np.any(spread > ATOM_TOL)
-                     or residual > ATOM_TOL * np.max(np.abs(seq.S)))
+                     or residual > ATOM_TOL * np.max(np.abs(seq.S))
+                     or np.any(_fit_errors(vand, fit, sv, spread, rhs) > ATOM_TOL))
     return RecoveryResult(mu, residual, rank, ambiguous)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rand_measure, rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, HankelNotPsd, MomentSequence,
                         check_hamburger, check_stieltjes, forward_moments, recover)
-from matmoments.recovery import ATOM_TOL, _powers, pencil_eigenvalues
+from matmoments.recovery import ATOM_TOL, _fit_errors, _powers, pencil_eigenvalues
 
 I2 = np.eye(2)
 _PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -245,3 +245,30 @@ def test_rank_below_the_noise_floor_is_flagged():
     mu = rand_measure(np.random.default_rng(11413), 3, 6, -2.0, 2.0)
     res = recover(forward_moments(mu, 14))
     assert res.rank_gap_ambiguous or atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
+
+
+def sweep_draw(seed, index):
+    """Draw ``index`` of a sweep: n and atom count 1-6, [-2, 2] or [0, 1], sep 0.05."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        n, count = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        lo, hi = (-2.0, 2.0) if rng.random() < 0.5 else (0.0, 1.0)
+        mu = rand_measure(rng, n, count, lo, hi, 0.05)
+    return mu, count
+
+
+@pytest.mark.parametrize("seed, index", [(1, 361), (20, 341)])
+def test_weight_errors_the_fit_magnifies_are_flagged(seed, index):
+    # the points lie inside their rounding bounds, but the weight fit
+    # magnifies their errors past ATOM_TOL: n = 1 with 5 atoms in
+    # [0.62, 0.97] (a weight off by 1.04e-6) and n = 6 with 6 atoms in
+    # [-0.27, 1.77] (1.24e-6); the fit's first-order error covers both
+    mu, count = sweep_draw(seed, index)
+    seq = forward_moments(mu, 2 * count + 2)
+    res = recover(seq)
+    err = atom_error(mu.atoms, res.measure.atoms)
+    assert res.rank_gap_ambiguous or err <= ATOM_TOL
+    vand = _powers([x for x, _ in res.measure.atoms], seq.D)
+    rhs = seq.S.reshape(seq.D + 1, -1)
+    sol, _, _, sv = np.linalg.lstsq(vand, rhs, rcond=None)
+    assert np.max(_fit_errors(vand, sol, sv, np.full(len(sol), np.inf), rhs)) >= err
