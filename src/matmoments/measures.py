@@ -38,17 +38,7 @@ class AtomicMatrixMeasure:
     """Finitely many (point, symmetric PSD weight) atoms of a common size."""
 
     def __init__(self, n, atoms):
-        self._build(n, atoms, checked=True)
-
-    @classmethod
-    def _from_psd(cls, n, atoms):
-        """A measure on weights symmetric PSD by construction: no symmetry or eigenvalue check."""
-        mu = cls.__new__(cls)
-        mu._build(n, atoms, checked=False)
-        return mu
-
-    def _build(self, n, atoms, checked):
-        self._n = _positive_size(n, "weight size n")
+        self._n = _size(n, "weight size n")
         points, weights = [], []
         for idx, (x, w) in enumerate(atoms):
             x = _finite_point(idx, x)
@@ -58,19 +48,14 @@ class AtomicMatrixMeasure:
                                   f"shape {w.shape}, expected {(n, n)}")
             points.append(x)
             weights.append(w)
-        w = np.array(weights).reshape(len(weights), self._n, self._n)
+        w = _finite_weights(np.array(weights).reshape(len(weights), self._n, self._n))
         wt = np.transpose(w, (0, 2, 1))
-        bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))
+        scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
+        bad = np.flatnonzero(np.max(np.abs(w - wt), axis=(1, 2)) > 1e-10 * scale)
         if bad.size:
             idx = int(bad[0])
-            raise _EntryError(idx, f"atom {idx}: weight", "has a non-finite entry")
+            raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
         sym = 0.5 * (w + wt)
-        if checked:
-            scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
-            bad = np.flatnonzero(np.max(np.abs(w - wt), axis=(1, 2)) > 1e-10 * scale)
-            if bad.size:
-                idx = int(bad[0])
-                raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
         # atoms closer than MERGE_TOL merge into one; first[k] is the least
         # input index of merged atom k
         merged, first = [], []
@@ -81,16 +66,31 @@ class AtomicMatrixMeasure:
             else:
                 merged.append((points[idx], sym[idx]))
                 first.append(idx)
-        if checked:     # every input weight, then every merged one, must be PSD
-            lam = np.linalg.eigvalsh(np.concatenate([sym] + [w[np.newaxis] for _, w in merged]))
-            bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
-            if bad.size:
-                j = int(bad[0])
-                idx = j if j < len(sym) else first[j - len(sym)]
-                how = "" if j < len(sym) else "merged with nearby atoms "
-                raise _EntryError(idx, f"atom {idx}: weight",
-                                  f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
+        # every input weight must be PSD; where atoms merged, every merged weight too
+        tested = sym if len(merged) == len(points) else np.concatenate(
+            [sym] + [w[np.newaxis] for _, w in merged])
+        lam = np.linalg.eigvalsh(tested)
+        bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
+        if bad.size:
+            j = int(bad[0])
+            idx = j if j < len(points) else first[j - len(points)]
+            how = "" if j < len(points) else "merged with nearby atoms "
+            raise _EntryError(idx, f"atom {idx}: weight",
+                              f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
         self._atoms = tuple((x, _frozen(w)) for x, w in merged)
+
+    @classmethod
+    def _from_psd(cls, n, points, weights):
+        """A measure on sorted points at least MERGE_TOL apart with symmetric PSD weights.
+
+        ``weights`` is an (atoms, n, n) array.  Only finiteness is checked,
+        with the constructor's messages; nothing is sorted or merged.
+        """
+        mu = cls.__new__(cls)
+        mu._n = n
+        points = [_finite_point(idx, x) for idx, x in enumerate(points)]
+        mu._atoms = tuple(zip(points, map(_frozen, _finite_weights(weights))))
+        return mu
 
     @property
     def n(self):
@@ -110,10 +110,20 @@ class AtomicMatrixMeasure:
         return f"AtomicMatrixMeasure(n={self._n}, atoms={len(self._atoms)})"
 
 
-def _positive_size(n, what):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{what} must be a positive integer")
-    return int(n)
+def _size(value, what, least=1):
+    """``value`` as an int of at least ``least`` (1 or 0); bools and non-integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be a {'positive' if least else 'nonnegative'} integer")
+    return int(value)
+
+
+def _finite_weights(w):
+    """The (atoms, n, n) weight stack ``w``, if every entry is finite."""
+    bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))
+    if bad.size:
+        idx = int(bad[0])
+        raise _EntryError(idx, f"atom {idx}: weight", "has a non-finite entry")
+    return w
 
 
 def _finite_point(idx, x):
@@ -140,8 +150,8 @@ class PositiveMapMeasure:
     """Atoms (point, positive map on matrices), maps in Kraus or raw form."""
 
     def __init__(self, h_dim, k_dim, atoms):
-        self.h_dim = _positive_size(h_dim, "h_dim")
-        self.k_dim = _positive_size(k_dim, "k_dim")
+        self.h_dim = _size(h_dim, "h_dim")
+        self.k_dim = _size(k_dim, "k_dim")
         self._atoms = []
         for idx, (x, kraus) in enumerate(atoms):
             x = _finite_point(idx, x)
@@ -220,13 +230,14 @@ def integrate_map(f, m):
 
 def forward_moments(mu, degree):
     """Moment sequence S_p = sum_j x_j^p W_j for p = 0..degree."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    degree = _size(degree, "degree", least=0)
     n = mu.n
     mats = np.zeros((degree + 1, n, n))
-    for x, w in mu.atoms:
-        # cumprod multiplies in sequence, as the running product x^p = x^(p-1) * x
-        powers = np.cumprod(np.concatenate(([1.0], np.full(degree, x))))
+    # column j of the chain holds x_j^p, p = 0..degree; cumprod multiplies in
+    # sequence, as the running product x^p = x^(p-1) * x
+    chain = np.ones((degree + 1, len(mu.atoms)))
+    chain[1:] = [x for x, _ in mu.atoms]
+    for powers, (_, w) in zip(np.cumprod(chain, axis=0).T, mu.atoms):
         mats += powers[:, np.newaxis, np.newaxis] * w
     return MomentSequence(mats)
 

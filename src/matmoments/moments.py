@@ -44,8 +44,8 @@ CRITERION_VARIANTS = {"hamburger": "line", "stieltjes": "halfline", "hausdorff":
 class MomentSequence:
     """Finite sequence S_0, ..., S_D of symmetric real n-by-n matrices.
 
-    The sequence is immutable, so it keeps the least and largest
-    eigenvalue of each Hankel family at each order once computed; every
+    The sequence is immutable, so it keeps the least eigenvalue and the
+    scale of each Hankel family at each order once computed; every
     criterion and ``recover``'s precondition judge those at their own tol.
     """
 
@@ -76,20 +76,24 @@ class MomentSequence:
         self._extremes = {}
 
     def _hankel_extremes(self, g):
-        """(order, least, largest eigenvalue) of the localizing block Hankel of g at every order.
+        """(orders, least eigenvalues, scales) of the localizing block Hankels of g.
 
-        ``g`` is a coefficient tuple of ``GENERATORS``; the triples are
-        computed once per sequence and generator.
+        ``g`` is a coefficient tuple of ``GENERATORS``.  The Hankel is
+        gathered once, at its top order; order m's Hankel is its leading
+        (m + 1) n square, the same entries a gather at order m gives.  The
+        arrays are computed once per sequence and generator.
         """
-        triples = self._extremes.get(g)
-        if triples is None:
+        extremes = self._extremes.get(g)
+        if extremes is None:
             stack = _localize(self._S, g)
-            triples = []
-            for m in range((len(stack) - 1) // 2 + 1):
-                w = np.linalg.eigvalsh(_hankel(stack, m))
-                triples.append((m, w[0], w[-1]))
-            triples = self._extremes[g] = tuple(triples)
-        return triples
+            top = (len(stack) - 1) // 2
+            h = _hankel(stack, top)
+            n = self.n
+            w = [np.linalg.eigvalsh(h[:k, :k]) for k in range(n, (top + 2) * n, n)]
+            least = np.array([v[0] for v in w])
+            extremes = self._extremes[g] = (np.arange(top + 1), least,
+                                            _scale(least, np.array([v[-1] for v in w])))
+        return extremes
 
     @property
     def S(self):
@@ -165,24 +169,24 @@ def block_hankel(seq, m, shift):
     return _hankel(seq.S[shift:], m)
 
 
-def _judge(triples, tol):
-    """Scale-aware PSD test on (order, least, largest eigenvalue) triples."""
+def _scale(least, largest):
+    """max(1, |least|, |largest|), the scale a least eigenvalue is judged against.
+
+    ``fmax`` drops a NaN largest eigenvalue, as ``max(abs(least), abs(largest))`` does.
+    """
+    return np.fmax(1.0, np.fmax(np.abs(least), np.abs(largest)))
+
+
+def _judge(orders, least, scale, tol):
+    """Scale-aware PSD test: order orders[i] fails where least[i] < -tol scale[i].
+
+    The least eigenvalue reported is the first smallest non-NaN one, as a
+    running ``min`` from inf finds it, with the sign of a zero kept.
+    """
     _check_tol(tol)
-    min_eig = np.inf
-    failing = None
-    orders = set()
-    passed = True
-    for m, least, largest in triples:
-        orders.add(m)
-        spectral = max(abs(least), abs(largest))
-        min_eig = min(min_eig, least)
-        if least < -tol * max(1.0, spectral):
-            passed = False
-            if failing is None or m < failing:
-                failing = m
-    if not triples:
-        min_eig = 0.0
-    return PsdReport(passed, float(min_eig), sorted(orders), failing)
+    failing = orders[least < -tol * scale]
+    return PsdReport(not failing.size, min([np.inf, *least.tolist()]) if least.size else 0.0,
+                     sorted(set(orders.tolist())), min(failing.tolist(), default=None))
 
 
 def _generators(criterion):
@@ -190,7 +194,8 @@ def _generators(criterion):
 
 
 def _check(seq, criterion, tol):
-    return _judge(sum(map(seq._hankel_extremes, _generators(criterion)), ()), tol)
+    families = zip(*map(seq._hankel_extremes, _generators(criterion)))
+    return _judge(*map(np.concatenate, families), tol)
 
 
 def check_hamburger(seq, tol=DEFAULT_PSD_TOL):
@@ -217,12 +222,15 @@ def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
 def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     """PSD test of the scalar matrix [L(g x^{i+j} A_i^T A_j)] for one tuple.
 
-    With T_k the Frobenius pairing [<S_{i+j+k}, A_i^T A_j>], the matrix of
-    generator g is sum_k g_k T_k, for each generator of the variant.
+    ``variant`` names the moment criterion, ``hamburger``, ``stieltjes`` or
+    ``hausdorff`` (any case), whose generators g are tested.  With T_k the
+    Frobenius pairing [<S_{i+j+k}, A_i^T A_j>], the matrix of generator g
+    is sum_k g_k T_k.
     """
     variant = variant.lower()
     if variant not in CRITERION_VARIANTS:
-        raise ValueError(f"unknown variant '{variant}'")
+        raise ValueError(f"unknown criterion '{variant}': expected one of "
+                         f"{', '.join(CRITERION_VARIANTS)}")
     gens = _generators(variant)
     ops = [np.asarray(a, dtype=float) for a in operators]
     if not ops:
@@ -241,8 +249,8 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     stack = np.array(ops)
     t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
     pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
-    return _judge([(m, w[0], w[-1]) for w in
-                   (np.linalg.eigvalsh(_localize(pairings, g)[0]) for g in gens)], tol)
+    w = np.linalg.eigvalsh(np.array([_localize(pairings, g)[0] for g in gens]))
+    return _judge(np.full(len(gens), m), w[:, 0], _scale(w[:, 0], w[:, -1]), tol)
 
 
 def momentsequence_to_json(seq):

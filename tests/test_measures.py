@@ -161,6 +161,45 @@ def test_forward_moments_match_the_running_product_loop():
         assert forward_moments(mu, degree).S.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("points,weights,match", [
+    ([0.0, np.nan], [I2, I2], "atom 1: point nan is not finite"),
+    ([0.0, np.inf], [I2, I2], "atom 1: point inf is not finite"),
+    ([0.0, 1.0], [I2, np.where(I2 > 0, np.inf, 0.0)], "atom 1: weight has a non-finite entry"),
+    ([0.0, 1.0], [np.full((2, 2), np.nan), I2], "atom 0: weight has a non-finite entry"),
+])
+def test_direct_measure_checks_finiteness_with_the_constructors_messages(points, weights, match):
+    # recover builds its measure without the constructor's other checks
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        AtomicMatrixMeasure._from_psd(2, points, np.array(weights))
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        AtomicMatrixMeasure(2, list(zip(points, weights)))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda v: AtomicMatrixMeasure(v, []), "weight size n must be a positive integer"),
+    (lambda v: PositiveMapMeasure(v, 2, []), "h_dim must be a positive integer"),
+    (lambda v: PositiveMapMeasure(2, v, []), "k_dim must be a positive integer"),
+    (lambda v: PositiveMapMeasure.from_linear(v, 2, []), "h_dim must be a positive integer"),
+    (lambda v: forward_moments(AtomicMatrixMeasure(1, [(0.5, [[1.0]])]), v),
+     "degree must be a nonnegative integer"),
+], ids=["n", "h_dim", "k_dim", "from_linear-h_dim", "degree"])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, 2.5, np.float64(2.0), "2"],
+                         ids=["True", "False", "np.True_", "2.0", "2.5", "np.float64", "str"])
+def test_sizes_and_degrees_reject_bools_and_non_integers(build, match, value):
+    # True used to pass as size 1; a float degree ended in a bare numpy TypeError
+    with pytest.raises(ValueError, match=match):
+        build(value)
+
+
+def test_numpy_integer_sizes_and_degrees_stay_valid():
+    w = rand_psd(np.random.default_rng(5), 2)
+    mu = AtomicMatrixMeasure(np.int64(2), [(0.5, w)])
+    assert mu.n == 2 and type(mu.n) is int
+    assert forward_moments(mu, np.int32(3)).S.tobytes() == forward_moments(mu, 3).S.tobytes()
+    m = PositiveMapMeasure(np.int64(2), np.int16(1), [(0.0, [np.ones((2, 1))])])
+    assert (m.h_dim, m.k_dim) == (2, 1)
+
+
 @pytest.mark.parametrize("bad,match", [
     (np.array([[1.0, 2.0], [0.0, 1.0]]), "atom 2: weight is not symmetric"),
     (np.diag([1.0, -1.0]), "atom 2: weight has eigenvalue -1.000e+00 < 0"),

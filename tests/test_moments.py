@@ -131,6 +131,14 @@ def test_operator_check_degree_overflow():
         operator_check(plus_minus_one_moments(2), [I2, I2], "stieltjes")
 
 
+@pytest.mark.parametrize("name", ["line", "interval", "hamburgerx", ""])
+def test_operator_check_names_the_accepted_criteria(name):
+    # the certificate variant "line" used to get "unknown variant 'line'"
+    with pytest.raises(ValueError, match=f"unknown criterion '{name}': expected one of "
+                                         "hamburger, stieltjes, hausdorff$"):
+        operator_check(plus_minus_one_moments(2), [I2], name)
+
+
 @pytest.mark.parametrize("checker,lo,hi", [
     (check_hamburger, -2.0, 2.0),
     (check_stieltjes, 0.0, 2.0),

@@ -196,6 +196,25 @@ def test_weight_projection_matches_the_per_weight_loop():
             assert np.array_equal(got, 0.5 * (want + want.T))
 
 
+def test_recovered_measure_is_what_the_checked_constructor_builds():
+    # recover builds its measure directly, with no sort, merge, symmetry or
+    # eigenvalue check; the constructor, which runs them all, must agree bit
+    # for bit, also where recover merged a cluster of close pencil points
+    rng = np.random.default_rng(47)
+    for trial in range(60):
+        n = int(rng.integers(1, 5))
+        r = int(rng.integers(1, 5))
+        lo, hi = (-2.0, 2.0) if trial % 2 else (0.0, 1.0)
+        pts = list(separated_points(rng, r, lo, hi, 0.05))
+        if trial % 3 == 0:
+            pts.append(pts[0] + 1e-9)
+        mu = measure_of(n, [(float(x), rand_psd(rng, n)) for x in pts])
+        got = recover(forward_moments(mu, 2 * len(pts) + 2)).measure
+        again = AtomicMatrixMeasure(n, got.atoms)
+        assert [(x, w.tobytes()) for x, w in again.atoms] == \
+            [(x, w.tobytes()) for x, w in got.atoms]
+
+
 def test_recover_has_no_tol_parameter():
     # the rank and the merge radius come from the Hankel spectrum
     assert list(inspect.signature(recover).parameters) == ["seq"]
