@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MERGE_TOL, AtomicMatrixMeasure
-from .moments import check_hamburger
+from .moments import block_hankel, check_hamburger
 
 ATOM_TOL = 1e-6
 EPS = np.finfo(float).eps
@@ -54,8 +54,7 @@ def _powers(points, degree):
 
     numpy's ``power`` rounds some of them differently.
     """
-    powers = [x ** p for p in range(degree + 1) for x in points]
-    return np.array(powers).reshape(degree + 1, len(points))
+    return np.array([[x ** p for x in points] for p in range(degree + 1)])
 
 
 def _fit_errors(vand, sol, sv, spread, rhs):
@@ -123,10 +122,7 @@ def recover(seq):
         raise HankelNotPsd(report)
 
     n = seq.n
-    # H0 and H1 in one gather: block (i, j) of H_s is S_{i+j+s}
-    k = np.arange(d // 2)
-    blocks = seq.S[np.arange(2)[:, np.newaxis, np.newaxis] + k[:, np.newaxis] + k]
-    h0, h1 = blocks.transpose(0, 1, 3, 2, 4).reshape(2, k.size * n, k.size * n)
+    h0, h1 = (block_hankel(seq, d // 2 - 1, shift) for shift in (0, 1))
     lam, vec = np.linalg.eigh(h0)
     lam_max = lam[-1]
     if lam_max <= 0.0:
@@ -144,13 +140,10 @@ def recover(seq):
     # clusters of consecutive points within their bounds; clusters at least
     # MERGE_TOL apart, so the measure need not merge them again
     apart = np.diff(points) > np.maximum(bound[1:] + bound[:-1], MERGE_TOL)
-    if apart.all():
-        merged, spread = points.tolist(), bound
-    else:
-        starts = np.flatnonzero(np.concatenate(([True], apart)))
-        ends = np.concatenate((starts[1:], [points.size])) - 1
-        merged = (np.add.reduceat(points, starts) / (ends - starts + 1)).tolist()
-        spread = np.maximum.reduceat(bound, starts) + points[ends] - points[starts]
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
+    ends = np.concatenate((starts[1:], [points.size])) - 1
+    merged = [float(x) for x in np.add.reduceat(points, starts) / (ends - starts + 1)]
+    spread = np.maximum.reduceat(bound, starts) + points[ends] - points[starts]
 
     vand = _powers(merged, d)
     rhs = seq.S.reshape(d + 1, n * n)
@@ -158,13 +151,13 @@ def recover(seq):
     sol = fit.reshape(len(merged), n, n)
     ew, ev = np.linalg.eigh(0.5 * (sol + np.swapaxes(sol, 1, 2)))
     weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
-
     weights = 0.5 * (weights + np.swapaxes(weights, 1, 2))
+
     mu = AtomicMatrixMeasure._from_psd(n, merged, weights)
-    # the atoms' moments, added one atom at a time
+    # the atoms are ``merged`` in order, whose powers ``vand`` holds
     approx = np.zeros(seq.S.shape)
-    for term in vand.T[:, :, np.newaxis, np.newaxis] * weights[:, np.newaxis]:
-        approx += term
+    for j, (_, w) in enumerate(mu.atoms):
+        approx += vand[:, j, np.newaxis, np.newaxis] * w
     residual = float(np.max(np.abs(seq.S - approx)))
     # a mismatch beyond ATOM_TOL max|S| means a rank taken too low; the PSD
     # projection moves no weight further from a PSD truth, so the fit's
