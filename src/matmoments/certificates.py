@@ -14,9 +14,14 @@ real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
 interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), and both split each
 factor by parity, P(a) = R(a^2) + a Q(a^2), sending R and Q straight onto
 their generators.  Each decomposer verifies the finished certificate once
-against F.  Only a failure looks at F itself: F's least eigenvalue on the
-domain, located at the real roots of a determinant, decides between the
-domain's ``NotPsdOn*`` error and the failure.
+against F.  Only a failure looks further.  On the interval, a factor that
+met its target bounds F's least eigenvalue on all of [0, 1] from below by
+-B (``_interval_bound``); B <= tol * scale decides the failure without
+looking at F.  Otherwise, and always on the line and the half-line, where
+the (1 + a^2)^d weight keeps the factor's bound from being uniform, F's
+least eigenvalue on the domain, located at the real roots of a
+determinant, decides between the domain's ``NotPsdOn*`` error and the
+failure.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +32,8 @@ import numpy as np
 
 from . import spectral
 from .moments import GENERATORS, VARIANT_GENERATORS
-from .polymat import (LaurentPoly, MatrixPoly, _check_tol, _conv1d, _conv_stack, _horner,
-                      _json_fields, _json_real, _least_eigenvalue, _maxabs, _strip,
+from .polymat import (STRIP_TOL, LaurentPoly, MatrixPoly, _check_tol, _conv1d, _conv_stack,
+                      _horner, _json_fields, _json_real, _least_eigenvalue, _maxabs, _strip,
                       _times_scalar, matmul, matrixpoly_from_json, matrixpoly_to_json,
                       poly_trace)
 
@@ -225,35 +230,39 @@ def _line_factors(b_stack):
     return _strip(gamma.real), _strip(gamma.imag)
 
 
-def _line_split(c, step, tol):
-    """Stacks H, K with G = H H^T + K K^T, and the factorization's failure or None.
+def _line_split(u, tol):
+    """Stacks H, K with G = H H^T + K K^T, the factorization's failure or None, and the factor.
 
-    G(a) = C(a^step), of even degree, is neither validated nor verified
-    here.  A factorization that does not converge leaves its best attempt
-    for the reassembly check to judge; on a ``NotPsdOnCircle``, or a G that
-    overflows float64 (fejer_riesz's ``ValueError``), H = K = 0.
+    u is ``_trig_laurent`` of G, of even degree; G is neither validated nor
+    verified here.  A factorization that does not converge leaves its best
+    attempt for the reassembly check to judge; on a ``NotPsdOnCircle``, or
+    a G that overflows float64 (fejer_riesz's ``ValueError``), H = K = 0.
+    The SpectralFactor is returned only when there is no failure.
     """
-    u = _trig_laurent(c, step)
+    factor = pending = None
     try:
-        fac, pending = spectral.fejer_riesz(u, tol=min(1e-10, tol / 100)).coeffs, None
+        factor = spectral.fejer_riesz(u, tol=min(1e-10, tol / 100))
+        b = factor.coeffs
     except spectral.NoConvergence as exc:
-        fac, pending = exc.best.coeffs, exc
+        b, pending = exc.best.coeffs, exc
     except (spectral.NotPsdOnCircle, ValueError) as exc:
-        fac, pending = np.zeros((u.band + 1,) + c.shape[1:]), exc
-    h, k = _line_factors(fac)
-    return h, k, pending
+        b, pending = np.zeros((u.band + 1, u.n, u.n)), exc
+    h, k = _line_factors(b)
+    return h, k, pending, factor
 
 
-def _finish(variant, f, parts, tol, scale, pending, not_psd):
+def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
     """Certificate of the significant (generator, stripped stacks) parts, verified once.
 
     A factor whose square (a float product: inf, never an OverflowError)
     contributes at most 1e-3 * tol * scale is gauge noise of the
     factorization and is dropped; each kept one becomes one MatrixPoly.  A
     certificate that passes the reassembly check proves F PSD up to its
-    residual; one that misses raises ``not_psd`` at F's least eigenvalue on
-    the domain if it is below -tol * scale, else the factorization's
-    ``NoConvergence`` or a ``SosConsistencyError``.
+    residual.  One that misses raises a ``SosConsistencyError`` at once if
+    ``bound`` (a callable, run only here) gives B <= tol * scale, which
+    proves F >= -B on the domain.  Otherwise it raises ``not_psd`` at F's
+    least eigenvalue on the domain if that is below -tol * scale, else the
+    factorization's ``NoConvergence`` or a ``SosConsistencyError``.
     """
     drop, thresh = 1e-3 * tol * scale, tol * scale
     cert = SosCertificate(variant, {key: [MatrixPoly(c) for c in factors
@@ -261,9 +270,10 @@ def _finish(variant, f, parts, tol, scale, pending, not_psd):
                                     for key, factors in parts})
     cert.residual = verify_certificate(f, cert)
     if not cert.residual <= thresh:     # NaN if the reassembly overflowed
-        worst, x = _least_on(f, *not_psd.domain, thresh)
-        if worst < -thresh:
-            raise not_psd(worst, x) from pending
+        if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
+            worst, x = _least_on(f, *not_psd.domain, thresh)
+            if worst < -thresh:
+                raise not_psd(worst, x) from pending
         if isinstance(pending, spectral.NoConvergence):
             raise pending
         raise SosConsistencyError(
@@ -281,7 +291,7 @@ def decompose_line(f, tol=DEFAULT_TOL):
     scale = _require_symmetric(f)
     if f.deg % 2:
         raise OddDegree(f"degree {f.deg} is odd")
-    h, k, pending = _line_split(f.coeffs, 1, tol)
+    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs), tol)
     return _finish("line", f, [("1", [h, k])], tol, scale, pending, NotPsdOnLine)
 
 
@@ -293,7 +303,7 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     """
     _check_tol(tol, positive=True)
     scale = _require_symmetric(f)
-    h, k, pending = _line_split(f.coeffs, 2, tol)
+    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs, 2), tol)
     evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
     return _finish("halfline", f, [("1", evens), ("x", odds)], tol, scale, pending,
                    NotPsdOnHalfLine)
@@ -320,6 +330,38 @@ def _clear_substitution(c, d, sign):
     return _strip(_times_scalar(_binomials(d - e, sign), _strip(out)))
 
 
+def _interval_bound(f, c, u, factor):
+    """B with lambda_min(F(x)) >= -B on all of [0, 1], proven by the factor P of u.
+
+    C = ``_clear_substitution(F, d, +1)`` keeps degree e = u.band, and
+    F(sin^2 t) = cos^{2(d-e)} t * u(e^{2it}) exactly, so u on the circle
+    bounds F on the whole interval, with no weight.  B has three terms:
+
+    - u - P P* has coefficients below the residual plus rho: u's Hermitian
+      defect and gamma * (max|u_k| + ||P||_F^2), the rounding of
+      ``_residual``'s sums (Cauchy-Schwarz bounds sum_j |P_{j+k}| |P_j|^T by
+      ||P||_F^2).  Over 2e + 1 coefficients: (2e + 1) * n * (residual + rho).
+    - The rounding of C and of u's expansion, mapped back to x by the
+      weights sin^{2i} cos^{2(d-i)} t, which sum to at most 1:
+      n * gamma * (sum_k |F_k| + sum_i s_i |C_i|), |.| the largest entry and
+      s_i the absolute sum of C_i's weights in u.
+    - n * STRIP_TOL if ``_strip`` dropped a coefficient of C.
+
+    gamma = K eps / (2 - K eps) with K = 2(d + n + 4) covers the d + 1 terms
+    of a cleared or expanded coefficient, the residual's complex products
+    and band + 1 subtractions, and the rounding of these magnitudes.
+    """
+    n, d, e = f.n, f.deg, u.band
+    k = 2 * (d + n + 4)
+    gamma = k * spectral._EPS / (2 - k * spectral._EPS)
+    b = factor.coeffs
+    weight_sums = np.array([np.abs(w).sum() for _, w in _trig_weights(2 * e)[::2]])
+    rho = u.hermitian_defect() + gamma * (_maxabs(u.coeffs) + np.vdot(b, b).real)
+    rounding = gamma * (np.abs(f.coeffs).max(axis=(1, 2)).sum()
+                        + weight_sums @ np.abs(c).max(axis=(1, 2)))
+    return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
+
+
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 
@@ -332,7 +374,9 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     _check_tol(tol, positive=True)
     scale = _require_symmetric(f)
     d, half = f.deg, f.deg // 2
-    h, k, pending = _line_split(_clear_substitution(f.coeffs, d, +1), 2, tol)
+    c = _clear_substitution(f.coeffs, d, +1)
+    u = _trig_laurent(c, 2)
+    h, k, pending, factor = _line_split(u, tol)
     evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
     if d % 2 == 0:      # at d = 0, Q is empty, clears empty and is dropped as insignificant
         parts = [("1", [_clear_substitution(r, half, -1) for r in evens]),
@@ -340,7 +384,8 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     else:
         parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
                  ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
-    cert = _finish("interval", f, parts, tol, scale, pending, NotPsdOnInterval)
+    bound = None if factor is None else lambda: _interval_bound(f, c, u, factor)
+    cert = _finish("interval", f, parts, tol, scale, pending, NotPsdOnInterval, bound)
     cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
     return cert
 

@@ -170,7 +170,10 @@ class PositiveMapMeasure:
         A map must send v v^T to a finite k_dim x k_dim PSD matrix for v = e_i
         and e_i +- e_j, projections that span the symmetric matrices.  This is
         weaker than the Kraus form: positivity is only checked on these
-        samples, so non-completely-positive maps are admitted.
+        samples, so maps that are not positive at all are admitted.  For
+        h_dim = 3, k_dim = 1, A -> <C, A> with C_ii = 1 and C_ij = -0.6 (least
+        eigenvalue -0.2) passes every sample, and ``integrate_map`` of the
+        PSD constant F = 1 1^T against it returns -0.6.
         """
         out = cls(h_dim, k_dim, [])
         h_dim, k_dim = out.h_dim, out.k_dim

@@ -17,7 +17,7 @@ from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInter
                         verify_certificate)
 from matmoments.moments import GENERATORS, VARIANT_GENERATORS
 from matmoments.shiftgap import build_family
-from test_bit_identity import _corpus
+from test_bit_identity import _corpus, _square, _times
 
 
 def scalar_poly(*coeffs):
@@ -611,12 +611,14 @@ class _Located(Exception):
     pass
 
 
+def _refuse(*args):
+    raise _Located
+
+
 def test_certificates_that_verify_never_locate(monkeypatch):
-    # a verified certificate proves F PSD, so the least-eigenvalue check runs
-    # only on the digest inputs whose reassembly misses
-    def refuse(*args):
-        raise _Located
-    monkeypatch.setattr(certificates, "_least_on", refuse)
+    # a verified certificate proves F PSD, and the digest's four misses are
+    # interval inputs whose factor bounds F on [0, 1], so nothing locates
+    monkeypatch.setattr(certificates, "_least_on", _refuse)
     decompose = {"line": decompose_line, "halfline": decompose_halfline,
                  "interval": decompose_interval}
     outcomes = []
@@ -626,7 +628,35 @@ def test_certificates_that_verify_never_locate(monkeypatch):
             outcomes.append("certificate")
         except _Located:
             outcomes.append("located")
-    assert outcomes.count("certificate") == 50 and outcomes.count("located") == 4
+        except certificates.SosConsistencyError:
+            outcomes.append("inconsistent")
+    assert outcomes.count("certificate") == 50 and outcomes.count("located") == 0
+    assert outcomes.count("inconsistent") == 4
+
+
+def _interval_input(rng, n, deg):
+    """The benchmark's interval F: A A^T + x(1-x) B B^T + x C C^T + (1-x) D D^T, symmetrized."""
+    h = deg // 2
+    f = _square(rng, n, h)
+    for gen in ([0.0, 1.0, -1.0], [0.0, 1.0], [1.0, -1.0]):
+        part = _times(gen, _square(rng, n, h - 1))
+        f[:len(part)] += part
+    return MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
+
+
+@pytest.mark.parametrize("make, n, d, seed", [
+    ("sos", 1, 16, 0), ("sos", 3, 12, 1), ("sos", 4, 14, 0), ("sos", 5, 16, 0),
+    *[("bench", n, d, 0) for n, d in ((2, 12), (3, 16), (4, 12), (6, 12), (6, 16))]])
+def test_interval_misses_are_decided_by_their_factor(make, n, d, seed, monkeypatch):
+    # inputs PSD on [0, 1] whose monomial reassembly misses: the factor's
+    # bound B <= tol * scale decides the SosConsistencyError unlocated
+    monkeypatch.setattr(certificates, "_least_on", _refuse)
+    rng = np.random.default_rng([n, d, seed])
+    f = (sos_of_degree(rng, n, d, _GENS["interval"]) if make == "sos"
+         else _interval_input(rng, n, d))
+    with pytest.raises(certificates.SosConsistencyError, match="reassembly residual") as info:
+        decompose_interval(f)
+    assert info.value.__cause__ is None
 
 
 # The three-level cascade the certificates used to take: decompose_interval
@@ -789,9 +819,9 @@ def test_non_psd_inputs_raise_their_own_domain_error(domain, n, d, seed):
     assert type(info.value) is exc[domain]
 
 
-def _grid_minimum(c, domain):
-    """Least eigenvalue of the stack C's polynomial on 4001 points spanning the domain."""
-    ts = np.linspace(0.0, 1.0, 4001)
+def _grid_minimum(c, domain, points=4001):
+    """Least eigenvalue of the stack C's polynomial on ``points`` points spanning the domain."""
+    ts = np.linspace(0.0, 1.0, points)
     xs = {"line": np.tan(np.pi * (ts[1:-1] - 0.5)), "halfline": np.tan(0.5 * np.pi * ts[:-1]) ** 2,
           "interval": ts}[domain]
     values = np.zeros((len(xs),) + c.shape[1:])
@@ -821,3 +851,59 @@ def test_inputs_that_dip_below_zero_are_located(domain, n, half, depth, seed):
         _assert_located(report, f, _NOT_PSD[decomposer])
     else:
         assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())
+
+
+# The bound's soundness on the interval.  The dips are built as in
+# test_inputs_that_dip_below_zero_are_located, whose source stays as it is:
+# a derandomized property draws its examples from a digest of its source.
+
+def _interval_dip(n, half, depth, seed):
+    g = np.random.default_rng(seed).standard_normal((half + 1, n, n))
+    c = np.zeros((2 * half + 1, n, n))
+    for i in range(half + 1):
+        for j in range(half + 1):
+            c[i + j] += g[i] @ g[j].T
+    c = 0.5 * (c + np.swapaxes(c, 1, 2))
+    c[0] -= (_grid_minimum(c, "interval") + 10.0 ** depth * np.abs(c).max()) * np.eye(n)
+    return MatrixPoly(c, symmetric=True)
+
+
+def _checked_bound(f, tol=certificates.DEFAULT_TOL):
+    """decompose_interval's bound B on F, held against F on 2001 points of [0, 1].
+
+    None where the factorization fails, so no bound exists.
+    """
+    c = certificates._clear_substitution(f.coeffs, f.deg, +1)
+    u = certificates._trig_laurent(c, 2)
+    *_, factor = certificates._line_split(u, tol)
+    if factor is None:
+        return None
+    bound = certificates._interval_bound(f, c, u, factor)
+    assert _grid_minimum(f.coeffs, "interval", points=2001) >= -bound
+    return bound
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_interval_bound_holds_on_psd_inputs(n, d, seed):
+    _checked_bound(_draw("interval", n, d, seed))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), half=st.integers(1, 6), depth=st.floats(-5.0, -2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_interval_bound_never_proves_a_dip_psd(n, half, depth, seed):
+    f = _interval_dip(n, half, depth, seed)
+    bound = _checked_bound(f)
+    assert bound is None or bound > certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+    with pytest.raises(NotPsdOnInterval):
+        decompose_interval(f)
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-12, 1e-11])
+def test_interval_bound_covers_a_shallow_dip(eps):
+    # (x - 1/2)^2 - eps dips below zero by less than the factorization's
+    # target, so the factor exists and its bound must reach the dip
+    f = scalar_poly(0.25 - eps, -1, 1)
+    assert _checked_bound(f) is not None
+    assert _grid_minimum(f.coeffs, "interval", points=2001) < 0
