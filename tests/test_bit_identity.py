@@ -11,8 +11,11 @@ product differently and need its own.
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, certificates,
@@ -21,6 +24,14 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
 
 DIGEST = "c17fd9588dded1e350ba3e5a2dd0908c4b61ac742fa4d5a42b6a2eab850ce058"
 MOMENT_DIGEST = "a85238bbbeb0ac7270e88fff57de2b646ab17bd7b32dc0c1cff57f50ee81f810"
+WIDE_DIGEST = "06ded8bea49bc8f017d89e46467c0b357a5f00ea4ffd0b219aac6fe80c210d86"
+# Per-case hashes of every corpus, so that a mismatch names the first case
+# that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
+# them from the current build, after a change that moves bits on purpose.
+CASE_HASHES = Path(__file__).resolve().parent / "golden" / "digests.json"
+DECOMPOSE = {"line": certificates.decompose_line,
+             "halfline": certificates.decompose_halfline,
+             "interval": certificates.decompose_interval}
 
 
 def _square(rng, n, deg):
@@ -63,20 +74,111 @@ def _corpus():
     return cases
 
 
-def test_certificate_digest_is_unchanged():
-    decompose = {"line": certificates.decompose_line,
-                 "halfline": certificates.decompose_halfline,
-                 "interval": certificates.decompose_interval}
-    sha = hashlib.sha256()
-    for domain, f in _corpus():
+def _certificate_cases(corpus, messages=False):
+    """(label, bytes) per case: the certificate's JSON, or the error's type (and message)."""
+    for domain, f in corpus:
         try:
-            cert = decompose[domain](MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)),
+            cert = DECOMPOSE[domain](MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)),
                                                 symmetric=True))
             out = json.dumps(certificate_to_json(cert), sort_keys=True)
         except (ValueError, RuntimeError) as exc:
-            out = type(exc).__name__
-        sha.update(f"{domain}\n{out}\n".encode())
-    assert sha.hexdigest() == DIGEST
+            out = f"{type(exc).__name__}: {exc}" if messages else type(exc).__name__
+        yield f"{domain}, n={f.shape[1]}, degree={len(f) - 1}", f"{domain}\n{out}\n".encode()
+
+
+def _digest_report(cases):
+    """The corpus digest, the SHA-256 of all case bytes in order, and each case's hash."""
+    sha, per_case = hashlib.sha256(), []
+    for label, data in cases:
+        sha.update(data)
+        per_case.append([label, hashlib.sha256(data).hexdigest()])
+    return sha.hexdigest(), per_case
+
+
+def _assert_digest(name, expected, cases):
+    """The digest equals ``expected``; else the message names the first case that moved."""
+    digest, per_case = _digest_report(cases)
+    if digest == expected:
+        return
+    recorded = json.loads(CASE_HASHES.read_text(encoding="utf-8")).get(name, {})
+    if recorded.get("digest") != expected:
+        raise AssertionError(f"{name} moved to {digest}; {CASE_HASHES.name} holds no case "
+                             f"hashes for {expected}")
+    for i, ((label, got), (_, want)) in enumerate(zip(per_case, recorded["cases"])):
+        if got != want:
+            raise AssertionError(f"{name} moved: first at case {i} ({label}), "
+                                 f"recorded {want}, now {got}")
+    raise AssertionError(f"{name} moved to {digest} with {len(per_case)} cases, "
+                         f"{len(recorded['cases'])} recorded")
+
+
+def test_a_moved_digest_names_its_first_moved_case(tmp_path, monkeypatch):
+    cases = [("line, n=1, degree=2", b"a"), ("halfline, n=2, degree=4", b"b"),
+             ("interval, n=3, degree=6", b"c")]
+    digest, per_case = _digest_report(cases)
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps({"X": {"digest": digest, "cases": per_case}}), encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "CASE_HASHES", path)
+    moved = cases[:1] + [(label, data.upper()) for label, data in cases[1:]]
+    with pytest.raises(AssertionError, match=r"first at case 1 \(halfline, n=2, degree=4\)") as info:
+        _assert_digest("X", digest, moved)
+    assert per_case[1][1] in str(info.value)
+    assert hashlib.sha256(b"B").hexdigest() in str(info.value)
+    with pytest.raises(AssertionError, match="holds no case hashes"):
+        _assert_digest("Y", digest, moved)
+
+
+def test_certificate_digest_is_unchanged():
+    _assert_digest("DIGEST", DIGEST, _certificate_cases(_corpus()))
+
+
+def _sum(*stacks):
+    out = np.zeros((max(len(s) for s in stacks),) + stacks[0].shape[1:])
+    for s in stacks:
+        out[:len(s)] += s
+    return out
+
+
+def _wide_corpus():
+    """(domain, F) pairs beyond ``_corpus``: odd degrees, exact +0 and -0.0 coefficients, n = 6.
+
+    Odd degrees 1-15 on the half-line (sigma_0 + x sigma_1) and the interval
+    (x sigma_x + (1 - x) sigma_{1-x}) for n 1-6; G(x^2) on the line, with
+    its odd coefficients -0.0; x G(x) on the half-line, with F_0 = -0.0;
+    a diagonal F on the interval, with -0.0 off the diagonal; and the
+    benchmark's n = 6, degree 16 shapes (a sum of two squares, one square,
+    the half-line and the four-generator interval forms) on every domain.
+    """
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for n in range(1, 7):
+        for i, (domain, gens) in enumerate((("halfline", ([1.0], [0.0, 1.0])),
+                                            ("interval", ([0.0, 1.0], [1.0, -1.0])))):
+            for deg in (1 + 2 * ((n + i) % 4), 9 + 2 * ((n + i) % 4)):
+                h = (deg - 1) // 2
+                cases.append((domain, _sum(*[_times(gen, _square(rng, n, h)) for gen in gens])))
+        g = _sum(_square(rng, n, 1 + n % 2), _times([0.0, 1.0], _square(rng, n, n % 2)))
+        f = np.full((2 * len(g) - 1, n, n), -0.0)
+        f[::2] = g
+        cases.append(("line", f))
+        f = _times([0.0, 1.0], _square(rng, n, 1 + n % 3))
+        f[0] = -0.0
+        cases.append(("halfline", f))
+        f = np.full((5, n, n), -0.0)
+        for j in range(n):
+            f[:, j, j] = _times([0.0, 1.0, -1.0], _square(rng, 1, 1))[:, 0, 0]
+            f[0, j, j] += 0.1 * (j + 1)
+        cases.append(("interval", f))
+    sq = _square(rng, 6, 8)
+    gens = ([0.0, 1.0, -1.0], [0.0, 1.0], [1.0, -1.0])
+    cases += [("line", sq + _square(rng, 6, 8)), ("line", sq), ("halfline", sq), ("interval", sq),
+              ("halfline", _sum(sq, _times([0.0, 1.0], _square(rng, 6, 7)))),
+              ("interval", _sum(sq, *[_times(gen, _square(rng, 6, 7)) for gen in gens]))]
+    return cases
+
+
+def test_wide_certificate_digest_is_unchanged():
+    _assert_digest("WIDE_DIGEST", WIDE_DIGEST, _certificate_cases(_wide_corpus(), True))
 
 
 def _moment_corpus():
@@ -99,11 +201,11 @@ def _moment_corpus():
     return cases
 
 
-def test_moment_path_digest_is_unchanged():
-    """Measure, moments, the three criteria, one operator tuple and ``recover`` at degree 2r + 2."""
-    sha = hashlib.sha256()
+def _moment_cases():
+    """(label, bytes) per case: measure, moments, the three criteria, one operator tuple, ``recover``."""
     rng = np.random.default_rng(7)
     for n, atoms in _moment_corpus():
+        data = []
         mu = AtomicMatrixMeasure(n, atoms)
         seq = forward_moments(mu, 2 * len(atoms) + 2)
         ops = rng.standard_normal((2, n, n))
@@ -111,15 +213,34 @@ def test_moment_path_digest_is_unchanged():
                    (check_hamburger, check_stieltjes, check_hausdorff)]
         reports.append(operator_check(seq, ops, "hausdorff").to_json())
         for x, w in mu.atoms:
-            sha.update(np.float64(x).tobytes() + w.tobytes())
-        sha.update(seq.S.tobytes() + json.dumps(reports, sort_keys=True).encode())
+            data.append(np.float64(x).tobytes() + w.tobytes())
+        data.append(seq.S.tobytes() + json.dumps(reports, sort_keys=True).encode())
         try:
             res = recover(seq)
         except (ValueError, RuntimeError) as exc:
-            sha.update(type(exc).__name__.encode())
-            continue
-        for x, w in res.measure.atoms:
-            sha.update(np.float64(x).tobytes() + w.tobytes())
-        flags = f"{res.moment_residual!r} {res.rank_used} {res.rank_gap_ambiguous}\n"
-        sha.update(flags.encode())
-    assert sha.hexdigest() == MOMENT_DIGEST
+            data.append(type(exc).__name__.encode())
+        else:
+            for x, w in res.measure.atoms:
+                data.append(np.float64(x).tobytes() + w.tobytes())
+            flags = f"{res.moment_residual!r} {res.rank_used} {res.rank_gap_ambiguous}\n"
+            data.append(flags.encode())
+        yield f"n={n}, atoms={len(atoms)}", b"".join(data)
+
+
+def test_moment_path_digest_is_unchanged():
+    """Measure, moments, the three criteria, one operator tuple and ``recover`` at degree 2r + 2."""
+    _assert_digest("MOMENT_DIGEST", MOMENT_DIGEST, _moment_cases())
+
+
+if __name__ == "__main__":     # PYTHONPATH=src python tests/test_bit_identity.py
+    doc = {}
+    for name, cases in (("DIGEST", _certificate_cases(_corpus())),
+                        ("WIDE_DIGEST", _certificate_cases(_wide_corpus(), True)),
+                        ("MOMENT_DIGEST", _moment_cases())):
+        digest, per_case = _digest_report(cases)
+        doc[name] = {"digest": digest, "cases": per_case}
+        print(name, digest)
+    CASE_HASHES.write_text("{\n" + ",\n".join(
+        f'"{name}": {{"digest": "{entry["digest"]}", "cases": [\n'
+        + ",\n".join(json.dumps(case) for case in entry["cases"]) + "]}"
+        for name, entry in doc.items()) + "\n}\n", encoding="utf-8")
