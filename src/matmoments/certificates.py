@@ -34,8 +34,8 @@ from . import spectral
 from .moments import GENERATORS, VARIANT_GENERATORS
 from .polymat import (STRIP_TOL, LaurentPoly, MatrixPoly, _check_tol, _conv1d, _conv_stack,
                       _horner, _json_fields, _json_real, _least_eigenvalue, _maxabs, _strip,
-                      _times_scalar, matmul, matrixpoly_from_json, matrixpoly_to_json,
-                      poly_trace)
+                      _read_only, _times_scalar, _weighted_sum, matmul, matrixpoly_from_json,
+                      matrixpoly_to_json, poly_trace)
 
 DEFAULT_TOL = 1e-8
 
@@ -149,68 +149,48 @@ _I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
 @lru_cache(maxsize=None)
 def _trig_weights(d):
-    """Nonzero weights of C_k on w^j in _trig_laurent at degree d, per k.
+    """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, s the sum below.
 
-    Entry k holds the rows j + d/2 that C_k reaches and, as a read-only
-    (rows, 1, 1) array, the weights i^{-k} s / 2^d (s the binomial sum
-    below), each rounded once from its exact rational value.  They are real for even k and imaginary
-    (stored without the i) for odd k.
+    Row k // 2 of the first (second) table holds even (odd) k on rows j + d/2,
+    each rounded once: real for even k, imaginary (without the i) for odd k.
     """
     nh = d // 2
-    table = []
+    w = np.zeros((d + 1, 2 * nh + 1))
     for k in range(d + 1):
         # phase of i^{-k}: purely real for even k, purely imaginary for odd k
         pre, pim = _I_POW[(-k) % 4]
-        rows, weights = [], []
         for j in range(-nh, nh + 1):
             s = 0
             for a in range(max(0, nh + j - (d - k)), min(k, nh + j) + 1):
                 s += (-1) ** (k - a) * comb(k, a) * comb(d - k, nh + j - a)
-            if s:
-                rows.append(j + nh)
-                weights.append(ldexp((pre + pim) * s, -d))
-        entry = (np.array(rows, dtype=int), np.array(weights)[:, np.newaxis, np.newaxis])
-        for arr in entry:
-            arr.setflags(write=False)
-        table.append(entry)
-    return tuple(table)
+            w[k, j + nh] = ldexp((pre + pim) * s, -d)
+    return _read_only(w[0::2].copy()), _read_only(w[1::2].copy())
 
 
 def _trig_laurent(c, step=1):
     """Laurent polynomial u with u(e^{2it}) = G~(cos t, sin t), G(a) = C(a^step).
 
     G~(u, v) = G(v/u) u^deg is the homogenization; the expansion uses
-    cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i) with exact rational
-    binomial weights, rounding only when the weights multiply the
-    coefficient matrices.  The rounded weights of each degree are tabulated
-    once (``_trig_weights``); every output coefficient sums its terms in
-    increasing k.  An exactly zero coefficient of G (every odd one at step
-    2) is skipped: w * 0 added to a +0-initialised sum changes no bit.
+    cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i) with the weights of
+    ``_trig_weights``, summed in increasing k (``_weighted_sum``).  At step
+    2 every k = 2i is even, so u is real.
     """
-    deg = step * (len(c) - 1)
-    acc = np.zeros((2, deg // 2 * 2 + 1) + c.shape[1:])     # real and imaginary parts
-    for i in np.flatnonzero(c.any(axis=(1, 2))):
-        rows, weights = _trig_weights(deg)[step * i]
-        acc[step * i % 2, rows] += weights * c[i]
-    return LaurentPoly(acc[0] + 1j * acc[1])
+    even, odd = _trig_weights(step * (len(c) - 1))
+    if step == 2:
+        return LaurentPoly(_weighted_sum(even, c))
+    return LaurentPoly(_weighted_sum(even, c[0::2]) + 1j * _weighted_sum(odd, c[1::2]))
 
 
 @lru_cache(maxsize=None)
 def _line_weights(nh):
-    """Rows nh - e that B_k reaches in _line_factors and, read-only, their weights, per k."""
-    table = []
+    """Dense exact binomial weights of B_k on x^{nh-e} in _line_factors, row k, read-only."""
+    w = np.zeros((nh + 1, nh + 1), dtype=complex)
     for k in range(nh + 1):
-        w = np.zeros(nh + 1, dtype=complex)     # exact binomial weights on x^{nh-e}
         for e in range(nh + 1):
             for a in range(max(0, e - (nh - k)), min(k, e) + 1):
                 pre, pim = _I_POW[((k - a) - (nh - k - (e - a))) % 4]
-                w[nh - e] += comb(k, a) * comb(nh - k, e - a) * (pre + 1j * pim)
-        rows = np.flatnonzero(w)
-        entry = (rows, w[rows][:, np.newaxis, np.newaxis])
-        for arr in entry:
-            arr.setflags(write=False)
-        table.append(entry)
-    return tuple(table)
+                w[k, nh - e] += comb(k, a) * comb(nh - k, e - a) * (pre + 1j * pim)
+    return _read_only(w)
 
 
 def _line_factors(b_stack):
@@ -218,15 +198,10 @@ def _line_factors(b_stack):
 
     G(u, v) = sum_k B_k (u + iv)^k (u - iv)^{n-k} is homogeneous of degree
     n with complex coefficients; H and K are its real and imaginary parts,
-    returned dehomogenized at (1, x) as stripped stacks.  The exact
-    binomial weights of each degree are tabulated once (``_line_weights``).
+    returned dehomogenized at (1, x) as stripped stacks, each coefficient
+    summed in increasing k (``_weighted_sum``).
     """
-    nh = b_stack.shape[0] - 1
-    gamma = np.zeros(b_stack.shape, dtype=np.complex128)
-    for k, (rows, weights) in enumerate(_line_weights(nh)):
-        # one pass per k: each coefficient x^{nh-e} still sums its terms in
-        # increasing k, so the per-coefficient summation order is kept
-        gamma[rows] += weights * b_stack[k]
+    gamma = _weighted_sum(_line_weights(b_stack.shape[0] - 1), b_stack)
     return _strip(gamma.real), _strip(gamma.imag)
 
 
@@ -310,24 +285,23 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
 
 
 @lru_cache(maxsize=None)
-def _binomials(m, sign):
-    """Float weights comb(m, j) * sign**j of (1 + sign*x)^m, j = 0..m, read-only."""
-    out = np.array([comb(m, j) * sign ** j for j in range(m + 1)], dtype=float)
-    out.setflags(write=False)
-    return out
+def _clearing_weights(e, sign):
+    """Read-only weights of C_k on x^r in sum_k C_k x^k (1 + sign*x)^(e-k), row k."""
+    w = [[comb(e - k, r - k) * sign ** (r - k) if r >= k else 0 for r in range(e + 1)]
+         for k in range(e + 1)]
+    return _read_only(np.array(w, dtype=float).reshape(e + 1, e + 1))     # e = -1: empty
 
 
 def _clear_substitution(c, d, sign):
     """Stripped stack of sum_k C_k x^k (1 + sign*x)^(d-k), d >= deg C, exact binomials.
 
-    C is cleared at its own degree e, each output coefficient summed in
-    increasing k, then multiplied by (1 + sign*x)^(d-e), as the tests hold.
+    C is cleared at its own degree e, each coefficient summed in increasing
+    k (``_weighted_sum``), then multiplied by (1 + sign*x)^(d-e), row 0 of
+    ``_clearing_weights(d - e, sign)``.
     """
     e = len(c) - 1
-    out = np.zeros(c.shape)
-    for k in range(e + 1):
-        out[k:] += _binomials(e - k, sign)[:, np.newaxis, np.newaxis] * c[k]
-    return _strip(_times_scalar(_binomials(d - e, sign), _strip(out)))
+    out = _weighted_sum(_clearing_weights(e, sign), c)
+    return _strip(_times_scalar(_clearing_weights(d - e, sign)[0], _strip(out)))
 
 
 def _interval_bound(f, c, u, factor):
@@ -355,7 +329,7 @@ def _interval_bound(f, c, u, factor):
     k = 2 * (d + n + 4)
     gamma = k * spectral._EPS / (2 - k * spectral._EPS)
     b = factor.coeffs
-    weight_sums = np.array([np.abs(w).sum() for _, w in _trig_weights(2 * e)[::2]])
+    weight_sums = np.abs(_trig_weights(2 * e)[0]).sum(axis=1)     # exact: dyadic, <= 1
     rho = u.hermitian_defect() + gamma * (_maxabs(u.coeffs) + np.vdot(b, b).real)
     rounding = gamma * (np.abs(f.coeffs).max(axis=(1, 2)).sum()
                         + weight_sums @ np.abs(c).max(axis=(1, 2)))

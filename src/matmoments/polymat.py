@@ -30,6 +30,28 @@ def _strip(arr):
     return arr[:last]
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _weighted_sum(weights, stack):
+    """Rows sum_k weights[k, r] * stack[k], bit for bit the loop over increasing k.
+
+    One batched product fills a term stack behind a +0 row; a zero weight
+    leaves its term +0 (masked: 0 * inf is no NaN).  ``np.add.reduce`` adds
+    the rows of a C-contiguous stack's leading axis in order (pinned by
+    ``test_polymat``), a sum from +0 never becomes -0 and x + 0 = x, so each
+    entry sums what a loop from ``np.zeros`` that skips zero weights sums,
+    in its order.  ``spectral._residual_coeffs`` subtracts likewise.
+    """
+    terms = np.zeros((len(stack) + 1,) + weights.shape[1:] + stack.shape[1:],
+                     dtype=np.result_type(weights, stack))
+    w = weights[:, :, np.newaxis, np.newaxis]
+    np.multiply(w, stack[:, np.newaxis], out=terms[1:], where=w != 0)
+    return np.add.reduce(terms, axis=0)
+
+
 def _check_tol(tol, positive=False):
     """Raise ValueError unless ``tol`` is a finite number >= 0, and > 0 if ``positive``."""
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
@@ -136,8 +158,7 @@ class MatrixPoly:
             bad = (arr != np.swapaxes(arr, 1, 2)).any(axis=(1, 2))     # NaN != NaN
             if bad.any():
                 raise ValueError(f"coefficient {bad.argmax()} is not exactly symmetric")
-        arr.setflags(write=False)
-        self._coeffs = arr
+        self._coeffs = _read_only(arr)
         self.symmetric = bool(symmetric)
 
     @property
@@ -323,8 +344,7 @@ class LaurentPoly:
                              "matrices with n >= 1")
         if arr.shape[0] % 2 == 0:
             raise ValueError("coefficient stack must have odd length 2*band+1")
-        arr.setflags(write=False)
-        self._coeffs = arr
+        self._coeffs = _read_only(arr)
 
     @property
     def coeffs(self):

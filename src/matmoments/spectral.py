@@ -31,11 +31,12 @@ iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .polymat import (LaurentPoly, _check_tol, _json_fields, _json_floats, _json_matrices,
-                      _json_size, _least_eigenvalue, _maxabs)
+                      _json_size, _least_eigenvalue, _maxabs, _read_only)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -97,15 +98,20 @@ class SpectralFactor:
         return self.coeffs.shape[0] - 1
 
 
+@lru_cache(maxsize=None)
+def _pairs(length):
+    """Read-only index arrays (j, k) of every pair with j + k < length."""
+    return tuple(map(_read_only, np.nonzero(np.tri(length, dtype=bool)[::-1])))
+
+
 def _residual_coeffs(a_stack, b):
-    """A_k - sum_j B_{j+k} B_j^H for k = 0..max(band, deg)."""
+    """A_k - sum_j B_{j+k} B_j^H for k = 0..max(band, deg), subtracted in increasing j."""
     band = (a_stack.shape[0] - 1) // 2
-    out = np.zeros((max(band + 1, b.shape[0]),) + b.shape[1:], dtype=np.complex128)
-    out[:band + 1] = a_stack[band:]
-    bh = np.swapaxes(b.conj(), 1, 2)
-    for k in range(b.shape[0]):     # one stacked product per k, subtracted in increasing j
-        out[k] = np.subtract.reduce(np.concatenate([out[k:k + 1], b[k:] @ bh[:len(b) - k]]))
-    return out
+    j, k = _pairs(len(b))
+    terms = np.zeros((len(b) + 1, max(band + 1, len(b))) + b.shape[1:], dtype=np.complex128)
+    terms[0, :band + 1] = a_stack[band:]
+    terms[1 + j, k] = b[j + k] @ np.swapaxes(b.conj()[j], 1, 2)     # a loop's operand views
+    return np.subtract.reduce(terms, axis=0)       # the loop's bits: see polymat._weighted_sum
 
 
 def _residual(a_stack, b):

@@ -89,6 +89,37 @@ def test_verify_frozen_certificate(workspace):
     assert res.report["residual"] == 0.0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_verify_judges_the_residual_at_the_input_scale(tmp_path, monkeypatch, scale):
+    # a half-line F = scale * (A A^T + x B B^T), n = 3, degree 8: its
+    # certificate's residual grows with the scale, and --tol is relative to
+    # max(1, largest |F_k| entry), as certify's own target is
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((5, 3, 3)), rng.standard_normal((4, 3, 3))
+    f = np.zeros((9, 3, 3))
+    for i in range(5):
+        for j in range(5):
+            f[i + j] += a[i] @ a[j].T
+            if i < 4 and j < 4:
+                f[i + j + 1] += b[i] @ b[j].T
+    f = scale * 0.5 * (f + np.swapaxes(f, 1, 2))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(matrixpoly_to_json(MatrixPoly(f, symmetric=True))))
+    res = run(["certify", "--poly", str(poly), "--domain", "halfline"])
+    assert res.exit_code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(render(res.report)))
+    ver = run(["verify", "--poly", str(poly), "--cert", "-"])
+    assert (ver.exit_code, ver.report["pass"], ver.report["tol"]) == (0, True, 1e-6)
+    assert ver.report["residual"] == res.report["certificate"]["residual"]
+    # a certificate off by a part in 1e5 of one factor entry still fails
+    cert = res.report["certificate"]
+    cert["sigma"]["x"][0]["coeffs"][0][0][0] *= 1.0 + 1e-5
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(cert)))
+    bad = run(["verify", "--poly", str(poly), "--cert", "-"])
+    assert (bad.exit_code, bad.report["pass"]) == (1, False)
+    assert bad.report["residual"] > 1e-6 * np.abs(f).max()
+
+
 def test_recover_round_trip(workspace):
     res = run(["recover", "--moments", workspace["moments4.json"]])
     assert res.exit_code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matmoments.polymat import STRIP_TOL
+from matmoments.polymat import STRIP_TOL, _weighted_sum
 from matmoments import (LaurentPoly, MatrixPoly, certificate_from_json, laurent_from_json,
                         map_measure_from_json, matmul, matrixpoly_from_json, matrixpoly_to_json,
                         measure_from_json, momentsequence_from_json, scalar_poly_mult,
@@ -188,6 +188,61 @@ def test_strip_matches_the_loop():
         stripped += want.shape[0] < length
         kept_special += not np.all(np.isfinite(want[-1]))
     assert stripped > 100 and kept_special > 20
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint8)
+
+
+@pytest.mark.parametrize("count, rows, n", [(2, 1, 1), (5, 7, 3), (9, 130, 2), (17, 33, 6),
+                                            (12, 300, 6)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_axis0_reduce_is_the_left_to_right_loop(count, rows, n, dtype):
+    """``_weighted_sum`` and ``spectral._residual_coeffs`` rest on this numpy behaviour."""
+    rng = np.random.default_rng([count, rows, n])
+    shape = (count, rows, n, n)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-309, np.inf, -np.inf, np.nan])
+    pick = rng.random(shape) < 0.25
+    vals[pick] = rng.choice(special, pick.sum())
+    vals[0, :rows // 2] = 0.0           # an accumulator that starts from +0
+    stack = vals.astype(dtype)
+    if dtype is np.complex128:
+        stack.imag = vals[::-1]
+    assert stack.flags.c_contiguous
+    for ufunc in (np.add, np.subtract):
+        loop = stack[0].copy()
+        with np.errstate(all="ignore"):
+            for term in stack[1:]:
+                loop = ufunc(loop, term)
+            got = ufunc.reduce(stack, axis=0)
+        assert np.array_equal(_bits(got), _bits(loop)), (
+            f"{ufunc.__name__}.reduce over axis 0 no longer adds the rows left to right "
+            f"with numpy {np.__version__}; polymat._weighted_sum and "
+            f"spectral._residual_coeffs would move bits")
+
+
+def test_a_sum_from_plus_zero_never_becomes_minus_zero():
+    out = _weighted_sum(np.ones((4, 3)), np.full((4, 2, 2), -0.0))
+    assert not np.signbit(out).any() and not out.any()
+
+
+def test_weighted_sum_matches_the_loop_that_skips_zero_weights():
+    rng = np.random.default_rng(5)
+    for dtype in (np.float64, np.complex128):
+        weights = rng.integers(-3, 4, (9, 11)).astype(dtype)
+        stack = rng.standard_normal((9, 4, 4)).astype(dtype)
+        stack[[2, 5], 1, 3] = [np.inf, -np.inf]     # 0 * inf would be NaN
+        stack[rng.random(stack.shape) < 0.2] = -0.0
+        want = np.zeros((11, 4, 4), dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            for k in range(9):
+                for r in range(11):
+                    if weights[k, r] != 0:
+                        want[r] += weights[k, r] * stack[k]
+            got = _weighted_sum(weights, stack)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.isfinite(got[weights[[2, 5]].any(axis=0) == 0]).all()
 
 
 def test_fraction_inputs_become_float64():
