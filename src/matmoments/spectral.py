@@ -110,7 +110,7 @@ def _residual_coeffs(a_stack, b):
     j, k = _pairs(len(b))
     terms = np.zeros((len(b) + 1, max(band + 1, len(b))) + b.shape[1:], dtype=np.complex128)
     terms[0, :band + 1] = a_stack[band:]
-    terms[1 + j, k] = b[j + k] @ np.swapaxes(b.conj()[j], 1, 2)     # a loop's operand views
+    terms[1 + j, k] = b[j + k] @ np.swapaxes(b.conj()[j], 1, 2)     # the loop's operand layouts
     return np.subtract.reduce(terms, axis=0)       # the loop's bits: see polymat._weighted_sum
 
 
