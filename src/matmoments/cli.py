@@ -8,6 +8,7 @@ output.  File arguments accept "-" for standard input, which lets
 
 import argparse
 import json
+import math
 import sys
 from collections import namedtuple
 
@@ -72,6 +73,8 @@ def _cmd_verify(args):
         cert_doc = cert_doc["certificate"]     # accept a certify report directly
     cert = certificates.certificate_from_json(cert_doc)
     residual = certificates.verify_certificate(poly, cert)
+    if not math.isfinite(residual):
+        raise ValueError(f"certificate reassembly overflows float64: residual {residual}")
     ok = residual <= args.tol * max(1.0, poly.max_coeff_abs())     # certify's scale
     return 0 if ok else 1, {"residual": float(residual), "tol": float(args.tol), "pass": bool(ok)}
 

@@ -3,8 +3,11 @@
 Only finitely atomic measures are represented: a measure is a list of
 (point, weight) atoms with symmetric PSD weight matrices, and the induced
 functional is the trace pairing L(F) = sum_j trace(F(x_j) W_j).  A second
-flavour stores, per atom, a positive linear map on matrices (Kraus form,
-or a sampled-validated raw action) and integrates F through it.
+flavour stores, per atom, a completely positive map on matrices as Kraus
+operators and integrates F through it.  A map given as a superoperator is
+admitted only when its Choi matrix is PSD (Choi's theorem), which proves
+complete positivity and yields the Kraus operators; a positive map that is
+not completely positive, such as the transpose, is rejected.
 """
 
 import math
@@ -140,14 +143,24 @@ def _frozen(arr):
 
 
 def integrate_trace(f, mu):
-    """Trace pairing sum_j trace(F(x_j) W_j)."""
+    """Trace pairing sum_j trace(F(x_j) W_j); a sum that overflows is a ValueError."""
     if f.n != mu.n:
         raise ValueError(f"size mismatch: polynomial is {f.n}x{f.n}, measure is {mu.n}x{mu.n}")
-    return float(sum(np.trace(f(x) @ w) for x, w in mu.atoms))
+    total = 0.0
+    for idx, (x, w) in enumerate(mu.atoms):
+        total = _finite(idx, x, total + np.trace(f(x) @ w))
+    return float(total)
+
+
+def _finite(idx, x, total):
+    """``total``, an integral's partial sum through atom ``idx``, if it did not overflow."""
+    if not np.isfinite(total).all():
+        raise ValueError(f"atom {idx} at x={x:.6g}: the integral overflows float64 there")
+    return total
 
 
 class PositiveMapMeasure:
-    """Atoms (point, positive map on matrices), maps in Kraus or raw form."""
+    """Atoms (point, map A -> sum_t V_t^T A V_t given by h_dim x k_dim Kraus operators V_t)."""
 
     def __init__(self, h_dim, k_dim, atoms):
         self.h_dim = _size(h_dim, "h_dim")
@@ -161,73 +174,58 @@ class PositiveMapMeasure:
                     raise ValueError(f"atom {idx}: Kraus operator of shape {v.shape} must be "
                                      f"a finite {self.h_dim}x{self.k_dim} matrix")
             self._atoms.append((x, tuple(_frozen(v) for v in mats)))
-        self._raw = {}
 
     @classmethod
     def from_linear(cls, h_dim, k_dim, atoms):
-        """Raw positive maps, each validated on a fixed set of rank-one projections.
+        """Maps given as superoperators, admitted only where complete positivity is proven.
 
-        A map must send v v^T to a finite k_dim x k_dim PSD matrix for v = e_i
-        and e_i +- e_j, projections that span the symmetric matrices.  This is
-        weaker than the Kraus form: positivity is only checked on these
-        samples, so maps that are not positive at all are admitted.  For
-        h_dim = 3, k_dim = 1, A -> <C, A> with C_ii = 1 and C_ij = -0.6 (least
-        eigenvalue -0.2) passes every sample, and ``integrate_map`` of the
-        PSD constant F = 1 1^T against it returns -0.6.
+        A map is a finite real (k_dim^2, h_dim^2) matrix S on row-major vec(A).
+        By Choi's theorem it is completely positive exactly when its Choi
+        matrix C[(a, p), (b, q)] = Phi(E_ab)[p, q] is PSD, and C = sum_t l_t v_t v_t^T
+        then gives Kraus operators sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.
+        C not symmetric within 1e-10 max(1, max|C|), or with an eigenvalue below
+        -AUDIT_TOL max(1, l_max), is a ValueError naming the atom.  So positive
+        maps that are not completely positive, such as the transpose, are
+        rejected; on the symmetric values of F the transpose is Kraus V = I.
         """
-        out = cls(h_dim, k_dim, [])
-        h_dim, k_dim = out.h_dim, out.k_dim
-        eye = np.eye(h_dim)
-        i, j = np.triu_indices(h_dim, 1)
-        vecs = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
-        for idx, (x, action) in enumerate(atoms):
+        h, k = _size(h_dim, "h_dim"), _size(k_dim, "k_dim")
+        kraus_atoms = []
+        for idx, (x, sup) in enumerate(atoms):
             x = _finite_point(idx, x)
-            fn = _as_action(action, h_dim, k_dim)
-            for v in vecs:
-                img = np.asarray(fn(np.outer(v, v)), dtype=float)
-                if img.shape != (k_dim, k_dim) or not np.isfinite(img).all():
-                    raise ValueError(f"atom {idx}: map image of shape {img.shape} must be "
-                                     f"a finite {k_dim}x{k_dim} matrix")
-                lam = np.linalg.eigvalsh(0.5 * (img + img.T))
-                if lam[0] < -AUDIT_TOL * max(1.0, abs(lam[-1])):
-                    raise ValueError(f"atom {idx}: map sends a PSD sample to "
-                                     f"eigenvalue {lam[0]:.3e} < 0")
-            out._atoms.append((x, None))
-            out._raw[len(out._atoms) - 1] = fn
-        return out
+            sup = np.asarray(sup)
+            if (sup.shape != (k * k, h * h) or sup.dtype.kind not in "biuf"
+                    or not np.isfinite(sup).all()):
+                raise ValueError(f"atom {idx}: superoperator of shape {sup.shape} must be "
+                                 f"a finite real {k * k}x{h * h} matrix")
+            choi = sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1).reshape(h * k, -1)
+            lam, vec = np.linalg.eigh(0.5 * (choi + choi.T))
+            if (np.max(np.abs(choi - choi.T)) > 1e-10 * max(1.0, np.max(np.abs(choi)))
+                    or lam[0] < -AUDIT_TOL * max(1.0, lam[-1])):
+                raise ValueError(f"atom {idx}: Choi matrix is not symmetric PSD (least "
+                                 f"eigenvalue {lam[0]:.3e}), positivity not proven")
+            keep = lam > 0.0
+            kraus_atoms.append((x, (vec[:, keep] * np.sqrt(lam[keep])).T.reshape(-1, h, k)))
+        return cls(h, k, kraus_atoms)
 
     @property
     def atoms(self):
         return tuple(self._atoms)
 
     def apply(self, index, a):
-        x, kraus = self._atoms[index]
-        if kraus is None:
-            return self._raw[index](a)
         out = np.zeros((self.k_dim, self.k_dim))
-        for v in kraus:
+        for v in self._atoms[index][1]:
             out += v.T @ a @ v
         return out
 
 
-def _as_action(action, h_dim, k_dim):
-    if callable(action):
-        return action
-    sup = np.asarray(action, dtype=float)
-    if sup.shape != (k_dim * k_dim, h_dim * h_dim):
-        raise ValueError(f"superoperator shape {sup.shape}, "
-                         f"expected {(k_dim * k_dim, h_dim * h_dim)}")
-    return lambda a: (sup @ a.reshape(-1)).reshape(k_dim, k_dim)
-
-
 def integrate_map(f, m):
-    """sum over atoms of Phi_x(F(x)); linear in F, k_dim x k_dim valued."""
+    """sum over atoms of Phi_x(F(x)), k_dim x k_dim; a sum that overflows is a ValueError."""
     if f.n != m.h_dim:
         raise ValueError(f"size mismatch: polynomial is {f.n}x{f.n}, maps act on "
                          f"{m.h_dim}x{m.h_dim}")
     out = np.zeros((m.k_dim, m.k_dim))
     for idx, (x, _) in enumerate(m.atoms):
-        out += m.apply(idx, f(x))
+        out = _finite(idx, x, out + m.apply(idx, f(x)))
     return out
 
 
@@ -353,12 +351,8 @@ def measure_from_json(doc):
 
 
 def map_measure_to_json(m):
-    atoms = []
-    for idx, (x, kraus) in enumerate(m.atoms):
-        if kraus is None:
-            raise ValueError(f"atom {idx} holds a raw map and cannot be serialized")
-        atoms.append({"x": float(x), "kraus": _json_floats(kraus)})
-    return {"h_dim": m.h_dim, "k_dim": m.k_dim, "atoms": atoms}
+    return {"h_dim": m.h_dim, "k_dim": m.k_dim,
+            "atoms": [{"x": float(x), "kraus": _json_floats(kraus)} for x, kraus in m.atoms]}
 
 
 def map_measure_from_json(doc):

@@ -414,6 +414,35 @@ def test_shiftgap_atom_beyond_the_float_range_is_input_error(tmp_path):
     assert "atom 1 at x=1e+103" in res.report["error"]["message"]
 
 
+def _strict_json(text):
+    """``text`` parsed as JSON, refusing the non-standard Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv,poly,doc,match", [
+    ("integrate", [[[1.0]], [[1.0]], [[1.0]]],
+     {"n": 1, "atoms": [{"x": 1e200, "W": [[1.0]]}]}, "atom 0 at x=1e+200"),
+    ("integrate", [[[1.0]], [[1.0]], [[1.0]]],
+     {"h_dim": 1, "k_dim": 1, "atoms": [{"x": 1e200, "kraus": [[[1.0]]]}]},
+     "atom 0 at x=1e+200"),
+    ("verify", [[[1e300]]], {"variant": "line", "sigma": {"1": [{"n": 1, "coeffs": [[[1e200]]]}]}},
+     "certificate reassembly overflows float64: residual inf"),
+], ids=["integrate-trace", "integrate-map", "verify"])
+def test_overflow_is_input_error_with_strict_json_stdout(tmp_path, capsys, argv, poly, doc, match):
+    # these printed Infinity, which is not JSON; integrate exited 0 and verify 1
+    poly_path, doc_path = tmp_path / "poly.json", tmp_path / "doc.json"
+    poly_path.write_text(json.dumps({"n": 1, "coeffs": poly}))
+    doc_path.write_text(json.dumps(doc))
+    flag = "--measure" if argv == "integrate" else "--cert"
+    with np.errstate(over="ignore"):
+        code = main([argv, "--poly", str(poly_path), flag, str(doc_path)])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 2 and report["error"]["type"] == "ValueError"
+    assert match in report["error"]["message"]
+
+
 def test_unknown_flag_is_input_error(workspace):
     res = run(["check", "--variant", "hamburger", "--moments",
                workspace["moments4.json"], "--frobnicate"])

@@ -1,5 +1,6 @@
 """Atomic measures, integration, forward moments and the positivity audit."""
 
+import json
 import re
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from conftest import rand_measure, rand_psd, separated_points
+from conftest import rand_measure, rand_psd, rand_symmetric_poly, separated_points
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
                         SupportViolation, check_hamburger, check_hausdorff,
                         check_stieltjes, decompose_halfline, forward_moments,
@@ -47,6 +48,22 @@ def test_integrate_trace_size_mismatch():
         integrate_trace(MatrixPoly.zero(3), mu)
 
 
+@pytest.mark.parametrize("integrate,measure", [
+    (integrate_trace, lambda atoms: AtomicMatrixMeasure(1, [(x, [[1.0]]) for x in atoms])),
+    (integrate_map, lambda atoms: PositiveMapMeasure(1, 1, [(x, [[[1.0]]]) for x in atoms])),
+], ids=["trace", "map"])
+def test_integral_that_overflows_names_the_atom(integrate, measure):
+    # F = 1 + x + x^2 is inf at x = 1e200: the integral used to return inf
+    f = MatrixPoly.from_scalar([1.0, 1.0, 1.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"^atom 0 at x=1e\+200: the integral overflows"):
+            integrate(f, measure([1e200]))
+        # each term is finite; their sum is not
+        with pytest.raises(ValueError, match=r"^atom 2 at x=1e\+154: the integral overflows"):
+            integrate(f, measure([0.0, -1e154, 1e154]))
+    assert np.isfinite(integrate(f, measure([0.0, 1e150])))
+
+
 def test_integrate_map_identity_map():
     m = PositiveMapMeasure(2, 2, [(0.0, [np.eye(2)])])
     c0 = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -76,11 +93,55 @@ def test_integrate_map_matches_trace_for_rank_one_maps():
     assert integrate_map(f, m)[0, 0] == pytest.approx(integrate_trace(f, mu))
 
 
-def test_raw_map_constructor_validates_by_sampling():
-    good = PositiveMapMeasure.from_linear(2, 2, [(0.0, lambda a: 2.0 * a)])
+def superoperator(kraus):
+    """(k^2, h^2) matrix of A -> sum_t V_t^T A V_t on row-major vec(A): sum_t V_t^T (x) V_t^T."""
+    return sum(np.kron(v.T, v.T) for v in kraus)
+
+
+def test_superoperator_constructor_proves_positivity_by_choi():
+    good = PositiveMapMeasure.from_linear(2, 2, [(0.0, 2.0 * np.eye(4))])
+    assert len(good.atoms[0][1]) == 1
     assert np.allclose(integrate_map(MatrixPoly.constant(I2), good), 2 * I2)
-    with pytest.raises(ValueError, match="PSD sample"):
-        PositiveMapMeasure.from_linear(2, 2, [(0.0, lambda a: -a)])
+    with pytest.raises(ValueError, match="atom 0: Choi .* positivity not proven"):
+        PositiveMapMeasure.from_linear(2, 2, [(0.0, -np.eye(4))])
+
+
+def test_sampled_positive_map_that_is_not_positive_is_rejected():
+    # A -> <C, A>, C_ii = 1, C_ij = -0.6, is PSD on every sample v v^T with
+    # v = e_i, e_i +- e_j, yet integrating F = 1 1^T against it gave -0.6
+    c = np.full((3, 3), -0.6)
+    np.fill_diagonal(c, 1.0)
+    ones = np.ones(3)
+    for v in [*np.eye(3), *(np.eye(3)[i] + s * np.eye(3)[j]
+                            for i in range(3) for j in range(i + 1, 3) for s in (1, -1))]:
+        assert v @ c @ v >= 0.0
+    assert ones @ c @ ones == pytest.approx(-0.6)
+    with pytest.raises(ValueError, match=r"^atom 0: Choi .*-2\.000e-01.* positivity not proven"):
+        PositiveMapMeasure.from_linear(3, 1, [(0.0, c.reshape(1, 9))])
+    with pytest.raises(ValueError, match="^atom 1: Choi"):
+        PositiveMapMeasure.from_linear(3, 1, [(0.0, np.eye(9)[[0]]), (1.0, c.reshape(1, 9))])
+
+
+def test_superoperator_must_have_a_symmetric_choi_matrix():
+    # A -> A E_12 sends symmetric A to a non-symmetric image
+    sup = np.kron(np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="atom 0: Choi matrix is not symmetric"):
+        PositiveMapMeasure.from_linear(2, 2, [(0.0, sup)])
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(h=st.integers(1, 4), k=st.integers(1, 4), count=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_kraus_maps_survive_the_choi_round_trip(h, k, count, seed):
+    rng = np.random.default_rng(seed)
+    kraus = rng.standard_normal((count, h, k))
+    m = PositiveMapMeasure(h, k, [(0.5, kraus), (-1.5, kraus[:1])])
+    back = PositiveMapMeasure.from_linear(h, k, [(0.5, superoperator(kraus)),
+                                                 (-1.5, superoperator(kraus[:1]))])
+    f = MatrixPoly(rand_symmetric_poly(rng, h, 2))
+    want = integrate_map(f, m)
+    scale = sum(np.sum(v * v) * np.abs(f(x)).sum() for x, vs in m.atoms for v in vs)
+    assert np.max(np.abs(integrate_map(f, back) - want)) <= 1e-12 * scale
 
 
 K23 = np.ones((2, 3))
@@ -103,25 +164,33 @@ def test_map_measure_rejects_nonpositive_dimensions(h_dim, k_dim, match):
     with pytest.raises(ValueError, match=f"{match} must be a positive integer"):
         PositiveMapMeasure(h_dim, k_dim, [])
     with pytest.raises(ValueError, match=f"{match} must be a positive integer"):
-        PositiveMapMeasure.from_linear(h_dim, k_dim, [(0.0, lambda a: a)])
+        PositiveMapMeasure.from_linear(h_dim, k_dim, [(0.0, np.eye(4))])
 
 
 def test_raw_map_images_must_be_finite_and_k_dim_square():
-    # the identity map sends 2x2 to 2x2, not 3x3: integrate_map used to fail
-    # with a numpy broadcast error, and return NaN for a NaN image
-    with pytest.raises(ValueError, match=r"atom 0: map image of shape \(2, 2\) .* finite 3x3"):
-        PositiveMapMeasure.from_linear(2, 3, [(0.0, lambda a: a)])
-    with pytest.raises(ValueError, match=r"atom 0: map image .* must be a finite 2x2"):
-        PositiveMapMeasure.from_linear(2, 2, [(0.0, lambda a: np.full((2, 2), np.nan))])
+    # the superoperator is (k_dim^2, h_dim^2): the 2x2 identity map is not a
+    # 2x2 -> 3x3 map; a NaN map, or a function in place of one, is refused
+    with pytest.raises(ValueError, match=r"atom 0: superoperator of shape \(4, 4\) .* 9x4"):
+        PositiveMapMeasure.from_linear(2, 3, [(0.0, np.eye(4))])
+    with pytest.raises(ValueError, match=r"atom 0: superoperator .* must be a finite real 4x4"):
+        PositiveMapMeasure.from_linear(2, 2, [(0.0, np.full((4, 4), np.nan))])
+    with pytest.raises(ValueError, match=r"atom 1: superoperator of shape \(\) .* real 4x4"):
+        PositiveMapMeasure.from_linear(2, 2, [(0.0, np.eye(4)), (1.0, lambda a: a)])
     with pytest.raises(ValueError, match="atom 0: point nan"):
-        PositiveMapMeasure.from_linear(2, 2, [(np.nan, lambda a: a)])
+        PositiveMapMeasure.from_linear(2, 2, [(np.nan, np.eye(4))])
 
 
-def test_raw_map_admits_positive_but_not_completely_positive():
-    # the transpose map preserves PSD but has no Kraus representation
-    m = PositiveMapMeasure.from_linear(2, 2, [(1.0, lambda a: a.T)])
-    f = MatrixPoly([np.array([[1.0, 2.0], [0.0, 1.0]])])
-    assert np.allclose(integrate_map(f, m), f(1.0).T)
+def test_superoperator_rejects_positive_but_not_completely_positive():
+    # the transpose preserves PSD but has no Kraus representation: its Choi
+    # matrix is the swap, eigenvalue -1.  On symmetric F it is the identity
+    transpose = np.eye(4)[[0, 2, 1, 3]]     # vec(A^T) from row-major vec(A), 2x2 A
+    a = np.arange(4.0).reshape(2, 2)
+    assert np.array_equal((transpose @ a.reshape(-1)).reshape(2, 2), a.T)
+    with pytest.raises(ValueError, match=r"atom 0: Choi .*-1\.000e\+00.* positivity not proven"):
+        PositiveMapMeasure.from_linear(2, 2, [(1.0, transpose)])
+    m = PositiveMapMeasure(2, 2, [(1.0, [I2])])
+    f = MatrixPoly([np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[0.0, -1.0], [-1.0, 3.0]])])
+    assert np.array_equal(integrate_map(f, m), f(1.0))
 
 
 def test_forward_moments_plus_minus_one():
@@ -524,6 +593,10 @@ def test_map_measure_json_round_trip():
     back = map_measure_from_json(map_measure_to_json(m))
     f = MatrixPoly([[[1.0, 0], [0, 1]]])
     assert np.allclose(integrate_map(f, back), integrate_map(f, m))
-    raw = PositiveMapMeasure.from_linear(2, 2, [(0.0, lambda a: a)])
-    with pytest.raises(ValueError, match="raw map"):
-        map_measure_to_json(raw)
+    # a superoperator measure is Kraus operators too: it serializes and integrates alike
+    v = np.array([[1.0, -2.0], [0.5, 3.0]])
+    sup = PositiveMapMeasure.from_linear(2, 2, [(0.0, np.eye(4)), (2.0, superoperator([v]))])
+    back = map_measure_from_json(json.loads(json.dumps(map_measure_to_json(sup))))
+    g = MatrixPoly([[[2.0, 1.0], [1.0, 3.0]], [[0.0, -1.0], [-1.0, 1.0]]])
+    assert np.array_equal(integrate_map(g, back), integrate_map(g, sup))
+    assert np.allclose(integrate_map(g, sup), g(0.0) + v.T @ g(2.0) @ v)
