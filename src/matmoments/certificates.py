@@ -20,7 +20,8 @@ met its target bounds F's least eigenvalue on all of [0, 1] from below by
 looking at F.  Otherwise, and always on the line and the half-line, where
 the (1 + a^2)^d weight keeps the factor's bound from being uniform, F's
 least eigenvalue on the domain, located at the real roots of a
-determinant, decides between the domain's ``NotPsdOn*`` error and the
+determinant by ``polymat._least_on`` (the locator ``fejer_riesz`` runs
+on the circle), decides between the domain's ``NotPsdOn*`` error and the
 failure.
 """
 
@@ -32,10 +33,10 @@ import numpy as np
 
 from . import spectral
 from .moments import GENERATORS, VARIANT_GENERATORS
-from .polymat import (STRIP_TOL, LaurentPoly, MatrixPoly, _check_tol, _conv1d, _conv_stack,
-                      _horner, _json_fields, _json_real, _least_eigenvalue, _maxabs, _strip,
-                      _read_only, _times_scalar, _weighted_sum, matmul, matrixpoly_from_json,
-                      matrixpoly_to_json, poly_trace)
+from .polymat import (_I_POW, STRIP_TOL, LaurentPoly, MatrixPoly, _check_tol, _conv1d,
+                      _conv_stack, _json_fields, _json_real, _least_on, _line_weights, _maxabs,
+                      _strip, _read_only, _times_scalar, _weighted_sum, matmul,
+                      matrixpoly_from_json, matrixpoly_to_json, poly_trace)
 
 DEFAULT_TOL = 1e-8
 
@@ -108,45 +109,6 @@ def _require_symmetric(f, what="input"):
     return scale
 
 
-def _least_on(f, a, b, shift):
-    """Least eigenvalue of F at the points deciding its sign on [a, b], and the point.
-
-    lambda_min(F(x)) + shift changes sign only at real roots of det G,
-    G = F + shift*I: eigenvalues of the block companion of y^d G(x0 + 1/y)
-    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982), whose leading
-    block G(x0) is invertible for x0 the best-conditioned of d + 2
-    Chebyshev points in [a, b] & [-1, 1].  F is evaluated at the real part
-    of every root in [a, b], the finite ends, the midpoints and one point
-    beyond each outer point: it dips below -shift on [a, b] exactly when
-    the returned eigenvalue does, up to the eigensolvers' accuracy.
-    """
-    n, d = f.n, max(f.deg, 1)       # a constant gets a zero x-coefficient
-    g = np.concatenate([f.coeffs, np.zeros((d - f.deg, n, n))])
-    g[0] += shift * np.eye(n)
-    lo, hi = max(a, -1.0), min(b, 1.0)
-    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(d + 2) + 0.5) / (d + 2))
-    with np.errstate(all="ignore"):
-        w = np.abs(np.linalg.eigvalsh(_horner(g, xs[:, np.newaxis, np.newaxis])))
-        x0 = xs[np.argmax(np.nan_to_num(w.min(axis=1) / w.max(axis=1)))]
-        t = np.tensordot([[comb(j, k) * x0 ** (j - k) if j >= k else 0.0 for j in range(d + 1)]
-                          for k in range(d + 1)], g, axes=1)       # G(x0 + y) = sum T_k y^k
-        comp = np.eye(n * d, k=-n)
-        try:
-            comp[:n] = -np.linalg.solve(t[0], np.hstack(t[1:]))
-            pts = np.append(x0 + (1 / np.linalg.eigvals(comp)).real, [a, b])
-        except np.linalg.LinAlgError:       # G(x0) singular or overflowed
-            pts = np.array([x0, a, b])
-        pts = np.unique(pts[np.isfinite(pts) & (a <= pts) & (pts <= b)])
-        pts = pts if pts.size else np.array([x0])
-        xs = np.concatenate([pts, 0.5 * pts[1:] + 0.5 * pts[:-1],
-                             np.clip([pts[0] - 1 - abs(pts[0]), pts[-1] + 1 + abs(pts[-1])], a, b)])
-        worst, i = _least_eigenvalue(_horner(f.coeffs, xs[:, np.newaxis, np.newaxis]))
-    return worst, float(xs[i])
-
-
-_I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-
-
 @lru_cache(maxsize=None)
 def _trig_weights(d):
     """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, s the sum below.
@@ -179,18 +141,6 @@ def _trig_laurent(c, step=1):
     if step == 2:
         return LaurentPoly(_weighted_sum(even, c))
     return LaurentPoly(_weighted_sum(even, c[0::2]) + 1j * _weighted_sum(odd, c[1::2]))
-
-
-@lru_cache(maxsize=None)
-def _line_weights(nh):
-    """Dense exact binomial weights of B_k on x^{nh-e} in _line_factors, row k, read-only."""
-    w = np.zeros((nh + 1, nh + 1), dtype=complex)
-    for k in range(nh + 1):
-        for e in range(nh + 1):
-            for a in range(max(0, e - (nh - k)), min(k, e) + 1):
-                pre, pim = _I_POW[((k - a) - (nh - k - (e - a))) % 4]
-                w[k, nh - e] += comb(k, a) * comb(nh - k, e - a) * (pre + 1j * pim)
-    return _read_only(w)
 
 
 def _line_factors(b_stack):
@@ -246,7 +196,7 @@ def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
     cert.residual = verify_certificate(f, cert)
     if not cert.residual <= thresh:     # NaN if the reassembly overflowed
         if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
-            worst, x = _least_on(f, *not_psd.domain, thresh)
+            worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
             if worst < -thresh:
                 raise not_psd(worst, x) from pending
         if isinstance(pending, spectral.NoConvergence):
@@ -367,24 +317,25 @@ def decompose_interval(f, tol=DEFAULT_TOL):
 def verify_certificate(f, cert):
     """Max coefficient mismatch of F - sum_g g * sum_i G_i G_i^T.
 
-    Pure check; returns the residual without judging it, NaN if a
-    coefficient of the difference is NaN.  The sum takes MatrixPoly
+    Pure check; returns the residual without judging it, inf or NaN (and
+    no warning) if the reassembly overflows.  The sum takes MatrixPoly
     arithmetic's steps on stacks, stripped where it builds a MatrixPoly.
     """
     total = np.zeros((1, f.n, f.n))
-    for key, factors in cert.sigma.items():
-        for g in factors:
-            if g.n != f.n:
-                raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
-            square = _strip(_conv_stack(g.coeffs, np.swapaxes(g.coeffs, 1, 2)))
-            term = _strip(_times_scalar(GENERATORS[key], square))
-            out = np.zeros((max(len(total), len(term)), f.n, f.n))
-            out[:len(total)] += total
-            out[:len(term)] += term
-            total = _strip(out)
-    diff = np.zeros((max(f.deg + 1, len(total)), f.n, f.n))
-    diff[:f.deg + 1] = f.coeffs
-    diff[:len(total)] -= total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, factors in cert.sigma.items():
+            for g in factors:
+                if g.n != f.n:
+                    raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
+                square = _strip(_conv_stack(g.coeffs, np.swapaxes(g.coeffs, 1, 2)))
+                term = _strip(_times_scalar(GENERATORS[key], square))
+                out = np.zeros((max(len(total), len(term)), f.n, f.n))
+                out[:len(total)] += total
+                out[:len(term)] += term
+                total = _strip(out)
+        diff = np.zeros((max(f.deg + 1, len(total)), f.n, f.n))
+        diff[:f.deg + 1] = f.coeffs
+        diff[:len(total)] -= total
     return _maxabs(diff)
 
 

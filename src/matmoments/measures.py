@@ -147,8 +147,9 @@ def integrate_trace(f, mu):
     if f.n != mu.n:
         raise ValueError(f"size mismatch: polynomial is {f.n}x{f.n}, measure is {mu.n}x{mu.n}")
     total = 0.0
-    for idx, (x, w) in enumerate(mu.atoms):
-        total = _finite(idx, x, total + np.trace(f(x) @ w))
+    with np.errstate(over="ignore", invalid="ignore"):     # _finite reports an overflow
+        for idx, (x, w) in enumerate(mu.atoms):
+            total = _finite(idx, x, total + np.trace(f(x) @ w))
     return float(total)
 
 
@@ -224,13 +225,14 @@ def integrate_map(f, m):
         raise ValueError(f"size mismatch: polynomial is {f.n}x{f.n}, maps act on "
                          f"{m.h_dim}x{m.h_dim}")
     out = np.zeros((m.k_dim, m.k_dim))
-    for idx, (x, _) in enumerate(m.atoms):
-        out = _finite(idx, x, out + m.apply(idx, f(x)))
+    with np.errstate(over="ignore", invalid="ignore"):     # _finite reports an overflow
+        for idx, (x, _) in enumerate(m.atoms):
+            out = _finite(idx, x, out + m.apply(idx, f(x)))
     return out
 
 
 def forward_moments(mu, degree):
-    """Moment sequence S_p = sum_j x_j^p W_j for p = 0..degree."""
+    """Moment sequence S_p = sum_j x_j^p W_j, p = 0..degree; an overflow is a ValueError."""
     degree = _size(degree, "degree", least=0)
     n = mu.n
     mats = np.zeros((degree + 1, n, n))
@@ -238,8 +240,9 @@ def forward_moments(mu, degree):
     # sequence, as the running product x^p = x^(p-1) * x
     chain = np.ones((degree + 1, len(mu.atoms)))
     chain[1:] = [x for x, _ in mu.atoms]
-    for powers, (_, w) in zip(np.cumprod(chain, axis=0).T, mu.atoms):
-        mats += powers[:, np.newaxis, np.newaxis] * w
+    with np.errstate(over="ignore", invalid="ignore"):     # MomentSequence reports an overflow
+        for powers, (_, w) in zip(np.cumprod(chain, axis=0).T, mu.atoms):
+            mats += powers[:, np.newaxis, np.newaxis] * w
     return MomentSequence(mats)
 
 

@@ -8,6 +8,7 @@ spectral factorization routines.
 import math
 import numbers
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -279,15 +280,69 @@ def _least_eigenvalue(values):
     """Least eigenvalue over a stack of matrices' hermitian parts, and its index.
 
     The first index wins a tie, and a NaN eigenvalue (from an entry that
-    overflowed) never counts as the least.  The hermitian part
-    ``0.5 * (v + v^H)`` overflows for entries beyond ~9e307, so the checks
-    that use it hold for entries below that: past it the overflowed points
-    are skipped and the least eigenvalue and its point may be reported wrong.
+    overflowed, as ``0.5 * (v + v^H)`` does beyond ~9e307) never counts as
+    the least: past that the least eigenvalue and its point may be wrong.
     """
     w = np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, -1, -2).conj()))[:, 0]
     w = np.where(np.isnan(w), np.inf, w)
     i = int(np.argmin(w))
     return w[i], i
+
+
+def _least_on(f, a, b, shift):
+    """Least eigenvalue of the stack F at the points deciding its sign on [a, b], and the point.
+
+    lambda_min(F(x)) + shift changes sign only at real roots of det G,
+    G = F + shift*I: eigenvalues of the block companion of y^d G(x0 + 1/y)
+    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982), whose leading
+    block G(x0) is invertible for x0 the best-conditioned of d + 2
+    Chebyshev points in [a, b] & [-1, 1].  F is evaluated at the real part
+    of every root in [a, b], the finite ends, the midpoints and one point
+    beyond each outer point: it dips below -shift on [a, b] exactly when
+    the returned eigenvalue does, up to the eigensolvers' accuracy.  A zero
+    leading block of F only adds roots at infinity.
+    """
+    n, d = f.shape[1], max(len(f) - 1, 1)       # a constant gets a zero x-coefficient
+    g = np.concatenate([f, np.zeros((d + 1 - len(f), n, n))])
+    g[0] += shift * np.eye(n)
+    lo, hi = max(a, -1.0), min(b, 1.0)
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(d + 2) + 0.5) / (d + 2))
+    with np.errstate(all="ignore"):
+        w = np.abs(np.linalg.eigvalsh(_horner(g, xs[:, np.newaxis, np.newaxis])))
+        x0 = xs[np.argmax(np.nan_to_num(w.min(axis=1) / w.max(axis=1)))]
+        t = np.tensordot([[math.comb(j, k) * x0 ** (j - k) if j >= k else 0.0 for j in range(d + 1)]
+                          for k in range(d + 1)], g, axes=1)       # G(x0 + y) = sum T_k y^k
+        comp = np.eye(n * d, k=-n)
+        try:
+            comp[:n] = -np.linalg.solve(t[0], np.hstack(t[1:]))
+            pts = np.append(x0 + (1 / np.linalg.eigvals(comp)).real, [a, b])
+        except np.linalg.LinAlgError:       # G(x0) singular or overflowed
+            pts = np.array([x0, a, b])
+        pts = np.unique(pts[np.isfinite(pts) & (a <= pts) & (pts <= b)])
+        pts = pts if pts.size else np.array([x0])
+        xs = np.concatenate([pts, 0.5 * pts[1:] + 0.5 * pts[:-1],
+                             np.clip([pts[0] - 1 - abs(pts[0]), pts[-1] + 1 + abs(pts[-1])], a, b)])
+        worst, i = _least_eigenvalue(_horner(f, xs[:, np.newaxis, np.newaxis]))
+    return worst, float(xs[i])
+
+
+_I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}       # i^p as (re, im), p mod 4
+
+
+@lru_cache(maxsize=None)
+def _line_weights(nh):
+    """Read-only exact weights of row k on x^m in (1 + ix)^k (1 - ix)^(nh-k), k, m = 0..nh.
+
+    They dehomogenize ``certificates``' line factors and, at nh = 2 band, give
+    ``spectral``'s Cayley image (1 + x^2)^band u((1 + ix) / (1 - ix)).
+    """
+    w = np.zeros((nh + 1, nh + 1), dtype=complex)
+    for k in range(nh + 1):
+        for e in range(nh + 1):
+            for a in range(max(0, e - (nh - k)), min(k, e) + 1):
+                pre, pim = _I_POW[((k - a) - (nh - k - (e - a))) % 4]
+                w[k, nh - e] += math.comb(k, a) * math.comb(nh - k, e - a) * (pre + 1j * pim)
+    return _read_only(w)
 
 
 def _conv1d(a, b):
@@ -368,17 +423,6 @@ class LaurentPoly:
         """max_k ||A_{-k} - A_k^H||, zero iff hermitian-valued on the circle."""
         # A_{-k} - A_k^H at every k: the entries at -k mirror those at k
         return _maxabs(self._coeffs[::-1] - np.swapaxes(self._coeffs, 1, 2).conj())
-
-    def eval_circle(self, t):
-        """Value at z = exp(i t); an array of angles gives a stack of values."""
-        t = np.asarray(t)
-        z = np.exp(1j * t)[..., np.newaxis, np.newaxis]
-        res = np.zeros(t.shape + (self.n, self.n), dtype=np.complex128)
-        for k in range(-self.band, self.band + 1):
-            # np.power, not **: the operator squares and inverts by other
-            # routines, which round differently from a scalar z**k
-            res += self.coeff(k) * np.power(z, k)
-        return res
 
     def __repr__(self):
         return f"LaurentPoly(n={self.n}, band={self.band})"

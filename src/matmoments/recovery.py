@@ -104,7 +104,8 @@ def recover(seq):
     floor 100 eps size lambda_max (the last against the next eigenvalue or
     eps lambda_max).  A pencil eigenvalue x_i with y_i^T H0c y_i = 1 moves
     under rounding by at most about b_i = 3 eps (||H1||_F + |x_i| lambda_max)
-    ||y_i||^2; consecutive points within b_i + b_j merge into their mean.
+    ||y_i||^2; consecutive points within b_i + b_j merge into their mean; a
+    point whose power x^D overflows float64 is a ValueError naming its atom.
     The result holds the measure with PSD-projected weights, the max moment
     mismatch, the rank and ``rank_gap_ambiguous``, set when an eigenvalue
     above the floor was dropped, when an atom's bound plus the width of its
@@ -136,6 +137,11 @@ def recover(seq):
 
     basis = vec[:, lam.size - rank:]
     points, y = pencil_eigenvalues(lam[lam.size - rank:], basis.T @ h1 @ basis)
+    far = float(points[np.argmax(np.abs(points))])
+    try:
+        far ** d        # _powers' largest power, checked before the bounds below overflow
+    except OverflowError:
+        raise ValueError(f"atom at x={far:.6g}: power x^{d} overflows float64") from None
     bound = 3.0 * EPS * (np.linalg.norm(h1) + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
     # clusters of consecutive points within their bounds; clusters at least
     # MERGE_TOL apart, so the measure need not merge them again

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .measures import SupportViolation, forward_moments, positivity_audit
+from .measures import SupportViolation, _size, forward_moments, positivity_audit
 from .polymat import MatrixPoly
 
 CHAIN_TOL = 1e-9
@@ -100,8 +100,7 @@ def diagonal_entry(i):
 
 def build_family(n_trunc):
     """Family of size N: G(x) = x^3 diag(1/i) - x^2 Id, shift on the superdiagonal."""
-    if n_trunc < 1:
-        raise ValueError("truncation dimension must be >= 1")
+    n_trunc = _size(n_trunc, "truncation dimension")
     coeffs = np.zeros((4, n_trunc, n_trunc))
     np.fill_diagonal(coeffs[2], -1.0)      # not -eye, whose zeros are -0.0
     np.fill_diagonal(coeffs[3], 1.0 / np.arange(1, n_trunc + 1))
@@ -115,7 +114,7 @@ def shift_compress(fam, n):
     moves the trailing (N-n)x(N-n) block of every coefficient to the top
     left and zeroes the rest; no entry is rounded.
     """
-    if not 0 <= n < fam.N:
+    if not _size(n, "compression order", least=0) < fam.N:
         raise ValueError(f"compression order {n} out of range [0, {fam.N})")
     g = fam.G.coeffs
     coeffs = np.zeros(g.shape)

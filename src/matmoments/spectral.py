@@ -22,9 +22,10 @@ The Riccati equation is solved by structure-preserving doubling (Bini,
 Iannazzo and Meini, "Numerical Solution of Algebraic Riccati Equations",
 SIAM 2012): quadratic convergence on definite inputs, linear at spectral
 zeros on the circle (Chiang et al., SIAM J. Matrix Anal. Appl. 31, 2009).
-The order is solve, grid, retry, polish: only when the solve breaks down
-or misses its target is u checked on a grid of the circle; then the solve
-is retried once on u + delta*I if it broke down (A_0 or R_e singular on
+The order is solve, locate, retry, polish: only when the solve breaks
+down or misses its target is u's least eigenvalue located exactly on the
+circle (``polymat._least_on`` on its Cayley image); then the solve is
+retried once on u + delta*I if it broke down (A_0 or R_e singular on
 inputs rank-deficient on the whole circle, or a singular or non-finite
 doubling iterate or its step cap), and a coefficient-space Newton
 iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses.
@@ -35,8 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymat import (LaurentPoly, _check_tol, _json_fields, _json_floats, _json_matrices,
-                      _json_size, _least_eigenvalue, _maxabs, _read_only)
+from .polymat import (LaurentPoly, _check_tol, _horner, _json_fields, _json_floats,
+                      _json_matrices, _json_size, _least_eigenvalue, _least_on, _line_weights,
+                      _maxabs, _read_only, _weighted_sum)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -49,8 +51,8 @@ RETRY_SHIFT = 1.5e-8
 _MAX_DOUBLINGS = 64
 # Doubling updates that stop shrinking below _STALL * ||H|| end the solve.
 # They bottom out at 1e-8-1e-5 of ||H|| (rounding noise) at spectral zeros
-# on the circle and wander at ~1e-3 on an input that dips to -1e-6 between
-# grid points; before converging, near-critical definite inputs can show
+# on the circle and wander at ~1e-3 on an input that dips to -1e-6 on a
+# short arc; before converging, near-critical definite inputs can show
 # growing updates above ~3e-2.
 _STALL = 3e-3
 _EPS = np.finfo(float).eps
@@ -193,11 +195,6 @@ def _riccati_factor(a_stack, band, n):
     return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)]).astype(np.complex128)
 
 
-def _transpose_perm(n):
-    """Permutation matrix taking row-major vec(X) to vec(X^T)."""
-    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
-
-
 def _newton_step(a_stack, band, b, perm):
     """Least-norm solution D of  D P* + P D* = (A - B B*)  in coefficient space."""
     n = b.shape[1]
@@ -231,7 +228,8 @@ def _newton_refine(a_stack, band, b, target, max_iter=60):
     steps are not damped.  Stops at the target, after max_iter steps, or
     when an iterate stops being finite.
     """
-    perm = _transpose_perm(b.shape[1])
+    n = b.shape[1]
+    perm = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]     # vec(X) -> vec(X^T)
     best_b, best_res = b, _residual(a_stack, b)
     for _ in range(max_iter):
         if best_res <= target:
@@ -255,10 +253,9 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     ----------
     u : LaurentPoly
         Hermitian-valued input with finite coefficients, A_{-k} = A_k^H,
-        PSD on the circle; checked on the grid when the solve fails or
-        misses: u(e^{it}) >= -tol (relative to the scale of A_0) at
-        4*(band+1) equally spaced angles, in one batched ``eigvalsh``; the
-        first angle attaining the least eigenvalue is reported.
+        PSD on the circle: u(e^{it}) >= -tol (relative to the scale of
+        A_0) at every angle, located exactly when the solve fails or
+        misses (solve, locate, retry, polish).
     tol : float
         Residual target, relative to max(1, ||A_0||).
 
@@ -275,8 +272,8 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     Raises
     ------
     NotPsdOnCircle
-        Checked on the grid when the solve fails or misses: a grid
-        eigenvalue below the tolerance; the input violates the precondition.
+        Located when the solve fails or misses: u's least eigenvalue below
+        the tolerance at angle t in (-pi, pi]; the input violates the precondition.
     NoConvergence
         Residual target not reached by the doubling Riccati solve, its
         retry on u + delta*I (run when the direct solve breaks down) and
@@ -304,9 +301,15 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     except np.linalg.LinAlgError:
         b, res = None, np.inf
     if not res <= tol_abs:      # a factor on target proves the precondition
-        npts = 4 * (band + 1)
-        ts = 2.0 * np.pi * np.arange(npts) / npts
-        worst, i = _least_eigenvalue(u.eval_circle(ts))
+        # (1 + x^2)^band (u + tol_abs*I)((1 + ix) / (1 - ix)) = R + iJ has the sign of
+        # u + tol_abs*I at t = 2 arctan x, as has [[R, -J], [J, R]]; t = pi is x = inf
+        shifted = a_stack.copy()
+        shifted[band] += tol_abs * np.eye(n)
+        c = _weighted_sum(_line_weights(2 * band), shifted)
+        _, x = _least_on(np.block([[c.real, -c.imag], [c.imag, c.real]]), -np.inf, np.inf, 0.0)
+        ts = np.array([2.0 * np.arctan(x), np.pi])
+        z = np.exp(1j * ts)[:, np.newaxis, np.newaxis]
+        worst, i = _least_eigenvalue(_horner(a_stack, z) / z ** band)
         if worst < -tol_abs:
             raise NotPsdOnCircle(worst, ts[i])
     if b is None:

@@ -275,6 +275,12 @@ def test_numpy_only_subcommands_leave_scipy_unloaded(workspace):
     laurent.write_text(json.dumps({"n": 1, "band": 1,
                                    "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
                                    "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}))
+    neg_laurent = workspace["dir"] / "neg_laurent.json"      # 1 + 2 cos t
+    neg_laurent.write_text(json.dumps({"n": 1, "band": 1,
+                                       "coeffs_re": [[[1.0]], [[1.0]], [[1.0]]],
+                                       "coeffs_im": [[[0.0]], [[0.0]], [[0.0]]]}))
+    neg_poly = workspace["dir"] / "neg_poly.json"            # x^2 - 1
+    neg_poly.write_text(json.dumps(matrixpoly_to_json(MatrixPoly.from_scalar([-1.0, 0.0, 1.0]))))
     cert = workspace["dir"] / "cert.json"
     expected = {cmd: sorted(f"matmoments.{m}" for m in mods | {"cli", "polymat"})
                 for cmd, mods in SUBCOMMAND_MODULES.items()}
@@ -319,6 +325,10 @@ def test_numpy_only_subcommands_leave_scipy_unloaded(workspace):
                     json.dump(res.report["certificate"], fh)
                 ver = fresh_run(["verify", "--poly", argv[2], "--cert", {str(cert)!r}])
                 assert ver.exit_code == 0 and ver.report["pass"] is True, argv
+        # the failure paths, where the PSD locator runs on the circle and the line
+        for argv in (["factor", "--laurent", {str(neg_laurent)!r}],
+                     ["certify", "--poly", {str(neg_poly)!r}, "--domain", "line"]):
+            assert fresh_run(argv).exit_code == 1, argv
 
         import matmoments
         for name in matmoments.__all__:
@@ -412,6 +422,43 @@ def test_shiftgap_atom_beyond_the_float_range_is_input_error(tmp_path):
     assert res.exit_code == 2
     assert res.report["error"]["type"] == "ValueError"
     assert "atom 1 at x=1e+103" in res.report["error"]["message"]
+
+
+def test_recover_atom_beyond_the_float_range_is_input_error(tmp_path, capsys):
+    # the pencil point is 1e160, whose square Python's float ** could not
+    # take: an OverflowError traceback, exit 1 and no report
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps({"n": 1, "moments": [[[1.0]], [[1e160]], [[1e300]]]}))
+    code = main(["recover", "--moments", str(path)])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == {"type": "ValueError",
+                               "message": "atom at x=1e+160: power x^2 overflows float64"}
+
+
+def test_overflow_input_errors_leave_stderr_empty(tmp_path):
+    # numpy's overflow RuntimeWarning reached stderr ahead of each report
+    docs = {"quadratic.json": {"n": 1, "coeffs": [[[1.0]], [[1.0]], [[1.0]]]},
+            "far_atom.json": {"n": 1, "atoms": [{"x": 1e200, "W": [[1.0]]}]},
+            "huge.json": {"n": 1, "coeffs": [[[1e300]]]},
+            "line_cert.json": {"variant": "line",
+                               "sigma": {"1": [{"n": 1, "coeffs": [[[1e200]]]}]}},
+            "far_pair.json": {"n": 2, "atoms": [{"x": 1e60, "W": np.eye(2).tolist()}]},
+            "moments.json": {"n": 1, "moments": [[[1.0]], [[1e160]], [[1e300]]]}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argvs = [["integrate", "--poly", "quadratic.json", "--measure", "far_atom.json"],
+             ["verify", "--poly", "huge.json", "--cert", "line_cert.json"],
+             ["shiftgap", "--dim", "2", "--functional", "far_pair.json"],
+             ["recover", "--moments", "moments.json"]]
+    script = ("import json; from matmoments.cli import run; "
+              f"print(json.dumps([run(a).exit_code for a in {argvs!r}]))")
+    src = str(Path(matmoments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [2, 2, 2, 2]
 
 
 def _strict_json(text):

@@ -291,3 +291,12 @@ def test_weight_errors_the_fit_magnifies_are_flagged(seed, index):
     rhs = seq.S.reshape(seq.D + 1, -1)
     sol, _, _, sv = np.linalg.lstsq(vand, rhs, rcond=None)
     assert np.max(_fit_errors(vand, sol, sv, np.full(len(sol), np.inf), rhs)) >= err
+
+
+def test_atom_beyond_the_float_range_is_a_value_error():
+    # H0's least eigenvalue is -1e20 against a scale of 1e300, so the Hankel
+    # test passes; the pencil point 1e160 then has no float square
+    seq = MomentSequence(np.array([[[1.0]], [[1e160]], [[1e300]]]))
+    assert check_hamburger(seq).passed
+    with pytest.raises(ValueError, match=r"^atom at x=1e\+160: power x\^2 overflows float64$"):
+        recover(seq)

@@ -80,6 +80,15 @@ def test_compress_out_of_range():
         shift_compress(build_family(2), 2)
 
 
+@pytest.mark.parametrize("size", [True, False, 2.0, "2"])
+def test_sizes_must_be_integers_not_bools(size):
+    # True passed as order 1 and build_family(True) raised a TypeError
+    with pytest.raises(ValueError, match="^truncation dimension must be a positive integer$"):
+        build_family(size)
+    with pytest.raises(ValueError, match="^compression order must be a nonnegative integer$"):
+        shift_compress(build_family(2), size)
+
+
 def test_probe_family_leading_coefficient():
     fam = build_family(4)
     lead = np.array(fam.G.coeffs[3], dtype=float)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import test_bit_identity
+from hypothesis import given, settings, strategies as st
+
 from conftest import factorable_laurent
 from matmoments import (LaurentPoly, NoConvergence, NotPsdOnCircle, fejer_riesz,
-                        laurent_from_json, laurent_to_json, spectral, verify_factor)
+                        laurent_from_json, laurent_to_json, polymat, spectral, verify_factor)
 from matmoments.spectral import DEFAULT_TOL
 
 
@@ -129,9 +131,10 @@ class _GridChecked(Exception):
 
 def test_factors_on_target_skip_the_circle_grid(monkeypatch):
     # a factor that meets its target proves the precondition, so inputs that
-    # factor never evaluate the grid: neither here nor in the digest corpus
-    def refuse(values):
+    # factor never run the circle locator: neither here nor in the digest corpus
+    def refuse(*args):
         raise _GridChecked
+    monkeypatch.setattr(spectral, "_least_on", refuse)
     monkeypatch.setattr(spectral, "_least_eigenvalue", refuse)
     rng = np.random.default_rng(67)
     for n in range(1, 7):
@@ -147,8 +150,8 @@ def test_factors_on_target_skip_the_circle_grid(monkeypatch):
     (scalar_laurent(1.1, 1j, 2, -1j, 1.1), "misses"),       # residual 2.6e3
 ], ids=["raises", "misses"])
 def test_not_psd_inputs_skip_the_retry_and_the_polish(u, solve, monkeypatch):
-    # the grid runs once the direct solve fails, before the shifted retry
-    # and the Newton polish, and reports the loop's angle
+    # the locator runs once the direct solve fails, before the shifted retry
+    # and the Newton polish, and reports an angle of the dip
     outcomes, factor = [], spectral._riccati_factor
 
     def direct(*args):
@@ -164,12 +167,10 @@ def test_not_psd_inputs_skip_the_retry_and_the_polish(u, solve, monkeypatch):
         raise AssertionError("Newton polish reached")
     monkeypatch.setattr(spectral, "_riccati_factor", direct)
     monkeypatch.setattr(spectral, "_newton_refine", polish)
-    want = _circle_check_loop(u, DEFAULT_TOL)
     with pytest.raises(NotPsdOnCircle) as info:
         fejer_riesz(u)
     assert outcomes == [solve]
-    assert info.value.at_angle == want[1]
-    assert info.value.min_eigenvalue == pytest.approx(want[0], rel=1e-12)
+    _assert_located(info.value, u, DEFAULT_TOL)
 
 
 def test_doubling_failure_reaches_the_shifted_retry(monkeypatch):
@@ -326,14 +327,69 @@ def test_positivity_of_factor_product_on_circle():
 
 
 def test_no_convergence_reports_best_residual():
-    # dips to -1e-6 between validation grid points: passes the grid but
-    # admits no exact factor, so the solver must give up with its best
-    delta = 0.9 * np.pi / 16
-    a1 = np.exp(-1j * delta)
+    # u = P P* with P = (I + zI)^2 Q is PSD, with a matrix double zero at
+    # z = -1: the locator finds no dip, and at tol 1e-10 the doubling and the
+    # Newton polish stall, so the solver gives up with its best
+    for seed in range(6):
+        q = np.random.default_rng(seed).standard_normal((3, 3, 3))
+        p = np.zeros((5, 3, 3))
+        for i, w in enumerate((1.0, 2.0, 1.0)):
+            p[i:i + 3] += w * q
+        with pytest.raises(NoConvergence) as info:
+            fejer_riesz(laurent_from_factor(p), tol=1e-10)
+        assert 0.0 < info.value.best.residual < 1e-5, seed
+
+
+def test_dip_between_grid_points_is_located():
+    # dips to -1e-6 between the points of the circle grid the locator
+    # replaced: it passed that grid and ended in NoConvergence
+    a1 = np.exp(-1j * 0.9 * np.pi / 16)
     u = LaurentPoly(np.array([[[np.conj(a1)]], [[2.0 - 1e-6]], [[a1]]]))
-    with pytest.raises(NoConvergence) as info:
+    with pytest.raises(NotPsdOnCircle) as info:
         fejer_riesz(u)
-    assert 0.0 < info.value.best.residual < 1e-5
+    _assert_located(info.value, u, DEFAULT_TOL)
+    assert info.value.min_eigenvalue == pytest.approx(-1e-6, rel=1e-3)
+
+
+def _cos_dip(c, k, phase):
+    """Scalar c - cos(k t - phase) as a Laurent polynomial of band k."""
+    coeffs = np.zeros((2 * k + 1, 1, 1), dtype=complex)
+    coeffs[k] = c
+    coeffs[2 * k] = -0.5 * np.exp(-1j * phase)
+    coeffs[0] = np.conj(coeffs[2 * k])
+    return coeffs
+
+
+@pytest.mark.parametrize("coeffs", [
+    _cos_dip(0.999, 1, np.pi / 8), _cos_dip(0.99, 1, np.pi / 8), _cos_dip(0.95, 1, np.pi / 8),
+    np.stack([np.diag([c[0, 0], 1.0 if j == 3 else 0.0])
+              for j, c in enumerate(_cos_dip(0.99, 3, np.pi / 16))])],
+    ids=["c=0.999", "c=0.99", "c=0.95", "diag n=2"])
+def test_dips_off_the_old_grid_are_located(coeffs):
+    # c - cos(t - pi/8) dips to c - 1 midway between multiples of pi/4, where
+    # the old grid of band 1 sat; each of these ended in NoConvergence
+    u = LaurentPoly(coeffs)
+    with pytest.raises(NotPsdOnCircle) as info:
+        fejer_riesz(u)
+    _assert_located(info.value, u, DEFAULT_TOL)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), band=st.integers(1, 16), depth=st.floats(-5.0, -2.0),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_inputs_that_dip_below_zero_never_end_in_no_convergence(n, band, depth, real, seed):
+    # P P* shifted so that its least eigenvalue on 2048 angles (so at least
+    # as deep in truth) is -10^depth * max(1, max|A_0|)
+    u, _ = factorable_laurent(np.random.default_rng(seed), n, band, real=real)
+    coeffs = np.array(u.coeffs)
+    z = np.exp(2j * np.pi * np.arange(2048) / 2048)[:, np.newaxis, np.newaxis]
+    v = sum(u.coeff(k) * z**k for k in range(-band, band + 1))
+    least = np.linalg.eigvalsh(0.5 * (v + np.swapaxes(v, 1, 2).conj()))[:, 0].min()
+    coeffs[band] -= (least + 10.0 ** depth * max(1.0, np.max(np.abs(coeffs[band])))) * np.eye(n)
+    u = LaurentPoly(coeffs)
+    with pytest.raises(NotPsdOnCircle) as info:
+        fejer_riesz(u)
+    _assert_located(info.value, u, DEFAULT_TOL)
 
 
 def test_hermitian_precondition_enforced():
@@ -357,25 +413,25 @@ def test_laurent_json_round_trip():
         laurent_from_json({"n": 1, "band": 1, "coeffs_re": [[[1.0]]] * 3})
 
 
-def _circle_check_loop(u, tol):
-    """The circle grid one angle at a time, as before it was batched."""
-    scale = max(1.0, np.max(np.abs(u.coeff(0))))
-    npts = 4 * (u.band + 1)
-    worst, worst_t = np.inf, 0.0
-    for t in 2.0 * np.pi * np.arange(npts) / npts:
-        z = np.exp(1j * t)
-        v = np.zeros((u.n, u.n), dtype=np.complex128)
-        for k in range(-u.band, u.band + 1):
-            v += u.coeff(k) * z**k
-        w = np.linalg.eigvalsh(0.5 * (v + v.conj().T))
-        if w[0] < worst:
-            worst, worst_t = w[0], t
-    return (worst, worst_t) if worst < -tol * scale else None
+def _circle_least(u, t):
+    """lambda_min(u(e^{it})), summed one coefficient at a time."""
+    z = np.exp(1j * t)
+    v = np.zeros((u.n, u.n), dtype=np.complex128)
+    for k in range(-u.band, u.band + 1):
+        v += u.coeff(k) * z**k
+    return np.linalg.eigvalsh(0.5 * (v + v.conj().T))[0]
+
+
+def _assert_located(report, u, tol):
+    """``report`` names an angle in (-pi, pi] where u's least eigenvalue is its value, below -tol."""
+    assert -np.pi < report.at_angle <= np.pi
+    assert report.min_eigenvalue < -tol * max(1.0, np.max(np.abs(u.coeff(0))))
+    assert report.min_eigenvalue == pytest.approx(_circle_least(u, report.at_angle), rel=1e-9)
 
 
 def test_not_psd_on_circle_matches_the_loop():
-    # complex multiplication may round differently on a stack than on one
-    # matrix, so the value may move in the last bits; the angle may not
+    # the locator reports a point of the dip, not the grid's angle: the value
+    # is u's least eigenvalue there, evaluated on its own, below the tolerance
     rng = np.random.default_rng(41)
     for n in (1, 2, 3, 6):
         for band in (0, 1, 2, 5, 8, 16):
@@ -384,23 +440,23 @@ def test_not_psd_on_circle_matches_the_loop():
                 coeffs = np.array(u.coeffs)
                 coeffs[band] -= rng.uniform(0.2, 1.5) * np.max(np.abs(coeffs)) * np.eye(n)
                 u = LaurentPoly(coeffs)
-                want = _circle_check_loop(u, DEFAULT_TOL)
-                assert want is not None
                 with pytest.raises(NotPsdOnCircle) as info:
                     fejer_riesz(u)
-                assert info.value.at_angle == want[1]
-                assert info.value.min_eigenvalue == pytest.approx(want[0], rel=1e-12)
+                _assert_located(info.value, u, DEFAULT_TOL)
 
 
-def test_eval_circle_takes_an_array_of_angles():
+def test_cayley_weights_give_the_circle_on_the_line():
+    # row k + band of polymat._line_weights(2 band) expands (1 + x^2)^band z^k,
+    # z = (1 + ix) / (1 - ix) = e^{it} at t = 2 arctan x
     rng = np.random.default_rng(43)
-    u, _ = factorable_laurent(rng, 3, 4)
-    ts = np.linspace(0.0, 2 * np.pi, 9)
-    stack = u.eval_circle(ts)
-    assert stack.shape == (9, 3, 3)
-    scale = np.max(np.abs(u.coeffs))
-    for t, v in zip(ts, stack):
-        np.testing.assert_allclose(v, u.eval_circle(t), rtol=0, atol=1e-14 * scale)
+    for band in (0, 1, 4, 16):
+        u, _ = factorable_laurent(rng, 2, band)
+        c = np.tensordot(polymat._line_weights(2 * band).T, u.coeffs, axes=1)
+        for x in (-3.0, -0.5, 0.0, 0.25, 2.0):
+            v = sum(ck * x**m for m, ck in enumerate(c)) / (1 + x * x) ** band
+            z = np.exp(2j * np.arctan(x))
+            want = sum(u.coeff(k) * z**k for k in range(-band, band + 1))
+            np.testing.assert_allclose(v, want, rtol=0, atol=1e-12 * np.max(np.abs(u.coeffs)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
