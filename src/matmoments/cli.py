@@ -206,7 +206,10 @@ def run(argv):
         code = _exit_code(exc)
         if code is None:
             raise
-        body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        kind = type(exc)
+        if code == 2:       # an input error names its public class, such as ValueError
+            kind = next(c for c in kind.__mro__ if not c.__name__.startswith("_"))
+        body = {"error": {"type": kind.__name__, "message": str(exc)}}
     return CommandResult(code, {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
 
 

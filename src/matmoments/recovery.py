@@ -57,6 +57,16 @@ def _powers(points, degree):
     return np.array([[x ** p for x in points] for p in range(degree + 1)])
 
 
+def _rescaled(norm, a):
+    """``norm(a)``, or max|a| * norm(a / max|a|) where the plain one overflows."""
+    with np.errstate(over="ignore"):
+        out = norm(a)
+    if np.all(np.isfinite(out)):
+        return out
+    top = np.max(np.abs(a))
+    return top * norm(a / top)
+
+
 def _fit_errors(vand, sol, sv, spread, rhs):
     """First-order errors of the fitted atoms, max(point, weight error).
 
@@ -74,7 +84,7 @@ def _fit_errors(vand, sol, sv, spread, rhs):
     n2 = rhs.shape[1]
     dvand = np.zeros(vand.shape)
     dvand[1:] = np.arange(1, rows)[:, np.newaxis] * vand[:-1]
-    size = np.sqrt(np.einsum("ij,ij->i", sol, sol))
+    size = _rescaled(lambda s: np.sqrt(np.einsum("ij,ij->i", s, s)), sol)
     noise = EPS * (np.abs(vand) @ size)
     reach = spread * size
     prior = (np.sqrt(np.einsum("ij,ij->", dvand, dvand) * (reach @ reach))
@@ -142,7 +152,8 @@ def recover(seq):
         far ** d        # _powers' largest power, checked before the bounds below overflow
     except OverflowError:
         raise ValueError(f"atom at x={far:.6g}: power x^{d} overflows float64") from None
-    bound = 3.0 * EPS * (np.linalg.norm(h1) + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
+    bound = (3.0 * EPS * (_rescaled(np.linalg.norm, h1) + np.abs(points) * lam_max)
+             * np.sum(y * y, axis=0))
     # clusters of consecutive points within their bounds; clusters at least
     # MERGE_TOL apart, so the measure need not merge them again
     apart = np.diff(points) > np.maximum(bound[1:] + bound[:-1], MERGE_TOL)

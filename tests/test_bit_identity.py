@@ -9,9 +9,13 @@ arithmetic on one numpy/BLAS build: another build may round a matrix
 product differently and need its own.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +26,14 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
                         check_hamburger, check_hausdorff, check_stieltjes, forward_moments,
                         operator_check, recover)
 
-DIGEST = "c17fd9588dded1e350ba3e5a2dd0908c4b61ac742fa4d5a42b6a2eab850ce058"
+DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
 MOMENT_DIGEST = "a85238bbbeb0ac7270e88fff57de2b646ab17bd7b32dc0c1cff57f50ee81f810"
-WIDE_DIGEST = "06ded8bea49bc8f017d89e46467c0b357a5f00ea4ffd0b219aac6fe80c210d86"
+WIDE_DIGEST = "628d900ef374b5145d36925614cab4f9ed1a209a44b7a552e02cbdeea26877bc"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
-# them from the current build, after a change that moves bits on purpose.
+# them, the digests above and the CLI goldens from the current build, after
+# a change that moves bits on purpose, and prints each certificate case
+# whose outcome moved.
 CASE_HASHES = Path(__file__).resolve().parent / "golden" / "digests.json"
 DECOMPOSE = {"line": certificates.decompose_line,
              "halfline": certificates.decompose_halfline,
@@ -232,15 +238,59 @@ def test_moment_path_digest_is_unchanged():
     _assert_digest("MOMENT_DIGEST", MOMENT_DIGEST, _moment_cases())
 
 
-if __name__ == "__main__":     # PYTHONPATH=src python tests/test_bit_identity.py
+def _outcome(data):
+    """'certificate', or the error's type, from one certificate case's bytes."""
+    line = data.split(b"\n")[1].decode()
+    return "certificate" if line.startswith("{") else line.partition(":")[0]
+
+
+def _rewrite():
+    """Record the current build's digests, case hashes and CLI goldens; print what moved.
+
+    Rewrites the digest constants above, ``golden/digests.json`` (with each
+    certificate case's outcome) and the stdout files of
+    ``test_cli.GOLDEN_CALLS``, and prints each certificate case whose
+    outcome (a certificate, or an error type) differs from the recorded one.
+    """
+    import test_cli
+
+    recorded = json.loads(CASE_HASHES.read_text(encoding="utf-8"))
     doc = {}
     for name, cases in (("DIGEST", _certificate_cases(_corpus())),
                         ("WIDE_DIGEST", _certificate_cases(_wide_corpus(), True)),
                         ("MOMENT_DIGEST", _moment_cases())):
+        cases = list(cases)
         digest, per_case = _digest_report(cases)
         doc[name] = {"digest": digest, "cases": per_case}
-        print(name, digest)
+        print(name, digest, "(unchanged)" if digest == globals()[name] else "(moved)")
+        if name == "MOMENT_DIGEST":
+            continue
+        doc[name]["outcomes"] = [_outcome(data) for _, data in cases]
+        was = recorded.get(name, {}).get("outcomes", [])
+        for i, ((label, _), old, now) in enumerate(zip(per_case, was, doc[name]["outcomes"])):
+            if old != now:
+                print(f"  outcome of case {i} ({label}): {old} -> {now}")
     CASE_HASHES.write_text("{\n" + ",\n".join(
         f'"{name}": {{"digest": "{entry["digest"]}", "cases": [\n'
-        + ",\n".join(json.dumps(case) for case in entry["cases"]) + "]}"
-        for name, entry in doc.items()) + "\n}\n", encoding="utf-8")
+        + ",\n".join(json.dumps(case) for case in entry["cases"]) + "]"
+        + (f',\n"outcomes": {json.dumps(entry["outcomes"])}' if "outcomes" in entry else "")
+        + "}" for name, entry in doc.items()) + "\n}\n", encoding="utf-8")
+    source = Path(__file__)
+    text = source.read_text(encoding="utf-8")
+    for name, entry in doc.items():
+        text = re.sub(rf'^{name} = "[0-9a-f]{{64}}"$', f'{name} = "{entry["digest"]}"', text,
+                      count=1, flags=re.M)
+    source.write_text(text, encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in test_cli.GOLDEN_CALLS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                test_cli.main(test_cli.golden_argv(name, Path(tmp)))
+            golden = test_cli.GOLDEN / f"{name}.txt"
+            if golden.read_text(encoding="utf-8") != out.getvalue():
+                golden.write_text(out.getvalue(), encoding="utf-8")
+                print("rewrote", golden.name)
+
+
+if __name__ == "__main__":     # PYTHONPATH=src python tests/test_bit_identity.py
+    _rewrite()

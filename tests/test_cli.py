@@ -424,6 +424,17 @@ def test_shiftgap_atom_beyond_the_float_range_is_input_error(tmp_path):
     assert "atom 1 at x=1e+103" in res.report["error"]["message"]
 
 
+def test_library_entry_errors_report_their_public_class(tmp_path):
+    # the moment S_6 = 1e360 I overflows inside the library, whose private
+    # _EntryError reached the report as its type
+    fn = tmp_path / "far_pair.json"
+    fn.write_text(json.dumps({"n": 2, "atoms": [{"x": 1e60, "W": np.eye(2).tolist()}]}))
+    res = run(["shiftgap", "--dim", "2", "--functional", str(fn)])
+    assert res.exit_code == 2
+    assert res.report["error"] == {"type": "ValueError",
+                                   "message": "moment S_6 has a non-finite entry"}
+
+
 def test_recover_atom_beyond_the_float_range_is_input_error(tmp_path, capsys):
     # the pencil point is 1e160, whose square Python's float ** could not
     # take: an OverflowError traceback, exit 1 and no report
@@ -622,14 +633,19 @@ GOLDEN_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_CALLS))
-def test_certify_and_factor_stdout_is_golden(tmp_path, capsys, name):
+def golden_argv(name, tmp_path):
+    """The argv of GOLDEN_CALLS[name], its documents written into ``tmp_path``."""
     argv, doc = GOLDEN_CALLS[name]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(GOLDEN_CALLS["certify_line"][1]))
-    code = main(argv.format(doc=path, poly=poly).split())
+    return argv.format(doc=path, poly=poly).split()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CALLS))
+def test_certify_and_factor_stdout_is_golden(tmp_path, capsys, name):
+    code = main(golden_argv(name, tmp_path))
     assert code == (1 if "not_psd" in name else 0)
     golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden

@@ -1,6 +1,7 @@
 """Hankel-pencil measure recovery round trips."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rand_measure, rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, HankelNotPsd, MomentSequence,
-                        check_hamburger, check_stieltjes, forward_moments, recover)
+                        check_hamburger, check_stieltjes, forward_moments, recover, recovery)
 from matmoments.recovery import ATOM_TOL, _fit_errors, _powers, pencil_eigenvalues
 
 I2 = np.eye(2)
@@ -300,3 +301,24 @@ def test_atom_beyond_the_float_range_is_a_value_error():
     assert check_hamburger(seq).passed
     with pytest.raises(ValueError, match=r"^atom at x=1e\+160: power x\^2 overflows float64$"):
         recover(seq)
+
+
+def test_huge_weight_is_judged_by_its_fit_error(monkeypatch):
+    # moments [[1e160]] x 3: ||H1||_F overflowed numpy's norm, which warned
+    # and gave the atom an infinite bound.  Its squares are now rescaled, so
+    # the finite first-order fit error decides the flag; an absolute weight
+    # error of ~1e145 flags it, as it flags every weight above ~1e10
+    errors = []
+
+    def recorded(*args):
+        errors.append(_fit_errors(*args))
+        return errors[-1]
+    monkeypatch.setattr(recovery, "_fit_errors", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = recover(MomentSequence(np.full((3, 1, 1), 1e160)))
+    (x, w), = res.measure.atoms
+    assert x == 1.0 and w[0, 0] == pytest.approx(1e160, rel=1e-15)
+    assert res.moment_residual <= 1e-15 * 1e160
+    assert len(errors) == 1 and 1e-6 < errors[0][0] < 1e-14 * 1e160
+    assert res.rank_gap_ambiguous
