@@ -8,8 +8,19 @@ semidefiniteness of the localizing block Hankels [(g S)_{i+j}] with
 are machine-checkable, so every report lists the orders it actually tested.  Passing every testable order is necessary for a
 representing measure with the matching support but, at finite truncation,
 not sufficient.
+
+Each order's Hankel of one generator is a leading principal submatrix of
+its top-order Hankel, so by Cauchy interlacing the top order's least
+eigenvalue bounds every order's from below.  A criterion passes at once
+when every generator keeps least_top - margin >= -tol floor: the floor
+max(1, max diag (gS)_0) is at most every order's scale, and the margin
+(2 + tol) N eps max|H_top| (N the top Hankel's size) covers the rounding
+of least_top and of each order's extreme eigenvalues.  Near or past the
+threshold, on a NaN or inf, or with no testable order, the report is
+built from every order's eigenvalues instead.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +29,8 @@ from .polymat import (_EntryError, _check_tol, _json_fields, _json_floats, _json
                       _json_size)
 
 DEFAULT_PSD_TOL = 1e-9
+
+EPS = np.finfo(float).eps
 
 _SYM_RTOL = 1e-12
 
@@ -44,9 +57,10 @@ CRITERION_VARIANTS = {"hamburger": "line", "stieltjes": "halfline", "hausdorff":
 class MomentSequence:
     """Finite sequence S_0, ..., S_D of symmetric real n-by-n matrices.
 
-    The sequence is immutable, so it keeps the least eigenvalue and the
-    scale of each Hankel family at each order once computed; every
-    criterion and ``recover``'s precondition judge those at their own tol.
+    The sequence is immutable, so it keeps the eigenvalues of each Hankel
+    family once computed: the top order's on first use, each lower order's
+    only when a criterion falls back to them.  Every criterion and
+    ``recover``'s precondition judge those at their own tol.
     """
 
     def __init__(self, matrices):
@@ -73,27 +87,14 @@ class MomentSequence:
         arr = half + np.transpose(half, (0, 2, 1))
         arr.setflags(write=False)
         self._S = arr
-        self._extremes = {}
+        self._families = {}
 
-    def _hankel_extremes(self, g):
-        """(orders, least eigenvalues, scales) of the localizing block Hankels of g.
-
-        ``g`` is a coefficient tuple of ``GENERATORS``.  The Hankel is
-        gathered once, at its top order; order m's Hankel is its leading
-        (m + 1) n square, the same entries a gather at order m gives.  The
-        arrays are computed once per sequence and generator.
-        """
-        extremes = self._extremes.get(g)
-        if extremes is None:
-            stack = _localize(self._S, g)
-            top = (len(stack) - 1) // 2
-            h = _hankel(stack, top)
-            n = self.n
-            w = [np.linalg.eigvalsh(h[:k, :k]) for k in range(n, (top + 2) * n, n)]
-            least = np.array([v[0] for v in w])
-            extremes = self._extremes[g] = (np.arange(top + 1), least,
-                                            _scale(least, np.array([v[-1] for v in w])))
-        return extremes
+    def _family(self, g):
+        """The ``_HankelFamily`` of generator ``g``, a coefficient tuple of ``GENERATORS``."""
+        family = self._families.get(g)
+        if family is None:
+            family = self._families[g] = _HankelFamily(_localize(self._S, g))
+        return family
 
     @property
     def S(self):
@@ -117,9 +118,52 @@ class MomentSequence:
         return f"MomentSequence(n={self.n}, D={self.D})"
 
 
+class _HankelFamily:
+    """One generator's localizing block Hankel, gathered once at its top order.
+
+    Its eigenvalues are computed at once; order m's Hankel is its leading
+    (m + 1) n square, whose eigenvalues ``extremes`` computes on first use.
+    """
+
+    def __init__(self, stack):
+        self.top = (len(stack) - 1) // 2
+        self._h, self._n = _hankel(stack, self.top), stack.shape[1]
+        self._w = self._extremes = None
+        self.least, self.floor, self.unit = math.nan, 1.0, 0.0
+        if self.top >= 0:
+            self._w = np.linalg.eigvalsh(self._h)
+            self.least = float(self._w[0])
+            # T_0 is every order's (0, 0) block, and a largest eigenvalue is at
+            # least any diagonal entry
+            self.floor = max(1.0, float(np.max(np.diagonal(stack[0]))))
+            self.unit = len(self._h) * EPS * float(np.max(np.abs(self._h)))
+
+    def passes_at_top(self, tol):
+        """least_top - (2 + tol) unit >= -tol floor; never on a NaN, an inf or no testable order."""
+        slack = self.least - (2.0 + tol) * self.unit
+        return math.isfinite(slack) and slack >= -tol * self.floor
+
+    def extremes(self):
+        """(orders, least eigenvalues, scales) of every order 0..top."""
+        if self._extremes is None:
+            n, h = self._n, self._h
+            w = [np.linalg.eigvalsh(h[:k, :k]) for k in range(n, len(h), n)]
+            if self._w is not None:
+                w.append(self._w)
+            least = np.array([v[0] for v in w])
+            self._extremes = (np.arange(self.top + 1), least,
+                              _scale(least, np.array([v[-1] for v in w])))
+        return self._extremes
+
+
 @dataclass
 class PsdReport:
-    """Outcome of a family of PSD tests over block-Hankel orders."""
+    """Outcome of a family of PSD tests over block-Hankel orders.
+
+    ``min_eigenvalue`` is the least computed at any order, or, on a pass
+    from the top orders alone, the least top-order eigenvalue: by
+    interlacing the same minimum in exact arithmetic.
+    """
 
     passed: bool
     min_eigenvalue: float
@@ -183,7 +227,6 @@ def _judge(orders, least, scale, tol):
     The least eigenvalue reported is the first smallest non-NaN one, as a
     running ``min`` from inf finds it, with the sign of a zero kept.
     """
-    _check_tol(tol)
     failing = orders[least < -tol * scale]
     return PsdReport(not failing.size, min([np.inf, *least.tolist()]) if least.size else 0.0,
                      sorted(set(orders.tolist())), min(failing.tolist(), default=None))
@@ -194,8 +237,12 @@ def _generators(criterion):
 
 
 def _check(seq, criterion, tol):
-    families = zip(*map(seq._hankel_extremes, _generators(criterion)))
-    return _judge(*map(np.concatenate, families), tol)
+    _check_tol(tol)
+    families = [seq._family(g) for g in _generators(criterion)]
+    if all(f.passes_at_top(tol) for f in families):
+        return PsdReport(True, min([np.inf, *(f.least for f in families)]),
+                         list(range(max(f.top for f in families) + 1)))
+    return _judge(*map(np.concatenate, zip(*(f.extremes() for f in families))), tol)
 
 
 def check_hamburger(seq, tol=DEFAULT_PSD_TOL):
@@ -250,6 +297,7 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
     pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
     w = np.linalg.eigvalsh(np.array([_localize(pairings, g)[0] for g in gens]))
+    _check_tol(tol)
     return _judge(np.full(len(gens), m), w[:, 0], _scale(w[:, 0], w[:, -1]), tol)
 
 

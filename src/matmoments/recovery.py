@@ -58,13 +58,13 @@ def _powers(points, degree):
 
 
 def _rescaled(norm, a):
-    """``norm(a)``, or max|a| * norm(a / max|a|) where the plain one overflows."""
+    """``norm(a)``, or max|a| * norm(a / max|a|) where the plain one overflows on finite ``a``."""
     with np.errstate(over="ignore"):
         out = norm(a)
     if np.all(np.isfinite(out)):
         return out
     top = np.max(np.abs(a))
-    return top * norm(a / top)
+    return top * norm(a / top) if np.isfinite(top) else out
 
 
 def _fit_errors(vand, sol, sv, spread, rhs):
@@ -87,8 +87,12 @@ def _fit_errors(vand, sol, sv, spread, rhs):
     size = _rescaled(lambda s: np.sqrt(np.einsum("ij,ij->i", s, s)), sol)
     noise = EPS * (np.abs(vand) @ size)
     reach = spread * size
-    prior = (np.sqrt(np.einsum("ij,ij->", dvand, dvand) * (reach @ reach))
-             + np.sqrt(n2 * (noise @ noise))) / sv[-1]
+    with np.errstate(over="ignore"):
+        prior = (np.sqrt(np.einsum("ij,ij->", dvand, dvand) * (reach @ reach))
+                 + np.sqrt(n2 * (noise @ noise))) / sv[-1]
+    if not np.isfinite(prior):
+        prior = (_rescaled(np.linalg.norm, dvand) * _rescaled(np.linalg.norm, reach)
+                 + np.sqrt(n2) * _rescaled(np.linalg.norm, noise)) / sv[-1]
     if count <= rows and prior <= ATOM_TOL:
         return np.maximum(spread, prior)
     u, s, wt = np.linalg.svd(vand, full_matrices=False)
@@ -100,7 +104,8 @@ def _fit_errors(vand, sol, sv, spread, rhs):
     vinv, jinv = (wt.T / s) @ u.T, (jwt.T / js) @ ju.T
     step = jinv @ (rhs - vand @ sol).ravel()
     xnoise = np.abs(jinv) @ np.repeat(noise, n2)
-    wstep = np.linalg.norm(vinv @ (dvand @ (step[:, np.newaxis] * sol)), axis=1)
+    wstep = _rescaled(lambda a: np.linalg.norm(a, axis=1),
+                      vinv @ (dvand @ (step[:, np.newaxis] * sol)))
     wnoise = np.abs(vinv) @ (np.sqrt(n2) * noise + np.abs(dvand) @ (xnoise * size))
     return np.maximum(np.abs(step) + xnoise, wstep + wnoise)
 

@@ -27,7 +27,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
                         operator_check, recover)
 
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
-MOMENT_DIGEST = "a85238bbbeb0ac7270e88fff57de2b646ab17bd7b32dc0c1cff57f50ee81f810"
+MOMENT_DIGEST = "51548810a58a2ecaee50822ecd9c4811c18666a84402c55520d8d93cda7e991f"
 WIDE_DIGEST = "628d900ef374b5145d36925614cab4f9ed1a209a44b7a552e02cbdeea26877bc"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
@@ -208,19 +208,24 @@ def _moment_corpus():
 
 
 def _moment_cases():
-    """(label, bytes) per case: measure, moments, the three criteria, one operator tuple, ``recover``."""
+    """Two (label, bytes) entries per case, its criteria reports and its measure.
+
+    The ``reports`` entry holds the three criteria and one operator tuple;
+    the ``measure`` entry holds the measure, its moments and ``recover``'s
+    output.  A change to the criteria alone moves only ``reports`` hashes.
+    """
     rng = np.random.default_rng(7)
     for n, atoms in _moment_corpus():
-        data = []
         mu = AtomicMatrixMeasure(n, atoms)
         seq = forward_moments(mu, 2 * len(atoms) + 2)
         ops = rng.standard_normal((2, n, n))
         reports = [check(seq).to_json() for check in
                    (check_hamburger, check_stieltjes, check_hausdorff)]
         reports.append(operator_check(seq, ops, "hausdorff").to_json())
-        for x, w in mu.atoms:
-            data.append(np.float64(x).tobytes() + w.tobytes())
-        data.append(seq.S.tobytes() + json.dumps(reports, sort_keys=True).encode())
+        label = f"n={n}, atoms={len(atoms)}"
+        yield f"{label}: reports", json.dumps(reports, sort_keys=True).encode()
+        data = [np.float64(x).tobytes() + w.tobytes() for x, w in mu.atoms]
+        data.append(seq.S.tobytes())
         try:
             res = recover(seq)
         except (ValueError, RuntimeError) as exc:
@@ -230,7 +235,7 @@ def _moment_cases():
                 data.append(np.float64(x).tobytes() + w.tobytes())
             flags = f"{res.moment_residual!r} {res.rank_used} {res.rank_gap_ambiguous}\n"
             data.append(flags.encode())
-        yield f"n={n}, atoms={len(atoms)}", b"".join(data)
+        yield f"{label}: measure", b"".join(data)
 
 
 def test_moment_path_digest_is_unchanged():
@@ -249,8 +254,10 @@ def _rewrite():
 
     Rewrites the digest constants above, ``golden/digests.json`` (with each
     certificate case's outcome) and the stdout files of
-    ``test_cli.GOLDEN_CALLS``, and prints each certificate case whose
-    outcome (a certificate, or an error type) differs from the recorded one.
+    ``test_cli.GOLDEN_CALLS``.  Prints how many case hashes moved (for the
+    moment corpus, its ``reports`` and ``measure`` hashes apart) and each
+    certificate case whose outcome (a certificate, or an error type)
+    differs from the recorded one.
     """
     import test_cli
 
@@ -263,8 +270,14 @@ def _rewrite():
         digest, per_case = _digest_report(cases)
         doc[name] = {"digest": digest, "cases": per_case}
         print(name, digest, "(unchanged)" if digest == globals()[name] else "(moved)")
+        old = recorded.get(name, {}).get("cases", [])
+        moved = [label for i, (label, h) in enumerate(per_case) if old[i:i + 1] != [[label, h]]]
         if name == "MOMENT_DIGEST":
+            for part in ("reports", "measure"):
+                print(f"  {part} hashes moved: {sum(m.endswith(part) for m in moved)} of "
+                      f"{sum(label.endswith(part) for label, _ in per_case)}")
             continue
+        print(f"  case hashes moved: {len(moved)} of {len(per_case)}")
         doc[name]["outcomes"] = [_outcome(data) for _, data in cases]
         was = recorded.get(name, {}).get("outcomes", [])
         for i, ((label, _), old, now) in enumerate(zip(per_case, was, doc[name]["outcomes"])):

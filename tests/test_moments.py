@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_measure
-from matmoments import (MomentSequence, PsdReport, block_hankel, check_hamburger,
-                        check_hausdorff, check_stieltjes, forward_moments,
-                        momentsequence_from_json, momentsequence_to_json,
-                        operator_check)
+from conftest import rand_measure, rand_psd
+from matmoments import (AtomicMatrixMeasure, MomentSequence, PsdReport, block_hankel,
+                        check_hamburger, check_hausdorff, check_stieltjes, forward_moments,
+                        momentsequence_from_json, momentsequence_to_json, operator_check)
 from matmoments.moments import DEFAULT_PSD_TOL
 
 I2 = np.eye(2)
@@ -260,17 +260,61 @@ def _ref_judge(tagged_matrices, tol):
     return PsdReport(passed, float(min_eig), sorted(orders), failing)
 
 
-def _ref_check(seq, variant, tol):
+def _ref_families(seq, variant):
+    """Each generator's (order, matrix) list, orders 0..top."""
     d = seq.D
-    mats = [(m, _ref_block_hankel(seq, m, 0)) for m in range(d // 2 + 1)]
+    fams = [[(m, _ref_block_hankel(seq, m, 0)) for m in range(d // 2 + 1)]]
     if variant in ("stieltjes", "hausdorff"):
-        mats += [(m, _ref_block_hankel(seq, m, 1)) for m in range((d - 1) // 2 + 1)]
+        fams.append([(m, _ref_block_hankel(seq, m, 1)) for m in range((d - 1) // 2 + 1)])
     if variant == "hausdorff":
-        mats += [(m, _ref_block_hankel(seq, m, 0) - _ref_block_hankel(seq, m, 1))
-                 for m in range((d - 1) // 2 + 1)]
-        mats += [(m, _ref_block_hankel(seq, m, 1) - _ref_block_hankel(seq, m, 2))
-                 for m in range((d - 2) // 2 + 1)]
-    return _ref_judge(mats, tol)
+        fams.append([(m, _ref_block_hankel(seq, m, 0) - _ref_block_hankel(seq, m, 1))
+                     for m in range((d - 1) // 2 + 1)])
+        fams.append([(m, _ref_block_hankel(seq, m, 1) - _ref_block_hankel(seq, m, 2))
+                     for m in range((d - 2) // 2 + 1)])
+    return fams
+
+
+def _ref_check(seq, variant, tol):
+    return _ref_judge([mat for fam in _ref_families(seq, variant) for mat in fam], tol)
+
+
+def _ref_margins(fams, tol):
+    """Per family: (least top-order eigenvalue, floor, margin (2 + tol) N eps max|H_top|)."""
+    out = []
+    for fam in fams:
+        if not fam:
+            out.append((np.nan, 1.0, 0.0))
+            continue
+        top = fam[-1][1]
+        floor = max(1.0, float(np.max(np.diag(fam[0][1]))))
+        unit = len(top) * np.finfo(float).eps * float(np.max(np.abs(top)))
+        out.append((float(np.linalg.eigvalsh(top)[0]), floor, (2.0 + tol) * unit))
+    return out
+
+
+def _ref_top_pass(seq, variant, tol):
+    """The least of the families' top-order eigenvalues if every family
+    passes from its top order alone, least - margin >= -tol floor; else None."""
+    margins = _ref_margins(_ref_families(seq, variant), tol)
+    for least, floor, margin in margins:
+        if not (np.isfinite(least - margin) and least - margin >= -tol * floor):
+            return None
+    return min([np.inf, *(least for least, _, _ in margins)])
+
+
+def _ref_report(seq, variant, tol):
+    """The report a criterion must give, bit for bit.
+
+    A pass from the top orders alone reports the least top-order eigenvalue
+    (the per-order minimum in exact arithmetic) with the reference's orders;
+    every other report is the per-matrix reference's.
+    """
+    ref = _ref_check(seq, variant, tol)
+    least = _ref_top_pass(seq, variant, tol)
+    if least is None:
+        return ref
+    assert ref.passed and ref.failing_order is None
+    return PsdReport(True, least, ref.tested_orders)
 
 
 def _ref_operator_check(seq, ops, variant, tol):
@@ -330,9 +374,9 @@ def test_gathered_hankels_and_memo_match_the_per_matrix_reference(seed):
                 if 2 * m + shift <= seq.D:
                     got = block_hankel(seq, m, shift)
                     assert got.tobytes() == _ref_block_hankel(seq, m, shift).tobytes()
-        for tol in (1e-9, 1e-3):
+        for tol in (0.0, 1e-12, 1e-9, 1e-3):
             for variant, check in CHECKS.items():
-                assert _bits(check(seq, tol)) == _bits(_ref_check(seq, variant, tol))
+                assert _bits(check(seq, tol)) == _bits(_ref_report(seq, variant, tol))
 
 
 def test_reports_do_not_depend_on_call_order():
@@ -355,6 +399,79 @@ def test_memo_keeps_eigenvalues_not_verdicts():
             seq = MomentSequence(mats)
             for tol in tols:
                 assert _bits(check(seq, tol)) == _bits(want[tol])
+
+
+def test_each_hankel_reaches_eigvalsh_at_most_once(monkeypatch):
+    # a clear pass takes one eigvalsh per family, at its top order; a
+    # fallback adds each lower order once and reuses the top order's
+    n, r = 2, 3
+    seq = forward_moments(rand_measure(np.random.default_rng(21), n, r, 0.0, 1.0), 2 * r + 2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    top = [(r + 2) * n, (r + 1) * n, (r + 1) * n, (r + 1) * n]
+    assert check_hausdorff(seq).passed and calls == top
+    assert check_hamburger(seq).passed and check_stieltjes(seq).passed and calls == top
+    del calls[:]
+    assert not check_hausdorff(seq, 0.0).passed
+    orders = [k * n for k in range(1, r + 2)] + 3 * [k * n for k in range(1, r + 1)]
+    assert calls == orders
+    del calls[:]
+    assert not check_hamburger(seq, 0.0).passed and calls == []
+
+
+# The top-order pass against the per-matrix reference, near its threshold
+# too: the "near" class shifts S_p by c I (p = 0 moves family 1, p = 1
+# family x) so that the family's least top-order eigenvalue sits at
+# -tol floor + k margin.
+
+def _shift_to(seq, p, tol, k):
+    def gap(c):
+        mats = np.array(seq.S)
+        mats[p] += c * np.eye(seq.n)
+        shifted, m = MomentSequence(mats), (seq.D - p) // 2
+        fam = [(0, shifted[p]), (m, _ref_block_hankel(shifted, m, p))]
+        (least, floor, margin), = _ref_margins([fam], tol)
+        return least + tol * floor - k * margin, mats
+    lo, hi = -2.0 * (1.0 + float(np.max(np.abs(seq.S)))), 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid)[0] < 0 else (lo, mid)
+    return MomentSequence(gap(hi)[1])
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["unit", "wide", "displaced", "symmetric", "near"]),
+       n=st.integers(1, 4), d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       p=st.integers(0, 1), tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+       k=st.floats(-4.0, 4.0))
+def test_the_top_order_pass_agrees_with_every_order(kind, n, d, seed, p, tol, k):
+    rng = np.random.default_rng(seed)
+    if kind == "symmetric":
+        c = rng.standard_normal((d + 1, n, n))
+        seq = MomentSequence(0.5 * (c + np.transpose(c, (0, 2, 1))))
+    else:
+        lo, hi = (-2.0, 2.0) if kind == "wide" or kind == "near" and p else (0.0, 1.0)
+        mu = rand_measure(rng, n, int(rng.integers(1, 5)), lo, hi)
+        if kind == "displaced":
+            mu = AtomicMatrixMeasure(n, [*mu.atoms, (float(rng.choice([-0.5, 1.5])),
+                                                 rand_psd(rng, n))])
+        seq = forward_moments(mu, d)
+        if kind == "near":
+            seq = _shift_to(seq, p, tol, k)
+    fams = _ref_families(seq, "hausdorff")
+    for count, (variant, check) in zip((1, 2, 4), CHECKS.items()):
+        for t in (0.0, 1e-12, 1e-9, 1e-3):
+            got = check(seq, t)
+            ref = _ref_judge([mat for fam in fams[:count] for mat in fam], t)
+            assert (got.passed, got.failing_order) == (ref.passed, ref.failing_order)
+            assert got.tested_orders == ref.tested_orders
+            margin = max(m for _, _, m in _ref_margins(fams[:count], t))
+            assert abs(got.min_eigenvalue - ref.min_eigenvalue) <= margin
 
 
 def test_operator_check_matches_the_per_matrix_reference():

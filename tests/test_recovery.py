@@ -304,21 +304,27 @@ def test_atom_beyond_the_float_range_is_a_value_error():
 
 
 def test_huge_weight_is_judged_by_its_fit_error(monkeypatch):
-    # moments [[1e160]] x 3: ||H1||_F overflowed numpy's norm, which warned
-    # and gave the atom an infinite bound.  Its squares are now rescaled, so
-    # the finite first-order fit error decides the flag; an absolute weight
-    # error of ~1e145 flags it, as it flags every weight above ~1e10
+    # moments [[w]] x 3: ||H1||_F overflowed numpy's norm from w ~ 1e160,
+    # and the fit error's products and norms from w ~ 1e170, which warned
+    # and gave the atom an infinite bound.  Their squares are now rescaled
+    # where the plain value overflows, so the finite first-order fit error
+    # decides the flag; an absolute weight error of ~1e-15 w flags it, as
+    # it flags every weight above ~1e10
     errors = []
 
     def recorded(*args):
         errors.append(_fit_errors(*args))
         return errors[-1]
     monkeypatch.setattr(recovery, "_fit_errors", recorded)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = recover(MomentSequence(np.full((3, 1, 1), 1e160)))
-    (x, w), = res.measure.atoms
-    assert x == 1.0 and w[0, 0] == pytest.approx(1e160, rel=1e-15)
-    assert res.moment_residual <= 1e-15 * 1e160
-    assert len(errors) == 1 and 1e-6 < errors[0][0] < 1e-14 * 1e160
-    assert res.rank_gap_ambiguous
+    for w in (1e160, 1e170, 1e180, 1e250, 1e300):
+        del errors[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = recover(MomentSequence(np.full((3, 1, 1), w)))
+        (x, weight), = res.measure.atoms
+        # at 1e250 the pencil's point rounds one ulp below 1
+        assert x == pytest.approx(1.0, rel=1e-15) and (x == 1.0 or w == 1e250)
+        assert weight[0, 0] == pytest.approx(w, rel=1e-15)
+        assert res.moment_residual <= 1e-15 * w
+        assert len(errors) == 1 and 1e-6 < errors[0][0] < 1e-14 * w
+        assert res.rank_gap_ambiguous
