@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_EntryError, _horner, _json_fields, _json_floats,
-                      _json_matrices, _json_matrix, _json_real, _json_size)
+from .polymat import (_EntryError, _finite_entries, _horner, _json_fields, _json_floats,
+                      _json_matrices, _json_matrix, _json_real, _size, _symmetrized)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 AUDIT_TOL = 1e-9
+_WEIGHT = "atom {}: weight"     # how a weight's checks name it
 
 
 class SupportViolation(ValueError):
@@ -47,18 +48,11 @@ class AtomicMatrixMeasure:
             x = _finite_point(idx, x)
             w = np.asarray(w, dtype=float)
             if w.shape != (self._n, self._n):
-                raise _EntryError(idx, f"atom {idx}: weight",
-                                  f"shape {w.shape}, expected {(n, n)}")
+                raise _EntryError(idx, _WEIGHT.format(idx), f"shape {w.shape}, expected {(n, n)}")
             points.append(x)
             weights.append(w)
-        w = _finite_weights(np.array(weights).reshape(len(weights), self._n, self._n))
-        wt = np.transpose(w, (0, 2, 1))
-        scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
-        bad = np.flatnonzero(np.max(np.abs(w - wt), axis=(1, 2)) > 1e-10 * scale)
-        if bad.size:
-            idx = int(bad[0])
-            raise _EntryError(idx, f"atom {idx}: weight", "is not symmetric")
-        sym = 0.5 * (w + wt)
+        w = np.array(weights).reshape(len(weights), self._n, self._n)
+        sym = _symmetrized(_finite_entries(w, _WEIGHT), _WEIGHT, 1e-10)
         # atoms closer than MERGE_TOL merge into one; first[k] is the least
         # input index of merged atom k
         merged, first = [], []
@@ -78,8 +72,7 @@ class AtomicMatrixMeasure:
             j = int(bad[0])
             idx = j if j < len(points) else first[j - len(points)]
             how = "" if j < len(points) else "merged with nearby atoms "
-            raise _EntryError(idx, f"atom {idx}: weight",
-                              f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
+            raise _EntryError(idx, _WEIGHT.format(idx), f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
         self._atoms = tuple((x, _frozen(w)) for x, w in merged)
 
     @classmethod
@@ -92,7 +85,7 @@ class AtomicMatrixMeasure:
         mu = cls.__new__(cls)
         mu._n = n
         points = [_finite_point(idx, x) for idx, x in enumerate(points)]
-        mu._atoms = tuple(zip(points, map(_frozen, _finite_weights(weights))))
+        mu._atoms = tuple(zip(points, map(_frozen, _finite_entries(weights, _WEIGHT))))
         return mu
 
     @property
@@ -111,22 +104,6 @@ class AtomicMatrixMeasure:
 
     def __repr__(self):
         return f"AtomicMatrixMeasure(n={self._n}, atoms={len(self._atoms)})"
-
-
-def _size(value, what, least=1):
-    """``value`` as an int of at least ``least`` (1 or 0); bools and non-integers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{what} must be a {'positive' if least else 'nonnegative'} integer")
-    return int(value)
-
-
-def _finite_weights(w):
-    """The (atoms, n, n) weight stack ``w``, if every entry is finite."""
-    bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))
-    if bad.size:
-        idx = int(bad[0])
-        raise _EntryError(idx, f"atom {idx}: weight", "has a non-finite entry")
-    return w
 
 
 def _finite_point(idx, x):
@@ -198,10 +175,9 @@ class PositiveMapMeasure:
                     or not np.isfinite(sup).all()):
                 raise ValueError(f"atom {idx}: superoperator of shape {sup.shape} must be "
                                  f"a finite real {k * k}x{h * h} matrix")
-            choi = sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1).reshape(h * k, -1)
-            lam, vec = np.linalg.eigh(0.5 * (choi + choi.T))
-            if (np.max(np.abs(choi - choi.T)) > 1e-10 * max(1.0, np.max(np.abs(choi)))
-                    or lam[0] < -AUDIT_TOL * max(1.0, lam[-1])):
+            choi = sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1).reshape(1, h * k, -1)
+            lam, vec = np.linalg.eigh(_symmetrized(choi, f"atom {idx}: Choi matrix", 1e-10)[0])
+            if lam[0] < -AUDIT_TOL * max(1.0, lam[-1]):
                 raise ValueError(f"atom {idx}: Choi matrix is not symmetric PSD (least "
                                  f"eigenvalue {lam[0]:.3e}), positivity not proven")
             keep = lam > 0.0
@@ -309,7 +285,8 @@ def positivity_audit(mu, generators, trials, seed=0):
         raise SupportViolation(*worst)
 
     w = np.array([w for _, w in mu.atoms], dtype=float).reshape(-1, mu.n, mu.n)
-    lam = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))
+    half = 0.5 * w      # halved first, so the symmetric part is finite near the float maximum
+    lam = np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2))
     least, largest = lam[:, 0], lam[:, -1]
     # least eigenvalue of g(x_j) W_j, and its tolerance
     value = g_at * np.where(g_at >= 0.0, least, largest)
@@ -332,7 +309,7 @@ def _measure_doc(doc, what, dims, matrix_field):
     ``matrix_field``; the caller decodes the field's matrices.
     """
     _json_fields(doc, what, *dims, "atoms")
-    sizes = [_json_size(doc, key) for key in dims]
+    sizes = [_size(doc[key], f"field '{key}'") for key in dims]
     atoms = doc["atoms"]
     if not isinstance(atoms, list):
         raise ValueError("field 'atoms' must be a list")

@@ -16,8 +16,8 @@ when every generator keeps least_top - margin >= -tol floor: the floor
 max(1, max diag (gS)_0) is at most every order's scale, and the margin
 (2 + tol) N eps max|H_top| (N the top Hankel's size) covers the rounding
 of least_top and of each order's extreme eigenvalues.  Near or past the
-threshold, on a NaN or inf, or with no testable order, the report is
-built from every order's eigenvalues instead.
+threshold, or with no testable order, the report is built from every
+order's eigenvalues instead; a Hankel that overflows float64 is a ValueError.
 """
 
 import math
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import (_EntryError, _check_tol, _json_fields, _json_floats, _json_matrices,
-                      _json_size)
+from .polymat import (_EntryError, _check_tol, _finite_entries, _integer, _json_fields,
+                      _json_floats, _json_matrices, _size, _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -71,29 +71,17 @@ class MomentSequence:
             raise ValueError("moments must form a (D+1, n, n) stack of square matrices")
         if arr.shape[1] == 0:
             raise ValueError("moment matrices must be n x n with n >= 1")
-        bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
-        if bad.size:
-            p = int(bad[0])
-            raise _EntryError(p, f"moment S_{p}", "has a non-finite entry")
-        scale = np.maximum(np.max(np.abs(arr), axis=(1, 2)), 1.0)
-        skew = np.max(np.abs(arr - np.transpose(arr, (0, 2, 1))), axis=(1, 2))
-        bad = np.flatnonzero(skew > _SYM_RTOL * scale)
-        if bad.size:
-            p = int(bad[0])
-            raise _EntryError(p, f"moment S_{p}", "is not symmetric")
-        # store the exact symmetrization so block Hankels come out bit-symmetric;
-        # halving first keeps the sum finite for entries near the float maximum
-        half = 0.5 * arr
-        arr = half + np.transpose(half, (0, 2, 1))
+        # stored exactly symmetric, so block Hankels come out bit-symmetric
+        arr = _symmetrized(_finite_entries(arr, "moment S_{}"), "moment S_{}", _SYM_RTOL)
         arr.setflags(write=False)
         self._S = arr
         self._families = {}
 
-    def _family(self, g):
-        """The ``_HankelFamily`` of generator ``g``, a coefficient tuple of ``GENERATORS``."""
-        family = self._families.get(g)
+    def _family(self, key):
+        """The ``_HankelFamily`` of generator ``key`` of ``GENERATORS``."""
+        family = self._families.get(key)
         if family is None:
-            family = self._families[g] = _HankelFamily(_localize(self._S, g))
+            family = self._families[key] = _HankelFamily(_localize(self._S, GENERATORS[key]), key)
         return family
 
     @property
@@ -125,18 +113,18 @@ class _HankelFamily:
     (m + 1) n square, whose eigenvalues ``extremes`` computes on first use.
     """
 
-    def __init__(self, stack):
+    def __init__(self, stack, key):
         self.top = (len(stack) - 1) // 2
         self._h, self._n = _hankel(stack, self.top), stack.shape[1]
         self._w = self._extremes = None
         self.least, self.floor, self.unit = math.nan, 1.0, 0.0
         if self.top >= 0:
-            self._w = np.linalg.eigvalsh(self._h)
+            self._w, top = _spectrum(self._h, key, "localizing Hankel")
             self.least = float(self._w[0])
             # T_0 is every order's (0, 0) block, and a largest eigenvalue is at
             # least any diagonal entry
             self.floor = max(1.0, float(np.max(np.diagonal(stack[0]))))
-            self.unit = len(self._h) * EPS * float(np.max(np.abs(self._h)))
+            self.unit = len(self._h) * EPS * top
 
     def passes_at_top(self, tol):
         """least_top - (2 + tol) unit >= -tol floor; never on a NaN, an inf or no testable order."""
@@ -188,7 +176,21 @@ def _localize(stack, g):
     """
     size = max(len(stack) - (len(g) - 1), 0)
     terms = [c * stack[i:i + size] for i, c in enumerate(g) if c]
-    return sum(terms[1:], terms[0])
+    with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
+        return sum(terms[1:], terms[0])
+
+
+def _spectrum(h, key, what):
+    """``eigvalsh`` of generator ``key``'s matrix ``h``, and max|h|.
+
+    An entry, or a least or largest eigenvalue, that overflowed float64 (no
+    scale can judge it) is a ValueError naming the generator.
+    """
+    top = float(np.max(np.abs(h)))
+    w = np.linalg.eigvalsh(h) if math.isfinite(top) else [math.nan]
+    if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        raise ValueError(f"generator {key}: its {what} overflows float64")
+    return w, top
 
 
 def _hankel(stack, m):
@@ -204,28 +206,24 @@ def block_hankel(seq, m, shift):
 
     Requires 2m + shift <= D; the output is exactly symmetric.
     """
-    if shift not in (0, 1, 2):
+    if not _integer(shift) or shift not in (0, 1, 2):
         raise ValueError("shift must be 0, 1 or 2")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = _size(m, "m", least=0)
     if 2 * m + shift > seq.D:
         raise ValueError(f"degree overflow: 2*{m}+{shift} exceeds D={seq.D}")
     return _hankel(seq.S[shift:], m)
 
 
 def _scale(least, largest):
-    """max(1, |least|, |largest|), the scale a least eigenvalue is judged against.
-
-    ``fmax`` drops a NaN largest eigenvalue, as ``max(abs(least), abs(largest))`` does.
-    """
-    return np.fmax(1.0, np.fmax(np.abs(least), np.abs(largest)))
+    """max(1, |least|, |largest|), the scale a least eigenvalue is judged against."""
+    return np.maximum(1.0, np.maximum(np.abs(least), np.abs(largest)))
 
 
 def _judge(orders, least, scale, tol):
     """Scale-aware PSD test: order orders[i] fails where least[i] < -tol scale[i].
 
-    The least eigenvalue reported is the first smallest non-NaN one, as a
-    running ``min`` from inf finds it, with the sign of a zero kept.
+    The least eigenvalue reported is the first smallest one, as a running
+    ``min`` from inf finds it, with the sign of a zero kept.
     """
     failing = orders[least < -tol * scale]
     return PsdReport(not failing.size, min([np.inf, *least.tolist()]) if least.size else 0.0,
@@ -233,12 +231,12 @@ def _judge(orders, least, scale, tol):
 
 
 def _generators(criterion):
-    return [GENERATORS[key] for key in VARIANT_GENERATORS[CRITERION_VARIANTS[criterion]]]
+    return VARIANT_GENERATORS[CRITERION_VARIANTS[criterion]]
 
 
 def _check(seq, criterion, tol):
     _check_tol(tol)
-    families = [seq._family(g) for g in _generators(criterion)]
+    families = [seq._family(key) for key in _generators(criterion)]
     if all(f.passes_at_top(tol) for f in families):
         return PsdReport(True, min([np.inf, *(f.least for f in families)]),
                          list(range(max(f.top for f in families) + 1)))
@@ -274,11 +272,13 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     Frobenius pairing [<S_{i+j+k}, A_i^T A_j>], the matrix of generator g
     is sum_k g_k T_k.
     """
+    _check_tol(tol)
     variant = variant.lower()
     if variant not in CRITERION_VARIANTS:
         raise ValueError(f"unknown criterion '{variant}': expected one of "
                          f"{', '.join(CRITERION_VARIANTS)}")
-    gens = _generators(variant)
+    keys = _generators(variant)
+    gens = [GENERATORS[key] for key in keys]
     ops = [np.asarray(a, dtype=float) for a in operators]
     if not ops:
         raise ValueError("operator tuple must be non-empty")
@@ -289,16 +289,17 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     extra = max(len(g) for g in gens) - 1
     if 2 * m + extra > seq.D:
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
+    stack = _finite_entries(np.array(ops), "operator A_{}")
 
     # T_k[i, j] = <S_{i+j+k}, A_i^T A_j> from one gather of the blocks
     k = np.arange(m + 1)
     blocks = seq.S[np.arange(extra + 1)[:, np.newaxis, np.newaxis] + k[:, np.newaxis] + k]
-    stack = np.array(ops)
-    t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
-    pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
-    w = np.linalg.eigvalsh(np.array([_localize(pairings, g)[0] for g in gens]))
-    _check_tol(tol)
-    return _judge(np.full(len(gens), m), w[:, 0], _scale(w[:, 0], w[:, -1]), tol)
+    with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
+        t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
+        pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
+    w = np.array([_spectrum(_localize(pairings, g)[0], key, "pairing matrix")[0][[0, -1]]
+                  for key, g in zip(keys, gens)])
+    return _judge(np.full(len(gens), m), w[:, 0], _scale(w[:, 0], w[:, 1]), tol)
 
 
 def momentsequence_to_json(seq):
@@ -307,7 +308,7 @@ def momentsequence_to_json(seq):
 
 def momentsequence_from_json(doc):
     _json_fields(doc, "moment sequence", "n", "moments")
-    mats = _json_matrices(doc["moments"], "moments", _json_size(doc, "n"))
+    mats = _json_matrices(doc["moments"], "moments", _size(doc["n"], "field 'n'"))
     try:
         return MomentSequence(mats)
     except _EntryError as exc:

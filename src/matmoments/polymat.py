@@ -74,14 +74,47 @@ class _EntryError(ValueError):
         self.problem = problem
 
 
-def _json_int(v):
-    """A JSON integer; ``json`` parses true/false as bool, a subclass of int."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _integer(value):
+    """Whether ``value`` is a Python or numpy int; bools and floats are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _size(value, what, least=1):
+    """``value`` as an int of at least ``least`` (1 or 0); bools and non-integers are rejected."""
+    if not _integer(value) or value < least:
+        raise ValueError(f"{what} must be a {'positive' if least else 'nonnegative'} integer")
+    return int(value)
+
+
+def _finite_entries(stack, label):
+    """``stack`` if finite, else an ``_EntryError`` naming its first bad matrix k by ``label``."""
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        k = int(bad[0])
+        raise _EntryError(k, label.format(k), "has a non-finite entry")
+    return stack
+
+
+def _symmetrized(stack, label, rtol):
+    """S/2 + (S/2)^T for each finite S of ``stack``; max|S - S^T| > rtol max(1, max|S|) raises.
+
+    The error names S as ``_finite_entries`` does.  Halved first, the sum and
+    difference stay finite near the float maximum, and on normal-range
+    entries are bit for bit (S + S^T)/2 and (S - S^T)/2.
+    """
+    half = 0.5 * stack
+    half_t = np.swapaxes(half, 1, 2)
+    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+    bad = np.flatnonzero(np.max(np.abs(half - half_t), axis=(1, 2)) > 0.5 * rtol * scale)
+    if bad.size:
+        k = int(bad[0])
+        raise _EntryError(k, label.format(k), "is not symmetric")
+    return half + half_t
 
 
 def _json_real(v):
     """A JSON number that is finite as a float (booleans are not numbers)."""
-    if _json_int(v):
+    if _integer(v):
         return abs(v) <= sys.float_info.max
     return isinstance(v, float) and math.isfinite(v)
 
@@ -93,15 +126,6 @@ def _json_fields(doc, what, *keys):
     for key in keys:
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
-
-
-def _json_size(doc, key, least=1):
-    """Field ``key`` of ``doc`` as an integer size of at least ``least`` (1 or 0)."""
-    v = doc[key]
-    if not _json_int(v) or v < least:
-        kind = "positive" if least else "nonnegative"
-        raise ValueError(f"field '{key}' must be a {kind} integer")
-    return v
 
 
 def _json_matrix(value, where, rows, cols):
@@ -380,7 +404,7 @@ def matrixpoly_to_json(p):
 
 def matrixpoly_from_json(doc):
     _json_fields(doc, "matrix polynomial", "n", "coeffs")
-    coeffs = _json_matrices(doc["coeffs"], "coeffs", _json_size(doc, "n"))
+    coeffs = _json_matrices(doc["coeffs"], "coeffs", _size(doc["n"], "field 'n'"))
     symmetric = doc.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise ValueError("field 'symmetric' must be a boolean")

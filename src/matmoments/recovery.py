@@ -73,12 +73,12 @@ def _fit_errors(vand, sol, sv, spread, rhs):
     W = ``sol`` fits V W = S, V = ``vand`` with singular values ``sv``.  A
     priori, point errors up to ``spread`` and rounding of S (eps
     sum_j |x_j|^k ||W_j|| in degree k) reach W through ||V^+|| = 1 / sv[-1].
-    Where that exceeds ATOM_TOL, one Gauss-Newton step on V(x) W = S with W
-    projected out (Jacobian -(I - P) V'_j W_j in x_j, P the projector onto
-    range V) measures how far the points sit from the least-squares optimum
-    and what that does to W, and the rounding's reach is added entry by
-    entry.  More atoms than degrees 0..D, or a V or Jacobian singular to
-    working precision: inf.
+    Where that or a spread exceeds ATOM_TOL, one Gauss-Newton step on
+    V(x) W = S with W projected out (Jacobian -(I - P) V'_j W_j in x_j, P the
+    projector onto range V) measures how far the points sit from the
+    least-squares optimum and what that does to W, whatever the spreads, and
+    the rounding's reach is added entry by entry.  More atoms than degrees
+    0..D, or a V or Jacobian singular to working precision: inf.
     """
     rows, count = vand.shape
     n2 = rhs.shape[1]
@@ -93,7 +93,7 @@ def _fit_errors(vand, sol, sv, spread, rhs):
     if not np.isfinite(prior):
         prior = (_rescaled(np.linalg.norm, dvand) * _rescaled(np.linalg.norm, reach)
                  + np.sqrt(n2) * _rescaled(np.linalg.norm, noise)) / sv[-1]
-    if count <= rows and prior <= ATOM_TOL:
+    if count <= rows and max(prior, np.max(spread)) <= ATOM_TOL:
         return np.maximum(spread, prior)
     u, s, wt = np.linalg.svd(vand, full_matrices=False)
     proj = dvand - u @ (u.T @ dvand)
@@ -123,12 +123,14 @@ def recover(seq):
     point whose power x^D overflows float64 is a ValueError naming its atom.
     The result holds the measure with PSD-projected weights, the max moment
     mismatch, the rank and ``rank_gap_ambiguous``, set when an eigenvalue
-    above the floor was dropped, when an atom's bound plus the width of its
-    merged points exceeds ``ATOM_TOL``, when the mismatch exceeds
-    ``ATOM_TOL`` max|S|, or when the first-order error of a fitted atom
-    (``_fit_errors``) exceeds ``ATOM_TOL``; the last catches point errors
-    inside their bounds that the weight fit magnifies.  Unflagged atoms lie
-    within ``ATOM_TOL``.
+    above the floor was dropped, when an atom merged from several points has
+    a bound plus width beyond ``ATOM_TOL`` (it may hide distinct atoms, which
+    the fit's error cannot see), when the mismatch exceeds ``ATOM_TOL``
+    max|S|, or when the first-order error of a fitted atom (``_fit_errors``:
+    its bound plus width where all are small, else measured) exceeds
+    ``ATOM_TOL``.  So a loose bound on a lone point raises no flag by itself,
+    and point errors that the weight fit magnifies are caught.  Unflagged
+    atoms lie within ``ATOM_TOL``.
     """
     d = seq.D
     if d < 2 or d % 2 != 0:
@@ -181,10 +183,11 @@ def recover(seq):
     for j, (_, w) in enumerate(mu.atoms):
         approx += vand[:, j, np.newaxis, np.newaxis] * w
     residual = float(np.max(np.abs(seq.S - approx)))
-    # a mismatch beyond ATOM_TOL max|S| means a rank taken too low; the PSD
-    # projection moves no weight further from a PSD truth, so the fit's
-    # error bounds the projected weights' too
-    ambiguous = bool(rank < above.size or np.any(spread > ATOM_TOL)
+    # a merged atom with a loose bound may stand for distinct atoms, whose
+    # merged fit matches S to second order; a mismatch beyond ATOM_TOL max|S|
+    # means a rank taken too low; the PSD projection moves no weight further
+    # from a PSD truth, so the fit's error bounds the projected weights' too
+    ambiguous = bool(rank < above.size or np.any((ends > starts) & (spread > ATOM_TOL))
                      or residual > ATOM_TOL * np.max(np.abs(seq.S))
                      or np.any(_fit_errors(vand, fit, sv, spread, rhs) > ATOM_TOL))
     return RecoveryResult(mu, residual, rank, ambiguous)

@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .measures import SupportViolation, _size, forward_moments, positivity_audit
-from .polymat import MatrixPoly
+from .measures import SupportViolation, forward_moments, positivity_audit
+from .polymat import MatrixPoly, _size
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9

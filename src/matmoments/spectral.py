@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .polymat import (LaurentPoly, _check_tol, _horner, _json_fields, _json_floats,
-                      _json_matrices, _json_size, _least_eigenvalue, _least_on, _line_weights,
-                      _maxabs, _read_only, _weighted_sum)
+                      _json_matrices, _least_eigenvalue, _least_on, _line_weights, _maxabs,
+                      _read_only, _size, _weighted_sum)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -343,7 +343,7 @@ def laurent_to_json(u):
 
 def laurent_from_json(doc):
     _json_fields(doc, "Laurent polynomial", "n", "band", "coeffs_re", "coeffs_im")
-    n, band = _json_size(doc, "n"), _json_size(doc, "band", least=0)
+    n, band = _size(doc["n"], "field 'n'"), _size(doc["band"], "field 'band'", least=0)
     parts = []
     for key in ("coeffs_re", "coeffs_im"):
         parts.append(_json_matrices(doc[key], key, n))

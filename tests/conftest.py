@@ -1,5 +1,16 @@
 """Shared helpers: random inputs with controlled conditioning and
-independent reassembly oracles that avoid the library's own arithmetic."""
+independent reassembly oracles that avoid the library's own arithmetic.
+
+BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``:
+a threaded matrix product can round differently, and the digests in
+``test_bit_identity`` are of one-thread arithmetic.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly

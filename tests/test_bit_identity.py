@@ -5,7 +5,8 @@ or of a measure, its moments, a Hankel criterion's report or a recovered
 measure, changes its digest.  A change meant to be bit-identical (a
 faster kernel, fewer wrappers) must leave it as it is; a change that
 moves bits on purpose says so and records the new digest.  A digest is of float64
-arithmetic on one numpy/BLAS build: another build may round a matrix
+arithmetic on one numpy/BLAS build with one BLAS thread, which
+``conftest`` pins: another build or thread count may round a matrix
 product differently and need its own.
 """
 
@@ -18,17 +19,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import rand_psd, separated_points     # first: it pins BLAS before numpy loads
 import numpy as np
 import pytest
-
-from conftest import rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, certificates,
                         check_hamburger, check_hausdorff, check_stieltjes, forward_moments,
                         operator_check, recover)
 
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
 MOMENT_DIGEST = "51548810a58a2ecaee50822ecd9c4811c18666a84402c55520d8d93cda7e991f"
-WIDE_DIGEST = "628d900ef374b5145d36925614cab4f9ed1a209a44b7a552e02cbdeea26877bc"
+WIDE_DIGEST = "ef87df433c60a746bb95f84e060f97b0f8419b30f46555f925ee6db50eab30fe"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
 # them, the digests above and the CLI goldens from the current build, after

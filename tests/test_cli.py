@@ -455,13 +455,19 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
             "line_cert.json": {"variant": "line",
                                "sigma": {"1": [{"n": 1, "coeffs": [[[1e200]]]}]}},
             "far_pair.json": {"n": 2, "atoms": [{"x": 1e60, "W": np.eye(2).tolist()}]},
-            "moments.json": {"n": 1, "moments": [[[1.0]], [[1e160]], [[1e300]]]}}
+            "moments.json": {"n": 1, "moments": [[[1.0]], [[1e160]], [[1e300]]]},
+            "eig_overflow.json": {"n": 1, "moments": [[[1.0]], [[0.5]], [[1e308]], [[-1e308]],
+                                                      [[1e308]]]},
+            "sum_overflow.json": {"n": 1, "moments": [[[0.0]], [[0.0]], [[1e308]], [[-1e308]]]}}
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
     argvs = [["integrate", "--poly", "quadratic.json", "--measure", "far_atom.json"],
              ["verify", "--poly", "huge.json", "--cert", "line_cert.json"],
              ["shiftgap", "--dim", "2", "--functional", "far_pair.json"],
-             ["recover", "--moments", "moments.json"]]
+             ["recover", "--moments", "moments.json"],
+             ["check", "--variant", "hamburger", "--moments", "eig_overflow.json"],
+             ["recover", "--moments", "eig_overflow.json"],
+             ["check", "--variant", "hausdorff", "--moments", "sum_overflow.json"]]
     script = ("import json; from matmoments.cli import run; "
               f"print(json.dumps([run(a).exit_code for a in {argvs!r}]))")
     src = str(Path(matmoments.__file__).resolve().parent.parent)
@@ -469,7 +475,7 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [2, 2, 2, 2]
+    assert json.loads(proc.stdout) == [2] * len(argvs)
 
 
 def _strict_json(text):

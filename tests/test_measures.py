@@ -280,6 +280,18 @@ def test_batched_weight_checks_name_the_first_bad_atom(bad, match):
         AtomicMatrixMeasure(2, atoms)
 
 
+def test_weights_near_the_float_maximum_stay_finite():
+    # (W + W^T)/2 overflowed: the weight was stored as inf with numpy's
+    # warning, and a Choi matrix [[1.7e308]] was rejected as not finite
+    mu = AtomicMatrixMeasure(1, [(0.5, [[1.5e308]])])
+    assert mu.atoms[0][1][0, 0] == 1.5e308
+    assert positivity_audit(mu, [[0.0, 1.0]], 0).passed
+    with pytest.raises(ValueError, match="^atom 0: weight is not symmetric$"):
+        AtomicMatrixMeasure(2, [(0.5, [[1e308, 1e308], [-1e308, 1e308]])])
+    (_, (v,)), = PositiveMapMeasure.from_linear(1, 1, [(0.0, [[1.7e308]])]).atoms
+    assert v[0, 0] == np.sqrt(1.7e308)
+
+
 def test_atoms_merge_and_weights_validate():
     mu = AtomicMatrixMeasure(2, [(1.0, I2), (1.0 + 1e-14, I2)])
     assert len(mu.atoms) == 1

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import rand_measure, rand_psd
 from matmoments import (AtomicMatrixMeasure, MomentSequence, PsdReport, block_hankel,
                         check_hamburger, check_hausdorff, check_stieltjes, forward_moments,
-                        momentsequence_from_json, momentsequence_to_json, operator_check)
+                        momentsequence_from_json, momentsequence_to_json, operator_check,
+                        recover)
 from matmoments.moments import DEFAULT_PSD_TOL
 
 I2 = np.eye(2)
@@ -39,6 +40,18 @@ def test_block_hankel_degree_overflow():
     seq = MomentSequence([I2, 0 * I2, I2])
     with pytest.raises(ValueError, match="degree overflow"):
         block_hankel(seq, 1, 1)
+
+
+@pytest.mark.parametrize("m,shift,match", [
+    (1.0, 0, "m must be a nonnegative integer"), (True, 0, "m must be a nonnegative integer"),
+    (-1, 0, "m must be a nonnegative integer"), (0, 1.0, "shift must be 0, 1 or 2"),
+    (0, True, "shift must be 0, 1 or 2"), (0, np.float32(1.0), "shift must be 0, 1 or 2"),
+    (0, np.True_, "shift must be 0, 1 or 2")])
+def test_block_hankel_orders_and_shifts_must_be_integers(m, shift, match):
+    # m = 1.0 ended in an IndexError, and m = True built order 1
+    seq = MomentSequence([I2, 0 * I2, I2])
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        block_hankel(seq, m, shift)
 
 
 def test_block_hankel_exactly_symmetric():
@@ -131,6 +144,24 @@ def test_operator_check_degree_overflow():
         operator_check(plus_minus_one_moments(2), [I2, I2], "stieltjes")
 
 
+@pytest.mark.parametrize("entry,match", [
+    (np.nan, "operator A_1 has a non-finite entry"),
+    (np.inf, "operator A_1 has a non-finite entry"),
+    (1e200, "generator 1: its pairing matrix overflows float64")])
+@pytest.mark.parametrize("variant", ["hamburger", "stieltjes", "hausdorff"])
+def test_operator_check_rejects_operators_that_overflow(entry, match, variant):
+    # each passed with min_eigenvalue inf: a NaN pairing compared false
+    # against the threshold, and an inf largest eigenvalue made the scale inf
+    seq = plus_minus_one_moments(4)
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        operator_check(seq, [I2, np.diag([1.0, entry])], variant)
+
+
+def test_operator_check_checks_tol_first():
+    with pytest.raises(ValueError, match="^tol must be a finite nonnegative number, got -1.0$"):
+        operator_check(plus_minus_one_moments(2), [I2, I2, I2], "hamburger", tol=-1.0)
+
+
 @pytest.mark.parametrize("name", ["line", "interval", "hamburgerx", ""])
 def test_operator_check_names_the_accepted_criteria(name):
     # the certificate variant "line" used to get "unknown variant 'line'"
@@ -212,6 +243,34 @@ def test_symmetrization_does_not_overflow_near_the_float_maximum():
     want = np.linalg.eigvalsh(np.array([[1.0, 1e308], [1e308, 1e308]]))[0]
     assert not rep.passed and rep.failing_order == 1
     assert rep.min_eigenvalue == pytest.approx(want, rel=1e-12)
+
+
+def test_symmetry_check_does_not_overflow_near_the_float_maximum():
+    # S - S^T overflowed here, with numpy's warning, before the rejection
+    with pytest.raises(ValueError, match="^moment S_1 is not symmetric$"):
+        MomentSequence([I2, [[0.0, 1e308], [-1e308, 0.0]], I2])
+
+
+@pytest.mark.parametrize("values", [[1.0, 0.5, 1e308, -1e308, 1e308],
+                                    [1.0, 0.5, 0.4, -1.7e308, 1.7e308]])
+@pytest.mark.parametrize("run", [check_hamburger, check_stieltjes, check_hausdorff, recover],
+                         ids=["hamburger", "stieltjes", "hausdorff", "recover"])
+def test_hankels_whose_eigenvalues_overflow_are_value_errors(values, run):
+    # generator 1's top eigenvalue overflowed to inf, and so did its judging
+    # scale: check_hamburger passed with min_eigenvalue -8e307 or -1.1e308,
+    # and recover returned a measure or reached lstsq's "SVD did not converge"
+    seq = MomentSequence(np.array(values).reshape(-1, 1, 1))
+    with pytest.raises(ValueError, match="^generator 1: its localizing Hankel overflows float64$"):
+        run(seq)
+
+
+def test_localizing_sums_that_overflow_name_their_generator():
+    # S_2 - S_3 overflows in generator 1-x's localizing stack, where numpy
+    # warned; generators 1 and x are finite and fail
+    seq = MomentSequence(np.array([0.0, 0.0, 1e308, -1e308]).reshape(-1, 1, 1))
+    assert not check_stieltjes(seq).passed
+    with pytest.raises(ValueError, match="^generator 1-x: its localizing Hankel overflows"):
+        check_hausdorff(seq)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -277,6 +277,34 @@ def sweep_draw(seed, index):
     return mu, count
 
 
+def cluster_draw(seed, index):
+    """Draw ``index`` of a clustered sweep: n 1-3, two atoms 1e-7 to 1e-2 apart, up to 3 more."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        n, more = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        x, gap = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-7.0, -2.0)
+        weights = []
+        for _ in range(2 + more):
+            a = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            weights.append(a @ a.T * 10.0 ** rng.uniform(-3.0, 0.0))
+        points = [x, x + gap] + [x + 0.2 * (k + 1) for k in range(more)]
+        degree = 2 * len(points) + 2 * int(rng.integers(1, 3))
+    return measure_of(n, list(zip(points, weights))), degree
+
+
+def test_a_merged_cluster_with_a_loose_bound_is_flagged():
+    # n = 3, five atoms in [1.34, 1.94], two of them 1.39e-6 apart: their
+    # pencil points merge within their bounds into one atom of the summed
+    # weight, which matches the moments to second order.  The fit's error
+    # assumes the atom count is right and stays below ATOM_TOL; only the
+    # cluster's bound can flag the result
+    mu, degree = cluster_draw(0, 1710)
+    res = recover(forward_moments(mu, degree))
+    assert mu.n == 3 and mu.atoms[1][0] - mu.atoms[0][0] == pytest.approx(1.39e-6, rel=1e-2)
+    assert len(res.measure.atoms) == len(mu.atoms) - 1
+    assert res.rank_gap_ambiguous
+
+
 @pytest.mark.parametrize("seed, index", [(1, 361), (20, 341)])
 def test_weight_errors_the_fit_magnifies_are_flagged(seed, index):
     # the points lie inside their rounding bounds, but the weight fit
