@@ -10,10 +10,13 @@ problem G(a) routes through the unit circle: homogenize, expand
 G~(cos t, sin t) into a Laurent polynomial in e^{2it} with exact rational
 binomial weights, spectrally factor, and split the rotated factor into its
 real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
-(1, a).  The line takes G = F; the half-line takes G(a) = F(a^2) and the
-interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), and both split each
-factor by parity, P(a) = R(a^2) + a Q(a^2), sending R and Q straight onto
-their generators.  Each decomposer verifies the finished certificate once
+(1, a).  Both directions (``_trig_weights``, ``polymat._line_weights``)
+read one exact Krawtchouk table up to row order and a phase: rows of
+``polymat._binomial_rows``, as are the interval's clearing weights.  The
+line takes G = F; the half-line takes G(a) = F(a^2) and the interval
+G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), and both split each factor by
+parity, P(a) = R(a^2) + a Q(a^2), sending R and Q straight onto their
+generators.  Each decomposer verifies the finished certificate once
 against F.  Only a failure looks further.  On the interval, a factor that
 met its target bounds F's least eigenvalue on all of [0, 1] from below by
 -B (``_interval_bound``); B <= tol * scale decides the failure without
@@ -27,25 +30,25 @@ failure.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, ldexp
+from math import ldexp
 
 import numpy as np
 
 from . import spectral
 from .moments import GENERATORS, VARIANT_GENERATORS
-from .polymat import (_I_POW, STRIP_TOL, LaurentPoly, MatrixPoly, _check_tol, _conv1d,
-                      _conv_stack, _json_fields, _json_real, _least_on, _line_weights, _maxabs,
-                      _strip, _read_only, _times_scalar, _weighted_sum, matmul,
-                      matrixpoly_from_json, matrixpoly_to_json, poly_trace)
+from .polymat import (STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
+                      _conv_stack, _Failure, _json_fields, _json_real, _least_on, _line_weights,
+                      _maxabs, _strip, _read_only, _times_scalar, _weighted_sum,
+                      matrixpoly_from_json, matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
 
 
-class OddDegree(ValueError):
+class OddDegree(_Failure, ValueError):
     pass
 
 
-class _NotPsdOnDomain(ValueError):
+class _NotPsdOnDomain(_Failure, ValueError):
     def __init__(self, min_eigenvalue, at_x):
         self.min_eigenvalue = min_eigenvalue
         self.at_x = at_x
@@ -64,7 +67,7 @@ class NotPsdOnInterval(_NotPsdOnDomain):
     domain = (0.0, 1.0)
 
 
-class SosConsistencyError(RuntimeError):
+class SosConsistencyError(_Failure, RuntimeError):
     """The certificate does not reassemble F within tolerance (bad input conditioning)."""
 
 
@@ -111,21 +114,16 @@ def _require_symmetric(f, what="input"):
 
 @lru_cache(maxsize=None)
 def _trig_weights(d):
-    """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, s the sum below.
+    """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, in column j + d/2.
 
-    Row k // 2 of the first (second) table holds even (odd) k on rows j + d/2,
-    each rounded once: real for even k, imaginary (without the i) for odd k.
+    s is row k of ``_binomial_rows(d, (-1, 1), (1, 1))``, the coefficients
+    of (w - 1)^k (w + 1)^(d-k): the Krawtchouk table of ``_line_weights``
+    read on the circle.  Row k // 2 of the first (second) table holds even
+    (odd) k, each rounded once: real for even k, imaginary (without the i)
+    for odd k, where i^{-k} = (-1)^((k + 1) // 2) i^(k % 2).
     """
-    nh = d // 2
-    w = np.zeros((d + 1, 2 * nh + 1))
-    for k in range(d + 1):
-        # phase of i^{-k}: purely real for even k, purely imaginary for odd k
-        pre, pim = _I_POW[(-k) % 4]
-        for j in range(-nh, nh + 1):
-            s = 0
-            for a in range(max(0, nh + j - (d - k)), min(k, nh + j) + 1):
-                s += (-1) ** (k - a) * comb(k, a) * comb(d - k, nh + j - a)
-            w[k, j + nh] = ldexp((pre + pim) * s, -d)
+    w = np.array([[ldexp((-1) ** ((k + 1) // 2) * s, -d) for s in row[:d // 2 * 2 + 1]]
+                  for k, row in enumerate(_binomial_rows(d, (-1, 1), (1, 1)))])
     return _read_only(w[0::2].copy()), _read_only(w[1::2].copy())
 
 
@@ -237,9 +235,8 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
 @lru_cache(maxsize=None)
 def _clearing_weights(e, sign):
     """Read-only weights of C_k on x^r in sum_k C_k x^k (1 + sign*x)^(e-k), row k."""
-    w = [[comb(e - k, r - k) * sign ** (r - k) if r >= k else 0 for r in range(e + 1)]
-         for k in range(e + 1)]
-    return _read_only(np.array(w, dtype=float).reshape(e + 1, e + 1))     # e = -1: empty
+    w = np.array(_binomial_rows(e, (0, 1), (1, sign)), dtype=float)
+    return _read_only(w.reshape(e + 1, e + 1))     # e = -1: empty
 
 
 def _clear_substitution(c, d, sign):
@@ -348,25 +345,22 @@ def scalarize(g):
     every elementary symmetric function c_j of them is nonnegative.
     """
     _require_symmetric(g)
-    n = g.n
-    traces = []
-    power = g
-    for _ in range(n):
-        traces.append([float(v) for v in poly_trace(power)])
-        power = matmul(power, g)
-    elem = [[1.0]]
-    for k in range(1, n + 1):
-        acc = [0.0]
-        for i in range(1, k + 1):
-            term = _conv1d(elem[k - i], traces[i - 1])
-            sgn = 1.0 if (i - 1) % 2 == 0 else -1.0
-            width = max(len(acc), len(term))
-            acc = [(acc[j] if j < len(acc) else 0.0) + sgn * (term[j] if j < len(term) else 0.0)
-                   for j in range(width)]
-        elem.append([v / k for v in acc])
+    traces, power = [], g.coeffs
+    for _ in range(g.n):
+        traces.append(np.trace(power, axis1=1, axis2=2)[:, np.newaxis, np.newaxis])
+        power = _strip(_conv_stack(power, g.coeffs))
+    # Newton's identities k c_k = sum_i (-1)^(i-1) c_{k-i} p_i on (len, 1, 1) stacks
+    elem = [np.ones((1, 1, 1))]
+    for k in range(1, g.n + 1):
+        terms = [(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
+                 for i in range(1, k + 1)]
+        acc = np.zeros((max(map(len, terms)), 1, 1))
+        for term in terms:
+            acc[:len(term)] += term
+        elem.append(acc / k)
     polys = []
     for e in elem[1:]:
-        arr = np.array(e)
+        arr = e.ravel()
         nz = np.nonzero(np.abs(arr) > 1e-14 * max(1.0, np.max(np.abs(arr))))[0]
         polys.append(arr[:nz[-1] + 1] if nz.size else arr[:1])
     return ScalarizedSet(polys=polys, source=g)

@@ -1,10 +1,20 @@
 """Batch command-line front end: JSON files in, JSON reports out.
 
-Exit codes: 0 pass, 1 fail with report, 2 input error.  Reports are
-emitted with sorted keys so identical inputs produce byte-identical
-output.  File arguments accept "-" for standard input, which lets
-``certify`` pipe into ``verify``.
+Exit codes: 0 pass; 1 a domain failure (an error deriving from
+``polymat._Failure``, such as ``NotPsdOnLine``), reported; 2 an input
+error (any other ``ValueError`` or ``KeyError``), reported.  Any other
+exception propagates.  Reports are emitted with sorted keys so identical
+inputs produce byte-identical output, and BLAS is pinned to one thread
+before numpy loads, whatever the caller set: a threaded BLAS may sum in
+another order and move output bits.  File arguments accept "-" for
+standard input, which lets ``certify`` pipe into ``verify``.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse
 import json
@@ -12,7 +22,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .polymat import _check_tol, _json_floats, matrixpoly_from_json
+from .polymat import _check_tol, _Failure, _json_floats, matrixpoly_from_json
 
 SCHEMA_VERSION = 3
 CommandResult = namedtuple("CommandResult", "exit_code report")
@@ -167,28 +177,6 @@ def _build_parser():
     return parser
 
 
-# Exception class -> exit code, first match wins: domain failures (several
-# derive from ValueError) exit 1, other value and key errors exit 2.  Only
-# loaded modules are searched: a module that raised is loaded.
-_EXIT_CODES = (
-    (("matmoments.spectral.NotPsdOnCircle", "matmoments.spectral.NoConvergence",
-      "matmoments.certificates.OddDegree", "matmoments.certificates._NotPsdOnDomain",
-      "matmoments.certificates.SosConsistencyError", "matmoments.recovery.HankelNotPsd",
-      "matmoments.shiftgap.ModulePositivityError", "matmoments.measures.SupportViolation"), 1),
-    (("builtins.ValueError", "builtins.KeyError"), 2),
-)
-
-
-def _exit_code(exc):
-    """The exit code of a reported exception, None for one that propagates."""
-    for paths, code in _EXIT_CODES:
-        for path in paths:
-            module, _, name = path.rpartition(".")
-            if module in sys.modules and isinstance(exc, getattr(sys.modules[module], name)):
-                return code
-    return None
-
-
 def run(argv):
     """Parse and execute one invocation; never raises on bad input."""
     parser = _build_parser()
@@ -202,11 +190,8 @@ def run(argv):
                                  "error": {"type": "usage", "message": "invalid arguments"}})
     try:
         code, body = args.func(args)
-    except Exception as exc:
-        code = _exit_code(exc)
-        if code is None:
-            raise
-        kind = type(exc)
+    except (_Failure, ValueError, KeyError) as exc:
+        code, kind = (1 if isinstance(exc, _Failure) else 2), type(exc)
         if code == 2:       # an input error names its public class, such as ValueError
             kind = next(c for c in kind.__mro__ if not c.__name__.startswith("_"))
         body = {"error": {"type": kind.__name__, "message": str(exc)}}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_EntryError, _finite_entries, _horner, _json_fields, _json_floats,
+from .polymat import (_EntryError, _Failure, _finite_entries, _horner, _json_fields, _json_floats,
                       _json_matrices, _json_matrix, _json_real, _size, _symmetrized)
 
 MERGE_TOL = 1e-12
@@ -25,7 +25,7 @@ AUDIT_TOL = 1e-9
 _WEIGHT = "atom {}: weight"     # how a weight's checks name it
 
 
-class SupportViolation(ValueError):
+class SupportViolation(_Failure, ValueError):
     """A generator is negative at an atom: the measure leaves the constraint set."""
 
     def __init__(self, atom_index, point, generator_index, value):
@@ -58,14 +58,23 @@ class AtomicMatrixMeasure:
         merged, first = [], []
         for idx in sorted(range(len(points)), key=points.__getitem__):
             if merged and abs(points[idx] - merged[-1][0]) < MERGE_TOL:
-                merged[-1] = (merged[-1][0], merged[-1][1] + sym[idx])
+                with np.errstate(over="ignore"):    # a sum that overflows is rejected below
+                    merged[-1] = (merged[-1][0], merged[-1][1] + sym[idx])
                 first[-1] = min(first[-1], idx)
             else:
                 merged.append((points[idx], sym[idx]))
                 first.append(idx)
-        # every input weight must be PSD; where atoms merged, every merged weight too
-        tested = sym if len(merged) == len(points) else np.concatenate(
-            [sym] + [w[np.newaxis] for _, w in merged])
+        # every input weight must be PSD; where atoms merged, every merged weight
+        # too, and finite, named like a PSD failure by its least input index
+        tested = sym
+        if len(merged) < len(points):
+            try:
+                tested = np.concatenate([sym, _finite_entries(np.array([w for _, w in merged]),
+                                                              _WEIGHT)])
+            except _EntryError as exc:
+                idx = first[exc.index]
+                raise _EntryError(idx, _WEIGHT.format(idx),
+                                  f"merged with nearby atoms {exc.problem}") from None
         lam = np.linalg.eigvalsh(tested)
         bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
         if bad.size:
@@ -256,10 +265,9 @@ def positivity_audit(mu, generators, trials, seed=0):
     max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2); an atom
     where the product of the first three overflows float64 is a ValueError
     naming it.  ``trials`` and ``seed`` are ignored, as nothing is drawn;
-    ``trials`` must be >= 0.
+    ``trials`` must be a nonnegative integer.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    _size(trials, "trials", least=0)
     gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
     # value and size of the constant 1 (row 0) and each generator at each atom
     g_at = np.ones((len(gens) + 1, len(mu.atoms)))

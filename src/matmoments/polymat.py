@@ -61,6 +61,10 @@ def _check_tol(tol, positive=False):
         raise ValueError(f"tol must be positive for a residual target, got {tol!r}")
 
 
+class _Failure(Exception):
+    """First base of every domain failure, which ``momentctl`` reports with exit code 1."""
+
+
 class _EntryError(ValueError):
     """``what`` (entry ``index`` of a stack or atom list) ``problem``.
 
@@ -350,31 +354,36 @@ def _least_on(f, a, b, shift):
     return worst, float(xs[i])
 
 
-_I_POW = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}       # i^p as (re, im), p mod 4
+@lru_cache(maxsize=None)
+def _binomial_rows(e, a, b):
+    """Python-int rows k = 0..e: coefficients on y^0..y^e of (a0 + a1 y)^k (b0 + b1 y)^(e-k).
+
+    The one binomial table, read by ``_line_weights`` and ``certificates``'
+    trig and clearing weights; e = -1 gives no rows.
+    """
+    rows = [(1,)] if e >= 0 else []
+    for _ in range(e):      # every row times b0 + b1 y, then the last one times a0 + a1 y
+        rows = [tuple(f[0] * x + f[1] * y for x, y in zip(row + (0,), (0,) + row))
+                for row, f in zip(rows + rows[-1:], [b] * len(rows) + [a])]
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _line_weights(nh):
-    """Read-only exact weights of row k on x^m in (1 + ix)^k (1 - ix)^(nh-k), k, m = 0..nh.
+    """Read-only weights of row k on x^m in (1 + ix)^k (1 - ix)^(nh-k), k, m = 0..nh.
 
-    They dehomogenize ``certificates``' line factors and, at nh = 2 band, give
-    ``spectral``'s Cayley image (1 + x^2)^band u((1 + ix) / (1 - ix)).
+    Row k of ``_binomial_rows(nh, (1, 1), (1, -1))``, the Krawtchouk table
+    ``certificates._trig_weights`` reads on the circle, with column m times
+    i^m = (-1)^(m // 2) i^(m % 2), each rounded once.  They dehomogenize
+    ``certificates``' line factors and, at nh = 2 band, give ``spectral``'s
+    Cayley image (1 + x^2)^band u((1 + ix) / (1 - ix)).
     """
-    w = np.zeros((nh + 1, nh + 1), dtype=complex)
-    for k in range(nh + 1):
-        for e in range(nh + 1):
-            for a in range(max(0, e - (nh - k)), min(k, e) + 1):
-                pre, pim = _I_POW[((k - a) - (nh - k - (e - a))) % 4]
-                w[k, nh - e] += math.comb(k, a) * math.comb(nh - k, e - a) * (pre + 1j * pim)
+    signed = np.array([[(-1) ** (m // 2) * v for m, v in enumerate(row)]
+                       for row in _binomial_rows(nh, (1, 1), (1, -1))], dtype=float)
+    w = np.zeros(signed.shape, dtype=complex)
+    w.real[:, 0::2] = signed[:, 0::2]
+    w.imag[:, 1::2] = signed[:, 1::2]
     return _read_only(w)
-
-
-def _conv1d(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 def scalar_poly_mult(q, p):
@@ -390,11 +399,6 @@ def _times_scalar(q, c):
         if w != 0:
             out[j:j + len(c)] += float(w) * c
     return out
-
-
-def poly_trace(p):
-    """Trace of each coefficient, as a scalar coefficient list."""
-    return [np.trace(c) for c in p.coeffs]
 
 
 def matrixpoly_to_json(p):

@@ -14,12 +14,13 @@ import numpy as np
 
 from .measures import MERGE_TOL, AtomicMatrixMeasure
 from .moments import block_hankel, check_hamburger
+from .polymat import _Failure
 
 ATOM_TOL = 1e-6
 EPS = np.finfo(float).eps
 
 
-class HankelNotPsd(RuntimeError):
+class HankelNotPsd(_Failure, RuntimeError):
     """The input fails the block-Hankel PSD precondition."""
 
     def __init__(self, report):

@@ -30,13 +30,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .measures import SupportViolation, forward_moments, positivity_audit
-from .polymat import MatrixPoly, _size
+from .polymat import MatrixPoly, _Failure, _size
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
 
 
-class ModulePositivityError(ValueError):
+class ModulePositivityError(_Failure, ValueError):
     """The functional is not positive on the module generated by the family."""
 
     def __init__(self, atom_index, point, generator_index, value):
@@ -137,10 +137,9 @@ def leading_coeff_probe(fam, trials=0, seed=0):
     The report gives the least eigenvalue of lead(G) and lead(Id), each
     divided by its largest entry (1/N), and that of the candidate
     (1 - x^2) Id (-1).  ``trials`` and ``seed`` are ignored, as nothing is
-    drawn; ``trials`` must be >= 0.
+    drawn; ``trials`` must be a nonnegative integer.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    _size(trials, "trials", least=0)
     eye = np.eye(fam.N)
     lead_g, lead_id, lead_candidate = (float(np.linalg.eigvalsh(c / np.max(np.abs(c)))[0])
                                        for c in (fam.G.coeffs[-1], eye, -eye))
@@ -176,7 +175,7 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     L(Id x^2) <= rhs(N-1) is checked separately.  Every value is linear in
     the moments S_0..S_6 of L, and A_n and J_n are diagonal, so each is a
     sum over the diagonals of S_2, S_3 or S_6.  Module positivity is audited
-    exactly first; ``trials`` and ``seed`` are ignored, but ``trials`` must be >= 0.
+    exactly first; ``trials`` (a nonnegative integer) and ``seed`` are ignored.
     """
     if mu.n != fam.N:
         raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")

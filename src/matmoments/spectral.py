@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymat import (LaurentPoly, _check_tol, _horner, _json_fields, _json_floats,
+from .polymat import (LaurentPoly, _check_tol, _Failure, _horner, _json_fields, _json_floats,
                       _json_matrices, _least_eigenvalue, _least_on, _line_weights, _maxabs,
                       _read_only, _size, _weighted_sum)
 
@@ -60,7 +60,7 @@ _STALL = 3e-3
 _EPS = np.finfo(float).eps
 
 
-class NotPsdOnCircle(ValueError):
+class NotPsdOnCircle(_Failure, ValueError):
     """Input fails the PSD-on-circle precondition."""
 
     def __init__(self, min_eigenvalue, at_angle):
@@ -70,7 +70,7 @@ class NotPsdOnCircle(ValueError):
             f"eigenvalue {min_eigenvalue:.3e} below tolerance at angle t={at_angle:.6f}")
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(_Failure, RuntimeError):
     """Factorization did not reach the residual target."""
 
     def __init__(self, best):

@@ -16,6 +16,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, forward_moments,
                         matrixpoly_to_json, measure_to_json,
                         momentsequence_to_json)
 from matmoments.cli import SCHEMA_VERSION, main, render, run
+from matmoments.polymat import _Failure
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -378,7 +379,7 @@ def test_negative_trial_count_is_input_error(workspace, functional):
     res = run(argv)
     assert res.exit_code == 2
     assert res.report["error"]["type"] == "ValueError"
-    assert "trials must be nonnegative" in res.report["error"]["message"]
+    assert "trials must be a nonnegative integer" in res.report["error"]["message"]
     zero = run(["shiftgap", "--dim", "2", "--trials", "0"])
     assert zero.exit_code == 0 and zero.report["probe"]["all_psd"] is True
 
@@ -451,6 +452,7 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
     # numpy's overflow RuntimeWarning reached stderr ahead of each report
     docs = {"quadratic.json": {"n": 1, "coeffs": [[[1.0]], [[1.0]], [[1.0]]]},
             "far_atom.json": {"n": 1, "atoms": [{"x": 1e200, "W": [[1.0]]}]},
+            "merged_overflow.json": {"n": 1, "atoms": [{"x": 0.5, "W": [[1e308]]}] * 2},
             "huge.json": {"n": 1, "coeffs": [[[1e300]]]},
             "line_cert.json": {"variant": "line",
                                "sigma": {"1": [{"n": 1, "coeffs": [[[1e200]]]}]}},
@@ -462,6 +464,7 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
     argvs = [["integrate", "--poly", "quadratic.json", "--measure", "far_atom.json"],
+             ["integrate", "--poly", "quadratic.json", "--measure", "merged_overflow.json"],
              ["verify", "--poly", "huge.json", "--cert", "line_cert.json"],
              ["shiftgap", "--dim", "2", "--functional", "far_pair.json"],
              ["recover", "--moments", "moments.json"],
@@ -566,8 +569,8 @@ def failing_inputs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, argv, patch", EXIT_ONE_CASES, ids=[c[0] for c in EXIT_ONE_CASES])
 def test_every_domain_failure_exits_one(failing_inputs, monkeypatch, name, argv, patch):
-    # the exit-code table names its classes by module and looks them up
-    # lazily: a renamed class would otherwise turn exit 1 into exit 2
+    # each class derives from polymat._Failure, which alone decides exit 1;
+    # a ValueError subclass without it would exit 2
     if patch is not None:
         module, function, exc = patch
         monkeypatch.setattr(getattr(matmoments, module), function, _raiser(exc))
@@ -575,6 +578,16 @@ def test_every_domain_failure_exits_one(failing_inputs, monkeypatch, name, argv,
     assert res.exit_code == 1
     assert res.report["error"]["type"] == name
     assert res.report["command"] == argv[0] and res.report["schema_version"] == SCHEMA_VERSION
+
+
+def test_exactly_the_exit_one_classes_are_failures():
+    # the exported exceptions, and any base that EXIT_ONE_CASES names
+    named = {name for name, _, _ in EXIT_ONE_CASES}
+    exported = [getattr(matmoments, name) for name in matmoments.__all__]
+    classes = [c for c in exported if isinstance(c, type) and issubclass(c, BaseException)]
+    assert len(classes) == 9
+    for cls in classes:
+        assert issubclass(cls, _Failure) == any(c.__name__ in named for c in cls.__mro__), cls
 
 
 @pytest.mark.parametrize("exc", [ValueError("plain"), KeyError("key")])
@@ -741,3 +754,23 @@ def test_residual_targets_reject_zero_tol(workspace):
     for command in ("check", "verify"):
         argv, code = argvs[command]
         assert run(argv + ["--tol=0"]).exit_code == code
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # two OpenBLAS threads summed this half-line certificate in another order
+    from test_bit_identity import _wide_corpus
+    domain, f = _wide_corpus()[44]
+    (tmp_path / "f.json").write_text(json.dumps(matrixpoly_to_json(MatrixPoly(f))))
+    src = str(Path(matmoments.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.update((var, threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                              "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                                              "VECLIB_MAXIMUM_THREADS"))
+        proc = subprocess.run([sys.executable, "-m", "matmoments.cli", "certify", "--poly",
+                               "f.json", "--domain", domain], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

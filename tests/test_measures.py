@@ -314,6 +314,18 @@ def test_merged_weights_are_checked():
     assert positivity_audit(AtomicMatrixMeasure(2, atoms[:2]), [], 0).passed
 
 
+def test_merged_weights_that_overflow_are_rejected():
+    # the sum was stored as [[inf]], whose NaN eigenvalue passed the PSD test
+    atoms = [(0.7, [[1.0]]), (0.5, [[1e308]]), (0.5 + 1e-13, [[1e308]])]
+    match = "atom 1: weight merged with nearby atoms has a non-finite entry"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        AtomicMatrixMeasure(1, atoms)
+    doc = {"n": 1, "atoms": [{"x": x, "W": w} for x, w in atoms]}
+    with pytest.raises(ValueError, match=re.escape("atoms[1].W merged with nearby atoms")):
+        measure_from_json(doc)
+    assert AtomicMatrixMeasure(1, atoms[:1] + [(0.5, [[1e307]])] * 2).atoms[0][1][0, 0] == 2e307
+
+
 @pytest.mark.parametrize("atom,match", [
     ((np.inf, I2), "point"), ((-np.inf, I2), "point"), ((np.nan, I2), "point"),
     ((0.0, np.diag([np.inf, 1.0])), "non-finite"), ((0.0, np.diag([1.0, np.nan])), "non-finite"),
@@ -411,7 +423,7 @@ def test_positivity_audit_reads_the_symmetric_part_of_a_weight():
 
 def test_positivity_audit_rejects_negative_trial_counts():
     mu = AtomicMatrixMeasure(2, [(0.5, I2)])
-    with pytest.raises(ValueError, match="trials must be nonnegative"):
+    with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
         positivity_audit(mu, [[0.0, 1.0]], -5)
     rep = positivity_audit(mu, [[0.0, 1.0]], 0)
     assert rep.passed and rep.min_margin > 0.0

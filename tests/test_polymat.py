@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from matmoments.polymat import STRIP_TOL, _weighted_sum
+from matmoments.certificates import _clearing_weights, _trig_weights
+from matmoments.polymat import STRIP_TOL, _line_weights, _weighted_sum
 from matmoments import (LaurentPoly, MatrixPoly, certificate_from_json, laurent_from_json,
                         map_measure_from_json, matmul, matrixpoly_from_json, matrixpoly_to_json,
                         measure_from_json, momentsequence_from_json, scalar_poly_mult,
@@ -382,3 +384,37 @@ def test_every_loader_names_the_bad_field(load, doc, field):
 def test_map_measure_loader_keeps_empty_kraus_lists():
     m = map_measure_from_json({"h_dim": 2, "k_dim": 1, "atoms": [{"x": 0.5, "kraus": []}]})
     assert m.atoms[0][1] == ()
+
+
+def _rows(e, a, b):
+    """Rows k = 0..e of (a0 + a1 y)^k (b0 + b1 y)^(e-k) by numpy, in floats: exact below 2^53."""
+    return np.array([npoly.polymul(npoly.polypow(a, k), npoly.polypow(b, e - k))
+                     for k in range(e + 1)])
+
+
+@pytest.mark.parametrize("e", range(41))
+def test_weight_tables_are_one_binomial_expansion(e):
+    assert np.array_equal(_line_weights(e), _rows(e, [1, 1j], [1, -1j]))
+    phased = _rows(e, [-1, 1], [1, 1]) * np.array([1, -1j, -1, 1j])[np.arange(e + 1) % 4, None]
+    even, odd = _trig_weights(e)
+    assert np.array_equal(even, phased.real[0::2, :e // 2 * 2 + 1] / 2.0 ** e)
+    assert np.array_equal(odd, phased.imag[1::2, :e // 2 * 2 + 1] / 2.0 ** e)
+    for sign in (1, -1):
+        assert np.array_equal(_clearing_weights(e, sign), _rows(e, [0, 1], [1, sign]))
+
+
+def _gaussian_expansion(k, nh):
+    """Python-int (re, im) coefficients of (1 + ix)^k (1 - ix)^(nh-k)."""
+    coeffs = [(1, 0)]
+    for s in [1] * k + [-1] * (nh - k):
+        coeffs = [(re - s * pim, im + s * pre)
+                  for (re, im), (pre, pim) in zip(coeffs + [(0, 0)], [(0, 0)] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("nh", [58, 64])
+def test_line_weights_round_the_exact_expansion_once(nh):
+    # past 2^53 a float sum of binomial products rounds at each step: off by 1 at nh = 58
+    exact = [[complex(float(re), float(im)) for re, im in _gaussian_expansion(k, nh)]
+             for k in range(nh + 1)]
+    assert np.array_equal(_line_weights(nh), np.array(exact))

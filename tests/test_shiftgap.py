@@ -121,9 +121,21 @@ def test_probe_matches_pinned_reports(key):
     assert rep == leading_coeff_probe(fam)
 
 
+@pytest.mark.parametrize("trials", [-1, True, 2.5, "3", None])
+def test_every_trials_check_wants_a_nonnegative_integer(trials):
+    # the checks were trials < 0 alone, which True and 2.5 passed
+    fam, mu = build_family(2), AtomicMatrixMeasure(2, [(0.5, np.eye(2))])
+    for call in (lambda: leading_coeff_probe(fam, trials),
+                 lambda: positivity_audit(mu, [[0.0, 1.0]], trials),
+                 lambda: cauchy_schwarz_chain(mu, fam, trials),
+                 lambda: support_collapse_check(mu, fam, trials)):
+        with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
+            call()
+
+
 def test_probe_rejects_negative_trial_counts():
     fam = build_family(3)
-    with pytest.raises(ValueError, match="trials must be nonnegative"):
+    with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
         leading_coeff_probe(fam, -5)
     assert leading_coeff_probe(fam, 0).all_psd
 
