@@ -38,7 +38,7 @@ from . import spectral
 from .moments import GENERATORS, VARIANT_GENERATORS
 from .polymat import (STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
                       _conv_stack, _Failure, _json_fields, _json_real, _least_on, _line_weights,
-                      _maxabs, _strip, _read_only, _times_scalar, _weighted_sum,
+                      _maxabs, _padded_sum, _strip, _read_only, _times_scalar, _weighted_sum,
                       matrixpoly_from_json, matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
@@ -80,12 +80,13 @@ class SosCertificate:
     residual: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in VARIANT_GENERATORS:
-            raise ValueError(f"unknown variant '{self.variant}'")
+        if not isinstance(self.variant, str) or self.variant not in VARIANT_GENERATORS:
+            raise ValueError(f"field 'variant' must be one of {sorted(VARIANT_GENERATORS)}")
         allowed = set(VARIANT_GENERATORS[self.variant])
         for key in self.sigma:
             if key not in allowed:
-                raise ValueError(f"generator '{key}' not allowed for variant '{self.variant}'")
+                raise ValueError(f"generator '{key}' in 'sigma' not allowed for variant "
+                                 f"'{self.variant}'")
         if self.variant == "line" and len(self.sigma.get("1", [])) > 2:
             raise ValueError("line certificates carry at most two factors")
 
@@ -326,14 +327,8 @@ def verify_certificate(f, cert):
                     raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
                 square = _strip(_conv_stack(g.coeffs, np.swapaxes(g.coeffs, 1, 2)))
                 term = _strip(_times_scalar(GENERATORS[key], square))
-                out = np.zeros((max(len(total), len(term)), f.n, f.n))
-                out[:len(total)] += total
-                out[:len(term)] += term
-                total = _strip(out)
-        diff = np.zeros((max(f.deg + 1, len(total)), f.n, f.n))
-        diff[:f.deg + 1] = f.coeffs
-        diff[:len(total)] -= total
-    return _maxabs(diff)
+                total = _strip(_padded_sum([total, term]))
+        return _maxabs(_padded_sum([f.coeffs, -total]))
 
 
 def scalarize(g):
@@ -352,12 +347,8 @@ def scalarize(g):
     # Newton's identities k c_k = sum_i (-1)^(i-1) c_{k-i} p_i on (len, 1, 1) stacks
     elem = [np.ones((1, 1, 1))]
     for k in range(1, g.n + 1):
-        terms = [(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
-                 for i in range(1, k + 1)]
-        acc = np.zeros((max(map(len, terms)), 1, 1))
-        for term in terms:
-            acc[:len(term)] += term
-        elem.append(acc / k)
+        elem.append(_padded_sum([(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
+                                 for i in range(1, k + 1)]) / k)
     polys = []
     for e in elem[1:]:
         arr = e.ravel()
@@ -377,15 +368,11 @@ def certificate_to_json(cert):
 
 def certificate_from_json(doc):
     _json_fields(doc, "certificate", "variant", "sigma")
-    if doc["variant"] not in VARIANT_GENERATORS:
-        raise ValueError(f"field 'variant' must be one of {sorted(VARIANT_GENERATORS)}")
     sigma_doc = doc["sigma"]
     if not isinstance(sigma_doc, dict):
         raise ValueError("field 'sigma' must be an object")
     sigma = {}
     for key, entries in sigma_doc.items():
-        if key not in GENERATORS:
-            raise ValueError(f"unknown generator '{key}' in 'sigma'")
         if not isinstance(entries, list):
             raise ValueError(f"sigma['{key}'] must be a list of matrix polynomials")
         sigma[key] = []

@@ -17,7 +17,8 @@ import numpy as np
 
 from .moments import MomentSequence
 from .polymat import (_EntryError, _Failure, _finite_entries, _horner, _json_fields, _json_floats,
-                      _json_matrices, _json_matrix, _json_real, _size, _symmetrized)
+                      _json_matrices, _json_matrix, _json_real, _read_only, _size, _symmetrized,
+                      _weighted_sum)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
@@ -82,7 +83,7 @@ class AtomicMatrixMeasure:
             idx = j if j < len(points) else first[j - len(points)]
             how = "" if j < len(points) else "merged with nearby atoms "
             raise _EntryError(idx, _WEIGHT.format(idx), f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
-        self._atoms = tuple((x, _frozen(w)) for x, w in merged)
+        self._atoms = tuple((x, _read_only(np.array(w))) for x, w in merged)
 
     @classmethod
     def _from_psd(cls, n, points, weights):
@@ -94,7 +95,8 @@ class AtomicMatrixMeasure:
         mu = cls.__new__(cls)
         mu._n = n
         points = [_finite_point(idx, x) for idx, x in enumerate(points)]
-        mu._atoms = tuple(zip(points, map(_frozen, _finite_entries(weights, _WEIGHT))))
+        mu._atoms = tuple((x, _read_only(np.array(w)))
+                          for x, w in zip(points, _finite_entries(weights, _WEIGHT)))
         return mu
 
     @property
@@ -120,12 +122,6 @@ def _finite_point(idx, x):
     if not math.isfinite(x):
         raise ValueError(f"atom {idx}: point {x} is not finite")
     return x
-
-
-def _frozen(arr):
-    arr = np.array(arr)
-    arr.setflags(write=False)
-    return arr
 
 
 def integrate_trace(f, mu):
@@ -160,7 +156,7 @@ class PositiveMapMeasure:
                 if v.shape != (self.h_dim, self.k_dim) or not np.isfinite(v).all():
                     raise ValueError(f"atom {idx}: Kraus operator of shape {v.shape} must be "
                                      f"a finite {self.h_dim}x{self.k_dim} matrix")
-            self._atoms.append((x, tuple(_frozen(v) for v in mats)))
+            self._atoms.append((x, tuple(_read_only(np.array(v)) for v in mats)))
 
     @classmethod
     def from_linear(cls, h_dim, k_dim, atoms):
@@ -219,15 +215,13 @@ def integrate_map(f, m):
 def forward_moments(mu, degree):
     """Moment sequence S_p = sum_j x_j^p W_j, p = 0..degree; an overflow is a ValueError."""
     degree = _size(degree, "degree", least=0)
-    n = mu.n
-    mats = np.zeros((degree + 1, n, n))
     # column j of the chain holds x_j^p, p = 0..degree; cumprod multiplies in
     # sequence, as the running product x^p = x^(p-1) * x
     chain = np.ones((degree + 1, len(mu.atoms)))
     chain[1:] = [x for x, _ in mu.atoms]
+    weights = np.array([w for _, w in mu.atoms]).reshape(-1, mu.n, mu.n)
     with np.errstate(over="ignore", invalid="ignore"):     # MomentSequence reports an overflow
-        for powers, (_, w) in zip(np.cumprod(chain, axis=0).T, mu.atoms):
-            mats += powers[:, np.newaxis, np.newaxis] * w
+        mats = _weighted_sum(np.cumprod(chain, axis=0).T, weights)
     return MomentSequence(mats)
 
 

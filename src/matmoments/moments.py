@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polymat import (_EntryError, _check_tol, _finite_entries, _integer, _json_fields,
-                      _json_floats, _json_matrices, _size, _symmetrized)
+                      _json_floats, _json_matrices, _read_only, _size, _square_stack, _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -65,16 +65,10 @@ class MomentSequence:
 
     def __init__(self, matrices):
         arr = np.asarray(matrices, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[np.newaxis]
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
-            raise ValueError("moments must form a (D+1, n, n) stack of square matrices")
-        if arr.shape[1] == 0:
-            raise ValueError("moment matrices must be n x n with n >= 1")
+        arr = _square_stack(arr[np.newaxis] if arr.ndim == 2 else arr, "moments")
         # stored exactly symmetric, so block Hankels come out bit-symmetric
         arr = _symmetrized(_finite_entries(arr, "moment S_{}"), "moment S_{}", _SYM_RTOL)
-        arr.setflags(write=False)
-        self._S = arr
+        self._S = _read_only(arr)
         self._families = {}
 
     def _family(self, key):

@@ -2,7 +2,8 @@
 
 Coefficients are dense real square matrices, stored as float64 stacks.
 Complex matrices appear only in :class:`LaurentPoly`, which feeds the
-spectral factorization routines.
+spectral factorization routines, and in its Hermitian Cayley image on
+the line, which ``_least_on`` searches as it does a real stack.
 """
 
 import math
@@ -36,6 +37,22 @@ def _read_only(arr):
     return arr
 
 
+def _square_stack(arr, what):
+    """``arr`` if a non-empty (len, n, n) stack with n >= 1, else a ValueError naming ``what``."""
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+        raise ValueError(f"{what} must form a non-empty (len, n, n) stack of square matrices "
+                         "with n >= 1")
+    return arr
+
+
+def _padded_sum(stacks):
+    """Sum of coefficient stacks of one matrix size: zeros of the longest, each added in order."""
+    out = np.zeros((max(map(len, stacks)),) + stacks[0].shape[1:])
+    for stack in stacks:
+        out[:len(stack)] += stack
+    return out
+
+
 def _weighted_sum(weights, stack):
     """Rows sum_k weights[k, r] * stack[k], bit for bit the loop over increasing k.
 
@@ -54,8 +71,8 @@ def _weighted_sum(weights, stack):
 
 
 def _check_tol(tol, positive=False):
-    """Raise ValueError unless ``tol`` is a finite number >= 0, and > 0 if ``positive``."""
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+    """Raise ValueError unless ``tol`` is a finite number >= 0 (not a bool), > 0 if ``positive``."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     if positive and tol == 0:       # rounding keeps every residual above a zero target
         raise ValueError(f"tol must be positive for a residual target, got {tol!r}")
@@ -163,11 +180,7 @@ def _json_floats(array):
 
 def _as_coeff_array(coeffs):
     arr = np.asarray(coeffs)
-    if arr.ndim == 2:
-        arr = arr[np.newaxis, :, :]
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
-        raise ValueError("coefficients must form a non-empty (deg+1, n, n) stack of square "
-                         "matrices")
+    arr = _square_stack(arr[np.newaxis] if arr.ndim == 2 else arr, "coefficients")
     if np.iscomplexobj(arr):
         raise ValueError("matrix polynomial coefficients must be real")
     return arr.astype(np.float64)
@@ -224,22 +237,14 @@ class MatrixPoly:
         return _maxabs(self._coeffs)
 
     def __call__(self, x):
-        # same operations as _horner; at one point this plain loop is ~30 % faster
-        res = np.array(self._coeffs[-1])
-        for k in range(self.deg - 1, -1, -1):
-            res = res * x + self._coeffs[k]
-        return res
+        return np.array(_horner(self._coeffs, x))
 
     def __add__(self, other):
         if not isinstance(other, MatrixPoly):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        la, lb = self.deg + 1, other.deg + 1
-        out = np.zeros((max(la, lb), self.n, self.n))
-        out[:la] += self._coeffs
-        out[:lb] += other._coeffs
-        return MatrixPoly(out)
+        return MatrixPoly(_padded_sum([self._coeffs, other._coeffs]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -320,18 +325,20 @@ def _least_eigenvalue(values):
 def _least_on(f, a, b, shift):
     """Least eigenvalue of the stack F at the points deciding its sign on [a, b], and the point.
 
+    F's values on the line are real symmetric or complex Hermitian.
     lambda_min(F(x)) + shift changes sign only at real roots of det G,
     G = F + shift*I: eigenvalues of the block companion of y^d G(x0 + 1/y)
-    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982), whose leading
-    block G(x0) is invertible for x0 the best-conditioned of d + 2
-    Chebyshev points in [a, b] & [-1, 1].  F is evaluated at the real part
-    of every root in [a, b], the finite ends, the midpoints and one point
-    beyond each outer point: it dips below -shift on [a, b] exactly when
-    the returned eigenvalue does, up to the eigensolvers' accuracy.  A zero
-    leading block of F only adds roots at infinity.
+    (Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982), built in F's
+    dtype, whose leading block G(x0) is invertible for x0 the
+    best-conditioned of d + 2 Chebyshev points in [a, b] & [-1, 1].  F is
+    evaluated at the real part of every root in [a, b], the finite ends,
+    the midpoints and one point beyond each outer point: it dips below
+    -shift on [a, b] exactly when the returned eigenvalue does, up to the
+    eigensolvers' accuracy.  A zero leading block of F only adds roots at
+    infinity.
     """
     n, d = f.shape[1], max(len(f) - 1, 1)       # a constant gets a zero x-coefficient
-    g = np.concatenate([f, np.zeros((d + 1 - len(f), n, n))])
+    g = np.concatenate([f, np.zeros((d + 1 - len(f), n, n), dtype=f.dtype)])
     g[0] += shift * np.eye(n)
     lo, hi = max(a, -1.0), min(b, 1.0)
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(d + 2) + 0.5) / (d + 2))
@@ -340,7 +347,7 @@ def _least_on(f, a, b, shift):
         x0 = xs[np.argmax(np.nan_to_num(w.min(axis=1) / w.max(axis=1)))]
         t = np.tensordot([[math.comb(j, k) * x0 ** (j - k) if j >= k else 0.0 for j in range(d + 1)]
                           for k in range(d + 1)], g, axes=1)       # G(x0 + y) = sum T_k y^k
-        comp = np.eye(n * d, k=-n)
+        comp = np.eye(n * d, k=-n, dtype=g.dtype)
         try:
             comp[:n] = -np.linalg.solve(t[0], np.hstack(t[1:]))
             pts = np.append(x0 + (1 / np.linalg.eigvals(comp)).real, [a, b])
@@ -421,10 +428,7 @@ class LaurentPoly:
     """Matrix Laurent polynomial sum_{k=-band}^{band} A_k z^k, complex coefficients."""
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
-            raise ValueError("coefficients must form a (2*band+1, n, n) stack of square "
-                             "matrices with n >= 1")
+        arr = _square_stack(np.asarray(coeffs, dtype=np.complex128), "coefficients")
         if arr.shape[0] % 2 == 0:
             raise ValueError("coefficient stack must have odd length 2*band+1")
         self._coeffs = _read_only(arr)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .measures import MERGE_TOL, AtomicMatrixMeasure
 from .moments import block_hankel, check_hamburger
-from .polymat import _Failure
+from .polymat import _Failure, _weighted_sum
 
 ATOM_TOL = 1e-6
 EPS = np.finfo(float).eps
@@ -180,10 +180,7 @@ def recover(seq):
 
     mu = AtomicMatrixMeasure._from_psd(n, merged, weights)
     # the atoms are ``merged`` in order, whose powers ``vand`` holds
-    approx = np.zeros(seq.S.shape)
-    for j, (_, w) in enumerate(mu.atoms):
-        approx += vand[:, j, np.newaxis, np.newaxis] * w
-    residual = float(np.max(np.abs(seq.S - approx)))
+    residual = float(np.max(np.abs(seq.S - _weighted_sum(vand.T, weights))))
     # a merged atom with a loose bound may stand for distinct atoms, whose
     # merged fit matches S to second order; a mismatch beyond ATOM_TOL max|S|
     # means a rank taken too low; the PSD projection moves no weight further

@@ -306,12 +306,11 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     except np.linalg.LinAlgError:
         b, res = None, np.inf
     if not res <= tol_abs:      # a factor on target proves the precondition
-        # (1 + x^2)^band (u + tol_abs*I)((1 + ix) / (1 - ix)) = R + iJ has the sign of
-        # u + tol_abs*I at t = 2 arctan x, as has [[R, -J], [J, R]]; t = pi is x = inf
+        # (1 + x^2)^band (u + tol_abs*I)((1 + ix) / (1 - ix)), Hermitian on the line, has
+        # the sign of u + tol_abs*I at t = 2 arctan x; t = pi is x = inf
         shifted = a_stack.copy()
         shifted[band] += tol_abs * np.eye(n)
-        c = _weighted_sum(_line_weights(2 * band), shifted)
-        _, x = _least_on(np.block([[c.real, -c.imag], [c.imag, c.real]]), -np.inf, np.inf, 0.0)
+        _, x = _least_on(_weighted_sum(_line_weights(2 * band), shifted), -np.inf, np.inf, 0.0)
         ts = np.array([2.0 * np.arctan(x), np.pi])
         z = np.exp(1j * ts)[:, np.newaxis, np.newaxis]
         worst, i = _least_eigenvalue(_horner(a_stack, z) / z ** band)

@@ -608,6 +608,28 @@ def test_circle_angle_maps_to_the_domain(decomposer, exc, x, monkeypatch):
     assert type(_not_psd_report(decomposer, scalar_poly(-1, -1, 3))) is exc
 
 
+@pytest.mark.parametrize("decomposer", [decompose_line, decompose_halfline, decompose_interval])
+def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(decomposer,
+                                                                          monkeypatch):
+    # the reassembly check judges the best attempt of a factorization that
+    # missed its target: the true factor certifies F = 1 + x^2, and a zero
+    # one re-raises the NoConvergence, as F is PSD on every domain
+    factor, zero = spectral.fejer_riesz, []
+
+    def no_convergence(u, tol):
+        best = factor(u, tol)
+        if zero:
+            best = spectral.SpectralFactor(0 * best.coeffs, 1.0, 0.0, best.toeplitz_order)
+        raise spectral.NoConvergence(best)
+    monkeypatch.setattr(spectral, "fejer_riesz", no_convergence)
+    f = scalar_poly(1, 0, 1)
+    assert verify_certificate(f, decomposer(f)) <= 1e-10
+    zero.append(True)
+    with pytest.raises(spectral.NoConvergence) as info:
+        decomposer(f)
+    assert info.value.best.residual == 1.0
+
+
 class _Located(Exception):
     pass
 

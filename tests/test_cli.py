@@ -481,6 +481,21 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
     assert json.loads(proc.stdout) == [2] * len(argvs)
 
 
+@pytest.mark.parametrize("variant", [["line"], {"line": "line"}])
+def test_verify_names_a_variant_that_is_not_a_string(tmp_path, capsys, variant):
+    # an array or object variant raised TypeError (unhashable) out of
+    # momentctl: a traceback and exit 1, the domain-failure code
+    (tmp_path / "f.json").write_text(json.dumps({"n": 1, "coeffs": [[[1.0]]]}))
+    (tmp_path / "cert.json").write_text(json.dumps({"variant": variant, "sigma": {}}))
+    code = main(["verify", "--poly", str(tmp_path / "f.json"),
+                 "--cert", str(tmp_path / "cert.json")])
+    out = capsys.readouterr()
+    assert (code, out.err) == (2, "")
+    assert _strict_json(out.out)["error"] == {
+        "type": "ValueError",
+        "message": "field 'variant' must be one of ['halfline', 'interval', 'line']"}
+
+
 def _strict_json(text):
     """``text`` parsed as JSON, refusing the non-standard Infinity, -Infinity and NaN."""
     def refuse(token):
@@ -708,7 +723,7 @@ def test_recover_takes_no_tol(workspace, tol):
     assert res.report["error"] == {"type": "usage", "message": "invalid arguments"}
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True, False])
 def test_library_entry_points_reject_bad_tol(tol):
     from matmoments import (LaurentPoly, check_hamburger, check_hausdorff, check_stieltjes,
                             decompose_halfline, decompose_interval, decompose_line,

@@ -48,6 +48,17 @@ def test_integrate_trace_size_mismatch():
         integrate_trace(MatrixPoly.zero(3), mu)
 
 
+def test_integrate_map_size_mismatch():
+    m = PositiveMapMeasure(2, 1, [(0.0, [np.ones((2, 1))])])
+    with pytest.raises(ValueError, match="^size mismatch: polynomial is 3x3, maps act on 2x2$"):
+        integrate_map(MatrixPoly.zero(3), m)
+
+
+def test_weight_of_the_wrong_shape_is_named():
+    with pytest.raises(ValueError, match=r"^atom 1: weight shape \(3, 3\), expected \(2, 2\)$"):
+        AtomicMatrixMeasure(2, [(0.0, I2), (1.0, np.eye(3))])
+
+
 @pytest.mark.parametrize("integrate,measure", [
     (integrate_trace, lambda atoms: AtomicMatrixMeasure(1, [(x, [[1.0]]) for x in atoms])),
     (integrate_map, lambda atoms: PositiveMapMeasure(1, 1, [(x, [[[1.0]]]) for x in atoms])),

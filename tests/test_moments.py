@@ -144,6 +144,14 @@ def test_operator_check_degree_overflow():
         operator_check(plus_minus_one_moments(2), [I2, I2], "stieltjes")
 
 
+@pytest.mark.parametrize("ops,match", [
+    ((), "^operator tuple must be non-empty$"),
+    ([I2, np.eye(3)], r"^operator shape \(3, 3\) does not match n=2$")])
+def test_operator_check_rejects_an_empty_or_misshapen_tuple(ops, match):
+    with pytest.raises(ValueError, match=match):
+        operator_check(plus_minus_one_moments(2), ops, "hamburger")
+
+
 @pytest.mark.parametrize("entry,match", [
     (np.nan, "operator A_1 has a non-finite entry"),
     (np.inf, "operator A_1 has a non-finite entry"),

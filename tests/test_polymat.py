@@ -8,11 +8,11 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from matmoments.certificates import _clearing_weights, _trig_weights
-from matmoments.polymat import STRIP_TOL, _line_weights, _weighted_sum
-from matmoments import (LaurentPoly, MatrixPoly, certificate_from_json, laurent_from_json,
-                        map_measure_from_json, matmul, matrixpoly_from_json, matrixpoly_to_json,
-                        measure_from_json, momentsequence_from_json, scalar_poly_mult,
-                        transpose_poly)
+from matmoments.polymat import STRIP_TOL, _least_on, _line_weights, _weighted_sum
+from matmoments import (LaurentPoly, MatrixPoly, MomentSequence, certificate_from_json,
+                        laurent_from_json, map_measure_from_json, matmul, matrixpoly_from_json,
+                        matrixpoly_to_json, measure_from_json, momentsequence_from_json,
+                        scalar_poly_mult, transpose_poly)
 
 I2 = np.eye(2)
 
@@ -312,6 +312,22 @@ def test_laurent_poly_rejects_zero_size_matrices():
         LaurentPoly(np.zeros((3, 0, 0)))
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), (3, 2, 3), (2, 2, 2, 2)])
+@pytest.mark.parametrize("make", [MatrixPoly, MomentSequence, LaurentPoly])
+def test_every_stack_is_checked_for_square_matrices(make, shape):
+    with pytest.raises(ValueError, match=r"non-empty \(len, n, n\) stack of square matrices "
+                                         r"with n >= 1"):
+        make(np.zeros(shape))
+
+
+def test_only_laurent_poly_rejects_a_single_matrix():
+    # a 2-D matrix is a constant MatrixPoly or a one-moment sequence, but no
+    # Laurent stack: its length would be read as the band
+    assert MatrixPoly(np.eye(2)).deg == 0 and MomentSequence(np.eye(2)).D == 0
+    with pytest.raises(ValueError, match="non-empty"):
+        LaurentPoly(np.eye(3))
+
+
 def test_json_round_trip():
     f = MatrixPoly([[[1.0, 0], [0, 1]], [[0, 1], [1, 0]]], symmetric=True)
     doc = matrixpoly_to_json(f)
@@ -375,6 +391,9 @@ _LAURENT = {"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
     (measure_from_json, {"n": 2, "atoms": [{"x": 0.0, "W": [[1.0, 0.0], [0.0, 1.0]]},
                                            {"x": 1.0, "W": [[1.0, 1.0], [0.0, 1.0]]}]},
      "atoms[1].W is not symmetric"),
+    (certificate_from_json, {"variant": ["line"], "sigma": {}}, "'variant'"),
+    (certificate_from_json, {"variant": {"line": 1}, "sigma": {}}, "'variant'"),
+    (certificate_from_json, {"variant": "line", "sigma": {"x": []}}, "'sigma'"),
 ])
 def test_every_loader_names_the_bad_field(load, doc, field):
     with pytest.raises(ValueError, match=re.escape(field)):
@@ -418,3 +437,18 @@ def test_line_weights_round_the_exact_expansion_once(nh):
     exact = [[complex(float(re), float(im)) for re, im in _gaussian_expansion(k, nh)]
              for k in range(nh + 1)]
     assert np.array_equal(_line_weights(nh), np.array(exact))
+
+
+def test_hermitian_stacks_locate_like_their_real_embedding():
+    # [[R, -J], [J, R]] has the eigenvalues of R + iJ, each twice: the locator
+    # on the complex stack itself finds the same least eigenvalue
+    rng = np.random.default_rng(0)
+    for trial in range(100):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+        c = rng.standard_normal((d + 1, n, n)) + 1j * rng.standard_normal((d + 1, n, n))
+        c = 0.5 * (c + np.swapaxes(c, 1, 2).conj())
+        a, b = [(-np.inf, np.inf), (0.0, np.inf), (0.0, 1.0), (-1.0, 2.0)][trial % 4]
+        shift = [0.0, 1e-9, 0.5][trial % 3]
+        worst, _ = _least_on(c, a, b, shift)
+        embedded, _ = _least_on(np.block([[c.real, -c.imag], [c.imag, c.real]]), a, b, shift)
+        assert abs(worst - embedded) <= 1e-12 * abs(embedded), trial

@@ -356,3 +356,13 @@ def test_huge_weight_is_judged_by_its_fit_error(monkeypatch):
         assert res.moment_residual <= 1e-15 * w
         assert len(errors) == 1 and 1e-6 < errors[0][0] < 1e-14 * w
         assert res.rank_gap_ambiguous
+
+
+@pytest.mark.parametrize("points,sol", [([0.5, 0.5], [[1.0], [1.0]]), ([0.0, 1.0], [[1.0], [0.0]])],
+                         ids=["repeated-point", "zero-weight"])
+def test_a_fit_singular_to_working_precision_has_infinite_error(points, sol):
+    # a repeated point makes V singular; a zero weight, the Jacobian's column
+    # in its point.  A spread beyond ATOM_TOL sends both past the a priori bound
+    vand, sol = _powers(points, 4), np.array(sol)
+    errors = _fit_errors(vand, sol, np.ones(2), np.ones(2), vand @ sol)
+    assert np.array_equal(errors, [np.inf, np.inf])

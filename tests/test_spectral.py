@@ -491,3 +491,23 @@ def test_non_finite_coefficients_are_rejected(bad):
     u = scalar_laurent(1, bad, 1)
     with pytest.raises(ValueError, match="non-finite"):
         fejer_riesz(u)
+
+
+@pytest.mark.parametrize("step", ["singular", "non-finite"])
+def test_newton_polish_stops_at_a_step_it_cannot_take(step, monkeypatch):
+    # a singular least-squares step, or an iterate whose residual is not
+    # finite, ends the polish with the best iterate so far: the starting one
+    def bad_step(a_stack, band, b, perm):
+        calls.append(1)
+        if step == "singular":
+            raise np.linalg.LinAlgError("singular")
+        return np.zeros(b.shape)
+    u = scalar_laurent(1, 2, 1)
+    b = np.array([[[1.0]], [[0.5]]], dtype=complex)
+    start = verify_factor(u, b)
+    calls, residual = [], spectral._residual
+    monkeypatch.setattr(spectral, "_newton_step", bad_step)
+    monkeypatch.setattr(spectral, "_residual",
+                        lambda a_stack, b: np.nan if calls else residual(a_stack, b))
+    best, res = spectral._newton_refine(u.coeffs, u.band, b, target=0.0)
+    assert best is b and res == start > 0 and len(calls) == 1
