@@ -10,6 +10,7 @@ complete positivity and yields the Kraus operators; a positive map that is
 not completely positive, such as the transpose, is rejected.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .moments import MomentSequence
 from .polymat import (_EntryError, _Failure, _finite_entries, _horner, _json_fields, _json_floats,
-                      _json_matrices, _json_matrix, _json_real, _read_only, _size, _symmetrized,
-                      _weighted_sum)
+                      _json_matrices, _json_matrix, _json_real, _not_psd, _read_only, _report_json,
+                      _scale, _size, _symmetrized, _weighted_sum)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
@@ -77,7 +78,7 @@ class AtomicMatrixMeasure:
                 raise _EntryError(idx, _WEIGHT.format(idx),
                                   f"merged with nearby atoms {exc.problem}") from None
         lam = np.linalg.eigvalsh(tested)
-        bad = np.flatnonzero(lam[:, 0] < -WEIGHT_PSD_TOL * np.maximum(1.0, lam[:, -1]))
+        bad = np.flatnonzero(_not_psd(lam[:, 0], lam[:, -1], WEIGHT_PSD_TOL))
         if bad.size:
             j = int(bad[0])
             idx = j if j < len(points) else first[j - len(points)]
@@ -166,10 +167,11 @@ class PositiveMapMeasure:
         By Choi's theorem it is completely positive exactly when its Choi
         matrix C[(a, p), (b, q)] = Phi(E_ab)[p, q] is PSD, and C = sum_t l_t v_t v_t^T
         then gives Kraus operators sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.
-        C not symmetric within 1e-10 max(1, max|C|), or with an eigenvalue below
-        -AUDIT_TOL max(1, l_max), is a ValueError naming the atom.  So positive
-        maps that are not completely positive, such as the transpose, are
-        rejected; on the symmetric values of F the transpose is Kraus V = I.
+        C not symmetric within 1e-10 max(1, max|C|), or with a least eigenvalue
+        -inf or below -AUDIT_TOL max(1, |l_min|, l_max), is a ValueError naming
+        the atom.  So positive maps that are not completely positive, such as
+        the transpose, are rejected; on the symmetric values of F the transpose
+        is Kraus V = I.
         """
         h, k = _size(h_dim, "h_dim"), _size(k_dim, "k_dim")
         kraus_atoms = []
@@ -182,7 +184,7 @@ class PositiveMapMeasure:
                                  f"a finite real {k * k}x{h * h} matrix")
             choi = sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1).reshape(1, h * k, -1)
             lam, vec = np.linalg.eigh(_symmetrized(choi, f"atom {idx}: Choi matrix", 1e-10)[0])
-            if lam[0] < -AUDIT_TOL * max(1.0, lam[-1]):
+            if _not_psd(lam[0], lam[-1], AUDIT_TOL):
                 raise ValueError(f"atom {idx}: Choi matrix is not symmetric PSD (least "
                                  f"eigenvalue {lam[0]:.3e}), positivity not proven")
             keep = lam > 0.0
@@ -238,31 +240,27 @@ class AuditReport:
     min_margin: float
     violations: list = field(default_factory=list)
 
-    def to_json(self):
-        return {
-            "pass": bool(self.passed),
-            "min_margin": float(self.min_margin),
-            "violations": list(self.violations),
-        }
+    to_json = _report_json
 
 
 def positivity_audit(mu, generators, trials, seed=0):
     """Exact check that L(g * A^T A) >= 0 for every A and g in {1} u generators.
 
-    Generators are scalar polynomials given as coefficient sequences
-    (constant term first).  The support precondition g(x_j) >= 0 at every
-    atom is checked first and a violation raises SupportViolation naming
-    the most negative (atom, generator) pair.  At distinct atoms, module
-    positivity is then exactly g(x_j) W_j PSD for every pair (take A a
-    Lagrange interpolant vanishing at the other atoms): the least eigenvalue
-    of g(x_j) sym(W_j) is judged against ``AUDIT_TOL`` times len(g) *
-    max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2); an atom
-    where the product of the first three overflows float64 is a ValueError
-    naming it.  ``trials`` and ``seed`` are ignored, as nothing is drawn;
-    ``trials`` must be a nonnegative integer.
+    Generators are scalar polynomials given as finite real coefficient
+    sequences (constant term first); anything else, such as a string or a
+    NaN coefficient, is a ValueError naming the generator.  The support
+    precondition g(x_j) >= 0 at every atom is checked first and a violation
+    raises SupportViolation naming the most negative (atom, generator) pair.
+    At distinct atoms, module positivity is then exactly g(x_j) W_j PSD for
+    every pair (take A a Lagrange interpolant vanishing at the other atoms):
+    the least eigenvalue of g(x_j) sym(W_j) is judged against ``AUDIT_TOL``
+    times len(g) * max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2);
+    an atom where the product of the first three overflows float64 is a
+    ValueError naming it.  ``trials`` and ``seed`` are ignored, as nothing
+    is drawn; ``trials`` must be a nonnegative integer.
     """
     _size(trials, "trials", least=0)
-    gens = [np.asarray(list(g) or [0.0], dtype=float) for g in generators]
+    gens = [_generator(gi, g) for gi, g in enumerate(generators)]
     # value and size of the constant 1 (row 0) and each generator at each atom
     g_at = np.ones((len(gens) + 1, len(mu.atoms)))
     size = np.ones(g_at.shape)
@@ -292,11 +290,20 @@ def positivity_audit(mu, generators, trials, seed=0):
     least, largest = lam[:, 0], lam[:, -1]
     # least eigenvalue of g(x_j) W_j, and its tolerance
     value = g_at * np.where(g_at >= 0.0, least, largest)
-    margin = value + AUDIT_TOL * size * np.maximum(1.0, np.maximum(-least, largest))
+    margin = value + AUDIT_TOL * size * _scale(least, largest)
     violations = [{"atom": int(ai), "generator": int(gi) - 1, "value": float(value[gi, ai])}
                   for ai, gi in zip(*np.nonzero(margin.T < 0.0))]
     min_margin = float(np.min(margin)) if margin.size else 0.0
     return AuditReport(not violations, min_margin, violations)
+
+
+def _generator(gi, g):
+    """Coefficients of generator ``gi`` as a 1-D float array, [0.0] for an empty one."""
+    with contextlib.suppress(TypeError, ValueError):
+        arr = np.asarray(list(g) or [0.0], dtype=float)
+        if arr.ndim == 1 and np.isfinite(arr).all() and not isinstance(g, (str, bytes)):
+            return arr
+    raise ValueError(f"generator {gi} must be a sequence of finite real coefficients")
 
 
 def measure_to_json(mu):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polymat import (_EntryError, _check_tol, _finite_entries, _integer, _json_fields,
-                      _json_floats, _json_matrices, _read_only, _size, _square_stack, _symmetrized)
+                      _json_floats, _json_matrices, _not_psd, _read_only, _report_json, _size,
+                      _square_stack, _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -126,15 +127,14 @@ class _HankelFamily:
         return math.isfinite(slack) and slack >= -tol * self.floor
 
     def extremes(self):
-        """(orders, least eigenvalues, scales) of every order 0..top."""
+        """(orders, least eigenvalues, largest eigenvalues) of every order 0..top."""
         if self._extremes is None:
             n, h = self._n, self._h
             w = [np.linalg.eigvalsh(h[:k, :k]) for k in range(n, len(h), n)]
             if self._w is not None:
                 w.append(self._w)
             least = np.array([v[0] for v in w])
-            self._extremes = (np.arange(self.top + 1), least,
-                              _scale(least, np.array([v[-1] for v in w])))
+            self._extremes = (np.arange(self.top + 1), least, np.array([v[-1] for v in w]))
         return self._extremes
 
 
@@ -152,13 +152,7 @@ class PsdReport:
     tested_orders: list = field(default_factory=list)
     failing_order: int | None = None
 
-    def to_json(self):
-        return {
-            "pass": bool(self.passed),
-            "min_eigenvalue": float(self.min_eigenvalue),
-            "tested_orders": [int(m) for m in self.tested_orders],
-            "failing_order": None if self.failing_order is None else int(self.failing_order),
-        }
+    to_json = _report_json
 
 
 def _localize(stack, g):
@@ -208,18 +202,13 @@ def block_hankel(seq, m, shift):
     return _hankel(seq.S[shift:], m)
 
 
-def _scale(least, largest):
-    """max(1, |least|, |largest|), the scale a least eigenvalue is judged against."""
-    return np.maximum(1.0, np.maximum(np.abs(least), np.abs(largest)))
-
-
-def _judge(orders, least, scale, tol):
-    """Scale-aware PSD test: order orders[i] fails where least[i] < -tol scale[i].
+def _judge(orders, least, largest, tol):
+    """Scale-aware PSD test: order orders[i] fails where ``_not_psd`` says so.
 
     The least eigenvalue reported is the first smallest one, as a running
     ``min`` from inf finds it, with the sign of a zero kept.
     """
-    failing = orders[least < -tol * scale]
+    failing = orders[_not_psd(least, largest, tol)]
     return PsdReport(not failing.size, min([np.inf, *least.tolist()]) if least.size else 0.0,
                      sorted(set(orders.tolist())), min(failing.tolist(), default=None))
 
@@ -261,29 +250,33 @@ def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
 def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     """PSD test of the scalar matrix [L(g x^{i+j} A_i^T A_j)] for one tuple.
 
-    ``variant`` names the moment criterion, ``hamburger``, ``stieltjes`` or
-    ``hausdorff`` (any case), whose generators g are tested.  With T_k the
-    Frobenius pairing [<S_{i+j+k}, A_i^T A_j>], the matrix of generator g
-    is sum_k g_k T_k.
+    ``variant``, a string, names the moment criterion, ``hamburger``,
+    ``stieltjes`` or ``hausdorff`` (any case), whose generators g are tested
+    on real n x n operators.  With T_k the Frobenius pairing
+    [<S_{i+j+k}, A_i^T A_j>], the matrix of generator g is sum_k g_k T_k.
     """
     _check_tol(tol)
+    if not isinstance(variant, str):
+        raise ValueError(f"variant must be a string naming the criterion, got {variant!r}")
     variant = variant.lower()
     if variant not in CRITERION_VARIANTS:
         raise ValueError(f"unknown criterion '{variant}': expected one of "
                          f"{', '.join(CRITERION_VARIANTS)}")
     keys = _generators(variant)
     gens = [GENERATORS[key] for key in keys]
-    ops = [np.asarray(a, dtype=float) for a in operators]
+    ops = [np.asarray(a) for a in operators]
     if not ops:
         raise ValueError("operator tuple must be non-empty")
     for a in ops:
         if a.shape != (seq.n, seq.n):
             raise ValueError(f"operator shape {a.shape} does not match n={seq.n}")
+        if np.iscomplexobj(a):
+            raise ValueError("operators must be real")
     m = len(ops) - 1
     extra = max(len(g) for g in gens) - 1
     if 2 * m + extra > seq.D:
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
-    stack = _finite_entries(np.array(ops), "operator A_{}")
+    stack = _finite_entries(np.array(ops, dtype=float), "operator A_{}")
 
     # T_k[i, j] = <S_{i+j+k}, A_i^T A_j> from one gather of the blocks
     k = np.arange(m + 1)
@@ -293,7 +286,7 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
     w = np.array([_spectrum(_localize(pairings, g)[0], key, "pairing matrix")[0][[0, -1]]
                   for key, g in zip(keys, gens)])
-    return _judge(np.full(len(gens), m), w[:, 0], _scale(w[:, 0], w[:, 1]), tol)
+    return _judge(np.full(len(gens), m), w[:, 0], w[:, 1], tol)
 
 
 def momentsequence_to_json(seq):

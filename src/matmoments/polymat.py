@@ -9,6 +9,7 @@ the line, which ``_least_on`` searches as it does a real stack.
 import math
 import numbers
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +69,21 @@ def _weighted_sum(weights, stack):
     w = weights[:, :, np.newaxis, np.newaxis]
     np.multiply(w, stack[:, np.newaxis], out=terms[1:], where=w != 0)
     return np.add.reduce(terms, axis=0)
+
+
+def _scale(least, largest):
+    """max(1, |least|, |largest|), the scale ``_not_psd`` and the audit's margins judge against."""
+    return np.maximum(1.0, np.maximum(np.abs(least), np.abs(largest)))
+
+
+def _not_psd(least, largest, tol):
+    """Where a least eigenvalue fails a PSD test: -inf or NaN, or below -tol * _scale."""
+    return ~np.isfinite(least) | (least < -tol * _scale(least, largest))
+
+
+def _report_json(report):
+    """A report's fields in order, ``passed`` written ``pass``; reports hold plain Python values."""
+    return {("pass" if key == "passed" else key): value for key, value in asdict(report).items()}
 
 
 def _check_tol(tol, positive=False):
@@ -419,8 +435,6 @@ def matrixpoly_from_json(doc):
     symmetric = doc.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise ValueError("field 'symmetric' must be a boolean")
-    if symmetric and np.any(coeffs != np.swapaxes(coeffs, 1, 2)):
-        raise ValueError("field 'symmetric' set but coefficients are not symmetric")
     return MatrixPoly(coeffs, symmetric=symmetric)
 
 

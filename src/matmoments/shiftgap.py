@@ -25,12 +25,12 @@ L(Id x^2) <= (1/N) L(Id)^1/2 L(Id x^6)^1/2, which holds because the
 constraint set pins the support to {0} u [N, inf).
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import SupportViolation, forward_moments, positivity_audit
-from .polymat import MatrixPoly, _Failure, _size
+from .polymat import MatrixPoly, _Failure, _report_json, _size
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
@@ -62,10 +62,7 @@ class ShiftFamily:
 
 @dataclass
 class ChainReport:
-    """Per-order values of the compression/Cauchy-Schwarz inequality chain.
-
-    Every field holds Python scalars, so ``to_json`` is the plain field dict.
-    """
+    """Per-order values of the compression/Cauchy-Schwarz inequality chain."""
 
     n_values: list
     lhs: float                      # L(Id x^2), full identity
@@ -76,8 +73,7 @@ class ChainReport:
     final_bound_holds: bool = False
     scale: float = 1.0
 
-    def to_json(self):
-        return asdict(self)
+    to_json = _report_json
 
 
 @dataclass
@@ -89,8 +85,7 @@ class ProbeReport:
     negative_candidate_min_eigenvalue: float
     negative_candidate_excluded: bool
 
-    def to_json(self):
-        return asdict(self)
+    to_json = _report_json
 
 
 def diagonal_entry(i):

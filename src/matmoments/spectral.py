@@ -40,7 +40,7 @@ import numpy as np
 
 from .polymat import (LaurentPoly, _check_tol, _Failure, _horner, _json_fields, _json_floats,
                       _json_matrices, _least_eigenvalue, _least_on, _line_weights, _maxabs,
-                      _read_only, _size, _weighted_sum)
+                      _read_only, _size, _square_stack, _weighted_sum)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -125,12 +125,11 @@ def _residual(a_stack, b):
 def verify_factor(u, factor):
     """Residual max_k ||A_k - sum_j B_{j+k} B_j^H|| of a candidate factor.
 
-    ``factor`` is a SpectralFactor or a (deg+1, n, n) coefficient stack.
-    Pure check; no tolerance judgment.
+    ``factor`` is a SpectralFactor, a non-empty (deg+1, n, n) coefficient
+    stack or one n x n matrix.  Pure check; no tolerance judgment.
     """
     b = factor.coeffs if isinstance(factor, SpectralFactor) else np.asarray(factor, dtype=np.complex128)
-    if b.ndim == 2:
-        b = b[np.newaxis]
+    b = _square_stack(b[np.newaxis] if b.ndim == 2 else b, "factor")
     if b.shape[1:] != (u.n, u.n):
         raise ValueError(f"size mismatch: factor is {b.shape[1:]}, input is {(u.n, u.n)}")
     return _residual(u.coeffs, b)

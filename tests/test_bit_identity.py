@@ -11,6 +11,7 @@ product differently and need its own.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, certificates,
                         check_hamburger, check_hausdorff, check_stieltjes, forward_moments,
-                        operator_check, recover)
+                        operator_check, positivity_audit, recover)
 
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
 MOMENT_DIGEST = "51548810a58a2ecaee50822ecd9c4811c18666a84402c55520d8d93cda7e991f"
@@ -241,6 +242,32 @@ def _moment_cases():
 def test_moment_path_digest_is_unchanged():
     """Measure, moments, the three criteria, one operator tuple and ``recover`` at degree 2r + 2."""
     _assert_digest("MOMENT_DIGEST", MOMENT_DIGEST, _moment_cases())
+
+
+def _plain(value):
+    """Whether ``value`` is built of None, bools, ints, floats, strs, lists and str-keyed dicts."""
+    if isinstance(value, list):
+        return all(map(_plain, value))
+    if isinstance(value, dict):
+        return all(type(key) is str and _plain(v) for key, v in value.items())
+    return value is None or type(value) in (bool, int, float, str)
+
+
+def test_every_report_of_the_moment_corpus_holds_plain_python_values():
+    # to_json hands a report's fields to json as they are, so a numpy scalar
+    # in one would print as np.float64(...) in its repr and a numpy bool would
+    # not serialize; the measures' audits run as the moments workload runs them
+    rng = np.random.default_rng(7)
+    for n, atoms in _moment_corpus():
+        mu = AtomicMatrixMeasure(n, atoms)
+        seq = forward_moments(mu, 2 * len(atoms) + 2)
+        reports = [check(seq) for check in (check_hamburger, check_stieltjes, check_hausdorff)]
+        reports.append(operator_check(seq, rng.standard_normal((2, n, n)), "hausdorff"))
+        reports.append(positivity_audit(mu, [[4.0, 0.0, -1.0]], 0))
+        for report in reports:
+            doc = report.to_json()
+            assert _plain(doc) and _plain(dataclasses.asdict(report)), (n, report)
+            assert list(doc)[0] == "pass" and doc["pass"] is report.passed
 
 
 def _outcome(data):

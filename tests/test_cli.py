@@ -364,6 +364,20 @@ def test_malformed_json_is_input_error(workspace):
     assert "malformed JSON" in res.report["error"]["message"]
 
 
+def test_missing_file_is_input_error(workspace):
+    missing = str(workspace["dir"] / "absent.json")
+    res = run(["check", "--variant", "hamburger", "--moments", missing])
+    assert res.exit_code == 2
+    assert res.report["error"] == {"type": "ValueError", "message": f"{missing}: file not found"}
+
+
+def test_help_exits_zero_with_only_the_usage_text(capsys):
+    assert run(["--help"]) == (0, {})
+    capsys.readouterr()
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: momentctl")
+
+
 def test_missing_field_names_the_field(workspace):
     res = run(["check", "--variant", "hamburger", "--moments", workspace["bad.json"]])
     assert res.exit_code == 2

@@ -441,6 +441,34 @@ def test_positivity_audit_rejects_negative_trial_counts():
     assert positivity_audit(AtomicMatrixMeasure(2, []), [[0.0, 1.0]], 0).min_margin == 0.0
 
 
+@pytest.mark.parametrize("generators,index", [
+    ([[-1.0, np.nan]], 0), ([[0.0, 1.0], [np.nan]], 1), ([[0.0, 1.0], None], 1),
+    ([1.0], 0), ([[0.0, 1.0], 2.0], 1), ([[[0.0, 1.0]]], 0), ([[1j]], 0), ([["one"]], 0),
+    (["12"], 0), ([[0.0], b"12"], 1), ([[np.inf]], 0), ([[1.0, -np.inf]], 0)])
+@pytest.mark.parametrize("atoms", [[(0.5, I2)], []])
+def test_positivity_audit_names_a_generator_that_is_no_real_sequence(generators, index, atoms):
+    # a NaN coefficient passed: max(1, nan) is 1 and nan < -bound is false,
+    # so [[-1, nan]] gave passed=True with min_margin nan; a bare number
+    # raised TypeError; "12" was audited as 1 + 2x; an infinite coefficient
+    # passed on a measure without atoms and overflowed on one with atoms
+    with pytest.raises(ValueError, match=f"^generator {index} must be a sequence of finite "
+                                         "real coefficients$"):
+        positivity_audit(AtomicMatrixMeasure(2, atoms), generators, 0)
+
+
+def test_a_least_eigenvalue_that_overflows_fails_the_psd_test():
+    # eigenvalues 0 and -2e308, which eigvalsh returns as -inf; against the
+    # scale max(1, |least|, |largest|) = inf alone, -inf < -1e-10 * inf is
+    # false, so a least eigenvalue that is not finite must fail outright
+    w = np.array([[-1e308, 1e308], [1e308, -1e308]])
+    assert np.linalg.eigvalsh(w)[0] == -np.inf
+    with pytest.raises(ValueError, match=r"^atom 0: weight has eigenvalue -inf < 0$"):
+        AtomicMatrixMeasure(2, [(0.0, w)])
+    with pytest.raises(ValueError, match=r"^atom 0: Choi matrix is not symmetric PSD \(least "
+                                         r"eigenvalue -inf\), positivity not proven$"):
+        PositiveMapMeasure.from_linear(1, 2, [(0.0, w.reshape(4, 1))])
+
+
 def test_positivity_audit_ignores_trials_and_seed():
     # the test is exact: no trial count or seed changes a report
     mu = SimpleNamespace(n=2, atoms=((0.5, np.diag([1.0, -1.0])), (0.8, I2)))

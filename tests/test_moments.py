@@ -178,6 +178,20 @@ def test_operator_check_names_the_accepted_criteria(name):
         operator_check(plus_minus_one_moments(2), [I2], name)
 
 
+@pytest.mark.parametrize("variant", [5, None, ["hamburger"], b"hamburger"])
+def test_operator_check_wants_a_string_variant(variant):
+    # a non-string raised AttributeError from variant.lower()
+    with pytest.raises(ValueError, match=r"^variant must be a string naming the criterion, got "):
+        operator_check(plus_minus_one_moments(2), [I2], variant)
+
+
+@pytest.mark.parametrize("op", [1j * I2, I2.astype(complex), I2 + 1e-3j * np.ones((2, 2))])
+def test_operator_check_rejects_complex_operators(op):
+    # each was cast to its real part, with a ComplexWarning: [I, iI] was judged as [I, 0]
+    with pytest.raises(ValueError, match="^operators must be real$"):
+        operator_check(plus_minus_one_moments(2), [I2, op], "hamburger")
+
+
 @pytest.mark.parametrize("checker,lo,hi", [
     (check_hamburger, -2.0, 2.0),
     (check_stieltjes, 0.0, 2.0),

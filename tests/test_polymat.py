@@ -307,6 +307,21 @@ def test_symmetric_flag_names_the_first_asymmetric_coefficient():
     assert MatrixPoly(np.ones((3, 2, 2)), symmetric=True).symmetric
 
 
+def test_laurent_poly_rejects_an_even_length_stack():
+    with pytest.raises(ValueError, match="^coefficient stack must have odd length 2\\*band\\+1$"):
+        LaurentPoly(np.zeros((2, 1, 1)))
+
+
+def test_sums_and_products_want_matrix_polys_of_one_size():
+    p, q = MatrixPoly.constant(I2), MatrixPoly.constant(np.eye(3))
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        p + q
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        p @ q
+    with pytest.raises(TypeError):
+        p + I2
+
+
 def test_laurent_poly_rejects_zero_size_matrices():
     with pytest.raises(ValueError, match="n >= 1"):
         LaurentPoly(np.zeros((3, 0, 0)))
@@ -333,6 +348,16 @@ def test_json_round_trip():
     doc = matrixpoly_to_json(f)
     g = matrixpoly_from_json(doc)
     assert g.symmetric and np.array_equal(np.array(g.coeffs), np.array(f.coeffs))
+
+
+def test_the_loader_judges_the_symmetric_flag_as_matrix_poly_does():
+    # the loader's own copy of the check said "field 'symmetric' set but
+    # coefficients are not symmetric" and judged coefficients MatrixPoly strips
+    doc = {"n": 2, "symmetric": True, "coeffs": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 0.0]]]}
+    with pytest.raises(ValueError, match="^coefficient 1 is not exactly symmetric$"):
+        matrixpoly_from_json(doc)
+    doc["coeffs"][1] = [[0.0, STRIP_TOL / 2], [0.0, 0.0]]
+    assert matrixpoly_from_json(doc).deg == 0
 
 
 def test_empty_coefficient_stack_is_rejected():
@@ -394,6 +419,9 @@ _LAURENT = {"n": 1, "band": 1, "coeffs_re": [[[1.0]], [[2.0]], [[1.0]]],
     (certificate_from_json, {"variant": ["line"], "sigma": {}}, "'variant'"),
     (certificate_from_json, {"variant": {"line": 1}, "sigma": {}}, "'variant'"),
     (certificate_from_json, {"variant": "line", "sigma": {"x": []}}, "'sigma'"),
+    (certificate_from_json, {"variant": "line", "sigma": [[]]}, "field 'sigma' must be an object"),
+    (certificate_from_json, {"variant": "line", "sigma": {"1": {}}},
+     "sigma['1'] must be a list of matrix polynomials"),
 ])
 def test_every_loader_names_the_bad_field(load, doc, field):
     with pytest.raises(ValueError, match=re.escape(field)):
@@ -452,3 +480,13 @@ def test_hermitian_stacks_locate_like_their_real_embedding():
         worst, _ = _least_on(c, a, b, shift)
         embedded, _ = _least_on(np.block([[c.real, -c.imag], [c.imag, c.real]]), a, b, shift)
         assert abs(worst - embedded) <= 1e-12 * abs(embedded), trial
+
+
+def test_a_stack_singular_everywhere_is_judged_at_the_ends():
+    # det F = 0 at every x, so the companion cannot be built: the locator
+    # evaluates its best Chebyshev point and the interval's ends, and finds
+    # diag(x - 0.3, 0)'s least eigenvalue -0.3 at x = 0
+    f = np.zeros((2, 2, 2))
+    f[0, 0, 0], f[1, 0, 0] = -0.3, 1.0
+    worst, x = _least_on(f, 0.0, 1.0, 0.0)
+    assert (worst, x) == (-0.3, 0.0)

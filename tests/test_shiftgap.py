@@ -202,6 +202,12 @@ def test_chain_point_mass_at_origin():
     assert rep.all_hold and rep.final_bound_holds
 
 
+def test_chain_wants_a_functional_of_the_family_size():
+    mu = AtomicMatrixMeasure(2, [(0.0, np.eye(2))])
+    with pytest.raises(ValueError, match="^functional size 2 does not match family size 3$"):
+        cauchy_schwarz_chain(mu, build_family(3))
+
+
 def test_chain_precondition_failure_names_compression():
     fam = build_family(3)
     mu = AtomicMatrixMeasure(3, [(1.0, np.eye(3))])

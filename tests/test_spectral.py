@@ -291,6 +291,21 @@ def test_verify_factor_size_mismatch():
         verify_factor(u, np.eye(2, dtype=complex)[np.newaxis])
 
 
+def test_verify_factor_takes_one_matrix_as_a_constant_factor():
+    uid = LaurentPoly(np.eye(2, dtype=complex)[np.newaxis])
+    assert verify_factor(uid, np.eye(2)) == 0.0
+    assert verify_factor(uid, 2.0 * np.eye(2)) == 3.0
+
+
+@pytest.mark.parametrize("factor", [np.zeros((0, 2, 2)), np.ones(2), np.ones((1, 2, 3)),
+                                    np.ones((1, 1, 2, 2)), 1.0])
+def test_verify_factor_names_a_malformed_factor(factor):
+    # an empty stack passed as the zero factor, and the rest were size mismatches
+    uid = LaurentPoly(np.eye(2, dtype=complex)[np.newaxis])
+    with pytest.raises(ValueError, match=r"^factor must form a non-empty \(len, n, n\) stack"):
+        verify_factor(uid, factor)
+
+
 def test_round_trip_random_factors():
     rng = np.random.default_rng(17)
 
