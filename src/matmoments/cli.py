@@ -191,10 +191,8 @@ def run(argv):
     try:
         code, body = args.func(args)
     except (_Failure, ValueError, KeyError) as exc:
-        code, kind = (1 if isinstance(exc, _Failure) else 2), type(exc)
-        if code == 2:       # an input error names its public class, such as ValueError
-            kind = next(c for c in kind.__mro__ if not c.__name__.startswith("_"))
-        body = {"error": {"type": kind.__name__, "message": str(exc)}}
+        code = 1 if isinstance(exc, _Failure) else 2
+        body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     return CommandResult(code, {"schema_version": SCHEMA_VERSION, "command": args.command, **body})
 
 

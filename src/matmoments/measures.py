@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_EntryError, _Failure, _finite_entries, _horner, _json_fields, _json_floats,
-                      _json_matrices, _json_matrix, _json_real, _not_psd, _read_only, _report_json,
-                      _scale, _size, _symmetrized, _weighted_sum)
+from .polymat import (_Failure, _finite_entries, _finite_spectra, _horner, _json_fields,
+                      _json_floats, _json_matrices, _json_matrix, _json_real, _not_psd, _read_only,
+                      _report_json, _scale, _size, _symmetrized, _weighted_sum)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 AUDIT_TOL = 1e-9
-_WEIGHT = "atom {}: weight"     # how a weight's checks name it
+_WEIGHT = "atoms[{}].W".format      # a weight's one name, its JSON field path
 
 
 class SupportViolation(_Failure, ValueError):
@@ -44,16 +44,16 @@ class AtomicMatrixMeasure:
     """Finitely many (point, symmetric PSD weight) atoms of a common size."""
 
     def __init__(self, n, atoms):
-        self._n = _size(n, "weight size n")
+        self._n = n = _size(n, "weight size n")
         points, weights = [], []
         for idx, (x, w) in enumerate(atoms):
             x = _finite_point(idx, x)
             w = np.asarray(w, dtype=float)
-            if w.shape != (self._n, self._n):
-                raise _EntryError(idx, _WEIGHT.format(idx), f"shape {w.shape}, expected {(n, n)}")
+            if w.shape != (n, n):
+                raise ValueError(f"{_WEIGHT(idx)} has shape {w.shape}, expected {(n, n)}")
             points.append(x)
             weights.append(w)
-        w = np.array(weights).reshape(len(weights), self._n, self._n)
+        w = np.array(weights).reshape(len(weights), n, n)
         sym = _symmetrized(_finite_entries(w, _WEIGHT), _WEIGHT, 1e-10)
         # atoms closer than MERGE_TOL merge into one; first[k] is the least
         # input index of merged atom k
@@ -66,24 +66,22 @@ class AtomicMatrixMeasure:
             else:
                 merged.append((points[idx], sym[idx]))
                 first.append(idx)
-        # every input weight must be PSD; where atoms merged, every merged weight
-        # too, and finite, named like a PSD failure by its least input index
+
+        # every input weight and every merged weight must be finite, with a finite
+        # spectrum, and PSD; a merged weight is named by its least input index
+        def name(j):    # weight j of the tested stack: the inputs, then any merged weights
+            if j < len(points):
+                return _WEIGHT(j)
+            return f"{_WEIGHT(first[j - len(points)])} merged with nearby atoms"
+
         tested = sym
         if len(merged) < len(points):
-            try:
-                tested = np.concatenate([sym, _finite_entries(np.array([w for _, w in merged]),
-                                                              _WEIGHT)])
-            except _EntryError as exc:
-                idx = first[exc.index]
-                raise _EntryError(idx, _WEIGHT.format(idx),
-                                  f"merged with nearby atoms {exc.problem}") from None
-        lam = np.linalg.eigvalsh(tested)
+            tested = _finite_entries(np.concatenate([sym, [w for _, w in merged]]), name)
+        lam = _finite_spectra(np.linalg.eigvalsh(tested), name)
         bad = np.flatnonzero(_not_psd(lam[:, 0], lam[:, -1], WEIGHT_PSD_TOL))
         if bad.size:
             j = int(bad[0])
-            idx = j if j < len(points) else first[j - len(points)]
-            how = "" if j < len(points) else "merged with nearby atoms "
-            raise _EntryError(idx, _WEIGHT.format(idx), f"{how}has eigenvalue {lam[j, 0]:.3e} < 0")
+            raise ValueError(f"{name(j)} has eigenvalue {lam[j, 0]:.3e} < 0")
         self._atoms = tuple((x, _read_only(np.array(w))) for x, w in merged)
 
     @classmethod
@@ -167,11 +165,11 @@ class PositiveMapMeasure:
         By Choi's theorem it is completely positive exactly when its Choi
         matrix C[(a, p), (b, q)] = Phi(E_ab)[p, q] is PSD, and C = sum_t l_t v_t v_t^T
         then gives Kraus operators sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.
-        C not symmetric within 1e-10 max(1, max|C|), or with a least eigenvalue
-        -inf or below -AUDIT_TOL max(1, |l_min|, l_max), is a ValueError naming
-        the atom.  So positive maps that are not completely positive, such as
-        the transpose, are rejected; on the symmetric values of F the transpose
-        is Kraus V = I.
+        C not symmetric within 1e-10 max(1, max|C|), with an eigenvalue that
+        overflows float64, or with l_min below -AUDIT_TOL max(1, |l_min|, l_max),
+        is a ValueError naming the atom.  So positive maps that are not
+        completely positive, such as the transpose, are rejected; on the
+        symmetric values of F the transpose is Kraus V = I.
         """
         h, k = _size(h_dim, "h_dim"), _size(k_dim, "k_dim")
         kraus_atoms = []
@@ -183,7 +181,9 @@ class PositiveMapMeasure:
                 raise ValueError(f"atom {idx}: superoperator of shape {sup.shape} must be "
                                  f"a finite real {k * k}x{h * h} matrix")
             choi = sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1).reshape(1, h * k, -1)
-            lam, vec = np.linalg.eigh(_symmetrized(choi, f"atom {idx}: Choi matrix", 1e-10)[0])
+            name = lambda _: f"atom {idx}: Choi matrix"    # the stack holds this one matrix
+            lam, vec = np.linalg.eigh(_symmetrized(choi, name, 1e-10)[0])
+            _finite_spectra(lam[np.newaxis], name)
             if _not_psd(lam[0], lam[-1], AUDIT_TOL):
                 raise ValueError(f"atom {idx}: Choi matrix is not symmetric PSD (least "
                                  f"eigenvalue {lam[0]:.3e}), positivity not proven")
@@ -256,8 +256,9 @@ def positivity_audit(mu, generators, trials, seed=0):
     the least eigenvalue of g(x_j) sym(W_j) is judged against ``AUDIT_TOL``
     times len(g) * max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2);
     an atom where the product of the first three overflows float64 is a
-    ValueError naming it.  ``trials`` and ``seed`` are ignored, as nothing
-    is drawn; ``trials`` must be a nonnegative integer.
+    ValueError naming it, and so is a weight ``atoms[j].W`` with a non-finite
+    entry or an eigenvalue that overflows float64.  ``trials`` and ``seed``
+    are ignored, as nothing is drawn; ``trials`` must be a nonnegative integer.
     """
     _size(trials, "trials", least=0)
     gens = [_generator(gi, g) for gi, g in enumerate(generators)]
@@ -285,8 +286,8 @@ def positivity_audit(mu, generators, trials, seed=0):
         raise SupportViolation(*worst)
 
     w = np.array([w for _, w in mu.atoms], dtype=float).reshape(-1, mu.n, mu.n)
-    half = 0.5 * w      # halved first, so the symmetric part is finite near the float maximum
-    lam = np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2))
+    half = 0.5 * _finite_entries(w, _WEIGHT)    # halved first: the symmetric part stays finite
+    lam = _finite_spectra(np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2)), _WEIGHT)
     least, largest = lam[:, 0], lam[:, -1]
     # least eigenvalue of g(x_j) W_j, and its tolerance
     value = g_at * np.where(g_at >= 0.0, least, largest)
@@ -332,11 +333,8 @@ def _measure_doc(doc, what, dims, matrix_field):
 
 def measure_from_json(doc):
     (n,), atoms = _measure_doc(doc, "measure", ("n",), "W")
-    atoms = [(x, _json_matrix(w, f"atoms[{idx}].W", n, n)) for idx, (x, w) in enumerate(atoms)]
-    try:
-        return AtomicMatrixMeasure(n, atoms)
-    except _EntryError as exc:
-        raise ValueError(f"atoms[{exc.index}].W {exc.problem}") from None
+    return AtomicMatrixMeasure(n, [(x, _json_matrix(w, _WEIGHT(idx), n, n))
+                                   for idx, (x, w) in enumerate(atoms)])
 
 
 def map_measure_to_json(m):

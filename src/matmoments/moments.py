@@ -25,15 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import (_EntryError, _check_tol, _finite_entries, _integer, _json_fields,
-                      _json_floats, _json_matrices, _not_psd, _read_only, _report_json, _size,
-                      _square_stack, _symmetrized)
+from .polymat import (_check_tol, _finite_entries, _integer, _json_fields, _json_floats,
+                      _json_matrices, _not_psd, _read_only, _report_json, _size, _square_stack,
+                      _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
 
 EPS = np.finfo(float).eps
 
 _SYM_RTOL = 1e-12
+_MOMENT = "moments[{}]".format      # a moment's one name, its JSON field path
 
 # Cone generators g of the preorderings, as coefficients with the constant
 # term first.  A certificate writes F = sum_g g * sigma_g over its variant's
@@ -68,7 +69,7 @@ class MomentSequence:
         arr = np.asarray(matrices, dtype=np.float64)
         arr = _square_stack(arr[np.newaxis] if arr.ndim == 2 else arr, "moments")
         # stored exactly symmetric, so block Hankels come out bit-symmetric
-        arr = _symmetrized(_finite_entries(arr, "moment S_{}"), "moment S_{}", _SYM_RTOL)
+        arr = _symmetrized(_finite_entries(arr, _MOMENT), _MOMENT, _SYM_RTOL)
         self._S = _read_only(arr)
         self._families = {}
 
@@ -276,7 +277,7 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     extra = max(len(g) for g in gens) - 1
     if 2 * m + extra > seq.D:
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
-    stack = _finite_entries(np.array(ops, dtype=float), "operator A_{}")
+    stack = _finite_entries(np.array(ops, dtype=float), "operator A_{}".format)
 
     # T_k[i, j] = <S_{i+j+k}, A_i^T A_j> from one gather of the blocks
     k = np.arange(m + 1)
@@ -295,8 +296,4 @@ def momentsequence_to_json(seq):
 
 def momentsequence_from_json(doc):
     _json_fields(doc, "moment sequence", "n", "moments")
-    mats = _json_matrices(doc["moments"], "moments", _size(doc["n"], "field 'n'"))
-    try:
-        return MomentSequence(mats)
-    except _EntryError as exc:
-        raise ValueError(f"moments[{exc.index}] {exc.problem}") from None
+    return MomentSequence(_json_matrices(doc["moments"], "moments", _size(doc["n"], "field 'n'")))

@@ -98,19 +98,6 @@ class _Failure(Exception):
     """First base of every domain failure, which ``momentctl`` reports with exit code 1."""
 
 
-class _EntryError(ValueError):
-    """``what`` (entry ``index`` of a stack or atom list) ``problem``.
-
-    A JSON loader re-raises it with the entry's field path in place of
-    ``what``, such as ``moments[3]`` or ``atoms[1].W``.
-    """
-
-    def __init__(self, index, what, problem):
-        super().__init__(f"{what} {problem}")
-        self.index = index
-        self.problem = problem
-
-
 def _integer(value):
     """Whether ``value`` is a Python or numpy int; bools and floats are not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -124,29 +111,44 @@ def _size(value, what, least=1):
 
 
 def _finite_entries(stack, label):
-    """``stack`` if finite, else an ``_EntryError`` naming its first bad matrix k by ``label``."""
+    """``stack`` if finite, else a ValueError naming its first bad matrix k as ``label(k)``.
+
+    ``label`` maps an index to the entry's one name, such as
+    ``"moments[{}]".format``; it is called only on the failing path.
+    """
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
     if bad.size:
-        k = int(bad[0])
-        raise _EntryError(k, label.format(k), "has a non-finite entry")
+        raise ValueError(f"{label(int(bad[0]))} has a non-finite entry")
     return stack
 
 
 def _symmetrized(stack, label, rtol):
     """S/2 + (S/2)^T for each finite S of ``stack``; max|S - S^T| > rtol max(1, max|S|) raises.
 
-    The error names S as ``_finite_entries`` does.  Halved first, the sum and
-    difference stay finite near the float maximum, and on normal-range
-    entries are bit for bit (S + S^T)/2 and (S - S^T)/2.
+    The ValueError names S as ``_finite_entries`` does.  Halved first, the
+    sum and difference stay finite near the float maximum, and on
+    normal-range entries are bit for bit (S + S^T)/2 and (S - S^T)/2.
     """
     half = 0.5 * stack
     half_t = np.swapaxes(half, 1, 2)
     scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
     bad = np.flatnonzero(np.max(np.abs(half - half_t), axis=(1, 2)) > 0.5 * rtol * scale)
     if bad.size:
-        k = int(bad[0])
-        raise _EntryError(k, label.format(k), "is not symmetric")
+        raise ValueError(f"{label(int(bad[0]))} is not symmetric")
     return half + half_t
+
+
+def _finite_spectra(lam, label):
+    """``lam``, rows of ascending eigenvalues, if each row's least and largest are finite.
+
+    A spectrum that overflowed float64 leaves no scale to judge it by, so
+    the first such matrix k is a ValueError naming it as ``label(k)``, by
+    the rule ``moments._spectrum`` applies to a Hankel.
+    """
+    bad = np.flatnonzero(~(np.isfinite(lam[:, 0]) & np.isfinite(lam[:, -1])))
+    if bad.size:
+        raise ValueError(f"{label(int(bad[0]))} has an eigenvalue that overflows float64")
+    return lam
 
 
 def _json_real(v):

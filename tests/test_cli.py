@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, reports, determinism, piping."""
 
+import importlib
 import io
 import json
 import os
@@ -447,7 +448,21 @@ def test_library_entry_errors_report_their_public_class(tmp_path):
     res = run(["shiftgap", "--dim", "2", "--functional", str(fn)])
     assert res.exit_code == 2
     assert res.report["error"] == {"type": "ValueError",
-                                   "message": "moment S_6 has a non-finite entry"}
+                                   "message": "moments[6] has a non-finite entry"}
+
+
+def test_no_private_exception_class_can_reach_a_report():
+    # a report's type is type(exc).__name__, so only the two abstract bases,
+    # which nothing raises itself, may have a private name; _EntryError, a
+    # ValueError the constructors raised, once did
+    modules = [importlib.import_module(f"matmoments.{name}") for name in matmoments._EXPORTS]
+    defined = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    exported = {getattr(matmoments, name) for name in matmoments.__all__}
+    # SosConsistencyError has a public name but is not exported by the package
+    assert {c.__name__ for c in defined - exported} == {"_Failure", "_NotPsdOnDomain",
+                                                          "SosConsistencyError"}
 
 
 def test_recover_atom_beyond_the_float_range_is_input_error(tmp_path, capsys):

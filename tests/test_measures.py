@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from conftest import rand_measure, rand_psd, rand_symmetric_poly, separated_points
-from matmoments import (AtomicMatrixMeasure, MatrixPoly, PositiveMapMeasure,
+from matmoments import (AtomicMatrixMeasure, MatrixPoly, MomentSequence, PositiveMapMeasure,
                         SupportViolation, check_hamburger, check_hausdorff,
                         check_stieltjes, decompose_halfline, forward_moments,
                         integrate_map, integrate_trace, map_measure_from_json,
                         map_measure_to_json, measure_from_json, measure_to_json,
-                        positivity_audit, scalar_poly_mult, transpose_poly)
+                        momentsequence_from_json, positivity_audit, scalar_poly_mult,
+                        transpose_poly)
 from matmoments import matmul as poly_matmul
 from matmoments.measures import AUDIT_TOL, WEIGHT_PSD_TOL
 from matmoments.polymat import _horner
@@ -55,7 +56,7 @@ def test_integrate_map_size_mismatch():
 
 
 def test_weight_of_the_wrong_shape_is_named():
-    with pytest.raises(ValueError, match=r"^atom 1: weight shape \(3, 3\), expected \(2, 2\)$"):
+    with pytest.raises(ValueError, match=r"^atoms\[1\]\.W has shape \(3, 3\), expected \(2, 2\)$"):
         AtomicMatrixMeasure(2, [(0.0, I2), (1.0, np.eye(3))])
 
 
@@ -244,8 +245,8 @@ def test_forward_moments_match_the_running_product_loop():
 @pytest.mark.parametrize("points,weights,match", [
     ([0.0, np.nan], [I2, I2], "atom 1: point nan is not finite"),
     ([0.0, np.inf], [I2, I2], "atom 1: point inf is not finite"),
-    ([0.0, 1.0], [I2, np.where(I2 > 0, np.inf, 0.0)], "atom 1: weight has a non-finite entry"),
-    ([0.0, 1.0], [np.full((2, 2), np.nan), I2], "atom 0: weight has a non-finite entry"),
+    ([0.0, 1.0], [I2, np.where(I2 > 0, np.inf, 0.0)], r"atoms\[1\]\.W has a non-finite entry"),
+    ([0.0, 1.0], [np.full((2, 2), np.nan), I2], r"atoms\[0\]\.W has a non-finite entry"),
 ])
 def test_direct_measure_checks_finiteness_with_the_constructors_messages(points, weights, match):
     # recover builds its measure without the constructor's other checks
@@ -281,9 +282,9 @@ def test_numpy_integer_sizes_and_degrees_stay_valid():
 
 
 @pytest.mark.parametrize("bad,match", [
-    (np.array([[1.0, 2.0], [0.0, 1.0]]), "atom 2: weight is not symmetric"),
-    (np.diag([1.0, -1.0]), "atom 2: weight has eigenvalue -1.000e+00 < 0"),
-    (np.diag([1.0, np.nan]), "atom 2: weight has a non-finite entry"),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), "atoms[2].W is not symmetric"),
+    (np.diag([1.0, -1.0]), "atoms[2].W has eigenvalue -1.000e+00 < 0"),
+    (np.diag([1.0, np.nan]), "atoms[2].W has a non-finite entry"),
 ])
 def test_batched_weight_checks_name_the_first_bad_atom(bad, match):
     atoms = [(0.0, I2), (1.0, I2), (2.0, bad), (3.0, bad)]
@@ -297,7 +298,7 @@ def test_weights_near_the_float_maximum_stay_finite():
     mu = AtomicMatrixMeasure(1, [(0.5, [[1.5e308]])])
     assert mu.atoms[0][1][0, 0] == 1.5e308
     assert positivity_audit(mu, [[0.0, 1.0]], 0).passed
-    with pytest.raises(ValueError, match="^atom 0: weight is not symmetric$"):
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W is not symmetric$"):
         AtomicMatrixMeasure(2, [(0.5, [[1e308, 1e308], [-1e308, 1e308]])])
     (_, (v,)), = PositiveMapMeasure.from_linear(1, 1, [(0.0, [[1.7e308]])]).atoms
     assert v[0, 0] == np.sqrt(1.7e308)
@@ -316,7 +317,7 @@ def test_merged_weights_are_checked():
     # measure used to be accepted and then fail positivity_audit(mu, [], 0)
     edge = np.diag([-0.99 * WEIGHT_PSD_TOL, 0.05])
     atoms = [(2.0, I2)] + [(0.5, edge)] * 12
-    match = "atom 1: weight merged with nearby atoms has eigenvalue -1.188e-09 < 0"
+    match = "atoms[1].W merged with nearby atoms has eigenvalue -1.188e-09 < 0"
     with pytest.raises(ValueError, match=re.escape(match)):
         AtomicMatrixMeasure(2, atoms)
     doc = {"n": 2, "atoms": [{"x": x, "W": w.tolist()} for x, w in atoms]}
@@ -328,7 +329,7 @@ def test_merged_weights_are_checked():
 def test_merged_weights_that_overflow_are_rejected():
     # the sum was stored as [[inf]], whose NaN eigenvalue passed the PSD test
     atoms = [(0.7, [[1.0]]), (0.5, [[1e308]]), (0.5 + 1e-13, [[1e308]])]
-    match = "atom 1: weight merged with nearby atoms has a non-finite entry"
+    match = "atoms[1].W merged with nearby atoms has a non-finite entry"
     with pytest.raises(ValueError, match=re.escape(match)):
         AtomicMatrixMeasure(1, atoms)
     doc = {"n": 1, "atoms": [{"x": x, "W": w} for x, w in atoms]}
@@ -462,11 +463,91 @@ def test_a_least_eigenvalue_that_overflows_fails_the_psd_test():
     # false, so a least eigenvalue that is not finite must fail outright
     w = np.array([[-1e308, 1e308], [1e308, -1e308]])
     assert np.linalg.eigvalsh(w)[0] == -np.inf
-    with pytest.raises(ValueError, match=r"^atom 0: weight has eigenvalue -inf < 0$"):
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has an eigenvalue that overflows "
+                                         r"float64$"):
         AtomicMatrixMeasure(2, [(0.0, w)])
-    with pytest.raises(ValueError, match=r"^atom 0: Choi matrix is not symmetric PSD \(least "
-                                         r"eigenvalue -inf\), positivity not proven$"):
+    with pytest.raises(ValueError, match=r"^atom 0: Choi matrix has an eigenvalue that overflows "
+                                         r"float64$"):
         PositiveMapMeasure.from_linear(1, 2, [(0.0, w.reshape(4, 1))])
+
+
+# eigenvalues -5, 0 and 2e308, which eigvalsh returns as inf
+SPECTRUM_OVERFLOW = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -5.0]])
+HALF_OVERFLOW = np.full((2, 2), 6e307)      # eigenvalues 0 and 1.2e308; two of them sum past
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: AtomicMatrixMeasure(3, [(0.0, SPECTRUM_OVERFLOW)]), "atoms[0].W"),
+    (lambda: AtomicMatrixMeasure(2, [(0.0, np.full((2, 2), 1e308))]), "atoms[0].W"),
+    (lambda: AtomicMatrixMeasure(2, [(0.0, I2), (0.5, HALF_OVERFLOW),
+                                     (0.5 + 1e-13, HALF_OVERFLOW)]),
+     "atoms[1].W merged with nearby atoms"),
+    (lambda: positivity_audit(SimpleNamespace(n=3, atoms=((0.0, SPECTRUM_OVERFLOW),)), [], 0),
+     "atoms[0].W"),
+    (lambda: positivity_audit(SimpleNamespace(n=2, atoms=((0.0, I2), (1.0, 1e308 * np.ones((2, 2))))),
+                              [[0.0, 1.0]], 0), "atoms[1].W"),
+    (lambda: PositiveMapMeasure.from_linear(1, 3, [(0.0, SPECTRUM_OVERFLOW.reshape(9, 1))]),
+     "atom 0: Choi matrix"),
+], ids=["weight", "psd-weight", "merged-weight", "audit", "audit-psd-weight", "choi"])
+def test_a_spectrum_that_overflows_is_rejected_on_the_measure_side(build, match):
+    # the weight was judged -5 >= -1e-10 * inf and admitted, and the audit then
+    # passed with min_margin inf; the Choi matrix reached numpy's "invalid
+    # value" warning and a Kraus operator of shape (1, 3) the caller never gave
+    with pytest.raises(ValueError, match=f"^{re.escape(match)} has an eigenvalue that overflows "
+                                         "float64$"):
+        build()
+
+
+def test_the_audit_names_a_non_finite_weight():
+    # a NaN weight's NaN eigenvalues passed the audit with min_margin NaN
+    mu = SimpleNamespace(n=2, atoms=((0.0, I2), (1.0, np.diag([1.0, np.nan]))))
+    with pytest.raises(ValueError, match=r"^atoms\[1\]\.W has a non-finite entry$"):
+        positivity_audit(mu, [], 0)
+
+
+def _atoms_doc(n, atoms):
+    return {"n": n, "atoms": [{"x": x, "W": np.asarray(w).tolist()} for x, w in atoms]}
+
+
+@pytest.mark.parametrize("build,load,doc,message", [
+    (MomentSequence, momentsequence_from_json, [I2, I2, [[1.0, 1.0], [0.0, 1.0]]],
+     "moments[2] is not symmetric"),
+    (AtomicMatrixMeasure, measure_from_json, [(0.0, I2), (1.0, [[1.0, 2.0], [0.0, 1.0]])],
+     "atoms[1].W is not symmetric"),
+    (AtomicMatrixMeasure, measure_from_json, [(0.0, I2), (1.0, np.diag([1.0, -1.0]))],
+     "atoms[1].W has eigenvalue -1.000e+00 < 0"),
+    (AtomicMatrixMeasure, measure_from_json,
+     [(2.0, I2)] + [(0.5, np.diag([-0.99 * WEIGHT_PSD_TOL, 0.05]))] * 12,
+     "atoms[1].W merged with nearby atoms has eigenvalue -1.188e-09 < 0"),
+    (AtomicMatrixMeasure, measure_from_json,
+     [(0.7, I2), (0.5, 1e308 * I2), (0.5 + 1e-13, 1e308 * I2)],
+     "atoms[1].W merged with nearby atoms has a non-finite entry"),
+    (AtomicMatrixMeasure, measure_from_json,
+     [(0.7, I2), (0.5, HALF_OVERFLOW), (0.5 + 1e-13, HALF_OVERFLOW)],
+     "atoms[1].W merged with nearby atoms has an eigenvalue that overflows float64"),
+], ids=["moment", "weight-symmetry", "weight-psd", "merged-psd", "merged-sum", "merged-spectrum"])
+def test_the_library_and_the_loader_give_one_message(build, load, doc, message):
+    # the constructors said "moment S_2" and "atom 1: weight", which the
+    # loaders re-raised as "moments[2]" and "atoms[1].W"
+    if build is MomentSequence:
+        args, json_doc = (doc,), {"n": 2, "moments": np.asarray(doc).tolist()}
+    else:
+        args, json_doc = (np.int64(2), doc), _atoms_doc(2, doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(json_doc)
+
+
+def test_a_weight_of_the_wrong_shape_is_named_with_the_validated_size():
+    # the message printed the caller's n: "expected (np.int64(2), np.int64(2))".
+    # The loader reads each weight as an n x n JSON matrix first, so it names
+    # the same field with its own shape message
+    atoms = [(0.0, I2), (1.0, np.eye(3))]
+    with pytest.raises(ValueError, match=r"^atoms\[1\]\.W has shape \(3, 3\), expected \(2, 2\)$"):
+        AtomicMatrixMeasure(np.int64(2), atoms)
+    with pytest.raises(ValueError, match=r"^atoms\[1\]\.W must be a 2x2 matrix$"):
+        measure_from_json(_atoms_doc(2, atoms))
 
 
 def test_positivity_audit_ignores_trials_and_seed():

@@ -236,7 +236,7 @@ def test_json_round_trip_and_report_fields():
 
 
 def test_moment_sequence_rejects_asymmetric_later_moment():
-    with pytest.raises(ValueError, match=r"S_2 is not symmetric"):
+    with pytest.raises(ValueError, match=r"moments\[2\] is not symmetric"):
         MomentSequence([I2, I2, [[1.0, 1.0], [0.0, 1.0]]])
 
 
@@ -246,7 +246,7 @@ def test_moment_sequence_rejects_non_finite_entries(bad):
     # to a one-atom measure; an inf failed only inside recover
     mats = [I2, 0 * I2, I2.copy(), 0 * I2, I2]
     mats[2][1, 1] = bad
-    with pytest.raises(ValueError, match=r"S_2 has a non-finite entry"):
+    with pytest.raises(ValueError, match=r"moments\[2\] has a non-finite entry"):
         MomentSequence(mats)
 
 
@@ -269,7 +269,7 @@ def test_symmetrization_does_not_overflow_near_the_float_maximum():
 
 def test_symmetry_check_does_not_overflow_near_the_float_maximum():
     # S - S^T overflowed here, with numpy's warning, before the rejection
-    with pytest.raises(ValueError, match="^moment S_1 is not symmetric$"):
+    with pytest.raises(ValueError, match=r"^moments\[1\] is not symmetric$"):
         MomentSequence([I2, [[0.0, 1e308], [-1e308, 0.0]], I2])
 
 

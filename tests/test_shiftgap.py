@@ -310,7 +310,7 @@ def test_chain_rejects_moments_beyond_the_float_range():
     fam = build_family(2)
     mu = AtomicMatrixMeasure(2, [(0.0, np.eye(2)), (1e60, np.eye(2))])
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="S_6 has a non-finite entry"):
+            pytest.raises(ValueError, match=r"moments\[6\] has a non-finite entry"):
         cauchy_schwarz_chain(mu, fam, trials=0)
 
 
