@@ -16,9 +16,9 @@ _EXPORTS = {
     "spectral": ("NoConvergence", "NotPsdOnCircle", "SpectralFactor", "fejer_riesz",
                  "laurent_from_json", "laurent_to_json", "verify_factor"),
     "certificates": ("NotPsdOnHalfLine", "NotPsdOnInterval", "NotPsdOnLine", "OddDegree",
-                     "ScalarizedSet", "SosCertificate", "certificate_from_json",
-                     "certificate_to_json", "decompose_halfline", "decompose_interval",
-                     "decompose_line", "scalarize", "verify_certificate"),
+                     "ScalarizedSet", "SosCertificate", "SosConsistencyError",
+                     "certificate_from_json", "certificate_to_json", "decompose_halfline",
+                     "decompose_interval", "decompose_line", "scalarize", "verify_certificate"),
     "measures": ("AtomicMatrixMeasure", "AuditReport", "PositiveMapMeasure", "SupportViolation",
                  "forward_moments", "integrate_map", "integrate_trace", "map_measure_from_json",
                  "map_measure_to_json", "measure_from_json", "measure_to_json",

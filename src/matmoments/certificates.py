@@ -2,8 +2,8 @@
 
 A symmetric matrix polynomial F that is PSD on the line, the half-line or
 the unit interval is decomposed as F = sum_g g * sigma_g, where g ranges
-over the cone generators {1}, {1, x} or {1, x, 1-x, x(1-x)} and each
-sigma_g is an explicit sum of squares G_i G_i^T.
+over the domain's cone generators in ``polymat.DOMAINS`` ({1}, {1, x} or
+{1, x, 1-x, x(1-x)}), each sigma_g an explicit sum of squares G_i G_i^T.
 
 Every certificate comes from one factorization on the line.  A line
 problem G(a) routes through the unit circle: homogenize, expand
@@ -35,8 +35,7 @@ from math import ldexp
 import numpy as np
 
 from . import spectral
-from .moments import GENERATORS, VARIANT_GENERATORS
-from .polymat import (STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
+from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
                       _conv_stack, _Failure, _json_fields, _json_real, _least_on, _line_weights,
                       _maxabs, _padded_sum, _strip, _read_only, _times_scalar, _weighted_sum,
                       matrixpoly_from_json, matrixpoly_to_json)
@@ -80,11 +79,10 @@ class SosCertificate:
     residual: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.variant, str) or self.variant not in VARIANT_GENERATORS:
-            raise ValueError(f"field 'variant' must be one of {sorted(VARIANT_GENERATORS)}")
-        allowed = set(VARIANT_GENERATORS[self.variant])
+        if not isinstance(self.variant, str) or self.variant not in DOMAINS:
+            raise ValueError(f"field 'variant' must be one of {sorted(DOMAINS)}")
         for key in self.sigma:
-            if key not in allowed:
+            if key not in DOMAINS[self.variant][1]:
                 raise ValueError(f"generator '{key}' in 'sigma' not allowed for variant "
                                  f"'{self.variant}'")
         if self.variant == "line" and len(self.sigma.get("1", [])) > 2:
@@ -160,16 +158,18 @@ def _line_split(u, tol):
     u is ``_trig_laurent`` of G, of even degree; G is neither validated nor
     verified here.  A factorization that does not converge leaves its best
     attempt for the reassembly check to judge; on a ``NotPsdOnCircle``, or
-    a G that overflows float64 (fejer_riesz's ``ValueError``), H = K = 0.
+    a u or factorization that overflows float64 (a ``ValueError``), H = K = 0.
     The SpectralFactor is returned only when there is no failure.
     """
     factor = pending = None
     try:
+        if not np.isfinite(u.coeffs).all():
+            raise ValueError("the input's expansion on the circle overflows float64")
         factor = spectral.fejer_riesz(u, tol=min(1e-10, tol / 100))
         b = factor.coeffs
     except spectral.NoConvergence as exc:
         b, pending = exc.best.coeffs, exc
-    except (spectral.NotPsdOnCircle, ValueError) as exc:
+    except ValueError as exc:       # NotPsdOnCircle, or an overflow
         b, pending = np.zeros((u.band + 1, u.n, u.n)), exc
     h, k = _line_factors(b)
     return h, k, pending, factor
@@ -186,25 +186,27 @@ def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
     ``bound`` (a callable, run only here) gives B <= tol * scale, which
     proves F >= -B on the domain.  Otherwise it raises ``not_psd`` at F's
     least eigenvalue on the domain if that is below -tol * scale, else the
-    factorization's ``NoConvergence`` or a ``SosConsistencyError``.
+    factorization's failure or a ``SosConsistencyError``; a reassembly that
+    overflows float64 is a ValueError at once, as in ``momentctl verify``.
     """
     drop, thresh = 1e-3 * tol * scale, tol * scale
     cert = SosCertificate(variant, {key: [MatrixPoly(c) for c in factors
                                           if len(c) * ((m := _maxabs(c)) * m) > drop]
                                     for key, factors in parts})
-    cert.residual = verify_certificate(f, cert)
-    if not cert.residual <= thresh:     # NaN if the reassembly overflowed
+    cert.residual = _finite_residual(f, cert)
+    if not cert.residual <= thresh:
         if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
             worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
             if worst < -thresh:
                 raise not_psd(worst, x) from pending
-        if isinstance(pending, spectral.NoConvergence):
+        if pending is not None and not isinstance(pending, spectral.NotPsdOnCircle):
             raise pending
         raise SosConsistencyError(
             f"reassembly residual {cert.residual:.3e} above tolerance") from pending
     return cert
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_line(f, tol=DEFAULT_TOL):
     """Certificate F = H H^T + K K^T for F PSD on the whole line.
 
@@ -219,6 +221,7 @@ def decompose_line(f, tol=DEFAULT_TOL):
     return _finish("line", f, [("1", [h, k])], tol, scale, pending, NotPsdOnLine)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_halfline(f, tol=DEFAULT_TOL):
     """Certificate F = sigma_0 + x sigma_1 for F PSD on [0, inf).
 
@@ -284,6 +287,7 @@ def _interval_bound(f, c, u, factor):
     return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 
@@ -319,16 +323,24 @@ def verify_certificate(f, cert):
     no warning) if the reassembly overflows.  The sum takes MatrixPoly
     arithmetic's steps on stacks, stripped where it builds a MatrixPoly.
     """
-    total = np.zeros((1, f.n, f.n))
+    total, gens = np.zeros((1, f.n, f.n)), DOMAINS[cert.variant][1]
     with np.errstate(over="ignore", invalid="ignore"):
         for key, factors in cert.sigma.items():
             for g in factors:
                 if g.n != f.n:
                     raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
                 square = _strip(_conv_stack(g.coeffs, np.swapaxes(g.coeffs, 1, 2)))
-                term = _strip(_times_scalar(GENERATORS[key], square))
+                term = _strip(_times_scalar(gens[key], square))
                 total = _strip(_padded_sum([total, term]))
         return _maxabs(_padded_sum([f.coeffs, -total]))
+
+
+def _finite_residual(f, cert):
+    """``verify_certificate``'s residual, or a ValueError if the reassembly overflows float64."""
+    residual = verify_certificate(f, cert)
+    if not np.isfinite(residual):
+        raise ValueError(f"certificate reassembly overflows float64: residual {residual}")
+    return residual
 
 
 def scalarize(g):

@@ -18,11 +18,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import json
-import math
 import sys
 from collections import namedtuple
 
-from .polymat import _check_tol, _Failure, _json_floats, matrixpoly_from_json
+from .polymat import DOMAINS, _check_tol, _Failure, _json_floats, matrixpoly_from_json
 
 SCHEMA_VERSION = 3
 CommandResult = namedtuple("CommandResult", "exit_code report")
@@ -42,14 +41,12 @@ def _load_json(path):
 
 # Each command imports the modules it runs, so a call loads only those, and
 # returns its exit code and report body; an absent --tol (None) means the
-# library default.
+# library default.  Names of polymat.DOMAINS pick check_* and decompose_*.
 def _cmd_check(args):
     from . import moments
     seq = moments.momentsequence_from_json(_load_json(args.moments))
-    checker = {"hamburger": moments.check_hamburger,
-               "stieltjes": moments.check_stieltjes,
-               "hausdorff": moments.check_hausdorff}[args.variant]
-    report = checker(seq, tol=moments.DEFAULT_PSD_TOL if args.tol is None else args.tol)
+    report = getattr(moments, f"check_{args.variant}")(
+        seq, tol=moments.DEFAULT_PSD_TOL if args.tol is None else args.tol)
     return 0 if report.passed else 1, {"variant": args.variant, "report": report.to_json()}
 
 
@@ -67,10 +64,8 @@ def _cmd_factor(args):
 def _cmd_certify(args):
     from . import certificates
     poly = matrixpoly_from_json(_load_json(args.poly))
-    decomposer = {"line": certificates.decompose_line,
-                  "halfline": certificates.decompose_halfline,
-                  "interval": certificates.decompose_interval}[args.domain]
-    cert = decomposer(poly, tol=certificates.DEFAULT_TOL if args.tol is None else args.tol)
+    cert = getattr(certificates, f"decompose_{args.domain}")(
+        poly, tol=certificates.DEFAULT_TOL if args.tol is None else args.tol)
     return 0, {"domain": args.domain, "certificate": certificates.certificate_to_json(cert)}
 
 
@@ -82,9 +77,7 @@ def _cmd_verify(args):
     if isinstance(cert_doc, dict) and "certificate" in cert_doc:
         cert_doc = cert_doc["certificate"]     # accept a certify report directly
     cert = certificates.certificate_from_json(cert_doc)
-    residual = certificates.verify_certificate(poly, cert)
-    if not math.isfinite(residual):
-        raise ValueError(f"certificate reassembly overflows float64: residual {residual}")
+    residual = certificates._finite_residual(poly, cert)
     ok = residual <= args.tol * max(1.0, poly.max_coeff_abs())     # certify's scale
     return 0 if ok else 1, {"residual": float(residual), "tol": float(args.tol), "pass": bool(ok)}
 
@@ -137,7 +130,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="block-Hankel PSD criteria on a moment sequence")
-    p.add_argument("--variant", required=True, choices=["hamburger", "stieltjes", "hausdorff"])
+    p.add_argument("--variant", required=True, choices=[c for c, _ in DOMAINS.values()])
     p.add_argument("--moments", required=True)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_check)
@@ -149,7 +142,7 @@ def _build_parser():
 
     p = sub.add_parser("certify", help="sum-of-squares certificate for a PSD polynomial")
     p.add_argument("--poly", required=True)
-    p.add_argument("--domain", required=True, choices=["line", "halfline", "interval"])
+    p.add_argument("--domain", required=True, choices=list(DOMAINS))
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_certify)
 

@@ -5,9 +5,11 @@ linear functional on matrix polynomials.  Positivity of L on g times the
 hermitian squares, for a cone generator g, is equivalent to positive
 semidefiniteness of the localizing block Hankels [(g S)_{i+j}] with
 (g S)_m = sum_i g_i S_{m+i}; with finite data only orders 2m + deg g <= D
-are machine-checkable, so every report lists the orders it actually tested.  Passing every testable order is necessary for a
-representing measure with the matching support but, at finite truncation,
-not sufficient.
+are machine-checkable, so every report lists the orders it actually tested.
+Each criterion tests its domain's generators in ``polymat.DOMAINS``, one
+Hankel family each, keyed by coefficients.  Passing every testable order is
+necessary for a representing measure with the matching support but, at
+finite truncation, not sufficient.
 
 Each order's Hankel of one generator is a leading principal submatrix of
 its top-order Hankel, so by Cauchy interlacing the top order's least
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import (_check_tol, _finite_entries, _integer, _json_fields, _json_floats,
-                      _json_matrices, _not_psd, _read_only, _report_json, _size, _square_stack,
-                      _symmetrized)
+from .polymat import (DOMAINS, _check_tol, _finite_entries, _integer, _json_fields,
+                      _json_floats, _json_matrices, _not_psd, _read_only, _report_json, _size,
+                      _square_stack, _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -35,25 +37,6 @@ EPS = np.finfo(float).eps
 
 _SYM_RTOL = 1e-12
 _MOMENT = "moments[{}]".format      # a moment's one name, its JSON field path
-
-# Cone generators g of the preorderings, as coefficients with the constant
-# term first.  A certificate writes F = sum_g g * sigma_g over its variant's
-# generators; a moment criterion tests every localizing Hankel [(g*S)_{i+j}].
-GENERATORS = {
-    "1": (1.0,),
-    "x": (0.0, 1.0),
-    "1-x": (1.0, -1.0),
-    "x(1-x)": (0.0, 1.0, -1.0),
-}
-
-VARIANT_GENERATORS = {
-    "line": ("1",),
-    "halfline": ("1", "x"),
-    "interval": ("1", "x", "1-x", "x(1-x)"),
-}
-
-# the certificate variant whose generators each moment criterion tests
-CRITERION_VARIANTS = {"hamburger": "line", "stieltjes": "halfline", "hausdorff": "interval"}
 
 
 class MomentSequence:
@@ -73,11 +56,11 @@ class MomentSequence:
         self._S = _read_only(arr)
         self._families = {}
 
-    def _family(self, key):
-        """The ``_HankelFamily`` of generator ``key`` of ``GENERATORS``."""
-        family = self._families.get(key)
+    def _family(self, key, g):
+        """The ``_HankelFamily`` of generator coefficients ``g``, named ``key`` in its errors."""
+        family = self._families.get(g)
         if family is None:
-            family = self._families[key] = _HankelFamily(_localize(self._S, GENERATORS[key]), key)
+            family = self._families[g] = _HankelFamily(_localize(self._S, g), key)
         return family
 
     @property
@@ -214,13 +197,9 @@ def _judge(orders, least, largest, tol):
                      sorted(set(orders.tolist())), min(failing.tolist(), default=None))
 
 
-def _generators(criterion):
-    return VARIANT_GENERATORS[CRITERION_VARIANTS[criterion]]
-
-
-def _check(seq, criterion, tol):
+def _check(seq, domain, tol):
     _check_tol(tol)
-    families = [seq._family(key) for key in _generators(criterion)]
+    families = [seq._family(key, g) for key, g in DOMAINS[domain][1].items()]
     if all(f.passes_at_top(tol) for f in families):
         return PsdReport(True, min([np.inf, *(f.least for f in families)]),
                          list(range(max(f.top for f in families) + 1)))
@@ -229,12 +208,12 @@ def _check(seq, criterion, tol):
 
 def check_hamburger(seq, tol=DEFAULT_PSD_TOL):
     """Necessary PSD tests for a representing measure supported in R: [S_{i+j}]."""
-    return _check(seq, "hamburger", tol)
+    return _check(seq, "line", tol)
 
 
 def check_stieltjes(seq, tol=DEFAULT_PSD_TOL):
     """Necessary PSD tests for support in [0, inf): [S_{i+j}] and [S_{i+j+1}]."""
-    return _check(seq, "stieltjes", tol)
+    return _check(seq, "halfline", tol)
 
 
 def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
@@ -245,7 +224,7 @@ def check_hausdorff(seq, tol=DEFAULT_PSD_TOL):
     """
     if seq.D < 2:
         raise ValueError(f"degree too small: need D >= 2, got {seq.D}")
-    return _check(seq, "hausdorff", tol)
+    return _check(seq, "interval", tol)
 
 
 def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
@@ -260,11 +239,10 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     if not isinstance(variant, str):
         raise ValueError(f"variant must be a string naming the criterion, got {variant!r}")
     variant = variant.lower()
-    if variant not in CRITERION_VARIANTS:
-        raise ValueError(f"unknown criterion '{variant}': expected one of "
-                         f"{', '.join(CRITERION_VARIANTS)}")
-    keys = _generators(variant)
-    gens = [GENERATORS[key] for key in keys]
+    criteria = dict(DOMAINS.values())       # criterion -> its domain's generators
+    if variant not in criteria:
+        raise ValueError(f"unknown criterion '{variant}': expected one of {', '.join(criteria)}")
+    gens = criteria[variant]
     ops = [np.asarray(a) for a in operators]
     if not ops:
         raise ValueError("operator tuple must be non-empty")
@@ -274,7 +252,7 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         if np.iscomplexobj(a):
             raise ValueError("operators must be real")
     m = len(ops) - 1
-    extra = max(len(g) for g in gens) - 1
+    extra = max(map(len, gens.values())) - 1
     if 2 * m + extra > seq.D:
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
     stack = _finite_entries(np.array(ops, dtype=float), "operator A_{}".format)
@@ -286,7 +264,7 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
         pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
     w = np.array([_spectrum(_localize(pairings, g)[0], key, "pairing matrix")[0][[0, -1]]
-                  for key, g in zip(keys, gens)])
+                  for key, g in gens.items()])
     return _judge(np.full(len(gens), m), w[:, 0], w[:, 1], tol)
 
 

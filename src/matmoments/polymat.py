@@ -16,6 +16,12 @@ import numpy as np
 
 STRIP_TOL = 1e-14
 
+# Each domain: its moment criterion, which tests each [(g*S)_{i+j}] in this order, and the
+# generators g, {name: coefficients, constant first}, of certificates F = sum_g g * sigma_g.
+_ONE, _X = {"1": (1.0,)}, {"x": (0.0, 1.0)}
+DOMAINS = {"line": ("hamburger", _ONE), "halfline": ("stieltjes", _ONE | _X),
+           "interval": ("hausdorff", _ONE | _X | {"1-x": (1.0, -1.0), "x(1-x)": (0.0, 1.0, -1.0)})}
+
 
 def _maxabs(mat):
     """Largest absolute entry, as a float; NaN if any entry is NaN."""
@@ -327,6 +333,13 @@ def _horner(stack, x):
     return res
 
 
+def _spectra(h):
+    """``eigvalsh`` of each matrix of the Hermitian stack h; a NaN row where h is not finite."""
+    w, finite = np.full(h.shape[:-1], np.nan), np.isfinite(h).all(axis=(-2, -1))
+    w[finite] = np.linalg.eigvalsh(h[finite])       # it may not converge on a non-finite entry
+    return w
+
+
 def _least_eigenvalue(values):
     """Least eigenvalue over a stack of matrices' hermitian parts, and its index.
 
@@ -334,7 +347,7 @@ def _least_eigenvalue(values):
     overflowed, as ``0.5 * (v + v^H)`` does beyond ~9e307) never counts as
     the least: past that the least eigenvalue and its point may be wrong.
     """
-    w = np.linalg.eigvalsh(0.5 * (values + np.swapaxes(values, -1, -2).conj()))[:, 0]
+    w = _spectra(0.5 * (values + np.swapaxes(values, -1, -2).conj()))[:, 0]
     w = np.where(np.isnan(w), np.inf, w)
     i = int(np.argmin(w))
     return w[i], i
@@ -361,7 +374,7 @@ def _least_on(f, a, b, shift):
     lo, hi = max(a, -1.0), min(b, 1.0)
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(d + 2) + 0.5) / (d + 2))
     with np.errstate(all="ignore"):
-        w = np.abs(np.linalg.eigvalsh(_horner(g, xs[:, np.newaxis, np.newaxis])))
+        w = np.abs(_spectra(_horner(g, xs[:, np.newaxis, np.newaxis])))
         x0 = xs[np.argmax(np.nan_to_num(w.min(axis=1) / w.max(axis=1)))]
         t = np.tensordot([[math.comb(j, k) * x0 ** (j - k) if j >= k else 0.0 for j in range(d + 1)]
                           for k in range(d + 1)], g, axes=1)       # G(x0 + y) = sum T_k y^k

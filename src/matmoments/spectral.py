@@ -176,7 +176,7 @@ def _riccati_factor(a_stack, band, n):
     """
     a = a_stack.real if not np.any(a_stack.imag) else a_stack
     m = n * band
-    r = 0.5 * (a[band] + a[band].conj().T)
+    r = 0.5 * a[band] + 0.5 * a[band].conj().T      # halved first: finite up to the float max
     g = a[band + 1:].reshape(m, n)
     if m:
         # X = -P solves X = F X F^H - (F X H^H + G)(R + H X H^H)^{-1}(.)^H
@@ -193,7 +193,7 @@ def _riccati_factor(a_stack, band, n):
         r = r - p[:n, :n]
         g = g.copy()
         g[:-n] -= p[n:, :n]                         # G - F P H^H
-    b0 = np.linalg.cholesky(0.5 * (r + r.conj().T))
+    b0 = np.linalg.cholesky(0.5 * r + 0.5 * r.conj().T)
     # K B_0 = (G - F P H^H) R_e^{-1} B_0 = (G - F P H^H) B_0^{-H}
     kb0 = np.linalg.solve(b0, g.conj().T).conj().T
     return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)]).astype(np.complex128)
@@ -250,6 +250,7 @@ def _newton_refine(a_stack, band, b, target, max_iter=60):
     return best_b, best_res
 
 
+@np.errstate(over="ignore", invalid="ignore")     # each step judges a non-finite value
 def fejer_riesz(u, tol=DEFAULT_TOL):
     """Spectral factor of a Laurent polynomial PSD on the unit circle.
 

@@ -15,7 +15,7 @@ from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInter
                         decompose_halfline, decompose_interval, decompose_line,
                         matmul, scalar_poly_mult, scalarize, transpose_poly,
                         verify_certificate)
-from matmoments.moments import GENERATORS, VARIANT_GENERATORS
+from matmoments.polymat import DOMAINS
 from matmoments.shiftgap import build_family
 from test_bit_identity import _corpus, _square, _times
 
@@ -343,10 +343,10 @@ def _significant_poly(factors, tol, scale):
 
 
 def _certificate_sum_poly(n, cert):
-    total = MatrixPoly.zero(n)
+    total, gens = MatrixPoly.zero(n), DOMAINS[cert.variant][1]
     for key, factors in cert.sigma.items():
         for g in factors:
-            total = total + scalar_poly_mult(GENERATORS[key], matmul(g, transpose_poly(g)))
+            total = total + scalar_poly_mult(gens[key], matmul(g, transpose_poly(g)))
     return total
 
 
@@ -415,7 +415,7 @@ def _verify_cases(rng):
     for trial in range(240):
         n, variant = int(rng.integers(1, 4)), ("line", "halfline", "interval")[trial % 3]
         sigma = {}
-        for key in VARIANT_GENERATORS[variant]:
+        for key in DOMAINS[variant][1]:
             sigma[key] = []
             for _ in range(int(rng.integers(0, 3 if variant != "line" else 2))):
                 c = rng.standard_normal((int(rng.integers(1, 6)), n, n))
@@ -539,6 +539,17 @@ def test_grid_overflow_is_never_the_worst_point(decomposer, exc, negative, monke
     assert type(report) is exc and np.isfinite(report.min_eigenvalue) and negative(report.at_x)
 
 
+def test_grid_values_that_overflow_never_reach_eigvalsh():
+    # F(x) near the float maximum overflows to +-inf at the outer grid
+    # points, where eigvalsh may not converge: 9 of these 40 inputs ended in
+    # LinAlgError ("Eigenvalues did not converge") in place of a located point
+    for seed in range(40):
+        a = MatrixPoly(np.random.default_rng(seed).standard_normal((2, 3, 3)))
+        c = matmul(a, transpose_poly(a)).coeffs.copy()
+        c[0] -= 0.5 * np.abs(c).max() * np.eye(3)
+        _not_psd_report(decompose_line, MatrixPoly(1e305 / np.abs(c).max() * c))
+
+
 def test_halfline_dip_between_grid_points_is_located():
     # (x - 0.89)^2 - 0.002 is negative only on (0.845, 0.935), between the
     # points of the grid check this replaced: it ended in NoConvergence
@@ -560,17 +571,22 @@ def test_non_finite_coefficients_are_rejected(fn, bad):
                                              (decompose_interval, 1e306)])
 def test_huge_inputs_never_overflow_the_drop_test(decomposer, size):
     # the drop test squared factor entries beyond ~1.3e154 with float **,
-    # which raised OverflowError in place of an outcome
+    # which raised OverflowError in place of an outcome; a reassembly that
+    # overflowed then ended in SosConsistencyError ("residual nan") on these
+    # PSD inputs.  Each ends in a certificate that verifies, or in the
+    # ValueError naming the overflow, without a warning.
     rng = np.random.default_rng(5)
     for _ in range(3):
         a = MatrixPoly(rng.standard_normal((3, 2, 2)))
         c = size * matmul(a, transpose_poly(a)).coeffs
         f = MatrixPoly(0.5 * (c + np.swapaxes(c, 1, 2)), symmetric=True)
         try:
-            with np.errstate(all="ignore"):
-                decomposer(f)
-        except (certificates.SosConsistencyError, certificates._NotPsdOnDomain):
-            pass
+            cert = decomposer(f)
+        except ValueError as exc:
+            assert type(exc) is ValueError and "overflows float64" in str(exc), exc
+        else:
+            scale = max(1.0, f.max_coeff_abs())
+            assert verify_certificate(f, cert) <= certificates.DEFAULT_TOL * scale
 
 
 # Inputs negative only near x = 0, negative only beyond x = 1000 on the

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 
 import matmoments
-from matmoments import (AtomicMatrixMeasure, MatrixPoly, forward_moments,
-                        matrixpoly_to_json, measure_to_json,
+from matmoments import (AtomicMatrixMeasure, MatrixPoly, MomentSequence, SosCertificate,
+                        forward_moments, matrixpoly_to_json, measure_to_json,
                         momentsequence_to_json)
-from matmoments.cli import SCHEMA_VERSION, main, render, run
-from matmoments.polymat import _Failure
+from matmoments.cli import SCHEMA_VERSION, _build_parser, main, render, run
+from matmoments.polymat import DOMAINS, _Failure
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -262,12 +263,40 @@ def test_json_booleans_are_not_numbers(workspace, argv, doc):
 SUBCOMMAND_MODULES = {
     "check": {"moments"},
     "factor": {"spectral"},
-    "certify": {"certificates", "spectral", "moments"},
-    "verify": {"certificates", "spectral", "moments"},
+    "certify": {"certificates", "spectral"},
+    "verify": {"certificates", "spectral"},
     "recover": {"recovery", "measures", "moments"},
     "integrate": {"measures", "moments"},
     "shiftgap": {"shiftgap", "measures", "moments"},
 }
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_each_domain_is_read_from_the_one_table(domain, tmp_path):
+    criterion, gens = DOMAINS[domain]
+    # the criterion builds exactly its generators' Hankel families, keyed by coefficients
+    seq = MomentSequence([0.5 ** k * np.eye(2) for k in range(5)])      # the point mass at 0.5
+    assert getattr(matmoments, f"check_{criterion}")(seq).passed
+    assert list(seq._families) == list(gens.values())
+    # a certificate takes exactly its domain's generator names
+    for name in {name for _, table in DOMAINS.values() for name in table}:
+        if name in gens:
+            SosCertificate(domain, {name: []})
+        else:
+            with pytest.raises(ValueError, match=f"generator '{re.escape(name)}' in 'sigma' not"):
+                SosCertificate(domain, {name: []})
+    # momentctl offers exactly the table's criteria and domains, and runs each
+    usage = {name: parser.format_usage() for name, parser in
+             next(a for a in _build_parser()._actions if a.dest == "command").choices.items()}
+    assert "{" + ",".join(c for c, _ in DOMAINS.values()) + "}" in usage["check"]
+    assert "{" + ",".join(DOMAINS) + "}" in usage["certify"]
+    (tmp_path / "s.json").write_text(json.dumps(momentsequence_to_json(seq)))
+    (tmp_path / "f.json").write_text(json.dumps(matrixpoly_to_json(
+        MatrixPoly.from_scalar([1.0, 0.0, 1.0]))))
+    res = run(["check", "--variant", criterion, "--moments", str(tmp_path / "s.json")])
+    assert res.exit_code == 0 and res.report["variant"] == criterion
+    res = run(["certify", "--poly", str(tmp_path / "f.json"), "--domain", domain])
+    assert res.exit_code == 0 and set(res.report["certificate"]["sigma"]) <= set(gens)
 
 
 def test_numpy_only_subcommands_leave_scipy_unloaded(workspace):
@@ -460,9 +489,7 @@ def test_no_private_exception_class_can_reach_a_report():
                if isinstance(obj, type) and issubclass(obj, BaseException)
                and obj.__module__ == module.__name__}
     exported = {getattr(matmoments, name) for name in matmoments.__all__}
-    # SosConsistencyError has a public name but is not exported by the package
-    assert {c.__name__ for c in defined - exported} == {"_Failure", "_NotPsdOnDomain",
-                                                          "SosConsistencyError"}
+    assert {c.__name__ for c in defined - exported} == {"_Failure", "_NotPsdOnDomain"}
 
 
 def test_recover_atom_beyond_the_float_range_is_input_error(tmp_path, capsys):
@@ -478,8 +505,14 @@ def test_recover_atom_beyond_the_float_range_is_input_error(tmp_path, capsys):
 
 
 def test_overflow_input_errors_leave_stderr_empty(tmp_path):
-    # numpy's overflow RuntimeWarning reached stderr ahead of each report
+    # numpy's overflow RuntimeWarning reached stderr ahead of each report.
+    # factor and certify on 1e308 (1 + x^2) also printed LAPACK's DLASCL
+    # lines to stdout and ended in NoConvergence or SosConsistencyError:
+    # each now ends in a result within its target or in an overflow's ValueError
     docs = {"quadratic.json": {"n": 1, "coeffs": [[[1.0]], [[1.0]], [[1.0]]]},
+            "huge_constant.json": {"n": 1, "band": 0, "coeffs_re": [[[1e308]]],
+                                   "coeffs_im": [[[0.0]]]},
+            "huge_quadratic.json": {"n": 1, "coeffs": [[[1e308]], [[0.0]], [[1e308]]]},
             "far_atom.json": {"n": 1, "atoms": [{"x": 1e200, "W": [[1.0]]}]},
             "merged_overflow.json": {"n": 1, "atoms": [{"x": 0.5, "W": [[1e308]]}] * 2},
             "huge.json": {"n": 1, "coeffs": [[[1e300]]]},
@@ -499,15 +532,26 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
              ["recover", "--moments", "moments.json"],
              ["check", "--variant", "hamburger", "--moments", "eig_overflow.json"],
              ["recover", "--moments", "eig_overflow.json"],
-             ["check", "--variant", "hausdorff", "--moments", "sum_overflow.json"]]
+             ["check", "--variant", "hausdorff", "--moments", "sum_overflow.json"],
+             ["factor", "--laurent", "huge_constant.json"]]
+    argvs += [["certify", "--poly", "huge_quadratic.json", "--domain", domain]
+              for domain in ("line", "halfline", "interval")]
     script = ("import json; from matmoments.cli import run; "
-              f"print(json.dumps([run(a).exit_code for a in {argvs!r}]))")
+              f"print(json.dumps([run(a) for a in {argvs!r}]))")
     src = str(Path(matmoments.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [2] * len(argvs)
+    results = json.loads(proc.stdout)       # stdout holds the reports and nothing else
+    assert [code for code, _ in results] == [2] * (len(argvs) - 4) + [0, 0, 2, 2]
+    factor, line, halfline, interval = (report for _, report in results[-4:])
+    assert factor["residual"] <= 1e-9 * 1e308
+    assert line["certificate"]["residual"] <= 1e-8 * 1e308
+    assert halfline["error"] == {"type": "ValueError", "message":
+                                 "certificate reassembly overflows float64: residual nan"}
+    assert interval["error"] == {"type": "ValueError",
+                                 "message": "the input's expansion on the circle overflows float64"}
 
 
 @pytest.mark.parametrize("variant", [["line"], {"line": "line"}])
@@ -629,7 +673,7 @@ def test_exactly_the_exit_one_classes_are_failures():
     named = {name for name, _, _ in EXIT_ONE_CASES}
     exported = [getattr(matmoments, name) for name in matmoments.__all__]
     classes = [c for c in exported if isinstance(c, type) and issubclass(c, BaseException)]
-    assert len(classes) == 9
+    assert len(classes) == 10
     for cls in classes:
         assert issubclass(cls, _Failure) == any(c.__name__ in named for c in cls.__mro__), cls
 
