@@ -35,8 +35,12 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:          # a directory, no permission, ...
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}")
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read")
 
 
 # Each command imports the modules it runs, so a call loads only those, and

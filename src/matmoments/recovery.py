@@ -68,39 +68,35 @@ def _rescaled(norm, a):
     return top * norm(a / top) if np.isfinite(top) else out
 
 
-def _fit_errors(vand, sol, sv, spread, rhs):
+def _lstsq(vand, rhs):
+    """W = V^+ S and the thin SVD (U, s, Wt) of V = ``vand``, cut at eps max(shape) s_0 as lstsq."""
+    u, s, wt = np.linalg.svd(vand, full_matrices=False)
+    keep = s > EPS * max(vand.shape) * s[0]
+    u, s, wt = u[:, keep], s[keep], wt[keep]
+    return wt.T @ ((u.T @ rhs) / s[:, np.newaxis]), (u, s, wt)     # V^+ formed first loses digits
+
+
+def _fit_errors(vand, sol, rhs, svd):
     """First-order errors of the fitted atoms, max(point, weight error).
 
-    W = ``sol`` fits V W = S, V = ``vand`` with singular values ``sv``.  A
-    priori, point errors up to ``spread`` and rounding of S (eps
-    sum_j |x_j|^k ||W_j|| in degree k) reach W through ||V^+|| = 1 / sv[-1].
-    Where that or a spread exceeds ATOM_TOL, one Gauss-Newton step on
-    V(x) W = S with W projected out (Jacobian -(I - P) V'_j W_j in x_j, P the
-    projector onto range V) measures how far the points sit from the
-    least-squares optimum and what that does to W, whatever the spreads, and
-    the rounding's reach is added entry by entry.  More atoms than degrees
-    0..D, or a V or Jacobian singular to working precision: inf.
+    W = ``sol`` fits V W = S, V = ``vand`` with the thin SVD ``svd`` = (U, s,
+    Wt) of ``_lstsq``.  One Gauss-Newton step on V(x) W = S with W projected
+    out (Jacobian -(I - P) V'_j W_j in x_j, P = U U^T) measures how far the
+    points sit from the least-squares optimum and what that does to W, and
+    rounding of S (eps sum_j |x_j|^k ||W_j|| in degree k) reaches x and W
+    entry by entry.  More atoms than V's rank (more than degrees 0..D, or a
+    singular value cut), or a Jacobian singular to working precision: inf.
     """
-    rows, count = vand.shape
+    (u, s, wt), (rows, count) = svd, vand.shape
     n2 = rhs.shape[1]
     dvand = np.zeros(vand.shape)
     dvand[1:] = np.arange(1, rows)[:, np.newaxis] * vand[:-1]
     size = _rescaled(lambda s: np.sqrt(np.einsum("ij,ij->i", s, s)), sol)
     noise = EPS * (np.abs(vand) @ size)
-    reach = spread * size
-    with np.errstate(over="ignore"):
-        prior = (np.sqrt(np.einsum("ij,ij->", dvand, dvand) * (reach @ reach))
-                 + np.sqrt(n2 * (noise @ noise))) / sv[-1]
-    if not np.isfinite(prior):
-        prior = (_rescaled(np.linalg.norm, dvand) * _rescaled(np.linalg.norm, reach)
-                 + np.sqrt(n2) * _rescaled(np.linalg.norm, noise)) / sv[-1]
-    if count <= rows and max(prior, np.max(spread)) <= ATOM_TOL:
-        return np.maximum(spread, prior)
-    u, s, wt = np.linalg.svd(vand, full_matrices=False)
     proj = dvand - u @ (u.T @ dvand)
     jac = (proj[:, :, np.newaxis] * sol).transpose(0, 2, 1).reshape(-1, count)
     ju, js, jwt = np.linalg.svd(jac, full_matrices=False)
-    if s[-1] <= EPS * s[0] or js[-1] <= EPS * js[0]:
+    if s.size < count or js[-1] <= EPS * js[0]:
         return np.full(count, np.inf)
     vinv, jinv = (wt.T / s) @ u.T, (jwt.T / js) @ ju.T
     step = jinv @ (rhs - vand @ sol).ravel()
@@ -127,11 +123,10 @@ def recover(seq):
     above the floor was dropped, when an atom merged from several points has
     a bound plus width beyond ``ATOM_TOL`` (it may hide distinct atoms, which
     the fit's error cannot see), when the mismatch exceeds ``ATOM_TOL``
-    max|S|, or when the first-order error of a fitted atom (``_fit_errors``:
-    its bound plus width where all are small, else measured) exceeds
-    ``ATOM_TOL``.  So a loose bound on a lone point raises no flag by itself,
-    and point errors that the weight fit magnifies are caught.  Unflagged
-    atoms lie within ``ATOM_TOL``.
+    max|S|, or when the measured first-order error of a fitted atom
+    (``_fit_errors``), which sees point errors the weight fit magnifies,
+    exceeds ``ATOM_TOL``; a loose bound on a lone point raises no flag by
+    itself.  Unflagged atoms lie within ``ATOM_TOL``.
     """
     d = seq.D
     if d < 2 or d % 2 != 0:
@@ -172,7 +167,7 @@ def recover(seq):
 
     vand = _powers(merged, d)
     rhs = seq.S.reshape(d + 1, n * n)
-    fit, _, _, sv = np.linalg.lstsq(vand, rhs, rcond=None)
+    fit, svd = _lstsq(vand, rhs)
     sol = fit.reshape(len(merged), n, n)
     ew, ev = np.linalg.eigh(0.5 * (sol + np.swapaxes(sol, 1, 2)))
     weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
@@ -187,5 +182,5 @@ def recover(seq):
     # from a PSD truth, so the fit's error bounds the projected weights' too
     ambiguous = bool(rank < above.size or np.any((ends > starts) & (spread > ATOM_TOL))
                      or residual > ATOM_TOL * np.max(np.abs(seq.S))
-                     or np.any(_fit_errors(vand, fit, sv, spread, rhs) > ATOM_TOL))
+                     or np.any(_fit_errors(vand, fit, rhs, svd) > ATOM_TOL))
     return RecoveryResult(mu, residual, rank, ambiguous)

@@ -28,7 +28,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
                         operator_check, positivity_audit, recover)
 
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
-MOMENT_DIGEST = "51548810a58a2ecaee50822ecd9c4811c18666a84402c55520d8d93cda7e991f"
+MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
 WIDE_DIGEST = "ef87df433c60a746bb95f84e060f97b0f8419b30f46555f925ee6db50eab30fe"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites

@@ -401,6 +401,29 @@ def test_missing_file_is_input_error(workspace):
     assert res.report["error"] == {"type": "ValueError", "message": f"{missing}: file not found"}
 
 
+@pytest.mark.parametrize("case", ["directory", "too-deep", "not-utf8"])
+def test_unreadable_input_file_is_an_input_error_naming_it(tmp_path, case):
+    # a directory raised IsADirectoryError and 100,000 nested "[" raised
+    # RecursionError out of run, a traceback with exit 1; bytes that are not
+    # UTF-8 gave a UnicodeDecodeError that did not name the file.  A
+    # permission error takes the OSError branch too, but is not tested:
+    # root reads any file
+    path = tmp_path
+    if case == "too-deep":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+    if case == "not-utf8":
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+    res = run(["check", "--variant", "hamburger", "--moments", str(path)])
+    assert res.exit_code == 2 and res.report["error"]["type"] == "ValueError"
+    assert res.report["error"]["message"] == {
+        "directory": f"{path}: cannot read: Is a directory",
+        "too-deep": f"{path}: JSON nested too deeply to read",
+        "not-utf8": f"{path}: malformed JSON: 'utf-8' codec can't decode byte 0xff "
+                    "in position 0: invalid start byte"}[case]
+
+
 def test_help_exits_zero_with_only_the_usage_text(capsys):
     assert run(["--help"]) == (0, {})
     capsys.readouterr()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rand_measure, rand_psd, separated_points
 from matmoments import (AtomicMatrixMeasure, HankelNotPsd, MomentSequence,
                         check_hamburger, check_stieltjes, forward_moments, recover, recovery)
-from matmoments.recovery import ATOM_TOL, _fit_errors, _powers, pencil_eigenvalues
+from matmoments.recovery import ATOM_TOL, _fit_errors, _lstsq, _powers, pencil_eigenvalues
 
 I2 = np.eye(2)
 _PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -177,8 +177,8 @@ def test_recover_does_not_depend_on_a_prior_check():
 
 
 def test_weight_projection_matches_the_per_weight_loop():
-    # reference: each least-squares weight projected onto the PSD cone with
-    # its own eigh, as before the batched projection; bit for bit
+    # reference: each least-squares weight V^+ S projected onto the PSD cone
+    # with its own eigh, as before the batched projection; bit for bit
     rng = np.random.default_rng(43)
     for _ in range(40):
         n = int(rng.integers(1, 7))
@@ -189,7 +189,7 @@ def test_weight_projection_matches_the_per_weight_loop():
                               2 * r + 2)
         atoms = recover(seq).measure.atoms
         vand = _powers([x for x, _ in atoms], seq.D)
-        sol = np.linalg.lstsq(vand, seq.S.reshape(seq.D + 1, n * n), rcond=None)[0]
+        sol = _lstsq(vand, seq.S.reshape(seq.D + 1, n * n))[0]
         for (_, got), row in zip(atoms, sol):
             w = row.reshape(n, n)
             ew, ev = np.linalg.eigh(0.5 * (w + w.T))
@@ -318,8 +318,8 @@ def test_weight_errors_the_fit_magnifies_are_flagged(seed, index):
     assert res.rank_gap_ambiguous or err <= ATOM_TOL
     vand = _powers([x for x, _ in res.measure.atoms], seq.D)
     rhs = seq.S.reshape(seq.D + 1, -1)
-    sol, _, _, sv = np.linalg.lstsq(vand, rhs, rcond=None)
-    assert np.max(_fit_errors(vand, sol, sv, np.full(len(sol), np.inf), rhs)) >= err
+    sol, svd = _lstsq(vand, rhs)
+    assert np.max(_fit_errors(vand, sol, rhs, svd)) >= err
 
 
 def test_atom_beyond_the_float_range_is_a_value_error():
@@ -362,7 +362,30 @@ def test_huge_weight_is_judged_by_its_fit_error(monkeypatch):
                          ids=["repeated-point", "zero-weight"])
 def test_a_fit_singular_to_working_precision_has_infinite_error(points, sol):
     # a repeated point makes V singular; a zero weight, the Jacobian's column
-    # in its point.  A spread beyond ATOM_TOL sends both past the a priori bound
+    # in its point
     vand, sol = _powers(points, 4), np.array(sol)
-    errors = _fit_errors(vand, sol, np.ones(2), np.ones(2), vand @ sol)
+    errors = _fit_errors(vand, sol, vand @ sol, _lstsq(vand, vand @ sol)[1])
     assert np.array_equal(errors, [np.inf, np.inf])
+
+
+@pytest.mark.parametrize("index", [560, 3192])
+def test_close_atoms_kept_apart_are_accurate_or_flagged(index):
+    # n = 2 with atoms 1.06e-5 apart, whose heavy weight comes back on the
+    # wrong point of the pair (off by 0.74), and n = 3 with atoms 2.9e-6
+    # apart (a weight off by 0.097): the pencil keeps both points, so the
+    # count is right, and only the fit's measured error sees the weights
+    mu, degree = cluster_draw(0, index)
+    res = recover(forward_moments(mu, degree))
+    assert len(res.measure.atoms) == len(mu.atoms)
+    assert res.rank_gap_ambiguous or atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_clustered_atoms_of_the_right_count_are_accurate_or_flagged(seed):
+    # the first draw of each seed follows cluster_draw's law; a result with
+    # fewer atoms is the rank floor's collapse, which the flag need not see
+    mu, degree = cluster_draw(seed, 0)
+    res = recover(forward_moments(mu, degree))
+    if len(res.measure.atoms) == len(mu.atoms):
+        assert res.rank_gap_ambiguous or atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
