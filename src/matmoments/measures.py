@@ -162,34 +162,27 @@ class PositiveMapMeasure:
         """Maps given as superoperators, admitted only where complete positivity is proven.
 
         A map is a finite real (k_dim^2, h_dim^2) matrix S on row-major vec(A).
-        By Choi's theorem it is completely positive exactly when its Choi
-        matrix C[(a, p), (b, q)] = Phi(E_ab)[p, q] is PSD, and C = sum_t l_t v_t v_t^T
-        then gives Kraus operators sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.
-        C not symmetric within 1e-10 max(1, max|C|), with an eigenvalue that
-        overflows float64, or with l_min below -AUDIT_TOL max(1, |l_min|, l_max),
-        is a ValueError naming the atom.  So positive maps that are not
-        completely positive, such as the transpose, are rejected; on the
-        symmetric values of F the transpose is Kraus V = I.
+        By Choi's theorem it is completely positive exactly when its Choi matrix
+        C[(a, p), (b, q)] = Phi(E_ab)[p, q] is PSD.  The Choi matrices are the
+        weights ``atoms[j].W`` of one ``AtomicMatrixMeasure`` of size h_dim k_dim,
+        whose weight check admits them, sorts the atoms by x and merges them
+        within ``MERGE_TOL``; each C = sum_t l_t v_t v_t^T gives Kraus operators
+        sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.  The transpose, positive but
+        not completely positive, is rejected; on symmetric F it is Kraus V = I.
         """
         h, k = _size(h_dim, "h_dim"), _size(k_dim, "k_dim")
-        kraus_atoms = []
+        choi = []
         for idx, (x, sup) in enumerate(atoms):
-            x = _finite_point(idx, x)
             sup = np.asarray(sup)
             if (sup.shape != (k * k, h * h) or sup.dtype.kind not in "biuf"
                     or not np.isfinite(sup).all()):
                 raise ValueError(f"atom {idx}: superoperator of shape {sup.shape} must be "
                                  f"a finite real {k * k}x{h * h} matrix")
-            choi = sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1).reshape(1, h * k, -1)
-            name = lambda _: f"atom {idx}: Choi matrix"    # the stack holds this one matrix
-            lam, vec = np.linalg.eigh(_symmetrized(choi, name, 1e-10)[0])
-            _finite_spectra(lam[np.newaxis], name)
-            if _not_psd(lam[0], lam[-1], AUDIT_TOL):
-                raise ValueError(f"atom {idx}: Choi matrix is not symmetric PSD (least "
-                                 f"eigenvalue {lam[0]:.3e}), positivity not proven")
-            keep = lam > 0.0
-            kraus_atoms.append((x, (vec[:, keep] * np.sqrt(lam[keep])).T.reshape(-1, h, k)))
-        return cls(h, k, kraus_atoms)
+            choi.append((x, sup.astype(float).reshape(k, k, h, h).transpose(2, 0, 3, 1)))
+        mu = AtomicMatrixMeasure(h * k, [(x, c.reshape(h * k, -1)) for x, c in choi])
+        lam, vec = np.linalg.eigh(np.array([w for _, w in mu.atoms]).reshape(-1, h * k, h * k))
+        return cls(h, k, [(x, (v[:, l > 0.0] * np.sqrt(l[l > 0.0])).T.reshape(-1, h, k))
+                          for (x, _), l, v in zip(mu.atoms, lam, vec)])
 
     @property
     def atoms(self):

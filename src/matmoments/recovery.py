@@ -58,16 +58,6 @@ def _powers(points, degree):
     return np.array([[x ** p for x in points] for p in range(degree + 1)])
 
 
-def _rescaled(norm, a):
-    """``norm(a)``, or max|a| * norm(a / max|a|) where the plain one overflows on finite ``a``."""
-    with np.errstate(over="ignore"):
-        out = norm(a)
-    if np.all(np.isfinite(out)):
-        return out
-    top = np.max(np.abs(a))
-    return top * norm(a / top) if np.isfinite(top) else out
-
-
 def _lstsq(vand, rhs):
     """W = V^+ S and the thin SVD (U, s, Wt) of V = ``vand``, cut at eps max(shape) s_0 as lstsq."""
     u, s, wt = np.linalg.svd(vand, full_matrices=False)
@@ -84,14 +74,17 @@ def _fit_errors(vand, sol, rhs, svd):
     out (Jacobian -(I - P) V'_j W_j in x_j, P = U U^T) measures how far the
     points sit from the least-squares optimum and what that does to W, and
     rounding of S (eps sum_j |x_j|^k ||W_j|| in degree k) reaches x and W
-    entry by entry.  More atoms than V's rank (more than degrees 0..D, or a
-    singular value cut), or a Jacobian singular to working precision: inf.
+    entry by entry.  It runs on W and S scaled by the power of two that puts
+    max|W| in [0.5, 1), exactly, so no norm overflows; the weight errors
+    are scaled back.  More atoms than V's rank (more than degrees 0..D, or
+    a singular value cut), or a Jacobian singular to working precision: inf.
     """
-    (u, s, wt), (rows, count) = svd, vand.shape
-    n2 = rhs.shape[1]
+    (u, s, wt), (rows, count), n2 = svd, vand.shape, rhs.shape[1]
+    e = np.frexp(np.max(np.abs(sol)))[1]
+    sol, rhs = np.ldexp(sol, -e), np.ldexp(rhs, -e)
     dvand = np.zeros(vand.shape)
     dvand[1:] = np.arange(1, rows)[:, np.newaxis] * vand[:-1]
-    size = _rescaled(lambda s: np.sqrt(np.einsum("ij,ij->i", s, s)), sol)
+    size = np.sqrt(np.einsum("ij,ij->i", sol, sol))
     noise = EPS * (np.abs(vand) @ size)
     proj = dvand - u @ (u.T @ dvand)
     jac = (proj[:, :, np.newaxis] * sol).transpose(0, 2, 1).reshape(-1, count)
@@ -101,10 +94,9 @@ def _fit_errors(vand, sol, rhs, svd):
     vinv, jinv = (wt.T / s) @ u.T, (jwt.T / js) @ ju.T
     step = jinv @ (rhs - vand @ sol).ravel()
     xnoise = np.abs(jinv) @ np.repeat(noise, n2)
-    wstep = _rescaled(lambda a: np.linalg.norm(a, axis=1),
-                      vinv @ (dvand @ (step[:, np.newaxis] * sol)))
+    wstep = np.linalg.norm(vinv @ (dvand @ (step[:, np.newaxis] * sol)), axis=1)
     wnoise = np.abs(vinv) @ (np.sqrt(n2) * noise + np.abs(dvand) @ (xnoise * size))
-    return np.maximum(np.abs(step) + xnoise, wstep + wnoise)
+    return np.maximum(np.abs(step) + xnoise, np.ldexp(wstep + wnoise, e))
 
 
 def recover(seq):
@@ -116,7 +108,8 @@ def recover(seq):
     floor 100 eps size lambda_max (the last against the next eigenvalue or
     eps lambda_max).  A pencil eigenvalue x_i with y_i^T H0c y_i = 1 moves
     under rounding by at most about b_i = 3 eps (||H1||_F + |x_i| lambda_max)
-    ||y_i||^2; consecutive points within b_i + b_j merge into their mean; a
+    ||y_i||^2, with ||H1||_F taken at an exact power-of-two scale;
+    consecutive points within b_i + b_j merge into their mean; a
     point whose power x^D overflows float64 is a ValueError naming its atom.
     The result holds the measure with PSD-projected weights, the max moment
     mismatch, the rank and ``rank_gap_ambiguous``, set when an eigenvalue
@@ -155,8 +148,9 @@ def recover(seq):
         far ** d        # _powers' largest power, checked before the bounds below overflow
     except OverflowError:
         raise ValueError(f"atom at x={far:.6g}: power x^{d} overflows float64") from None
-    bound = (3.0 * EPS * (_rescaled(np.linalg.norm, h1) + np.abs(points) * lam_max)
-             * np.sum(y * y, axis=0))
+    e = np.frexp(np.max(np.abs(h1)))[1]    # ||H1||_F taken at max|H1| in [0.5, 1), exactly
+    h1_norm = np.ldexp(np.linalg.norm(np.ldexp(h1, -e)), e)
+    bound = 3.0 * EPS * (h1_norm + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
     # clusters of consecutive points within their bounds; clusters at least
     # MERGE_TOL apart, so the measure need not merge them again
     apart = np.diff(points) > np.maximum(bound[1:] + bound[:-1], MERGE_TOL)

@@ -148,7 +148,9 @@ def leading_coeff_probe(fam, trials=0, seed=0):
 
 
 def _audit_module(mu, fam, trials):
-    """Raise ModulePositivityError unless L is module-positive; an indefinite weight names p_1."""
+    """Raise unless L has the family's size and is module-positive; an indefinite W names p_1."""
+    if mu.n != fam.N:
+        raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")
     gens = [diagonal_entry(i) for i in range(1, fam.N + 1)]
     try:
         report = positivity_audit(mu, gens, trials)
@@ -172,8 +174,6 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     sum over the diagonals of S_2, S_3 or S_6.  Module positivity is audited
     exactly first; ``trials`` (a nonnegative integer) and ``seed`` are ignored.
     """
-    if mu.n != fam.N:
-        raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")
     _audit_module(mu, fam, trials)
 
     diag = np.diagonal(forward_moments(mu, 6).S, axis1=1, axis2=2)
@@ -201,9 +201,9 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
 def support_collapse_check(mu, fam, trials=200, seed=0):
     """True iff L(x^k B) vanishes for k = 1..6, i.e. L sees only the origin.
 
-    Preconditions, checked in this order: L is module-positive (audited as
-    in ``cauchy_schwarz_chain``) and every atom lies in [0, N], the region
-    the truncation controls (a ValueError otherwise).
+    Preconditions, checked in this order: L has the family's size and is
+    module-positive (both as in ``cauchy_schwarz_chain``), and every atom
+    lies in [0, N], the region the truncation controls (a ValueError otherwise).
     """
     _audit_module(mu, fam, trials)
     for idx, (x, _) in enumerate(mu.atoms):

@@ -388,10 +388,38 @@ def test_package_names_follow_their_module(monkeypatch):
         matmoments.recovr
 
 
+def test_package_dir_lists_every_export_and_submodule():
+    names = dir(matmoments)
+    assert names == sorted(names)
+    assert set(matmoments.__all__) | {"measures", "recovery", "shiftgap"} <= set(names)
+
+
 def test_malformed_json_is_input_error(workspace):
     res = run(["check", "--variant", "hamburger", "--moments", workspace["broken.json"]])
     assert res.exit_code == 2
     assert "malformed JSON" in res.report["error"]["message"]
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["check", "--variant", "hamburger", "--moments", "{list}"], "moment sequence"),
+    (["recover", "--moments", "{list}"], "moment sequence"),
+    (["factor", "--laurent", "{list}"], "Laurent polynomial"),
+    (["certify", "--poly", "{list}", "--domain", "line"], "matrix polynomial"),
+    (["integrate", "--poly", "{list}", "--measure", "{measure}"], "matrix polynomial"),
+    (["integrate", "--poly", "{poly}", "--measure", "{list}"], "measure"),
+    (["shiftgap", "--dim", "2", "--functional", "{list}"], "measure"),
+    (["verify", "--poly", "{poly}", "--cert", "{list}"], "certificate"),
+], ids=["check", "recover", "factor", "certify", "integrate-poly", "integrate-measure",
+        "shiftgap", "verify-cert"])
+def test_a_document_that_is_no_json_object_is_named(workspace, argv, what):
+    path = workspace["dir"] / "list.json"
+    path.write_text("[1, 2]")
+    files = {"list": str(path), "poly": workspace["poly.json"],
+             "measure": workspace["measure.json"]}
+    res = run([arg.format(**files) for arg in argv])
+    assert res.exit_code == 2
+    assert res.report["error"] == {"type": "ValueError",
+                                   "message": f"{what} document must be a JSON object"}
 
 
 def test_missing_file_is_input_error(workspace):
@@ -429,6 +457,13 @@ def test_help_exits_zero_with_only_the_usage_text(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: momentctl")
+
+
+def test_main_without_arguments_reads_sys_argv(workspace, monkeypatch, capsys):
+    argv = ["check", "--variant", "hamburger", "--moments", workspace["moments4.json"]]
+    monkeypatch.setattr("sys.argv", ["momentctl", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == render(run(argv).report)
 
 
 def test_missing_field_names_the_field(workspace):

@@ -114,7 +114,7 @@ def test_superoperator_constructor_proves_positivity_by_choi():
     good = PositiveMapMeasure.from_linear(2, 2, [(0.0, 2.0 * np.eye(4))])
     assert len(good.atoms[0][1]) == 1
     assert np.allclose(integrate_map(MatrixPoly.constant(I2), good), 2 * I2)
-    with pytest.raises(ValueError, match="atom 0: Choi .* positivity not proven"):
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has eigenvalue -2\.000e\+00 < 0$"):
         PositiveMapMeasure.from_linear(2, 2, [(0.0, -np.eye(4))])
 
 
@@ -128,16 +128,16 @@ def test_sampled_positive_map_that_is_not_positive_is_rejected():
                             for i in range(3) for j in range(i + 1, 3) for s in (1, -1))]:
         assert v @ c @ v >= 0.0
     assert ones @ c @ ones == pytest.approx(-0.6)
-    with pytest.raises(ValueError, match=r"^atom 0: Choi .*-2\.000e-01.* positivity not proven"):
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has eigenvalue -2\.000e-01 < 0$"):
         PositiveMapMeasure.from_linear(3, 1, [(0.0, c.reshape(1, 9))])
-    with pytest.raises(ValueError, match="^atom 1: Choi"):
+    with pytest.raises(ValueError, match=r"^atoms\[1\]\.W has eigenvalue"):
         PositiveMapMeasure.from_linear(3, 1, [(0.0, np.eye(9)[[0]]), (1.0, c.reshape(1, 9))])
 
 
 def test_superoperator_must_have_a_symmetric_choi_matrix():
     # A -> A E_12 sends symmetric A to a non-symmetric image
     sup = np.kron(np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError, match="atom 0: Choi matrix is not symmetric"):
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W is not symmetric$"):
         PositiveMapMeasure.from_linear(2, 2, [(0.0, sup)])
 
 
@@ -154,6 +154,26 @@ def test_kraus_maps_survive_the_choi_round_trip(h, k, count, seed):
     want = integrate_map(f, m)
     scale = sum(np.sum(v * v) * np.abs(f(x)).sum() for x, vs in m.atoms for v in vs)
     assert np.max(np.abs(integrate_map(f, back) - want)) <= 1e-12 * scale
+
+
+def test_superoperator_choi_matrix_passes_the_weight_check():
+    # the Choi check was its own, at AUDIT_TOL: this map was admitted, its
+    # -5e-10 dropped, and integrate_map gave 0 on diag(0, 1) where the map gives -5e-10
+    sup = np.diag([1.0, -5e-10]).reshape(1, 4)
+    assert sup @ np.diag([0.0, 1.0]).reshape(4) == -5e-10
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has eigenvalue -5\.000e-10 < 0$"):
+        PositiveMapMeasure.from_linear(2, 1, [(0.0, sup)])
+
+
+def test_superoperator_atoms_come_back_sorted_and_merged():
+    rng = np.random.default_rng(38)
+    kraus = rng.standard_normal((3, 2, 3))
+    m = PositiveMapMeasure(2, 3, [(1.0, kraus[:1]), (-0.5, kraus[1:2]), (1.0 + 1e-13, kraus[2:])])
+    back = PositiveMapMeasure.from_linear(2, 3, [(x, superoperator(vs)) for x, vs in m.atoms])
+    assert [x for x, _ in back.atoms] == [-0.5, 1.0]
+    f = MatrixPoly(rand_symmetric_poly(rng, 2, 3))
+    want = integrate_map(f, m)
+    assert np.max(np.abs(integrate_map(f, back) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 K23 = np.ones((2, 3))
@@ -198,7 +218,7 @@ def test_superoperator_rejects_positive_but_not_completely_positive():
     transpose = np.eye(4)[[0, 2, 1, 3]]     # vec(A^T) from row-major vec(A), 2x2 A
     a = np.arange(4.0).reshape(2, 2)
     assert np.array_equal((transpose @ a.reshape(-1)).reshape(2, 2), a.T)
-    with pytest.raises(ValueError, match=r"atom 0: Choi .*-1\.000e\+00.* positivity not proven"):
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has eigenvalue -1\.000e\+00 < 0$"):
         PositiveMapMeasure.from_linear(2, 2, [(1.0, transpose)])
     m = PositiveMapMeasure(2, 2, [(1.0, [I2])])
     f = MatrixPoly([np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[0.0, -1.0], [-1.0, 3.0]])])
@@ -302,6 +322,11 @@ def test_weights_near_the_float_maximum_stay_finite():
         AtomicMatrixMeasure(2, [(0.5, [[1e308, 1e308], [-1e308, 1e308]])])
     (_, (v,)), = PositiveMapMeasure.from_linear(1, 1, [(0.0, [[1.7e308]])]).atoms
     assert v[0, 0] == np.sqrt(1.7e308)
+
+
+def test_a_measure_states_its_size_and_atom_count():
+    mu = AtomicMatrixMeasure(2, [(0.0, I2), (1.0, I2), (1.0 + 1e-14, I2)])
+    assert len(mu) == 2 and repr(mu) == "AtomicMatrixMeasure(n=2, atoms=2)"
 
 
 def test_atoms_merge_and_weights_validate():
@@ -466,7 +491,7 @@ def test_a_least_eigenvalue_that_overflows_fails_the_psd_test():
     with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has an eigenvalue that overflows "
                                          r"float64$"):
         AtomicMatrixMeasure(2, [(0.0, w)])
-    with pytest.raises(ValueError, match=r"^atom 0: Choi matrix has an eigenvalue that overflows "
+    with pytest.raises(ValueError, match=r"^atoms\[0\]\.W has an eigenvalue that overflows "
                                          r"float64$"):
         PositiveMapMeasure.from_linear(1, 2, [(0.0, w.reshape(4, 1))])
 
@@ -487,7 +512,7 @@ HALF_OVERFLOW = np.full((2, 2), 6e307)      # eigenvalues 0 and 1.2e308; two of 
     (lambda: positivity_audit(SimpleNamespace(n=2, atoms=((0.0, I2), (1.0, 1e308 * np.ones((2, 2))))),
                               [[0.0, 1.0]], 0), "atoms[1].W"),
     (lambda: PositiveMapMeasure.from_linear(1, 3, [(0.0, SPECTRUM_OVERFLOW.reshape(9, 1))]),
-     "atom 0: Choi matrix"),
+     "atoms[0].W"),
 ], ids=["weight", "psd-weight", "merged-weight", "audit", "audit-psd-weight", "choi"])
 def test_a_spectrum_that_overflows_is_rejected_on_the_measure_side(build, match):
     # the weight was judged -5 >= -1e-10 * inf and admitted, and the audit then

@@ -158,6 +158,24 @@ def test_trailing_coefficients_stripped():
     assert z.deg == 0 and z.max_coeff_abs() == 0.0
 
 
+def test_coefficients_past_the_degree_or_band_are_zero():
+    p = MatrixPoly([I2, 2.0 * I2])
+    assert np.array_equal(p.coeff(1), 2.0 * I2)
+    for k in (-1, 2, 7):
+        assert p.coeff(k).shape == (2, 2) and not p.coeff(k).any()
+    u = LaurentPoly(np.array([I2, 3.0 * I2, I2], dtype=complex))
+    assert np.array_equal(u.coeff(0), 3.0 * I2)
+    for k in (-2, 2, 5):
+        assert u.coeff(k).shape == (2, 2) and u.coeff(k).dtype == complex and not u.coeff(k).any()
+
+
+def test_containers_state_their_sizes():
+    assert repr(MatrixPoly([I2, I2])) == "MatrixPoly(n=2, deg=1)"
+    assert repr(LaurentPoly(np.array([I2, I2, I2], dtype=complex))) == "LaurentPoly(n=2, band=1)"
+    seq = MomentSequence(np.array([I2, 0.0 * I2, I2]))
+    assert len(seq) == 3 and repr(seq) == "MomentSequence(n=2, D=2)"
+
+
 def _strip_loop(arr):
     # the constructor's strip as a per-coefficient loop, as it was before
     # one stack-wide max replaced it

@@ -334,9 +334,9 @@ def test_atom_beyond_the_float_range_is_a_value_error():
 def test_huge_weight_is_judged_by_its_fit_error(monkeypatch):
     # moments [[w]] x 3: ||H1||_F overflowed numpy's norm from w ~ 1e160,
     # and the fit error's products and norms from w ~ 1e170, which warned
-    # and gave the atom an infinite bound.  Their squares are now rescaled
-    # where the plain value overflows, so the finite first-order fit error
-    # decides the flag; an absolute weight error of ~1e-15 w flags it, as
+    # and gave the atom an infinite bound.  They are now taken at a scale of
+    # max|entry| in [0.5, 1), so the finite first-order fit error decides
+    # the flag; an absolute weight error of ~1e-15 w flags it, as
     # it flags every weight above ~1e10
     errors = []
 
@@ -356,6 +356,31 @@ def test_huge_weight_is_judged_by_its_fit_error(monkeypatch):
         assert res.moment_residual <= 1e-15 * w
         assert len(errors) == 1 and 1e-6 < errors[0][0] < 1e-14 * w
         assert res.rank_gap_ambiguous
+
+
+@pytest.mark.parametrize("points,weights", [
+    ([-1.604255365971293, -0.01762073042337109, 0.23127492859661203],
+     [[[1.0223552826895232, 1.1347836264025586], [1.1347836264025586, 1.2812976588580691]],
+      [[0.13732355705965463, 0.05513133910880962], [0.05513133910880962, 0.03271274646511728]],
+      [[1.7820550712142587, -1.7974053668450436], [-1.7974053668450436, 1.9408364884396487]]]),
+    ([0.6793149149784949, 1.1023689004218231, 1.2294064400870464, 1.4006492459356714],
+     [[[0.9809812069971732, -2.4710309588114554], [-2.4710309588114554, 6.949544478997932]],
+      [[0.7996268702809665, -0.056706756053642254], [-0.056706756053642254, 0.7287701419297655]],
+      [[0.5052522095657537, -0.891418225997025], [-0.891418225997025, 2.928950931297739]],
+      [[2.89792547794567, -2.4070808963347265], [-2.4070808963347265, 2.000119438647928]]]),
+], ids=["merge-bound", "fit-error"])
+@pytest.mark.parametrize("k", [-600, -1000])
+def test_tiny_weights_recover_as_their_unscaled_measure(points, weights, k):
+    # at weights ~2^-600 the squares in ||H1||_F and in the fit error's norms
+    # underflowed to 0: the first measure's merge bound vanished, so two
+    # points 2e-12 apart came back as two atoms, flagged; the second's fit
+    # error vanished, so it went unflagged where the unscaled one is flagged
+    def recovered(scale):
+        mu = AtomicMatrixMeasure(2, [(x, np.ldexp(w, scale)) for x, w in zip(points, weights)])
+        res = recover(forward_moments(mu, 2 * len(points) + 2))
+        return len(res.measure.atoms), res.rank_used, res.rank_gap_ambiguous
+
+    assert recovered(k) == recovered(0)
 
 
 @pytest.mark.parametrize("points,sol", [([0.5, 0.5], [[1.0], [1.0]]), ([0.0, 1.0], [[1.0], [0.0]])],

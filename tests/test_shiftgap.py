@@ -208,6 +208,17 @@ def test_chain_wants_a_functional_of_the_family_size():
         cauchy_schwarz_chain(mu, build_family(3))
 
 
+@pytest.mark.parametrize("check", [cauchy_schwarz_chain, support_collapse_check])
+@pytest.mark.parametrize("n,big_n", [(2, 4), (6, 2)])
+def test_both_shift_checks_want_a_functional_of_the_family_size(check, n, big_n):
+    # support_collapse_check returned True for a point mass at the origin of
+    # either size, where the chain raised
+    mu = AtomicMatrixMeasure(n, [(0.0, np.eye(n))])
+    with pytest.raises(ValueError, match=f"^functional size {n} does not match family size "
+                                         f"{big_n}$"):
+        check(mu, build_family(big_n))
+
+
 def test_chain_precondition_failure_names_compression():
     fam = build_family(3)
     mu = AtomicMatrixMeasure(3, [(1.0, np.eye(3))])
