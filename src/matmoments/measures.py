@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_Failure, _finite_entries, _finite_spectra, _horner, _json_fields,
-                      _json_floats, _json_matrices, _json_matrix, _json_real, _not_psd, _read_only,
-                      _report_json, _scale, _size, _symmetrized, _weighted_sum)
+from .polymat import (_Failure, _finite_entries, _horner, _json_fields, _json_floats,
+                      _json_matrices, _json_matrix, _json_real, _not_psd, _read_only, _report_json,
+                      _scale, _size, _symmetrized, _weighted_sum)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 AUDIT_TOL = 1e-9
 _WEIGHT = "atoms[{}].W".format      # a weight's one name, its JSON field path
+_OVERFLOW = "has an eigenvalue that overflows float64"
 
 
 class SupportViolation(_Failure, ValueError):
@@ -77,7 +78,7 @@ class AtomicMatrixMeasure:
         tested = sym
         if len(merged) < len(points):
             tested = _finite_entries(np.concatenate([sym, [w for _, w in merged]]), name)
-        lam = _finite_spectra(np.linalg.eigvalsh(tested), name)
+        lam = _finite_entries(np.linalg.eigvalsh(tested), name, _OVERFLOW)
         bad = np.flatnonzero(_not_psd(lam[:, 0], lam[:, -1], WEIGHT_PSD_TOL))
         if bad.size:
             j = int(bad[0])
@@ -280,7 +281,7 @@ def positivity_audit(mu, generators, trials, seed=0):
 
     w = np.array([w for _, w in mu.atoms], dtype=float).reshape(-1, mu.n, mu.n)
     half = 0.5 * _finite_entries(w, _WEIGHT)    # halved first: the symmetric part stays finite
-    lam = _finite_spectra(np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2)), _WEIGHT)
+    lam = _finite_entries(np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2)), _WEIGHT, _OVERFLOW)
     least, largest = lam[:, 0], lam[:, -1]
     # least eigenvalue of g(x_j) W_j, and its tolerance
     value = g_at * np.where(g_at >= 0.0, least, largest)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .polymat import (DOMAINS, _check_tol, _finite_entries, _integer, _json_fields,
                       _json_floats, _json_matrices, _not_psd, _read_only, _report_json, _size,
-                      _square_stack, _symmetrized)
+                      _spectra, _square_stack, _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -155,14 +155,12 @@ def _localize(stack, g):
 def _spectrum(h, key, what):
     """``eigvalsh`` of generator ``key``'s matrix ``h``, and max|h|.
 
-    An entry, or a least or largest eigenvalue, that overflowed float64 (no
-    scale can judge it) is a ValueError naming the generator.
+    An entry or eigenvalue that overflowed float64 (no scale can judge it)
+    is a ValueError naming the generator.
     """
-    top = float(np.max(np.abs(h)))
-    w = np.linalg.eigvalsh(h) if math.isfinite(top) else [math.nan]
-    if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
-        raise ValueError(f"generator {key}: its {what} overflows float64")
-    return w, top
+    w = _finite_entries(_spectra(h[np.newaxis]), lambda _: f"generator {key}: its {what}",
+                        "overflows float64")[0]
+    return w, float(np.max(np.abs(h)))
 
 
 def _hankel(stack, m):

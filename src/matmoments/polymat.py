@@ -116,15 +116,17 @@ def _size(value, what, least=1):
     return int(value)
 
 
-def _finite_entries(stack, label):
-    """``stack`` if finite, else a ValueError naming its first bad matrix k as ``label(k)``.
+def _finite_entries(stack, label, wording="has a non-finite entry"):
+    """``stack`` if each row ``stack[k]``, of any rank, is finite, else a ValueError.
 
+    The error names the first bad row k as ``label(k)``, then ``wording``.
     ``label`` maps an index to the entry's one name, such as
-    ``"moments[{}]".format``; it is called only on the failing path.
+    ``"moments[{}]".format``; it is called only on the failing path.  A row
+    of eigenvalues that overflowed float64 leaves no scale to judge it by.
     """
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim))))
     if bad.size:
-        raise ValueError(f"{label(int(bad[0]))} has a non-finite entry")
+        raise ValueError(f"{label(int(bad[0]))} {wording}")
     return stack
 
 
@@ -142,19 +144,6 @@ def _symmetrized(stack, label, rtol):
     if bad.size:
         raise ValueError(f"{label(int(bad[0]))} is not symmetric")
     return half + half_t
-
-
-def _finite_spectra(lam, label):
-    """``lam``, rows of ascending eigenvalues, if each row's least and largest are finite.
-
-    A spectrum that overflowed float64 leaves no scale to judge it by, so
-    the first such matrix k is a ValueError naming it as ``label(k)``, by
-    the rule ``moments._spectrum`` applies to a Hankel.
-    """
-    bad = np.flatnonzero(~(np.isfinite(lam[:, 0]) & np.isfinite(lam[:, -1])))
-    if bad.size:
-        raise ValueError(f"{label(int(bad[0]))} has an eigenvalue that overflows float64")
-    return lam
 
 
 def _json_real(v):
