@@ -36,9 +36,9 @@ import numpy as np
 
 from . import spectral
 from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
-                      _conv_stack, _Failure, _json_fields, _json_real, _least_on, _line_weights,
-                      _maxabs, _padded_sum, _strip, _read_only, _times_scalar, _weighted_sum,
-                      matrixpoly_from_json, matrixpoly_to_json)
+                      _conv_stack, _Failure, _finite_entries, _json_fields, _json_real, _least_on,
+                      _line_weights, _maxabs, _padded_sum, _strip, _read_only, _times_scalar,
+                      _weighted_sum, matrixpoly_from_json, matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
 
@@ -343,13 +343,16 @@ def _finite_residual(f, cert):
     return residual
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def scalarize(g):
     """Scalar constraints with the same solution set as G(x) PSD.
 
     Returns the signed characteristic-polynomial coefficients
     det(tI - G(x)) = sum_j (-1)^j c_j(x) t^{n-j}: for a symmetric matrix
     all eigenvalues are real, and they are all nonnegative exactly when
-    every elementary symmetric function c_j of them is nonnegative.
+    every elementary symmetric function c_j of them is nonnegative.  Newton's
+    identities form them from tr(G^k): where that overflows float64, c_j
+    is a ValueError naming it, even if c_j itself is finite.
     """
     _require_symmetric(g)
     traces, power = [], g.coeffs
@@ -359,8 +362,9 @@ def scalarize(g):
     # Newton's identities k c_k = sum_i (-1)^(i-1) c_{k-i} p_i on (len, 1, 1) stacks
     elem = [np.ones((1, 1, 1))]
     for k in range(1, g.n + 1):
-        elem.append(_padded_sum([(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
-                                 for i in range(1, k + 1)]) / k)
+        c = _padded_sum([(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
+                         for i in range(1, k + 1)]) / k
+        elem.append(_finite_entries(c[np.newaxis], lambda _: f"c_{k}", "overflows float64")[0])
     polys = []
     for e in elem[1:]:
         arr = e.ravel()

@@ -283,9 +283,11 @@ def positivity_audit(mu, generators, trials, seed=0):
     half = 0.5 * _finite_entries(w, _WEIGHT)    # halved first: the symmetric part stays finite
     lam = _finite_entries(np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2)), _WEIGHT, _OVERFLOW)
     least, largest = lam[:, 0], lam[:, -1]
-    # least eigenvalue of g(x_j) W_j, and its tolerance
-    value = g_at * np.where(g_at >= 0.0, least, largest)
-    margin = value + AUDIT_TOL * size * _scale(least, largest)
+    # least eigenvalue of g(x_j) W_j, and its tolerance; a product that overflows
+    # to inf is PSD by a wide margin
+    with np.errstate(over="ignore"):
+        value = g_at * np.where(g_at >= 0.0, least, largest)
+        margin = value + AUDIT_TOL * size * _scale(least, largest)
     violations = [{"atom": int(ai), "generator": int(gi) - 1, "value": float(value[gi, ai])}
                   for ai, gi in zip(*np.nonzero(margin.T < 0.0))]
     min_margin = float(np.min(margin)) if margin.size else 0.0

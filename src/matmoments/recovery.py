@@ -138,7 +138,8 @@ def recover(seq):
     # eigenvalues above the floor, largest first, each against the next one
     above = lam[lam > 100.0 * EPS * lam.size * lam_max][::-1]
     below = lam[lam.size - above.size - 1] if above.size < lam.size else 0.0
-    ratios = above / np.append(above[1:], max(below, EPS * lam_max))
+    with np.errstate(divide="ignore"):      # a floor that underflowed to 0: an infinite gap
+        ratios = above / np.append(above[1:], max(below, EPS * lam_max))
     rank = int(np.argmax(ratios)) + 1
 
     basis = vec[:, lam.size - rank:]
@@ -150,7 +151,8 @@ def recover(seq):
         raise ValueError(f"atom at x={far:.6g}: power x^{d} overflows float64") from None
     e = np.frexp(np.max(np.abs(h1)))[1]    # ||H1||_F taken at max|H1| in [0.5, 1), exactly
     h1_norm = np.ldexp(np.linalg.norm(np.ldexp(h1, -e)), e)
-    bound = 3.0 * EPS * (h1_norm + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):     # y too large to square: inf or NaN
+        bound = 3.0 * EPS * (h1_norm + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
     # clusters of consecutive points within their bounds; clusters at least
     # MERGE_TOL apart, so the measure need not merge them again
     apart = np.diff(points) > np.maximum(bound[1:] + bound[:-1], MERGE_TOL)
@@ -163,9 +165,10 @@ def recover(seq):
     rhs = seq.S.reshape(d + 1, n * n)
     fit, svd = _lstsq(vand, rhs)
     sol = fit.reshape(len(merged), n, n)
-    ew, ev = np.linalg.eigh(0.5 * (sol + np.swapaxes(sol, 1, 2)))
-    weights = (ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2)
-    weights = 0.5 * (weights + np.swapaxes(weights, 1, 2))
+    half = 0.5 * sol       # halved before adding: the symmetric parts stay finite
+    ew, ev = np.linalg.eigh(half + np.swapaxes(half, 1, 2))
+    half = 0.5 * ((ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2))
+    weights = half + np.swapaxes(half, 1, 2)
 
     mu = AtomicMatrixMeasure._from_psd(n, merged, weights)
     # the atoms are ``merged`` in order, whose powers ``vand`` holds

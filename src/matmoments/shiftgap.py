@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import SupportViolation, forward_moments, positivity_audit
-from .polymat import MatrixPoly, _Failure, _report_json, _size
+from .polymat import MatrixPoly, _Failure, _finite_entries, _report_json, _size
 
 CHAIN_TOL = 1e-9
 PROBE_TOL = 1e-9
@@ -86,11 +86,6 @@ class ProbeReport:
     negative_candidate_excluded: bool
 
     to_json = _report_json
-
-
-def diagonal_entry(i):
-    """Coefficients of p_i(x) = x^3/i - x^2, constant term first; 1/i correctly rounded."""
-    return [0.0, 0.0, -1.0, 1.0 / i]
 
 
 def build_family(n_trunc):
@@ -151,7 +146,8 @@ def _audit_module(mu, fam, trials):
     """Raise unless L has the family's size and is module-positive; an indefinite W names p_1."""
     if mu.n != fam.N:
         raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")
-    gens = [diagonal_entry(i) for i in range(1, fam.N + 1)]
+    # p_i, constant term first, from the diagonals of G's coefficients
+    gens = np.diagonal(fam.G.coeffs, axis1=1, axis2=2).T
     try:
         report = positivity_audit(mu, gens, trials)
     except SupportViolation as exc:
@@ -161,6 +157,11 @@ def _audit_module(mu, fam, trials):
         worst = min(report.violations, key=lambda v: v["value"])
         raise ModulePositivityError(worst["atom"], mu.atoms[worst["atom"]][0],
                                     max(worst["generator"], 0), worst["value"])
+
+
+def _finite_values(values, names):
+    """``values`` as an array if none overflowed float64, else a ValueError naming the first."""
+    return _finite_entries(np.array(values), names.__getitem__, "overflows float64")
 
 
 def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
@@ -177,16 +178,18 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     _audit_module(mu, fam, trials)
 
     diag = np.diagonal(forward_moments(mu, 6).S, axis1=1, axis2=2)
-    mass = float(np.sum(diag[0]))
-    lhs_full = float(np.sum(diag[2]))
-    base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(float(np.sum(diag[6])), 0.0)))
-
     # A_n and -J_n are the x^3 and x^2 coefficients of shift_compress(fam, n):
     # the trailing (N-n)x(N-n) block of G's, moved to the top left
     a = np.diagonal(fam.G.coeffs[3])
     n_values = list(range(fam.N))
-    lhs_shifted = [float(np.sum(diag[2, :fam.N - n])) for n in n_values]
-    mid = [float(np.sum(diag[3, :fam.N - n] * a[n:])) for n in n_values]
+    with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
+        mass, lhs_full, top = (float(np.sum(diag[p])) for p in (0, 2, 6))
+        lhs_shifted = [float(np.sum(diag[2, :fam.N - n])) for n in n_values]
+        mid = [float(np.sum(diag[3, :fam.N - n] * a[n:])) for n in n_values]
+    _finite_values([mass, lhs_full, top, *lhs_shifted, *mid],
+                   ["L(Id)", "L(Id x^2)", "L(Id x^6)", *(f"L(J_{n} x^2)" for n in n_values),
+                    *(f"L(A_{n} x^3)" for n in n_values)])
+    base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(top, 0.0)))
     rhs = [base / (n + 1) for n in n_values]
 
     scale = max(1.0, lhs_full, base, abs(mass))
@@ -210,5 +213,7 @@ def support_collapse_check(mu, fam, trials=200, seed=0):
         if x < -1e-9 or x > fam.N + 1e-9:
             raise ValueError(f"atom {idx} at x={x:.6g} lies outside [0, {fam.N}]")
     s = forward_moments(mu, 6).S
-    bound = CHAIN_TOL * max(1.0, float(np.trace(s[0])))
+    with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
+        mass = float(np.trace(s[0]))
+    bound = CHAIN_TOL * max(1.0, _finite_values([mass], ["L(Id)"])[0])
     return not np.max(np.abs(s[1:])) > bound

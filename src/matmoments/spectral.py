@@ -31,8 +31,12 @@ retried once on u + delta*I if it broke down (A_0 or R_e singular on
 inputs rank-deficient on the whole circle, or a singular or non-finite
 doubling iterate or its step cap), and a coefficient-space Newton
 iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses.
+All of it runs on u / 4^j, the power of four that puts max(1, ||A_0||)
+in [1, 4), exactly; the factor is scaled back by 2^j, and its residual,
+its shift and a located eigenvalue by 4^j.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -278,7 +282,8 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     ------
     NotPsdOnCircle
         Located when the solve fails or misses: u's least eigenvalue below
-        the tolerance at angle t in (-pi, pi]; the input violates the precondition.
+        the tolerance at angle t in (-pi, pi]; the input violates the
+        precondition.  An eigenvalue below -1.8e308 is reported as -inf.
     NoConvergence
         Residual target not reached by the doubling Riccati solve, its
         retry on u + delta*I (run when the direct solve breaks down) and
@@ -290,16 +295,26 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     if not np.all(np.isfinite(u.coeffs)):
         raise ValueError("input has a non-finite coefficient")
     scale = max(1.0, _maxabs(u.coeff(0)))
+    if scale == np.inf:
+        raise ValueError("input has an entry of A_0 whose modulus overflows float64")
     if u.hermitian_defect() > 1e-10 * scale:
         raise ValueError("input is not hermitian-valued on the circle (A_{-k} != A_k^H)")
 
-    a_stack = np.array(u.coeffs)
     zero = np.zeros((band + 1, n, n), dtype=np.complex128)
-    if _maxabs(a_stack) == 0.0:
+    if _maxabs(u.coeffs) == 0.0:
         return SpectralFactor(zero, 0.0, 0.0, n * band)
 
+    # u / 4^j is exact, and every step is homogeneous at scales of 1 and up, so
+    # bits change only where a step overflowed at u's own scale
+    j = (math.frexp(scale)[1] - 1) // 2
+    a_stack, scale = u.coeffs * math.ldexp(1.0, -2 * j), math.ldexp(scale, -2 * j)
     tol_abs = tol * scale
     shift = 0.0
+
+    def unscaled(b, res):       # a factor of u / 4^j as one of u, its residual and shift too
+        return SpectralFactor(b * math.ldexp(1.0, j), float(np.ldexp(res, 2 * j)),
+                              float(np.ldexp(shift, 2 * j)), n * band)
+
     try:
         b = _riccati_factor(a_stack, band, n)
         res = _residual(a_stack, b)
@@ -315,7 +330,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
         z = np.exp(1j * ts)[:, np.newaxis, np.newaxis]
         worst, i = _least_eigenvalue(_horner(a_stack, z) / z ** band)
         if worst < -tol_abs:
-            raise NotPsdOnCircle(worst, ts[i])
+            raise NotPsdOnCircle(np.ldexp(worst, 2 * j), ts[i])     # -inf below -float max
     if b is None:
         # A_0 or R_e singular, or the doubling broke down: move the zeros off
         shift = RETRY_SHIFT * scale
@@ -324,11 +339,11 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
         try:
             b = _riccati_factor(shifted, band, n)
         except np.linalg.LinAlgError:
-            raise NoConvergence(SpectralFactor(zero, _maxabs(a_stack), shift, n * band)) from None
+            raise NoConvergence(unscaled(zero, _maxabs(a_stack))) from None
         res = _residual(a_stack, b)
     if not res <= tol_abs:
         b, res = _newton_refine(a_stack, band, b, target=0.01 * tol_abs)
-    best = SpectralFactor(b, res, shift, n * band)
+    best = unscaled(b, res)
     if not res <= tol_abs:
         raise NoConvergence(best)
     return best

@@ -953,3 +953,11 @@ def test_interval_bound_covers_a_shallow_dip(eps):
     f = scalar_poly(0.25 - eps, -1, 1)
     assert _checked_bound(f) is not None
     assert _grid_minimum(f.coeffs, "interval", points=2001) < 0
+
+
+def test_scalarize_names_a_coefficient_whose_power_sums_overflow():
+    # det G = 1e200 - x^2 is finite, but Newton's identities form tr(G^2) =
+    # 1e400 on the way: c_2 came back [nan, 0, -1] with a warning
+    g = MatrixPoly([[[1e200, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    with pytest.raises(ValueError, match=r"^c_2 overflows float64$"):
+        scalarize(g)

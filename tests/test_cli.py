@@ -920,3 +920,19 @@ def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_shiftgap_names_a_mass_that_overflows(tmp_path):
+    # L(Id) = 2e308 overflows: momentctl printed "rhs": [NaN, NaN] and "scale":
+    # Infinity, exited 1 with all_hold false and wrote three RuntimeWarnings to stderr
+    fn = tmp_path / "huge_mass.json"
+    fn.write_text(json.dumps({"n": 2, "atoms": [{"x": 0.0, "W": [[1e308, 0.0], [0.0, 1e308]]}]}))
+    src = str(Path(matmoments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = "import sys; from matmoments.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", script, "shiftgap", "--dim", "2",
+                           "--functional", str(fn)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert _strict_json(proc.stdout)["error"] == {"type": "ValueError",
+                                                  "message": "L(Id) overflows float64"}

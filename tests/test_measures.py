@@ -769,3 +769,12 @@ def test_map_measure_json_round_trip():
     g = MatrixPoly([[[2.0, 1.0], [1.0, 3.0]], [[0.0, -1.0], [-1.0, 1.0]]])
     assert np.array_equal(integrate_map(g, back), integrate_map(g, sup))
     assert np.allclose(integrate_map(g, sup), g(0.0) + v.T @ g(2.0) @ v)
+
+
+def test_an_audit_margin_that_overflows_passes_without_a_warning():
+    # p_1(7) W = 294e308 overflows to inf, which only says the product is PSD
+    # by a wide margin; the product warned
+    mu = AtomicMatrixMeasure(1, [(7.0, [[1e308]])])
+    report = positivity_audit(mu, [[0.0, 0.0, -1.0, 1.0]], 0)
+    assert (report.passed, report.violations) == (True, [])
+    assert report.min_margin == 1e308 + AUDIT_TOL * 1e308     # the constant 1's row

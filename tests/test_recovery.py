@@ -414,3 +414,20 @@ def test_clustered_atoms_of_the_right_count_are_accurate_or_flagged(seed):
     res = recover(forward_moments(mu, degree))
     if len(res.measure.atoms) == len(mu.atoms):
         assert res.rank_gap_ambiguous or atom_error(mu.atoms, res.measure.atoms) <= ATOM_TOL
+
+
+def test_a_noise_floor_that_underflows_raises_no_warning():
+    # eps lambda_max underflowed to 0 and y^2 overflowed: the rank ratio divided
+    # by zero and the merge bound overflowed to NaN, each with a warning
+    res = recover(MomentSequence([[[1e-320]], [[0.0]], [[1e200]]]))
+    assert (res.rank_used, res.rank_gap_ambiguous, res.moment_residual) == (1, True, 1e200)
+    assert [x for x, _ in res.measure.atoms] == [0.0]
+
+
+def test_a_weight_near_the_float_maximum_is_symmetrized_without_overflow():
+    # W + W^T overflowed in the weight symmetrization: a warning, then
+    # "atoms[0].W has a non-finite entry" for a weight that is 1e308
+    res = recover(MomentSequence([[[1e308]], [[7.0]], [[1e154]], [[-2.5]], [[1e154]]]))
+    ((x, w),) = res.measure.atoms
+    assert (x, w.tolist()) == (7e-308, [[1e308]])
+    assert res.rank_used == 1 and res.rank_gap_ambiguous

@@ -365,3 +365,24 @@ def test_support_collapse_rejects_atoms_beyond_truncation():
     mu = AtomicMatrixMeasure(4, [(0.0, np.eye(4)), (6.0, np.eye(4))])
     with pytest.raises(ValueError, match="outside"):
         support_collapse_check(mu, fam, trials=10)
+
+
+def _huge_mass(*atoms):
+    # L(Id) = 2e308 overflows float64, though every moment entry is finite
+    return AtomicMatrixMeasure(2, [(0.0, np.diag([1e308, 1e308])), *atoms])
+
+
+def test_the_chain_names_a_mass_that_overflows():
+    # the chain reported rhs [nan, nan], scale inf and all_hold False for this
+    # module-positive functional, with numpy's warnings
+    with pytest.raises(ValueError, match=r"^L\(Id\) overflows float64$"):
+        cauchy_schwarz_chain(_huge_mass(), build_family(2))
+
+
+def test_the_collapse_check_names_a_mass_that_overflows():
+    # its bound CHAIN_TOL trace(S_0) was inf, so the atom at 2 passed as a
+    # collapse, which the same measure with W = I at 0 does not
+    fam, atom = build_family(2), (2.0, np.eye(2))
+    assert not support_collapse_check(AtomicMatrixMeasure(2, [(0.0, np.eye(2)), atom]), fam)
+    with pytest.raises(ValueError, match=r"^L\(Id\) overflows float64$"):
+        support_collapse_check(_huge_mass(atom), fam)

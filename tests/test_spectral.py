@@ -526,3 +526,46 @@ def test_newton_polish_stops_at_a_step_it_cannot_take(step, monkeypatch):
                         lambda a_stack, b: np.nan if calls else residual(a_stack, b))
     best, res = spectral._newton_refine(u.coeffs, u.band, b, target=0.0)
     assert best is b and res == start > 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("seed,n,band", [(4, 2, 2), (17, 4, 4), (0, 3, 3)])
+def test_a_factor_scales_exactly_with_its_input(seed, n, band):
+    # the solve runs at one exact scale, so 4^k u factors as 2^k times u's
+    # factor bit for bit up to the float maximum; seeds 4 and 17 ended in
+    # NoConvergence there
+    u, _ = factorable_laurent(np.random.default_rng(seed), n, band)
+    k = int(np.log(1.7e308 / np.max(np.abs(u.coeffs))) / np.log(4.0))
+    f, big = fejer_riesz(u), fejer_riesz(LaurentPoly(u.coeffs * 4.0 ** k))
+    assert np.array_equal(big.coeffs, f.coeffs * 2.0 ** k)
+    assert (big.residual, big.epsilon_used) == (f.residual * 4.0 ** k, 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_a_dip_near_the_float_maximum_is_located(seed):
+    # Hermitian n = 2, band 2 inputs scaled to a largest entry of 1e308 ended
+    # in NoConvergence: the dip was not located
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    a[0] = a[0] + a[0].conj().T
+    c = np.concatenate([np.swapaxes(a[:0:-1], 1, 2).conj(), a])
+    c = c / np.max(np.abs(c)) * 1e308
+    with pytest.raises(NotPsdOnCircle) as info:
+        fejer_riesz(LaurentPoly(c))
+    # lambda_min(u(e^{it})) at the reported angle, summed at 2^-4 of its scale
+    z = np.exp(1j * info.value.at_angle * np.arange(-2, 3))
+    least = np.linalg.eigvalsh(np.tensordot(z, c / 16.0, axes=1))[0]
+    assert info.value.min_eigenvalue / 16.0 == pytest.approx(least, rel=1e-9)
+    assert least < -DEFAULT_TOL * np.max(np.abs(c[2])) / 16.0
+
+
+def test_a_dip_below_the_float_range_is_reported_as_minus_infinity():
+    # u(1) = 1e308 - 3.4e308 lies below -1.8e308
+    with pytest.raises(NotPsdOnCircle) as info:
+        fejer_riesz(scalar_laurent(-1.7e308, 1e308, -1.7e308))
+    assert info.value.min_eigenvalue == -np.inf and abs(info.value.at_angle) < 1e-12
+
+
+def test_an_entry_of_a0_whose_modulus_overflows_is_an_input_error():
+    # max(1, ||A_0||) was inf, so every residual met its target
+    with pytest.raises(ValueError, match="^input has an entry of A_0 whose modulus overflows"):
+        fejer_riesz(scalar_laurent(0.0, 1.5e308 + 1.5e308j, 0.0))
