@@ -124,9 +124,9 @@ def _finite_entries(stack, label, wording="has a non-finite entry"):
     ``"moments[{}]".format``; it is called only on the failing path.  A row
     of eigenvalues that overflowed float64 leaves no scale to judge it by.
     """
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim))))
-    if bad.size:
-        raise ValueError(f"{label(int(bad[0]))} {wording}")
+    finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+    if not finite.all():
+        raise ValueError(f"{label(int(np.argmin(finite)))} {wording}")
     return stack
 
 
@@ -324,7 +324,10 @@ def _horner(stack, x):
 
 def _spectra(h):
     """``eigvalsh`` of each matrix of the Hermitian stack h; a NaN row where h is not finite."""
-    w, finite = np.full(h.shape[:-1], np.nan), np.isfinite(h).all(axis=(-2, -1))
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(h)
+    w = np.full(h.shape[:-1], np.nan)
     w[finite] = np.linalg.eigvalsh(h[finite])       # it may not converge on a non-finite entry
     return w
 
