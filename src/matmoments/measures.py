@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_Failure, _finite_entries, _horner, _json_fields, _json_floats,
-                      _json_matrices, _json_matrix, _json_real, _not_psd, _read_only, _report_json,
-                      _scale, _size, _symmetrized, _weighted_sum)
+from .polymat import (_Failure, _finite_entries, _hermitian_part, _horner, _json_fields,
+                      _json_floats, _json_matrices, _json_matrix, _json_real, _not_psd, _read_only,
+                      _report_json, _scale, _size, _symmetrized, _weighted_sum)
 
 MERGE_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
@@ -280,8 +280,8 @@ def positivity_audit(mu, generators, trials, seed=0):
         raise SupportViolation(*worst)
 
     w = np.array([w for _, w in mu.atoms], dtype=float).reshape(-1, mu.n, mu.n)
-    half = 0.5 * _finite_entries(w, _WEIGHT)    # halved first: the symmetric part stays finite
-    lam = _finite_entries(np.linalg.eigvalsh(half + np.swapaxes(half, 1, 2)), _WEIGHT, _OVERFLOW)
+    lam = _finite_entries(np.linalg.eigvalsh(_hermitian_part(_finite_entries(w, _WEIGHT))),
+                          _WEIGHT, _OVERFLOW)
     least, largest = lam[:, 0], lam[:, -1]
     # least eigenvalue of g(x_j) W_j, and its tolerance; a product that overflows
     # to inf is PSD by a wide margin

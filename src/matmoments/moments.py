@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import (DOMAINS, _check_tol, _finite_entries, _integer, _json_fields,
+from .polymat import (DOMAINS, _check_tol, _finite_entries, _hermitian_part, _integer, _json_fields,
                       _json_floats, _json_matrices, _not_psd, _read_only, _report_json, _size,
                       _spectra, _square_stack, _symmetrized)
 
@@ -260,7 +260,7 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     blocks = seq.S[np.arange(extra + 1)[:, np.newaxis, np.newaxis] + k[:, np.newaxis] + k]
     with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
         t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
-        pairings = 0.5 * (t + np.swapaxes(t, 1, 2))
+        pairings = _hermitian_part(t)
     w = np.array([_spectrum(_localize(pairings, g)[0], key, "pairing matrix")[0][[0, -1]]
                   for key, g in gens.items()])
     return _judge(np.full(len(gens), m), w[:, 0], w[:, 1], tol)

@@ -130,6 +130,16 @@ def _finite_entries(stack, label, wording="has a non-finite entry"):
     return stack
 
 
+def _hermitian_part(s):
+    """S/2 + (S/2)^H over the last two axes: finite wherever S is.
+
+    Halving is exact on normal-range entries, so there it is bit for bit
+    (S + S^H)/2, whose sum overflows beyond ~9e307.
+    """
+    half = 0.5 * s
+    return half + np.swapaxes(half, -1, -2).conj()
+
+
 def _symmetrized(stack, label, rtol):
     """S/2 + (S/2)^T for each finite S of ``stack``; max|S - S^T| > rtol max(1, max|S|) raises.
 
@@ -335,11 +345,10 @@ def _spectra(h):
 def _least_eigenvalue(values):
     """Least eigenvalue over a stack of matrices' hermitian parts, and its index.
 
-    The first index wins a tie, and a NaN eigenvalue (from an entry that
-    overflowed, as ``0.5 * (v + v^H)`` does beyond ~9e307) never counts as
-    the least: past that the least eigenvalue and its point may be wrong.
+    The first index wins a tie, and a NaN eigenvalue (from a value that
+    overflowed) never counts as the least.
     """
-    w = _spectra(0.5 * (values + np.swapaxes(values, -1, -2).conj()))[:, 0]
+    w = _spectra(_hermitian_part(values))[:, 0]
     w = np.where(np.isnan(w), np.inf, w)
     i = int(np.argmin(w))
     return w[i], i

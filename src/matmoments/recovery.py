@@ -14,7 +14,7 @@ import numpy as np
 
 from .measures import MERGE_TOL, AtomicMatrixMeasure
 from .moments import block_hankel, check_hamburger
-from .polymat import _Failure, _weighted_sum
+from .polymat import _Failure, _hermitian_part, _weighted_sum
 
 ATOM_TOL = 1e-6
 EPS = np.finfo(float).eps
@@ -46,7 +46,7 @@ def pencil_eigenvalues(h0c, h1c):
     """
     s = 1.0 / np.sqrt(h0c)
     c = s[:, np.newaxis] * h1c * s
-    vals, z = np.linalg.eigh(0.5 * (c + c.T))
+    vals, z = np.linalg.eigh(_hermitian_part(c))
     return vals, s[:, np.newaxis] * z
 
 
@@ -165,10 +165,8 @@ def recover(seq):
     rhs = seq.S.reshape(d + 1, n * n)
     fit, svd = _lstsq(vand, rhs)
     sol = fit.reshape(len(merged), n, n)
-    half = 0.5 * sol       # halved before adding: the symmetric parts stay finite
-    ew, ev = np.linalg.eigh(half + np.swapaxes(half, 1, 2))
-    half = 0.5 * ((ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2))
-    weights = half + np.swapaxes(half, 1, 2)
+    ew, ev = np.linalg.eigh(_hermitian_part(sol))
+    weights = _hermitian_part((ev * np.maximum(ew, 0.0)[:, np.newaxis]) @ np.swapaxes(ev, 1, 2))
 
     mu = AtomicMatrixMeasure._from_psd(n, merged, weights)
     # the atoms are ``merged`` in order, whose powers ``vand`` holds

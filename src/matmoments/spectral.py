@@ -42,9 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymat import (LaurentPoly, _check_tol, _Failure, _horner, _json_fields, _json_floats,
-                      _json_matrices, _least_eigenvalue, _least_on, _line_weights, _maxabs,
-                      _read_only, _size, _square_stack, _weighted_sum)
+from .polymat import (LaurentPoly, _check_tol, _Failure, _hermitian_part, _horner, _json_fields,
+                      _json_floats, _json_matrices, _least_eigenvalue, _least_on, _line_weights,
+                      _maxabs, _read_only, _size, _square_stack, _weighted_sum)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -158,17 +158,15 @@ def _doubling(a, g, h):
         wa = w_inv @ a
         a_h = a.conj().T        # for real iterates a view: conj() returns a real array itself
         update = a_h @ h @ wa
-        h = h + update
-        h = 0.5 * (h + h.conj().T)
+        h = _hermitian_part(h + update)
         step, size = _maxabs(update), _maxabs(h)
         if not (step < np.inf and size < np.inf):
             raise np.linalg.LinAlgError("non-finite doubling iterate")
         if step <= _EPS * size or (step >= prev and prev <= _STALL * size):
             return h
         prev = step
-        g = g + a @ (w_inv @ g) @ a_h
+        g = _hermitian_part(g + a @ (w_inv @ g) @ a_h)
         a = a @ wa
-        g = 0.5 * (g + g.conj().T)
     raise np.linalg.LinAlgError(f"no convergence in {_MAX_DOUBLINGS} doubling steps")
 
 
@@ -180,7 +178,7 @@ def _riccati_factor(a_stack, band, n):
     """
     a = a_stack.real if not np.any(a_stack.imag) else a_stack
     m = n * band
-    r = 0.5 * a[band] + 0.5 * a[band].conj().T      # halved first: finite up to the float max
+    r = _hermitian_part(a[band])
     g = a[band + 1:].reshape(m, n)
     if m:
         # X = -P solves X = F X F^H - (F X H^H + G)(R + H X H^H)^{-1}(.)^H
@@ -197,7 +195,7 @@ def _riccati_factor(a_stack, band, n):
         r = r - p[:n, :n]
         g = g.copy()
         g[:-n] -= p[n:, :n]                         # G - F P H^H
-    b0 = np.linalg.cholesky(0.5 * r + 0.5 * r.conj().T)
+    b0 = np.linalg.cholesky(_hermitian_part(r))
     # K B_0 = (G - F P H^H) R_e^{-1} B_0 = (G - F P H^H) B_0^{-H}
     kb0 = np.linalg.solve(b0, g.conj().T).conj().T
     return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)]).astype(np.complex128)

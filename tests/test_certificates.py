@@ -456,7 +456,7 @@ def _assert_located(report, f, exc):
     assert np.isfinite(report.at_x) and a <= report.at_x <= b
     with np.errstate(all="ignore"):
         v = f(report.at_x)
-    assert _same_bits(report.min_eigenvalue, np.linalg.eigvalsh(0.5 * (v + v.T))[0])
+    assert _same_bits(report.min_eigenvalue, np.linalg.eigvalsh(0.5 * v + 0.5 * v.T)[0])
     assert report.min_eigenvalue < -certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
 
 
@@ -548,6 +548,18 @@ def test_grid_values_that_overflow_never_reach_eigvalsh():
         c = matmul(a, transpose_poly(a)).coeffs.copy()
         c[0] -= 0.5 * np.abs(c).max() * np.eye(3)
         _not_psd_report(decompose_line, MatrixPoly(1e305 / np.abs(c).max() * c))
+
+
+def test_a_dip_to_minus_the_float_maximum_on_the_line_is_located():
+    # diag(-1e308, 1e308) + x^2 I: formed as (v + v^T)/2, the Hermitian part
+    # of F(0) overflowed to a NaN eigenvalue, and the decomposition ended in
+    # SosConsistencyError ("reassembly residual 1.000e+308 above tolerance")
+    f = MatrixPoly([np.diag([-1e308, 1e308]), np.zeros((2, 2)), np.eye(2)])
+    with pytest.raises(NotPsdOnLine) as info:
+        decompose_line(f)
+    _assert_located(info.value, f, NotPsdOnLine)
+    assert info.value.min_eigenvalue == -1e308
+    assert info.value.at_x == pytest.approx(0.0, abs=1e-12)
 
 
 def test_halfline_dip_between_grid_points_is_located():

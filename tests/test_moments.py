@@ -144,6 +144,13 @@ def test_operator_check_degree_overflow():
         operator_check(plus_minus_one_moments(2), [I2, I2], "stieltjes")
 
 
+def test_operator_check_passes_a_pairing_near_the_float_maximum():
+    # <S_0, A_0^T A_0> = 1e308; formed as (T + T^T)/2 its Hermitian part
+    # overflowed: "generator 1: its pairing matrix overflows float64"
+    rep = operator_check(MomentSequence([[[1e308]]] * 3), [[[1.0]]], "hamburger")
+    assert rep.passed and rep.min_eigenvalue == 1e308
+
+
 @pytest.mark.parametrize("ops,match", [
     ((), "^operator tuple must be non-empty$"),
     ([I2, np.eye(3)], r"^operator shape \(3, 3\) does not match n=2$")])

@@ -1,14 +1,16 @@
 """Matrix polynomial arithmetic: frozen examples and exactness properties."""
 
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from matmoments.certificates import _clearing_weights, _trig_weights
-from matmoments.polymat import STRIP_TOL, _least_on, _line_weights, _weighted_sum
+from matmoments.polymat import STRIP_TOL, _hermitian_part, _least_on, _line_weights, _weighted_sum
 from matmoments import (LaurentPoly, MatrixPoly, MomentSequence, certificate_from_json,
                         laurent_from_json, map_measure_from_json, matmul, matrixpoly_from_json,
                         matrixpoly_to_json, measure_from_json, momentsequence_from_json,
@@ -508,3 +510,39 @@ def test_a_stack_singular_everywhere_is_judged_at_the_ends():
     f[0, 0, 0], f[1, 0, 0] = -0.3, 1.0
     worst, x = _least_on(f, 0.0, 1.0, 0.0)
     assert (worst, x) == (-0.3, 0.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def _stacks(draw):
+    """A real or complex stack of rank 2 or 3 with entries up to +-float max."""
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (draw(st.integers(1, 4)),) * 2
+    parts = 1 + draw(st.booleans())
+    size = parts * math.prod(shape)
+    big = np.finfo(float).max
+    entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([big, -big, 1e308])
+    flat = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    s = flat.reshape((parts,) + shape)
+    return s[0] + 1j * s[1] if parts == 2 else s[0]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(s=_stacks())
+def test_the_hermitian_part_is_finite_hermitian_and_the_halved_sum(s):
+    h = _hermitian_part(s)
+    assert h.dtype == s.dtype and np.isfinite(h).all()
+    assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())      # as numbers: conj(0) is -0j
+    with np.errstate(over="ignore", invalid="ignore"):   # a complex inf times 0.5 is NaN too
+        ref = 0.5 * (s + np.swapaxes(s, -1, -2).conj())
+    # halves of entries from 2 * tiny up are exact, and then so is their sum
+    parts = [s.real, s.imag] if np.iscomplexobj(s) else [s]
+    normal = np.logical_and.reduce([(p == 0) | (np.abs(p) >= 2 * np.finfo(float).tiny)
+                                    for p in parts])
+    keep = np.isfinite(ref) & normal & np.swapaxes(normal, -1, -2)
+    if np.iscomplexobj(s):      # 0.5 * z is a complex product: a zero's sign may differ
+        assert np.array_equal(h[keep], ref[keep])
+    else:
+        assert np.array_equal(_bits(h[keep]), _bits(ref[keep]))
