@@ -3,9 +3,11 @@
 A truncated sequence S_0, ..., S_D stands for the values L(x^p E_kl) of a
 linear functional on matrix polynomials.  Positivity of L on g times the
 hermitian squares, for a cone generator g, is equivalent to positive
-semidefiniteness of the localizing block Hankels [(g S)_{i+j}] with
-(g S)_m = sum_i g_i S_{m+i}; with finite data only orders 2m + deg g <= D
-are machine-checkable, so every report lists the orders it actually tested.
+semidefiniteness of the localizing block Hankels [(g S)_{i+j}] =
+sum_k g_k [S_{i+j+k}], each [S_{i+j+k}] a view of the one block Hankel
+[S_{i+j}] the sequence gathers on first use; with finite data only orders
+2m + deg g <= D are machine-checkable, so every report lists the orders it
+actually tested.
 Each criterion tests its domain's generators in ``polymat.DOMAINS``, one
 Hankel family each, keyed by coefficients.  Passing every testable order is
 necessary for a representing measure with the matching support but, at
@@ -54,14 +56,27 @@ class MomentSequence:
         # stored exactly symmetric, so block Hankels come out bit-symmetric
         arr = _symmetrized(_finite_entries(arr, _MOMENT), _MOMENT, _SYM_RTOL)
         self._S = _read_only(arr)
-        self._families = {}
+        self._families, self._gather = {}, None
 
     def _family(self, key, g):
         """The ``_HankelFamily`` of generator coefficients ``g``, named ``key`` in its errors."""
         family = self._families.get(g)
         if family is None:
-            family = self._families[g] = _HankelFamily(_localize(self._S, g), key)
+            family = self._families[g] = _HankelFamily(self, key, g)
         return family
+
+    def _hankel(self, m, shift):
+        """[S_{i+j+shift}]_{i,j<=m}, 2m + shift <= D, as a read-only view of one gather.
+
+        The gather [S_{i+j}], block rows 0..ceil(D/2) and columns 0..floor(D/2), holds every S_p.
+        """
+        n = self.n
+        if self._gather is None:
+            rows, cols = np.arange((self.D + 1) // 2 + 1), np.arange(self.D // 2 + 1)
+            blocks = self._S[rows[:, np.newaxis] + cols].transpose(0, 2, 1, 3)
+            self._gather = _read_only(blocks.reshape(rows.size * n, cols.size * n))
+        r, c = (shift + 1) // 2 * n, shift // 2 * n
+        return self._gather[r:r + (m + 1) * n, c:c + (m + 1) * n]
 
     @property
     def S(self):
@@ -86,23 +101,23 @@ class MomentSequence:
 
 
 class _HankelFamily:
-    """One generator's localizing block Hankel, gathered once at its top order.
+    """Generator g's localizing block Hankel sum_i g_i [S_{j+k+i}]_{j,k} at its top order.
 
     Its eigenvalues are computed at once; order m's Hankel is its leading
     (m + 1) n square, whose eigenvalues ``extremes`` computes on first use.
     """
 
-    def __init__(self, stack, key):
-        self.top = (len(stack) - 1) // 2
-        self._h, self._n = _hankel(stack, self.top), stack.shape[1]
+    def __init__(self, seq, key, g):
+        self.top, self._n = (seq.D + 1 - len(g)) // 2, seq.n
+        with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
+            self._h = _combine(g, lambda i: seq._hankel(self.top, i))
         self._w = self._extremes = None
         self.least, self.floor, self.unit = math.nan, 1.0, 0.0
         if self.top >= 0:
             self._w, top = _spectrum(self._h, key, "localizing Hankel")
             self.least = float(self._w[0])
-            # T_0 is every order's (0, 0) block, and a largest eigenvalue is at
-            # least any diagonal entry
-            self.floor = max(1.0, float(np.max(np.diagonal(stack[0]))))
+            # (0, 0) is every order's block, and a largest eigenvalue >= any diagonal entry
+            self.floor = max(1.0, float(np.max(np.diagonal(self._h[:self._n, :self._n]))))
             self.unit = len(self._h) * EPS * top
 
     def passes_at_top(self, tol):
@@ -139,17 +154,10 @@ class PsdReport:
     to_json = _report_json
 
 
-def _localize(stack, g):
-    """Localizing stack T_m = sum_i g_i stack[m + i], as long as stack allows.
-
-    Summed from the lowest nonzero term, so 1*S and S_m - S_{m+1} are exact.
-    The localizing block Hankel of g has (i, j) block T_{i+j}; order m is
-    testable while 2m < len(T).
-    """
-    size = max(len(stack) - (len(g) - 1), 0)
-    terms = [c * stack[i:i + size] for i, c in enumerate(g) if c]
-    with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
-        return sum(terms[1:], terms[0])
+def _combine(g, term):
+    """sum_i g_i term(i) from the lowest nonzero g_i, so 1*S and S_m - S_{m+1} are exact."""
+    terms = [c * term(i) for i, c in enumerate(g) if c]
+    return sum(terms[1:], terms[0])
 
 
 def _spectrum(h, key, what):
@@ -163,14 +171,6 @@ def _spectrum(h, key, what):
     return w, float(np.max(np.abs(h)))
 
 
-def _hankel(stack, m):
-    """Block matrix with (i, j) block stack[i + j], i, j = 0..m, as one gather."""
-    k = np.arange(m + 1)
-    n = stack.shape[1]
-    blocks = stack[k[:, np.newaxis] + k]
-    return blocks.transpose(0, 2, 1, 3).reshape((m + 1) * n, (m + 1) * n)
-
-
 def block_hankel(seq, m, shift):
     """Block matrix with (i, j) block S_{i+j+shift}, i, j = 0..m.
 
@@ -181,7 +181,7 @@ def block_hankel(seq, m, shift):
     m = _size(m, "m", least=0)
     if 2 * m + shift > seq.D:
         raise ValueError(f"degree overflow: 2*{m}+{shift} exceeds D={seq.D}")
-    return _hankel(seq.S[shift:], m)
+    return seq._hankel(m, shift).copy()
 
 
 def _judge(orders, least, largest, tol):
@@ -255,14 +255,14 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
     stack = _finite_entries(np.array(ops, dtype=float), "operator A_{}".format)
 
-    # T_k[i, j] = <S_{i+j+k}, A_i^T A_j> from one gather of the blocks
-    k = np.arange(m + 1)
-    blocks = seq.S[np.arange(extra + 1)[:, np.newaxis, np.newaxis] + k[:, np.newaxis] + k]
+    # T_k[i, j] = <S_{i+j+k}, A_i^T A_j>, the blocks copied out of the sequence's Hankels
+    blocks = np.array([seq._hankel(m, k).reshape(m + 1, seq.n, m + 1, seq.n).swapaxes(1, 2)
+                       for k in range(extra + 1)])
     with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
         t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
         pairings = _hermitian_part(t)
-    w = np.array([_spectrum(_localize(pairings, g)[0], key, "pairing matrix")[0][[0, -1]]
-                  for key, g in gens.items()])
+        mats = [(key, _combine(g, pairings.__getitem__)) for key, g in gens.items()]
+    w = np.array([_spectrum(h, key, "pairing matrix")[0][[0, -1]] for key, h in mats])
     return _judge(np.full(len(gens), m), w[:, 0], w[:, 1], tol)
 
 

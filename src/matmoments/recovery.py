@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import MERGE_TOL, AtomicMatrixMeasure
-from .moments import block_hankel, check_hamburger
+from .moments import check_hamburger
 from .polymat import _Failure, _hermitian_part, _weighted_sum
 
 ATOM_TOL = 1e-6
@@ -129,7 +129,7 @@ def recover(seq):
         raise HankelNotPsd(report)
 
     n = seq.n
-    h0, h1 = (block_hankel(seq, d // 2 - 1, shift) for shift in (0, 1))
+    h0, h1 = (seq._hankel(d // 2 - 1, shift) for shift in (0, 1))
     lam, vec = np.linalg.eigh(h0)
     lam_max = lam[-1]
     if lam_max <= 0.0:

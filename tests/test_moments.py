@@ -62,6 +62,39 @@ def test_block_hankel_exactly_symmetric():
     assert np.array_equal(h, h.T)
 
 
+def test_block_hankel_returns_a_fresh_writable_copy():
+    seq = MomentSequence([I2, 0 * I2, I2])
+    h = block_hankel(seq, 1, 0)
+    assert h.flags.writeable and h.flags.c_contiguous
+    assert not np.shares_memory(h, seq._gather)
+    h[:] = 7.0
+    assert np.array_equal(block_hankel(seq, 1, 0), np.eye(4))
+
+
+def test_one_gather_serves_the_criteria_operator_check_and_recover(monkeypatch):
+    # every Hankel they read is a read-only view of the sequence's one gather,
+    # made on first use and kept
+    seq = forward_moments(rand_measure(np.random.default_rng(4), 2, 2, 0.0, 1.0), 4)
+    views, hankel = [], MomentSequence._hankel
+
+    def recorded(self, m, shift):
+        views.append((m, shift, hankel(self, m, shift)))
+        return views[-1][2]
+    monkeypatch.setattr(MomentSequence, "_hankel", recorded)
+    assert seq._gather is None
+    assert check_hausdorff(seq).passed
+    gather = seq._gather
+    assert operator_check(seq, [I2, np.ones((2, 2))], "hausdorff").passed
+    recover(seq)
+    assert seq._gather is gather and not gather.flags.writeable
+    # four families (1, x, 1-x, x(1-x)), three pairing shifts, recover's H0 and H1
+    assert [(m, shift) for m, shift, _ in views] == [
+        (2, 0), (1, 1), (1, 0), (1, 1), (1, 1), (1, 2), (1, 0), (1, 1), (1, 2), (1, 0), (1, 1)]
+    for m, shift, view in views:
+        assert np.shares_memory(view, gather) and not view.flags.writeable
+        assert view.tobytes() == _ref_block_hankel(seq, m, shift).tobytes()
+
+
 def test_hamburger_passes_on_measure_moments():
     rep = check_hamburger(plus_minus_one_moments(4))
     assert rep.passed
