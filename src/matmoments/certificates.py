@@ -206,6 +206,39 @@ def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
     return cert
 
 
+# the generator g' and the extra power x^j with x g = x^j g', per generator g
+_TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x", 1)}
+
+
+def _certified(variant, f, tol, split, not_psd):
+    """Certificate of F = x^k F~ from ``split(F~, tol)`` = (parts, failure, bound), verified once.
+
+    k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
+    its even part on the line, where an odd-degree F is an ``OddDegree``.
+    Every factor of F~ is padded by x^(k // 2); for odd k each generator g
+    moves to g' with x g = x^j g' (``_TIMES_X``), its factors taking j more x.
+    """
+    _check_tol(tol, positive=True)
+    scale = _require_symmetric(f)
+    k = int(np.argmax(f.coeffs.any(axis=(1, 2))))
+    if variant == "line":
+        if f.deg % 2:
+            raise OddDegree(f"degree {f.deg} is odd")
+        k -= k % 2
+    parts, pending, bound = split(MatrixPoly(f.coeffs[k:]) if k else f, tol)
+    moved = {}
+    for key, factors in parts:
+        key, j = _TIMES_X[key] if k % 2 else (key, 0)
+        moved[key] = [np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c)) for c in factors]
+    return _finish(variant, f, [(key, moved[key]) for key in DOMAINS[variant][1] if key in moved],
+                   tol, scale, pending, not_psd, bound)
+
+
+def _split_line(f, tol):
+    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs), tol)
+    return [("1", [h, k])], pending, None
+
+
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_line(f, tol=DEFAULT_TOL):
     """Certificate F = H H^T + K K^T for F PSD on the whole line.
@@ -213,12 +246,13 @@ def decompose_line(f, tol=DEFAULT_TOL):
     Requires even degree with PSD leading coefficient; at most two factors
     are emitted.
     """
-    _check_tol(tol, positive=True)
-    scale = _require_symmetric(f)
-    if f.deg % 2:
-        raise OddDegree(f"degree {f.deg} is odd")
-    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs), tol)
-    return _finish("line", f, [("1", [h, k])], tol, scale, pending, NotPsdOnLine)
+    return _certified("line", f, tol, _split_line, NotPsdOnLine)
+
+
+def _split_halfline(f, tol):
+    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs, 2), tol)
+    evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
+    return [("1", evens), ("x", odds)], pending, None
 
 
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
@@ -228,12 +262,7 @@ def decompose_halfline(f, tol=DEFAULT_TOL):
     Factors G(a) = F(a^2) on the line and splits each factor
     P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
     """
-    _check_tol(tol, positive=True)
-    scale = _require_symmetric(f)
-    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs, 2), tol)
-    evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
-    return _finish("halfline", f, [("1", evens), ("x", odds)], tol, scale, pending,
-                   NotPsdOnHalfLine)
+    return _certified("halfline", f, tol, _split_halfline, NotPsdOnHalfLine)
 
 
 @lru_cache(maxsize=None)
@@ -287,18 +316,7 @@ def _interval_bound(f, c, u, factor):
     return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
 
 
-@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
-def decompose_interval(f, tol=DEFAULT_TOL):
-    """Four-generator certificate for F PSD on [0, 1].
-
-    Factors G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)) on the line and splits
-    each factor P(a) = R(a^2) + a Q(a^2).  R has degree at most floor(d/2)
-    and Q at most floor((d-1)/2), so clearing s = x/(1-x) sends them
-    straight onto their generators: R to 1 and Q to x(1-x) for even d, R to
-    1-x and Q to x for odd d.
-    """
-    _check_tol(tol, positive=True)
-    scale = _require_symmetric(f)
+def _split_interval(f, tol):
     d, half = f.deg, f.deg // 2
     c = _clear_substitution(f.coeffs, d, +1)
     u = _trig_laurent(c, 2)
@@ -310,8 +328,21 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     else:
         parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
                  ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
-    bound = None if factor is None else lambda: _interval_bound(f, c, u, factor)
-    cert = _finish("interval", f, parts, tol, scale, pending, NotPsdOnInterval, bound)
+    # F~ >= -B on [0, 1] bounds F = x^k F~ too
+    return parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
+
+
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
+def decompose_interval(f, tol=DEFAULT_TOL):
+    """Four-generator certificate for F PSD on [0, 1].
+
+    Factors G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)) on the line and splits
+    each factor P(a) = R(a^2) + a Q(a^2).  R has degree at most floor(d/2)
+    and Q at most floor((d-1)/2), so clearing s = x/(1-x) sends them
+    straight onto their generators: R to 1 and Q to x(1-x) for even d, R to
+    1-x and Q to x for odd d.
+    """
+    cert = _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
     cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
     return cert
 

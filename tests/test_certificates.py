@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import entrywise_reassembly, rand_symmetric_poly
+from conftest import entrywise_reassembly, rand_psd, rand_symmetric_poly
 from matmoments import certificates, polymat, spectral
 from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
                         NotPsdOnLine, OddDegree, SosCertificate,
@@ -973,3 +973,54 @@ def test_scalarize_names_a_coefficient_whose_power_sums_overflow():
     g = MatrixPoly([[[1e200, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
     with pytest.raises(ValueError, match=r"^c_2 overflows float64$"):
         scalarize(g)
+
+
+# F = x^k G: the decomposers certify G = F / x^k and pad its factors by
+# x^(k // 2).  On the half-line G(a) = F(a^2) had a zero of order 2k at
+# a = 0, which the doubling met only through the Newton polish, if at all.
+
+def _polish_refused(*args, **kwargs):
+    raise AssertionError("the Newton polish ran")
+
+
+def _times_x(k, c):
+    """x^k C(x), symmetrized, with exactly zero coefficients below x^k."""
+    f = np.concatenate([np.zeros((k,) + c.shape[1:]), c])
+    return MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
+
+
+@pytest.mark.parametrize("n, deg", [(4, 1), (5, 6)])
+def test_x_squared_times_a_square_certifies_on_the_half_line(n, deg, monkeypatch):
+    # x^2 A A^T ended in NoConvergence at n = 4 (best residual 1.0e-8) and
+    # certified at n = 5 only after seconds of the Newton polish
+    monkeypatch.setattr(spectral, "_newton_refine", _polish_refused)
+    f = _times_x(2, _square(np.random.default_rng(1), n, deg))
+    cert = decompose_halfline(f)
+    assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(domain=st.sampled_from(sorted(_GENS)), k=st.integers(1, 4), n=st.integers(1, 4),
+       d=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_a_power_of_x_times_a_psd_input_certifies_without_the_polish(domain, k, n, d, seed):
+    # G is I plus a sum over the domain's generators (two squares on the
+    # line), so at least I there by construction; without the I, a nearly
+    # singular G needs the polish on its own (3 of 600 such draws, all on
+    # the interval).  The line takes the even power x^(k + k % 2).
+    gens = [[1.0], [1.0]] if domain == "line" else _GENS[domain]
+    g = np.array(sos_of_degree(np.random.default_rng(seed), n, d, gens).coeffs)
+    g[0] += np.eye(n)
+    f = _times_x(k + k % 2 if domain == "line" else k, g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_newton_refine", _polish_refused)
+        cert = _DECOMPOSE[domain][0](f)
+    assert list(cert.sigma) == [key for key in DOMAINS[domain][1] if key in cert.sigma]
+    assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+
+
+def test_an_odd_power_of_x_is_not_psd_on_the_line():
+    # x^3 (P + x Q) with P, Q positive definite: the line takes out x^2 only,
+    # and locates F's own dip, left of 0
+    rng = np.random.default_rng(3)
+    f = _times_x(3, np.array([rand_psd(rng, 2), rand_psd(rng, 2)]))
+    assert _not_psd_report(decompose_line, f).at_x < 0
