@@ -220,18 +220,20 @@ def _certified(variant, f, tol, split, not_psd):
     """
     _check_tol(tol, positive=True)
     scale = _require_symmetric(f)
-    k = int(np.argmax(f.coeffs.any(axis=(1, 2))))
+    k = next(i for i, c in enumerate(f.coeffs) if c.any() or i == f.deg)
     if variant == "line":
         if f.deg % 2:
             raise OddDegree(f"degree {f.deg} is odd")
         k -= k % 2
     parts, pending, bound = split(MatrixPoly(f.coeffs[k:]) if k else f, tol)
-    moved = {}
-    for key, factors in parts:
-        key, j = _TIMES_X[key] if k % 2 else (key, 0)
-        moved[key] = [np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c)) for c in factors]
-    return _finish(variant, f, [(key, moved[key]) for key in DOMAINS[variant][1] if key in moved],
-                   tol, scale, pending, not_psd, bound)
+    if k:
+        moved = {}
+        for key, factors in parts:
+            key, j = _TIMES_X[key] if k % 2 else (key, 0)
+            moved[key] = [np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c))
+                          for c in factors]
+        parts = [(key, moved[key]) for key in DOMAINS[variant][1] if key in moved]
+    return _finish(variant, f, parts, tol, scale, pending, not_psd, bound)
 
 
 def _split_line(f, tol):

@@ -259,10 +259,10 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
     blocks = np.array([seq._hankel(m, k).reshape(m + 1, seq.n, m + 1, seq.n).swapaxes(1, 2)
                        for k in range(extra + 1)])
     with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
-        t = np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack), axis=(-2, -1))
-        pairings = _hermitian_part(t)
-        mats = [(key, _combine(g, pairings.__getitem__)) for key, g in gens.items()]
-    w = np.array([_spectrum(h, key, "pairing matrix")[0][[0, -1]] for key, h in mats])
+        t = _hermitian_part(np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack),
+                                   axis=(-2, -1)))
+        w = np.array([_spectrum(_combine(g, lambda k: t[k]), key, "pairing matrix")[0][[0, -1]]
+                      for key, g in gens.items()])
     return _judge(np.full(len(gens), m), w[:, 0], w[:, 1], tol)
 
 

@@ -1002,18 +1002,25 @@ def test_x_squared_times_a_square_certifies_on_the_half_line(n, deg, monkeypatch
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(domain=st.sampled_from(sorted(_GENS)), k=st.integers(1, 4), n=st.integers(1, 4),
        d=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-def test_a_power_of_x_times_a_psd_input_certifies_without_the_polish(domain, k, n, d, seed):
-    # G is I plus a sum over the domain's generators (two squares on the
-    # line), so at least I there by construction; without the I, a nearly
-    # singular G needs the polish on its own (3 of 600 such draws, all on
-    # the interval).  The line takes the even power x^(k + k % 2).
+def test_a_power_of_x_adds_no_newton_polish(domain, k, n, d, seed):
+    # G is a sum over the domain's generators (two squares on the line), so
+    # PSD there by construction, and x^k G (x^(k + k % 2) G on the line)
+    # certifies with as many polish calls as G alone: none, unless G itself
+    # is nearly singular somewhere on the domain
     gens = [[1.0], [1.0]] if domain == "line" else _GENS[domain]
-    g = np.array(sos_of_degree(np.random.default_rng(seed), n, d, gens).coeffs)
-    g[0] += np.eye(n)
-    f = _times_x(k + k % 2 if domain == "line" else k, g)
+    g = _times_x(0, sos_of_degree(np.random.default_rng(seed), n, d, gens).coeffs)
+    f = _times_x(k + k % 2 if domain == "line" else k, g.coeffs)
+    decompose, refine, calls = _DECOMPOSE[domain][0], spectral._newton_refine, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return refine(*args, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_newton_refine", _polish_refused)
-        cert = _DECOMPOSE[domain][0](f)
+        patch.setattr(spectral, "_newton_refine", counted)
+        decompose(g)
+        alone = len(calls)
+        cert = decompose(f)
+    assert len(calls) == 2 * alone
     assert list(cert.sigma) == [key for key in DOMAINS[domain][1] if key in cert.sigma]
     assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
 
