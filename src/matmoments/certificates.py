@@ -37,8 +37,8 @@ import numpy as np
 from . import spectral
 from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
                       _conv_stack, _Failure, _finite_entries, _json_fields, _json_real, _least_on,
-                      _line_weights, _maxabs, _padded_sum, _strip, _read_only, _times_scalar,
-                      _weighted_sum, matrixpoly_from_json, matrixpoly_to_json)
+                      _line_weights, _maxabs, _padded_sum, _strip, _read_only, _symmetrized,
+                      _times_scalar, _weighted_sum, matrixpoly_from_json, matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
 
@@ -100,15 +100,14 @@ class ScalarizedSet:
     source: MatrixPoly = None
 
 
-def _require_symmetric(f, what="input"):
-    """F's scale max(1, largest coefficient entry), once F is finite and symmetric."""
+def _require_symmetric(f):
+    """F's scale max(1, max entry) once F is finite and each F_k symmetric up to ``INPUT_RTOL``."""
     top = f.max_coeff_abs()
     if not top < np.inf:
-        raise ValueError(f"{what} has a non-finite coefficient")
-    scale = max(1.0, top)
-    if not f.symmetric and _maxabs(f.coeffs - np.swapaxes(f.coeffs, 1, 2)) > 1e-12 * scale:
-        raise ValueError(f"{what} must be a symmetric matrix polynomial")
-    return scale
+        raise ValueError("input has a non-finite coefficient")
+    if not f.symmetric:     # each F_k at its own scale; F is certified as given
+        _symmetrized(f.coeffs, "input coefficient {}".format)
+    return max(1.0, top)
 
 
 @lru_cache(maxsize=None)
@@ -398,12 +397,7 @@ def scalarize(g):
         c = _padded_sum([(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
                          for i in range(1, k + 1)]) / k
         elem.append(_finite_entries(c[np.newaxis], lambda _: f"c_{k}", "overflows float64")[0])
-    polys = []
-    for e in elem[1:]:
-        arr = e.ravel()
-        nz = np.nonzero(np.abs(arr) > 1e-14 * max(1.0, np.max(np.abs(arr))))[0]
-        polys.append(arr[:nz[-1] + 1] if nz.size else arr[:1])
-    return ScalarizedSet(polys=polys, source=g)
+    return ScalarizedSet(polys=[_strip(e).ravel() for e in elem[1:]], source=g)
 
 
 def certificate_to_json(cert):

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .polymat import (_Failure, _finite_entries, _hermitian_part, _horner, _json_fields,
+from .polymat import (INPUT_RTOL, _Failure, _finite_entries, _hermitian_part, _horner, _json_fields,
                       _json_floats, _json_matrices, _json_matrix, _json_real, _not_psd, _read_only,
                       _report_json, _scale, _size, _symmetrized, _weighted_sum)
 
 MERGE_TOL = 1e-12
-WEIGHT_PSD_TOL = 1e-10
-AUDIT_TOL = 1e-9
 _WEIGHT = "atoms[{}].W".format      # a weight's one name, its JSON field path
 _OVERFLOW = "has an eigenvalue that overflows float64"
 
@@ -42,7 +40,7 @@ class SupportViolation(_Failure, ValueError):
 
 
 class AtomicMatrixMeasure:
-    """Finitely many (point, symmetric PSD weight) atoms of a common size."""
+    """Finitely many (point, weight) atoms, each weight symmetric and PSD up to ``INPUT_RTOL``."""
 
     def __init__(self, n, atoms):
         self._n = n = _size(n, "weight size n")
@@ -55,7 +53,7 @@ class AtomicMatrixMeasure:
             points.append(x)
             weights.append(w)
         w = np.array(weights).reshape(len(weights), n, n)
-        sym = _symmetrized(_finite_entries(w, _WEIGHT), _WEIGHT, 1e-10)
+        sym = _symmetrized(_finite_entries(w, _WEIGHT), _WEIGHT)
         # atoms closer than MERGE_TOL merge into one; first[k] is the least
         # input index of merged atom k
         merged, first = [], []
@@ -79,7 +77,7 @@ class AtomicMatrixMeasure:
         if len(merged) < len(points):
             tested = _finite_entries(np.concatenate([sym, [w for _, w in merged]]), name)
         lam = _finite_entries(np.linalg.eigvalsh(tested), name, _OVERFLOW)
-        bad = np.flatnonzero(_not_psd(lam[:, 0], lam[:, -1], WEIGHT_PSD_TOL))
+        bad = np.flatnonzero(_not_psd(lam[:, 0], lam[:, -1], INPUT_RTOL))
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"{name(j)} has eigenvalue {lam[j, 0]:.3e} < 0")
@@ -166,10 +164,11 @@ class PositiveMapMeasure:
         By Choi's theorem it is completely positive exactly when its Choi matrix
         C[(a, p), (b, q)] = Phi(E_ab)[p, q] is PSD.  The Choi matrices are the
         weights ``atoms[j].W`` of one ``AtomicMatrixMeasure`` of size h_dim k_dim,
-        whose weight check admits them, sorts the atoms by x and merges them
-        within ``MERGE_TOL``; each C = sum_t l_t v_t v_t^T gives Kraus operators
-        sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.  The transpose, positive but
-        not completely positive, is rejected; on symmetric F it is Kraus V = I.
+        whose weight check admits them up to ``INPUT_RTOL``, sorts the atoms by
+        x and merges them within ``MERGE_TOL``; each C = sum_t l_t v_t v_t^T
+        gives Kraus operators sqrt(l_t) v_t.reshape(h_dim, k_dim), l_t > 0.  The
+        transpose, positive but not completely positive, is rejected; on
+        symmetric F it is Kraus V = I.
         """
         h, k = _size(h_dim, "h_dim"), _size(k_dim, "k_dim")
         choi = []
@@ -247,12 +246,13 @@ def positivity_audit(mu, generators, trials, seed=0):
     raises SupportViolation naming the most negative (atom, generator) pair.
     At distinct atoms, module positivity is then exactly g(x_j) W_j PSD for
     every pair (take A a Lagrange interpolant vanishing at the other atoms):
-    the least eigenvalue of g(x_j) sym(W_j) is judged against ``AUDIT_TOL``
-    times len(g) * max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2);
-    an atom where the product of the first three overflows float64 is a
-    ValueError naming it, and so is a weight ``atoms[j].W`` with a non-finite
-    entry or an eigenvalue that overflows float64.  ``trials`` and ``seed``
-    are ignored, as nothing is drawn; ``trials`` must be a nonnegative integer.
+    the least eigenvalue of g(x_j) sym(W_j) is judged against ``INPUT_RTOL``
+    times len(g) * max(1, max|g_i|) * max(1, |x_j|)^deg g * max(1, ||W_j||_2).
+    The first three bound |g(x_j)|, so every measure the constructor admits
+    passes.  An atom where their product overflows float64 is a ValueError
+    naming it, and so is a weight ``atoms[j].W`` with a non-finite entry or
+    an eigenvalue that overflows float64.  ``trials`` and ``seed`` are
+    ignored, as nothing is drawn; ``trials`` must be a nonnegative integer.
     """
     _size(trials, "trials", least=0)
     gens = [_generator(gi, g) for gi, g in enumerate(generators)]
@@ -287,7 +287,7 @@ def positivity_audit(mu, generators, trials, seed=0):
     # to inf is PSD by a wide margin
     with np.errstate(over="ignore"):
         value = g_at * np.where(g_at >= 0.0, least, largest)
-        margin = value + AUDIT_TOL * size * _scale(least, largest)
+        margin = value + INPUT_RTOL * size * _scale(least, largest)
     violations = [{"atom": int(ai), "generator": int(gi) - 1, "value": float(value[gi, ai])}
                   for ai, gi in zip(*np.nonzero(margin.T < 0.0))]
     min_margin = float(np.min(margin)) if margin.size else 0.0

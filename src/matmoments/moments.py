@@ -37,7 +37,6 @@ DEFAULT_PSD_TOL = 1e-9
 
 EPS = np.finfo(float).eps
 
-_SYM_RTOL = 1e-12
 _MOMENT = "moments[{}]".format      # a moment's one name, its JSON field path
 
 
@@ -54,7 +53,7 @@ class MomentSequence:
         arr = np.asarray(matrices, dtype=np.float64)
         arr = _square_stack(arr[np.newaxis] if arr.ndim == 2 else arr, "moments")
         # stored exactly symmetric, so block Hankels come out bit-symmetric
-        arr = _symmetrized(_finite_entries(arr, _MOMENT), _MOMENT, _SYM_RTOL)
+        arr = _symmetrized(_finite_entries(arr, _MOMENT), _MOMENT)
         self._S = _read_only(arr)
         self._families, self._gather = {}, None
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 STRIP_TOL = 1e-14
+INPUT_RTOL = 1e-10      # an input's allowed asymmetry or negativity: README, "Error model"
 
 # Each domain: its moment criterion, which tests each [(g*S)_{i+j}] in this order, and the
 # generators g, {name: coefficients, constant first}, of certificates F = sum_g g * sigma_g.
@@ -140,8 +141,8 @@ def _hermitian_part(s):
     return half + np.swapaxes(half, -1, -2).conj()
 
 
-def _symmetrized(stack, label, rtol):
-    """S/2 + (S/2)^T for each finite S of ``stack``; max|S - S^T| > rtol max(1, max|S|) raises.
+def _symmetrized(stack, label):
+    """S/2 + (S/2)^T per finite S of ``stack``; max|S - S^T| > INPUT_RTOL max(1, max|S|) raises.
 
     The ValueError names S as ``_finite_entries`` does.  Halved first, the
     sum and difference stay finite near the float maximum, and on
@@ -150,7 +151,7 @@ def _symmetrized(stack, label, rtol):
     half = 0.5 * stack
     half_t = np.swapaxes(half, 1, 2)
     scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
-    bad = np.flatnonzero(np.max(np.abs(half - half_t), axis=(1, 2)) > 0.5 * rtol * scale)
+    bad = np.flatnonzero(np.max(np.abs(half - half_t), axis=(1, 2)) > 0.5 * INPUT_RTOL * scale)
     if bad.size:
         raise ValueError(f"{label(int(bad[0]))} is not symmetric")
     return half + half_t

@@ -30,10 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import SupportViolation, forward_moments, positivity_audit
-from .polymat import MatrixPoly, _Failure, _finite_entries, _report_json, _size
-
-CHAIN_TOL = 1e-9
-PROBE_TOL = 1e-9
+from .polymat import INPUT_RTOL, MatrixPoly, _Failure, _finite_entries, _report_json, _size
 
 
 class ModulePositivityError(_Failure, ValueError):
@@ -126,8 +123,9 @@ def leading_coeff_probe(fam, trials=0, seed=0):
 
     The report gives the least eigenvalue of lead(G) and lead(Id), each
     divided by its largest entry (1/N), and that of the candidate
-    (1 - x^2) Id (-1).  ``trials`` and ``seed`` are ignored, as nothing is
-    drawn; ``trials`` must be a nonnegative integer.
+    (1 - x^2) Id (-1): exact for these diagonal matrices, so judged against
+    0 with no ``INPUT_RTOL``.  ``trials`` and ``seed`` are ignored, as
+    nothing is drawn; ``trials`` must be a nonnegative integer.
     """
     _size(trials, "trials", least=0)
     eye = np.eye(fam.N)
@@ -136,9 +134,9 @@ def leading_coeff_probe(fam, trials=0, seed=0):
     min_eig = min(lead_g, lead_id)
     return ProbeReport(
         min_leading_eigenvalue=min_eig,
-        all_psd=min_eig >= -PROBE_TOL,
+        all_psd=min_eig >= 0.0,
         negative_candidate_min_eigenvalue=lead_candidate,
-        negative_candidate_excluded=lead_candidate < -PROBE_TOL,
+        negative_candidate_excluded=lead_candidate < 0.0,
     )
 
 
@@ -172,7 +170,8 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     the shift compression; the truncation bound
     L(Id x^2) <= rhs(N-1) is checked separately.  Every value is linear in
     the moments S_0..S_6 of L, and A_n and J_n are diagonal, so each is a
-    sum over the diagonals of S_2, S_3 or S_6.  Module positivity is audited
+    sum over the diagonals of S_2, S_3 or S_6, compared with slack
+    ``INPUT_RTOL`` times the report's ``scale``.  Module positivity is audited
     exactly first; ``trials`` (a nonnegative integer) and ``seed`` are ignored.
     """
     _audit_module(mu, fam, trials)
@@ -193,7 +192,7 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     rhs = [base / (n + 1) for n in n_values]
 
     scale = max(1.0, lhs_full, base, abs(mass))
-    slack = CHAIN_TOL * scale
+    slack = INPUT_RTOL * scale
     all_hold = all(lhs_shifted[i] <= mid[i] + slack and mid[i] <= rhs[i] + slack
                    for i in range(fam.N))
     final_bound = lhs_full <= base / fam.N + slack
@@ -206,7 +205,8 @@ def support_collapse_check(mu, fam, trials=200, seed=0):
 
     Preconditions, checked in this order: L has the family's size and is
     module-positive (both as in ``cauchy_schwarz_chain``), and every atom
-    lies in [0, N], the region the truncation controls (a ValueError otherwise).
+    lies in [0, N] up to 1e-9, the region the truncation controls (a
+    ValueError otherwise).  Vanishing means |S_k| <= ``INPUT_RTOL`` max(1, L(Id)).
     """
     _audit_module(mu, fam, trials)
     for idx, (x, _) in enumerate(mu.atoms):
@@ -215,5 +215,5 @@ def support_collapse_check(mu, fam, trials=200, seed=0):
     s = forward_moments(mu, 6).S
     with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
         mass = float(np.trace(s[0]))
-    bound = CHAIN_TOL * max(1.0, _finite_values([mass], ["L(Id)"])[0])
+    bound = INPUT_RTOL * max(1.0, _finite_values([mass], ["L(Id)"])[0])
     return not np.max(np.abs(s[1:])) > bound

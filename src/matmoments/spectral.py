@@ -42,9 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymat import (LaurentPoly, _check_tol, _Failure, _hermitian_part, _horner, _json_fields,
-                      _json_floats, _json_matrices, _least_eigenvalue, _least_on, _line_weights,
-                      _maxabs, _read_only, _size, _square_stack, _weighted_sum)
+from .polymat import (INPUT_RTOL, LaurentPoly, _check_tol, _Failure, _hermitian_part, _horner,
+                      _json_fields, _json_floats, _json_matrices, _least_eigenvalue, _least_on,
+                      _line_weights, _maxabs, _read_only, _size, _square_stack, _weighted_sum)
 
 DEFAULT_TOL = 1e-9
 # Shift delta of the retry on u + delta*I, relative to max(1, ||A_0||).  On
@@ -295,7 +295,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     scale = max(1.0, _maxabs(u.coeff(0)))
     if scale == np.inf:
         raise ValueError("input has an entry of A_0 whose modulus overflows float64")
-    if u.hermitian_defect() > 1e-10 * scale:
+    if u.hermitian_defect() > INPUT_RTOL * scale:
         raise ValueError("input is not hermitian-valued on the circle (A_{-k} != A_k^H)")
 
     zero = np.zeros((band + 1, n, n), dtype=np.complex128)

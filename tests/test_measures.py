@@ -18,8 +18,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, MomentSequence, Positiv
                         momentsequence_from_json, positivity_audit, scalar_poly_mult,
                         transpose_poly)
 from matmoments import matmul as poly_matmul
-from matmoments.measures import AUDIT_TOL, WEIGHT_PSD_TOL
-from matmoments.polymat import _horner
+from matmoments.polymat import INPUT_RTOL, _horner
 
 I2 = np.eye(2)
 
@@ -340,7 +339,7 @@ def test_atoms_merge_and_weights_validate():
 def test_merged_weights_are_checked():
     # each weight sits just inside the PSD tolerance, their sum does not: the
     # measure used to be accepted and then fail positivity_audit(mu, [], 0)
-    edge = np.diag([-0.99 * WEIGHT_PSD_TOL, 0.05])
+    edge = np.diag([-0.99 * INPUT_RTOL, 0.05])
     atoms = [(2.0, I2)] + [(0.5, edge)] * 12
     match = "atoms[1].W merged with nearby atoms has eigenvalue -1.188e-09 < 0"
     with pytest.raises(ValueError, match=re.escape(match)):
@@ -449,7 +448,7 @@ def test_positivity_audit_violation_path_pinned():
     assert not rep.passed
     assert rep.violations == [{"atom": 0, "generator": -1, "value": -1.0},
                               {"atom": 0, "generator": 0, "value": -0.5}]
-    assert rep.min_margin == -1.0 + AUDIT_TOL
+    assert rep.min_margin == -1.0 + INPUT_RTOL
 
 
 def test_positivity_audit_reads_the_symmetric_part_of_a_weight():
@@ -542,7 +541,7 @@ def _atoms_doc(n, atoms):
     (AtomicMatrixMeasure, measure_from_json, [(0.0, I2), (1.0, np.diag([1.0, -1.0]))],
      "atoms[1].W has eigenvalue -1.000e+00 < 0"),
     (AtomicMatrixMeasure, measure_from_json,
-     [(2.0, I2)] + [(0.5, np.diag([-0.99 * WEIGHT_PSD_TOL, 0.05]))] * 12,
+     [(2.0, I2)] + [(0.5, np.diag([-0.99 * INPUT_RTOL, 0.05]))] * 12,
      "atoms[1].W merged with nearby atoms has eigenvalue -1.188e-09 < 0"),
     (AtomicMatrixMeasure, measure_from_json,
      [(0.7, I2), (0.5, 1e308 * I2), (0.5 + 1e-13, 1e308 * I2)],
@@ -608,7 +607,7 @@ def _reference_audit(mu, generators):
             a = _lagrange_witness(points, j, v)
             val = integrate_trace(scalar_poly_mult(g, poly_matmul(transpose_poly(a), a)), mu)
             size = len(g) * max(1.0, np.max(np.abs(g))) * max(1.0, abs(x)) ** (len(g) - 1)
-            tol = AUDIT_TOL * size * max(1.0, np.linalg.norm(sym, 2))
+            tol = INPUT_RTOL * size * max(1.0, np.linalg.norm(sym, 2))
             margins.append(val + tol)
             if val < -tol:
                 violations.append({"atom": j, "generator": gi - 1, "value": val})
@@ -658,9 +657,9 @@ def test_positivity_audit_matches_per_trial_reference(kind, n):
 
 
 def _edge_weight(rng, n, scale):
-    """A weight whose least eigenvalue sits at -0.99 WEIGHT_PSD_TOL max(1, lambda_max)."""
+    """A weight whose least eigenvalue sits at -0.99 INPUT_RTOL max(1, lambda_max)."""
     lam = rng.uniform(0.3, 3.0, n) * scale
-    lam[0] = -0.99 * WEIGHT_PSD_TOL * np.max(lam[1:], initial=1.0)
+    lam[0] = -0.99 * INPUT_RTOL * np.max(lam[1:], initial=1.0)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q @ np.diag(lam) @ q.T
 
@@ -777,4 +776,4 @@ def test_an_audit_margin_that_overflows_passes_without_a_warning():
     mu = AtomicMatrixMeasure(1, [(7.0, [[1e308]])])
     report = positivity_audit(mu, [[0.0, 0.0, -1.0, 1.0]], 0)
     assert (report.passed, report.violations) == (True, [])
-    assert report.min_margin == 1e308 + AUDIT_TOL * 1e308     # the constant 1's row
+    assert report.min_margin == 1e308 + INPUT_RTOL * 1e308     # the constant 1's row
