@@ -55,11 +55,11 @@ RETRY_SHIFT = 1.5e-8
 # Doubling steps of the Riccati solve: definite inputs take 5-12, spectral
 # zeros on the circle 16-35 before their updates reach rounding noise.
 _MAX_DOUBLINGS = 64
-# Doubling updates that stop shrinking below _STALL * ||H|| end the solve.
-# They bottom out at 1e-8-1e-5 of ||H|| (rounding noise) at spectral zeros
-# on the circle and wander at ~1e-3 on an input that dips to -1e-6 on a
-# short arc; before converging, near-critical definite inputs can show
-# growing updates above ~3e-2.
+# A doubling update that grows after two at or below _STALL * ||H|| ends the
+# solve.  Updates bottom out at 1e-8-1e-5 of ||H|| (rounding noise) at
+# spectral zeros on the circle and wander at ~1e-3 on an input that dips to
+# -1e-6 on a short arc.  A definite input can grow once far below _STALL
+# (6.1e-4 then 9.5e-4, or 2.4e-3 then 3.7e-3) and then converge quadratically.
 _STALL = 3e-3
 _EPS = np.finfo(float).eps
 
@@ -144,7 +144,7 @@ def _doubling(a, g, h):
 
     With W = I + G H, iterates A <- A W^{-1} A, G <- G + A W^{-1} G A^H,
     H <- H + A^H H W^{-1} A, until the update to H reaches rounding level
-    or stops shrinking below _STALL * ||H||; the last step forms only H.
+    or grows after two at or below _STALL * ||H||; the last step forms only H.
     W^{-1} is formed once per step and applied by matrix products: with
     one BLAS thread and states of 24-96 that costs less than one LU solve
     against [A G].
@@ -152,7 +152,7 @@ def _doubling(a, g, h):
     non-finite A or G shows a step later), or after _MAX_DOUBLINGS steps.
     """
     eye = np.eye(a.shape[0])
-    prev = np.inf
+    prev = before = np.inf
     for _ in range(_MAX_DOUBLINGS):
         w_inv = np.linalg.inv(eye + g @ h)
         wa = w_inv @ a
@@ -162,9 +162,9 @@ def _doubling(a, g, h):
         step, size = _maxabs(update), _maxabs(h)
         if not (step < np.inf and size < np.inf):
             raise np.linalg.LinAlgError("non-finite doubling iterate")
-        if step <= _EPS * size or (step >= prev and prev <= _STALL * size):
+        if step <= _EPS * size or (step >= prev and max(prev, before) <= _STALL * size):
             return h
-        prev = step
+        prev, before = step, prev
         g = _hermitian_part(g + a @ (w_inv @ g) @ a_h)
         a = a @ wa
     raise np.linalg.LinAlgError(f"no convergence in {_MAX_DOUBLINGS} doubling steps")

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from matmoments.certificates import _clearing_weights, _trig_weights
-from matmoments.polymat import STRIP_TOL, _hermitian_part, _least_on, _line_weights, _weighted_sum
-from matmoments import (LaurentPoly, MatrixPoly, MomentSequence, certificate_from_json,
-                        laurent_from_json, map_measure_from_json, matmul, matrixpoly_from_json,
-                        matrixpoly_to_json, measure_from_json, momentsequence_from_json,
-                        scalar_poly_mult, transpose_poly)
+from matmoments.polymat import (INPUT_RTOL, STRIP_TOL, _hermitian_part, _least_on, _line_weights,
+                                _weighted_sum)
+from matmoments import (AtomicMatrixMeasure, LaurentPoly, MatrixPoly, MomentSequence,
+                        certificate_from_json, decompose_line, fejer_riesz, laurent_from_json,
+                        map_measure_from_json, matmul, matrixpoly_from_json, matrixpoly_to_json,
+                        measure_from_json, momentsequence_from_json, scalar_poly_mult, scalarize,
+                        transpose_poly)
 
 I2 = np.eye(2)
 
@@ -378,6 +380,31 @@ def test_the_loader_judges_the_symmetric_flag_as_matrix_poly_does():
         matrixpoly_from_json(doc)
     doc["coeffs"][1] = [[0.0, STRIP_TOL / 2], [0.0, 0.0]]
     assert matrixpoly_from_json(doc).deg == 0
+
+
+# the five admission checks of an input matrix M, each judging its asymmetry
+# against INPUT_RTOL times M's own scale max(1, max|M|)
+_ADMIT = {
+    "moment": lambda m: MomentSequence([m]),
+    "weight": lambda m: AtomicMatrixMeasure(2, [(0.0, m)]),
+    "decompose_line": lambda m: decompose_line(MatrixPoly([m, 0 * m, m])),
+    "scalarize": lambda m: scalarize(MatrixPoly([m, 0 * m, m])),
+    "fejer_riesz": lambda m: fejer_riesz(LaurentPoly(m[np.newaxis])),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("check", sorted(_ADMIT))
+def test_every_input_check_admits_an_asymmetry_within_input_rtol(check, scale):
+    # the moment and the polynomial checks rejected 0.5 INPUT_RTOL: they
+    # judged at 1e-12, the weight and Laurent checks at 1e-10
+    def skewed(rel):
+        m = scale * np.eye(2)
+        m[0, 1] += rel * INPUT_RTOL * scale
+        return m
+    _ADMIT[check](skewed(0.5))
+    with pytest.raises(ValueError, match="not symmetric|not hermitian"):
+        _ADMIT[check](skewed(2.0))
 
 
 def test_empty_coefficient_stack_is_rejected():
