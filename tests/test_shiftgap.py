@@ -380,7 +380,7 @@ def test_the_chain_names_a_mass_that_overflows():
 
 
 def test_the_collapse_check_names_a_mass_that_overflows():
-    # its bound CHAIN_TOL trace(S_0) was inf, so the atom at 2 passed as a
+    # its bound, a tolerance times trace(S_0), was inf, so the atom at 2 passed as a
     # collapse, which the same measure with W = I at 0 does not
     fam, atom = build_family(2), (2.0, np.eye(2))
     assert not support_collapse_check(AtomicMatrixMeasure(2, [(0.0, np.eye(2)), atom]), fam)
