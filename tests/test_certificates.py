@@ -1021,7 +1021,7 @@ def test_a_power_of_x_adds_no_newton_polish(domain, k, n, d, seed):
 @pytest.mark.parametrize("domain, seed, d", [("halfline", 68278, 4), ("interval", 1, 3)])
 def test_definite_inputs_certify_without_the_polish(domain, seed, d, monkeypatch):
     # the doubling's updates grew once below _STALL (2.4e-3 then 3.7e-3 of
-    # ||H||, and 6.1e-4 then 9.5e-4), which ended the solve at a residual
+    # ||H||, and 6.1e-4 then 9.5e-4), which ended the solve near a residual
     # of 1e-6; left to run, the next steps converge quadratically
     monkeypatch.setattr(spectral, "_newton_refine", _polish_refused)
     f = sos_of_degree(np.random.default_rng(seed), 1, d, _GENS[domain])
