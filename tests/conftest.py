@@ -59,12 +59,43 @@ def factorable_laurent(rng, n, band, real=False):
     b = rng.standard_normal((band + 1, n, n))
     if not real:
         b = b + 1j * rng.standard_normal((band + 1, n, n))
-    coeffs = np.zeros((2 * band + 1, n, n), dtype=complex)
+    return laurent_from_factor(b), b
+
+
+def laurent_from_factor(b):
+    """P P* for the factor stack b, with coefficients indexed -band..band."""
+    band = b.shape[0] - 1
+    coeffs = np.zeros((2 * band + 1,) + b.shape[1:], dtype=complex)
     for k in range(band + 1):
         ck = sum(b[j + k] @ b[j].conj().T for j in range(band + 1 - k))
         coeffs[band + k] = ck
         coeffs[band - k] = ck.conj().T
-    return LaurentPoly(coeffs), b
+    return LaurentPoly(coeffs)
+
+
+def scalar_laurent(*vals):
+    """Coefficients A_{-band}..A_{band} as 1x1 matrices."""
+    return LaurentPoly(np.array([[[v]] for v in vals], dtype=complex))
+
+
+def _rank_one_factor():
+    # P(z) = p(z) e_1^T with p a random 3x1 column of degree 3: u is rank one
+    # on the whole circle
+    b = np.zeros((4, 3, 3))
+    b[:, :, 0] = np.random.default_rng(37).standard_normal((4, 3))
+    return b
+
+
+# Laurent polynomials singular on the circle, four of them on the whole circle:
+# ``fejer_riesz`` needs its shifted retry or its Newton polish on all but one
+SINGULAR_INPUTS = {
+    "constant diag(1, 0)": LaurentPoly(np.diag([1.0, 0.0])[np.newaxis]),
+    "diag((1+z)(1+1/z), 0)": LaurentPoly(np.array(
+        [np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), np.diag([1.0, 0.0])], dtype=complex)),
+    "double zero (1+z)^2 (1+1/z)^2": scalar_laurent(1, 4, 6, 4, 1),
+    "(I - z^2 I) n=2": laurent_from_factor(np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2)])),
+    "rank one n=3 band=3": laurent_from_factor(_rank_one_factor()),
+}
 
 
 def entrywise_reassembly(f, cert):

@@ -1,4 +1,4 @@
-"""Digests over the certificates and the moment path of fixed, seeded corpora.
+"""Digests over the certificates, the spectral factors and the moment path of fixed, seeded corpora.
 
 A change that moves any bit of a factor, a certificate or its residual,
 or of a measure, its moments, a Hankel criterion's report or a recovered
@@ -20,21 +20,23 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import rand_psd, separated_points     # first: it pins BLAS before numpy loads
+# conftest first: it pins BLAS before numpy loads
+from conftest import SINGULAR_INPUTS, laurent_from_factor, rand_psd, separated_points
 import numpy as np
 import pytest
 from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, certificates,
-                        check_hamburger, check_hausdorff, check_stieltjes, forward_moments,
-                        operator_check, positivity_audit, recover)
+                        check_hamburger, check_hausdorff, check_stieltjes, fejer_riesz,
+                        forward_moments, operator_check, positivity_audit, recover)
 
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
 MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
 WIDE_DIGEST = "55f65af3ac10d65c91b2ad185d4ed9ad15f4877ed8640d31fb062f54115586ea"
+FACTOR_DIGEST = "1c96d8db0aa80e914a0d8c0466c314ab0c92b00fc76a36810e71b03b8ece87b0"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
 # them, the digests above and the CLI goldens from the current build, after
 # a change that moves bits on purpose, and prints each certificate case
-# whose outcome moved.
+# whose outcome moved and each factor case that moved.
 CASE_HASHES = Path(__file__).resolve().parent / "golden" / "digests.json"
 DECOMPOSE = {"line": certificates.decompose_line,
              "halfline": certificates.decompose_halfline,
@@ -188,6 +190,41 @@ def test_wide_certificate_digest_is_unchanged():
     _assert_digest("WIDE_DIGEST", WIDE_DIGEST, _certificate_cases(_wide_corpus(), True))
 
 
+def _factor_corpus():
+    """(label, u) pairs on which ``fejer_riesz`` runs its Newton polish.
+
+    ``SINGULAR_INPUTS``, then 40 P P* with P of rank 1..n-1 on the whole
+    circle (n 2-4, band 1-5): real P for even draws, complex for odd ones.
+    """
+    rng = np.random.default_rng(5)
+    cases = list(SINGULAR_INPUTS.items())
+    for i in range(40):
+        n, band = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        rank = int(rng.integers(1, n))
+        b = np.zeros((band + 1, n, n), dtype=complex)
+        b[:, :, :rank] = rng.standard_normal((band + 1, n, rank))
+        if i % 2:
+            b[:, :, :rank] += 1j * rng.standard_normal((band + 1, n, rank))
+        field = "complex" if i % 2 else "real"
+        cases.append((f"draw {i}, {field} rank {rank}, n={n}, band={band}", laurent_from_factor(b)))
+    return cases
+
+
+def _factor_cases():
+    """(label, bytes) per case: the factor's coefficients, residual and shift, or the error."""
+    for label, u in _factor_corpus():
+        try:
+            fac = fejer_riesz(u)
+            data = fac.coeffs.tobytes() + f"{fac.residual!r} {fac.epsilon_used!r}".encode()
+        except (ValueError, RuntimeError) as exc:
+            data = f"{type(exc).__name__}: {exc}".encode()
+        yield label, data
+
+
+def test_factor_digest_is_unchanged():
+    _assert_digest("FACTOR_DIGEST", FACTOR_DIGEST, _factor_cases())
+
+
 def _moment_corpus():
     """(n, atoms) lists: n 1-6, 1-6 atoms in [-2, 2] or [0, 1], displaced atoms, merging pairs."""
     rng = np.random.default_rng(20261019)
@@ -282,9 +319,9 @@ def _rewrite():
     Rewrites the digest constants above, ``golden/digests.json`` (with each
     certificate case's outcome) and the stdout files of
     ``test_cli.GOLDEN_CALLS``.  Prints how many case hashes moved (for the
-    moment corpus, its ``reports`` and ``measure`` hashes apart) and each
+    moment corpus, its ``reports`` and ``measure`` hashes apart), each
     certificate case whose outcome (a certificate, or an error type)
-    differs from the recorded one.
+    differs from the recorded one, and each factor case that moved.
     """
     import test_cli
 
@@ -292,7 +329,8 @@ def _rewrite():
     doc = {}
     for name, cases in (("DIGEST", _certificate_cases(_corpus())),
                         ("WIDE_DIGEST", _certificate_cases(_wide_corpus(), True)),
-                        ("MOMENT_DIGEST", _moment_cases())):
+                        ("MOMENT_DIGEST", _moment_cases()),
+                        ("FACTOR_DIGEST", _factor_cases())):
         cases = list(cases)
         digest, per_case = _digest_report(cases)
         doc[name] = {"digest": digest, "cases": per_case}
@@ -305,6 +343,9 @@ def _rewrite():
                       f"{sum(label.endswith(part) for label, _ in per_case)}")
             continue
         print(f"  case hashes moved: {len(moved)} of {len(per_case)}")
+        if name == "FACTOR_DIGEST":
+            print("".join(f"  moved: {label}\n" for label in moved), end="")
+            continue
         doc[name]["outcomes"] = [_outcome(data) for _, data in cases]
         was = recorded.get(name, {}).get("outcomes", [])
         for i, ((label, _), old, now) in enumerate(zip(per_case, was, doc[name]["outcomes"])):

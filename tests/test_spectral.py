@@ -6,15 +6,10 @@ import pytest
 import test_bit_identity
 from hypothesis import given, settings, strategies as st
 
-from conftest import factorable_laurent
+from conftest import SINGULAR_INPUTS, factorable_laurent, laurent_from_factor, scalar_laurent
 from matmoments import (LaurentPoly, NoConvergence, NotPsdOnCircle, fejer_riesz,
                         laurent_from_json, laurent_to_json, polymat, spectral, verify_factor)
 from matmoments.spectral import DEFAULT_TOL
-
-
-def scalar_laurent(*vals):
-    """Coefficients A_{-band}..A_{band} as 1x1 matrices."""
-    return LaurentPoly(np.array([[[v]] for v in vals], dtype=complex))
 
 
 def test_scalar_singular_example():
@@ -42,35 +37,6 @@ def test_block_diagonal_singular():
     coeffs[2] = np.diag([1.0, 0.0])
     fac = fejer_riesz(LaurentPoly(coeffs))
     assert fac.residual <= 1e-10
-
-
-def laurent_from_factor(b):
-    """Coefficients of P P* for the factor stack b, indexed -band..band."""
-    band = b.shape[0] - 1
-    coeffs = np.zeros((2 * band + 1,) + b.shape[1:], dtype=complex)
-    for k in range(band + 1):
-        ck = sum(b[j + k] @ b[j].conj().T for j in range(band + 1 - k))
-        coeffs[band + k] = ck
-        coeffs[band - k] = ck.conj().T
-    return LaurentPoly(coeffs)
-
-
-def rank_one_factor():
-    # P(z) = p(z) e_1^T with p a random 3x1 column of degree 3: u is rank one
-    # on the whole circle
-    b = np.zeros((4, 3, 3))
-    b[:, :, 0] = np.random.default_rng(37).standard_normal((4, 3))
-    return b
-
-
-SINGULAR_INPUTS = {
-    "constant diag(1, 0)": LaurentPoly(np.diag([1.0, 0.0])[np.newaxis]),
-    "diag((1+z)(1+1/z), 0)": LaurentPoly(np.array(
-        [np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), np.diag([1.0, 0.0])], dtype=complex)),
-    "double zero (1+z)^2 (1+1/z)^2": scalar_laurent(1, 4, 6, 4, 1),
-    "(I - z^2 I) n=2": laurent_from_factor(np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2)])),
-    "rank one n=3 band=3": laurent_from_factor(rank_one_factor()),
-}
 
 
 # Spectral zeros on the circle with A_0 and R_e definite: the doubling
