@@ -201,47 +201,46 @@ def _riccati_factor(a_stack, band, n):
     return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)]).astype(np.complex128)
 
 
-def _newton_step(a_stack, band, b, perm):
-    """Least-norm solution D of  D P* + P D* = (A - B B*)  in coefficient space."""
+def _newton_step(a_stack, band, b):
+    """Least-norm solution D of  D P* + P D* = (A - B B*)  in coefficient space.
+
+    Block row k of the Jacobian holds D_a -> D_a B_{a-k}^H (J_1, block Toeplitz)
+    and D_c -> B_{k+c} D_c^H (J_2, block Hankel, acting on conj D).  A real u has
+    a real factor and solves (J_1 + J_2) D = E; a complex u, its real embedding.
+    """
     n = b.shape[1]
-    nb = n * n
-    dim = (band + 1) * nb
-    eye = np.eye(n)
-    j1 = np.zeros((dim, dim), dtype=np.complex128)
-    j2 = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(band + 1):
-        for a in range(k, band + 1):
-            # D_a -> D_a B_{a-k}^H contributes kron(I, conj(B_{a-k})) (row-major vec)
-            j1[k * nb:(k + 1) * nb, a * nb:(a + 1) * nb] += np.kron(eye, b[a - k].conj())
-        for bb in range(band + 1 - k):
-            # D_b -> B_{k+b} D_b^H acts on conj(vec D_b) through the transposition
-            j2[k * nb:(k + 1) * nb, bb * nb:(bb + 1) * nb] += np.kron(b[k + bb], eye) @ perm
+    dim = (band + 1) * n * n
     e = _residual_coeffs(a_stack, b).reshape(-1)
-    top = np.hstack([j1.real + j2.real, -j1.imag + j2.imag])
-    bot = np.hstack([j1.imag + j2.imag, j1.real - j2.real])
-    big = np.vstack([top, bot])
-    rhs = np.concatenate([e.real, e.imag])
-    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    d = sol[:dim] + 1j * sol[dim:]
-    return d.reshape(band + 1, n, n)
+    k, c = np.ogrid[:band + 1, :band + 1]
+    # kron(I, conj B_j) and kron(B_j, I) per j, with B_{band+1} = 0 for the pairs no
+    # coefficient reaches; + 0.0 makes each zero +0.0, as a -0.0 can flip a Householder
+    # reflection of the solve and move its bits.  J_2 reads column (s, t) at (t, s).
+    b = np.concatenate([b, np.zeros((1, n, n))])
+    t1 = np.kron(np.eye(n), b.conj()) + 0.0
+    t2 = (np.kron(b, np.eye(n)) + 0.0).reshape(band + 2, n * n, n, n)
+    j1 = np.einsum("kapq->kpaq", t1[np.where(c >= k, c - k, -1)]).reshape(dim, dim)
+    j2 = np.einsum("kcpts->kpcst", t2[np.where(k + c <= band, k + c, -1)]).reshape(dim, dim)
+    big = np.block([[j1.real + j2.real, j2.imag - j1.imag], [j1.imag + j2.imag, j1.real - j2.real]])
+    m = dim if not np.any(a_stack.imag) else 2 * dim
+    sol = np.zeros(2 * dim)
+    sol[:m] = np.linalg.lstsq(big[:m, :m], np.concatenate([e.real, e.imag])[:m], rcond=None)[0]
+    return (sol[:dim] + 1j * sol[dim:]).reshape(band + 1, n, n)
 
 
-def _newton_refine(a_stack, band, b, target, max_iter=60):
+def _newton_refine(a_stack, band, b, target):
     """Undamped Newton steps from b; returns the best iterate and its residual.
 
     At a spectral zero the Jacobian is singular: Newton then converges only
     linearly, often after a first step that raises the residual, so the
-    steps are not damped.  Stops at the target, after max_iter steps, or
-    when an iterate stops being finite.
+    steps are not damped.  Stops at the target, after 60 steps, or when an
+    iterate stops being finite.
     """
-    n = b.shape[1]
-    perm = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]     # vec(X) -> vec(X^T)
     best_b, best_res = b, _residual(a_stack, b)
-    for _ in range(max_iter):
+    for _ in range(60):
         if best_res <= target:
             break
         try:
-            b = b + _newton_step(a_stack, band, b, perm)
+            b = b + _newton_step(a_stack, band, b)
         except np.linalg.LinAlgError:
             break
         res = _residual(a_stack, b)

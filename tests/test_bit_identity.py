@@ -30,8 +30,8 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
 
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
 MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
-WIDE_DIGEST = "55f65af3ac10d65c91b2ad185d4ed9ad15f4877ed8640d31fb062f54115586ea"
-FACTOR_DIGEST = "1c96d8db0aa80e914a0d8c0466c314ab0c92b00fc76a36810e71b03b8ece87b0"
+WIDE_DIGEST = "240da2a07064b105ee29f7c41ded649b207ccd99ea83d5ef20b441d1ae2f17de"
+FACTOR_DIGEST = "22ac42b805f9541f213f5de49a65b7a8da8fee3ff1f816b471cd26ba01146551"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
 # them, the digests above and the CLI goldens from the current build, after

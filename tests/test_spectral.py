@@ -478,7 +478,7 @@ def test_non_finite_coefficients_are_rejected(bad):
 def test_newton_polish_stops_at_a_step_it_cannot_take(step, monkeypatch):
     # a singular least-squares step, or an iterate whose residual is not
     # finite, ends the polish with the best iterate so far: the starting one
-    def bad_step(a_stack, band, b, perm):
+    def bad_step(a_stack, band, b):
         calls.append(1)
         if step == "singular":
             raise np.linalg.LinAlgError("singular")
