@@ -36,9 +36,10 @@ import numpy as np
 
 from . import spectral
 from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
-                      _conv_stack, _Failure, _finite_entries, _json_fields, _json_real, _least_on,
-                      _line_weights, _maxabs, _padded_sum, _strip, _read_only, _symmetrized,
-                      _times_scalar, _weighted_sum, matrixpoly_from_json, matrixpoly_to_json)
+                      _conv_stack, _EPS, _Failure, _finite_entries, _json_fields, _json_real,
+                      _least_on, _line_weights, _maxabs, _padded_sum, _strip, _read_only,
+                      _symmetrized, _times_scalar, _weighted_sum, matrixpoly_from_json,
+                      matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
 
@@ -308,7 +309,7 @@ def _interval_bound(f, c, u, factor):
     """
     n, d, e = f.n, f.deg, u.band
     k = 2 * (d + n + 4)
-    gamma = k * spectral._EPS / (2 - k * spectral._EPS)
+    gamma = k * _EPS / (2 - k * _EPS)
     b = factor.coeffs
     weight_sums = np.abs(_trig_weights(2 * e)[0]).sum(axis=1)     # exact: dyadic, <= 1
     rho = u.hermitian_defect() + gamma * (_maxabs(u.coeffs) + np.vdot(b, b).real)

@@ -29,13 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polymat import (DOMAINS, _check_tol, _finite_entries, _hermitian_part, _integer, _json_fields,
-                      _json_floats, _json_matrices, _not_psd, _read_only, _report_json, _size,
-                      _spectra, _square_stack, _symmetrized)
+from .polymat import (DOMAINS, _check_tol, _EPS, _finite_entries, _hermitian_part, _integer,
+                      _json_fields, _json_floats, _json_matrices, _not_psd, _read_only,
+                      _report_json, _size, _spectra, _square_stack, _symmetrized)
 
 DEFAULT_PSD_TOL = 1e-9
-
-EPS = np.finfo(float).eps
 
 _MOMENT = "moments[{}]".format      # a moment's one name, its JSON field path
 
@@ -117,7 +115,7 @@ class _HankelFamily:
             self.least = float(self._w[0])
             # (0, 0) is every order's block, and a largest eigenvalue >= any diagonal entry
             self.floor = max(1.0, float(np.max(np.diagonal(self._h[:self._n, :self._n]))))
-            self.unit = len(self._h) * EPS * top
+            self.unit = len(self._h) * _EPS * top
 
     def passes_at_top(self, tol):
         """least_top - (2 + tol) unit >= -tol floor; never on a NaN, an inf or no testable order."""

@@ -16,6 +16,7 @@ import numpy as np
 
 STRIP_TOL = 1e-14
 INPUT_RTOL = 1e-10      # an input's allowed asymmetry or negativity: README, "Error model"
+_EPS = np.finfo(float).eps
 
 # Each domain: its moment criterion, which tests each [(g*S)_{i+j}] in this order, and the
 # generators g, {name: coefficients, constant first}, of certificates F = sum_g g * sigma_g.

@@ -14,10 +14,9 @@ import numpy as np
 
 from .measures import MERGE_TOL, AtomicMatrixMeasure
 from .moments import check_hamburger
-from .polymat import _Failure, _hermitian_part, _weighted_sum
+from .polymat import _EPS, _Failure, _hermitian_part, _weighted_sum
 
 ATOM_TOL = 1e-6
-EPS = np.finfo(float).eps
 
 
 class HankelNotPsd(_Failure, RuntimeError):
@@ -61,7 +60,7 @@ def _powers(points, degree):
 def _lstsq(vand, rhs):
     """W = V^+ S and the thin SVD (U, s, Wt) of V = ``vand``, cut at eps max(shape) s_0 as lstsq."""
     u, s, wt = np.linalg.svd(vand, full_matrices=False)
-    keep = s > EPS * max(vand.shape) * s[0]
+    keep = s > _EPS * max(vand.shape) * s[0]
     u, s, wt = u[:, keep], s[keep], wt[keep]
     return wt.T @ ((u.T @ rhs) / s[:, np.newaxis]), (u, s, wt)     # V^+ formed first loses digits
 
@@ -85,11 +84,11 @@ def _fit_errors(vand, sol, rhs, svd):
     dvand = np.zeros(vand.shape)
     dvand[1:] = np.arange(1, rows)[:, np.newaxis] * vand[:-1]
     size = np.sqrt(np.einsum("ij,ij->i", sol, sol))
-    noise = EPS * (np.abs(vand) @ size)
+    noise = _EPS * (np.abs(vand) @ size)
     proj = dvand - u @ (u.T @ dvand)
     jac = (proj[:, :, np.newaxis] * sol).transpose(0, 2, 1).reshape(-1, count)
     ju, js, jwt = np.linalg.svd(jac, full_matrices=False)
-    if s.size < count or js[-1] <= EPS * js[0]:
+    if s.size < count or js[-1] <= _EPS * js[0]:
         return np.full(count, np.inf)
     vinv, jinv = (wt.T / s) @ u.T, (jwt.T / js) @ ju.T
     step = jinv @ (rhs - vand @ sol).ravel()
@@ -136,10 +135,10 @@ def recover(seq):
         return RecoveryResult(AtomicMatrixMeasure(n, []), float(np.max(np.abs(seq.S))), 0)
 
     # eigenvalues above the floor, largest first, each against the next one
-    above = lam[lam > 100.0 * EPS * lam.size * lam_max][::-1]
+    above = lam[lam > 100.0 * _EPS * lam.size * lam_max][::-1]
     below = lam[lam.size - above.size - 1] if above.size < lam.size else 0.0
     with np.errstate(divide="ignore"):      # a floor that underflowed to 0: an infinite gap
-        ratios = above / np.append(above[1:], max(below, EPS * lam_max))
+        ratios = above / np.append(above[1:], max(below, _EPS * lam_max))
     rank = int(np.argmax(ratios)) + 1
 
     basis = vec[:, lam.size - rank:]
@@ -152,7 +151,7 @@ def recover(seq):
     e = np.frexp(np.max(np.abs(h1)))[1]    # ||H1||_F taken at max|H1| in [0.5, 1), exactly
     h1_norm = np.ldexp(np.linalg.norm(np.ldexp(h1, -e)), e)
     with np.errstate(over="ignore", invalid="ignore"):     # y too large to square: inf or NaN
-        bound = 3.0 * EPS * (h1_norm + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
+        bound = 3.0 * _EPS * (h1_norm + np.abs(points) * lam_max) * np.sum(y * y, axis=0)
     # clusters of consecutive points within their bounds; clusters at least
     # MERGE_TOL apart, so the measure need not merge them again
     apart = np.diff(points) > np.maximum(bound[1:] + bound[:-1], MERGE_TOL)

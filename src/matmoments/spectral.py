@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polymat import (INPUT_RTOL, LaurentPoly, _check_tol, _Failure, _hermitian_part, _horner,
+from .polymat import (INPUT_RTOL, LaurentPoly, _check_tol, _EPS, _Failure, _hermitian_part, _horner,
                       _json_fields, _json_floats, _json_matrices, _least_eigenvalue, _least_on,
                       _line_weights, _maxabs, _read_only, _size, _square_stack, _weighted_sum)
 
@@ -61,7 +61,6 @@ _MAX_DOUBLINGS = 64
 # -1e-6 on a short arc.  A definite input can grow once far below _STALL
 # (6.1e-4 then 9.5e-4, or 2.4e-3 then 3.7e-3) and then converge quadratically.
 _STALL = 3e-3
-_EPS = np.finfo(float).eps
 
 
 class NotPsdOnCircle(_Failure, ValueError):
