@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import SupportViolation, forward_moments, positivity_audit
-from .polymat import INPUT_RTOL, MatrixPoly, _Failure, _finite_entries, _report_json, _size
+from .polymat import INPUT_RTOL, MatrixPoly, _EPS, _Failure, _finite_entries, _report_json, _size
 
 
 class ModulePositivityError(_Failure, ValueError):
@@ -170,8 +170,9 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     the shift compression; the truncation bound
     L(Id x^2) <= rhs(N-1) is checked separately.  Every value is linear in
     the moments S_0..S_6 of L, and A_n and J_n are diagonal, so each is a
-    sum over the diagonals of S_2, S_3 or S_6, compared with slack
-    ``INPUT_RTOL`` times the report's ``scale``.  Module positivity is audited
+    sum over the diagonals of S_2, S_3 or S_6.  Each inequality has the slack
+    that the weights' admission at ``INPUT_RTOL`` allows it, summed over the
+    atoms; ``scale`` reports the size of the values.  Module positivity is audited
     exactly first; ``trials`` (a nonnegative integer) and ``seed`` are ignored.
     """
     _audit_module(mu, fam, trials)
@@ -181,21 +182,27 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     # the trailing (N-n)x(N-n) block of G's, moved to the top left
     a = np.diagonal(fam.G.coeffs[3])
     n_values = list(range(fam.N))
+    # A weight is admitted down to -INPUT_RTOL max(1, ||W_j||), at most that with ||W_j||_inf,
+    # so an inequality may miss by that times the absolute coefficients it puts on atom j's
+    # diagonal (|x_j|^3 / (n+1) each in rhs(n)), plus its sums' rounding
+    rtol = INPUT_RTOL + (fam.N + len(mu.atoms) + 8) * _EPS
+    size = np.array([max(rtol, np.max(np.sum(rtol * np.abs(w), axis=1))) for _, w in mu.atoms])
+    x = np.abs([x for x, _ in mu.atoms])
     with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
         mass, lhs_full, top = (float(np.sum(diag[p])) for p in (0, 2, 6))
         lhs_shifted = [float(np.sum(diag[2, :fam.N - n])) for n in n_values]
         mid = [float(np.sum(diag[3, :fam.N - n] * a[n:])) for n in n_values]
-    _finite_values([mass, lhs_full, top, *lhs_shifted, *mid],
+        x2, x3 = float(size @ x**2), float(size @ x**3)
+    _finite_values([mass, lhs_full, top, *lhs_shifted, *mid, x2, x3],
                    ["L(Id)", "L(Id x^2)", "L(Id x^6)", *(f"L(J_{n} x^2)" for n in n_values),
-                    *(f"L(A_{n} x^3)" for n in n_values)])
+                    *(f"L(A_{n} x^3)" for n in n_values), "the slack", "the slack"])
     base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(top, 0.0)))
     rhs = [base / (n + 1) for n in n_values]
-
+    tail = np.cumsum(a[::-1])[::-1]         # trace(A_n)
+    all_hold = all(lhs_shifted[n] <= mid[n] + (fam.N - n) * x2 + tail[n] * x3
+                   and mid[n] <= rhs[n] + (tail[n] + fam.N / (n + 1)) * x3 for n in n_values)
+    final_bound = lhs_full <= base / fam.N + fam.N * x2 + x3
     scale = max(1.0, lhs_full, base, abs(mass))
-    slack = INPUT_RTOL * scale
-    all_hold = all(lhs_shifted[i] <= mid[i] + slack and mid[i] <= rhs[i] + slack
-                   for i in range(fam.N))
-    final_bound = lhs_full <= base / fam.N + slack
     return ChainReport(n_values, lhs_full, lhs_shifted, mid, rhs,
                        all_hold, final_bound, scale)
 

@@ -220,7 +220,7 @@ def _newton_step(a_stack, band, b):
     j1 = np.einsum("kapq->kpaq", t1[np.where(c >= k, c - k, -1)]).reshape(dim, dim)
     j2 = np.einsum("kcpts->kpcst", t2[np.where(k + c <= band, k + c, -1)]).reshape(dim, dim)
     big = np.block([[j1.real + j2.real, j2.imag - j1.imag], [j1.imag + j2.imag, j1.real - j2.real]])
-    m = dim if not np.any(a_stack.imag) else 2 * dim
+    m = 2 * dim if np.any(a_stack.imag) or np.any(b.imag) else dim
     sol = np.zeros(2 * dim)
     sol[:m] = np.linalg.lstsq(big[:m, :m], np.concatenate([e.real, e.imag])[:m], rcond=None)[0]
     return (sol[:dim] + 1j * sol[dim:]).reshape(band + 1, n, n)

@@ -12,6 +12,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, ModulePositivityError,
                         build_family, cauchy_schwarz_chain, integrate_trace,
                         leading_coeff_probe, matmul, positivity_audit, scalar_poly_mult,
                         shift_compress, support_collapse_check, transpose_poly)
+from matmoments.polymat import INPUT_RTOL
 
 _PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -268,6 +269,39 @@ def test_chain_holds_for_compliant_functionals():
         mu = AtomicMatrixMeasure(n_dim, atoms)
         rep = cauchy_schwarz_chain(mu, fam, trials=20, seed=6)
         assert rep.all_hold and rep.final_bound_holds
+
+
+@pytest.mark.parametrize("x", [4.0, 4.5, 24.0])
+def test_the_chain_holds_for_a_weight_admitted_at_the_edge(x):
+    # the constructor and the audit admit W = diag(-0.99 INPUT_RTOL, 0, 0, 0); with
+    # a slack of INPUT_RTOL max(1, L(Id x^2), rhs(0), |L(Id)|) = 4e-10 the first
+    # inequality at n = 0 missed by 4.8e-9, 7.0e-9 and 1.3e-6
+    edge = np.diag([-0.99 * INPUT_RTOL, 0.0, 0.0, 0.0])
+    rep = cauchy_schwarz_chain(AtomicMatrixMeasure(4, [(0.0, np.eye(4)), (x, edge)]),
+                               build_family(4))
+    assert rep.all_hold and rep.final_bound_holds
+
+
+def _edge_weight(rng, n):
+    """A symmetric weight whose least eigenvalue is -0.99 INPUT_RTOL max(1, its largest)."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    lam[0] = -0.99 * INPUT_RTOL * max([1.0, *lam[1:]])
+    w = q @ np.diag(lam) @ q.T
+    return 0.5 * (w + w.T)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n_dim=st.integers(1, 6), offset=st.sampled_from([0.0, 0.5, 3.0, 20.0]),
+       third=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_chain_holds_for_every_measure_admitted_at_the_edge(n_dim, offset, third, seed):
+    # every weight sits at the constructor's limit, atoms at 0 and at or beyond N
+    rng = np.random.default_rng(seed)
+    atoms = [(0.0, _edge_weight(rng, n_dim)), (n_dim + offset, _edge_weight(rng, n_dim))]
+    if third:
+        atoms.append((n_dim + offset + float(rng.uniform(0.0, 5.0)), _edge_weight(rng, n_dim)))
+    rep = cauchy_schwarz_chain(AtomicMatrixMeasure(n_dim, atoms), build_family(n_dim))
+    assert rep.all_hold and rep.final_bound_holds
 
 
 @pytest.mark.parametrize("n_dim", [1, 3, 6])

@@ -7,8 +7,9 @@ import test_bit_identity
 from hypothesis import given, settings, strategies as st
 
 from conftest import SINGULAR_INPUTS, factorable_laurent, laurent_from_factor, scalar_laurent
-from matmoments import (LaurentPoly, NoConvergence, NotPsdOnCircle, fejer_riesz,
-                        laurent_from_json, laurent_to_json, polymat, spectral, verify_factor)
+from matmoments import (LaurentPoly, MatrixPoly, NoConvergence, NotPsdOnCircle,
+                        decompose_halfline, fejer_riesz, laurent_from_json, laurent_to_json,
+                        polymat, spectral, verify_factor)
 from matmoments.spectral import DEFAULT_TOL
 
 
@@ -492,6 +493,50 @@ def test_newton_polish_stops_at_a_step_it_cannot_take(step, monkeypatch):
                         lambda a_stack, b: np.nan if calls else residual(a_stack, b))
     best, res = spectral._newton_refine(u.coeffs, u.band, b, target=0.0)
     assert best is b and res == start > 0 and len(calls) == 1
+
+
+def _products(p, q):
+    """Coefficients k = 0..deg of P Q*: sum_j P_{j+k} Q_j^H."""
+    return np.stack([sum(p[j + k] @ q[j].conj().T for j in range(len(p) - k))
+                     for k in range(len(p))])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), band=st.integers(0, 5), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_newton_step_is_the_least_norm_solution_of_its_equations(n, band, real, seed):
+    # u = B B* + D_0 B* + B D_0* makes E = A - B B* the Jacobian's image of D_0 up to
+    # rounding: the step D reproduces E, stays real for a real u and B, and, as the
+    # least-norm solution, is no longer than D_0
+    rng = np.random.default_rng(seed)
+    b, d0 = rng.standard_normal((2, band + 1, n, n))
+    if not real:
+        b, d0 = b + 1j * rng.standard_normal(b.shape), d0 + 1j * rng.standard_normal(b.shape)
+    a = _products(b, b) + _products(d0, b) + _products(b, d0)
+    coeffs = np.concatenate([np.swapaxes(a[:0:-1], 1, 2).conj(), a]).astype(np.complex128)
+    b = b.astype(np.complex128)
+    d = spectral._newton_step(coeffs, band, b)
+    assert not real or np.all(d.imag == 0)
+    # the rounding of A, of E and of the solve, each a few eps * unknowns * ||B|| (||B|| + ||D_0||)
+    unknowns = (band + 1) * n * n * (1 if real else 2)
+    size = np.linalg.norm(b) * (np.linalg.norm(b) + np.linalg.norm(d0))
+    miss = _products(d, b) + _products(b, d) - spectral._residual_coeffs(coeffs, b)
+    assert np.max(np.abs(miss)) <= 8 * unknowns * np.finfo(float).eps * size
+    assert np.linalg.norm(d) <= np.linalg.norm(d0) * (1 + 1e-8)
+
+
+def test_a_real_input_polishes_in_real_arithmetic(monkeypatch):
+    # the natural half-line draw F = A A^T, A = default_rng(6).standard_normal((9, 2, 2)),
+    # polishes G(a) = F(a^2) of band 16 in 3 steps of (16 + 1) * 2^2 = 68 real unknowns
+    f = test_bit_identity._square(np.random.default_rng(6), 2, 8)
+    calls, lstsq = [], np.linalg.lstsq
+
+    def recorded(m, *args, **kwargs):
+        calls.append((m.dtype, m.shape))
+        return lstsq(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    decompose_halfline(MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True))
+    assert calls == [(np.float64, (68, 68))] * 3
 
 
 @pytest.mark.parametrize("seed,n,band", [(4, 2, 2), (17, 4, 4), (0, 3, 3)])
