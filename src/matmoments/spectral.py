@@ -30,7 +30,8 @@ circle (``polymat._least_on`` on its Cayley image); then the solve is
 retried once on u + delta*I if it broke down (A_0 or R_e singular on
 inputs rank-deficient on the whole circle, or a singular or non-finite
 doubling iterate or its step cap), and a coefficient-space Newton
-iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses.
+iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses, in
+u's field: real steps for a real u, whose factor is real.
 All of it runs on u / 4^j, the power of four that puts max(1, ||A_0||)
 in [1, 4), exactly; the factor is scaled back by 2^j, and its residual,
 its shift and a located eigenvalue by 4^j.
