@@ -206,18 +206,18 @@ def _newton_step(a_stack, band, b):
 
     Block row k of the Jacobian holds D_a -> D_a B_{a-k}^H (J_1, block Toeplitz)
     and D_c -> B_{k+c} D_c^H (J_2, block Hankel, acting on conj D).  A real u has
-    a real factor and solves (J_1 + J_2) D = E; a complex u, its real embedding.
+    a real factor, and a real u and B solve (J_1 + J_2) D = E, the top-left
+    quarter of the real embedding that a complex u or B solves.
     """
     n = b.shape[1]
     dim = (band + 1) * n * n
     e = _residual_coeffs(a_stack, b).reshape(-1)
     k, c = np.ogrid[:band + 1, :band + 1]
     # kron(I, conj B_j) and kron(B_j, I) per j, with B_{band+1} = 0 for the pairs no
-    # coefficient reaches; + 0.0 makes each zero +0.0, as a -0.0 can flip a Householder
-    # reflection of the solve and move its bits.  J_2 reads column (s, t) at (t, s).
+    # coefficient reaches; J_2 reads column (s, t) of its block at (t, s)
     b = np.concatenate([b, np.zeros((1, n, n))])
-    t1 = np.kron(np.eye(n), b.conj()) + 0.0
-    t2 = (np.kron(b, np.eye(n)) + 0.0).reshape(band + 2, n * n, n, n)
+    t1 = np.kron(np.eye(n), b.conj())
+    t2 = np.kron(b, np.eye(n)).reshape(band + 2, n * n, n, n)
     j1 = np.einsum("kapq->kpaq", t1[np.where(c >= k, c - k, -1)]).reshape(dim, dim)
     j2 = np.einsum("kcpts->kpcst", t2[np.where(k + c <= band, k + c, -1)]).reshape(dim, dim)
     big = np.block([[j1.real + j2.real, j2.imag - j1.imag], [j1.imag + j2.imag, j1.real - j2.real]])

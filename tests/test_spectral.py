@@ -495,6 +495,52 @@ def test_newton_polish_stops_at_a_step_it_cannot_take(step, monkeypatch):
     assert best is b and res == start > 0 and len(calls) == 1
 
 
+def _embedding_loop(band, b):
+    """The Newton step's real embedding [[J1 + J2, J2i - J1i], [J1i + J2i, J1 - J2]], per block.
+
+    J1 = kron(I, conj B_{a-k}) in block (k, a >= k); J2 = kron(B_{k+c}, I) P in block
+    (k, c <= band - k), with P the permutation vec(X) -> vec(X^T).
+    """
+    n = b.shape[1]
+    nb, eye = n * n, np.eye(n)
+    dim = (band + 1) * nb
+    perm = np.eye(nb)[np.arange(nb).reshape(n, n).T.ravel()]
+    j1, j2 = np.zeros((2, dim, dim), dtype=np.complex128)
+    for k in range(band + 1):
+        for a in range(k, band + 1):
+            j1[k * nb:(k + 1) * nb, a * nb:(a + 1) * nb] += np.kron(eye, b[a - k].conj())
+        for c in range(band + 1 - k):
+            j2[k * nb:(k + 1) * nb, c * nb:(c + 1) * nb] += np.kron(b[k + c], eye) @ perm
+    return np.vstack([np.hstack([j1.real + j2.real, -j1.imag + j2.imag]),
+                      np.hstack([j1.imag + j2.imag, j1.real - j2.real])])
+
+
+def test_newton_step_matrix_matches_the_loop(monkeypatch):
+    # the gathered Jacobian holds the per-block loop's values, the sign of a zero
+    # aside; where u and B are real, the step solves its top-left quarter, (J1 + J2) D = E
+    solved, lstsq = [], np.linalg.lstsq
+
+    def recorded(m, rhs, rcond=None):
+        solved.append(m.copy())
+        return lstsq(m, rhs, rcond=rcond)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    rng = np.random.default_rng(71)
+    for n in range(1, 5):
+        for band in range(5):
+            for real in (True, False):
+                b = rng.standard_normal((band + 1, n, n))
+                if not real:
+                    b = b + 1j * rng.standard_normal(b.shape)
+                b[rng.random(b.shape) < 0.3] = -0.0     # zeros of both signs
+                u, _ = factorable_laurent(rng, n, band, real=real)
+                solved.clear()
+                spectral._newton_step(u.coeffs, band, b.astype(np.complex128))
+                want = _embedding_loop(band, b.astype(np.complex128))
+                complex_field = np.any(u.coeffs.imag) or np.any(b.imag)
+                m = len(want) if complex_field else len(want) // 2
+                assert np.array_equal(solved[0], want[:m, :m]), (n, band, real)
+
+
 def _products(p, q):
     """Coefficients k = 0..deg of P Q*: sum_j P_{j+k} Q_j^H."""
     return np.stack([sum(p[j + k] @ q[j].conj().T for j in range(len(p) - k))
