@@ -182,12 +182,12 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     # the trailing (N-n)x(N-n) block of G's, moved to the top left
     a = np.diagonal(fam.G.coeffs[3])
     n_values = list(range(fam.N))
-    # A weight is admitted down to -INPUT_RTOL max(1, ||W_j||), at most that with ||W_j||_inf,
-    # so an inequality may miss by that times the absolute coefficients it puts on atom j's
+    # A weight is admitted down to -INPUT_RTOL max(1, ||W_j||_2), which ||W_j||_inf bounds, so
+    # an inequality may miss by that times the absolute coefficients it puts on atom j's
     # diagonal (|x_j|^3 / (n+1) each in rhs(n)), plus its sums' rounding
     rtol = INPUT_RTOL + (fam.N + len(mu.atoms) + 8) * _EPS
     size = np.array([max(rtol, np.max(np.sum(rtol * np.abs(w), axis=1))) for _, w in mu.atoms])
-    x = np.abs([x for x, _ in mu.atoms])
+    x = np.abs([point for point, _ in mu.atoms])
     with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
         mass, lhs_full, top = (float(np.sum(diag[p])) for p in (0, 2, 6))
         lhs_shifted = [float(np.sum(diag[2, :fam.N - n])) for n in n_values]

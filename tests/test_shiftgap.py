@@ -291,7 +291,7 @@ def _edge_weight(rng, n):
     return 0.5 * (w + w.T)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@_PROPERTY
 @given(n_dim=st.integers(1, 6), offset=st.sampled_from([0.0, 0.5, 3.0, 20.0]),
        third=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_the_chain_holds_for_every_measure_admitted_at_the_edge(n_dim, offset, third, seed):
