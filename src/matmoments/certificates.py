@@ -14,9 +14,9 @@ real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
 read one exact Krawtchouk table up to row order and a phase: rows of
 ``polymat._binomial_rows``, as are the interval's clearing weights.  The
 line takes G = F; the half-line takes G(a) = F(a^2) and the interval
-G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), and both split each factor by
-parity, P(a) = R(a^2) + a Q(a^2), sending R and Q straight onto their
-generators.  Each decomposer verifies the finished certificate once
+G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), both even in a: u and its factor
+are real, H(a) = R(a^2), K(a) = a Q(a^2), and R and Q go straight onto
+their generators.  Each decomposer verifies the finished certificate once
 against F.  Only a failure looks further.  On the interval, a factor that
 met its target bounds F's least eigenvalue on all of [0, 1] from below by
 -B (``_interval_bound``); B <= tol * scale decides the failure without
@@ -35,10 +35,10 @@ from math import ldexp
 import numpy as np
 
 from . import spectral
-from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows, _check_tol,
-                      _conv_stack, _EPS, _Failure, _finite_entries, _json_fields, _json_real,
-                      _least_on, _line_weights, _maxabs, _padded_sum, _strip, _read_only,
-                      _symmetrized, _times_scalar, _weighted_sum, matrixpoly_from_json,
+from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows,
+                      _check_symmetric, _check_tol, _conv_stack, _EPS, _Failure, _finite_entries,
+                      _json_fields, _json_real, _least_on, _line_weights, _maxabs, _padded_sum,
+                      _strip, _read_only, _times_scalar, _weighted_sum, matrixpoly_from_json,
                       matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
@@ -107,7 +107,7 @@ def _require_symmetric(f):
     if not top < np.inf:
         raise ValueError("input has a non-finite coefficient")
     if not f.symmetric:     # each F_k at its own scale; F is certified as given
-        _symmetrized(f.coeffs, "input coefficient {}".format)
+        _check_symmetric(f.coeffs, "input coefficient {}".format)
     return max(1.0, top)
 
 
@@ -146,7 +146,9 @@ def _line_factors(b_stack):
     G(u, v) = sum_k B_k (u + iv)^k (u - iv)^{n-k} is homogeneous of degree
     n with complex coefficients; H and K are its real and imaginary parts,
     returned dehomogenized at (1, x) as stripped stacks, each coefficient
-    summed in increasing k (``_weighted_sum``).
+    summed in increasing k (``_weighted_sum``).  The weight on x^m is real
+    for even m and imaginary for odd m, so for a real P, H's odd and K's
+    even coefficients are exactly zero.
     """
     gamma = _weighted_sum(_line_weights(b_stack.shape[0] - 1), b_stack)
     return _strip(gamma.real), _strip(gamma.imag)
@@ -253,16 +255,15 @@ def decompose_line(f, tol=DEFAULT_TOL):
 
 def _split_halfline(f, tol):
     h, k, pending, _ = _line_split(_trig_laurent(f.coeffs, 2), tol)
-    evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
-    return [("1", evens), ("x", odds)], pending, None
+    return [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
 
 
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_halfline(f, tol=DEFAULT_TOL):
     """Certificate F = sigma_0 + x sigma_1 for F PSD on [0, inf).
 
-    Factors G(a) = F(a^2) on the line and splits each factor
-    P(a) = R(a^2) + a Q(a^2); the R go to sigma_0 and the Q to sigma_1.
+    Factors G(a) = F(a^2) on the line; its factor is real, and its parts
+    H(a) = R(a^2) and K(a) = a Q(a^2) give R to sigma_0 and Q to sigma_1.
     """
     return _certified("halfline", f, tol, _split_halfline, NotPsdOnHalfLine)
 
@@ -323,13 +324,13 @@ def _split_interval(f, tol):
     c = _clear_substitution(f.coeffs, d, +1)
     u = _trig_laurent(c, 2)
     h, k, pending, factor = _line_split(u, tol)
-    evens, odds = [[_strip(p[i::2]) for p in (h, k)] for i in (0, 1)]
+    r, q = _strip(h[0::2]), _strip(k[1::2])
     if d % 2 == 0:      # at d = 0, Q is empty, clears empty and is dropped as insignificant
-        parts = [("1", [_clear_substitution(r, half, -1) for r in evens]),
-                 ("x(1-x)", [_clear_substitution(q, half - 1, -1) for q in odds])]
+        parts = [("1", [_clear_substitution(r, half, -1)]),
+                 ("x(1-x)", [_clear_substitution(q, half - 1, -1)])]
     else:
-        parts = [("x", [_clear_substitution(q, half, -1) for q in odds]),
-                 ("1-x", [_clear_substitution(r, half, -1) for r in evens])]
+        parts = [("x", [_clear_substitution(q, half, -1)]),
+                 ("1-x", [_clear_substitution(r, half, -1)])]
     # F~ >= -B on [0, 1] bounds F = x^k F~ too
     return parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
 
@@ -338,11 +339,11 @@ def _split_interval(f, tol):
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 
-    Factors G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)) on the line and splits
-    each factor P(a) = R(a^2) + a Q(a^2).  R has degree at most floor(d/2)
-    and Q at most floor((d-1)/2), so clearing s = x/(1-x) sends them
-    straight onto their generators: R to 1 and Q to x(1-x) for even d, R to
-    1-x and Q to x for odd d.
+    Factors G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)) on the line; its factor
+    is real, with parts H(a) = R(a^2) and K(a) = a Q(a^2).  R has degree at
+    most floor(d/2) and Q at most floor((d-1)/2), so clearing s = x/(1-x)
+    sends them straight onto their generators: R to 1 and Q to x(1-x) for
+    even d, R to 1-x and Q to x for odd d.
     """
     cert = _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
     cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
@@ -376,6 +377,19 @@ def _finite_residual(f, cert):
     return residual
 
 
+def _power_sum_identities(coeffs, sign):
+    """Stacks e_1..e_n, each (len, 1, 1), of k e_k = sum_{i<=k} sign^(i-1) e_{k-i} tr(G^i)."""
+    powers = [coeffs]
+    for _ in range(coeffs.shape[1] - 1):
+        powers.append(_conv_stack(powers[-1], coeffs))
+    traces = [np.trace(p, axis1=1, axis2=2)[:, np.newaxis, np.newaxis] for p in powers]
+    elem = [np.ones((1, 1, 1))]
+    for k in range(1, len(traces) + 1):
+        elem.append(_padded_sum([sign ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
+                                 for i in range(1, k + 1)]) / k)
+    return elem[1:]
+
+
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def scalarize(g):
     """Scalar constraints with the same solution set as G(x) PSD.
@@ -384,21 +398,21 @@ def scalarize(g):
     det(tI - G(x)) = sum_j (-1)^j c_j(x) t^{n-j}: for a symmetric matrix
     all eigenvalues are real, and they are all nonnegative exactly when
     every elementary symmetric function c_j of them is nonnegative.  Newton's
-    identities form them from tr(G^k): where that overflows float64, c_j
-    is a ValueError naming it, even if c_j itself is finite.
+    identities (sign -1) form them from tr(G^k): where that overflows
+    float64, c_j is a ValueError naming it, even if c_j itself is finite.
+    The same sums at sign +1 on |G|'s entries give each coefficient a
+    companion, and c_j's rounding is within gamma_m of it, m = 2 j (2 n
+    len(G) + n + 1) (README, "Error model"): trailing coefficients within
+    that are stripped, keeping one, but none whose companion overflowed.
     """
     _require_symmetric(g)
-    traces, power = [], g.coeffs
-    for _ in range(g.n):
-        traces.append(np.trace(power, axis1=1, axis2=2)[:, np.newaxis, np.newaxis])
-        power = _strip(_conv_stack(power, g.coeffs))
-    # Newton's identities k c_k = sum_i (-1)^(i-1) c_{k-i} p_i on (len, 1, 1) stacks
-    elem = [np.ones((1, 1, 1))]
-    for k in range(1, g.n + 1):
-        c = _padded_sum([(-1.0) ** (i - 1) * _conv_stack(elem[k - i], traces[i - 1])
-                         for i in range(1, k + 1)]) / k
-        elem.append(_finite_entries(c[np.newaxis], lambda _: f"c_{k}", "overflows float64")[0])
-    return ScalarizedSet(polys=[_strip(e).ravel() for e in elem[1:]], source=g)
+    polys, size = [], 2 * (2 * g.n * len(g.coeffs) + g.n + 1)
+    for j, (c, comp) in enumerate(zip(_power_sum_identities(g.coeffs, -1.0),
+                                      _power_sum_identities(np.abs(g.coeffs), 1.0)), 1):
+        _finite_entries(c[np.newaxis], lambda _: f"c_{j}", "overflows float64")
+        noise = (np.abs(c) <= j * size * _EPS / (2 - j * size * _EPS) * comp) & (comp < np.inf)
+        polys.append(c[:max(np.flatnonzero(~noise), default=0) + 1].ravel())
+    return ScalarizedSet(polys=polys, source=g)
 
 
 def certificate_to_json(cert):

@@ -1,9 +1,9 @@
 """Univariate matrix polynomials and matrix Laurent polynomials.
 
 Coefficients are dense real square matrices, stored as float64 stacks.
-Complex matrices appear only in :class:`LaurentPoly`, which feeds the
-spectral factorization routines, and in its Hermitian Cayley image on
-the line, which ``_least_on`` searches as it does a real stack.
+Complex matrices appear only in a non-real :class:`LaurentPoly`, which
+feeds the spectral factorization routines, and in its Hermitian Cayley
+image on the line, which ``_least_on`` searches as it does a real stack.
 """
 
 import math
@@ -142,20 +142,26 @@ def _hermitian_part(s):
     return half + np.swapaxes(half, -1, -2).conj()
 
 
-def _symmetrized(stack, label):
-    """S/2 + (S/2)^T per finite S of ``stack``; max|S - S^T| > INPUT_RTOL max(1, max|S|) raises.
+def _check_symmetric(stack, label):
+    """S/2 per finite S of ``stack``; max|S - S^T| > INPUT_RTOL max(1, max|S|) raises.
 
     The ValueError names S as ``_finite_entries`` does.  Halved first, the
-    sum and difference stay finite near the float maximum, and on
-    normal-range entries are bit for bit (S + S^T)/2 and (S - S^T)/2.
+    difference stays finite near the float maximum, and on normal-range
+    entries is bit for bit (S - S^T)/2.
     """
     half = 0.5 * stack
-    half_t = np.swapaxes(half, 1, 2)
     scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
-    bad = np.flatnonzero(np.max(np.abs(half - half_t), axis=(1, 2)) > 0.5 * INPUT_RTOL * scale)
+    asymmetry = np.max(np.abs(half - np.swapaxes(half, 1, 2)), axis=(1, 2))
+    bad = np.flatnonzero(asymmetry > 0.5 * INPUT_RTOL * scale)
     if bad.size:
         raise ValueError(f"{label(int(bad[0]))} is not symmetric")
-    return half + half_t
+    return half
+
+
+def _symmetrized(stack, label):
+    """S/2 + (S/2)^T per S ``_check_symmetric`` admits: (S + S^T)/2 on normal-range entries."""
+    half = _check_symmetric(stack, label)
+    return half + np.swapaxes(half, 1, 2)
 
 
 def _json_real(v):
@@ -457,10 +463,11 @@ def matrixpoly_from_json(doc):
 
 
 class LaurentPoly:
-    """Matrix Laurent polynomial sum_{k=-band}^{band} A_k z^k, complex coefficients."""
+    """Matrix Laurent polynomial sum_{|k|<=band} A_k z^k, float64 unless an A_k is not real."""
 
     def __init__(self, coeffs):
         arr = _square_stack(np.asarray(coeffs, dtype=np.complex128), "coefficients")
+        arr = arr if arr.imag.any() else arr.real.copy()
         if arr.shape[0] % 2 == 0:
             raise ValueError("coefficient stack must have odd length 2*band+1")
         self._coeffs = _read_only(arr)
@@ -480,7 +487,7 @@ class LaurentPoly:
     def coeff(self, k):
         """Coefficient A_k, for -band <= k <= band."""
         if abs(k) > self.band:
-            return np.zeros((self.n, self.n), dtype=np.complex128)
+            return np.zeros((self.n, self.n), dtype=self._coeffs.dtype)
         return self._coeffs[k + self.band]
 
     def hermitian_defect(self):

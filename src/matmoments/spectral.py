@@ -30,8 +30,9 @@ circle (``polymat._least_on`` on its Cayley image); then the solve is
 retried once on u + delta*I if it broke down (A_0 or R_e singular on
 inputs rank-deficient on the whole circle, or a singular or non-finite
 doubling iterate or its step cap), and a coefficient-space Newton
-iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses, in
-u's field: real steps for a real u, whose factor is real.
+iteration on A_k = sum_j B_{j+k} B_j^H polishes a factor that misses.
+Every step runs in the field ``LaurentPoly`` stores u in: float64 for a
+real u, whose factor is real, complex128 otherwise.
 All of it runs on u / 4^j, the power of four that puts max(1, ||A_0||)
 in [1, 4), exactly; the factor is scaled back by 2^j, and its residual,
 its shift and a located eigenvalue by 4^j.
@@ -85,14 +86,14 @@ class NoConvergence(_Failure, RuntimeError):
 
 @dataclass
 class SpectralFactor:
-    """Polynomial factor B_0, ..., B_n with bookkeeping from the solve.
+    """Polynomial factor B_0, ..., B_n, in u's field, with bookkeeping from the solve.
 
     ``epsilon_used`` is the shift delta of the Riccati retry on
     u + delta*I (0.0 when the direct solve succeeded); ``toeplitz_order``
     is the state dimension n*band of the Riccati equation.
     """
 
-    coeffs: np.ndarray          # (deg+1, n, n) complex
+    coeffs: np.ndarray          # (deg+1, n, n) in u's field
     residual: float
     epsilon_used: float
     toeplitz_order: int
@@ -116,7 +117,7 @@ def _residual_coeffs(a_stack, b):
     """A_k - sum_j B_{j+k} B_j^H for k = 0..max(band, deg), subtracted in increasing j."""
     band = (a_stack.shape[0] - 1) // 2
     j, k = _pairs(len(b))
-    terms = np.zeros((len(b) + 1, max(band + 1, len(b))) + b.shape[1:], dtype=np.complex128)
+    terms = np.zeros((len(b) + 1, max(band + 1, len(b))) + b.shape[1:], np.result_type(a_stack, b))
     terms[0, :band + 1] = a_stack[band:]
     terms[1 + j, k] = b[j + k] @ np.swapaxes(b.conj()[j], 1, 2)     # the loop's operand layouts
     return np.subtract.reduce(terms, axis=0)       # the loop's bits: see polymat._weighted_sum
@@ -170,13 +171,12 @@ def _doubling(a, g, h):
     raise np.linalg.LinAlgError(f"no convergence in {_MAX_DOUBLINGS} doubling steps")
 
 
-def _riccati_factor(a_stack, band, n):
+def _riccati_factor(a, band, n):
     """Minimum-phase factor from the stabilizing Riccati solution.
 
     Raises LinAlgError when A_0 is not positive definite, when the
     doubling breaks down, or when R_e is not positive definite.
     """
-    a = a_stack.real if not np.any(a_stack.imag) else a_stack
     m = n * band
     r = _hermitian_part(a[band])
     g = a[band + 1:].reshape(m, n)
@@ -198,7 +198,7 @@ def _riccati_factor(a_stack, band, n):
     b0 = np.linalg.cholesky(_hermitian_part(r))
     # K B_0 = (G - F P H^H) R_e^{-1} B_0 = (G - F P H^H) B_0^{-H}
     kb0 = np.linalg.solve(b0, g.conj().T).conj().T
-    return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)]).astype(np.complex128)
+    return np.concatenate([b0[np.newaxis], kb0.reshape(band, n, n)])
 
 
 def _newton_step(a_stack, band, b):
@@ -206,8 +206,8 @@ def _newton_step(a_stack, band, b):
 
     Block row k of the Jacobian holds D_a -> D_a B_{a-k}^H (J_1, block Toeplitz)
     and D_c -> B_{k+c} D_c^H (J_2, block Hankel, acting on conj D).  A real u has
-    a real factor, and a real u and B solve (J_1 + J_2) D = E, the top-left
-    quarter of the real embedding that a complex u or B solves.
+    a real factor, and a real u and B solve (J_1 + J_2) D = E for a real D, the
+    top-left quarter of the real embedding that a complex u or B solves.
     """
     n = b.shape[1]
     dim = (band + 1) * n * n
@@ -220,10 +220,10 @@ def _newton_step(a_stack, band, b):
     t2 = np.kron(b, np.eye(n)).reshape(band + 2, n * n, n, n)
     j1 = np.einsum("kapq->kpaq", t1[np.where(c >= k, c - k, -1)]).reshape(dim, dim)
     j2 = np.einsum("kcpts->kpcst", t2[np.where(k + c <= band, k + c, -1)]).reshape(dim, dim)
+    if not (np.any(a_stack.imag) or np.any(b.imag)):
+        return np.linalg.lstsq(j1.real + j2.real, e.real, rcond=None)[0].reshape(band + 1, n, n)
     big = np.block([[j1.real + j2.real, j2.imag - j1.imag], [j1.imag + j2.imag, j1.real - j2.real]])
-    m = 2 * dim if np.any(a_stack.imag) or np.any(b.imag) else dim
-    sol = np.zeros(2 * dim)
-    sol[:m] = np.linalg.lstsq(big[:m, :m], np.concatenate([e.real, e.imag])[:m], rcond=None)[0]
+    sol = np.linalg.lstsq(big, np.concatenate([e.real, e.imag]), rcond=None)[0]
     return (sol[:dim] + 1j * sol[dim:]).reshape(band + 1, n, n)
 
 
@@ -297,7 +297,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
     if u.hermitian_defect() > INPUT_RTOL * scale:
         raise ValueError("input is not hermitian-valued on the circle (A_{-k} != A_k^H)")
 
-    zero = np.zeros((band + 1, n, n), dtype=np.complex128)
+    zero = np.zeros((band + 1, n, n), dtype=u.coeffs.dtype)
     if _maxabs(u.coeffs) == 0.0:
         return SpectralFactor(zero, 0.0, 0.0, n * band)
 

@@ -31,7 +31,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
 DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
 MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
 WIDE_DIGEST = "240da2a07064b105ee29f7c41ded649b207ccd99ea83d5ef20b441d1ae2f17de"
-FACTOR_DIGEST = "22ac42b805f9541f213f5de49a65b7a8da8fee3ff1f816b471cd26ba01146551"
+FACTOR_DIGEST = "3bea882a11498c522534d8fd14beee616a3d25f45842974900b6c57608e73ef8"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites
 # them, the digests above and the CLI goldens from the current build, after

@@ -585,6 +585,36 @@ def test_a_real_input_polishes_in_real_arithmetic(monkeypatch):
     assert calls == [(np.float64, (68, 68))] * 3
 
 
+def test_a_real_input_factors_in_float64_on_every_path(monkeypatch):
+    # LaurentPoly stores a real u as float64, and the factor stays in that field on
+    # the direct solve, the retry, the polish, NoConvergence's best and a zero u
+    polished, refine = [], spectral._newton_refine
+
+    def counted(*args, **kwargs):
+        polished.append(True)
+        return refine(*args, **kwargs)
+    monkeypatch.setattr(spectral, "_newton_refine", counted)
+    q = np.random.default_rng(1).standard_normal((3, 3, 3))
+    p = np.zeros((5, 3, 3))
+    for i, w in enumerate((1.0, 2.0, 1.0)):
+        p[i:i + 3] += w * q         # (I + zI)^2 Q: fejer_riesz's best misses 1e-10
+    cases = [(factorable_laurent(np.random.default_rng(3), 2, 2, real=True)[0], DEFAULT_TOL),
+             (laurent_from_factor(p), 1e-10), (LaurentPoly(np.zeros((3, 2, 2))), DEFAULT_TOL)]
+    paths = set()
+    for u, tol in cases + [(u, DEFAULT_TOL) for u in SINGULAR_INPUTS.values()]:
+        assert u.coeffs.dtype == np.float64
+        polished.clear()
+        try:
+            fac = fejer_riesz(u, tol=tol)
+        except NoConvergence as exc:
+            fac = exc.best
+            paths.add("no convergence")
+        assert fac.coeffs.dtype == np.float64
+        paths.add("retry" if fac.epsilon_used else "polish" if polished else
+                  "zero" if not fac.coeffs.any() else "direct")
+    assert paths == {"direct", "retry", "polish", "no convergence", "zero"}
+
+
 @pytest.mark.parametrize("seed,n,band", [(4, 2, 2), (17, 4, 4), (0, 3, 3)])
 def test_a_factor_scales_exactly_with_its_input(seed, n, band):
     # the solve runs at one exact scale, so 4^k u factors as 2^k times u's
