@@ -267,6 +267,7 @@ def test_scalarize_strips_no_coefficient_whose_companion_overflows():
     g = np.zeros((3, 2, 2))
     g[:, 0, 0], g[0, 1, 1] = a * np.array([1.0, 1.0, -1.0]), a / 16
     c2 = scalarize(MatrixPoly(g)).polys[1]
+    assert len(c2) == 4
     assert np.allclose(c2, a * a / 16 * np.array([1.0, 1.0, -1.0, 0.0]), rtol=1e-12, atol=0.0)
 
 
@@ -457,8 +458,9 @@ def _natural_halfline_draw():
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(f=st.builds(_even_degree_input, n=st.integers(1, 4), deg=st.integers(1, 6).map(lambda h: 2 * h),
-                   psd=st.booleans(), seed=st.integers(0, 2**32 - 1)))
+@given(f=st.builds(_even_degree_input, n=st.integers(1, 4),
+                   deg=st.integers(1, 6).map(lambda h: 2 * h), psd=st.booleans(),
+                   seed=st.integers(0, 2**32 - 1)))
 @example(f=_natural_halfline_draw())
 def test_the_half_line_and_the_interval_factor_in_real_arithmetic(f):
     # G(a) = F(a^2) and its cleared interval form expand to a real u, whose factor,
