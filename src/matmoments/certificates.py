@@ -212,6 +212,7 @@ def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
 _TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x", 1)}
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def _certified(variant, f, tol, split, not_psd):
     """Certificate of F = x^k F~ from ``split(F~, tol)`` = (parts, failure, bound), verified once.
 
@@ -219,6 +220,8 @@ def _certified(variant, f, tol, split, not_psd):
     its even part on the line, where an odd-degree F is an ``OddDegree``.
     Every factor of F~ is padded by x^(k // 2); for odd k each generator g
     moves to g' with x g = x^j g' (``_TIMES_X``), its factors taking j more x.
+    At k = 0 the padding is empty and no generator moves.  This is the one
+    overflow guard of the decomposers, which do no arithmetic outside it.
     """
     _check_tol(tol, positive=True)
     scale = _require_symmetric(f)
@@ -227,14 +230,13 @@ def _certified(variant, f, tol, split, not_psd):
         if f.deg % 2:
             raise OddDegree(f"degree {f.deg} is odd")
         k -= k % 2
-    parts, pending, bound = split(MatrixPoly(f.coeffs[k:]) if k else f, tol)
-    if k:
-        moved = {}
-        for key, factors in parts:
-            key, j = _TIMES_X[key] if k % 2 else (key, 0)
-            moved[key] = [np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c))
-                          for c in factors]
-        parts = [(key, moved[key]) for key in DOMAINS[variant][1] if key in moved]
+    parts, pending, bound = split(MatrixPoly(f.coeffs[k:]), tol)
+    moved = {}
+    for key, factors in parts:
+        key, j = _TIMES_X[key] if k % 2 else (key, 0)
+        moved[key] = [np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c))
+                      for c in factors]
+    parts = [(key, moved[key]) for key in DOMAINS[variant][1] if key in moved]
     return _finish(variant, f, parts, tol, scale, pending, not_psd, bound)
 
 
@@ -243,7 +245,6 @@ def _split_line(f, tol):
     return [("1", [h, k])], pending, None
 
 
-@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_line(f, tol=DEFAULT_TOL):
     """Certificate F = H H^T + K K^T for F PSD on the whole line.
 
@@ -258,7 +259,6 @@ def _split_halfline(f, tol):
     return [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
 
 
-@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_halfline(f, tol=DEFAULT_TOL):
     """Certificate F = sigma_0 + x sigma_1 for F PSD on [0, inf).
 
@@ -335,7 +335,6 @@ def _split_interval(f, tol):
     return parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
 
 
-@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 

@@ -157,11 +157,6 @@ def _audit_module(mu, fam, trials):
                                     max(worst["generator"], 0), worst["value"])
 
 
-def _finite_values(values, names):
-    """``values`` as an array if none overflowed float64, else a ValueError naming the first."""
-    return _finite_entries(np.array(values), names.__getitem__, "overflows float64")
-
-
 def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     """Evaluate the compression/Cauchy-Schwarz chain for a module-positive functional.
 
@@ -188,14 +183,15 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
     rtol = INPUT_RTOL + (fam.N + len(mu.atoms) + 8) * _EPS
     size = np.array([max(rtol, np.max(np.sum(rtol * np.abs(w), axis=1))) for _, w in mu.atoms])
     x = np.abs([point for point, _ in mu.atoms])
-    with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
+    with np.errstate(over="ignore"):       # _finite_entries reports a sum that overflows
         mass, lhs_full, top = (float(np.sum(diag[p])) for p in (0, 2, 6))
         lhs_shifted = [float(np.sum(diag[2, :fam.N - n])) for n in n_values]
         mid = [float(np.sum(diag[3, :fam.N - n] * a[n:])) for n in n_values]
         x2, x3 = float(size @ x**2), float(size @ x**3)
-    _finite_values([mass, lhs_full, top, *lhs_shifted, *mid, x2, x3],
-                   ["L(Id)", "L(Id x^2)", "L(Id x^6)", *(f"L(J_{n} x^2)" for n in n_values),
-                    *(f"L(A_{n} x^3)" for n in n_values), "the slack", "the slack"])
+    names = ["L(Id)", "L(Id x^2)", "L(Id x^6)", *(f"L(J_{n} x^2)" for n in n_values),
+             *(f"L(A_{n} x^3)" for n in n_values), "the slack", "the slack"]
+    _finite_entries(np.array([mass, lhs_full, top, *lhs_shifted, *mid, x2, x3]),
+                    names.__getitem__, "overflows float64")
     base = float(np.sqrt(max(mass, 0.0)) * np.sqrt(max(top, 0.0)))
     rhs = [base / (n + 1) for n in n_values]
     tail = np.cumsum(a[::-1])[::-1]         # trace(A_n)
@@ -220,7 +216,8 @@ def support_collapse_check(mu, fam, trials=200, seed=0):
         if x < -1e-9 or x > fam.N + 1e-9:
             raise ValueError(f"atom {idx} at x={x:.6g} lies outside [0, {fam.N}]")
     s = forward_moments(mu, 6).S
-    with np.errstate(over="ignore"):       # _finite_values reports a sum that overflows
+    with np.errstate(over="ignore"):       # _finite_entries reports a sum that overflows
         mass = float(np.trace(s[0]))
-    bound = INPUT_RTOL * max(1.0, _finite_values([mass], ["L(Id)"])[0])
+    bound = INPUT_RTOL * max(1.0, _finite_entries(np.array([mass]), ["L(Id)"].__getitem__,
+                                                  "overflows float64")[0])
     return not np.max(np.abs(s[1:])) > bound
