@@ -10,13 +10,16 @@ problem G(a) routes through the unit circle: homogenize, expand
 G~(cos t, sin t) into a Laurent polynomial in e^{2it} with exact rational
 binomial weights, spectrally factor, and split the rotated factor into its
 real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
-(1, a).  Both directions (``_trig_weights``, ``polymat._line_weights``)
-read one exact Krawtchouk table up to row order and a phase: rows of
-``polymat._binomial_rows``, as are the interval's clearing weights.  The
-line takes G = F; the half-line takes G(a) = F(a^2) and the interval
-G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), both even in a: u and its factor
-are real, H(a) = R(a^2), K(a) = a Q(a^2), and R and Q go straight onto
-their generators.  Each decomposer verifies the finished certificate once
+(1, a).  Each direction is one complex table (``_trig_weights``,
+``polymat._line_weights``), real on its even and imaginary on its odd
+rows or columns: one exact Krawtchouk table up to row order and a phase,
+rows of ``polymat._binomial_rows``, as are the interval's clearing
+weights.  The line takes G = F; the half-line takes G(a) = F(a^2) and
+the interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), both even in a: u
+(the table's even rows) and its factor are real, H(a) = R(a^2), K(a) =
+a Q(a^2), and R and Q go straight onto their generators.  Each
+decomposer is one ``_certified`` call, which finishes once: it drops
+negligible factors and empty generators and verifies the certificate
 against F.  Only a failure looks further.  On the interval, a factor that
 met its target bounds F's least eigenvalue on all of [0, 1] from below by
 -B (``_interval_bound``); B <= tol * scale decides the failure without
@@ -113,31 +116,31 @@ def _require_symmetric(f):
 
 @lru_cache(maxsize=None)
 def _trig_weights(d):
-    """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, in column j + d/2.
+    """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, row k, column j + d/2.
 
     s is row k of ``_binomial_rows(d, (-1, 1), (1, 1))``, the coefficients
-    of (w - 1)^k (w + 1)^(d-k): the Krawtchouk table of ``_line_weights``
-    read on the circle.  Row k // 2 of the first (second) table holds even
-    (odd) k, each rounded once: real for even k, imaginary (without the i)
-    for odd k, where i^{-k} = (-1)^((k + 1) // 2) i^(k % 2).
+    of (w - 1)^k (w + 1)^(d-k): the Krawtchouk table of ``_line_weights``,
+    read on the circle and built as it is.  i^{-k} = (-1)^((k + 1) // 2)
+    i^(k % 2), so even rows are real and odd rows imaginary, each entry
+    rounded once.
     """
-    w = np.array([[ldexp((-1) ** ((k + 1) // 2) * s, -d) for s in row[:d // 2 * 2 + 1]]
-                  for k, row in enumerate(_binomial_rows(d, (-1, 1), (1, 1)))])
-    return _read_only(w[0::2].copy()), _read_only(w[1::2].copy())
+    signed = np.array([[ldexp((-1) ** ((k + 1) // 2) * s, -d) for s in row[:d // 2 * 2 + 1]]
+                       for k, row in enumerate(_binomial_rows(d, (-1, 1), (1, 1)))])
+    w = np.zeros(signed.shape, dtype=complex)
+    w.real[0::2] = signed[0::2]
+    w.imag[1::2] = signed[1::2]
+    return _read_only(w)
 
 
 def _trig_laurent(c, step=1):
     """Laurent polynomial u with u(e^{2it}) = G~(cos t, sin t), G(a) = C(a^step).
 
     G~(u, v) = G(v/u) u^deg is the homogenization; the expansion uses
-    cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i) with the weights of
-    ``_trig_weights``, summed in increasing k (``_weighted_sum``).  At step
-    2 every k = 2i is even, so u is real.
+    cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i): C_i takes row k = step
+    * i of ``_trig_weights``, summed in increasing k (``_weighted_sum``).
+    At step 2 every row is even and real, so u is real.
     """
-    even, odd = _trig_weights(step * (len(c) - 1))
-    if step == 2:
-        return LaurentPoly(_weighted_sum(even, c))
-    return LaurentPoly(_weighted_sum(even, c[0::2]) + 1j * _weighted_sum(odd, c[1::2]))
+    return LaurentPoly(_weighted_sum(_trig_weights(step * (len(c) - 1))[::step], c))
 
 
 def _line_factors(b_stack):
@@ -177,24 +180,49 @@ def _line_split(u, tol):
     return h, k, pending, factor
 
 
-def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
-    """Certificate of the significant (generator, stripped stacks) parts, verified once.
+# the generator g' and the extra power x^j with x g = x^j g', per generator g
+_TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x", 1)}
 
-    A factor whose square (a float product: inf, never an OverflowError)
-    contributes at most 1e-3 * tol * scale is gauge noise of the
-    factorization and is dropped; each kept one becomes one MatrixPoly.  A
-    certificate that passes the reassembly check proves F PSD up to its
-    residual.  One that misses raises a ``SosConsistencyError`` at once if
-    ``bound`` (a callable, run only here) gives B <= tol * scale, which
-    proves F >= -B on the domain.  Otherwise it raises ``not_psd`` at F's
-    least eigenvalue on the domain if that is below -tol * scale, else the
-    factorization's failure or a ``SosConsistencyError``; a reassembly that
-    overflows float64 is a ValueError at once, as in ``momentctl verify``.
+
+@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
+def _certified(variant, f, tol, split, not_psd):
+    """Certificate of F = x^k F~ from ``split(F~'s stack, tol)`` = (parts, failure, bound).
+
+    k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
+    its even part on the line, where an odd-degree F is an ``OddDegree``.
+    Every factor of F~ is padded by x^(k // 2); for odd k each generator g
+    moves to g' with x g = x^j g' (``_TIMES_X``), its factors taking j more x.
+    At k = 0 the padding is empty and no generator moves.  A factor whose
+    square (a float product: inf, never an OverflowError) contributes at
+    most 1e-3 * tol * scale is gauge noise of the factorization and is
+    dropped, and a generator left with no factor is left out of sigma.
+
+    The one finish: a certificate that passes the reassembly check proves
+    F PSD up to its residual.  One that misses raises a
+    ``SosConsistencyError`` at once if ``bound`` (a callable, run only
+    here) gives B <= tol * scale, which proves F >= -B on the domain.
+    Otherwise it raises ``not_psd`` at F's least eigenvalue on the domain
+    if that is below -tol * scale, else the factorization's failure or a
+    ``SosConsistencyError``; a reassembly that overflows float64 is a
+    ValueError at once, as in ``momentctl verify``.  This is the one
+    overflow guard of the decomposers, which do no arithmetic outside it.
     """
+    _check_tol(tol, positive=True)
+    scale = _require_symmetric(f)
     drop, thresh = 1e-3 * tol * scale, tol * scale
-    cert = SosCertificate(variant, {key: [MatrixPoly(c) for c in factors
-                                          if len(c) * ((m := _maxabs(c)) * m) > drop]
-                                    for key, factors in parts})
+    k = next(i for i, c in enumerate(f.coeffs) if c.any() or i == f.deg)
+    if variant == "line":
+        if f.deg % 2:
+            raise OddDegree(f"degree {f.deg} is odd")
+        k -= k % 2
+    parts, pending, bound = split(f.coeffs[k:], tol)
+    sigma = {}
+    for key, factors in parts:
+        key, j = _TIMES_X[key] if k % 2 else (key, 0)
+        padded = (np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c)) for c in factors)
+        sigma[key] = [MatrixPoly(c) for c in padded if len(c) * ((m := _maxabs(c)) * m) > drop]
+    cert = SosCertificate(variant, {key: sigma[key] for key in DOMAINS[variant][1]
+                                    if sigma.get(key)})
     cert.residual = _finite_residual(f, cert)
     if not cert.residual <= thresh:
         if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
@@ -208,40 +236,8 @@ def _finish(variant, f, parts, tol, scale, pending, not_psd, bound=None):
     return cert
 
 
-# the generator g' and the extra power x^j with x g = x^j g', per generator g
-_TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x", 1)}
-
-
-@np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
-def _certified(variant, f, tol, split, not_psd):
-    """Certificate of F = x^k F~ from ``split(F~, tol)`` = (parts, failure, bound), verified once.
-
-    k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
-    its even part on the line, where an odd-degree F is an ``OddDegree``.
-    Every factor of F~ is padded by x^(k // 2); for odd k each generator g
-    moves to g' with x g = x^j g' (``_TIMES_X``), its factors taking j more x.
-    At k = 0 the padding is empty and no generator moves.  This is the one
-    overflow guard of the decomposers, which do no arithmetic outside it.
-    """
-    _check_tol(tol, positive=True)
-    scale = _require_symmetric(f)
-    k = next(i for i, c in enumerate(f.coeffs) if c.any() or i == f.deg)
-    if variant == "line":
-        if f.deg % 2:
-            raise OddDegree(f"degree {f.deg} is odd")
-        k -= k % 2
-    parts, pending, bound = split(MatrixPoly(f.coeffs[k:]), tol)
-    moved = {}
-    for key, factors in parts:
-        key, j = _TIMES_X[key] if k % 2 else (key, 0)
-        moved[key] = [np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c))
-                      for c in factors]
-    parts = [(key, moved[key]) for key in DOMAINS[variant][1] if key in moved]
-    return _finish(variant, f, parts, tol, scale, pending, not_psd, bound)
-
-
-def _split_line(f, tol):
-    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs), tol)
+def _split_line(c, tol):
+    h, k, pending, _ = _line_split(_trig_laurent(c), tol)
     return [("1", [h, k])], pending, None
 
 
@@ -254,8 +250,8 @@ def decompose_line(f, tol=DEFAULT_TOL):
     return _certified("line", f, tol, _split_line, NotPsdOnLine)
 
 
-def _split_halfline(f, tol):
-    h, k, pending, _ = _line_split(_trig_laurent(f.coeffs, 2), tol)
+def _split_halfline(c, tol):
+    h, k, pending, _ = _line_split(_trig_laurent(c, 2), tol)
     return [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
 
 
@@ -290,7 +286,8 @@ def _clear_substitution(c, d, sign):
 def _interval_bound(f, c, u, factor):
     """B with lambda_min(F(x)) >= -B on all of [0, 1], proven by the factor P of u.
 
-    C = ``_clear_substitution(F, d, +1)`` keeps degree e = u.band, and
+    f is F's coefficient stack, of degree d.  C = ``_clear_substitution(f,
+    d, +1)`` keeps degree e = u.band, and
     F(sin^2 t) = cos^{2(d-e)} t * u(e^{2it}) exactly, so u on the circle
     bounds F on the whole interval, with no weight.  B has three terms:
 
@@ -308,20 +305,20 @@ def _interval_bound(f, c, u, factor):
     of a cleared or expanded coefficient, the residual's complex products
     and band + 1 subtractions, and the rounding of these magnitudes.
     """
-    n, d, e = f.n, f.deg, u.band
+    d, n, e = len(f) - 1, f.shape[1], u.band
     k = 2 * (d + n + 4)
     gamma = k * _EPS / (2 - k * _EPS)
     b = factor.coeffs
-    weight_sums = np.abs(_trig_weights(2 * e)[0]).sum(axis=1)     # exact: dyadic, <= 1
+    weight_sums = np.abs(_trig_weights(2 * e)[::2]).sum(axis=1)     # exact: dyadic, <= 1
     rho = u.hermitian_defect() + gamma * (_maxabs(u.coeffs) + np.vdot(b, b).real)
-    rounding = gamma * (np.abs(f.coeffs).max(axis=(1, 2)).sum()
+    rounding = gamma * (np.abs(f).max(axis=(1, 2)).sum()
                         + weight_sums @ np.abs(c).max(axis=(1, 2)))
     return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
 
 
 def _split_interval(f, tol):
-    d, half = f.deg, f.deg // 2
-    c = _clear_substitution(f.coeffs, d, +1)
+    d, half = len(f) - 1, (len(f) - 1) // 2
+    c = _clear_substitution(f, d, +1)
     u = _trig_laurent(c, 2)
     h, k, pending, factor = _line_split(u, tol)
     r, q = _strip(h[0::2]), _strip(k[1::2])
@@ -344,9 +341,7 @@ def decompose_interval(f, tol=DEFAULT_TOL):
     sends them straight onto their generators: R to 1 and Q to x(1-x) for
     even d, R to 1-x and Q to x for odd d.
     """
-    cert = _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
-    cert.sigma = {key: factors for key, factors in cert.sigma.items() if factors}
-    return cert
+    return _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
 
 
 def verify_certificate(f, cert):

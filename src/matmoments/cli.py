@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .polymat import DOMAINS, _check_tol, _Failure, _json_floats, matrixpoly_from_json
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 CommandResult = namedtuple("CommandResult", "exit_code report")
 
 

@@ -50,11 +50,10 @@ class ModulePositivityError(_Failure, ValueError):
 
 @dataclass
 class ShiftFamily:
-    """G = diag(x^3/i - x^2) at truncation N with the nilpotent shift matrix."""
+    """G = diag(x^3/i - x^2) at truncation N; ``shift_compress`` applies the shift."""
 
     N: int
     G: MatrixPoly
-    shift_matrix: np.ndarray
 
 
 @dataclass
@@ -86,20 +85,20 @@ class ProbeReport:
 
 
 def build_family(n_trunc):
-    """Family of size N: G(x) = x^3 diag(1/i) - x^2 Id, shift on the superdiagonal."""
+    """Family of size N: G(x) = x^3 diag(1/i) - x^2 Id."""
     n_trunc = _size(n_trunc, "truncation dimension")
     coeffs = np.zeros((4, n_trunc, n_trunc))
     np.fill_diagonal(coeffs[2], -1.0)      # not -eye, whose zeros are -0.0
     np.fill_diagonal(coeffs[3], 1.0 / np.arange(1, n_trunc + 1))
-    return ShiftFamily(n_trunc, MatrixPoly(coeffs, symmetric=True), np.eye(n_trunc, k=1))
+    return ShiftFamily(n_trunc, MatrixPoly(coeffs, symmetric=True))
 
 
 def shift_compress(fam, n):
     """S^n G (S^T)^n: x^3 diag(1/(n+1)..1/N, 0..) - x^2 diag(1,..,1,0..).
 
-    S is the superdiagonal shift of ``build_family``, so the compression
-    moves the trailing (N-n)x(N-n) block of every coefficient to the top
-    left and zeroes the rest; no entry is rounded.
+    S is the shift S e_1 = 0, S e_{i+1} = e_i (ones on the superdiagonal),
+    so the compression moves the trailing (N-n)x(N-n) block of every
+    coefficient to the top left and zeroes the rest; no entry is rounded.
     """
     if not _size(n, "compression order", least=0) < fam.N:
         raise ValueError(f"compression order {n} out of range [0, {fam.N})")

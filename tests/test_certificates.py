@@ -105,6 +105,13 @@ def test_interval_generator_sorting():
     assert set(cert2.sigma) == {"x"}
 
 
+def test_a_generator_with_no_factor_is_left_out_on_every_domain():
+    assert list(decompose_halfline(scalar_poly(2.0)).sigma) == ["1"]
+    for decompose in (decompose_line, decompose_halfline, decompose_interval):
+        cert = decompose(MatrixPoly.zero(2))
+        assert cert.sigma == {} and cert.residual == 0.0
+
+
 def test_interval_block_diagonal():
     f = MatrixPoly([[[0.0, 0], [0, 1]], [[1, 0], [0, -1]]], symmetric=True)
     cert = decompose_interval(f)
@@ -1004,7 +1011,7 @@ def _checked_bound(f, tol=certificates.DEFAULT_TOL):
     *_, factor = certificates._line_split(u, tol)
     if factor is None:
         return None
-    bound = certificates._interval_bound(f, c, u, factor)
+    bound = certificates._interval_bound(f.coeffs, c, u, factor)
     assert _grid_minimum(f.coeffs, "interval", points=2001) >= -bound
     return bound
 

@@ -70,6 +70,14 @@ def test_certify_then_verify_round_trip(workspace):
     assert ver.report["residual"] <= 1e-10
 
 
+def test_certify_prints_no_generator_without_a_factor(tmp_path, capsys):
+    poly = tmp_path / "constant.json"
+    poly.write_text(json.dumps({"n": 1, "coeffs": [[[2.0]]]}))
+    assert main(["certify", "--poly", str(poly), "--domain", "halfline"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report["certificate"]["sigma"]) == ["1"]
+
+
 def test_verify_reads_stdin_for_piping(workspace, monkeypatch):
     res = run(["certify", "--poly", workspace["poly.json"], "--domain", "line"])
     monkeypatch.setattr("sys.stdin", io.StringIO(render(res.report)))

@@ -492,9 +492,10 @@ def _rows(e, a, b):
 def test_weight_tables_are_one_binomial_expansion(e):
     assert np.array_equal(_line_weights(e), _rows(e, [1, 1j], [1, -1j]))
     phased = _rows(e, [-1, 1], [1, 1]) * np.array([1, -1j, -1, 1j])[np.arange(e + 1) % 4, None]
-    even, odd = _trig_weights(e)
-    assert np.array_equal(even, phased.real[0::2, :e // 2 * 2 + 1] / 2.0 ** e)
-    assert np.array_equal(odd, phased.imag[1::2, :e // 2 * 2 + 1] / 2.0 ** e)
+    w = _trig_weights(e)
+    assert w.dtype == np.complex128 and not w.flags.writeable
+    assert np.array_equal(w, phased[:, :e // 2 * 2 + 1] / 2.0 ** e)
+    assert not w.imag[0::2].any() and not w.real[1::2].any()
     for sign in (1, -1):
         assert np.array_equal(_clearing_weights(e, sign), _rows(e, [0, 1], [1, sign]))
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_psd
-from matmoments import (AtomicMatrixMeasure, MatrixPoly, ModulePositivityError,
+from matmoments import (AtomicMatrixMeasure, MatrixPoly, ModulePositivityError, ShiftFamily,
                         build_family, cauchy_schwarz_chain, integrate_trace,
                         leading_coeff_probe, matmul, positivity_audit, scalar_poly_mult,
                         shift_compress, support_collapse_check, transpose_poly)
@@ -31,13 +31,21 @@ def test_family_entry_values_exact():
     v = fam.G(1.0)
     assert v[1, 1] == float(Fraction(-1, 2))      # p_2(1) = 1/2 - 1
     assert np.all(fam.G(0) == 0.0)
-    assert fam.G.coeffs.dtype == np.float64 and fam.shift_matrix.dtype == np.float64
+    assert fam.G.coeffs.dtype == np.float64
 
 
-def test_shift_matrix_contraction_identity():
-    fam = build_family(4)
-    prod = fam.shift_matrix.dot(fam.shift_matrix.T)
-    assert np.array_equal(prod.astype(float), np.diag([1.0, 1.0, 1.0, 0.0]))
+def test_compress_is_the_shift_product_for_any_g():
+    # S e_1 = 0, S e_{i+1} = e_i: S S^T = diag(1, .., 1, 0), and the slice
+    # equals S^n G (S^T)^n bit for bit for a full G, not only a diagonal one
+    shift = np.eye(4, k=1)
+    assert np.array_equal(shift @ shift.T, np.diag([1.0, 1.0, 1.0, 0.0]))
+    g = np.random.default_rng(0).standard_normal((4, 4, 4))
+    fam = ShiftFamily(4, MatrixPoly(g + np.swapaxes(g, 1, 2), symmetric=True))
+    sn = np.eye(4)
+    for n in range(4):
+        explicit = np.array([sn @ c @ sn.T for c in fam.G.coeffs])
+        assert shift_compress(fam, n).coeffs.tobytes() == explicit.tobytes()
+        sn = sn @ shift
 
 
 def test_compress_order_zero_is_family():
@@ -68,12 +76,12 @@ def test_compress_identity_all_orders():
                 want = Fraction(1, n + i + 1) if i < n_dim - n else Fraction(0)
                 assert comp.coeffs[3][i, i] == float(want)
                 assert comp.coeffs[2][i, i] == float(-1 if i < n_dim - n else 0)
-            # the explicit product S^n G (S^T)^n with the family's shift
-            # matrix: its 0/1 entries move coefficients without rounding
+            # the explicit product S^n G (S^T)^n with the superdiagonal
+            # shift: its 0/1 entries move coefficients without rounding
             explicit = np.array([sn @ c @ sn.T for c in fam.G.coeffs])
             assert comp.coeffs.shape == explicit.shape
             assert comp.coeffs.tobytes() == explicit.tobytes()
-            sn = sn @ fam.shift_matrix
+            sn = sn @ np.eye(n_dim, k=1)
 
 
 def test_compress_out_of_range():
