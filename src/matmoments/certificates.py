@@ -5,7 +5,15 @@ the unit interval is decomposed as F = sum_g g * sigma_g, where g ranges
 over the domain's cone generators in ``polymat.DOMAINS`` ({1}, {1, x} or
 {1, x, 1-x, x(1-x)}), each sigma_g an explicit sum of squares G_i G_i^T.
 
-Every certificate comes from one factorization on the line.  A line
+On the interval, F is first tried in its Bernstein form at its own
+degree d, F = sum_k C(d, k) x^k (1-x)^(d-k) B_k: if every B_k is PD, one
+batched Cholesky B_k = L_k L_k^T is the certificate, with no
+factorization (``_bernstein_parts``; the matrix Polya form, Scherer & Hol,
+Math. Program. 107, 2006).  A B_k that is not PD (every B_k is singular
+where F is singular inside [0, 1]), or a Bernstein certificate that misses
+the reassembly check, sends the interval on to the factorization.
+
+Every other certificate comes from one factorization on the line.  A line
 problem G(a) routes through the unit circle: homogenize, expand
 G~(cos t, sin t) into a Laurent polynomial in e^{2it} with exact rational
 binomial weights, spectrally factor, and split the rotated factor into its
@@ -19,21 +27,22 @@ the interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), both even in a: u
 (the table's even rows) and its factor are real, H(a) = R(a^2), K(a) =
 a Q(a^2), and R and Q go straight onto their generators.  Each
 decomposer is one ``_certified`` call, which finishes once: it drops
-negligible factors and empty generators and verifies the certificate
-against F.  Only a failure looks further.  On the interval, a factor that
-met its target bounds F's least eigenvalue on all of [0, 1] from below by
--B (``_interval_bound``); B <= tol * scale decides the failure without
-looking at F.  Otherwise, and always on the line and the half-line, where
-the (1 + a^2)^d weight keeps the factor's bound from being uniform, F's
-least eigenvalue on the domain, located at the real roots of a
-determinant by ``polymat._least_on`` (the locator ``fejer_riesz`` runs
-on the circle), decides between the domain's ``NotPsdOn*`` error and the
-failure.
+negligible factors and empty generators and verifies the split's
+candidate certificates against F in turn (on the interval, the
+Bernstein one first).  Only a failure of the last looks further.  On the
+interval, a factor that met its target bounds F's least eigenvalue on
+all of [0, 1] from below by -B (``_interval_bound``); B <= tol * scale
+decides the failure without looking at F.  Otherwise, and always on the
+line and the half-line, where the (1 + a^2)^d weight keeps the factor's
+bound from being uniform, F's least eigenvalue on the domain, located at
+the real roots of a determinant by ``polymat._least_on`` (the locator
+``fejer_riesz`` runs on the circle), decides between the domain's
+``NotPsdOn*`` error and the failure.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ldexp
+from math import comb, ldexp, sqrt
 
 import numpy as np
 
@@ -138,9 +147,11 @@ def _trig_laurent(c, step=1):
     G~(u, v) = G(v/u) u^deg is the homogenization; the expansion uses
     cos t = (w + 1/w)/2 and sin t = (w - 1/w)/(2i): C_i takes row k = step
     * i of ``_trig_weights``, summed in increasing k (``_weighted_sum``).
-    At step 2 every row is even and real, so u is real.
+    At step 2 every row is even and real, so the sum reads the rows' real
+    view and u is real, with no complex product.
     """
-    return LaurentPoly(_weighted_sum(_trig_weights(step * (len(c) - 1))[::step], c))
+    w = _trig_weights(step * (len(c) - 1))[::step]
+    return LaurentPoly(_weighted_sum(w.real if step == 2 else w, c))
 
 
 def _line_factors(b_stack):
@@ -186,7 +197,7 @@ _TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x"
 
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def _certified(variant, f, tol, split, not_psd):
-    """Certificate of F = x^k F~ from ``split(F~'s stack, tol)`` = (parts, failure, bound).
+    """Certificate of F = x^k F~ from ``split(F~'s stack, tol)``'s (parts, failure, bound)s.
 
     k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
     its even part on the line, where an odd-degree F is an ``OddDegree``.
@@ -197,13 +208,15 @@ def _certified(variant, f, tol, split, not_psd):
     most 1e-3 * tol * scale is gauge noise of the factorization and is
     dropped, and a generator left with no factor is left out of sigma.
 
-    The one finish: a certificate that passes the reassembly check proves
-    F PSD up to its residual.  One that misses raises a
-    ``SosConsistencyError`` at once if ``bound`` (a callable, run only
-    here) gives B <= tol * scale, which proves F >= -B on the domain.
-    Otherwise it raises ``not_psd`` at F's least eigenvalue on the domain
-    if that is below -tol * scale, else the factorization's failure or a
-    ``SosConsistencyError``; a reassembly that overflows float64 is a
+    The split yields its candidates in order, and the first whose
+    certificate passes the reassembly check is returned: it proves F PSD
+    up to its residual.  A candidate that misses or overflows gives way to
+    the next; the last one is the one finish.  If it misses, a
+    ``SosConsistencyError`` is raised at once if its ``bound`` (a callable,
+    run only here) gives B <= tol * scale, which proves F >= -B on the
+    domain.  Otherwise ``not_psd`` is raised at F's least eigenvalue on the
+    domain if that is below -tol * scale, else the factorization's failure
+    or a ``SosConsistencyError``; a reassembly that overflows float64 is a
     ValueError at once, as in ``momentctl verify``.  This is the one
     overflow guard of the decomposers, which do no arithmetic outside it.
     """
@@ -215,30 +228,31 @@ def _certified(variant, f, tol, split, not_psd):
         if f.deg % 2:
             raise OddDegree(f"degree {f.deg} is odd")
         k -= k % 2
-    parts, pending, bound = split(f.coeffs[k:], tol)
-    sigma = {}
-    for key, factors in parts:
-        key, j = _TIMES_X[key] if k % 2 else (key, 0)
-        padded = (np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c)) for c in factors)
-        sigma[key] = [MatrixPoly(c) for c in padded if len(c) * ((m := _maxabs(c)) * m) > drop]
-    cert = SosCertificate(variant, {key: sigma[key] for key in DOMAINS[variant][1]
-                                    if sigma.get(key)})
-    cert.residual = _finite_residual(f, cert)
-    if not cert.residual <= thresh:
-        if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
-            worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
-            if worst < -thresh:
-                raise not_psd(worst, x) from pending
-        if pending is not None and not isinstance(pending, spectral.NotPsdOnCircle):
-            raise pending
-        raise SosConsistencyError(
-            f"reassembly residual {cert.residual:.3e} above tolerance") from pending
-    return cert
+    for parts, pending, bound in split(f.coeffs[k:], tol):
+        sigma = {}
+        for key, factors in parts:
+            key, j = _TIMES_X[key] if k % 2 else (key, 0)
+            padded = (np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c)) for c in factors)
+            sigma[key] = [MatrixPoly(c) for c in padded if len(c) * ((m := _maxabs(c)) * m) > drop]
+        cert = SosCertificate(variant, {key: sigma[key] for key in DOMAINS[variant][1]
+                                        if sigma.get(key)})
+        cert.residual = verify_certificate(f, cert)
+        if cert.residual <= thresh:
+            return cert
+    _finite_residual(cert.residual)
+    if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
+        worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
+        if worst < -thresh:
+            raise not_psd(worst, x) from pending
+    if pending is not None and not isinstance(pending, spectral.NotPsdOnCircle):
+        raise pending
+    raise SosConsistencyError(
+        f"reassembly residual {cert.residual:.3e} above tolerance") from pending
 
 
 def _split_line(c, tol):
     h, k, pending, _ = _line_split(_trig_laurent(c), tol)
-    return [("1", [h, k])], pending, None
+    yield [("1", [h, k])], pending, None
 
 
 def decompose_line(f, tol=DEFAULT_TOL):
@@ -252,7 +266,7 @@ def decompose_line(f, tol=DEFAULT_TOL):
 
 def _split_halfline(c, tol):
     h, k, pending, _ = _line_split(_trig_laurent(c, 2), tol)
-    return [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
+    yield [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
@@ -316,7 +330,52 @@ def _interval_bound(f, c, u, factor):
     return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
 
 
+@lru_cache(maxsize=None)
+def _bernstein_weights(d):
+    """Read-only tables (W, S) of F's Bernstein form at degree d.
+
+    F_j's weight in B_k is W[j, k] = C(k, j) / C(d, j), exact binomials
+    rounded once, so x^j = sum_k W[j, k] C(d, k) x^k (1 - x)^(d-k).  Row k
+    of S holds sqrt(C(d, k)) x^(k // 2) (1 - x)^((d-k) // 2) on x^0..x^(d // 2),
+    the scalar part of term k's factor: a row of ``_clearing_weights(., -1)``
+    times sqrt(C(d, k)), each rounded once.
+    """
+    w = np.array([[comb(k, j) / comb(d, j) for k in range(d + 1)] for j in range(d + 1)])
+    s = np.zeros((d + 1, d // 2 + 1))
+    for k in range(d + 1):
+        row = _clearing_weights(k // 2 + (d - k) // 2, -1)[k // 2]
+        s[k, :len(row)] = sqrt(comb(d, k)) * row
+    return _read_only(w), _read_only(s)
+
+
+# the generator x^(k % 2) (1 - x)^((d - k) % 2) of Bernstein term k, by the two parities
+_BERNSTEIN_KEYS = {(0, 0): "1", (1, 0): "x", (0, 1): "1-x", (1, 1): "x(1-x)"}
+
+
+def _bernstein_parts(f):
+    """Parts of F = sum_k C(d, k) x^k (1 - x)^(d-k) B_k, B_k = L_k L_k^T; None unless all are PD.
+
+    f is F's coefficient stack, of degree d.  B_k = sum_{j<=k} W[j, k] F_j
+    (``_weighted_sum``), one batched Cholesky factors them all, and term k
+    goes to x^(k % 2) (1 - x)^((d-k) % 2) with the factor S_k L_k
+    (``_bernstein_weights``), all of them one broadcast product.
+    """
+    d = len(f) - 1
+    w, s = _bernstein_weights(d)
+    try:        # an overflowed B_k gives an inf or NaN factor, which the reassembly refuses
+        chol = np.linalg.cholesky(_weighted_sum(w, f))
+    except np.linalg.LinAlgError:       # a B_k that is not PD
+        return None
+    parts = {}
+    for k, factor in enumerate(s[:, :, np.newaxis, np.newaxis] * chol[:, np.newaxis]):
+        parts.setdefault(_BERNSTEIN_KEYS[k % 2, (d - k) % 2], []).append(factor)
+    return parts.items()
+
+
 def _split_interval(f, tol):
+    parts = _bernstein_parts(f)
+    if parts is not None:
+        yield parts, None, None
     d, half = len(f) - 1, (len(f) - 1) // 2
     c = _clear_substitution(f, d, +1)
     u = _trig_laurent(c, 2)
@@ -329,17 +388,21 @@ def _split_interval(f, tol):
         parts = [("x", [_clear_substitution(q, half, -1)]),
                  ("1-x", [_clear_substitution(r, half, -1)])]
     # F~ >= -B on [0, 1] bounds F = x^k F~ too
-    return parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
+    yield parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
 
 
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 
-    Factors G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)) on the line; its factor
-    is real, with parts H(a) = R(a^2) and K(a) = a Q(a^2).  R has degree at
-    most floor(d/2) and Q at most floor((d-1)/2), so clearing s = x/(1-x)
-    sends them straight onto their generators: R to 1 and Q to x(1-x) for
-    even d, R to 1-x and Q to x for odd d.
+    First from F's Bernstein coefficients B_k at its degree d: if all are
+    PD, term k of F = sum_k C(d, k) x^k (1-x)^(d-k) L_k L_k^T is one square
+    on x^(k % 2) (1-x)^((d-k) % 2), up to d + 1 factors in all.  Otherwise,
+    or if that certificate misses, it factors G(a) = (1 + a^2)^d F(a^2 /
+    (1 + a^2)) on the line; its factor is real, with parts H(a) = R(a^2)
+    and K(a) = a Q(a^2).  R has degree at most floor(d/2) and Q at most
+    floor((d-1)/2), so clearing s = x/(1-x) sends them straight onto their
+    generators: R to 1 and Q to x(1-x) for even d, R to 1-x and Q to x for
+    odd d.
     """
     return _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
 
@@ -348,8 +411,12 @@ def verify_certificate(f, cert):
     """Max coefficient mismatch of F - sum_g g * sum_i G_i G_i^T.
 
     Pure check; returns the residual without judging it, inf or NaN (and
-    no warning) if the reassembly overflows.  The sum takes MatrixPoly
-    arithmetic's steps on stacks, stripped where it builds a MatrixPoly.
+    no warning) if the reassembly overflows.  Each generator's factors,
+    padded by zeros to one length, are squared by one batched
+    ``_conv_stack``; a zero coefficient adds only +-0 to each finite
+    product's sum, so every square is bit for bit its own factor's.  The
+    sum takes MatrixPoly arithmetic's steps on stacks, factor by factor,
+    stripped where it builds a MatrixPoly.
     """
     total, gens = np.zeros((1, f.n, f.n)), DOMAINS[cert.variant][1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,15 +424,18 @@ def verify_certificate(f, cert):
             for g in factors:
                 if g.n != f.n:
                     raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
-                square = _strip(_conv_stack(g.coeffs, np.swapaxes(g.coeffs, 1, 2)))
-                term = _strip(_times_scalar(gens[key], square))
+            stack = np.zeros((len(factors), max((len(g.coeffs) for g in factors), default=1),
+                              f.n, f.n))
+            for row, g in zip(stack, factors):
+                row[:len(g.coeffs)] = g.coeffs
+            for square in _conv_stack(stack, np.swapaxes(stack, 2, 3)):
+                term = _strip(_times_scalar(gens[key], _strip(square)))
                 total = _strip(_padded_sum([total, term]))
         return _maxabs(_padded_sum([f.coeffs, -total]))
 
 
-def _finite_residual(f, cert):
-    """``verify_certificate``'s residual, or a ValueError if the reassembly overflows float64."""
-    residual = verify_certificate(f, cert)
+def _finite_residual(residual):
+    """``verify_certificate``'s residual, or a ValueError if the reassembly overflowed float64."""
     if not np.isfinite(residual):
         raise ValueError(f"certificate reassembly overflows float64: residual {residual}")
     return residual

@@ -81,7 +81,7 @@ def _cmd_verify(args):
     if isinstance(cert_doc, dict) and "certificate" in cert_doc:
         cert_doc = cert_doc["certificate"]     # accept a certify report directly
     cert = certificates.certificate_from_json(cert_doc)
-    residual = certificates._finite_residual(poly, cert)
+    residual = certificates._finite_residual(certificates.verify_certificate(poly, cert))
     ok = residual <= args.tol * max(1.0, poly.max_coeff_abs())     # certify's scale
     return 0 if ok else 1, {"residual": float(residual), "tol": float(args.tol), "pass": bool(ok)}
 

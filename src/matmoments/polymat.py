@@ -466,8 +466,10 @@ class LaurentPoly:
     """Matrix Laurent polynomial sum_{|k|<=band} A_k z^k, float64 unless an A_k is not real."""
 
     def __init__(self, coeffs):
-        arr = _square_stack(np.asarray(coeffs, dtype=np.complex128), "coefficients")
-        arr = arr if arr.imag.any() else arr.real.copy()
+        arr = np.asarray(coeffs)        # copied: a real input is never made complex
+        cplx = arr.dtype.kind == "c"
+        arr = _square_stack(arr.astype(np.complex128 if cplx else np.float64), "coefficients")
+        arr = arr.real.copy() if cplx and not arr.imag.any() else arr
         if arr.shape[0] % 2 == 0:
             raise ValueError("coefficient stack must have odd length 2*band+1")
         self._coeffs = _read_only(arr)

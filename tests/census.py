@@ -1,4 +1,4 @@
-"""The Newton polish's and the retry's censuses, one line each; not a test and not a gate.
+"""The polish, retry and Bernstein censuses, one line each; not a test and not a gate.
 
 Run as ``PYTHONPATH=src python tests/census.py``.  Importing ``conftest``
 first pins BLAS to one thread before numpy loads, as tier-1 does.  No
@@ -12,10 +12,15 @@ these lines are their running record.
   ``SINGULAR_INPUTS`` and its 40 rank-deficient draws, through
   ``fejer_riesz``.  A shifted retry is an input that takes two Riccati
   solves.
+- Bernstein census: the interval rows of ``test_bit_identity``'s
+  ``_corpus`` and ``_wide_corpus``, symmetrized as their digests take
+  them, and ``conftest.interval_squares``' 30 degree-16 squares, through
+  ``decompose_interval``.  An input that reaches ``_line_split`` fell
+  through to the factorization.
 """
 
-from conftest import SINGULAR_INPUTS
-from test_bit_identity import _factor_corpus
+from conftest import SINGULAR_INPUTS, interval_squares
+from test_bit_identity import _corpus, _factor_corpus, _wide_corpus
 
 import time
 
@@ -87,6 +92,31 @@ def retry_census():
             f"relative residual {worst:.2g}")
 
 
+def bernstein_census():
+    inputs = [MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
+              for domain, f in _corpus() + _wide_corpus() if domain == "interval"]
+    inputs += [f for _, _, f in interval_squares()]
+    split, factored = certificates._line_split, []
+
+    def counted_split(*args):
+        factored[-1] = True
+        return split(*args)
+    certificates._line_split = counted_split
+    failures, worst = 0, 0.0
+    for f in inputs:
+        factored.append(False)
+        try:
+            cert = certificates.decompose_interval(f)
+            worst = max(worst, cert.residual / max(1.0, f.max_coeff_abs()))
+        except (ValueError, RuntimeError):
+            failures += 1
+    certificates._line_split = split
+    through = sum(factored)
+    return (f"Bernstein census, {len(inputs)} interval inputs: {len(inputs) - through} certified "
+            f"from their Bernstein coefficients, {through} fell through to the factorization, "
+            f"{failures} failures, worst relative residual {worst:.2g}")
+
+
 if __name__ == "__main__":
     spectral._newton_refine, spectral._newton_step = timed_refine, counted_step
     print(polish_census())
@@ -94,3 +124,4 @@ if __name__ == "__main__":
     steps.clear()
     spectral._riccati_factor = counted_solve
     print(retry_census())
+    print(bernstein_census())

@@ -15,7 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from matmoments import AtomicMatrixMeasure, LaurentPoly
+from matmoments import AtomicMatrixMeasure, LaurentPoly, MatrixPoly, matmul, transpose_poly
 
 
 def assert_frequencies(sample, law):
@@ -96,6 +96,21 @@ SINGULAR_INPUTS = {
     "(I - z^2 I) n=2": laurent_from_factor(np.array([np.eye(2), np.zeros((2, 2)), -np.eye(2)])),
     "rank one n=3 band=3": laurent_from_factor(_rank_one_factor()),
 }
+
+
+def interval_squares():
+    """(n, seed, F) for F = A A^T, A = default_rng(seed).standard_normal((9, n, n)), by ``matmul``.
+
+    n 2, 4 and 6, seeds 0-9: degree 16 and PSD everywhere, and singular at a
+    point inside [0, 1], where det A has a root, for 24 of the 30 (ROADMAP
+    item 1's draws).  F is symmetric only up to rounding.
+    """
+    draws = []
+    for n in (2, 4, 6):
+        for seed in range(10):
+            a = MatrixPoly(np.random.default_rng(seed).standard_normal((9, n, n)))
+            draws.append((n, seed, matmul(a, transpose_poly(a))))
+    return draws
 
 
 def entrywise_reassembly(f, cert):

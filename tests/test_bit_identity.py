@@ -28,9 +28,9 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
                         check_hamburger, check_hausdorff, check_stieltjes, fejer_riesz,
                         forward_moments, operator_check, positivity_audit, recover)
 
-DIGEST = "10695fc5bfcd131080cf8e3e5a08c6e0f7f1cb4d8837facb1a7d86f1fc4d5722"
+DIGEST = "9f1114f8f0a9f214defc59e1117f90a8665dfe3cbceafd798f3a57be282193f9"
 MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
-WIDE_DIGEST = "240da2a07064b105ee29f7c41ded649b207ccd99ea83d5ef20b441d1ae2f17de"
+WIDE_DIGEST = "9cdd2e0ad6ff44eca7805409e80d2c2cc047da5618fbea38e049abaf6701c581"
 FACTOR_DIGEST = "3bea882a11498c522534d8fd14beee616a3d25f45842974900b6c57608e73ef8"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites

@@ -1,23 +1,25 @@
 """Certificate construction, verification and scalarization."""
 
+import json
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import entrywise_reassembly, rand_psd, rand_symmetric_poly
+from conftest import entrywise_reassembly, interval_squares, rand_psd, rand_symmetric_poly
 from matmoments import certificates, polymat, spectral
 from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInterval,
                         NotPsdOnLine, OddDegree, SosCertificate,
                         certificate_from_json, certificate_to_json,
                         decompose_halfline, decompose_interval, decompose_line,
-                        matmul, scalar_poly_mult, scalarize, transpose_poly,
-                        verify_certificate)
+                        matmul, matrixpoly_from_json, scalar_poly_mult, scalarize,
+                        transpose_poly, verify_certificate)
 from matmoments.polymat import DOMAINS
 from matmoments.shiftgap import build_family
-from test_bit_identity import _corpus, _square, _times
+from test_bit_identity import _corpus, _square
 
 
 def scalar_poly(*coeffs):
@@ -699,24 +701,31 @@ def test_circle_angle_maps_to_the_domain(decomposer, exc, x, monkeypatch):
     # a = tan(angle/2), and x = a, a^2 or a^2/(1+a^2) on the three domains.
     # A NotPsdOnCircle never escapes a decomposer: F is PSD on the domain,
     # at x too, so the faked one at that angle is a SosConsistencyError;
-    # F - 3 is negative on [0, 0.76], so there it is the domain's error
+    # F - 3 = (6x + 1)(x - 1) is negative on [0, 1), so there it is the
+    # domain's error.  F's Bernstein coefficient 2 - 5/2 is negative, so
+    # the interval reaches the factorization too
     def fail_at(u, tol):
         raise spectral.NotPsdOnCircle(-1.0, 2 * np.pi / 3)
     monkeypatch.setattr(spectral, "fejer_riesz", fail_at)
-    f = scalar_poly(2, -1, 3)
-    assert f(x)[0, 0] > 0
+    f = scalar_poly(2, -5, 6)
+    assert f(x)[0, 0] > 0 and certificates._bernstein_parts(f.coeffs) is None
     with pytest.raises(certificates.SosConsistencyError) as info:
         decomposer(f)
     assert isinstance(info.value.__cause__, spectral.NotPsdOnCircle)
-    assert type(_not_psd_report(decomposer, scalar_poly(-1, -1, 3))) is exc
+    assert type(_not_psd_report(decomposer, scalar_poly(-1, -5, 6))) is exc
 
 
-@pytest.mark.parametrize("decomposer", [decompose_line, decompose_halfline, decompose_interval])
-def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(decomposer,
+@pytest.mark.parametrize("decomposer, coeffs", [
+    pytest.param(decompose_line, (1, 0, 1), id="decompose_line"),
+    pytest.param(decompose_halfline, (1, 0, 1), id="decompose_halfline"),
+    pytest.param(decompose_interval, (1.01, -4, 4), id="decompose_interval")])
+def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(decomposer, coeffs,
                                                                           monkeypatch):
     # the reassembly check judges the best attempt of a factorization that
-    # missed its target: the true factor certifies F = 1 + x^2, and a zero
-    # one re-raises the NoConvergence, as F is PSD on every domain
+    # missed its target: the true factor certifies F, and a zero one
+    # re-raises the NoConvergence, as F is PSD on every domain.  The
+    # interval's F = (2x - 1)^2 + 0.01 has the negative Bernstein
+    # coefficient 1.01 - 2, so it reaches the factorization; 1 + x^2 would not
     factor, zero = spectral.fejer_riesz, []
 
     def no_convergence(u, tol):
@@ -725,7 +734,7 @@ def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(dec
             best = spectral.SpectralFactor(0 * best.coeffs, 1.0, 0.0, best.toeplitz_order)
         raise spectral.NoConvergence(best)
     monkeypatch.setattr(spectral, "fejer_riesz", no_convergence)
-    f = scalar_poly(1, 0, 1)
+    f = scalar_poly(*coeffs)
     assert verify_certificate(f, decomposer(f)) <= 1e-10
     zero.append(True)
     with pytest.raises(spectral.NoConvergence) as info:
@@ -741,10 +750,7 @@ def _refuse(*args):
     raise _Located
 
 
-def test_certificates_that_verify_never_locate(monkeypatch):
-    # a verified certificate proves F PSD, and the digest's four misses are
-    # interval inputs whose factor bounds F on [0, 1], so nothing locates
-    monkeypatch.setattr(certificates, "_least_on", _refuse)
+def _corpus_outcomes():
     decompose = {"line": decompose_line, "halfline": decompose_halfline,
                  "interval": decompose_interval}
     outcomes = []
@@ -756,40 +762,88 @@ def test_certificates_that_verify_never_locate(monkeypatch):
             outcomes.append("located")
         except certificates.SosConsistencyError:
             outcomes.append("inconsistent")
+    return outcomes
+
+
+def test_certificates_that_verify_never_locate(monkeypatch):
+    # a verified certificate proves F PSD, so nothing locates.  The digest
+    # corpus certifies in full; with the Bernstein path refused, its four
+    # misses are interval inputs whose factor bounds F on [0, 1]
+    monkeypatch.setattr(certificates, "_least_on", _refuse)
+    assert _corpus_outcomes().count("certificate") == 54
+    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
+    outcomes = _corpus_outcomes()
     assert outcomes.count("certificate") == 50 and outcomes.count("located") == 0
     assert outcomes.count("inconsistent") == 4
 
 
-def _interval_input(rng, n, deg):
-    """The benchmark's interval F: A A^T + x(1-x) B B^T + x C C^T + (1-x) D D^T, symmetrized."""
-    h = deg // 2
-    f = _square(rng, n, h)
-    for gen in ([0.0, 1.0, -1.0], [0.0, 1.0], [1.0, -1.0]):
-        part = _times(gen, _square(rng, n, h - 1))
-        f[:len(part)] += part
-    return MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
+@pytest.mark.parametrize("d", range(17))
+def test_bernstein_weights_expand_each_monomial(d):
+    # x^j = sum_k C(k, j) / C(d, j) * C(d, k) x^k (1-x)^(d-k) in exact
+    # arithmetic; W holds each ratio rounded once, and row k of S the
+    # coefficients of x^(k // 2) (1-x)^((d-k) // 2) times sqrt(C(d, k))
+    w, s = certificates._bernstein_weights(d)
+    assert not w.flags.writeable and not s.flags.writeable
+    ratio = [[Fraction(comb(k, j), comb(d, j)) for k in range(d + 1)] for j in range(d + 1)]
+    for j in range(d + 1):
+        for r in range(d + 1):
+            assert sum(ratio[j][k] * comb(d, k) * (-1) ** (r - k) * comb(d - k, r - k)
+                       for k in range(r + 1)) == (r == j)
+    assert np.array_equal(w, np.array(ratio, dtype=float))
+    for k in range(d + 1):
+        row = np.zeros(d // 2 + 1)
+        for r in range((d - k) // 2 + 1):
+            row[k // 2 + r] = (-1) ** r * comb((d - k) // 2, r)
+        assert np.array_equal(s[k], sqrt(comb(d, k)) * row)
 
 
-@pytest.mark.parametrize("make, n, d, seed", [
-    ("sos", 1, 16, 0), ("sos", 3, 12, 1), ("sos", 4, 14, 0), ("sos", 5, 16, 0),
-    *[("bench", n, d, 0) for n, d in ((2, 12), (3, 16), (4, 12), (6, 12), (6, 16))]])
-def test_interval_misses_are_decided_by_their_factor(make, n, d, seed, monkeypatch):
-    # inputs PSD on [0, 1] whose monomial reassembly misses: the factor's
-    # bound B <= tol * scale decides the SosConsistencyError unlocated.
-    # ("sos", 3, 12, 1) missed by a hair and now certifies (residual 9.5e-9
-    # of 1e-8 * scale): the independent reassembly must accept it at the
-    # certificate's own tolerance
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 5), (2, 7), (4, 0), (4, 1), (4, 2), (6, 0),
+                                     (6, 1)])
+def test_interval_misses_are_decided_by_their_factor(n, seed, monkeypatch):
+    # squares singular inside [0, 1], whose Bernstein coefficients are not
+    # PD and whose monomial reassembly misses: the factor's bound
+    # B <= tol * scale decides the SosConsistencyError unlocated
+    f = next(f for m, s, f in interval_squares() if (m, s) == (n, seed))
+    assert certificates._bernstein_parts(f.coeffs) is None
     monkeypatch.setattr(certificates, "_least_on", _refuse)
-    rng = np.random.default_rng([n, d, seed])
-    f = (sos_of_degree(rng, n, d, _GENS["interval"]) if make == "sos"
-         else _interval_input(rng, n, d))
-    if (make, n, d, seed) == ("sos", 3, 12, 1):
-        cert = decompose_interval(f)
-        assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
-        return
     with pytest.raises(certificates.SosConsistencyError, match="reassembly residual") as info:
         decompose_interval(f)
     assert info.value.__cause__ is None
+
+
+def test_an_input_singular_inside_the_interval_never_takes_the_bernstein_path():
+    # at an x inside [0, 1] where F(x) v = 0, sum_k b_k(x) v^T B_k v = 0 with
+    # every Bernstein weight b_k(x) > 0, so no B_k is PD
+    singular = 0
+    for n, seed, f in interval_squares():
+        scale = max(1.0, f.max_coeff_abs())
+        worst, x = certificates._least_on(f.coeffs, 0.0, 1.0, 0.0)
+        if abs(worst) <= polymat.INPUT_RTOL * scale and 0.0 < x < 1.0:
+            singular += 1
+            assert certificates._bernstein_parts(f.coeffs) is None, (n, seed)
+    assert singular == 24
+
+
+_SEED780 = Path(__file__).resolve().parent / "data" / "certify_seed780_interval_n3_d16.json"
+
+
+def test_a_definite_input_that_needs_a_higher_bernstein_degree_stays_a_failure():
+    # the certify benchmark's interval:n3:d16 item of pass 3 at seed 780:
+    # lambda_min / scale is 0.05 on [0, 1], but its B_k are all PD only
+    # from degree 19 on, and the decomposer takes degree d = 16 with no
+    # search; the factorization misses too
+    f = matrixpoly_from_json(json.loads(_SEED780.read_text(encoding="utf-8")))
+    scale = max(1.0, f.max_coeff_abs())
+    assert 0.04 < certificates._least_on(f.coeffs, 0.0, 1.0, 0.0)[0] / scale < 0.06
+    for extra in range(4):
+        parts = certificates._bernstein_parts(
+            np.concatenate([f.coeffs, np.zeros((extra, f.n, f.n))]))
+        assert (parts is None) == (extra < 3), extra
+    cert = SosCertificate("interval", {key: [MatrixPoly(c) for c in factors]
+                                       for key, factors in parts})
+    assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * scale
+    with pytest.raises(certificates.SosConsistencyError, match="reassembly residual"):
+        decompose_interval(f)
 
 
 # The three-level cascade the certificates used to take: decompose_interval
@@ -897,7 +951,11 @@ def _assert_same_certificate(got, want):
 
 @pytest.mark.parametrize("domain", ["line", "halfline", "interval"])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_flat_pipeline_matches_the_cascade_bit_for_bit(domain, n):
+def test_flat_pipeline_matches_the_cascade_bit_for_bit(domain, n, monkeypatch):
+    # the cascade factors on the circle, so the interval's Bernstein path is
+    # refused here; test_definite_interval_inputs_take_the_bernstein_path_or_the_factorization
+    # holds every input it refuses to this path
+    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
     rng = np.random.default_rng([n, len(domain)])
     decompose, reference = _DECOMPOSE[domain]
     for d in range(2 if domain == "line" else 1, 17, 2 if domain == "line" else 1):
@@ -984,6 +1042,46 @@ def test_inputs_that_dip_below_zero_are_located(domain, n, half, depth, seed):
         _assert_located(report, f, _NOT_PSD[decomposer])
     else:
         assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())
+
+
+def _same_outcome(got, want):
+    """Both the same exception, type and message, or certificates equal bit for bit."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    _assert_same_certificate(got, want)
+    return True
+
+
+@_PROPERTY
+@example(n=1, d=16, depth=-6.0, seed=2)
+@example(n=3, d=12, depth=-6.0, seed=21)
+@example(n=2, d=8, depth=-6.0, seed=86)
+@given(n=st.integers(1, 6), d=st.integers(0, 16), depth=st.floats(-6.0, 0.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_definite_interval_inputs_take_the_bernstein_path_or_the_factorization(n, d, depth, seed):
+    # F = sum_g g A_g A_g^T + c I with c = 10^depth * scale > 0.  A
+    # certificate from the Bernstein path (no factorization ran) reassembles
+    # at the certificate's own tolerance; an input whose B_k are not all PD
+    # takes the factorization, with the outcome it has with the path refused
+    g = sos_of_degree(np.random.default_rng(seed), n, d, _GENS["interval"])
+    f = g + MatrixPoly.constant(10.0 ** depth * max(1.0, g.max_coeff_abs()) * np.eye(n))
+    scale = max(1.0, f.max_coeff_abs())
+    split, factored = certificates._line_split, []
+
+    def counted(*args):
+        factored.append(True)
+        return split(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificates, "_line_split", counted)
+        got = _outcome(decompose_interval, f)
+        refused, ran = certificates._bernstein_parts(f.coeffs) is None, bool(factored)
+        patch.setattr(certificates, "_bernstein_parts", lambda f: None)
+        want = _outcome(decompose_interval, f)
+    if refused or ran:
+        assert ran and _same_outcome(got, want)
+    else:
+        assert isinstance(got, SosCertificate)
+        assert entrywise_reassembly(f, got) <= certificates.DEFAULT_TOL * scale
 
 
 # The bound's soundness on the interval.  The dips are built as in

@@ -336,6 +336,21 @@ def test_laurent_poly_rejects_an_even_length_stack():
         LaurentPoly(np.zeros((2, 1, 1)))
 
 
+@pytest.mark.parametrize("dtype, field", [(float, np.float64), (np.float32, np.float64),
+                                          (complex, np.complex128), (np.complex64, np.complex128)])
+def test_laurent_poly_copies_its_input_in_its_own_field(dtype, field):
+    # the instance owns a copy, so the caller's array stays writable, and a
+    # real stack is never made complex
+    a = np.array([[[1.0]], [[3.0]], [[1.0]]], dtype=dtype)
+    if field is np.complex128:
+        a[0] += 1j
+        a[2] -= 1j
+    u = LaurentPoly(a)
+    assert u.coeffs.dtype == field and not np.shares_memory(u.coeffs, a)
+    assert a.flags.writeable and not u.coeffs.flags.writeable
+    assert LaurentPoly(np.array([[[1.0]]], dtype=complex)).coeffs.dtype == np.float64
+
+
 def test_sums_and_products_want_matrix_polys_of_one_size():
     p, q = MatrixPoly.constant(I2), MatrixPoly.constant(np.eye(3))
     with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
