@@ -9,9 +9,10 @@ On the interval, F is first tried in its Bernstein form at its own
 degree d, F = sum_k C(d, k) x^k (1-x)^(d-k) B_k: if every B_k is PD, one
 batched Cholesky B_k = L_k L_k^T is the certificate, with no
 factorization (``_bernstein_parts``; the matrix Polya form, Scherer & Hol,
-Math. Program. 107, 2006).  A B_k that is not PD (every B_k is singular
-where F is singular inside [0, 1]), or a Bernstein certificate that misses
-the reassembly check, sends the interval on to the factorization.
+Math. Program. 107, 2006).  A B_k that is not PD (where F is singular
+inside [0, 1], not every B_k is PD: if all are PSD, all are singular), or
+a Bernstein certificate that misses the reassembly check, sends the
+interval on to the factorization.
 
 Every other certificate comes from one factorization on the line.  A line
 problem G(a) routes through the unit circle: homogenize, expand

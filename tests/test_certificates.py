@@ -811,9 +811,22 @@ def test_interval_misses_are_decided_by_their_factor(n, seed, monkeypatch):
     assert info.value.__cause__ is None
 
 
+def test_a_factored_interval_certificate_near_the_tolerance_reassembles(monkeypatch):
+    # this input's factorization missed by a hair and now certifies
+    # (residual 9.5e-9 of 1e-8 * scale): the independent reassembly must
+    # accept it at the certificate's own tolerance.  Its B_k are all PD, so
+    # the Bernstein path is refused to reach the factorization
+    monkeypatch.setattr(certificates, "_least_on", _refuse)
+    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
+    f = sos_of_degree(np.random.default_rng([3, 12, 1]), 3, 12, _GENS["interval"])
+    cert = decompose_interval(f)
+    assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+
+
 def test_an_input_singular_inside_the_interval_never_takes_the_bernstein_path():
     # at an x inside [0, 1] where F(x) v = 0, sum_k b_k(x) v^T B_k v = 0 with
-    # every Bernstein weight b_k(x) > 0, so no B_k is PD
+    # every Bernstein weight b_k(x) > 0, so not every B_k is PD (if all are
+    # PSD, all are singular)
     singular = 0
     for n, seed, f in interval_squares():
         scale = max(1.0, f.max_coeff_abs())
@@ -988,10 +1001,16 @@ def _draw(domain, n, d, seed):
 @_PROPERTY
 @given(**_DRAWS)
 def test_returned_certificates_reassemble(domain, n, d, seed):
+    # on the interval, also the factorization's certificate, with the
+    # Bernstein path refused
     f = _draw(domain, n, d, seed)
-    cert = _outcome(_DECOMPOSE[domain][0], f)
-    if isinstance(cert, SosCertificate):
-        assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())
+    with pytest.MonkeyPatch.context() as patch:
+        for refused in (False, True) if domain == "interval" else (False,):
+            if refused:
+                patch.setattr(certificates, "_bernstein_parts", lambda f: None)
+            cert = _outcome(_DECOMPOSE[domain][0], f)
+            if isinstance(cert, SosCertificate):
+                assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())
 
 
 @_PROPERTY
@@ -1178,13 +1197,15 @@ def test_x_squared_times_a_square_certifies_on_the_half_line(n, deg, monkeypatch
 def test_a_power_of_x_adds_no_newton_polish(domain, k, n, d, seed):
     # G is a sum over the domain's generators (two squares on the line), so
     # PSD there by construction, and x^k G (x^(k + k % 2) on the line)
-    # certifies without the polish, as G does
+    # certifies without the polish, as G does.  The interval's Bernstein
+    # path runs no factorization, so it is refused here
     gens = [[1.0], [1.0]] if domain == "line" else _GENS[domain]
     g = _times_x(0, sos_of_degree(np.random.default_rng(seed), n, d, gens).coeffs)
     f = _times_x(k + k % 2 if domain == "line" else k, g.coeffs)
     decompose = _DECOMPOSE[domain][0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_newton_refine", _polish_refused)
+        patch.setattr(certificates, "_bernstein_parts", lambda f: None)
         decompose(g)
         cert = decompose(f)
     assert list(cert.sigma) == [key for key in DOMAINS[domain][1] if key in cert.sigma]
@@ -1195,8 +1216,10 @@ def test_a_power_of_x_adds_no_newton_polish(domain, k, n, d, seed):
 def test_definite_inputs_certify_without_the_polish(domain, seed, d, monkeypatch):
     # the doubling's updates grew once below _STALL (2.4e-3 then 3.7e-3 of
     # ||H||, and 6.1e-4 then 9.5e-4), which ended the solve near a residual
-    # of 1e-6; left to run, the next steps converge quadratically
+    # of 1e-6; left to run, the next steps converge quadratically.  The
+    # interval input's B_k are all PD, so its Bernstein path is refused
     monkeypatch.setattr(spectral, "_newton_refine", _polish_refused)
+    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
     f = sos_of_degree(np.random.default_rng(seed), 1, d, _GENS[domain])
     cert = _DECOMPOSE[domain][0](f)
     assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
