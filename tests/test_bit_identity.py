@@ -313,22 +313,45 @@ def _outcome(data):
     return "certificate" if line.startswith("{") else line.partition(":")[0]
 
 
+def _relative_residual(f, data):
+    """A certificate case's residual over max(1, max|F|), F symmetrized; None for an error."""
+    line = data.split(b"\n")[1]
+    if not line.startswith(b"{"):
+        return None
+    scale = max(1.0, float(np.abs(0.5 * (f + np.swapaxes(f, 1, 2))).max()))
+    return json.loads(line)["residual"] / scale
+
+
+def _residual_changes(moved, was, now):
+    """The largest change of relative residual among the moved cases, and how many rose and fell."""
+    pairs = [(was[i], now[i], label) for i, label in moved
+             if i < len(was) and None not in (was[i], now[i])]
+    if not pairs:
+        return ""
+    old, new, label = max(pairs, key=lambda p: abs(p[1] - p[0]))
+    return (f"  relative residuals of moved cases: largest change {old:.3g} -> {new:.3g} "
+            f"({label}); {sum(n > o for o, n, _ in pairs)} rose, "
+            f"{sum(n < o for o, n, _ in pairs)} fell, of {len(pairs)}\n")
+
+
 def _rewrite():
     """Record the current build's digests, case hashes and CLI goldens; print what moved.
 
     Rewrites the digest constants above, ``golden/digests.json`` (with each
-    certificate case's outcome) and the stdout files of
-    ``test_cli.GOLDEN_CALLS``.  Prints how many case hashes moved (for the
-    moment corpus, its ``reports`` and ``measure`` hashes apart), each
+    certificate case's outcome and relative residual) and the stdout files
+    of ``test_cli.GOLDEN_CALLS``.  Prints how many case hashes moved (for
+    the moment corpus, its ``reports`` and ``measure`` hashes apart), each
     certificate case whose outcome (a certificate, or an error type)
-    differs from the recorded one, and each factor case that moved.
+    differs from the recorded one, the largest change of relative residual
+    among the moved certificate cases with how many rose and fell, and
+    each factor case that moved.
     """
     import test_cli
 
     recorded = json.loads(CASE_HASHES.read_text(encoding="utf-8"))
-    doc = {}
-    for name, cases in (("DIGEST", _certificate_cases(_corpus())),
-                        ("WIDE_DIGEST", _certificate_cases(_wide_corpus(), True)),
+    doc, corpora = {}, {"DIGEST": _corpus(), "WIDE_DIGEST": _wide_corpus()}
+    for name, cases in (("DIGEST", _certificate_cases(corpora["DIGEST"])),
+                        ("WIDE_DIGEST", _certificate_cases(corpora["WIDE_DIGEST"], True)),
                         ("MOMENT_DIGEST", _moment_cases()),
                         ("FACTOR_DIGEST", _factor_cases())):
         cases = list(cases)
@@ -336,25 +359,31 @@ def _rewrite():
         doc[name] = {"digest": digest, "cases": per_case}
         print(name, digest, "(unchanged)" if digest == globals()[name] else "(moved)")
         old = recorded.get(name, {}).get("cases", [])
-        moved = [label for i, (label, h) in enumerate(per_case) if old[i:i + 1] != [[label, h]]]
+        moved = [(i, label) for i, (label, h) in enumerate(per_case)
+                 if old[i:i + 1] != [[label, h]]]
         if name == "MOMENT_DIGEST":
             for part in ("reports", "measure"):
-                print(f"  {part} hashes moved: {sum(m.endswith(part) for m in moved)} of "
+                print(f"  {part} hashes moved: {sum(m.endswith(part) for _, m in moved)} of "
                       f"{sum(label.endswith(part) for label, _ in per_case)}")
             continue
         print(f"  case hashes moved: {len(moved)} of {len(per_case)}")
         if name == "FACTOR_DIGEST":
-            print("".join(f"  moved: {label}\n" for label in moved), end="")
+            print("".join(f"  moved: {label}\n" for _, label in moved), end="")
             continue
         doc[name]["outcomes"] = [_outcome(data) for _, data in cases]
         was = recorded.get(name, {}).get("outcomes", [])
         for i, ((label, _), old, now) in enumerate(zip(per_case, was, doc[name]["outcomes"])):
             if old != now:
                 print(f"  outcome of case {i} ({label}): {old} -> {now}")
+        doc[name]["residuals"] = [_relative_residual(f, data)
+                                  for (_, f), (_, data) in zip(corpora[name], cases)]
+        print(_residual_changes(moved, recorded.get(name, {}).get("residuals", []),
+                                doc[name]["residuals"]), end="")
     CASE_HASHES.write_text("{\n" + ",\n".join(
         f'"{name}": {{"digest": "{entry["digest"]}", "cases": [\n'
         + ",\n".join(json.dumps(case) for case in entry["cases"]) + "]"
-        + (f',\n"outcomes": {json.dumps(entry["outcomes"])}' if "outcomes" in entry else "")
+        + "".join(f',\n"{key}": {json.dumps(entry[key])}' for key in ("outcomes", "residuals")
+                  if key in entry)
         + "}" for name, entry in doc.items()) + "\n}\n", encoding="utf-8")
     source = Path(__file__)
     text = source.read_text(encoding="utf-8")
