@@ -5,14 +5,16 @@ the unit interval is decomposed as F = sum_g g * sigma_g, where g ranges
 over the domain's cone generators in ``polymat.DOMAINS`` ({1}, {1, x} or
 {1, x, 1-x, x(1-x)}), each sigma_g an explicit sum of squares G_i G_i^T.
 
-On the interval, F is first tried in its Bernstein form at its own
-degree d, F = sum_k C(d, k) x^k (1-x)^(d-k) B_k: if every B_k is PD, one
-batched Cholesky B_k = L_k L_k^T is the certificate, with no
-factorization (``_bernstein_parts``; the matrix Polya form, Scherer & Hol,
-Math. Program. 107, 2006).  A B_k that is not PD (where F is singular
-inside [0, 1], not every B_k is PD: if all are PSD, all are singular), or
-a Bernstein certificate that misses the reassembly check, sends the
-interval on to the factorization.
+On the interval, F is cleared once, G(s) = (1 + s)^d F(s / (1 + s)) =
+sum_k C_k s^k with exact integer weights: C_k = C(d, k) B_k, B_k F's
+Bernstein coefficients at its degree d.  If every C_k is PD, one batched
+Cholesky C_k = L_k L_k^T is the certificate, with no factorization
+(``_bernstein_parts``; the matrix Polya form, Scherer & Hol, Math.
+Program. 107, 2006).  A C_k that is not PD (where F is singular inside
+[0, 1], not every B_k is PD: if all are PSD, all are singular), or a
+Bernstein certificate that misses the reassembly check, sends the same G
+on to the factorization; both put a term s^k of G on x^(k % 2)
+(1-x)^((d-k) % 2) (``_PARITY_KEYS``).
 
 Every other certificate comes from one factorization on the line.  A line
 problem G(a) routes through the unit circle: homogenize, expand
@@ -24,13 +26,13 @@ real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
 rows or columns: one exact Krawtchouk table up to row order and a phase,
 rows of ``polymat._binomial_rows``, as are the interval's clearing
 weights.  The line takes G = F; the half-line takes G(a) = F(a^2) and
-the interval G(a) = (1 + a^2)^d F(a^2 / (1 + a^2)), both even in a: u
-(the table's even rows) and its factor are real, H(a) = R(a^2), K(a) =
-a Q(a^2), and R and Q go straight onto their generators.  Each
-decomposer is one ``_certified`` call, which finishes once: it drops
-negligible factors and empty generators and verifies the split's
-candidate certificates against F in turn (on the interval, the
-Bernstein one first).  Only a failure of the last looks further.  On the
+the interval its cleared G(a^2), both even in a: u (the table's even
+rows) and its factor are real, H(a) = R(a^2), K(a) = a Q(a^2), and R and
+Q go straight onto their generators.  Each decomposer is one
+``_certified`` call, which finishes once: it drops negligible factors and
+empty generators and verifies the split's candidate certificates against
+F in turn (on the interval, the Bernstein one first).  Only a failure of
+the last looks further.  On the
 interval, a factor that met its target bounds F's least eigenvalue on
 all of [0, 1] from below by -B (``_interval_bound``); B <= tol * scale
 decides the failure without looking at F.  Otherwise, and always on the
@@ -43,7 +45,7 @@ the real roots of a determinant by ``polymat._least_on`` (the locator
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, ldexp, sqrt
+from math import ldexp
 
 import numpy as np
 
@@ -286,25 +288,26 @@ def _clearing_weights(e, sign):
     return _read_only(w.reshape(e + 1, e + 1))     # e = -1: empty
 
 
-def _clear_substitution(c, d, sign):
-    """Stripped stack of sum_k C_k x^k (1 + sign*x)^(d-k), d >= deg C, exact binomials.
+def _clear_substitution(c, d):
+    """Stripped stack of sum_k C_k x^k (1 - x)^(d-k), d >= deg C, exact binomials.
 
     C is cleared at its own degree e, each coefficient summed in increasing
-    k (``_weighted_sum``), then multiplied by (1 + sign*x)^(d-e), row 0 of
-    ``_clearing_weights(d - e, sign)``.
+    k (``_weighted_sum``), then multiplied by (1 - x)^(d-e), row 0 of
+    ``_clearing_weights(d - e, -1)``.
     """
     e = len(c) - 1
-    out = _weighted_sum(_clearing_weights(e, sign), c)
-    return _strip(_times_scalar(_clearing_weights(d - e, sign)[0], _strip(out)))
+    out = _weighted_sum(_clearing_weights(e, -1), c)
+    return _strip(_times_scalar(_clearing_weights(d - e, -1)[0], _strip(out)))
 
 
 def _interval_bound(f, c, u, factor):
     """B with lambda_min(F(x)) >= -B on all of [0, 1], proven by the factor P of u.
 
-    f is F's coefficient stack, of degree d.  C = ``_clear_substitution(f,
-    d, +1)`` keeps degree e = u.band, and
-    F(sin^2 t) = cos^{2(d-e)} t * u(e^{2it}) exactly, so u on the circle
-    bounds F on the whole interval, with no weight.  B has three terms:
+    f is F's coefficient stack, of degree d, and c the cleared stack C of
+    ``_split_interval``, G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k,
+    stripped to degree e = u.band.  F(sin^2 t) = cos^{2(d-e)} t * u(e^{2it})
+    exactly, so u on the circle bounds F on the whole interval, with no
+    weight.  B has three terms:
 
     - u - P P* has coefficients below the residual plus rho: u's Hermitian
       defect and gamma * (max|u_k| + ||P||_F^2), the rounding of
@@ -331,63 +334,59 @@ def _interval_bound(f, c, u, factor):
     return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
 
 
-@lru_cache(maxsize=None)
-def _bernstein_weights(d):
-    """Read-only tables (W, S) of F's Bernstein form at degree d.
+# the generator x^(k % 2) (1 - x)^((d - k) % 2) of a term s^k of G, by the two parities
+_PARITY_KEYS = {(0, 0): "1", (1, 0): "x", (0, 1): "1-x", (1, 1): "x(1-x)"}
 
-    F_j's weight in B_k is W[j, k] = C(k, j) / C(d, j), exact binomials
-    rounded once, so x^j = sum_k W[j, k] C(d, k) x^k (1 - x)^(d-k).  Row k
-    of S holds sqrt(C(d, k)) x^(k // 2) (1 - x)^((d-k) // 2) on x^0..x^(d // 2),
-    the scalar part of term k's factor: a row of ``_clearing_weights(., -1)``
-    times sqrt(C(d, k)), each rounded once.
+
+@lru_cache(maxsize=None)
+def _bernstein_rows(d):
+    """Read-only rows k: x^(k // 2) (1 - x)^((d-k) // 2) on x^0..x^(d // 2), exact integers.
+
+    Row k is a row of ``_clearing_weights(., -1)``, the scalar part of the
+    factor of Bernstein term k.
     """
-    w = np.array([[comb(k, j) / comb(d, j) for k in range(d + 1)] for j in range(d + 1)])
     s = np.zeros((d + 1, d // 2 + 1))
     for k in range(d + 1):
         row = _clearing_weights(k // 2 + (d - k) // 2, -1)[k // 2]
-        s[k, :len(row)] = sqrt(comb(d, k)) * row
-    return _read_only(w), _read_only(s)
+        s[k, :len(row)] = row
+    return _read_only(s)
 
 
-# the generator x^(k % 2) (1 - x)^((d - k) % 2) of Bernstein term k, by the two parities
-_BERNSTEIN_KEYS = {(0, 0): "1", (1, 0): "x", (0, 1): "1-x", (1, 1): "x(1-x)"}
+def _bernstein_parts(c):
+    """Parts of F = sum_k x^k (1 - x)^(d-k) C_k, C_k = L_k L_k^T; None unless every C_k is PD.
 
-
-def _bernstein_parts(f):
-    """Parts of F = sum_k C(d, k) x^k (1 - x)^(d-k) B_k, B_k = L_k L_k^T; None unless all are PD.
-
-    f is F's coefficient stack, of degree d.  B_k = sum_{j<=k} W[j, k] F_j
-    (``_weighted_sum``), one batched Cholesky factors them all, and term k
-    goes to x^(k % 2) (1 - x)^((d-k) % 2) with the factor S_k L_k
-    (``_bernstein_weights``), all of them one broadcast product.
+    c is F's cleared stack, of degree d: C_k = C(d, k) B_k, B_k F's
+    Bernstein coefficients.  One batched Cholesky factors them all, and
+    term k goes to x^(k % 2) (1 - x)^((d-k) % 2) (``_PARITY_KEYS``) with
+    the factor x^(k // 2) (1 - x)^((d-k) // 2) L_k (``_bernstein_rows``),
+    all of them one broadcast product.
     """
-    d = len(f) - 1
-    w, s = _bernstein_weights(d)
-    try:        # an overflowed B_k gives an inf or NaN factor, which the reassembly refuses
-        chol = np.linalg.cholesky(_weighted_sum(w, f))
-    except np.linalg.LinAlgError:       # a B_k that is not PD
+    d = len(c) - 1
+    try:        # an overflowed C_k gives an inf or NaN factor, which the reassembly refuses
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:       # a C_k that is not PD
         return None
     parts = {}
-    for k, factor in enumerate(s[:, :, np.newaxis, np.newaxis] * chol[:, np.newaxis]):
-        parts.setdefault(_BERNSTEIN_KEYS[k % 2, (d - k) % 2], []).append(factor)
+    for k, factor in enumerate(_bernstein_rows(d)[:, :, np.newaxis, np.newaxis]
+                               * chol[:, np.newaxis]):
+        parts.setdefault(_PARITY_KEYS[k % 2, (d - k) % 2], []).append(factor)
     return parts.items()
 
 
 def _split_interval(f, tol):
-    parts = _bernstein_parts(f)
+    d = len(f) - 1
+    c = _weighted_sum(_clearing_weights(d, +1), f)      # G(s) = sum_k C_k s^k
+    parts = _bernstein_parts(c)
     if parts is not None:
         yield parts, None, None
-    d, half = len(f) - 1, (len(f) - 1) // 2
-    c = _clear_substitution(f, d, +1)
+    c = _strip(c)
     u = _trig_laurent(c, 2)
     h, k, pending, factor = _line_split(u, tol)
+    # G = R R^T + s Q Q^T, R and Q the terms s^0 and s^1.  At d = 0, Q is empty,
+    # clears empty and is dropped as insignificant
     r, q = _strip(h[0::2]), _strip(k[1::2])
-    if d % 2 == 0:      # at d = 0, Q is empty, clears empty and is dropped as insignificant
-        parts = [("1", [_clear_substitution(r, half, -1)]),
-                 ("x(1-x)", [_clear_substitution(q, half - 1, -1)])]
-    else:
-        parts = [("x", [_clear_substitution(q, half, -1)]),
-                 ("1-x", [_clear_substitution(r, half, -1)])]
+    parts = [(_PARITY_KEYS[0, d % 2], [_clear_substitution(r, d // 2)]),
+             (_PARITY_KEYS[1, (d - 1) % 2], [_clear_substitution(q, (d - 1) // 2)])]
     # F~ >= -B on [0, 1] bounds F = x^k F~ too
     yield parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
 
@@ -395,15 +394,13 @@ def _split_interval(f, tol):
 def decompose_interval(f, tol=DEFAULT_TOL):
     """Four-generator certificate for F PSD on [0, 1].
 
-    First from F's Bernstein coefficients B_k at its degree d: if all are
-    PD, term k of F = sum_k C(d, k) x^k (1-x)^(d-k) L_k L_k^T is one square
+    F is cleared once, G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k,
+    C_k = C(d, k) B_k with B_k F's Bernstein coefficients.  If every C_k =
+    L_k L_k^T is PD, term k of F = sum_k x^k (1-x)^(d-k) C_k is one square
     on x^(k % 2) (1-x)^((d-k) % 2), up to d + 1 factors in all.  Otherwise,
-    or if that certificate misses, it factors G(a) = (1 + a^2)^d F(a^2 /
-    (1 + a^2)) on the line; its factor is real, with parts H(a) = R(a^2)
-    and K(a) = a Q(a^2).  R has degree at most floor(d/2) and Q at most
-    floor((d-1)/2), so clearing s = x/(1-x) sends them straight onto their
-    generators: R to 1 and Q to x(1-x) for even d, R to 1-x and Q to x for
-    odd d.
+    or if that certificate misses, G(a^2) is factored on the line: its real
+    factor gives G = R R^T + s Q Q^T, and R and Q, the terms s^0 and s^1,
+    go by the same rule, cleared at degrees floor(d/2) and floor((d-1)/2).
     """
     return _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
 

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInter
                         decompose_halfline, decompose_interval, decompose_line,
                         matmul, matrixpoly_from_json, scalar_poly_mult, scalarize,
                         transpose_poly, verify_certificate)
-from matmoments.polymat import DOMAINS
+from matmoments.polymat import DOMAINS, _strip, _times_scalar, _weighted_sum
 from matmoments.shiftgap import build_family
 from test_bit_identity import _corpus, _square
 
@@ -363,6 +363,11 @@ def _line_factors_loop(b_stack):
     return MatrixPoly(h), MatrixPoly(k_mat)
 
 
+def _cleared(c):
+    """The interval's cleared stack of F: G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k."""
+    return _weighted_sum(certificates._clearing_weights(len(c) - 1, +1), c)
+
+
 def _clear_substitution_loop(p, d, sign):
     e = p.deg
     out = np.zeros((e + 1, p.n, p.n))
@@ -434,6 +439,7 @@ def test_clear_substitution_matches_loop_bit_for_bit():
     for trial in range(300):
         n, e = int(rng.integers(1, 5)), int(rng.integers(0, 11))
         d, sign = e + int(rng.integers(0, 4)), int(rng.choice([-1, 1]))
+        d = d if sign < 0 else e        # the interval clears F at its own degree
         c = rng.standard_normal((e + 1, n, n)) * rng.uniform(0.1, 10.0, (e + 1, 1, 1))
         c[rng.random(c.shape) < 0.2] = rng.choice([0.0, -0.0])
         c[-1] += 3.0 * np.eye(n)
@@ -444,7 +450,9 @@ def test_clear_substitution_matches_loop_bit_for_bit():
             c[0] = -np.tensordot(float(sign) ** np.arange(1, e + 1), c[1:], axes=1)
         p = MatrixPoly(c)
         want = _clear_substitution_loop(p, d, sign).coeffs
-        assert _same_bits(certificates._clear_substitution(p.coeffs, d, sign), want), trial
+        got = (certificates._clear_substitution(p.coeffs, d) if sign < 0
+               else _strip(_cleared(p.coeffs)))
+        assert _same_bits(got, want), trial
         stripped += want.shape[0] < d + 1
     assert stripped > 50
 
@@ -474,8 +482,7 @@ def _natural_halfline_draw():
 def test_the_half_line_and_the_interval_factor_in_real_arithmetic(f):
     # G(a) = F(a^2) and its cleared interval form expand to a real u, whose factor,
     # best attempt or zeros stay float64, so H has no odd and K no even coefficient
-    d = len(f) - 1
-    for c in (f, certificates._clear_substitution(f, d, +1)):
+    for c in (f, _strip(_cleared(f))):
         u = certificates._trig_laurent(c, 2)
         assert u.coeffs.dtype == np.float64
         h, k, pending, factor = certificates._line_split(u, certificates.DEFAULT_TOL)
@@ -708,7 +715,7 @@ def test_circle_angle_maps_to_the_domain(decomposer, exc, x, monkeypatch):
         raise spectral.NotPsdOnCircle(-1.0, 2 * np.pi / 3)
     monkeypatch.setattr(spectral, "fejer_riesz", fail_at)
     f = scalar_poly(2, -5, 6)
-    assert f(x)[0, 0] > 0 and certificates._bernstein_parts(f.coeffs) is None
+    assert f(x)[0, 0] > 0 and certificates._bernstein_parts(_cleared(f.coeffs)) is None
     with pytest.raises(certificates.SosConsistencyError) as info:
         decomposer(f)
     assert isinstance(info.value.__cause__, spectral.NotPsdOnCircle)
@@ -778,23 +785,27 @@ def test_certificates_that_verify_never_locate(monkeypatch):
 
 
 @pytest.mark.parametrize("d", range(17))
-def test_bernstein_weights_expand_each_monomial(d):
+def test_the_cleared_stack_is_the_bernstein_form_times_binomials(d):
     # x^j = sum_k C(k, j) / C(d, j) * C(d, k) x^k (1-x)^(d-k) in exact
-    # arithmetic; W holds each ratio rounded once, and row k of S the
-    # coefficients of x^(k // 2) (1-x)^((d-k) // 2) times sqrt(C(d, k))
-    w, s = certificates._bernstein_weights(d)
-    assert not w.flags.writeable and not s.flags.writeable
+    # arithmetic, so the cleared stack of x^j is exactly C(d, k) times its
+    # Bernstein coefficients C(k, j) / C(d, j); row k of the factor table
+    # holds the integer coefficients of x^(k // 2) (1-x)^((d-k) // 2)
     ratio = [[Fraction(comb(k, j), comb(d, j)) for k in range(d + 1)] for j in range(d + 1)]
     for j in range(d + 1):
         for r in range(d + 1):
             assert sum(ratio[j][k] * comb(d, k) * (-1) ** (r - k) * comb(d - k, r - k)
                        for k in range(r + 1)) == (r == j)
-    assert np.array_equal(w, np.array(ratio, dtype=float))
+        monomial = np.zeros((d + 1, 1, 1))
+        monomial[j] = 1.0
+        assert ([Fraction(v) for v in _cleared(monomial)[:, 0, 0]]
+                == [comb(d, k) * ratio[j][k] for k in range(d + 1)])
+    rows = certificates._bernstein_rows(d)
+    assert not rows.flags.writeable
     for k in range(d + 1):
-        row = np.zeros(d // 2 + 1)
+        row = [0] * (d // 2 + 1)
         for r in range((d - k) // 2 + 1):
             row[k // 2 + r] = (-1) ** r * comb((d - k) // 2, r)
-        assert np.array_equal(s[k], sqrt(comb(d, k)) * row)
+        assert [Fraction(v) for v in rows[k]] == row
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (2, 5), (2, 7), (4, 0), (4, 1), (4, 2), (6, 0),
@@ -804,7 +815,7 @@ def test_interval_misses_are_decided_by_their_factor(n, seed, monkeypatch):
     # PD and whose monomial reassembly misses: the factor's bound
     # B <= tol * scale decides the SosConsistencyError unlocated
     f = next(f for m, s, f in interval_squares() if (m, s) == (n, seed))
-    assert certificates._bernstein_parts(f.coeffs) is None
+    assert certificates._bernstein_parts(_cleared(f.coeffs)) is None
     monkeypatch.setattr(certificates, "_least_on", _refuse)
     with pytest.raises(certificates.SosConsistencyError, match="reassembly residual") as info:
         decompose_interval(f)
@@ -833,7 +844,7 @@ def test_an_input_singular_inside_the_interval_never_takes_the_bernstein_path():
         worst, x = certificates._least_on(f.coeffs, 0.0, 1.0, 0.0)
         if abs(worst) <= polymat.INPUT_RTOL * scale and 0.0 < x < 1.0:
             singular += 1
-            assert certificates._bernstein_parts(f.coeffs) is None, (n, seed)
+            assert certificates._bernstein_parts(_cleared(f.coeffs)) is None, (n, seed)
     assert singular == 24
 
 
@@ -848,9 +859,9 @@ def test_a_definite_input_that_needs_a_higher_bernstein_degree_stays_a_failure()
     f = matrixpoly_from_json(json.loads(_SEED780.read_text(encoding="utf-8")))
     scale = max(1.0, f.max_coeff_abs())
     assert 0.04 < certificates._least_on(f.coeffs, 0.0, 1.0, 0.0)[0] / scale < 0.06
-    for extra in range(4):
+    for extra in range(4):      # the cleared stack at degree 16 + extra is G (1 + s)^extra
         parts = certificates._bernstein_parts(
-            np.concatenate([f.coeffs, np.zeros((extra, f.n, f.n))]))
+            _times_scalar(certificates._clearing_weights(extra, +1)[0], _cleared(f.coeffs)))
         assert (parts is None) == (extra < 3), extra
     cert = SosCertificate("interval", {key: [MatrixPoly(c) for c in factors]
                                        for key, factors in parts})
@@ -1093,7 +1104,7 @@ def test_definite_interval_inputs_take_the_bernstein_path_or_the_factorization(n
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certificates, "_line_split", counted)
         got = _outcome(decompose_interval, f)
-        refused, ran = certificates._bernstein_parts(f.coeffs) is None, bool(factored)
+        refused, ran = certificates._bernstein_parts(_cleared(f.coeffs)) is None, bool(factored)
         patch.setattr(certificates, "_bernstein_parts", lambda f: None)
         want = _outcome(decompose_interval, f)
     if refused or ran:
@@ -1123,7 +1134,7 @@ def _checked_bound(f, tol=certificates.DEFAULT_TOL):
 
     None where the factorization fails, so no bound exists.
     """
-    c = certificates._clear_substitution(f.coeffs, f.deg, +1)
+    c = _strip(_cleared(f.coeffs))
     u = certificates._trig_laurent(c, 2)
     *_, factor = certificates._line_split(u, tol)
     if factor is None:

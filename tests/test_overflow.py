@@ -12,6 +12,7 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import rand_psd
 from matmoments import (AtomicMatrixMeasure, LaurentPoly, MatrixPoly, MomentSequence,
                         PositiveMapMeasure, RecoveryResult, ScalarizedSet, SosCertificate,
                         SpectralFactor, build_family, cauchy_schwarz_chain,
@@ -101,3 +102,24 @@ def test_every_entry_point_ends_in_strict_json_or_a_typed_error(case):
             assert not isinstance(exc, np.linalg.LinAlgError), exc
             continue
         json.dumps(_plain(out), allow_nan=False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), d=st.integers(0, 16), top=st.floats(1e290, 1.7e308),
+       seed=st.integers(0, 2**32 - 1))
+def test_interval_inputs_with_pd_coefficients_certify_or_name_the_overflow(n, d, top, seed):
+    # every F_k PD makes every Bernstein coefficient PD, so the interval
+    # tries its Bernstein path first, on cleared coefficients up to
+    # C(16, 8) = 12870 times B_k: near the float maximum it certifies, or
+    # its reassembly overflows and the factorization ends in the overflow
+    # ValueError, from its expansion on the circle or its own reassembly
+    rng = np.random.default_rng(seed)
+    f = np.array([rand_psd(rng, n) for _ in range(d + 1)])
+    f = 0.5 * (f + np.swapaxes(f, 1, 2))
+    f = f / np.abs(f).max() * top
+    try:
+        cert = decompose_interval(MatrixPoly(f, symmetric=True))
+    except ValueError as exc:
+        assert type(exc) is ValueError and "overflows float64" in str(exc), exc
+    else:
+        json.dumps(certificate_to_json(cert), allow_nan=False)
