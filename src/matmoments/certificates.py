@@ -23,27 +23,22 @@ binomial weights, spectrally factor, and split the rotated factor into its
 real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
 (1, a).  Each direction is one complex table (``_trig_weights``,
 ``polymat._line_weights``), real on its even and imaginary on its odd
-rows or columns: one exact Krawtchouk table up to row order and a phase,
-rows of ``polymat._binomial_rows``, as are the interval's clearing
-weights.  The line takes G = F; the half-line takes G(a) = F(a^2) and
-the interval its cleared G(a^2), both even in a: u (the table's even
-rows) and its factor are real, H(a) = R(a^2), K(a) = a Q(a^2), and R and
-Q go straight onto their generators.  Each decomposer is one
-``_certified`` call, which finishes once: it drops negligible factors and
-empty generators and verifies the split's candidate certificates against
-F in turn (on the interval, the Bernstein one first).  Only a failure of
-the last looks further.  On the
-interval, a factor that met its target bounds F's least eigenvalue on
-all of [0, 1] from below by -B (``_interval_bound``); B <= tol * scale
-decides the failure without looking at F.  Otherwise, and always on the
-line and the half-line, where the (1 + a^2)^d weight keeps the factor's
-bound from being uniform, F's least eigenvalue on the domain, located at
-the real roots of a determinant by ``polymat._least_on`` (the locator
-``fejer_riesz`` runs on the circle), decides between the domain's
-``NotPsdOn*`` error and the failure.
+rows or columns, read off one exact Krawtchouk table, rows of
+``polymat._binomial_rows`` as are the interval's clearing weights.  The
+line takes G = F; the half-line takes G(a) = F(a^2) and the interval its
+cleared G(a^2), both even in a: u (the table's even rows) and its factor
+are real, H(a) = R(a^2), K(a) = a Q(a^2), and R and Q go straight onto
+their generators.
+
+Each decomposer is one ``_certified`` call, which splits F / 4^j and
+checks the split's candidates in turn.  A certificate is a proof only
+through its reassembly check, ``verify_certificate``, which squares every
+factor in one batch and sums the weighted squares once.  A failure is
+decided by ``_interval_bound`` on the interval, else by F's least
+eigenvalue on the domain (``polymat._least_on``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import ldexp
 
@@ -128,16 +123,14 @@ def _require_symmetric(f):
 
 @lru_cache(maxsize=None)
 def _trig_weights(d):
-    """Read-only weights i^{-k} s / 2^d of C_k on w^j in _trig_laurent, row k, column j + d/2.
+    """Read-only weights i^k K_{d-k} / 2^d of C_k on w^j in _trig_laurent, row k, column j + d/2.
 
-    s is row k of ``_binomial_rows(d, (-1, 1), (1, 1))``, the coefficients
-    of (w - 1)^k (w + 1)^(d-k): the Krawtchouk table of ``_line_weights``,
-    read on the circle and built as it is.  i^{-k} = (-1)^((k + 1) // 2)
-    i^(k % 2), so even rows are real and odd rows imaginary, each entry
-    rounded once.
+    K is the Krawtchouk table ``_binomial_rows(d, (1, 1), (1, -1))`` that
+    ``_line_weights`` reads: i^k K_{d-k} = i^{-k} (w - 1)^k (w + 1)^(d-k).
+    i^k = (-1)^(k // 2) i^(k % 2): even rows are real, odd rows imaginary.
     """
-    signed = np.array([[ldexp((-1) ** ((k + 1) // 2) * s, -d) for s in row[:d // 2 * 2 + 1]]
-                       for k, row in enumerate(_binomial_rows(d, (-1, 1), (1, 1)))])
+    signed = np.array([[ldexp((-1) ** (k // 2) * s, -d) for s in row[:d // 2 * 2 + 1]]
+                       for k, row in enumerate(_binomial_rows(d, (1, 1), (1, -1))[::-1])])
     w = np.zeros(signed.shape, dtype=complex)
     w.real[0::2] = signed[0::2]
     w.imag[1::2] = signed[1::2]
@@ -204,38 +197,39 @@ def _certified(variant, f, tol, split, not_psd):
 
     k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
     its even part on the line, where an odd-degree F is an ``OddDegree``.
-    Every factor of F~ is padded by x^(k // 2); for odd k each generator g
-    moves to g' with x g = x^j g' (``_TIMES_X``), its factors taking j more x.
-    At k = 0 the padding is empty and no generator moves.  A factor whose
-    square (a float product: inf, never an OverflowError) contributes at
-    most 1e-3 * tol * scale is gauge noise of the factorization and is
-    dropped, and a generator left with no factor is left out of sigma.
+    The split runs on F~ / 4^j, exactly, j as ``fejer_riesz`` takes it out
+    of F's scale, so an F near the float maximum splits; its factors, its
+    bound and a ``NoConvergence``'s best factor are scaled back.  Every
+    factor of F~ is padded by x^(k // 2); for odd k each generator g moves
+    to g' with x g = x^i g' (``_TIMES_X``), its factors taking i more x.  A
+    factor whose square (inf, never an OverflowError) contributes at most
+    1e-3 * tol * scale is gauge noise and is dropped, and so is a generator
+    left with no factor.
 
-    The split yields its candidates in order, and the first whose
-    certificate passes the reassembly check is returned: it proves F PSD
-    up to its residual.  A candidate that misses or overflows gives way to
-    the next; the last one is the one finish.  If it misses, a
-    ``SosConsistencyError`` is raised at once if its ``bound`` (a callable,
-    run only here) gives B <= tol * scale, which proves F >= -B on the
-    domain.  Otherwise ``not_psd`` is raised at F's least eigenvalue on the
-    domain if that is below -tol * scale, else the factorization's failure
-    or a ``SosConsistencyError``; a reassembly that overflows float64 is a
-    ValueError at once, as in ``momentctl verify``.  This is the one
-    overflow guard of the decomposers, which do no arithmetic outside it.
+    The first candidate whose certificate passes the reassembly check is
+    returned: it proves F PSD up to its residual.  If the last one misses,
+    a ``SosConsistencyError`` is raised at once if its ``bound`` (a
+    callable, run only here) gives B <= tol * scale, which proves F >= -B
+    on the domain.  Otherwise ``not_psd`` is raised at F's least eigenvalue
+    on the domain if that is below -tol * scale, else the factorization's
+    failure or a ``SosConsistencyError``; a reassembly that overflows
+    float64 is a ValueError at once, as in ``momentctl verify``.  This is
+    the one overflow guard of the decomposers.
     """
     _check_tol(tol, positive=True)
     scale = _require_symmetric(f)
-    drop, thresh = 1e-3 * tol * scale, tol * scale
+    drop, thresh, j = 1e-3 * tol * scale, tol * scale, spectral._quarter_power(scale)
     k = next(i for i, c in enumerate(f.coeffs) if c.any() or i == f.deg)
     if variant == "line":
         if f.deg % 2:
             raise OddDegree(f"degree {f.deg} is odd")
         k -= k % 2
-    for parts, pending, bound in split(f.coeffs[k:], tol):
+    for parts, pending, bound in split(np.ldexp(f.coeffs[k:], -2 * j), tol):
         sigma = {}
         for key, factors in parts:
-            key, j = _TIMES_X[key] if k % 2 else (key, 0)
-            padded = (np.concatenate((np.zeros((k // 2 + j,) + c.shape[1:]), c)) for c in factors)
+            key, i = _TIMES_X[key] if k % 2 else (key, 0)
+            padded = (np.ldexp(np.concatenate((np.zeros((k // 2 + i,) + c.shape[1:]), c)), j)
+                      for c in factors)
             sigma[key] = [MatrixPoly(c) for c in padded if len(c) * ((m := _maxabs(c)) * m) > drop]
         cert = SosCertificate(variant, {key: sigma[key] for key in DOMAINS[variant][1]
                                         if sigma.get(key)})
@@ -243,10 +237,15 @@ def _certified(variant, f, tol, split, not_psd):
         if cert.residual <= thresh:
             return cert
     _finite_residual(cert.residual)
-    if bound is None or not bound() <= thresh:      # NaN if the bound overflowed
+    if bound is None or not np.ldexp(bound(), 2 * j) <= thresh:     # NaN if it overflowed
         worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
         if worst < -thresh:
             raise not_psd(worst, x) from pending
+    if isinstance(pending, spectral.NoConvergence):     # its best factor of u / 4^j as one of u
+        b = pending.best
+        pending = spectral.NoConvergence(replace(
+            b, coeffs=b.coeffs * ldexp(1.0, j), residual=float(np.ldexp(b.residual, 2 * j)),
+            epsilon_used=float(np.ldexp(b.epsilon_used, 2 * j))))
     if pending is not None and not isinstance(pending, spectral.NotPsdOnCircle):
         raise pending
     raise SosConsistencyError(
@@ -295,9 +294,8 @@ def _clear_substitution(c, d):
     k (``_weighted_sum``), then multiplied by (1 - x)^(d-e), row 0 of
     ``_clearing_weights(d - e, -1)``.
     """
-    e = len(c) - 1
-    out = _weighted_sum(_clearing_weights(e, -1), c)
-    return _strip(_times_scalar(_clearing_weights(d - e, -1)[0], _strip(out)))
+    out = _strip(_weighted_sum(_clearing_weights(len(c) - 1, -1), c))
+    return _strip(_times_scalar(_clearing_weights(d - len(c) + 1, -1)[0], out))
 
 
 def _interval_bound(f, c, u, factor):
@@ -342,14 +340,11 @@ _PARITY_KEYS = {(0, 0): "1", (1, 0): "x", (0, 1): "1-x", (1, 1): "x(1-x)"}
 def _bernstein_rows(d):
     """Read-only rows k: x^(k // 2) (1 - x)^((d-k) // 2) on x^0..x^(d // 2), exact integers.
 
-    Row k is a row of ``_clearing_weights(., -1)``, the scalar part of the
+    Row k, a row of ``_clearing_weights(., -1)``, is the scalar part of the
     factor of Bernstein term k.
     """
-    s = np.zeros((d + 1, d // 2 + 1))
-    for k in range(d + 1):
-        row = _clearing_weights(k // 2 + (d - k) // 2, -1)[k // 2]
-        s[k, :len(row)] = row
-    return _read_only(s)
+    rows = [_clearing_weights(k // 2 + (d - k) // 2, -1)[k // 2] for k in range(d + 1)]
+    return _read_only(np.array([np.pad(row, (0, d // 2 + 1 - len(row))) for row in rows]))
 
 
 def _bernstein_parts(c):
@@ -357,27 +352,23 @@ def _bernstein_parts(c):
 
     c is F's cleared stack, of degree d: C_k = C(d, k) B_k, B_k F's
     Bernstein coefficients.  One batched Cholesky factors them all, and
-    term k goes to x^(k % 2) (1 - x)^((d-k) % 2) (``_PARITY_KEYS``) with
-    the factor x^(k // 2) (1 - x)^((d-k) // 2) L_k (``_bernstein_rows``),
-    all of them one broadcast product.
+    one broadcast product forms every factor x^(k // 2) (1 - x)^((d-k) // 2)
+    L_k (``_bernstein_rows``).  Its even and odd terms k are the two parity
+    groups, on x^(k % 2) (1 - x)^((d-k) % 2) (``_PARITY_KEYS``).
     """
     d = len(c) - 1
     try:        # an overflowed C_k gives an inf or NaN factor, which the reassembly refuses
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:       # a C_k that is not PD
         return None
-    parts = {}
-    for k, factor in enumerate(_bernstein_rows(d)[:, :, np.newaxis, np.newaxis]
-                               * chol[:, np.newaxis]):
-        parts.setdefault(_PARITY_KEYS[k % 2, (d - k) % 2], []).append(factor)
-    return parts.items()
+    factors = _bernstein_rows(d)[:, :, np.newaxis, np.newaxis] * chol[:, np.newaxis]
+    return [(_PARITY_KEYS[k, (d - k) % 2], list(factors[k::2])) for k in (0, 1)]
 
 
 def _split_interval(f, tol):
     d = len(f) - 1
     c = _weighted_sum(_clearing_weights(d, +1), f)      # G(s) = sum_k C_k s^k
-    parts = _bernstein_parts(c)
-    if parts is not None:
+    if (parts := _bernstein_parts(c)) is not None:
         yield parts, None, None
     c = _strip(c)
     u = _trig_laurent(c, 2)
@@ -409,27 +400,30 @@ def verify_certificate(f, cert):
     """Max coefficient mismatch of F - sum_g g * sum_i G_i G_i^T.
 
     Pure check; returns the residual without judging it, inf or NaN (and
-    no warning) if the reassembly overflows.  Each generator's factors,
-    padded by zeros to one length, are squared by one batched
-    ``_conv_stack``; a zero coefficient adds only +-0 to each finite
-    product's sum, so every square is bit for bit its own factor's.  The
-    sum takes MatrixPoly arithmetic's steps on stacks, factor by factor,
-    stripped where it builds a MatrixPoly.
+    no warning) if the reassembly overflows.  F / 4^j is reassembled from
+    the factors / 2^j, exactly, j as ``fejer_riesz`` takes it out, and the
+    residual scaled back.  All factors, padded by zeros to one length (a
+    zero adds only +-0 to a finite sum), are squared by one ``_conv_stack``;
+    each square times its generator's coefficients, a zero one masked as in
+    ``_weighted_sum`` (0 * inf is no NaN), is summed once, in sigma order.
     """
-    total, gens = np.zeros((1, f.n, f.n)), DOMAINS[cert.variant][1]
+    gens, j = DOMAINS[cert.variant][1], spectral._quarter_power(f.max_coeff_abs())
+    factors = [(gens[key], g.coeffs) for key, gs in cert.sigma.items() for g in gs]
+    if (m := next((c.shape[1] for _, c in factors if c.shape[1] != f.n), f.n)) != f.n:
+        raise ValueError(f"size mismatch: factor is {m}x{m}, input is {f.n}x{f.n}")
+    length, width = max((len(c) for _, c in factors), default=1), max(map(len, gens.values()))
+    stack, weights = np.zeros((len(factors), length, f.n, f.n)), np.zeros((width, len(factors)))
+    for i, (gen, c) in enumerate(factors):
+        stack[i, :len(c)], weights[:len(gen), i] = c, gen
     with np.errstate(over="ignore", invalid="ignore"):
-        for key, factors in cert.sigma.items():
-            for g in factors:
-                if g.n != f.n:
-                    raise ValueError(f"size mismatch: factor is {g.n}x{g.n}, input is {f.n}x{f.n}")
-            stack = np.zeros((len(factors), max((len(g.coeffs) for g in factors), default=1),
-                              f.n, f.n))
-            for row, g in zip(stack, factors):
-                row[:len(g.coeffs)] = g.coeffs
-            for square in _conv_stack(stack, np.swapaxes(stack, 2, 3)):
-                term = _strip(_times_scalar(gens[key], _strip(square)))
-                total = _strip(_padded_sum([total, term]))
-        return _maxabs(_padded_sum([f.coeffs, -total]))
+        np.ldexp(stack, -j, out=stack)
+        squares = _conv_stack(stack, np.swapaxes(stack, 2, 3))
+        terms = np.zeros((len(factors), 2 * length + width - 2, f.n, f.n))
+        for i, w in enumerate(weights[:, :, np.newaxis, np.newaxis, np.newaxis]):   # on x^i
+            out = terms[:, i:i + 2 * length - 1]
+            np.add(out, w * squares, out=out, where=w != 0)
+        residual = _maxabs(_padded_sum([np.ldexp(f.coeffs, -2 * j), -np.add.reduce(terms)]))
+        return float(np.ldexp(residual, 2 * j))
 
 
 def _finite_residual(residual):

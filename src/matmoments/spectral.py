@@ -107,6 +107,11 @@ class SpectralFactor:
         return self.coeffs.shape[0] - 1
 
 
+def _quarter_power(top):
+    """j with max(1, top) / 4^j in [1, 4): the exact power of four ``fejer_riesz`` takes out."""
+    return max(0, (math.frexp(top)[1] - 1) // 2)     # 0 for a NaN or infinite top
+
+
 @lru_cache(maxsize=None)
 def _pairs(length):
     """Read-only index arrays (j, k) of every pair with j + k < length."""
@@ -303,7 +308,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
 
     # u / 4^j is exact, and every step is homogeneous at scales of 1 and up, so
     # bits change only where a step overflowed at u's own scale
-    j = (math.frexp(scale)[1] - 1) // 2
+    j = _quarter_power(scale)
     a_stack, scale = u.coeffs * math.ldexp(1.0, -2 * j), math.ldexp(scale, -2 * j)
     tol_abs = tol * scale
     shift = 0.0

@@ -30,7 +30,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
 
 DIGEST = "8ffa2d216b41cdd9272c5272a0fed2bac16fc971686b78fa4b086738125ebabf"
 MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
-WIDE_DIGEST = "1f22f3d8f6a24afa7faeaea727c18e27c13542967f376ae9cf6c23fb5eb09abe"
+WIDE_DIGEST = "44859d09c8bc3b90ca20d0154835563c64d30d12def98f177bd48c4c887d6f1f"
 FACTOR_DIGEST = "3bea882a11498c522534d8fd14beee616a3d25f45842974900b6c57608e73ef8"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites

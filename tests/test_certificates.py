@@ -1,6 +1,7 @@
 """Certificate construction, verification and scalarization."""
 
 import json
+import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -383,19 +384,31 @@ def _significant_poly(factors, tol, scale):
     return [p for p in factors if (p.deg + 1) * p.max_coeff_abs() ** 2 > drop]
 
 
-def _certificate_sum_poly(n, cert):
-    total, gens = MatrixPoly.zero(n), DOMAINS[cert.variant][1]
+def _certificate_sum_loop(n, cert):
+    """sum_g g * sum_i G_i G_i^T, one factor at a time in sigma order, nothing stripped."""
+    total, gens = np.zeros((1, n, n)), DOMAINS[cert.variant][1]
     for key, factors in cert.sigma.items():
         for g in factors:
-            total = total + scalar_poly_mult(gens[key], matmul(g, transpose_poly(g)))
+            c = g.coeffs
+            square = np.zeros((2 * len(c) - 1, n, n))
+            for i in range(len(c)):
+                square[i:i + len(c)] += c[i] @ np.swapaxes(c, 1, 2)
+            term = np.zeros((len(square) + len(gens[key]) - 1, n, n))
+            for j, w in enumerate(gens[key]):
+                if w != 0:
+                    term[j:j + len(square)] += w * square
+            out = np.zeros((max(len(total), len(term)), n, n))
+            out[:len(total)] += total
+            out[:len(term)] += term
+            total = out
     return total
 
 
-def _verify_certificate_poly(f, cert):
-    total = _certificate_sum_poly(f.n, cert)
-    diff = np.zeros((max(f.deg, total.deg) + 1, f.n, f.n))
-    diff[:f.deg + 1] = f.coeffs
-    diff[:total.deg + 1] -= total.coeffs
+def _verify_loop(f, cert):
+    total = _certificate_sum_loop(f.n, cert)
+    diff = np.zeros((max(len(f.coeffs), len(total)), f.n, f.n))
+    diff[:len(f.coeffs)] = f.coeffs
+    diff[:len(total)] -= total
     return float(np.max(np.abs(diff)))
 
 
@@ -495,7 +508,7 @@ def test_the_half_line_and_the_interval_factor_in_real_arithmetic(f):
 
 
 def _verify_cases(rng):
-    """Certificates whose sums strip at every point MatrixPoly arithmetic strips."""
+    """Certificates whose squares and sums have top coefficients below STRIP_TOL, kept unstripped."""
     for trial in range(240):
         n, variant = int(rng.integers(1, 4)), ("line", "halfline", "interval")[trial % 3]
         sigma = {}
@@ -506,27 +519,43 @@ def _verify_cases(rng):
                 kind = int(rng.integers(0, 3))
                 if kind == 1:       # G G^T has a top coefficient below STRIP_TOL
                     c[-1] *= 1e-8
-                elif kind == 2:     # a tiny constant: g * G G^T strips to degree 0
+                elif kind == 2:     # a tiny constant: g * G G^T is below STRIP_TOL
                     c = 1e-8 * c[:1]
                 sigma[key].append(MatrixPoly(c))
         if variant == "interval" and trial % 2:
             # A A^T and x(1-x) B B^T with B's top next to A's cancel at the
-            # top degree, so the running sum strips
+            # top degree, so the sum's top coefficient is below STRIP_TOL
             a = rng.standard_normal((int(rng.integers(2, 6)), n, n))
             b = a[1:] * (1.0 + rng.choice([0.0, 1e-16, 3e-16]))
             sigma["1"].append(MatrixPoly(a))
             sigma["x(1-x)"].append(MatrixPoly(b))
         cert = SosCertificate(variant, sigma)
         # against its own sum every bit of the stack sum shows in the residual
-        f = (_certificate_sum_poly(n, cert) if rng.random() < 0.5
+        f = (MatrixPoly(_certificate_sum_loop(n, cert)) if rng.random() < 0.5
              else MatrixPoly(rng.standard_normal((int(rng.integers(1, 12)), n, n))))
         yield f, cert
 
 
-def test_verify_certificate_matches_polynomial_arithmetic():
+def test_verify_certificate_matches_a_per_factor_loop():
+    # the batched check, run on F / 4^j, against squares summed one factor
+    # at a time at F's own scale: the prescale is exact
     rng = np.random.default_rng(37)
     for f, cert in _verify_cases(rng):
-        assert _same_bits(verify_certificate(f, cert), _verify_certificate_poly(f, cert))
+        assert _same_bits(verify_certificate(f, cert), _verify_loop(f, cert))
+
+
+@pytest.mark.parametrize("variant", sorted(DOMAINS))
+def test_verify_certificate_of_an_empty_sigma_is_max_abs_f(variant):
+    f = MatrixPoly(np.random.default_rng(3).standard_normal((4, 2, 2)) * 1e300)
+    assert verify_certificate(f, SosCertificate(variant, {})) == f.max_coeff_abs()
+
+
+def test_an_overflowed_square_on_x_is_an_infinite_residual_without_a_warning():
+    # x's zero constant coefficient is masked: 0 * inf would make the residual NaN
+    cert = SosCertificate("halfline", {"x": [scalar_poly(1e200)]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_certificate(scalar_poly(1, 1), cert) == np.inf
 
 
 _NOT_PSD = {decompose_line: NotPsdOnLine, decompose_halfline: NotPsdOnHalfLine,
@@ -732,7 +761,9 @@ def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(dec
     # missed its target: the true factor certifies F, and a zero one
     # re-raises the NoConvergence, as F is PSD on every domain.  The
     # interval's F = (2x - 1)^2 + 0.01 has the negative Bernstein
-    # coefficient 1.01 - 2, so it reaches the factorization; 1 + x^2 would not
+    # coefficient 1.01 - 2, so it reaches the factorization; 1 + x^2 would
+    # not.  Its scale is 4, so it is split as F / 4, and the best factor's
+    # residual of 1 comes back as one of F's expansion, 4
     factor, zero = spectral.fejer_riesz, []
 
     def no_convergence(u, tol):
@@ -746,7 +777,7 @@ def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(dec
     zero.append(True)
     with pytest.raises(spectral.NoConvergence) as info:
         decomposer(f)
-    assert info.value.best.residual == 1.0
+    assert info.value.best.residual == (4.0 if decomposer is decompose_interval else 1.0)
 
 
 class _Located(Exception):
@@ -894,7 +925,7 @@ def _ref_line(ff, tol=certificates.DEFAULT_TOL):
     if cross.max_coeff_abs() > 1e-8 * scale:
         _ref_raise(pending, "cross term")
     cert = SosCertificate("line", {"1": _significant_poly((h, k), tol, scale)})
-    cert.residual = _verify_certificate_poly(ff, cert)
+    cert.residual = _verify_loop(ff, cert)
     if cert.residual > tol * scale:
         _ref_raise(pending, "line reassembly")
     return cert
@@ -910,7 +941,7 @@ def _ref_halfline(ff, tol=certificates.DEFAULT_TOL):
         sig1.append(q)
     cert = SosCertificate("halfline", {"1": _significant_poly(sig0, tol, scale),
                                        "x": _significant_poly(sig1, tol, scale)})
-    cert.residual = _verify_certificate_poly(ff, cert)
+    cert.residual = _verify_loop(ff, cert)
     if cert.residual > tol * scale:
         _ref_raise(None, "half-line reassembly")
     return cert
@@ -930,7 +961,7 @@ def _ref_interval(ff, tol=certificates.DEFAULT_TOL):
             sigma[(key, "1-x" if key == "1" else "x(1-x)")[extra % 2]].append(pulled)
     sigma = {key: _significant_poly(val, tol, scale) for key, val in sigma.items()}
     cert = SosCertificate("interval", {key: val for key, val in sigma.items() if val})
-    cert.residual = _verify_certificate_poly(ff, cert)
+    cert.residual = _verify_loop(ff, cert)
     if cert.residual > tol * scale:
         _ref_raise(None, "interval reassembly")
     return cert

@@ -610,14 +610,13 @@ def test_overflow_input_errors_leave_stderr_empty(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     results = json.loads(proc.stdout)       # stdout holds the reports and nothing else
-    assert [code for code, _ in results] == [2] * (len(argvs) - 4) + [0, 0, 2, 2]
-    factor, line, halfline, interval = (report for _, report in results[-4:])
+    assert [code for code, _ in results] == [2] * (len(argvs) - 4) + [0] * 4
+    factor, *certified = (report for _, report in results[-4:])
     assert factor["residual"] <= 1e-9 * 1e308
-    assert line["certificate"]["residual"] <= 1e-8 * 1e308
-    assert halfline["error"] == {"type": "ValueError", "message":
-                                 "certificate reassembly overflows float64: residual nan"}
-    assert interval["error"] == {"type": "ValueError",
-                                 "message": "the input's expansion on the circle overflows float64"}
+    # certify splits F / 4^j and checks it at that scale, so the half-line and
+    # the interval no longer overflow on 1e308 (1 + x^2)
+    for report in certified:
+        assert report["certificate"]["residual"] <= 1e-8 * 1e308
 
 
 @pytest.mark.parametrize("variant", [["line"], {"line": "line"}])

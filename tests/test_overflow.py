@@ -10,6 +10,7 @@ every warning into an error, so a call that lets numpy warn fails as well.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_psd
@@ -19,8 +20,9 @@ from matmoments import (AtomicMatrixMeasure, LaurentPoly, MatrixPoly, MomentSequ
                         certificate_to_json, check_hamburger, check_hausdorff, check_stieltjes,
                         decompose_halfline, decompose_interval, decompose_line, fejer_riesz,
                         forward_moments, integrate_map, integrate_trace, measure_to_json,
-                        operator_check, positivity_audit, recover, scalarize,
-                        support_collapse_check)
+                        matrixpoly_to_json, operator_check, positivity_audit, recover, scalarize,
+                        support_collapse_check, verify_certificate)
+from matmoments.cli import run
 from matmoments.polymat import _Failure
 
 ENTRIES = [0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 7.0, -2.5, 1e-320, -1e-320, 1e-160, 1e154, 1e200,
@@ -110,9 +112,8 @@ def test_every_entry_point_ends_in_strict_json_or_a_typed_error(case):
 def test_interval_inputs_with_pd_coefficients_certify_or_name_the_overflow(n, d, top, seed):
     # every F_k PD makes every Bernstein coefficient PD, so the interval
     # tries its Bernstein path first, on cleared coefficients up to
-    # C(16, 8) = 12870 times B_k: near the float maximum it certifies, or
-    # its reassembly overflows and the factorization ends in the overflow
-    # ValueError, from its expansion on the circle or its own reassembly
+    # C(16, 8) = 12870 times B_k.  It runs on F / 4^j, where they do not
+    # overflow; an overflow would end in a ValueError that names it
     rng = np.random.default_rng(seed)
     f = np.array([rand_psd(rng, n) for _ in range(d + 1)])
     f = 0.5 * (f + np.swapaxes(f, 1, 2))
@@ -123,3 +124,21 @@ def test_interval_inputs_with_pd_coefficients_certify_or_name_the_overflow(n, d,
         assert type(exc) is ValueError and "overflows float64" in str(exc), exc
     else:
         json.dumps(certificate_to_json(cert), allow_nan=False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_definite_interval_inputs_near_the_float_maximum_certify_and_verify(seed, tmp_path):
+    # every F_k PD, n = 2, d = 16, max|F| = 1e305: at F's own scale the
+    # cleared sums and the expansion on the circle overflow, and so do the
+    # squares of the factors (~1e152 entries, 17 of them) in the check.
+    # certify splits F / 4^j and the check reassembles it at that scale
+    rng = np.random.default_rng(seed)
+    f = np.array([rand_psd(rng, 2) for _ in range(17)])
+    f = 0.5 * (f + np.swapaxes(f, 1, 2))
+    poly = MatrixPoly(f / np.abs(f).max() * 1e305, symmetric=True)
+    cert = decompose_interval(poly)
+    assert verify_certificate(poly, cert) == cert.residual <= 1e-8 * 1e305
+    (tmp_path / "f.json").write_text(json.dumps(matrixpoly_to_json(poly), allow_nan=False))
+    (tmp_path / "c.json").write_text(json.dumps(certificate_to_json(cert), allow_nan=False))
+    result = run(["verify", "--poly", str(tmp_path / "f.json"), "--cert", str(tmp_path / "c.json")])
+    assert result.exit_code == 0 and result.report["pass"]
