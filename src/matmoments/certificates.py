@@ -164,20 +164,26 @@ def _line_factors(b_stack):
     return _strip(gamma.real), _strip(gamma.imag)
 
 
-def _line_split(u, tol):
+def _line_split(u, tol, j=0):
     """Stacks H, K with G = H H^T + K K^T, the factorization's failure or None, and the factor.
 
-    u is ``_trig_laurent`` of G, of even degree; G is neither validated nor
-    verified here.  A factorization that does not converge leaves its best
-    attempt for the reassembly check to judge; on a ``NotPsdOnCircle``, or
-    a u or factorization that overflows float64 (a ``ValueError``), H = K = 0.
-    The SpectralFactor is returned only when there is no failure.
+    u is ``_trig_laurent`` of G / 4^j, of even degree; G is neither
+    validated nor verified here.  The target min(1e-10, tol / 100) is
+    relative to max(1, ||A_0||) of G's own u, 4^j times max(4^-j, a) with
+    a = max|A_0| of u, so ``fejer_riesz``, which judges u against max(1, a),
+    gets it times max(4^-j, a) / max(1, a): 1 at j = 0 or a >= 1.  A
+    factorization that does not converge leaves its best attempt for the
+    reassembly check to judge; on a ``NotPsdOnCircle``, or a u or
+    factorization that overflows float64 (a ``ValueError``), H = K = 0.  The
+    SpectralFactor is returned only when there is no failure.
     """
     factor = pending = None
     try:
         if not np.isfinite(u.coeffs).all():
             raise ValueError("the input's expansion on the circle overflows float64")
-        factor = spectral.fejer_riesz(u, tol=min(1e-10, tol / 100))
+        a = _maxabs(u.coeff(0))
+        factor = spectral.fejer_riesz(
+            u, tol=min(1e-10, tol / 100) * (max(ldexp(1.0, -2 * j), a) / max(1.0, a)))
         b = factor.coeffs
     except spectral.NoConvergence as exc:
         b, pending = exc.best.coeffs, exc
@@ -193,7 +199,7 @@ _TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x"
 
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def _certified(variant, f, tol, split, not_psd):
-    """Certificate of F = x^k F~ from ``split(F~'s stack, tol)``'s (parts, failure, bound)s.
+    """Certificate of F = x^k F~ from ``split(F~'s stack, tol, j)``'s (parts, failure, bound)s.
 
     k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
     its even part on the line, where an odd-degree F is an ``OddDegree``.
@@ -224,7 +230,7 @@ def _certified(variant, f, tol, split, not_psd):
         if f.deg % 2:
             raise OddDegree(f"degree {f.deg} is odd")
         k -= k % 2
-    for parts, pending, bound in split(np.ldexp(f.coeffs[k:], -2 * j), tol):
+    for parts, pending, bound in split(np.ldexp(f.coeffs[k:], -2 * j), tol, j):
         sigma = {}
         for key, factors in parts:
             key, i = _TIMES_X[key] if k % 2 else (key, 0)
@@ -252,8 +258,8 @@ def _certified(variant, f, tol, split, not_psd):
         f"reassembly residual {cert.residual:.3e} above tolerance") from pending
 
 
-def _split_line(c, tol):
-    h, k, pending, _ = _line_split(_trig_laurent(c), tol)
+def _split_line(c, tol, j):
+    h, k, pending, _ = _line_split(_trig_laurent(c), tol, j)
     yield [("1", [h, k])], pending, None
 
 
@@ -266,8 +272,8 @@ def decompose_line(f, tol=DEFAULT_TOL):
     return _certified("line", f, tol, _split_line, NotPsdOnLine)
 
 
-def _split_halfline(c, tol):
-    h, k, pending, _ = _line_split(_trig_laurent(c, 2), tol)
+def _split_halfline(c, tol, j):
+    h, k, pending, _ = _line_split(_trig_laurent(c, 2), tol, j)
     yield [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
 
 
@@ -365,14 +371,14 @@ def _bernstein_parts(c):
     return [(_PARITY_KEYS[k, (d - k) % 2], list(factors[k::2])) for k in (0, 1)]
 
 
-def _split_interval(f, tol):
+def _split_interval(f, tol, j):
     d = len(f) - 1
     c = _weighted_sum(_clearing_weights(d, +1), f)      # G(s) = sum_k C_k s^k
     if (parts := _bernstein_parts(c)) is not None:
         yield parts, None, None
     c = _strip(c)
     u = _trig_laurent(c, 2)
-    h, k, pending, factor = _line_split(u, tol)
+    h, k, pending, factor = _line_split(u, tol, j)
     # G = R R^T + s Q Q^T, R and Q the terms s^0 and s^1.  At d = 0, Q is empty,
     # clears empty and is dropped as insignificant
     r, q = _strip(h[0::2]), _strip(k[1::2])
