@@ -5,16 +5,14 @@ the unit interval is decomposed as F = sum_g g * sigma_g, where g ranges
 over the domain's cone generators in ``polymat.DOMAINS`` ({1}, {1, x} or
 {1, x, 1-x, x(1-x)}), each sigma_g an explicit sum of squares G_i G_i^T.
 
-On the interval, F is cleared once, G(s) = (1 + s)^d F(s / (1 + s)) =
-sum_k C_k s^k with exact integer weights: C_k = C(d, k) B_k, B_k F's
-Bernstein coefficients at its degree d.  If every C_k is PD, one batched
-Cholesky C_k = L_k L_k^T is the certificate, with no factorization
-(``_bernstein_parts``; the matrix Polya form, Scherer & Hol, Math.
-Program. 107, 2006).  A C_k that is not PD (where F is singular inside
-[0, 1], not every B_k is PD: if all are PSD, all are singular), or a
-Bernstein certificate that misses the reassembly check, sends the same G
-on to the factorization; both put a term s^k of G on x^(k % 2)
-(1-x)^((d-k) % 2) (``_PARITY_KEYS``).
+The interval is the half-line of its cleared polynomial: G(s) = (1 +
+s)^d F(s / (1 + s)) = sum_k C_k s^k, with exact integer weights, is PSD on
+[0, inf) exactly when F is on [0, 1], and C_k = C(d, k) B_k, B_k F's
+Bernstein coefficients.  The half-line split of G is cleared back to x.
+The half-line's first candidate runs no factorization: if every C_k =
+L_k L_k^T is PD, term k is one square (the matrix Polya form, Scherer &
+Hol, Math. Program. 107, 2006).  On [0, 1], where F is singular inside,
+not every B_k is PD.
 
 Every other certificate comes from one factorization on the line.  A line
 problem G(a) routes through the unit circle: homogenize, expand
@@ -25,10 +23,9 @@ real and imaginary homogeneous parts H and K, giving G = H H^T + K K^T at
 ``polymat._line_weights``), real on its even and imaginary on its odd
 rows or columns, read off one exact Krawtchouk table, rows of
 ``polymat._binomial_rows`` as are the interval's clearing weights.  The
-line takes G = F; the half-line takes G(a) = F(a^2) and the interval its
-cleared G(a^2), both even in a: u (the table's even rows) and its factor
-are real, H(a) = R(a^2), K(a) = a Q(a^2), and R and Q go straight onto
-their generators.
+line takes G = F and the half-line G(a) = F(a^2), even in a: u (the
+table's even rows) and its factor are real, and H(a) = R(a^2), K(a) =
+a Q(a^2) give R to 1 and Q to x.
 
 Each decomposer is one ``_certified`` call, which splits F / 4^j and
 checks the split's candidates in turn.  A certificate is a proof only
@@ -48,7 +45,7 @@ from . import spectral
 from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows,
                       _check_symmetric, _check_tol, _conv_stack, _EPS, _Failure, _finite_entries,
                       _json_fields, _json_real, _least_on, _line_weights, _maxabs, _padded_sum,
-                      _strip, _read_only, _times_scalar, _weighted_sum, matrixpoly_from_json,
+                      _strip, _read_only, _weighted_sum, matrixpoly_from_json,
                       matrixpoly_to_json)
 
 DEFAULT_TOL = 1e-8
@@ -167,14 +164,12 @@ def _line_factors(b_stack):
 def _line_split(u, tol, j=0):
     """Stacks H, K with G = H H^T + K K^T, the factorization's failure or None, and the factor.
 
-    u is ``_trig_laurent`` of G / 4^j, of even degree; G is neither
-    validated nor verified here.  The target min(1e-10, tol / 100) is
-    relative to max(1, ||A_0||) of G's own u, 4^j times max(4^-j, a) with
-    a = max|A_0| of u, so ``fejer_riesz``, which judges u against max(1, a),
-    gets it times max(4^-j, a) / max(1, a): 1 at j = 0 or a >= 1.  A
-    factorization that does not converge leaves its best attempt for the
-    reassembly check to judge; on a ``NotPsdOnCircle``, or a u or
-    factorization that overflows float64 (a ``ValueError``), H = K = 0.  The
+    u is ``_trig_laurent`` of G / 4^j, of even degree.  The target
+    min(1e-10, tol / 100) is relative to max(1, ||A_0||) of G's expansion,
+    4^j max(4^-j, a) with a = max|A_0| of u, so ``fejer_riesz`` gets it
+    times max(4^-j, a) / max(1, a).  A factorization that does not converge
+    leaves its best attempt for the reassembly check to judge; on a
+    ``NotPsdOnCircle``, or an overflow (a ``ValueError``), H = K = 0.  The
     SpectralFactor is returned only when there is no failure.
     """
     factor = pending = None
@@ -272,16 +267,39 @@ def decompose_line(f, tol=DEFAULT_TOL):
     return _certified("line", f, tol, _split_line, NotPsdOnLine)
 
 
-def _split_halfline(c, tol, j):
-    h, k, pending, _ = _line_split(_trig_laurent(c, 2), tol, j)
-    yield [("1", [_strip(h[0::2])]), ("x", [_strip(k[1::2])])], pending, None
+def _coefficient_parts(c):
+    """G = sum_k C_k s^k as squares s^(k // 2) L_k on s^(k % 2), C_k = L_k L_k^T; None if not PD."""
+    try:        # an overflowed C_k gives an inf or NaN factor, which the reassembly refuses
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:       # a C_k that is not PD
+        return None
+    k = np.arange(len(c))
+    factors = np.zeros((len(c), len(c) // 2 + 1) + c.shape[1:])
+    factors[k, k // 2] = chol
+    return [(key, factors[i::2, :(len(c) - 1 - i) // 2 + 1]) for i, key in enumerate(("1", "x"))]
+
+
+def _split_halfline(c, tol, j, bound=None):
+    """The coefficient candidate of G = sum_k C_k s^k, then a factorization of G(a^2).
+
+    Its real factor's parts H(a) = R(a^2) and K(a) = a Q(a^2) go to 1 and
+    s; ``bound(u, factor)``, if given, becomes its bound.
+    """
+    if (parts := _coefficient_parts(c)) is not None:
+        yield parts, None, None
+    u = _trig_laurent(_strip(c), 2)
+    h, k, pending, factor = _line_split(u, tol, j)
+    yield ([("1", _strip(h[0::2])[np.newaxis]), ("x", _strip(k[1::2])[np.newaxis])], pending,
+           None if bound is None or factor is None else lambda: bound(u, factor))
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
     """Certificate F = sigma_0 + x sigma_1 for F PSD on [0, inf).
 
-    Factors G(a) = F(a^2) on the line; its factor is real, and its parts
-    H(a) = R(a^2) and K(a) = a Q(a^2) give R to sigma_0 and Q to sigma_1.
+    If every F_k = L_k L_k^T is PD, term k is the square x^(k // 2) L_k on
+    x^(k % 2).  Otherwise, or if that misses, G(a) = F(a^2) is factored on
+    the line; its parts H(a) = R(a^2) and K(a) = a Q(a^2) give R to sigma_0
+    and Q to sigma_1.
     """
     return _certified("halfline", f, tol, _split_halfline, NotPsdOnHalfLine)
 
@@ -293,25 +311,25 @@ def _clearing_weights(e, sign):
     return _read_only(w.reshape(e + 1, e + 1))     # e = -1: empty
 
 
-def _clear_substitution(c, d):
-    """Stripped stack of sum_k C_k x^k (1 - x)^(d-k), d >= deg C, exact binomials.
+def _cleared_back(stack, p):
+    """(1 - x)^p R(x / (1 - x)) = sum_m R_m x^m (1 - x)^(p-m) of each factor R, deg R <= p.
 
-    C is cleared at its own degree e, each coefficient summed in increasing
-    k (``_weighted_sum``), then multiplied by (1 - x)^(d-e), row 0 of
-    ``_clearing_weights(d - e, -1)``.
+    One ``_weighted_sum`` of exact rows clears the stack's factors side by side.
     """
-    out = _strip(_weighted_sum(_clearing_weights(len(c) - 1, -1), c))
-    return _strip(_times_scalar(_clearing_weights(d - len(c) + 1, -1)[0], out))
+    count, m, n = stack.shape[:3]
+    side = np.swapaxes(stack, 0, 1).reshape(m, count * n, n)
+    side = _weighted_sum(_clearing_weights(p, -1)[:m], side)
+    return np.swapaxes(side.reshape(p + 1, count, n, n), 0, 1)
 
 
 def _interval_bound(f, c, u, factor):
     """B with lambda_min(F(x)) >= -B on all of [0, 1], proven by the factor P of u.
 
     f is F's coefficient stack, of degree d, and c the cleared stack C of
-    ``_split_interval``, G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k,
-    stripped to degree e = u.band.  F(sin^2 t) = cos^{2(d-e)} t * u(e^{2it})
-    exactly, so u on the circle bounds F on the whole interval, with no
-    weight.  B has three terms:
+    ``_split_interval``, G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k, u
+    that of C stripped to degree e = u.band.  F(sin^2 t) = cos^{2(d-e)} t *
+    u(e^{2it}) exactly, so u on the circle bounds F on the whole interval,
+    with no weight.  B has three terms:
 
     - u - P P* has coefficients below the residual plus rho: u's Hermitian
       defect and gamma * (max|u_k| + ||P||_F^2), the rounding of
@@ -334,7 +352,7 @@ def _interval_bound(f, c, u, factor):
     weight_sums = np.abs(_trig_weights(2 * e)[::2]).sum(axis=1)     # exact: dyadic, <= 1
     rho = u.hermitian_defect() + gamma * (_maxabs(u.coeffs) + np.vdot(b, b).real)
     rounding = gamma * (np.abs(f).max(axis=(1, 2)).sum()
-                        + weight_sums @ np.abs(c).max(axis=(1, 2)))
+                        + weight_sums @ np.abs(c[:e + 1]).max(axis=(1, 2)))
     return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
 
 
@@ -342,62 +360,24 @@ def _interval_bound(f, c, u, factor):
 _PARITY_KEYS = {(0, 0): "1", (1, 0): "x", (0, 1): "1-x", (1, 1): "x(1-x)"}
 
 
-@lru_cache(maxsize=None)
-def _bernstein_rows(d):
-    """Read-only rows k: x^(k // 2) (1 - x)^((d-k) // 2) on x^0..x^(d // 2), exact integers.
-
-    Row k, a row of ``_clearing_weights(., -1)``, is the scalar part of the
-    factor of Bernstein term k.
-    """
-    rows = [_clearing_weights(k // 2 + (d - k) // 2, -1)[k // 2] for k in range(d + 1)]
-    return _read_only(np.array([np.pad(row, (0, d // 2 + 1 - len(row))) for row in rows]))
-
-
-def _bernstein_parts(c):
-    """Parts of F = sum_k x^k (1 - x)^(d-k) C_k, C_k = L_k L_k^T; None unless every C_k is PD.
-
-    c is F's cleared stack, of degree d: C_k = C(d, k) B_k, B_k F's
-    Bernstein coefficients.  One batched Cholesky factors them all, and
-    one broadcast product forms every factor x^(k // 2) (1 - x)^((d-k) // 2)
-    L_k (``_bernstein_rows``).  Its even and odd terms k are the two parity
-    groups, on x^(k % 2) (1 - x)^((d-k) % 2) (``_PARITY_KEYS``).
-    """
-    d = len(c) - 1
-    try:        # an overflowed C_k gives an inf or NaN factor, which the reassembly refuses
-        chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:       # a C_k that is not PD
-        return None
-    factors = _bernstein_rows(d)[:, :, np.newaxis, np.newaxis] * chol[:, np.newaxis]
-    return [(_PARITY_KEYS[k, (d - k) % 2], list(factors[k::2])) for k in (0, 1)]
-
-
 def _split_interval(f, tol, j):
+    """The half-line split of the cleared C, its factors on s^i cleared back at (d - i) // 2."""
     d = len(f) - 1
-    c = _weighted_sum(_clearing_weights(d, +1), f)      # G(s) = sum_k C_k s^k
-    if (parts := _bernstein_parts(c)) is not None:
-        yield parts, None, None
-    c = _strip(c)
-    u = _trig_laurent(c, 2)
-    h, k, pending, factor = _line_split(u, tol, j)
-    # G = R R^T + s Q Q^T, R and Q the terms s^0 and s^1.  At d = 0, Q is empty,
-    # clears empty and is dropped as insignificant
-    r, q = _strip(h[0::2]), _strip(k[1::2])
-    parts = [(_PARITY_KEYS[0, d % 2], [_clear_substitution(r, d // 2)]),
-             (_PARITY_KEYS[1, (d - 1) % 2], [_clear_substitution(q, (d - 1) // 2)])]
-    # F~ >= -B on [0, 1] bounds F = x^k F~ too
-    yield parts, pending, None if factor is None else lambda: _interval_bound(f, c, u, factor)
+    c = _weighted_sum(_clearing_weights(d, +1), f)
+    for parts, pending, bound in _split_halfline(
+            c, tol, j, lambda u, factor: _interval_bound(f, c, u, factor)):
+        yield ([(_PARITY_KEYS[i, (d - i) % 2], _cleared_back(stack, (d - i) // 2))
+                for i, (_, stack) in enumerate(parts)], pending, bound)
 
 
 def decompose_interval(f, tol=DEFAULT_TOL):
-    """Four-generator certificate for F PSD on [0, 1].
+    """Four-generator certificate for F PSD on [0, 1]: the half-line one of G, in x.
 
-    F is cleared once, G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k,
-    C_k = C(d, k) B_k with B_k F's Bernstein coefficients.  If every C_k =
-    L_k L_k^T is PD, term k of F = sum_k x^k (1-x)^(d-k) C_k is one square
-    on x^(k % 2) (1-x)^((d-k) % 2), up to d + 1 factors in all.  Otherwise,
-    or if that certificate misses, G(a^2) is factored on the line: its real
-    factor gives G = R R^T + s Q Q^T, and R and Q, the terms s^0 and s^1,
-    go by the same rule, cleared at degrees floor(d/2) and floor((d-1)/2).
+    G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k, C_k = C(d, k) B_k with
+    B_k F's Bernstein coefficients, is split as on the half-line, G =
+    sum_i R_i R_i^T + s sum_i Q_i Q_i^T.  (1 - x)^d G(x / (1 - x)) = F, so
+    R cleared at floor(d/2) and Q at floor((d-1)/2) are squares on 1 and x
+    times (1 - x)^((d - i) % 2).
     """
     return _certified("interval", f, tol, _split_interval, NotPsdOnInterval)
 

@@ -435,17 +435,12 @@ def _line_weights(nh):
 
 def scalar_poly_mult(q, p):
     """Multiply a matrix polynomial by the scalar polynomial q."""
-    qc = list(q)
-    return MatrixPoly(_times_scalar(qc, p.coeffs)) if qc else MatrixPoly.zero(p.n)
-
-
-def _times_scalar(q, c):
-    """Stack of q(x) C(x) for a non-empty scalar coefficient sequence q."""
-    out = np.zeros((len(q) + len(c) - 1,) + c.shape[1:])
+    q, c = list(q), p.coeffs
+    out = np.zeros((max(1, len(q) + len(c) - 1),) + c.shape[1:])     # q = []: zero
     for j, w in enumerate(q):
         if w != 0:
             out[j:j + len(c)] += float(w) * c
-    return out
+    return MatrixPoly(out)
 
 
 def matrixpoly_to_json(p):

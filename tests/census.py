@@ -1,4 +1,4 @@
-"""The polish, retry and Bernstein censuses, one line each; not a test and not a gate.
+"""The polish and retry censuses and the coefficient census by domain; not tests, not gates.
 
 Run as ``PYTHONPATH=src python tests/census.py``.  Importing ``conftest``
 first pins BLAS to one thread before numpy loads, as tier-1 does.  No
@@ -12,11 +12,13 @@ these lines are their running record.
   ``SINGULAR_INPUTS`` and its 40 rank-deficient draws, through
   ``fejer_riesz``.  A shifted retry is an input that takes two Riccati
   solves.
-- Bernstein census: the interval rows of ``test_bit_identity``'s
-  ``_corpus`` and ``_wide_corpus``, symmetrized as their digests take
-  them, and ``conftest.interval_squares``' 30 degree-16 squares, through
-  ``decompose_interval``.  An input that reaches ``_line_split`` fell
-  through to the factorization.
+- Coefficient census, one line per domain: the half-line and interval
+  rows of ``test_bit_identity``'s ``_corpus`` and ``_wide_corpus``,
+  symmetrized as their digests take them, with the polish census's
+  natural half-line set and ``conftest.interval_squares``' 30 degree-16
+  squares, through ``decompose_halfline`` and ``decompose_interval``.  An
+  input certified without reaching ``_line_split`` is certified from its
+  coefficients; one that reaches it fell through to the factorization.
 """
 
 from conftest import SINGULAR_INPUTS, interval_squares
@@ -50,8 +52,8 @@ def counted_step(*args):
     return step(*args)
 
 
-def polish_census():
-    failures, worst, draw_s = 0, 0.0, []
+def natural_halfline_set():
+    """F = A A^T, A = default_rng(seed).standard_normal((9, n, n)), n in {2, 4, 6}, seeds 0-9."""
     for n in (2, 4, 6):
         for seed in range(10):
             a = np.random.default_rng(seed).standard_normal((9, n, n))
@@ -59,14 +61,19 @@ def polish_census():
             for i in range(9):
                 for j in range(9):
                     f[i + j] += a[i] @ a[j].T
-            f = 0.5 * (f + np.swapaxes(f, 1, 2))
-            start = time.perf_counter()
-            try:
-                cert = certificates.decompose_halfline(MatrixPoly(f, symmetric=True))
-                worst = max(worst, cert.residual / max(1.0, np.max(np.abs(f))))
-            except (ValueError, RuntimeError):
-                failures += 1
-            draw_s.append(time.perf_counter() - start)
+            yield MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
+
+
+def polish_census():
+    failures, worst, draw_s = 0, 0.0, []
+    for f in natural_halfline_set():
+        start = time.perf_counter()
+        try:
+            cert = certificates.decompose_halfline(f)
+            worst = max(worst, cert.residual / max(1.0, f.max_coeff_abs()))
+        except (ValueError, RuntimeError):
+            failures += 1
+        draw_s.append(time.perf_counter() - start)
     return (f"polish census, 30 half-line inputs: {len(polish_s)} polishes, {len(steps)} "
             f"Newton steps, {sum(polish_s):.2f} s polishing, draws {np.median(draw_s):.3f} s "
             f"median and {max(draw_s):.2f} s slowest, {failures} failures, worst relative "
@@ -92,10 +99,11 @@ def retry_census():
             f"relative residual {worst:.2g}")
 
 
-def bernstein_census():
-    inputs = [MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
-              for domain, f in _corpus() + _wide_corpus() if domain == "interval"]
-    inputs += [f for _, _, f in interval_squares()]
+def coefficient_census(domain, inputs):
+    rows = [MatrixPoly(0.5 * (f + np.swapaxes(f, 1, 2)), symmetric=True)
+            for row_domain, f in _corpus() + _wide_corpus() if row_domain == domain]
+    inputs = rows + list(inputs)
+    decompose = getattr(certificates, f"decompose_{domain}")
     split, factored = certificates._line_split, []
 
     def counted_split(*args):
@@ -106,14 +114,14 @@ def bernstein_census():
     for f in inputs:
         factored.append(False)
         try:
-            cert = certificates.decompose_interval(f)
+            cert = decompose(f)
             worst = max(worst, cert.residual / max(1.0, f.max_coeff_abs()))
         except (ValueError, RuntimeError):
             failures += 1
     certificates._line_split = split
     through = sum(factored)
-    return (f"Bernstein census, {len(inputs)} interval inputs: {len(inputs) - through} certified "
-            f"from their Bernstein coefficients, {through} fell through to the factorization, "
+    return (f"coefficient census, {len(inputs)} {domain} inputs: {len(inputs) - through} "
+            f"certified from their coefficients, {through} fell through to the factorization, "
             f"{failures} failures, worst relative residual {worst:.2g}")
 
 
@@ -124,4 +132,5 @@ if __name__ == "__main__":
     steps.clear()
     spectral._riccati_factor = counted_solve
     print(retry_census())
-    print(bernstein_census())
+    print(coefficient_census("halfline", natural_halfline_set()))
+    print(coefficient_census("interval", (f for _, _, f in interval_squares())))

@@ -28,9 +28,9 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
                         check_hamburger, check_hausdorff, check_stieltjes, fejer_riesz,
                         forward_moments, operator_check, positivity_audit, recover)
 
-DIGEST = "8ffa2d216b41cdd9272c5272a0fed2bac16fc971686b78fa4b086738125ebabf"
+DIGEST = "2b5b906088980d43c57966d75f053650b10862b36510c13961615e66a2f9416f"
 MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
-WIDE_DIGEST = "1f22f3d8f6a24afa7faeaea727c18e27c13542967f376ae9cf6c23fb5eb09abe"
+WIDE_DIGEST = "8639d6541f0236cfeafd7c809f028f3e0961c913aa68ab95db1ce6d1b8a80fd1"
 FACTOR_DIGEST = "3bea882a11498c522534d8fd14beee616a3d25f45842974900b6c57608e73ef8"
 # Per-case hashes of every corpus, so that a mismatch names the first case
 # that moved.  ``PYTHONPATH=src python tests/test_bit_identity.py`` rewrites

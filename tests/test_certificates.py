@@ -18,7 +18,7 @@ from matmoments import (LaurentPoly, MatrixPoly, NotPsdOnHalfLine, NotPsdOnInter
                         decompose_halfline, decompose_interval, decompose_line,
                         matmul, matrixpoly_from_json, scalar_poly_mult, scalarize,
                         transpose_poly, verify_certificate)
-from matmoments.polymat import DOMAINS, _strip, _times_scalar, _weighted_sum
+from matmoments.polymat import DOMAINS, _strip, _weighted_sum
 from matmoments.shiftgap import build_family
 from test_bit_identity import _corpus, _square
 
@@ -176,8 +176,9 @@ def test_soundness_on_random_inputs(domain, decomposer, gens):
         assert cert.variant == domain
         assert cert.residual <= 1e-8 * scale
         assert entrywise_reassembly(f, cert) <= 2e-8 * scale
-        if domain in ("line", "halfline"):
-            assert all(len(factors) <= 2 for factors in cert.sigma.values())
+        if domain in ("line", "halfline"):     # or one per F_k from the coefficient candidate
+            limit = max(2, f.deg + 1) if domain == "halfline" else 2
+            assert sum(map(len, cert.sigma.values())) <= limit
 
 
 def test_halfline_deep_degree_pipeline():
@@ -369,14 +370,23 @@ def _cleared(c):
     return _weighted_sum(certificates._clearing_weights(len(c) - 1, +1), c)
 
 
-def _clear_substitution_loop(p, d, sign):
+def _clear_loop(p):
+    """(1 + s)^e P(s / (1 + s)) = sum_k P_k s^k (1 + s)^(e-k), e = deg P, summed in increasing k."""
     e = p.deg
     out = np.zeros((e + 1, p.n, p.n))
     for k in range(e + 1):
         for j in range(e - k + 1):
-            out[k + j] += comb(e - k, j) * (sign ** j) * p.coeffs[k]
-    return scalar_poly_mult([comb(d - e, j) * float(sign) ** j for j in range(d - e + 1)],
-                            MatrixPoly(out))
+            out[k + j] += comb(e - k, j) * p.coeffs[k]
+    return MatrixPoly(out)
+
+
+def _cleared_back_loop(r, p):
+    """(1 - x)^p R(x / (1 - x)) = sum_m R_m x^m (1 - x)^(p-m), summed in increasing m."""
+    out = np.zeros((p + 1,) + r.shape[1:])
+    for m in range(len(r)):
+        for j in range(p - m + 1):
+            out[m + j] += float(comb(p - m, j) * (-1) ** j) * r[m]
+    return out
 
 
 def _significant_poly(factors, tol, scale):
@@ -446,27 +456,31 @@ def test_line_factors_match_loop_bit_for_bit():
             assert _same_bits(k, k_ref.coeffs), (nh, n)
 
 
-def test_clear_substitution_matches_loop_bit_for_bit():
+def test_clearing_matches_loops_bit_for_bit():
+    # forward, F to G at F's own degree; back, a stack of factors R of at most
+    # p + 1 coefficients, each to (1 - x)^p R(x / (1 - x)) in one step at p
     rng = np.random.default_rng(31)
     stripped = 0
     for trial in range(300):
         n, e = int(rng.integers(1, 5)), int(rng.integers(0, 11))
-        d, sign = e + int(rng.integers(0, 4)), int(rng.choice([-1, 1]))
-        d = d if sign < 0 else e        # the interval clears F at its own degree
         c = rng.standard_normal((e + 1, n, n)) * rng.uniform(0.1, 10.0, (e + 1, 1, 1))
         c[rng.random(c.shape) < 0.2] = rng.choice([0.0, -0.0])
         c[-1] += 3.0 * np.eye(n)
         if trial % 2 and e:
-            # the cleared top coefficient sum_k sign^(e-k) C_k cancels to
-            # rounding, so the cleared polynomial is stripped before the
-            # (1 + sign*x)^(d-e) factor
-            c[0] = -np.tensordot(float(sign) ** np.arange(1, e + 1), c[1:], axes=1)
+            # the cleared top coefficient sum_k C_k cancels to rounding
+            c[0] = -c[1:].sum(axis=0)
         p = MatrixPoly(c)
-        want = _clear_substitution_loop(p, d, sign).coeffs
-        got = (certificates._clear_substitution(p.coeffs, d) if sign < 0
-               else _strip(_cleared(p.coeffs)))
-        assert _same_bits(got, want), trial
-        stripped += want.shape[0] < d + 1
+        want = _clear_loop(p).coeffs
+        assert _same_bits(_strip(_cleared(p.coeffs)), want), trial
+        stripped += want.shape[0] < e + 1
+        back = int(rng.integers(0, 4))
+        stack = np.zeros((int(rng.integers(0, 4)), e + 1 - back % (e + 1), n, n))
+        stack[:] = c[:stack.shape[1]]
+        stack[:, ::2] *= rng.uniform(0.1, 10.0, (len(stack), 1, 1, 1))
+        got = certificates._cleared_back(stack, e + back)
+        assert got.shape == (len(stack), e + back + 1, n, n), trial
+        for r, g in zip(stack, got):
+            assert _same_bits(g, _cleared_back_loop(r, e + back)), trial
     assert stripped > 50
 
 
@@ -738,13 +752,13 @@ def test_circle_angle_maps_to_the_domain(decomposer, exc, x, monkeypatch):
     # A NotPsdOnCircle never escapes a decomposer: F is PSD on the domain,
     # at x too, so the faked one at that angle is a SosConsistencyError;
     # F - 3 = (6x + 1)(x - 1) is negative on [0, 1), so there it is the
-    # domain's error.  F's Bernstein coefficient 2 - 5/2 is negative, so
-    # the interval reaches the factorization too
+    # domain's error.  F's Bernstein coefficient 2 - 5/2 and F_1 are
+    # negative, so the interval and the half-line reach the factorization too
     def fail_at(u, tol):
         raise spectral.NotPsdOnCircle(-1.0, 2 * np.pi / 3)
     monkeypatch.setattr(spectral, "fejer_riesz", fail_at)
     f = scalar_poly(2, -5, 6)
-    assert f(x)[0, 0] > 0 and certificates._bernstein_parts(_cleared(f.coeffs)) is None
+    assert f(x)[0, 0] > 0 and certificates._coefficient_parts(_cleared(f.coeffs)) is None
     with pytest.raises(certificates.SosConsistencyError) as info:
         decomposer(f)
     assert isinstance(info.value.__cause__, spectral.NotPsdOnCircle)
@@ -805,11 +819,11 @@ def _corpus_outcomes():
 
 def test_certificates_that_verify_never_locate(monkeypatch):
     # a verified certificate proves F PSD, so nothing locates.  The digest
-    # corpus certifies in full; with the Bernstein path refused, its four
+    # corpus certifies in full; with the coefficient candidate refused, its four
     # misses are interval inputs whose factor bounds F on [0, 1]
     monkeypatch.setattr(certificates, "_least_on", _refuse)
     assert _corpus_outcomes().count("certificate") == 54
-    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
+    monkeypatch.setattr(certificates, "_coefficient_parts", lambda c: None)
     outcomes = _corpus_outcomes()
     assert outcomes.count("certificate") == 50 and outcomes.count("located") == 0
     assert outcomes.count("inconsistent") == 4
@@ -819,8 +833,8 @@ def test_certificates_that_verify_never_locate(monkeypatch):
 def test_the_cleared_stack_is_the_bernstein_form_times_binomials(d):
     # x^j = sum_k C(k, j) / C(d, j) * C(d, k) x^k (1-x)^(d-k) in exact
     # arithmetic, so the cleared stack of x^j is exactly C(d, k) times its
-    # Bernstein coefficients C(k, j) / C(d, j); row k of the factor table
-    # holds the integer coefficients of x^(k // 2) (1-x)^((d-k) // 2)
+    # Bernstein coefficients C(k, j) / C(d, j); and clearing s^i E back at
+    # degree p gives x^i (1-x)^(p-i) E, with E a distinct integer matrix per i
     ratio = [[Fraction(comb(k, j), comb(d, j)) for k in range(d + 1)] for j in range(d + 1)]
     for j in range(d + 1):
         for r in range(d + 1):
@@ -830,13 +844,15 @@ def test_the_cleared_stack_is_the_bernstein_form_times_binomials(d):
         monomial[j] = 1.0
         assert ([Fraction(v) for v in _cleared(monomial)[:, 0, 0]]
                 == [comb(d, k) * ratio[j][k] for k in range(d + 1)])
-    rows = certificates._bernstein_rows(d)
-    assert not rows.flags.writeable
-    for k in range(d + 1):
-        row = [0] * (d // 2 + 1)
-        for r in range((d - k) // 2 + 1):
-            row[k // 2 + r] = (-1) ** r * comb((d - k) // 2, r)
-        assert [Fraction(v) for v in rows[k]] == row
+    e = (np.arange(4).reshape(2, 2) + 1) * np.arange(1, d + 2)[:, np.newaxis, np.newaxis]
+    stack = np.zeros((d + 1, d + 1, 2, 2))
+    stack[np.arange(d + 1), np.arange(d + 1)] = e
+    back = certificates._cleared_back(stack, d)
+    for i in range(d + 1):
+        for r in range(d + 1):
+            weight = (-1) ** (r - i) * comb(d - i, r - i) if r >= i else 0
+            assert [Fraction(v) for v in back[i, r].ravel()] == [weight * int(v)
+                                                                  for v in e[i].ravel()]
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (2, 5), (2, 7), (4, 0), (4, 1), (4, 2), (6, 0),
@@ -846,7 +862,7 @@ def test_interval_misses_are_decided_by_their_factor(n, seed, monkeypatch):
     # PD and whose monomial reassembly misses: the factor's bound
     # B <= tol * scale decides the SosConsistencyError unlocated
     f = next(f for m, s, f in interval_squares() if (m, s) == (n, seed))
-    assert certificates._bernstein_parts(_cleared(f.coeffs)) is None
+    assert certificates._coefficient_parts(_cleared(f.coeffs)) is None
     monkeypatch.setattr(certificates, "_least_on", _refuse)
     with pytest.raises(certificates.SosConsistencyError, match="reassembly residual") as info:
         decompose_interval(f)
@@ -857,9 +873,9 @@ def test_a_factored_interval_certificate_near_the_tolerance_reassembles(monkeypa
     # this input's factorization missed by a hair and now certifies
     # (residual 9.5e-9 of 1e-8 * scale): the independent reassembly must
     # accept it at the certificate's own tolerance.  Its B_k are all PD, so
-    # the Bernstein path is refused to reach the factorization
+    # the coefficient candidate is refused to reach the factorization
     monkeypatch.setattr(certificates, "_least_on", _refuse)
-    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
+    monkeypatch.setattr(certificates, "_coefficient_parts", lambda c: None)
     f = sos_of_degree(np.random.default_rng([3, 12, 1]), 3, 12, _GENS["interval"])
     cert = decompose_interval(f)
     assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
@@ -875,7 +891,7 @@ def test_an_input_singular_inside_the_interval_never_takes_the_bernstein_path():
         worst, x = certificates._least_on(f.coeffs, 0.0, 1.0, 0.0)
         if abs(worst) <= polymat.INPUT_RTOL * scale and 0.0 < x < 1.0:
             singular += 1
-            assert certificates._bernstein_parts(_cleared(f.coeffs)) is None, (n, seed)
+            assert certificates._coefficient_parts(_cleared(f.coeffs)) is None, (n, seed)
     assert singular == 24
 
 
@@ -886,16 +902,22 @@ def test_a_definite_input_that_needs_a_higher_bernstein_degree_stays_a_failure()
     # the certify benchmark's interval:n3:d16 item of pass 3 at seed 780:
     # lambda_min / scale is 0.05 on [0, 1], but its B_k are all PD only
     # from degree 19 on, and the decomposer takes degree d = 16 with no
-    # search; the factorization misses too
+    # search; the factorization misses too.  Its half-line parts, on 1 and
+    # s, clear back to x at degree 19
     f = matrixpoly_from_json(json.loads(_SEED780.read_text(encoding="utf-8")))
     scale = max(1.0, f.max_coeff_abs())
     assert 0.04 < certificates._least_on(f.coeffs, 0.0, 1.0, 0.0)[0] / scale < 0.06
     for extra in range(4):      # the cleared stack at degree 16 + extra is G (1 + s)^extra
-        parts = certificates._bernstein_parts(
-            _times_scalar(certificates._clearing_weights(extra, +1)[0], _cleared(f.coeffs)))
+        elevated = scalar_poly_mult(certificates._clearing_weights(extra, +1)[0],
+                                    MatrixPoly(_cleared(f.coeffs)))
+        parts = certificates._coefficient_parts(elevated.coeffs)
         assert (parts is None) == (extra < 3), extra
-    cert = SosCertificate("interval", {key: [MatrixPoly(c) for c in factors]
-                                       for key, factors in parts})
+    assert [key for key, _ in parts] == ["1", "x"]
+    cert = SosCertificate("interval", {
+        certificates._PARITY_KEYS[i, (19 - i) % 2]:
+            [MatrixPoly(c) for c in certificates._cleared_back(factors, (19 - i) // 2)]
+        for i, (_, factors) in enumerate(parts)})
+    assert list(cert.sigma) == ["1-x", "x"]
     assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * scale
     with pytest.raises(certificates.SosConsistencyError, match="reassembly residual"):
         decompose_interval(f)
@@ -950,15 +972,12 @@ def _ref_halfline(ff, tol=certificates.DEFAULT_TOL):
 def _ref_interval(ff, tol=certificates.DEFAULT_TOL):
     scale = max(1.0, ff.max_coeff_abs())
     d = ff.deg
-    inner = _ref_halfline(_clear_substitution_loop(ff, d, +1), tol)
+    inner = _ref_halfline(_clear_loop(ff), tol)
     sigma = {key: [] for key in ("1", "x", "1-x", "x(1-x)")}
     for key, odd in (("1", 0), ("x", 1)):
         for p in inner.factors(key):
-            extra = d - odd - 2 * p.deg
-            pulled = _clear_substitution_loop(p, p.deg, -1)
-            one_minus_x = [comb(extra // 2, j) * (-1.0) ** j for j in range(extra // 2 + 1)]
-            pulled = scalar_poly_mult(one_minus_x, pulled)
-            sigma[(key, "1-x" if key == "1" else "x(1-x)")[extra % 2]].append(pulled)
+            pulled = MatrixPoly(_cleared_back_loop(p.coeffs, (d - odd) // 2))
+            sigma[(key, "1-x" if key == "1" else "x(1-x)")[(d - odd) % 2]].append(pulled)
     sigma = {key: _significant_poly(val, tol, scale) for key, val in sigma.items()}
     cert = SosCertificate("interval", {key: val for key, val in sigma.items() if val})
     cert.residual = _verify_loop(ff, cert)
@@ -1007,10 +1026,10 @@ def _assert_same_certificate(got, want):
 @pytest.mark.parametrize("domain", ["line", "halfline", "interval"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_flat_pipeline_matches_the_cascade_bit_for_bit(domain, n, monkeypatch):
-    # the cascade factors on the circle, so the interval's Bernstein path is
+    # the cascade factors on the circle, so the coefficient candidate is
     # refused here; test_definite_interval_inputs_take_the_bernstein_path_or_the_factorization
-    # holds every input it refuses to this path
-    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
+    # holds every interval input it refuses to this path
+    monkeypatch.setattr(certificates, "_coefficient_parts", lambda c: None)
     rng = np.random.default_rng([n, len(domain)])
     decompose, reference = _DECOMPOSE[domain]
     for d in range(2 if domain == "line" else 1, 17, 2 if domain == "line" else 1):
@@ -1043,13 +1062,13 @@ def _draw(domain, n, d, seed):
 @_PROPERTY
 @given(**_DRAWS)
 def test_returned_certificates_reassemble(domain, n, d, seed):
-    # on the interval, also the factorization's certificate, with the
-    # Bernstein path refused
+    # on the half-line and the interval, also the factorization's
+    # certificate, with the coefficient candidate refused
     f = _draw(domain, n, d, seed)
     with pytest.MonkeyPatch.context() as patch:
-        for refused in (False, True) if domain == "interval" else (False,):
+        for refused in (False, True) if domain != "line" else (False,):
             if refused:
-                patch.setattr(certificates, "_bernstein_parts", lambda f: None)
+                patch.setattr(certificates, "_coefficient_parts", lambda c: None)
             cert = _outcome(_DECOMPOSE[domain][0], f)
             if isinstance(cert, SosCertificate):
                 assert entrywise_reassembly(f, cert) <= 1e-6 * max(1.0, f.max_coeff_abs())
@@ -1121,7 +1140,7 @@ def _same_outcome(got, want):
        seed=st.integers(0, 2**32 - 1))
 def test_definite_interval_inputs_take_the_bernstein_path_or_the_factorization(n, d, depth, seed):
     # F = sum_g g A_g A_g^T + c I with c = 10^depth * scale > 0.  A
-    # certificate from the Bernstein path (no factorization ran) reassembles
+    # certificate from the coefficient candidate (no factorization ran) reassembles
     # at the certificate's own tolerance; an input whose B_k are not all PD
     # takes the factorization, with the outcome it has with the path refused
     g = sos_of_degree(np.random.default_rng(seed), n, d, _GENS["interval"])
@@ -1135,8 +1154,8 @@ def test_definite_interval_inputs_take_the_bernstein_path_or_the_factorization(n
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certificates, "_line_split", counted)
         got = _outcome(decompose_interval, f)
-        refused, ran = certificates._bernstein_parts(_cleared(f.coeffs)) is None, bool(factored)
-        patch.setattr(certificates, "_bernstein_parts", lambda f: None)
+        refused, ran = certificates._coefficient_parts(_cleared(f.coeffs)) is None, bool(factored)
+        patch.setattr(certificates, "_coefficient_parts", lambda c: None)
         want = _outcome(decompose_interval, f)
     if refused or ran:
         assert ran and _same_outcome(got, want)
@@ -1239,18 +1258,41 @@ def test_x_squared_times_a_square_certifies_on_the_half_line(n, deg, monkeypatch
 def test_a_power_of_x_adds_no_newton_polish(domain, k, n, d, seed):
     # G is a sum over the domain's generators (two squares on the line), so
     # PSD there by construction, and x^k G (x^(k + k % 2) on the line)
-    # certifies without the polish, as G does.  The interval's Bernstein
-    # path runs no factorization, so it is refused here
+    # certifies without the polish, as G does.  The coefficient candidate
+    # runs no factorization, so it is refused here
     gens = [[1.0], [1.0]] if domain == "line" else _GENS[domain]
     g = _times_x(0, sos_of_degree(np.random.default_rng(seed), n, d, gens).coeffs)
     f = _times_x(k + k % 2 if domain == "line" else k, g.coeffs)
     decompose = _DECOMPOSE[domain][0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_newton_refine", _polish_refused)
-        patch.setattr(certificates, "_bernstein_parts", lambda f: None)
+        patch.setattr(certificates, "_coefficient_parts", lambda c: None)
         decompose(g)
         cert = decompose(f)
     assert list(cert.sigma) == [key for key in DOMAINS[domain][1] if key in cert.sigma]
+    assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+
+
+def _pd_coefficients(n, d, j, seed):
+    """x^j sum_k x^k L_k L_k^T, L_k random of n x n at scales 0.1-10."""
+    rng = np.random.default_rng(seed)
+    l = rng.standard_normal((d + 1, n, n)) * rng.uniform(0.1, 10.0, (d + 1, 1, 1))
+    return _times_x(j, l @ np.swapaxes(l, 1, 2))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), degrees=st.integers(0, 16).flatmap(
+    lambda deg: st.tuples(st.just(deg), st.integers(0, deg))), seed=st.integers(0, 2**32 - 1))
+def test_half_line_inputs_with_pd_coefficients_certify_without_a_factorization(n, degrees,
+                                                                                seed):
+    # F = x^j sum_k x^k L_k L_k^T of degree at most 16: once x^j is taken
+    # out, term k is one square x^(k // 2) L_k on 1 or on x, so the
+    # coefficient candidate certifies and no line problem is factored
+    deg, j = degrees
+    f = _pd_coefficients(n, deg - j, j, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificates, "_line_split", _refuse)
+        cert = decompose_halfline(f)
     assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
 
 
@@ -1259,9 +1301,10 @@ def test_definite_inputs_certify_without_the_polish(domain, seed, d, monkeypatch
     # the doubling's updates grew once below _STALL (2.4e-3 then 3.7e-3 of
     # ||H||, and 6.1e-4 then 9.5e-4), which ended the solve near a residual
     # of 1e-6; left to run, the next steps converge quadratically.  The
-    # interval input's B_k are all PD, so its Bernstein path is refused
+    # coefficient candidate would certify the interval input, whose B_k are
+    # all PD, so it is refused
     monkeypatch.setattr(spectral, "_newton_refine", _polish_refused)
-    monkeypatch.setattr(certificates, "_bernstein_parts", lambda f: None)
+    monkeypatch.setattr(certificates, "_coefficient_parts", lambda c: None)
     f = sos_of_degree(np.random.default_rng(seed), 1, d, _GENS[domain])
     cert = _DECOMPOSE[domain][0](f)
     assert entrywise_reassembly(f, cert) <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
