@@ -161,7 +161,7 @@ def _line_factors(b_stack):
     return _strip(gamma.real), _strip(gamma.imag)
 
 
-def _line_split(u, tol, j=0):
+def _line_split(u, tol, j):
     """Stacks H, K with G = H H^T + K K^T, the factorization's failure or None, and the factor.
 
     u is ``_trig_laurent`` of G / 4^j, of even degree.  The target
@@ -268,7 +268,7 @@ def decompose_line(f, tol=DEFAULT_TOL):
 
 
 def _coefficient_parts(c):
-    """G = sum_k C_k s^k as squares s^(k // 2) L_k on s^(k % 2), C_k = L_k L_k^T; None if not PD."""
+    """Squares s^(k // 2) L_k on s^(k % 2) of G = sum_k C_k s^k, C_k = L_k L_k^T; None unless PD."""
     try:        # an overflowed C_k gives an inf or NaN factor, which the reassembly refuses
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:       # a C_k that is not PD

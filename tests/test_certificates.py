@@ -512,7 +512,7 @@ def test_the_half_line_and_the_interval_factor_in_real_arithmetic(f):
     for c in (f, _strip(_cleared(f))):
         u = certificates._trig_laurent(c, 2)
         assert u.coeffs.dtype == np.float64
-        h, k, pending, factor = certificates._line_split(u, certificates.DEFAULT_TOL)
+        h, k, pending, factor = certificates._line_split(u, certificates.DEFAULT_TOL, 0)
         if factor is not None:
             assert factor.coeffs.dtype == np.float64
         if isinstance(pending, spectral.NoConvergence):
@@ -1186,7 +1186,7 @@ def _checked_bound(f, tol=certificates.DEFAULT_TOL):
     """
     c = _strip(_cleared(f.coeffs))
     u = certificates._trig_laurent(c, 2)
-    *_, factor = certificates._line_split(u, tol)
+    *_, factor = certificates._line_split(u, tol, 0)
     if factor is None:
         return None
     bound = certificates._interval_bound(f.coeffs, c, u, factor)
