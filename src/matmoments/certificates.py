@@ -31,8 +31,8 @@ Each decomposer is one ``_certified`` call, which splits F / 4^j and
 checks the split's candidates in turn.  A certificate is a proof only
 through its reassembly check, ``verify_certificate``, which squares every
 factor in one batch and sums the weighted squares once.  A failure is
-decided by ``_interval_bound`` on the interval, else by F's least
-eigenvalue on the domain (``polymat._least_on``).
+decided on every domain by F's least eigenvalue there
+(``polymat._least_on``).
 """
 
 from dataclasses import dataclass, field, replace
@@ -42,7 +42,7 @@ from math import ldexp
 import numpy as np
 
 from . import spectral
-from .polymat import (DOMAINS, STRIP_TOL, LaurentPoly, MatrixPoly, _binomial_rows,
+from .polymat import (DOMAINS, LaurentPoly, MatrixPoly, _binomial_rows,
                       _check_symmetric, _check_tol, _conv_stack, _EPS, _Failure, _finite_entries,
                       _json_fields, _json_real, _least_on, _line_weights, _maxabs, _padded_sum,
                       _strip, _read_only, _weighted_sum, matrixpoly_from_json,
@@ -162,30 +162,28 @@ def _line_factors(b_stack):
 
 
 def _line_split(u, tol, j):
-    """Stacks H, K with G = H H^T + K K^T, the factorization's failure or None, and the factor.
+    """Stacks H, K with G = H H^T + K K^T, and the factorization's failure or None.
 
     u is ``_trig_laurent`` of G / 4^j, of even degree.  The target
     min(1e-10, tol / 100) is relative to max(1, ||A_0||) of G's expansion,
     4^j max(4^-j, a) with a = max|A_0| of u, so ``fejer_riesz`` gets it
     times max(4^-j, a) / max(1, a).  A factorization that does not converge
     leaves its best attempt for the reassembly check to judge; on a
-    ``NotPsdOnCircle``, or an overflow (a ``ValueError``), H = K = 0.  The
-    SpectralFactor is returned only when there is no failure.
+    ``NotPsdOnCircle``, or an overflow (a ``ValueError``), H = K = 0.
     """
-    factor = pending = None
+    pending = None
     try:
         if not np.isfinite(u.coeffs).all():
             raise ValueError("the input's expansion on the circle overflows float64")
         a = _maxabs(u.coeff(0))
-        factor = spectral.fejer_riesz(
-            u, tol=min(1e-10, tol / 100) * (max(ldexp(1.0, -2 * j), a) / max(1.0, a)))
-        b = factor.coeffs
+        b = spectral.fejer_riesz(
+            u, tol=min(1e-10, tol / 100) * (max(ldexp(1.0, -2 * j), a) / max(1.0, a))).coeffs
     except spectral.NoConvergence as exc:
         b, pending = exc.best.coeffs, exc
     except ValueError as exc:       # NotPsdOnCircle, or an overflow
         b, pending = np.zeros((u.band + 1, u.n, u.n)), exc
     h, k = _line_factors(b)
-    return h, k, pending, factor
+    return h, k, pending
 
 
 # the generator g' and the extra power x^j with x g = x^j g', per generator g
@@ -194,28 +192,26 @@ _TIMES_X = {"1": ("x", 0), "x": ("1", 1), "1-x": ("x(1-x)", 0), "x(1-x)": ("1-x"
 
 @np.errstate(over="ignore", invalid="ignore")     # overflows are ValueErrors
 def _certified(variant, f, tol, split, not_psd):
-    """Certificate of F = x^k F~ from ``split(F~'s stack, tol, j)``'s (parts, failure, bound)s.
+    """Certificate of F = x^k F~ from ``split(F~'s stack, tol, j)``'s (parts, failure) pairs.
 
     k counts F's leading coefficients F_0, F_1, ... that are exactly zero,
     its even part on the line, where an odd-degree F is an ``OddDegree``.
     The split runs on F~ / 4^j, exactly, j as ``fejer_riesz`` takes it out
-    of F's scale, so an F near the float maximum splits; its factors, its
-    bound and a ``NoConvergence``'s best factor are scaled back.  Every
-    factor of F~ is padded by x^(k // 2); for odd k each generator g moves
-    to g' with x g = x^i g' (``_TIMES_X``), its factors taking i more x.  A
-    factor whose square (inf, never an OverflowError) contributes at most
-    1e-3 * tol * scale is gauge noise and is dropped, and so is a generator
-    left with no factor.
+    of F's scale, so an F near the float maximum splits; its factors and a
+    ``NoConvergence``'s best factor are scaled back.  Every factor of F~ is
+    padded by x^(k // 2); for odd k each generator g moves to g' with x g =
+    x^i g' (``_TIMES_X``), its factors taking i more x.  A factor whose
+    square (inf, never an OverflowError) contributes at most 1e-3 * tol *
+    scale is gauge noise and is dropped, and so is a generator left with no
+    factor.
 
     The first candidate whose certificate passes the reassembly check is
-    returned: it proves F PSD up to its residual.  If the last one misses,
-    a ``SosConsistencyError`` is raised at once if its ``bound`` (a
-    callable, run only here) gives B <= tol * scale, which proves F >= -B
-    on the domain.  Otherwise ``not_psd`` is raised at F's least eigenvalue
-    on the domain if that is below -tol * scale, else the factorization's
-    failure or a ``SosConsistencyError``; a reassembly that overflows
-    float64 is a ValueError at once, as in ``momentctl verify``.  This is
-    the one overflow guard of the decomposers.
+    returned: it proves F PSD up to its residual.  If every one misses,
+    ``not_psd`` is raised at F's least eigenvalue on the domain if that is
+    below -tol * scale, else the factorization's failure or a
+    ``SosConsistencyError``; a reassembly that overflows float64 is a
+    ValueError at once, as in ``momentctl verify``.  This is the one
+    overflow guard of the decomposers.
     """
     _check_tol(tol, positive=True)
     scale = _require_symmetric(f)
@@ -225,7 +221,7 @@ def _certified(variant, f, tol, split, not_psd):
         if f.deg % 2:
             raise OddDegree(f"degree {f.deg} is odd")
         k -= k % 2
-    for parts, pending, bound in split(np.ldexp(f.coeffs[k:], -2 * j), tol, j):
+    for parts, pending in split(np.ldexp(f.coeffs[k:], -2 * j), tol, j):
         sigma = {}
         for key, factors in parts:
             key, i = _TIMES_X[key] if k % 2 else (key, 0)
@@ -238,10 +234,9 @@ def _certified(variant, f, tol, split, not_psd):
         if cert.residual <= thresh:
             return cert
     _finite_residual(cert.residual)
-    if bound is None or not np.ldexp(bound(), 2 * j) <= thresh:     # NaN if it overflowed
-        worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
-        if worst < -thresh:
-            raise not_psd(worst, x) from pending
+    worst, x = _least_on(f.coeffs, *not_psd.domain, thresh)
+    if worst < -thresh:
+        raise not_psd(worst, x) from pending
     if isinstance(pending, spectral.NoConvergence):     # its best factor of u / 4^j as one of u
         b = pending.best
         pending = spectral.NoConvergence(replace(
@@ -254,8 +249,8 @@ def _certified(variant, f, tol, split, not_psd):
 
 
 def _split_line(c, tol, j):
-    h, k, pending, _ = _line_split(_trig_laurent(c), tol, j)
-    yield [("1", [h, k])], pending, None
+    h, k, pending = _line_split(_trig_laurent(c), tol, j)
+    yield [("1", [h, k])], pending
 
 
 def decompose_line(f, tol=DEFAULT_TOL):
@@ -279,18 +274,15 @@ def _coefficient_parts(c):
     return [(key, factors[i::2, :(len(c) - 1 - i) // 2 + 1]) for i, key in enumerate(("1", "x"))]
 
 
-def _split_halfline(c, tol, j, bound=None):
+def _split_halfline(c, tol, j):
     """The coefficient candidate of G = sum_k C_k s^k, then a factorization of G(a^2).
 
-    Its real factor's parts H(a) = R(a^2) and K(a) = a Q(a^2) go to 1 and
-    s; ``bound(u, factor)``, if given, becomes its bound.
+    Its real factor's parts H(a) = R(a^2) and K(a) = a Q(a^2) go to 1 and s.
     """
     if (parts := _coefficient_parts(c)) is not None:
-        yield parts, None, None
-    u = _trig_laurent(_strip(c), 2)
-    h, k, pending, factor = _line_split(u, tol, j)
-    yield ([("1", _strip(h[0::2])[np.newaxis]), ("x", _strip(k[1::2])[np.newaxis])], pending,
-           None if bound is None or factor is None else lambda: bound(u, factor))
+        yield parts, None
+    h, k, pending = _line_split(_trig_laurent(_strip(c), 2), tol, j)
+    yield [("1", _strip(h[0::2])[np.newaxis]), ("x", _strip(k[1::2])[np.newaxis])], pending
 
 
 def decompose_halfline(f, tol=DEFAULT_TOL):
@@ -322,40 +314,6 @@ def _cleared_back(stack, p):
     return np.swapaxes(side.reshape(p + 1, count, n, n), 0, 1)
 
 
-def _interval_bound(f, c, u, factor):
-    """B with lambda_min(F(x)) >= -B on all of [0, 1], proven by the factor P of u.
-
-    f is F's coefficient stack, of degree d, and c the cleared stack C of
-    ``_split_interval``, G(s) = (1 + s)^d F(s / (1 + s)) = sum_k C_k s^k, u
-    that of C stripped to degree e = u.band.  F(sin^2 t) = cos^{2(d-e)} t *
-    u(e^{2it}) exactly, so u on the circle bounds F on the whole interval,
-    with no weight.  B has three terms:
-
-    - u - P P* has coefficients below the residual plus rho: u's Hermitian
-      defect and gamma * (max|u_k| + ||P||_F^2), the rounding of
-      ``_residual``'s sums (Cauchy-Schwarz bounds sum_j |P_{j+k}| |P_j|^T by
-      ||P||_F^2).  Over 2e + 1 coefficients: (2e + 1) * n * (residual + rho).
-    - The rounding of C and of u's expansion, mapped back to x by the
-      weights sin^{2i} cos^{2(d-i)} t, which sum to at most 1:
-      n * gamma * (sum_k |F_k| + sum_i s_i |C_i|), |.| the largest entry and
-      s_i the absolute sum of C_i's weights in u.
-    - n * STRIP_TOL if ``_strip`` dropped a coefficient of C.
-
-    gamma = K eps / (2 - K eps) with K = 2(d + n + 4) covers the d + 1 terms
-    of a cleared or expanded coefficient, the residual's complex products
-    and band + 1 subtractions, and the rounding of these magnitudes.
-    """
-    d, n, e = len(f) - 1, f.shape[1], u.band
-    k = 2 * (d + n + 4)
-    gamma = k * _EPS / (2 - k * _EPS)
-    b = factor.coeffs
-    weight_sums = np.abs(_trig_weights(2 * e)[::2]).sum(axis=1)     # exact: dyadic, <= 1
-    rho = u.hermitian_defect() + gamma * (_maxabs(u.coeffs) + np.vdot(b, b).real)
-    rounding = gamma * (np.abs(f).max(axis=(1, 2)).sum()
-                        + weight_sums @ np.abs(c[:e + 1]).max(axis=(1, 2)))
-    return n * ((2 * e + 1) * (factor.residual + rho) + rounding + (STRIP_TOL if e < d else 0.0))
-
-
 # the generator x^(k % 2) (1 - x)^((d - k) % 2) of a term s^k of G, by the two parities
 _PARITY_KEYS = {(0, 0): "1", (1, 0): "x", (0, 1): "1-x", (1, 1): "x(1-x)"}
 
@@ -364,10 +322,9 @@ def _split_interval(f, tol, j):
     """The half-line split of the cleared C, its factors on s^i cleared back at (d - i) // 2."""
     d = len(f) - 1
     c = _weighted_sum(_clearing_weights(d, +1), f)
-    for parts, pending, bound in _split_halfline(
-            c, tol, j, lambda u, factor: _interval_bound(f, c, u, factor)):
+    for parts, pending in _split_halfline(c, tol, j):
         yield ([(_PARITY_KEYS[i, (d - i) % 2], _cleared_back(stack, (d - i) // 2))
-                for i, (_, stack) in enumerate(parts)], pending, bound)
+                for i, (_, stack) in enumerate(parts)], pending)
 
 
 def decompose_interval(f, tol=DEFAULT_TOL):

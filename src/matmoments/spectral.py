@@ -276,9 +276,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
         Factor with deg = band(u), residual below tol * max(1, ||A_0||),
         canonical up to a constant unitary on the right.  It proves
         lambda_min(u(e^{it})) >= -(2*band+1) * n * residual everywhere, up
-        to the rounding of u and of the residual;
-        ``certificates._interval_bound`` makes this exact, and decides an
-        interval certificate that misses from it.
+        to the rounding of u and of the residual.
 
     Raises
     ------

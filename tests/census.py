@@ -2,8 +2,12 @@
 
 Run as ``PYTHONPATH=src python tests/census.py``.  Importing ``conftest``
 first pins BLAS to one thread before numpy loads, as tier-1 does.  No
-benchmark workload reaches the polish or the retry (ROADMAP item 6), so
-these lines are their running record.
+benchmark workload reaches the retry.  The certify workload reaches the
+polish and the locators only on rare items (ROADMAP item 6): its line
+item boundary:n6:d8 locates and polishes at seed 783 pass 2 and seed 784
+pass 3, and its interval misses (seed 780 pass 3, 9005 passes 0 and 3,
+9008 passes 1 and 4) run the domain's locator.  So these lines are the
+running record of those paths.
 
 - Polish census: the natural half-line set, F = A A^T with
   A = default_rng(seed).standard_normal((9, n, n)), n in {2, 4, 6},
@@ -19,6 +23,9 @@ these lines are their running record.
   squares, through ``decompose_halfline`` and ``decompose_interval``.  An
   input certified without reaching ``_line_split`` is certified from its
   coefficients; one that reaches it fell through to the factorization.
+  A failure whose locator (``polymat._least_on``) found no dip gives the
+  margin by which it was ruled out: the worst such lambda_min / scale,
+  at least -tol, is printed.
 """
 
 from conftest import SINGULAR_INPUTS, interval_squares
@@ -105,24 +112,34 @@ def coefficient_census(domain, inputs):
     inputs = rows + list(inputs)
     decompose = getattr(certificates, f"decompose_{domain}")
     split, factored = certificates._line_split, []
+    least_on, located = certificates._least_on, []
 
     def counted_split(*args):
         factored[-1] = True
         return split(*args)
-    certificates._line_split = counted_split
-    failures, worst = 0, 0.0
+
+    def recorded_least_on(c, *args):
+        worst, x = least_on(c, *args)
+        located.append(worst / max(1.0, np.abs(c).max()))
+        return worst, x
+    certificates._line_split, certificates._least_on = counted_split, recorded_least_on
+    failures, worst, margins = 0, 0.0, []
     for f in inputs:
         factored.append(False)
+        located.clear()
         try:
             cert = decompose(f)
             worst = max(worst, cert.residual / max(1.0, f.max_coeff_abs()))
         except (ValueError, RuntimeError):
             failures += 1
-    certificates._line_split = split
+            margins += located
+    certificates._line_split, certificates._least_on = split, least_on
     through = sum(factored)
+    margin = f"{min(margins):.2g}" if margins else "none"
     return (f"coefficient census, {len(inputs)} {domain} inputs: {len(inputs) - through} "
             f"certified from their coefficients, {through} fell through to the factorization, "
-            f"{failures} failures, worst relative residual {worst:.2g}")
+            f"{failures} failures, worst relative residual {worst:.2g}, worst located "
+            f"lambda_min/scale of the failures {margin}")
 
 
 if __name__ == "__main__":
