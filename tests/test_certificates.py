@@ -1190,6 +1190,48 @@ def test_a_dip_within_the_tolerance_certifies_on_the_interval(eps):
     assert cert.residual <= certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
 
 
+# The locator decides every interval miss.  The dips are built as in
+# test_inputs_that_dip_below_zero_are_located, whose source stays as it is:
+# a derandomized property draws its examples from a digest of its source.
+
+def _interval_dip(n, half, depth, seed):
+    g = np.random.default_rng(seed).standard_normal((half + 1, n, n))
+    c = np.zeros((2 * half + 1, n, n))
+    for i in range(half + 1):
+        for j in range(half + 1):
+            c[i + j] += g[i] @ g[j].T
+    c = 0.5 * (c + np.swapaxes(c, 1, 2))
+    c[0] -= (_grid_minimum(c, "interval") + 10.0 ** depth * np.abs(c).max()) * np.eye(n)
+    return MatrixPoly(c, symmetric=True)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_the_interval_locator_finds_no_dip_in_psd_inputs(n, d, seed):
+    # the call _certified makes once every candidate misses: on a PSD input
+    # it reports F's least eigenvalue at a point of [0, 1], above -tol * scale
+    f = _draw("interval", n, d, seed)
+    thresh = certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs())
+    worst, x = polymat._least_on(f.coeffs, *NotPsdOnInterval.domain, thresh)
+    assert 0.0 <= x <= 1.0 and worst >= -thresh
+    v = f(x)
+    assert _same_bits(worst, np.linalg.eigvalsh(0.5 * v + 0.5 * v.T)[0])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), half=st.integers(1, 6), depth=st.floats(-5.0, -2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_interval_dips_are_located_once_every_candidate_misses(n, half, depth, seed):
+    # no candidate certifies a dip, so the locator runs once and reports it
+    f = _interval_dip(n, half, depth, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        found = _counted_locator(patch)
+        with pytest.raises(NotPsdOnInterval) as info:
+            decompose_interval(f)
+    _assert_located(info.value, f, NotPsdOnInterval)
+    assert len(found) == 1 and found[0] < -certificates.DEFAULT_TOL
+
+
 def test_scalarize_names_a_coefficient_whose_power_sums_overflow():
     # det G = 1e200 - x^2 is finite, but Newton's identities form tr(G^2) =
     # 1e400 on the way: c_2 came back [nan, 0, -1] with a warning
