@@ -75,6 +75,15 @@ class MomentSequence:
         r, c = (shift + 1) // 2 * n, shift // 2 * n
         return self._gather[r:r + (m + 1) * n, c:c + (m + 1) * n]
 
+    def _localizing(self, g, m):
+        """Generator g's localizing Hankel at order m, sum_i g_i [S_{j+k+i}]_{j,k<=m}.
+
+        Summed from the lowest nonzero g_i, so 1*S and S_m - S_{m+1} are exact.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
+            terms = [c * self._hankel(m, i) for i, c in enumerate(g) if c]
+            return sum(terms[1:], terms[0])
+
     @property
     def S(self):
         return self._S
@@ -106,8 +115,7 @@ class _HankelFamily:
 
     def __init__(self, seq, key, g):
         self.top, self._n = (seq.D + 1 - len(g)) // 2, seq.n
-        with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
-            self._h = _combine(g, lambda i: seq._hankel(self.top, i))
+        self._h = seq._localizing(g, self.top)
         self._w = self._extremes = None
         self.least, self.floor, self.unit = math.nan, 1.0, 0.0
         if self.top >= 0:
@@ -149,12 +157,6 @@ class PsdReport:
     failing_order: int | None = None
 
     to_json = _report_json
-
-
-def _combine(g, term):
-    """sum_i g_i term(i) from the lowest nonzero g_i, so 1*S and S_m - S_{m+1} are exact."""
-    terms = [c * term(i) for i, c in enumerate(g) if c]
-    return sum(terms[1:], terms[0])
 
 
 def _spectrum(h, key, what):
@@ -227,8 +229,9 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
 
     ``variant``, a string, names the moment criterion, ``hamburger``,
     ``stieltjes`` or ``hausdorff`` (any case), whose generators g are tested
-    on real n x n operators.  With T_k the Frobenius pairing
-    [<S_{i+j+k}, A_i^T A_j>], the matrix of generator g is sum_k g_k T_k.
+    on real n x n operators.  Generator g's matrix is the compression
+    sum_s V_s^T H_g V_s of its localizing Hankel H_g at order m, V_s block
+    diagonal with column i the row s of A_i, summed in increasing s.
     """
     _check_tol(tol)
     if not isinstance(variant, str):
@@ -252,14 +255,13 @@ def operator_check(seq, operators, variant, tol=DEFAULT_PSD_TOL):
         raise ValueError(f"degree overflow: need 2*{m}+{extra} <= D={seq.D}")
     stack = _finite_entries(np.array(ops, dtype=float), "operator A_{}".format)
 
-    # T_k[i, j] = <S_{i+j+k}, A_i^T A_j>, the blocks copied out of the sequence's Hankels
-    blocks = np.array([seq._hankel(m, k).reshape(m + 1, seq.n, m + 1, seq.n).swapaxes(1, 2)
-                       for k in range(extra + 1)])
+    v = np.zeros((seq.n, (m + 1) * seq.n, m + 1))      # v[s] = V_s: column i is row s of A_i
+    v.reshape(seq.n, m + 1, seq.n, m + 1)[:, np.arange(m + 1), :, np.arange(m + 1)] = stack
     with np.errstate(over="ignore", invalid="ignore"):     # _spectrum reports an overflow
-        t = _hermitian_part(np.sum(blocks * (np.swapaxes(stack, 1, 2)[:, np.newaxis] @ stack),
-                                   axis=(-2, -1)))
-        w = np.array([_spectrum(_combine(g, lambda k: t[k]), key, "pairing matrix")[0][[0, -1]]
-                      for key, g in gens.items()])
+        mats = [np.sum(np.swapaxes(v, 1, 2) @ seq._localizing(g, m) @ v, axis=0)
+                for g in gens.values()]
+        w = np.array([_spectrum(_hermitian_part(c), key, "pairing matrix")[0][[0, -1]]
+                      for key, c in zip(gens, mats)])
     return _judge(np.full(len(gens), m), w[:, 0], w[:, 1], tol)
 
 

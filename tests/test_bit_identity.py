@@ -29,7 +29,7 @@ from matmoments import (AtomicMatrixMeasure, MatrixPoly, certificate_to_json, ce
                         forward_moments, operator_check, positivity_audit, recover)
 
 DIGEST = "2b5b906088980d43c57966d75f053650b10862b36510c13961615e66a2f9416f"
-MOMENT_DIGEST = "19cf1c17b43ed9ae9723827fbb47c71054adb32e2d2e3b44484f6f510fd3c0a7"
+MOMENT_DIGEST = "09f02510b101bb06d5714f978e8819e576506b9b508cbe2e53a9266d37382f94"
 WIDE_DIGEST = "8639d6541f0236cfeafd7c809f028f3e0961c913aa68ab95db1ce6d1b8a80fd1"
 FACTOR_DIGEST = "3bea882a11498c522534d8fd14beee616a3d25f45842974900b6c57608e73ef8"
 # Per-case hashes of every corpus, so that a mismatch names the first case

@@ -10,6 +10,7 @@ from matmoments import (AtomicMatrixMeasure, MomentSequence, PsdReport, block_ha
                         momentsequence_from_json, momentsequence_to_json, operator_check,
                         recover)
 from matmoments.moments import DEFAULT_PSD_TOL
+from matmoments.polymat import DOMAINS
 
 I2 = np.eye(2)
 
@@ -87,9 +88,11 @@ def test_one_gather_serves_the_criteria_operator_check_and_recover(monkeypatch):
     assert operator_check(seq, [I2, np.ones((2, 2))], "hausdorff").passed
     recover(seq)
     assert seq._gather is gather and not gather.flags.writeable
-    # four families (1, x, 1-x, x(1-x)), three pairing shifts, recover's H0 and H1
-    assert [(m, shift) for m, shift, _ in views] == [
-        (2, 0), (1, 1), (1, 0), (1, 1), (1, 1), (1, 2), (1, 0), (1, 1), (1, 2), (1, 0), (1, 1)]
+    # four families (1, x, 1-x, x(1-x)) at the top order, the same four at the
+    # tuple's order 1, recover's H0 and H1
+    families = [(1, 0), (1, 1), (1, 0), (1, 1), (1, 1), (1, 2)]
+    assert [(m, shift) for m, shift, _ in views] == [(2, 0), *families[1:], *families,
+                                                    (1, 0), (1, 1)]
     for m, shift, view in views:
         assert np.shares_memory(view, gather) and not view.flags.writeable
         assert view.tobytes() == _ref_block_hankel(seq, m, shift).tobytes()
@@ -439,23 +442,24 @@ def _ref_report(seq, variant, tol):
 
 
 def _ref_operator_check(seq, ops, variant, tol):
-    m = len(ops) - 1
-
-    def pairing_matrix(shift):
-        t = np.zeros((m + 1, m + 1))
-        for i in range(m + 1):
-            for j in range(m + 1):
-                t[i, j] = float(np.sum(seq[i + j + shift] * (ops[i].T @ ops[j])))
-        return 0.5 * (t + t.T)
-
-    t0 = pairing_matrix(0)
-    mats = [(m, t0)]
-    if variant in ("stieltjes", "hausdorff"):
-        t1 = pairing_matrix(1)
-        mats.append((m, t1))
-    if variant == "hausdorff":
-        t2 = pairing_matrix(2)
-        mats += [(m, t0 - t1), (m, t1 - t2)]
+    # per generator g: its localizing Hankel H_g at order m, from the lowest
+    # nonzero coefficient, compressed by V_s (column i the row s of A_i on
+    # block i) and summed in increasing s, each sum from its first term
+    m, n = len(ops) - 1, seq.n
+    gens = {"hamburger": [(1.0,)], "stieltjes": [(1.0,), (0.0, 1.0)],
+            "hausdorff": [(1.0,), (0.0, 1.0), (1.0, -1.0), (0.0, 1.0, -1.0)]}[variant]
+    mats = []
+    for g in gens:
+        terms = [c * block_hankel(seq, m, k) for k, c in enumerate(g) if c]
+        h = sum(terms[1:], terms[0])
+        compressed = []
+        for s in range(n):
+            v = np.zeros(((m + 1) * n, m + 1))
+            for i, a in enumerate(ops):
+                v[i * n:(i + 1) * n, i] = a[s]
+            compressed.append(v.T @ h @ v)
+        c = sum(compressed[1:], compressed[0])
+        mats.append((m, 0.5 * c + (0.5 * c).T))
     return _ref_judge(mats, tol)
 
 
@@ -605,6 +609,21 @@ def test_operator_check_matches_the_per_matrix_reference():
             for tol in (1e-9, 1e-3):
                 assert (_bits(operator_check(seq, ops, variant, tol))
                         == _bits(_ref_operator_check(seq, ops, variant, tol)))
+
+
+@pytest.mark.parametrize("variant", ["hamburger", "stieltjes", "hausdorff"])
+def test_operator_check_of_unit_scalars_is_the_criterion_at_its_order(variant):
+    # n = 1 and every A_i = [[1]]: each V_s is the identity, so the compression
+    # is the generator's localizing Hankel at order m, bit for bit, and the
+    # least eigenvalue is the criterion families' least at that order
+    gens = dict(DOMAINS.values())[variant]
+    rng = np.random.default_rng(41)
+    for d in (2, 5, 8):
+        seq = MomentSequence(rng.standard_normal((d + 1, 1, 1)) * 10.0 ** rng.integers(-3, 4))
+        for m in range((d - max(map(len, gens.values())) + 1) // 2 + 1):
+            least = min(seq._family(key, g).extremes()[1][m] for key, g in gens.items())
+            rep = operator_check(seq, [[[1.0]]] * (m + 1), variant)
+            assert repr(rep.min_eigenvalue) == repr(float(least)), (d, m)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
