@@ -21,7 +21,7 @@ import json
 import sys
 from collections import namedtuple
 
-from .polymat import DOMAINS, _check_tol, _Failure, _json_floats, matrixpoly_from_json
+from .polymat import DOMAINS, _check_tol, _Failure, _json_floats, _size, matrixpoly_from_json
 
 SCHEMA_VERSION = 4
 CommandResult = namedtuple("CommandResult", "exit_code report")
@@ -110,7 +110,8 @@ def _cmd_integrate(args):
 def _cmd_shiftgap(args):
     from . import measures, shiftgap
     fam = shiftgap.build_family(args.dim)
-    probe = shiftgap.leading_coeff_probe(fam, args.trials, seed=args.seed)
+    _size(args.trials, "trials", least=0)      # then ignored, as is --seed
+    probe = shiftgap.leading_coeff_probe(fam)
     chain_doc = collapse = None
     ok = probe.all_psd and probe.negative_candidate_excluded
     if args.functional is not None:

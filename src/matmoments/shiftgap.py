@@ -108,7 +108,7 @@ def shift_compress(fam, n):
     return MatrixPoly(coeffs, symmetric=True)
 
 
-def leading_coeff_probe(fam, trials=0, seed=0):
+def leading_coeff_probe(fam):
     """The leading-coefficient argument that keeps (K^2 - x^2) Id out of the module.
 
     Theorem: lead(G) = diag(1/i) and lead(Id) = Id are positive definite.
@@ -123,23 +123,16 @@ def leading_coeff_probe(fam, trials=0, seed=0):
     The report gives the least eigenvalue of lead(G) and lead(Id), each
     divided by its largest entry (1/N), and that of the candidate
     (1 - x^2) Id (-1): exact for these diagonal matrices, so judged against
-    0 with no ``INPUT_RTOL``.  ``trials`` and ``seed`` are ignored, as
-    nothing is drawn; ``trials`` must be a nonnegative integer.
+    0 with no ``INPUT_RTOL``.
     """
-    _size(trials, "trials", least=0)
     eye = np.eye(fam.N)
     lead_g, lead_id, lead_candidate = (float(np.linalg.eigvalsh(c / np.max(np.abs(c)))[0])
                                        for c in (fam.G.coeffs[-1], eye, -eye))
     min_eig = min(lead_g, lead_id)
-    return ProbeReport(
-        min_leading_eigenvalue=min_eig,
-        all_psd=min_eig >= 0.0,
-        negative_candidate_min_eigenvalue=lead_candidate,
-        negative_candidate_excluded=lead_candidate < 0.0,
-    )
+    return ProbeReport(min_eig, min_eig >= 0.0, lead_candidate, lead_candidate < 0.0)
 
 
-def _audit_module(mu, fam, trials):
+def _audit_module(mu, fam, trials=0):
     """Raise unless L has the family's size and is module-positive; an indefinite W names p_1."""
     if mu.n != fam.N:
         raise ValueError(f"functional size {mu.n} does not match family size {fam.N}")
@@ -202,7 +195,7 @@ def cauchy_schwarz_chain(mu, fam, trials=200, seed=0):
                        all_hold, final_bound, scale)
 
 
-def support_collapse_check(mu, fam, trials=200, seed=0):
+def support_collapse_check(mu, fam):
     """True iff L(x^k B) vanishes for k = 1..6, i.e. L sees only the origin.
 
     Preconditions, checked in this order: L has the family's size and is
@@ -210,7 +203,7 @@ def support_collapse_check(mu, fam, trials=200, seed=0):
     lies in [0, N] up to 1e-9, the region the truncation controls (a
     ValueError otherwise).  Vanishing means |S_k| <= ``INPUT_RTOL`` max(1, L(Id)).
     """
-    _audit_module(mu, fam, trials)
+    _audit_module(mu, fam)
     for idx, (x, _) in enumerate(mu.atoms):
         if x < -1e-9 or x > fam.N + 1e-9:
             raise ValueError(f"atom {idx} at x={x:.6g} lies outside [0, {fam.N}]")

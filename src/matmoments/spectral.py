@@ -90,13 +90,12 @@ class SpectralFactor:
 
     ``epsilon_used`` is the shift delta of the Riccati retry on
     u + delta*I (0.0 when the direct solve succeeded); ``toeplitz_order``
-    is the state dimension n*band of the Riccati equation.
+    is the state dimension n*band of the Riccati equation, n*deg.
     """
 
     coeffs: np.ndarray          # (deg+1, n, n) in u's field
     residual: float
     epsilon_used: float
-    toeplitz_order: int
 
     @property
     def n(self):
@@ -105,6 +104,10 @@ class SpectralFactor:
     @property
     def deg(self):
         return self.coeffs.shape[0] - 1
+
+    @property
+    def toeplitz_order(self):
+        return self.n * self.deg
 
 
 def _quarter_power(top):
@@ -302,7 +305,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
 
     zero = np.zeros((band + 1, n, n), dtype=u.coeffs.dtype)
     if _maxabs(u.coeffs) == 0.0:
-        return SpectralFactor(zero, 0.0, 0.0, n * band)
+        return SpectralFactor(zero, 0.0, 0.0)
 
     # u / 4^j is exact, and every step is homogeneous at scales of 1 and up, so
     # bits change only where a step overflowed at u's own scale
@@ -313,7 +316,7 @@ def fejer_riesz(u, tol=DEFAULT_TOL):
 
     def unscaled(b, res):       # a factor of u / 4^j as one of u, its residual and shift too
         return SpectralFactor(b * math.ldexp(1.0, j), float(np.ldexp(res, 2 * j)),
-                              float(np.ldexp(shift, 2 * j)), n * band)
+                              float(np.ldexp(shift, 2 * j)))
 
     try:
         b = _riccati_factor(a_stack, band, n)

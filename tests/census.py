@@ -26,16 +26,25 @@ running record of those paths.
   A failure whose locator (``polymat._least_on``) found no dip gives the
   margin by which it was ruled out: the worst such lambda_min / scale,
   at least -tol, is printed.
+- Tolerance edge: the input of ``test_certificates``'
+  ``test_a_factored_interval_certificate_near_the_tolerance_reassembles``,
+  factored with the coefficient candidate refused.  Its residual over
+  tol * scale, and in ulps of the largest entry of sum_g |g| |G||G|^T
+  (entrywise absolute values over the certificate's factors G), the size
+  whose rounding the monomial reassembly check carries.  Near 1 on both,
+  that check cannot tell the certificate from one just past the tolerance.
 """
 
 from conftest import SINGULAR_INPUTS, interval_squares
 from test_bit_identity import _corpus, _factor_corpus, _wide_corpus
+from test_certificates import _GENS, sos_of_degree
 
 import time
 
 import numpy as np
 
-from matmoments import MatrixPoly, certificates, spectral
+from matmoments import MatrixPoly, certificates, matmul, scalar_poly_mult, spectral, transpose_poly
+from matmoments.polymat import DOMAINS
 
 # per input, its Riccati solves; per polish, its seconds; one entry per Newton step
 solves, polish_s, steps = [], [], []
@@ -142,6 +151,26 @@ def coefficient_census(domain, inputs):
             f"lambda_min/scale of the failures {margin}")
 
 
+def tolerance_edge():
+    f = sos_of_degree(np.random.default_rng([3, 12, 1]), 3, 12, _GENS["interval"])
+    parts, certificates._coefficient_parts = certificates._coefficient_parts, lambda c: None
+    try:
+        cert = certificates.decompose_interval(f)
+    finally:
+        certificates._coefficient_parts = parts
+    weights, size = DOMAINS["interval"][1], MatrixPoly.zero(f.n)
+    for key, factors in cert.sigma.items():
+        for g in factors:
+            a = MatrixPoly(np.abs(g.coeffs))
+            size = size + scalar_poly_mult(np.abs(weights[key]), matmul(a, transpose_poly(a)))
+    top = size.max_coeff_abs()
+    ratio = cert.residual / (certificates.DEFAULT_TOL * max(1.0, f.max_coeff_abs()))
+    ulps = cert.residual / np.spacing(top)
+    return (f"tolerance edge, the interval n3:d12 input [3, 12, 1] factored: residual "
+            f"{cert.residual:.3g} is {ratio:.3f} of tol*scale and {ulps:.2g} ulps of the "
+            f"largest entry of sum |w| |G||G|^T ({top:.3g})")
+
+
 if __name__ == "__main__":
     spectral._newton_refine, spectral._newton_step = timed_refine, counted_step
     print(polish_census())
@@ -151,3 +180,4 @@ if __name__ == "__main__":
     print(retry_census())
     print(coefficient_census("halfline", natural_halfline_set()))
     print(coefficient_census("interval", (f for _, _, f in interval_squares())))
+    print(tolerance_edge())

@@ -785,7 +785,7 @@ def test_a_factorization_that_does_not_converge_leaves_its_best_to_the_check(dec
     def no_convergence(u, tol):
         best = factor(u, tol)
         if zero:
-            best = spectral.SpectralFactor(0 * best.coeffs, 1.0, 0.0, best.toeplitz_order)
+            best = spectral.SpectralFactor(0 * best.coeffs, 1.0, 0.0)
         raise spectral.NoConvergence(best)
     monkeypatch.setattr(spectral, "fejer_riesz", no_convergence)
     f = scalar_poly(*coeffs)

@@ -684,7 +684,7 @@ def _raiser(exc):
     return raise_it
 
 
-_BEST = matmoments.SpectralFactor(np.zeros((1, 1, 1), dtype=complex), 1.0, 0.0, 1)
+_BEST = matmoments.SpectralFactor(np.zeros((1, 1, 1), dtype=complex), 1.0, 0.0)
 # (class name, argv, (module, function) patched to raise it, or None where the
 # input itself reaches it)
 EXIT_ONE_CASES = [

@@ -106,47 +106,42 @@ def test_probe_family_leading_coefficient():
 
 def test_probe_minimum_and_candidate_exclusion():
     fam = build_family(3)
-    rep = leading_coeff_probe(fam, 300, seed=5)
+    rep = leading_coeff_probe(fam)
     assert rep.min_leading_eigenvalue == pytest.approx(1.0 / 3.0)
     assert rep.all_psd
     assert rep.negative_candidate_min_eigenvalue == pytest.approx(-1.0)
     assert rep.negative_candidate_excluded
 
 
-# (N, seed, trials): the argument reports lead(G)'s least normalized
-# eigenvalue 1/N at each, whatever the seed and trial count
-PROBE_KEYS = [(1, 2, 100), (2, 11, 1), (5, 11, 1), (2, 2, 1), (3, 28, 1), (4, 1, 1),
-              (4, 5, 200), (6, 2, 2), (6, 9, 200), (8, 3, 100), (2, 1, 257), (5, 7, 513),
-              (6, 4, 500)]
-
-
-@pytest.mark.parametrize("key", sorted(PROBE_KEYS))
-def test_probe_matches_pinned_reports(key):
-    n_dim, seed, trials = key
-    fam = build_family(n_dim)
-    rep = leading_coeff_probe(fam, trials, seed=seed)
+# the argument reports lead(G)'s least normalized eigenvalue 1/N at each N,
+# and the candidate's -1
+@pytest.mark.parametrize("n_dim", [*range(1, 11), 16, 100, 709])
+def test_probe_matches_pinned_reports(n_dim):
+    rep = leading_coeff_probe(build_family(n_dim))
     assert rep.min_leading_eigenvalue == pytest.approx(1.0 / n_dim, rel=1e-15)
     assert rep.all_psd and rep.negative_candidate_excluded
-    assert rep == leading_coeff_probe(fam)
+    assert rep.negative_candidate_min_eigenvalue == -1.0
 
 
 @pytest.mark.parametrize("trials", [-1, True, 2.5, "3", None])
 def test_every_trials_check_wants_a_nonnegative_integer(trials):
     # the checks were trials < 0 alone, which True and 2.5 passed
     fam, mu = build_family(2), AtomicMatrixMeasure(2, [(0.5, np.eye(2))])
-    for call in (lambda: leading_coeff_probe(fam, trials),
-                 lambda: positivity_audit(mu, [[0.0, 1.0]], trials),
-                 lambda: cauchy_schwarz_chain(mu, fam, trials),
-                 lambda: support_collapse_check(mu, fam, trials)):
+    for call in (lambda: positivity_audit(mu, [[0.0, 1.0]], trials),
+                 lambda: cauchy_schwarz_chain(mu, fam, trials)):
         with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
             call()
 
 
-def test_probe_rejects_negative_trial_counts():
-    fam = build_family(3)
-    with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
-        leading_coeff_probe(fam, -5)
-    assert leading_coeff_probe(fam, 0).all_psd
+def test_probe_and_collapse_check_take_no_trials_or_seed():
+    # nothing is drawn, so neither takes the trial count or seed it used to
+    # ignore; momentctl shiftgap checks its --trials itself
+    fam, mu = build_family(3), AtomicMatrixMeasure(3, [(0.0, np.eye(3))])
+    with pytest.raises(TypeError):
+        leading_coeff_probe(fam, 5)
+    with pytest.raises(TypeError):
+        support_collapse_check(mu, fam, trials=5)
+    assert leading_coeff_probe(fam).all_psd and support_collapse_check(mu, fam)
 
 
 def _vector_quadratic(base, f):
@@ -197,10 +192,10 @@ def test_module_checks_draw_no_random_numbers(monkeypatch):
     fam = build_family(n_dim)
     mu = AtomicMatrixMeasure(n_dim, [(0.0, np.eye(n_dim)), (3.0, 0.5 * np.eye(n_dim))])
     gens = [[0.0, 0.0, -1.0, 1.0 / i] for i in range(1, n_dim + 1)]
-    assert leading_coeff_probe(fam, 20_000, seed=3).all_psd
+    assert leading_coeff_probe(fam).all_psd
     assert positivity_audit(mu, gens, 20_000, seed=3).passed
     assert cauchy_schwarz_chain(mu, fam, trials=500, seed=7).all_hold
-    assert not support_collapse_check(mu, fam, trials=500, seed=7)
+    assert not support_collapse_check(mu, fam)
 
 
 def test_chain_point_mass_at_origin():
@@ -381,13 +376,13 @@ def test_chain_accepts_outer_atom_at_truncation_edge(n_dim):
 def test_support_collapse_at_origin():
     fam = build_family(3)
     mu = AtomicMatrixMeasure(3, [(0.0, np.eye(3))])
-    assert support_collapse_check(mu, fam, trials=20)
+    assert support_collapse_check(mu, fam)
 
 
 def test_support_collapse_detects_mass_at_truncation_edge():
     fam = build_family(3)
     mu = AtomicMatrixMeasure(3, [(0.0, np.eye(3)), (3.0, 0.5 * np.eye(3))])
-    assert not support_collapse_check(mu, fam, trials=20)
+    assert not support_collapse_check(mu, fam)
 
 
 def test_support_collapse_interior_atom_fails_precondition():
@@ -396,7 +391,7 @@ def test_support_collapse_interior_atom_fails_precondition():
     w[0, 0] = 1.0
     mu = AtomicMatrixMeasure(2, [(0.5, w)])
     with pytest.raises(ModulePositivityError) as info:
-        support_collapse_check(mu, fam, trials=10)
+        support_collapse_check(mu, fam)
     # p_2(1/2) = -3/16 is the most negative diagonal entry
     assert info.value.generator_index == 1
     assert info.value.value == pytest.approx(-0.1875)
@@ -406,7 +401,7 @@ def test_support_collapse_rejects_atoms_beyond_truncation():
     fam = build_family(4)
     mu = AtomicMatrixMeasure(4, [(0.0, np.eye(4)), (6.0, np.eye(4))])
     with pytest.raises(ValueError, match="outside"):
-        support_collapse_check(mu, fam, trials=10)
+        support_collapse_check(mu, fam)
 
 
 def _huge_mass(*atoms):
